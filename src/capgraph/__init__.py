@@ -31,13 +31,13 @@ from .estimates import (AngleRangeResult, AuxiliaryField, CoefficientState,
                         shifted_cutoff_weight)
 from .geometry import (EllipsoidRegion, HalfSpaceGrid, NodeClass, RegionKind,
                        build_grid, in_region, inner_node_set)
-from .harness import (AngleSweepRow, CheckResult, ExperimentConfig,
+from .harness import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
+                      AngleSweepRow, CheckResult, ExperimentConfig,
                       ExperimentReport, GradientBoundFit, ReportRow,
                       blow_down, domain_for_radius, load_config, parse_config,
                       run_angle_sweep, run_audit, run_conormal_check,
                       run_gradient_bound_sweep, run_liouville_experiment,
-                      run_minimizer_test, run_solve_experiment,
-                      write_angle_sweep_csv, write_audit_csv, write_report_csv)
+                      run_minimizer_test, run_solve_experiment, write_csv)
 from .solver import (ProblemSpec, SolveReport, SolveStatus, SolverConfig,
                      SparseSystem, assemble_jacobian, assemble_residual,
                      discrete_gradient, ghost_closure, linear_solve,

@@ -17,11 +17,11 @@ import numpy as np
 from .errors import (AngleOutOfRange, BadConfig, CapillaryLabError,
                      HypothesisViolation, InvariantViolation,
                      LinearSolveFailure)
-from .harness import (load_config, run_angle_sweep,
-                      run_audit, run_conormal_check, run_gradient_bound_sweep,
+from .harness import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
+                      load_config, run_angle_sweep, run_audit,
+                      run_conormal_check, run_gradient_bound_sweep,
                       run_liouville_experiment, run_minimizer_test,
-                      run_solve_experiment, write_angle_sweep_csv,
-                      write_audit_csv, write_report_csv)
+                      run_solve_experiment, write_csv)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -69,7 +69,7 @@ def _rows_summary(report) -> str:
 
 
 def _finish(report, out_path) -> int:
-    write_report_csv(report, out_path)
+    write_csv(report.rows, out_path, REPORT_COLUMNS)
     print(_rows_summary(report))
     print(f"wrote {out_path}")
     if report.worst_status != "converged":
@@ -84,14 +84,14 @@ def _dispatch(args) -> int:
         lo = math.asin(args.sin_min) + 1e-9
         thetas = np.linspace(lo, math.pi - lo, args.theta_steps)
         rows = run_angle_sweep(n_list, thetas, sin_min=args.sin_min)
-        write_angle_sweep_csv(rows, args.out)
+        write_csv(rows, args.out, ANGLE_SWEEP_COLUMNS)
         print(f"angle sweep: {len(rows)} rows over n={n_list}")
         print(f"wrote {args.out}")
         return EXIT_OK
 
     if args.command == "audit":
         results = run_audit(seed=args.seed)
-        write_audit_csv(results, args.out)
+        write_csv(results, args.out, AUDIT_COLUMNS)
         failed = 0
         for res in results:
             tag = "PASS" if res.passed else "FAIL"

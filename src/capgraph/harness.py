@@ -11,13 +11,13 @@ per level), so identical configs produce bitwise-identical CSV files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .capillary import (CapillaryAngle, ScalarField, affine_capillary_solution,
-                        calibration_value, capillary_energy, capillary_gauge,
-                        conormal, unit_normal)
+                        area_element, calibration_value, capillary_energy,
+                        capillary_gauge, conormal, unit_normal)
 from .errors import (AngleOutOfRange, BadConfig, HypothesisViolation,
                      InvariantViolation, OutOfExtent, StationarityViolation)
 from .estimates import (admissible_angle_range, angle_condition_holds,
@@ -40,10 +40,17 @@ SCENARIOS = (
     "conormal-check",
 )
 
+# CSV headers of ReportRow, AngleSweepRow and CheckResult, in field order
+# (the audit's `check` column holds CheckResult.name)
 REPORT_COLUMNS = ("level", "r", "h", "sup_grad_inner", "affine_dev", "energy",
                   "v_min", "newton_iters", "status")
 ANGLE_SWEEP_COLUMNS = ("n", "theta", "in_U", "threshold", "margin", "C_theta",
                        "script_B")
+AUDIT_COLUMNS = ("check", "value", "threshold", "passed")
+
+# the minimizer test compares energies near roundoff, so it solves tighter
+MINIMIZER_SOLVER = SolverConfig(tol_residual=1e-12)
+MINIMIZER_EPSILONS = (1e-1, 1e-2, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +210,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_report_csv(report: ExperimentReport, path) -> None:
-    lines = ["schema=1", ",".join(REPORT_COLUMNS)]
-    for row in report.rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in REPORT_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 @dataclass(frozen=True)
 class AngleSweepRow:
     n: int
@@ -222,14 +221,6 @@ class AngleSweepRow:
     script_B: float
 
 
-def write_angle_sweep_csv(rows, path) -> None:
-    lines = ["schema=1", ",".join(ANGLE_SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in ANGLE_SWEEP_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -238,11 +229,12 @@ class CheckResult:
     passed: bool
 
 
-def write_audit_csv(results, path) -> None:
-    lines = ["schema=1", "check,value,threshold,passed"]
-    for res in results:
-        lines.append(",".join([res.name, _fmt(res.value), _fmt(res.threshold),
-                               _fmt(res.passed)]))
+def write_csv(rows, path, columns) -> None:
+    """Write a `schema=1` CSV: the header `columns`, then one line per row
+    holding its dataclass fields in declaration order."""
+    lines = ["schema=1", ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_fmt(getattr(row, f.name)) for f in fields(row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -251,15 +243,16 @@ def write_audit_csv(results, path) -> None:
 # Data families
 # ---------------------------------------------------------------------------
 
-def domain_for_radius(r: float, theta: CapillaryAngle, h: float, dim: int,
-                      margin_cells: int = 1) -> HalfSpaceGrid:
-    """Smallest conforming box containing the outer ellipsoid of radius r."""
+def domain_for_radius(r: float, theta: CapillaryAngle, h: float, dim: int
+                      ) -> HalfSpaceGrid:
+    """Smallest conforming box containing the outer ellipsoid of radius r,
+    plus one margin cell."""
     need1 = (1.0 + abs(theta.cos_t)) * r
-    m1 = int(np.ceil(need1 / h - 1e-9)) + margin_cells
+    m1 = int(np.ceil(need1 / h - 1e-9)) + 1
     if dim == 1:
         return build_grid(1, h, m1 * h)
     needp = r / theta.sin_t
-    mp = int(np.ceil(needp / h - 1e-9)) + margin_cells
+    mp = int(np.ceil(needp / h - 1e-9)) + 1
     return build_grid(2, h, m1 * h, mp * h)
 
 
@@ -297,40 +290,38 @@ def _level_rngs(cfg: ExperimentConfig, count: int):
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
-def _affine_deviation(sol: ScalarField, theta: CapillaryAngle,
-                      idx: np.ndarray) -> float:
-    """Infinity norm of Du minus the gradient of the best-fit capillary
-    affine solution, over the given node set."""
-    grid = sol.grid
-    pts = grid.nodes[idx]
-    vals = sol.values[idx]
-    design = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    fit = affine_capillary_solution(theta, coef[1:grid.dim], float(coef[-1]))
+def _family(base, bump, amp: float = 1.0, scale: float = 1.0):
+    """Dirichlet data scale * (base + amp * bump) of every harness family:
+    an affine capillary base plus a seeded bump."""
+    return lambda points: scale * (base(points) + amp * bump(points))
+
+
+def _solve_level(theta: CapillaryAngle, grid: HalfSpaceGrid, data, level: int,
+                 r: float, h: float, idx: np.ndarray | None = None,
+                 solver_cfg: SolverConfig | None = None):
+    """Solve one truncated problem and build its report row.
+
+    Both gradient columns come from one discrete gradient over the inner
+    node set `idx` (default: the inner ellipsoid of radius r/2):
+    sup_grad_inner is its max norm, affine_dev its infinity-norm deviation
+    from the slope of the best-fit capillary affine solution.  Returns the
+    solution, the row and the inner gradients.
+    """
+    sol, rep = newton_solve(ProblemSpec.from_boundary_data(grid, theta, data),
+                            solver_cfg)
+    if idx is None:
+        idx = inner_node_set(grid, EllipsoidRegion(0.5 * r, theta, RegionKind.INNER))
     grad = discrete_gradient(sol, theta).vectors[idx]
-    return float(np.max(np.abs(grad - fit.slope)))
-
-
-def _solve_level(cfg: ExperimentConfig, level: int, r: float, h: float,
-                 data, solver_cfg: SolverConfig):
-    theta = cfg.theta
-    grid = domain_for_radius(r, theta, h, cfg.dim)
-    spec = ProblemSpec.from_boundary_data(grid, theta, data)
-    inner = EllipsoidRegion(0.5 * r, theta, RegionKind.INNER)
-    sol, rep = newton_solve(spec, solver_cfg, inner_regions=(inner,))
-    idx = inner_node_set(grid, inner)
-    row = ReportRow(
-        level=level,
-        r=float(r),
-        h=float(h),
-        sup_grad_inner=rep.sup_grad_inner[inner],
-        affine_dev=_affine_deviation(sol, theta, idx),
-        energy=rep.energy,
-        v_min=rep.v_min,
-        newton_iters=rep.iterations,
-        status=rep.status.value,
-    )
-    return grid, sol, rep, row, idx
+    pts = grid.nodes[idx]
+    design = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    coef, *_ = np.linalg.lstsq(design, sol.values[idx], rcond=None)
+    fit = affine_capillary_solution(theta, coef[1:grid.dim], float(coef[-1]))
+    row = ReportRow(level=level, r=float(r), h=float(h),
+                    sup_grad_inner=float(np.max(np.linalg.norm(grad, axis=1))),
+                    affine_dev=float(np.max(np.abs(grad - fit.slope))),
+                    energy=rep.energy, v_min=rep.v_min,
+                    newton_iters=rep.iterations, status=rep.status.value)
+    return sol, row, grad
 
 
 # ---------------------------------------------------------------------------
@@ -367,30 +358,22 @@ def blow_down(u: ScalarField, R: float, target_grid: HalfSpaceGrid | None = None
     return ScalarField(target_grid, rgi(pts) / R)
 
 
-def run_solve_experiment(cfg: ExperimentConfig,
-                         solver_cfg: SolverConfig | None = None) -> ExperimentReport:
+def run_solve_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Single truncated solve at the first (r, h) level of the configured
     data family; affine-recovery uses the unperturbed affine trace."""
     theta = cfg.theta
     r, h = cfg.r_levels[0], cfg.h_levels[0]
     rng = _level_rngs(cfg, 1)[0]
     base = affine_capillary_solution(theta, cfg.slope_vector()[1:], cfg.L_offset)
-    grid_probe = domain_for_radius(r, theta, h, cfg.dim)
-    bump = _smooth_bump(rng, grid_probe)
+    grid = domain_for_radius(r, theta, h, cfg.dim)
     amp = 0.0 if cfg.scenario == "affine-recovery" else \
         cfg.perturb_amp * r ** (-cfg.perturb_decay)
-
-    def data(pts):
-        return base(pts) + amp * bump(pts)
-
-    _, _, _, row, _ = _solve_level(cfg, 0, r, h, data,
-                                   solver_cfg or SolverConfig())
+    data = _family(base, _smooth_bump(rng, grid), amp)
+    _, row, _ = _solve_level(theta, grid, data, 0, r, h)
     return ExperimentReport(scenario=cfg.scenario, rows=(row,))
 
 
-def run_liouville_experiment(cfg: ExperimentConfig,
-                             solver_cfg: SolverConfig | None = None
-                             ) -> ExperimentReport:
+def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Truncated solves over growing regions with decaying boundary
     perturbations; asserts the affine-deviation trend.
 
@@ -420,16 +403,11 @@ def run_liouville_experiment(cfg: ExperimentConfig,
     pairs = cfg.level_pairs()
     rows = []
     rngs = _level_rngs(cfg, len(pairs))
-    solver_cfg = solver_cfg or SolverConfig()
     one_sided_gap = None
     for level, (r, h) in enumerate(pairs):
         grid = domain_for_radius(r, theta, h, cfg.dim)
-        bump = _smooth_bump(rngs[level], grid)
         amp = cfg.perturb_amp * r ** (-cfg.perturb_decay)
-
-        def data(pts, _bump=bump, _amp=amp):
-            return base(pts) + sign * _amp * _bump(pts)
-
+        data = _family(base, _smooth_bump(rngs[level], grid), sign * amp)
         dpts = grid.nodes[grid.dirichlet_indices]
         dvals = data(dpts)
         if one_sided:
@@ -443,10 +421,9 @@ def run_liouville_experiment(cfg: ExperimentConfig,
                 raise HypothesisViolation(
                     "data leaves the linear growth class |u| <= c0 (1 + |x|)")
 
-        grid, sol, rep, row, idx = _solve_level(cfg, level, r, h, data, solver_cfg)
+        _, row, grad = _solve_level(theta, grid, data, level, r, h)
         rows.append(row)
         if one_sided:
-            grad = discrete_gradient(sol, theta).vectors[idx]
             target = np.zeros(cfg.dim)
             target[0] = -theta.cot_t
             one_sided_gap = float(np.max(np.linalg.norm(grad - target, axis=1)))
@@ -463,8 +440,7 @@ def run_liouville_experiment(cfg: ExperimentConfig,
                             details=details)
 
 
-def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6,
-                             solver_cfg: SolverConfig | None = None
+def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6
                              ) -> ExperimentReport:
     """Fit the exponential gradient bound over a boundary-data family.
 
@@ -489,39 +465,24 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6,
     base = affine_capillary_solution(theta, cfg.slope_vector()[1:], cfg.L_offset)
     one_minus = 1.0 - abs(theta.cos_t)
     rngs = _level_rngs(cfg, len(cfg.h_levels))
-    solver_cfg = solver_cfg or SolverConfig()
 
     rows = []
     fits = []
     members = []
-    level_counter = 0
     for li, h in enumerate(cfg.h_levels):
         grid = domain_for_radius(r, theta, h, cfg.dim)
         bump = _smooth_bump(rngs[li], grid)
         outer_mask = in_region(grid.nodes, EllipsoidRegion(r, theta, RegionKind.OUTER))
-        inner = EllipsoidRegion(r, theta, RegionKind.INNER)
-        inner_idx = inner_node_set(grid, inner)
+        inner_idx = inner_node_set(grid, EllipsoidRegion(r, theta, RegionKind.INNER))
         ratios, sups = [], []
         for k in range(family_size):
-            scale = cfg.c0 * (k + 1) / family_size * r
-
-            def data(pts, _scale=scale):
-                return _scale * (base(pts) + bump(pts))
-
-            spec = ProblemSpec.from_boundary_data(grid, theta, data)
-            sol, rep = newton_solve(spec, solver_cfg, inner_regions=(inner,))
-            sup = rep.sup_grad_inner[inner]
+            data = _family(base, bump, scale=cfg.c0 * (k + 1) / family_size * r)
+            sol, row, _ = _solve_level(theta, grid, data, len(rows), r, h, inner_idx)
+            rows.append(row)
             pool = sol.values[outer_mask] if np.any(outer_mask) else sol.values
             m_scale = float(np.max(np.abs(pool))) + r
             ratios.append(m_scale / r)
-            sups.append(sup)
-            rows.append(ReportRow(
-                level=level_counter, r=float(r), h=float(h),
-                sup_grad_inner=sup,
-                affine_dev=_affine_deviation(sol, theta, inner_idx),
-                energy=rep.energy, v_min=rep.v_min,
-                newton_iters=rep.iterations, status=rep.status.value))
-            level_counter += 1
+            sups.append(row.sup_grad_inner)
         members.append(tuple(zip(ratios, sups)))
         m = np.asarray(ratios)
         y = np.log(np.asarray(sups) * one_minus)
@@ -558,9 +519,7 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6,
                                      "members": tuple(members)})
 
 
-def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100,
-                       epsilons: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
-                       solver_cfg: SolverConfig | None = None
+def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
                        ) -> ExperimentReport:
     """Competitor test of the minimizing property of a solved field.
 
@@ -575,28 +534,24 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100,
     rng = _level_rngs(cfg, 1)[0]
     base = affine_capillary_solution(theta, cfg.slope_vector()[1:], cfg.L_offset)
     grid = domain_for_radius(r, theta, h, cfg.dim)
-    bump = _smooth_bump(rng, grid)
-
-    def data(pts):
-        return base(pts) + cfg.perturb_amp * bump(pts)
-
-    solver_cfg = solver_cfg or SolverConfig(tol_residual=1e-12)
-    grid, sol, rep, row, _ = _solve_level(cfg, 0, r, h, data, solver_cfg)
-    if rep.status is not SolveStatus.CONVERGED:
+    data = _family(base, _smooth_bump(rng, grid), cfg.perturb_amp)
+    sol, row, _ = _solve_level(theta, grid, data, 0, r, h,
+                               solver_cfg=MINIMIZER_SOLVER)
+    if row.status != SolveStatus.CONVERGED.value:
         return ExperimentReport(scenario=cfg.scenario, rows=(row,),
                                 details={"trials": 0})
 
     free = grid.free_indices
-    energy0 = capillary_energy(sol, theta)
+    energy0 = row.energy
     slopes = []
     max_drop = 0.0
-    log_eps = np.log(np.asarray(epsilons))
+    log_eps = np.log(np.asarray(MINIMIZER_EPSILONS))
     for trial in range(trials):
         w = np.zeros(grid.n_nodes)
         w[free] = rng.standard_normal(free.size)
         w /= np.max(np.abs(w))
         increments = []
-        for eps in epsilons:
+        for eps in MINIMIZER_EPSILONS:
             competitor = ScalarField(grid, sol.values + eps * w)
             gain = capillary_energy(competitor, theta) - energy0
             if gain < -1e-10:
@@ -611,9 +566,7 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100,
     return ExperimentReport(scenario=cfg.scenario, rows=(row,), details=details)
 
 
-def run_conormal_check(cfg: ExperimentConfig,
-                       solver_cfg: SolverConfig | None = None
-                       ) -> ExperimentReport:
+def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
     """Solve one problem at each mesh level and track the decay of the
     conormal stationarity residual along the wall."""
     if cfg.scenario != "conormal-check":
@@ -623,30 +576,17 @@ def run_conormal_check(cfg: ExperimentConfig,
     rng = _level_rngs(cfg, 1)[0]
     base = affine_capillary_solution(theta, cfg.slope_vector()[1:], cfg.L_offset)
     probe = domain_for_radius(r, theta, max(cfg.h_levels), cfg.dim)
-    bump = _smooth_bump(rng, probe)
-
-    def data(pts):
-        return base(pts) + cfg.perturb_amp * bump(pts)
-
-    solver_cfg = solver_cfg or SolverConfig()
+    data = _family(base, _smooth_bump(rng, probe), cfg.perturb_amp)
     # fixed physical margin: the Dirichlet-wins corner rule commits a local
     # error at the corner-adjacent wall nodes that does not decay
     margin = 2.0 * max(cfg.h_levels)
     rows, residuals = [], []
-    inner = EllipsoidRegion(0.5 * r, theta, RegionKind.INNER)
     for level, h in enumerate(cfg.h_levels):
         # identical box across levels (conforming to the coarsest mesh), so
         # refinement compares discretizations of one continuous problem
         grid = build_grid(cfg.dim, h, probe.L1, probe.Lp)
-        spec = ProblemSpec.from_boundary_data(grid, theta, data)
-        sol, rep = newton_solve(spec, solver_cfg, inner_regions=(inner,))
-        idx = inner_node_set(grid, inner)
-        rows.append(ReportRow(
-            level=level, r=float(r), h=float(h),
-            sup_grad_inner=rep.sup_grad_inner[inner],
-            affine_dev=_affine_deviation(sol, theta, idx),
-            energy=rep.energy, v_min=rep.v_min,
-            newton_iters=rep.iterations, status=rep.status.value))
+        sol, row, _ = _solve_level(theta, grid, data, level, r, h)
+        rows.append(row)
         residuals.append(conormal_stationarity_residual(sol, theta,
                                                         corner_margin=margin))
     ratios = tuple(a / b for a, b in zip(residuals, residuals[1:]))
@@ -700,7 +640,8 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
     # pointwise lower bound of the capillary area element
     thetas = _sample_angles(rng, n_gradients)
     grads = rng.uniform(-30.0, 30.0, (n_gradients, 2))
-    v = np.sqrt(1.0 + np.sum(grads ** 2, axis=1)) + np.cos(thetas) * grads[:, 0]
+    # cos(theta) inline: one angle per point, the library takes one angle
+    v = area_element(grads) + np.cos(thetas) * grads[:, 0]
     margin = float(np.min(v - np.sin(thetas)))
     checks.append(CheckResult("v_lower_bound_margin", margin, -1e-12,
                               margin >= -1e-12))
@@ -714,8 +655,9 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
         sl = slice(i, i + 2000)
         angle_block = thetas[sl]
         g = grads[sl]
-        w = np.sqrt(1.0 + np.sum(g * g, axis=1))
-        nu = np.concatenate([-g, np.ones((g.shape[0], 1))], axis=1) / w[:, None]
+        w = area_element(g)
+        nu = unit_normal(g)
+        # cos(theta) inline: one angle per point, the library takes one angle
         gauge = np.linalg.norm(nu, axis=1) - np.cos(angle_block) * nu[:, 0]
         vv = w + np.cos(angle_block) * g[:, 0]
         worst = max(worst, float(np.max(np.abs(gauge * w - vv))))

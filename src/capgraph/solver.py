@@ -13,10 +13,10 @@ the scaled energy gradient.  Consequences used throughout the tests:
   Laplacian stencil scaled by 1/h^2,
 * a converged solution is a discrete stationary point of the energy.
 
-Newton iterations are damped by backtracking on the residual norm, and the
-linear systems are solved by handwritten Jacobi-preconditioned Krylov loops
-(CG for the symmetric form, BiCGSTAB otherwise) with fixed reduction order,
-so repeated runs are bitwise reproducible.
+Newton iterations are damped by backtracking on the residual norm, and each
+Newton system is solved in its SPD (volume-weighted) form by a handwritten
+Jacobi-preconditioned CG loop with fixed reduction order, so repeated runs
+are bitwise reproducible.  The linear solver accepts SPD systems only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         affine_capillary_solution, capillary_area_element,
                         capillary_energy, quadrant_gradients)
 from .errors import InvariantViolation, LinearSolveFailure, ShapeMismatch
-from .geometry import EllipsoidRegion, HalfSpaceGrid, inner_node_set
+from .geometry import HalfSpaceGrid
 
 
 class SolveStatus(Enum):
@@ -111,11 +111,10 @@ class ProblemSpec:
 
 @dataclass(frozen=True, eq=False)
 class SparseSystem:
-    """Row-compressed linear system with a symmetry tag for solver dispatch."""
+    """Row-compressed linear system; linear_solve needs it SPD."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    symmetric: bool = False
 
     def __post_init__(self):
         m = self.matrix.tocsr()
@@ -132,7 +131,6 @@ class SolveReport:
     iterations: int
     residual_history: tuple[float, ...]
     final_residual: float
-    sup_grad_inner: dict
     v_min: float
     energy: float
     status: SolveStatus
@@ -183,7 +181,7 @@ def _energy_gradient(grid: HalfSpaceGrid, values: np.ndarray,
 
 def _energy_hessian(grid: HalfSpaceGrid, values: np.ndarray,
                     theta: CapillaryAngle) -> sp.csr_matrix:
-    """Exact (symmetric positive semidefinite) Hessian of the discrete energy."""
+    """Exact (positive semidefinite) Hessian of the discrete energy."""
     n = grid.n_nodes
     c = grid.cell_corners
     g = quadrant_gradients(grid, values)
@@ -221,6 +219,11 @@ def _energy_hessian(grid: HalfSpaceGrid, values: np.ndarray,
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
+def _free_block(hess: sp.csr_matrix, free: np.ndarray) -> sp.csr_matrix:
+    """Rows and columns of the free (non-Dirichlet) nodes of a Hessian."""
+    return hess[free][:, free].tocsr()
+
+
 def _check_field(u: ScalarField, spec: ProblemSpec) -> None:
     if u.grid is not spec.grid and u.grid.shape != spec.grid.shape:
         raise ShapeMismatch("field grid does not match problem grid")
@@ -248,18 +251,18 @@ def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> SparseSystem:
     """Exact derivative of the discrete residual, with rhs = -residual.
 
     The matrix is the energy Hessian restricted to free nodes, row-scaled by
-    the control volumes (hence not symmetric as stored; newton_solve undoes
-    the scaling to solve a symmetric positive definite system instead).
+    the control volumes (hence not SPD as stored: linear_solve rejects it
+    with a CG breakdown; newton_solve undoes the scaling to solve an SPD
+    system instead).
     """
     _check_field(u, spec)
     grid = spec.grid
     free = grid.free_indices
     res, _ = _residual_full(u.values, spec)
     hess = _energy_hessian(grid, u.values, spec.theta)
-    hess_ff = hess[free][:, free].tocsr()
     scale = sp.diags(-1.0 / grid.node_weights[free])
-    jac = (scale @ hess_ff).tocsr()
-    return SparseSystem(matrix=jac, rhs=-res[free], symmetric=False)
+    jac = (scale @ _free_block(hess, free)).tocsr()
+    return SparseSystem(matrix=jac, rhs=-res[free])
 
 
 # ---------------------------------------------------------------------------
@@ -296,58 +299,19 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol_abs: float, max_iter: int) -> np.n
     raise LinearSolveFailure(f"conjugate gradient stagnated after {max_iter} iterations")
 
 
-def _bicgstab(a: sp.csr_matrix, b: np.ndarray, tol_abs: float, max_iter: int) -> np.ndarray:
-    m = _jacobi(a)
-    x = np.zeros_like(b)
-    r = b.copy()
-    r0 = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
-    for _ in range(max_iter):
-        rho_new = r0 @ r
-        if abs(rho_new) < 1e-300 or omega == 0.0:
-            raise LinearSolveFailure("BiCGSTAB breakdown")
-        beta = (rho_new / rho) * (alpha / omega)
-        p = r + beta * (p - omega * v)
-        ph = m * p
-        v = a @ ph
-        denom = r0 @ v
-        if denom == 0.0:
-            raise LinearSolveFailure("BiCGSTAB breakdown")
-        alpha = rho_new / denom
-        s = r - alpha * v
-        if np.linalg.norm(s) <= tol_abs:
-            return x + alpha * ph
-        sh = m * s
-        t = a @ sh
-        tt = t @ t
-        if tt == 0.0:
-            raise LinearSolveFailure("BiCGSTAB breakdown")
-        omega = (t @ s) / tt
-        x = x + alpha * ph + omega * sh
-        r = s - omega * t
-        if np.linalg.norm(r) <= tol_abs:
-            return x
-        rho = rho_new
-    raise LinearSolveFailure(f"BiCGSTAB stagnated after {max_iter} iterations")
-
-
 def linear_solve(system: SparseSystem, cfg: SolverConfig | None = None) -> np.ndarray:
     """Solve the assembled system to relative tolerance cfg.linear_tol.
 
-    Jacobi-preconditioned CG for symmetric systems, Jacobi-preconditioned
-    BiCGSTAB otherwise; deterministic for identical inputs.
+    Jacobi-preconditioned CG, deterministic for identical inputs.  The
+    matrix must be SPD: a nonpositive or nonfinite curvature p^T A p raises
+    LinearSolveFailure (CG breakdown).
     """
     cfg = cfg or SolverConfig()
     b = system.rhs
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
-    tol_abs = cfg.linear_tol * bnorm
-    if system.symmetric:
-        return _pcg(system.matrix, b, tol_abs, cfg.linear_max_iter)
-    return _bicgstab(system.matrix, b, tol_abs, cfg.linear_max_iter)
+    return _pcg(system.matrix, b, cfg.linear_tol * bnorm, cfg.linear_max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +367,14 @@ def _affine_initial(spec: ProblemSpec) -> np.ndarray:
     return fit.on_grid(grid).values + offset
 
 
-def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None,
-                 inner_regions: tuple[EllipsoidRegion, ...] = (),
+def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                  ) -> tuple[ScalarField, SolveReport]:
     """Damped Newton iteration on the discrete problem.
 
     Converged means the residual infinity norm fell below
     tol_residual * max(1, initial residual).  Steps are accepted only when
     they decrease the residual norm; each Newton system is solved in its
-    symmetric positive definite (volume-weighted) form by CG.
+    SPD (volume-weighted) form by CG.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
@@ -444,9 +407,12 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None,
         if res_norm > 1e6 * max(1.0, res0):
             status = SolveStatus.DIVERGED
             break
+        # keep the full Hessian referenced until the next step's is built:
+        # freeing it before the linear solve lets the allocator trim the heap
+        # and fault it back in at every step (several times the page faults
+        # per solve on 2D grids of a few thousand nodes)
         hess = _energy_hessian(grid, values, spec.theta)
-        hess_ff = hess[free][:, free].tocsr()
-        system = SparseSystem(matrix=hess_ff, rhs=weights_f * res_f, symmetric=True)
+        system = SparseSystem(matrix=_free_block(hess, free), rhs=weights_f * res_f)
         step = linear_solve(system, cfg)
         # cap runaway directions from near-degenerate (steep-gradient) states
         step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
@@ -479,15 +445,10 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None,
     solution = ScalarField(grid, values)
     grad = discrete_gradient(solution, spec.theta)
     v_nodal = capillary_area_element(grad.vectors, spec.theta)
-    sup_inner = {}
-    for region in inner_regions:
-        idx = inner_node_set(grid, region)
-        sup_inner[region] = float(np.max(np.linalg.norm(grad.vectors[idx], axis=1)))
     report = SolveReport(
         iterations=iterations,
         residual_history=tuple(history),
         final_residual=res_norm,
-        sup_grad_inner=sup_inner,
         v_min=float(np.min(v_nodal)),
         energy=capillary_energy(solution, spec.theta),
         status=status,

@@ -8,15 +8,15 @@ import time
 
 import numpy as np
 
-from capgraph import (CapillaryAngle, CutoffParams, ExperimentConfig,
-                      ProblemSpec, ScalarField, SolveStatus, SolverConfig,
-                      affine_capillary_solution, angle_condition_holds,
-                      angle_condition_lower_bound, angle_threshold,
-                      assemble_jacobian, assemble_residual, build_grid,
-                      capillary_area_element, cutoff_derivative_check,
-                      newton_solve, one_sided_slope_limit,
-                      run_conormal_check, run_liouville_experiment,
-                      run_minimizer_test, write_report_csv)
+from capgraph import (REPORT_COLUMNS, CapillaryAngle, CutoffParams,
+                      ExperimentConfig, ProblemSpec, ScalarField, SolveStatus,
+                      SolverConfig, affine_capillary_solution,
+                      angle_condition_holds, angle_condition_lower_bound,
+                      angle_threshold, assemble_jacobian, assemble_residual,
+                      build_grid, capillary_area_element,
+                      cutoff_derivative_check, newton_solve,
+                      one_sided_slope_limit, run_conormal_check,
+                      run_liouville_experiment, run_minimizer_test, write_csv)
 
 THETA_DEFAULT = CapillaryAngle(np.pi / 3)
 
@@ -259,7 +259,7 @@ def test_acceptance_11_determinism(tmp_path):
     for tag in ("first", "second"):
         report = run_liouville_experiment(cfg)
         path = tmp_path / f"{tag}.csv"
-        write_report_csv(report, path)
+        write_csv(report.rows, path, REPORT_COLUMNS)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
     print(f"ACCEPTANCE 11 (determinism): PASS identical CSV bytes "

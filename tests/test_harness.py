@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from capgraph import (AngleOutOfRange, BadConfig, CapillaryAngle,
+from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
+                      AngleOutOfRange, BadConfig, CapillaryAngle,
                       ExperimentConfig, HypothesisViolation, OutOfExtent,
                       ScalarField, affine_capillary_solution, blow_down,
                       build_grid, capillary_energy, discrete_gradient,
                       domain_for_radius, field_from_callable, parse_config,
                       run_angle_sweep, run_audit, run_gradient_bound_sweep,
                       run_liouville_experiment, run_minimizer_test,
-                      run_solve_experiment, write_angle_sweep_csv,
-                      write_report_csv)
+                      run_solve_experiment, write_csv)
 
 THETA = CapillaryAngle(np.pi / 3)
 
@@ -210,7 +210,7 @@ def test_report_csv_schema_and_determinism(tmp_path):
     for tag in ("a", "b"):
         report = run_liouville_experiment(cfg)
         path = tmp_path / f"run_{tag}.csv"
-        write_report_csv(report, path)
+        write_csv(report.rows, path, REPORT_COLUMNS)
         paths.append(path)
     data_a, data_b = (p.read_bytes() for p in paths)
     assert data_a == data_b
@@ -221,10 +221,22 @@ def test_report_csv_schema_and_determinism(tmp_path):
 
     rows = run_angle_sweep([4], np.linspace(0.3, 1.0, 5))
     sweep_path = tmp_path / "sweep.csv"
-    write_angle_sweep_csv(rows, sweep_path)
+    write_csv(rows, sweep_path, ANGLE_SWEEP_COLUMNS)
     header = sweep_path.read_text().splitlines()
     assert header[0] == "schema=1"
     assert header[1] == "n,theta,in_U,threshold,margin,C_theta,script_B"
+
+    results = run_audit(seed=1, n_gradients=1000, cutoff_draws=1,
+                        cutoff_samples=200)
+    audit_path = tmp_path / "audit.csv"
+    write_csv(results, audit_path, AUDIT_COLUMNS)
+    lines = audit_path.read_text().splitlines()
+    assert lines[0] == "schema=1"
+    assert lines[1] == "check,value,threshold,passed"
+    assert len(lines) == 2 + len(results)
+    assert all(line.split(",")[0] == res.name and
+               line.split(",")[3] == ("true" if res.passed else "false")
+               for line, res in zip(lines[2:], results))
 
 
 def test_solve_experiment_row(tmp_path):

@@ -178,13 +178,13 @@ def test_linear_solve_identity_and_1d_laplacian():
     cfg = SolverConfig()
     eye = sp.identity(4, format="csr")
     b = np.array([1.0, -2.0, 0.5, 3.0])
-    assert np.allclose(linear_solve(SparseSystem(eye, b, symmetric=True), cfg), b)
+    assert np.allclose(linear_solve(SparseSystem(eye, b), cfg), b)
 
     lap = sp.csr_matrix(np.array([[2.0, -1.0, 0.0],
                                   [-1.0, 2.0, -1.0],
                                   [0.0, -1.0, 2.0]]))
     rhs = np.full(3, 0.25 ** 2)
-    x = linear_solve(SparseSystem(lap, rhs, symmetric=True), cfg)
+    x = linear_solve(SparseSystem(lap, rhs), cfg)
     assert np.allclose(x, [0.09375, 0.125, 0.09375], atol=1e-12)
 
 
@@ -193,15 +193,8 @@ def test_linear_solve_random_spd_against_dense():
     a = rng.standard_normal((20, 20))
     spd = a @ a.T + 20.0 * np.eye(20)
     b = rng.standard_normal(20)
-    x = linear_solve(SparseSystem(sp.csr_matrix(spd), b, symmetric=True),
-                     SolverConfig())
+    x = linear_solve(SparseSystem(sp.csr_matrix(spd), b), SolverConfig())
     assert np.max(np.abs(x - np.linalg.solve(spd, b))) <= 1e-10
-
-    # nonsymmetric path
-    nonsym = spd + 0.5 * rng.standard_normal((20, 20))
-    x = linear_solve(SparseSystem(sp.csr_matrix(nonsym), b, symmetric=False),
-                     SolverConfig())
-    assert np.max(np.abs(x - np.linalg.solve(nonsym, b))) <= 1e-8
 
 
 def test_linear_solve_failure_on_iteration_cap():
@@ -210,8 +203,21 @@ def test_linear_solve_failure_on_iteration_cap():
     spd = a @ a.T + 30.0 * np.eye(30)
     b = rng.standard_normal(30)
     with pytest.raises(LinearSolveFailure):
-        linear_solve(SparseSystem(sp.csr_matrix(spd), b, symmetric=True),
+        linear_solve(SparseSystem(sp.csr_matrix(spd), b),
                      SolverConfig(linear_max_iter=2))
+
+
+def test_linear_solve_breakdown_on_non_spd_systems():
+    b = np.array([1.0, -2.0, 0.5, 3.0])
+    with pytest.raises(LinearSolveFailure, match="breakdown"):
+        linear_solve(SparseSystem(-sp.identity(4, format="csr"), b))
+    # the row-scaled Jacobian is not SPD as stored; only newton_solve's
+    # volume-weighted form is
+    grid = build_grid(2, 0.25, 1.0, 1.0)
+    _, spec = _affine_problem(grid, THETA, (0.0,))
+    u = ScalarField(grid, np.random.default_rng(0).uniform(size=grid.n_nodes))
+    with pytest.raises(LinearSolveFailure, match="breakdown"):
+        linear_solve(assemble_jacobian(u, spec))
 
 
 def test_newton_recovers_affine_from_perturbed_start():
