@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BadDimension, EmptyRegion, NonconformingExtent
 
@@ -102,6 +103,74 @@ class HalfSpaceGrid:
         return out
 
     @cached_property
+    def hessian_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fixed CSR pattern of the free-free energy Hessian.
+
+        Returns (indptr, indices, slot): CSR row pointers and column indices
+        over the free nodes (in free_indices order), and an (n_cells, k*k)
+        map from each entry of a cell's local k x k block (k corners, rows
+        and columns in cell_corners order, row-major) to its position in
+        the CSR data.  Entries touching a Dirichlet node map to the dump
+        slot nnz.  Callers must give each matrix its own copy of indptr and
+        indices: the arrays are read-only.
+        """
+        c = self.cell_corners
+        k = c.shape[1]
+        nf = self.free_indices.size
+        pos = np.full(self.n_nodes, -1, dtype=np.int64)
+        pos[self.free_indices] = np.arange(nf)
+        rows = np.repeat(pos[c], k, axis=1)
+        cols = np.tile(pos[c], (1, k))
+        # an entry touching a Dirichlet node gets the key nf^2, ranked last
+        keys = np.where((rows >= 0) & (cols >= 0), rows * nf + cols, nf * nf)
+        uniq, slot = np.unique(keys, return_inverse=True)
+        if uniq[-1] == nf * nf:
+            uniq = uniq[:-1]
+        slot = slot.reshape(keys.shape)
+        indptr = np.searchsorted(uniq, np.arange(nf + 1) * nf).astype(np.int32)
+        indices = (uniq % nf).astype(np.int32)
+        for arr in (indptr, indices, slot):
+            arr.flags.writeable = False
+        return indptr, indices, slot
+
+    @cached_property
+    def prolongations(self) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
+        """(P, P^T) per coarsening of the multigrid hierarchy, finest first.
+
+        Each coarsening keeps every second lattice node along each axis,
+        plus the last node of an axis with an odd cell count, so the box
+        faces stay coarse nodes and Dirichlet nodes stay Dirichlet.  P
+        interpolates (bi)linearly from the coarse free nodes to the fine
+        free nodes.  The hierarchy stops once an axis has fewer than three
+        nodes or no free node is left.  The arrays are read-only.
+        """
+        shape = self.shape
+        free = (self.classes != NodeClass.DIRICHLET_BOUNDARY).reshape(shape)
+        out = []
+        while min(shape) >= 3:
+            factors, keep = [], []
+            for n in shape:
+                coarse = np.arange(0, n, 2)
+                if (n - 1) % 2:
+                    coarse = np.append(coarse, n - 1)
+                factors.append(_linear_interpolation(n, coarse))
+                keep.append(coarse)
+            coarse_free = free[np.ix_(*keep)]
+            if not coarse_free.any():
+                break
+            p = factors[0]
+            for f in factors[1:]:
+                p = sp.kron(p, f, format="csr")
+            p = p[np.flatnonzero(free)][:, np.flatnonzero(coarse_free)].tocsr()
+            pair = (p, p.T.tocsr())
+            for m in pair:
+                for arr in (m.data, m.indices, m.indptr):
+                    arr.flags.writeable = False
+            out.append(pair)
+            shape, free = coarse_free.shape, coarse_free
+        return tuple(out)
+
+    @cached_property
     def node_weights(self) -> np.ndarray:
         """Control-volume weight per node: h^dim * (adjacent cells) / 2^dim."""
         counts = np.ones(self.shape)
@@ -123,6 +192,20 @@ class HalfSpaceGrid:
     def reshape(self, values: np.ndarray) -> np.ndarray:
         """View flat nodal values on the (n1,) or (n1, n2) lattice."""
         return np.asarray(values).reshape(self.shape)
+
+
+def _linear_interpolation(n: int, coarse: np.ndarray) -> sp.csr_matrix:
+    """(n, coarse.size) linear interpolation from the coarse nodes of a 1D
+    lattice: a kept node copies its value, a dropped node (every dropped
+    node lies midway between two kept ones) takes the mean of its two
+    neighbours."""
+    col = np.full(n, -1)
+    col[coarse] = np.arange(coarse.size)
+    mid = np.flatnonzero(col < 0)
+    rows = np.concatenate([coarse, mid, mid])
+    cols = np.concatenate([np.arange(coarse.size), col[mid - 1], col[mid + 1]])
+    vals = np.concatenate([np.ones(coarse.size), np.full(2 * mid.size, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, coarse.size))
 
 
 def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSpaceGrid:

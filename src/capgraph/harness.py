@@ -77,6 +77,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise BadConfig(f"unknown scenario '{self.scenario}'")
+        for key in sorted(_FLOAT_KEYS | _LIST_KEYS):
+            val = getattr(self, key)
+            if not all(math.isfinite(x) for x in (val if isinstance(val, tuple) else (val,))):
+                raise BadConfig(f"{key} must be finite, got {val}")
+        if self.seed < 0:
+            raise BadConfig(f"seed must be nonnegative, got {self.seed}")
         if not self.r_levels or not self.h_levels:
             raise BadConfig("r_levels and h_levels must be non-empty")
         if list(self.r_levels) != sorted(self.r_levels) or \
@@ -196,10 +202,11 @@ class ExperimentReport:
 
     @property
     def worst_status(self) -> str:
-        order = {"converged": 0, "max_iter": 1, "diverged": 2}
+        order = {status.value: i for i, status in enumerate(SolveStatus)}
         if not self.rows:
             return "converged"
-        return max((row.status for row in self.rows), key=lambda s: order.get(s, 3))
+        return max((row.status for row in self.rows),
+                   key=lambda s: order.get(s, len(order)))
 
 
 def _fmt(value) -> str:

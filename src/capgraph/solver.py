@@ -13,10 +13,15 @@ the scaled energy gradient.  Consequences used throughout the tests:
   Laplacian stencil scaled by 1/h^2,
 * a converged solution is a discrete stationary point of the energy.
 
+The Hessian uses fixed-pattern assembly: each cell's local block is
+computed from the quadrant gradients and summed by one bincount into the
+free-free CSR pattern that the grid caches (HalfSpaceGrid.hessian_pattern).
 Newton iterations are damped by backtracking on the residual norm, and each
-Newton system is solved in its SPD (volume-weighted) form by a handwritten
-Jacobi-preconditioned CG loop with fixed reduction order, so repeated runs
-are bitwise reproducible.  The linear solver accepts SPD systems only.
+Newton system is solved in its SPD (volume-weighted) form by
+geometric-multigrid (V-cycle, damped Jacobi) preconditioned CG: bilinear
+prolongation cached on the grid, Galerkin coarse operators P^T A P rebuilt
+per step, no exact coarse solve.  Reductions have fixed order, so repeated
+runs are bitwise reproducible.  The linear solver accepts SPD systems only.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .geometry import HalfSpaceGrid
 class SolveStatus(Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
+    STALLED = "stalled"      # the line search found no acceptable step
     DIVERGED = "diverged"
 
 
@@ -111,10 +117,16 @@ class ProblemSpec:
 
 @dataclass(frozen=True, eq=False)
 class SparseSystem:
-    """Row-compressed linear system; linear_solve needs it SPD."""
+    """Row-compressed linear system; linear_solve needs it SPD.
+
+    `prolongations` holds the (P, P^T) pairs of a multigrid hierarchy whose
+    finest level is the matrix's unknowns (HalfSpaceGrid.prolongations for
+    a free-node system); empty means a one-level hierarchy.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
+    prolongations: tuple = ()
 
     def __post_init__(self):
         m = self.matrix.tocsr()
@@ -179,49 +191,46 @@ def _energy_gradient(grid: HalfSpaceGrid, values: np.ndarray,
     return grad, v_min
 
 
-def _energy_hessian(grid: HalfSpaceGrid, values: np.ndarray,
-                    theta: CapillaryAngle) -> sp.csr_matrix:
-    """Exact (positive semidefinite) Hessian of the discrete energy."""
-    n = grid.n_nodes
-    c = grid.cell_corners
+def _free_hessian(grid: HalfSpaceGrid, values: np.ndarray,
+                  theta: CapillaryAngle) -> sp.csr_matrix:
+    """Exact (positive semidefinite) energy Hessian on the free nodes.
+
+    Each cell contributes a local block over its corners, summed into the
+    grid's fixed CSR pattern by one bincount (a fixed summation order).
+    In 2D the block is the sum over quadrants q of D_q^T K_q D_q / 4, with
+    D_q the two edge differences behind the quadrant gradient g and
+    K_q = ((1 + |g|^2) I - g g^T) / W^3 the Hessian of W at g.  The
+    contact-angle term is linear and adds nothing.
+    """
     g = quadrant_gradients(grid, values)
-    w3 = (1.0 + np.sum(g * g, axis=2)) ** 1.5
     if grid.dim == 1:
-        k = 1.0 / (w3[:, 0] * grid.h)
-        left, right = c[:, 0], c[:, 1]
-        rows = np.concatenate([left, right, left, right])
-        cols = np.concatenate([left, right, right, left])
-        vals = np.concatenate([k, k, -k, -k])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    # quadrant q: x-difference nodes (xp, xm), y-difference nodes (yp, ym)
-    quad_nodes = (
-        (c[:, 1], c[:, 0], c[:, 2], c[:, 0]),
-        (c[:, 1], c[:, 0], c[:, 3], c[:, 1]),
-        (c[:, 3], c[:, 2], c[:, 2], c[:, 0]),
-        (c[:, 3], c[:, 2], c[:, 3], c[:, 1]),
-    )
-    rows_list, cols_list, vals_list = [], [], []
-    for q, (xp, xm, yp, ym) in enumerate(quad_nodes):
-        g1, g2 = g[:, q, 0], g[:, q, 1]
-        k11 = (1.0 + g2 * g2) / w3[:, q] / 4.0
-        k22 = (1.0 + g1 * g1) / w3[:, q] / 4.0
-        k12 = -(g1 * g2) / w3[:, q] / 4.0
-        rows_list += [xp, xm, xp, xm, yp, ym, yp, ym,
-                      xp, xp, xm, xm, yp, ym, yp, ym]
-        cols_list += [xp, xm, xm, xp, yp, ym, ym, yp,
-                      yp, ym, yp, ym, xp, xp, xm, xm]
-        vals_list += [k11, k11, -k11, -k11, k22, k22, -k22, -k22,
-                      k12, -k12, -k12, k12, k12, -k12, -k12, k12]
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    vals = np.concatenate(vals_list)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def _free_block(hess: sp.csr_matrix, free: np.ndarray) -> sp.csr_matrix:
-    """Rows and columns of the free (non-Dirichlet) nodes of a Hessian."""
-    return hess[free][:, free].tocsr()
+        k = 1.0 / (grid.h * (1.0 + g[:, 0, 0] ** 2) ** 1.5)
+        blocks = np.stack([k, -k, -k, k], axis=1)
+    else:
+        g1, g2 = g[..., 0], g[..., 1]
+        w3 = 4.0 * (1.0 + g1 * g1 + g2 * g2) ** 1.5
+        a = ((1.0 + g2 * g2) / w3).T     # (4, n_cells) per quadrant
+        b = ((1.0 + g1 * g1) / w3).T
+        c = (-(g1 * g2) / w3).T
+        d0 = a[0] + a[1] + b[0] + b[2] + 2.0 * c[0]
+        d1 = a[0] + a[1] + b[1] + b[3] - 2.0 * c[1]
+        d2 = a[2] + a[3] + b[0] + b[2] - 2.0 * c[2]
+        d3 = a[2] + a[3] + b[1] + b[3] + 2.0 * c[3]
+        o01 = c[1] - c[0] - a[0] - a[1]
+        o02 = c[2] - c[0] - b[0] - b[2]
+        o03 = -(c[1] + c[2])
+        o12 = c[0] + c[3]
+        o13 = c[1] - c[3] - b[1] - b[3]
+        o23 = c[2] - c[3] - a[2] - a[3]
+        blocks = np.stack([d0, o01, o02, o03,
+                           o01, d1, o12, o13,
+                           o02, o12, d2, o23,
+                           o03, o13, o23, d3], axis=1)
+    indptr, indices, slot = grid.hessian_pattern
+    nnz = indices.size
+    data = np.bincount(slot.ravel(), blocks.ravel(), minlength=nnz + 1)[:nnz]
+    nf = indptr.size - 1
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nf, nf))
 
 
 def _check_field(u: ScalarField, spec: ProblemSpec) -> None:
@@ -259,9 +268,8 @@ def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> SparseSystem:
     grid = spec.grid
     free = grid.free_indices
     res, _ = _residual_full(u.values, spec)
-    hess = _energy_hessian(grid, u.values, spec.theta)
     scale = sp.diags(-1.0 / grid.node_weights[free])
-    jac = (scale @ _free_block(hess, free)).tocsr()
+    jac = (scale @ _free_hessian(grid, u.values, spec.theta)).tocsr()
     return SparseSystem(matrix=jac, rhs=-res[free])
 
 
@@ -269,20 +277,53 @@ def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> SparseSystem:
 # Linear solves
 # ---------------------------------------------------------------------------
 
-def _jacobi(matrix: sp.csr_matrix) -> np.ndarray:
-    d = np.abs(matrix.diagonal())
-    d[d == 0.0] = 1.0
-    return 1.0 / d
+_OMEGA = 0.8     # damped-Jacobi weight of the multigrid smoother
+_SWEEPS = 2      # smoothing sweeps before and after each coarse correction
 
 
-def _pcg(a: sp.csr_matrix, b: np.ndarray, tol_abs: float, max_iter: int) -> np.ndarray:
-    m = _jacobi(a)
+def _smooth(a: sp.csr_matrix, wdinv: np.ndarray, b: np.ndarray,
+            x: np.ndarray | None) -> np.ndarray:
+    """_SWEEPS damped-Jacobi sweeps on a x = b; x = None starts from zero."""
+    for _ in range(_SWEEPS):
+        x = wdinv * b if x is None else x + wdinv * (b - a @ x)
+    return x
+
+
+def _vcycle(levels, prolongations, b: np.ndarray, k: int = 0) -> np.ndarray:
+    """One symmetric V-cycle from a zero guess on level k.  The coarsest
+    level is smoothed like the others (no exact solve), so a hierarchy of
+    one level is plain damped Jacobi."""
+    a, wdinv = levels[k]
+    x = _smooth(a, wdinv, b, None)
+    if k < len(prolongations):
+        p, r = prolongations[k]
+        x = x + p @ _vcycle(levels, prolongations, r @ (b - a @ x), k + 1)
+    return _smooth(a, wdinv, b, x)
+
+
+def _galerkin_levels(a: sp.csr_matrix, prolongations) -> list:
+    """(A_k, _OMEGA / |diag A_k|) per level, A_{k+1} = P_k^T A_k P_k."""
+    levels = []
+    for k in range(len(prolongations) + 1):
+        if k:
+            p, r = prolongations[k - 1]
+            a = (r @ a @ p).tocsr()
+        d = np.abs(a.diagonal())
+        d[d == 0.0] = 1.0
+        levels.append((a, _OMEGA / d))
+    return levels
+
+
+def _pcg(system: SparseSystem, tol_abs: float, max_iter: int) -> tuple[np.ndarray, int]:
+    """Multigrid-preconditioned CG from zero; returns (x, iterations)."""
+    a, b = system.matrix, system.rhs
+    levels = _galerkin_levels(a, system.prolongations)
     x = np.zeros_like(b)
     r = b.copy()
-    z = m * r
+    z = _vcycle(levels, system.prolongations, r)
     p = z.copy()
     rz = r @ z
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         ap = a @ p
         pap = p @ ap
         if not np.isfinite(pap) or pap <= 0.0:
@@ -291,8 +332,8 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol_abs: float, max_iter: int) -> np.n
         x += alpha * p
         r -= alpha * ap
         if np.linalg.norm(r) <= tol_abs:
-            return x
-        z = m * r
+            return x, it
+        z = _vcycle(levels, system.prolongations, r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -302,16 +343,18 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, tol_abs: float, max_iter: int) -> np.n
 def linear_solve(system: SparseSystem, cfg: SolverConfig | None = None) -> np.ndarray:
     """Solve the assembled system to relative tolerance cfg.linear_tol.
 
-    Jacobi-preconditioned CG, deterministic for identical inputs.  The
-    matrix must be SPD: a nonpositive or nonfinite curvature p^T A p raises
-    LinearSolveFailure (CG breakdown).
+    CG preconditioned by one geometric-multigrid V-cycle (damped-Jacobi
+    smoothing, Galerkin coarse operators over system.prolongations; plain
+    damped Jacobi when there are none), deterministic for identical
+    inputs.  The matrix must be SPD: a nonpositive or nonfinite curvature
+    p^T A p raises LinearSolveFailure (CG breakdown).
     """
     cfg = cfg or SolverConfig()
-    b = system.rhs
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(np.linalg.norm(system.rhs))
     if bnorm == 0.0:
-        return np.zeros_like(b)
-    return _pcg(system.matrix, b, cfg.linear_tol * bnorm, cfg.linear_max_iter)
+        return np.zeros_like(system.rhs)
+    x, _ = _pcg(system, cfg.linear_tol * bnorm, cfg.linear_max_iter)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +416,9 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
 
     Converged means the residual infinity norm fell below
     tol_residual * max(1, initial residual).  Steps are accepted only when
-    they decrease the residual norm; each Newton system is solved in its
-    SPD (volume-weighted) form by CG.
+    they decrease the residual norm; when no step length down to min_step
+    does, the solve stops as STALLED.  Each Newton system is solved in its
+    SPD (volume-weighted) form by multigrid-preconditioned CG.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
@@ -407,12 +451,9 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
         if res_norm > 1e6 * max(1.0, res0):
             status = SolveStatus.DIVERGED
             break
-        # keep the full Hessian referenced until the next step's is built:
-        # freeing it before the linear solve lets the allocator trim the heap
-        # and fault it back in at every step (several times the page faults
-        # per solve on 2D grids of a few thousand nodes)
-        hess = _energy_hessian(grid, values, spec.theta)
-        system = SparseSystem(matrix=_free_block(hess, free), rhs=weights_f * res_f)
+        system = SparseSystem(matrix=_free_hessian(grid, values, spec.theta),
+                              rhs=weights_f * res_f,
+                              prolongations=grid.prolongations)
         step = linear_solve(system, cfg)
         # cap runaway directions from near-degenerate (steep-gradient) states
         step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
@@ -431,6 +472,7 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                 break
             alpha *= cfg.damping
         if not accepted:
+            status = SolveStatus.STALLED
             break
         values = trial
         res_f, res_norm, v_min = trial_res_f, trial_norm, trial_v_min
@@ -439,7 +481,7 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
         history.append(res_norm)
         iterations += 1
 
-    if res_norm <= target and status is not SolveStatus.DIVERGED:
+    if res_norm <= target and status is SolveStatus.MAX_ITER:
         status = SolveStatus.CONVERGED
 
     solution = ScalarField(grid, values)

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from capgraph.cli import cli_main
 
 BASE_CFG = """
@@ -104,6 +106,25 @@ def test_malformed_config_names_key(tmp_path, capsys):
     assert cli_main(["solve", "--config", cfg]) == 3
     assert "widget" in capsys.readouterr().err
     assert cli_main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    ("perturb_amp", "nan"),
+    ("seed", "-1"),
+    ("r_levels", "nan"),
+    ("r_levels", "2.0, inf"),
+    ("h_levels", "inf"),
+    ("c0", "nan"),
+    ("theta_rad", "nan"),
+    ("L_slope", "0.0, nan"),
+])
+def test_bad_config_value_is_exit_3_not_a_traceback(tmp_path, capsys, key, value):
+    lines = [line for line in LIOUVILLE_CFG.splitlines()
+             if not line.startswith(key + " ")]
+    cfg = _write(tmp_path, "bad.cfg", "\n".join(lines + [f"{key} = {value}"]))
+    assert cli_main(["liouville", "--config", cfg,
+                     "--out", str(tmp_path / "bad.csv")]) == 3
+    assert key in capsys.readouterr().err
 
 
 def test_hypothesis_violation_maps_to_exit_1(tmp_path):

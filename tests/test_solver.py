@@ -1,5 +1,8 @@
 """Discretization, Jacobian consistency, Newton, and linear solves."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +13,7 @@ from capgraph import (CapillaryAngle, LinearSolveFailure, ProblemSpec,
                       assemble_residual, build_grid, capillary_energy,
                       discrete_gradient, ghost_closure, linear_solve,
                       newton_solve)
+from capgraph import solver
 from capgraph.solver import _energy_gradient
 
 THETA = CapillaryAngle(np.pi / 3)
@@ -361,4 +365,113 @@ def test_diverged_status_is_reported_not_raised():
                       initial=ScalarField(grid, 5.0 * np.ones(grid.n_nodes)))
     sol, rep = newton_solve(bad, SolverConfig(max_newton=0))
     assert rep.status in (SolveStatus.MAX_ITER, SolveStatus.CONVERGED)
+    assert rep.iterations == 0
+
+
+def _central_difference_jacobian(u, spec, eps=1e-6):
+    free = spec.grid.free_indices
+    cols = []
+    for j in free:
+        plus, minus = u.values.copy(), u.values.copy()
+        plus[j] += eps
+        minus[j] -= eps
+        cols.append((assemble_residual(ScalarField(spec.grid, plus), spec)
+                     - assemble_residual(ScalarField(spec.grid, minus), spec))
+                    / (2.0 * eps))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("dim, extent", [
+    (2, (0.2, 1.4, 0.6)),      # 7 x 6 cells: an odd count along x1
+    (1, (0.1, 1.3)),           # 13 cells
+])
+def test_fixed_pattern_jacobian_matches_central_differences(dim, extent):
+    grid = build_grid(dim, *extent)
+    rng = np.random.default_rng(12)
+    theta = CapillaryAngle(rng.uniform(0.3, np.pi - 0.3))
+    vals = rng.uniform(-1.0, 1.0, grid.n_nodes)
+    spec = ProblemSpec(grid=grid, theta=theta,
+                       dirichlet=vals[grid.dirichlet_indices], H=0.1)
+    u = ScalarField(grid, vals)
+    jac = assemble_jacobian(u, spec).matrix.toarray()
+    fd = _central_difference_jacobian(u, spec)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+def test_consecutive_hessians_leave_the_cached_pattern_intact():
+    # the first state is flat, so the Hessian has exact zeros that
+    # SparseSystem eliminates from its own copy of the pattern
+    args = (2, 0.2, 1.4, 0.6)
+    grid = build_grid(*args)
+    theta = CapillaryAngle(np.pi / 2)
+    spec = ProblemSpec.from_boundary_data(grid, theta, lambda p: np.zeros(len(p)))
+    rng = np.random.default_rng(13)
+    states = [np.zeros(grid.n_nodes), rng.uniform(-1.0, 1.0, grid.n_nodes),
+              rng.uniform(-1.0, 1.0, grid.n_nodes)]
+    reused = [assemble_jacobian(ScalarField(grid, v), spec) for v in states]
+    for v, system in zip(states, reused):
+        fresh_grid = build_grid(*args)
+        fresh_spec = ProblemSpec.from_boundary_data(fresh_grid, theta,
+                                                    lambda p: np.zeros(len(p)))
+        fresh = assemble_jacobian(ScalarField(fresh_grid, v), fresh_spec)
+        assert np.array_equal(system.matrix.toarray(), fresh.matrix.toarray())
+    assert reused[0].matrix.nnz < reused[1].matrix.nnz
+    for cached, fresh in zip(grid.hessian_pattern, build_grid(*args).hessian_pattern):
+        assert np.array_equal(cached, fresh)
+        assert not cached.flags.writeable
+        assert not any(np.shares_memory(cached, arr) for system in reused
+                       for arr in (system.matrix.indices, system.matrix.indptr))
+
+
+def test_grid_is_freed_after_newton_solve():
+    grid = build_grid(2, 0.1, 1.0, 1.0)
+    _, spec = _affine_problem(grid, THETA, (0.2,))
+    sol, rep = newton_solve(spec)
+    assert rep.status is SolveStatus.CONVERGED
+    assert grid.prolongations and grid.hessian_pattern
+    ref = weakref.ref(grid)
+    del grid, spec, sol
+    gc.collect()
+    assert ref() is None
+
+
+def test_multigrid_cg_iterations_do_not_grow_with_1_over_h(monkeypatch):
+    # the mesh-ladder problem of test_2d_self_reference_mesh_convergence
+    aff = affine_capillary_solution(THETA, (0.2,), 0.0)
+
+    def data(pts):
+        taper = np.cos(0.5 * np.pi * pts[:, 1]) ** 2
+        return aff(pts) + 0.25 * np.exp(-((pts[:, 0] - 0.4) ** 2 +
+                                          pts[:, 1] ** 2)) * taper
+
+    counts = []
+    pcg = solver._pcg
+
+    def counting_pcg(*args):
+        x, iterations = pcg(*args)
+        counts.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(solver, "_pcg", counting_pcg)
+    worst = []
+    for h in (0.05, 0.025, 0.0125):
+        counts.clear()
+        grid = build_grid(2, h, 1.0, 1.0)
+        spec = ProblemSpec.from_boundary_data(grid, THETA, data)
+        _, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
+        assert rep.status is SolveStatus.CONVERGED
+        assert len(counts) == rep.iterations
+        worst.append(max(counts))
+    assert max(worst) <= 60
+    for coarse, fine in zip(worst, worst[1:]):
+        assert fine < 2 * coarse
+
+
+def test_failed_line_search_is_reported_as_stalled():
+    grid = build_grid(1, 0.25, 1.0)
+    _, spec = _affine_problem(grid, THETA, ())
+    bad = ProblemSpec(grid=grid, theta=THETA, dirichlet=spec.dirichlet,
+                      initial=ScalarField(grid, 5.0 * np.ones(grid.n_nodes)))
+    sol, rep = newton_solve(bad, SolverConfig(min_step=0.9))
+    assert rep.status is SolveStatus.STALLED
     assert rep.iterations == 0
