@@ -17,7 +17,8 @@ from .errors import (AngleOutOfRange, BadConfig, BadDimension,
                      CapillaryLabError, DegenerateAngle, DegenerateState,
                      EmptyRegion, HypothesisViolation, InvariantViolation,
                      LinearSolveFailure, NonconformingExtent, OutOfExtent,
-                     ShapeMismatch, StationarityViolation, ZeroVector)
+                     ShapeMismatch, StationarityViolation, UnresolvedRegion,
+                     ZeroVector)
 from .estimates import (AngleRangeResult, AuxiliaryField, CoefficientState,
                         CutoffCheckReport, CutoffParams, LinearBound,
                         MaxPrincipleCoefficients, admissible_angle_range,

@@ -19,6 +19,10 @@ class EmptyRegion(CapillaryLabError):
     """No grid node lies in (or near) the requested region."""
 
 
+class UnresolvedRegion(CapillaryLabError):
+    """Region radius smaller than one mesh cell."""
+
+
 class ZeroVector(CapillaryLabError):
     """A direction argument that must be nonzero was zero."""
 

@@ -422,15 +422,17 @@ def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:
 
     Raises AngleOutOfRange when no admissible eps0 exists.
     """
+    cos2 = theta.cos_t ** 2
+
     def f(eps):
+        # elementwise, so the array scan and the scalar bisection agree bitwise
         denom = n - 2.0 + eps
         a = n - 1.0 + eps
-        return (a / denom) * (1.0 - a / (4.0 * denom)) - theta.cos_t ** 2
+        return (a / denom) * (1.0 - a / (4.0 * denom)) - cos2
 
     lo_edge, hi_edge = 1e-15, 1.0 - 1e-15
     grid = np.linspace(lo_edge, hi_edge, 1025)
-    vals = np.array([f(e) for e in grid])
-    pos = vals > 0.0
+    pos = f(grid) > 0.0
     if not np.any(pos):
         raise AngleOutOfRange(
             f"no admissible eps0 in (0,1) for n={n}, theta={theta.theta:.4f}")
@@ -442,8 +444,9 @@ def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:
             if b - a <= tol:
                 break
             mid = 0.5 * (a + b)
-            if (f(mid) > 0.0) == (fa > 0.0):
-                a, fa = mid, f(mid)
+            fmid = f(mid)
+            if (fmid > 0.0) == (fa > 0.0):
+                a, fa = mid, fmid
             else:
                 b = mid
         return 0.5 * (a + b)

@@ -19,7 +19,8 @@ from .capillary import (CapillaryAngle, ScalarField, affine_capillary_solution,
                         area_element, calibration_value, capillary_energy,
                         capillary_gauge, conormal, unit_normal)
 from .errors import (AngleOutOfRange, BadConfig, HypothesisViolation,
-                     InvariantViolation, OutOfExtent, StationarityViolation)
+                     InvariantViolation, OutOfExtent, StationarityViolation,
+                     UnresolvedRegion)
 from .estimates import (admissible_angle_range, angle_condition_holds,
                         angle_condition_lower_bound, angle_threshold,
                         choose_eps0, conormal_stationarity_residual,
@@ -253,14 +254,21 @@ def write_csv(rows, path, columns) -> None:
 def domain_for_radius(r: float, theta: CapillaryAngle, h: float, dim: int
                       ) -> HalfSpaceGrid:
     """Smallest conforming box containing the outer ellipsoid of radius r,
-    plus one margin cell."""
+    plus one margin cell.
+
+    Raises UnresolvedRegion when r < h and BadDimension (from build_grid)
+    for a dimension other than 1 or 2.
+    """
+    if r < h:
+        raise UnresolvedRegion(
+            f"region radius r={r} is smaller than the mesh width h={h}")
     need1 = (1.0 + abs(theta.cos_t)) * r
     m1 = int(np.ceil(need1 / h - 1e-9)) + 1
     if dim == 1:
         return build_grid(1, h, m1 * h)
     needp = r / theta.sin_t
     mp = int(np.ceil(needp / h - 1e-9)) + 1
-    return build_grid(2, h, m1 * h, mp * h)
+    return build_grid(dim, h, m1 * h, mp * h)
 
 
 def _smooth_bump(rng: np.random.Generator, grid: HalfSpaceGrid, n_modes: int = 3):

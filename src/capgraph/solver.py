@@ -20,13 +20,18 @@ Newton iterations are damped by backtracking on the residual norm, and each
 Newton system is solved in its SPD (volume-weighted) form by
 geometric-multigrid (V-cycle, damped Jacobi) preconditioned CG: bilinear
 prolongation cached on the grid, Galerkin coarse operators P^T A P rebuilt
-per step, no exact coarse solve.  Reductions have fixed order, so repeated
-runs are bitwise reproducible.  The linear solver accepts SPD systems only.
+per step, no exact coarse solve.  Newton is inexact: each system is solved
+only to an Eisenstat-Walker forcing tolerance (choice 2 with safeguard,
+Eisenstat & Walker, SIAM J. Sci. Comput. 17(1), 1996), computed from the
+Newton residual history; SolverConfig.linear_tol is the tolerance of a
+standalone linear_solve and the floor of that forcing term.  Reductions have
+fixed order, so repeated runs are bitwise reproducible.  The linear solver
+accepts SPD systems only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -52,7 +57,8 @@ class SolverConfig:
     max_newton: int = 50
     damping: float = 0.5             # backtracking factor
     min_step: float = 1e-6
-    linear_tol: float = 1e-12        # relative 2-norm target of inner solves
+    linear_tol: float = 1e-12        # relative 2-norm target of a standalone
+                                     # linear_solve; floor of the Newton forcing
     linear_max_iter: int = 20000
 
     def __post_init__(self):
@@ -129,7 +135,9 @@ class SparseSystem:
     prolongations: tuple = ()
 
     def __post_init__(self):
-        m = self.matrix.tocsr()
+        # an owned copy: tocsr() alone returns a CSR input itself, and
+        # eliminate_zeros works in place
+        m = self.matrix.tocsr(copy=True)
         m.eliminate_zeros()
         if m.shape[0] != m.shape[1] or m.shape[0] != self.rhs.shape[0]:
             raise ShapeMismatch(
@@ -361,6 +369,29 @@ def linear_solve(system: SparseSystem, cfg: SolverConfig | None = None) -> np.nd
 # Nodal gradients and the Newton driver
 # ---------------------------------------------------------------------------
 
+# Eisenstat-Walker forcing, choice 2: eta_k = _EW_GAMMA (r_k / r_{k-1})^2
+_EW_ETA0 = 0.3          # forcing term of the first Newton step
+_EW_GAMMA = 0.9
+_EW_SAFEGUARD = 0.1     # keep _EW_GAMMA eta_{k-1}^2 once it exceeds this
+_EW_ETA_MAX = 0.5
+
+
+def _forcing_term(history: list, eta_prev: float | None, target: float,
+                  floor: float) -> float:
+    """Relative tolerance of the next Newton system from the residual
+    infinity norms so far; never below half the distance to the target
+    (no oversolving of the last step) nor below floor."""
+    res = history[-1]
+    if eta_prev is None:
+        eta = _EW_ETA0
+    else:
+        eta = _EW_GAMMA * (res / history[-2]) ** 2
+        safeguard = _EW_GAMMA * eta_prev ** 2
+        if safeguard > _EW_SAFEGUARD:
+            eta = max(eta, safeguard)
+    return max(min(eta, _EW_ETA_MAX), 0.5 * target / res, floor)
+
+
 def discrete_gradient(u: ScalarField, theta: CapillaryAngle) -> GradientField:
     """Nodal gradient: centered second-order differences inside, one-sided
     second-order on the box faces, and the ghost closure for the wall-normal
@@ -418,7 +449,8 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     tol_residual * max(1, initial residual).  Steps are accepted only when
     they decrease the residual norm; when no step length down to min_step
     does, the solve stops as STALLED.  Each Newton system is solved in its
-    SPD (volume-weighted) form by multigrid-preconditioned CG.
+    SPD (volume-weighted) form by multigrid-preconditioned CG, to the
+    Eisenstat-Walker forcing tolerance of _forcing_term.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
@@ -444,6 +476,7 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     history = [res_norm]
     iterations = 0
     status = SolveStatus.MAX_ITER
+    eta = None
 
     for _ in range(cfg.max_newton):
         if res_norm <= target:
@@ -454,7 +487,8 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
         system = SparseSystem(matrix=_free_hessian(grid, values, spec.theta),
                               rhs=weights_f * res_f,
                               prolongations=grid.prolongations)
-        step = linear_solve(system, cfg)
+        eta = _forcing_term(history, eta, target, cfg.linear_tol)
+        step = linear_solve(system, replace(cfg, linear_tol=eta))
         # cap runaway directions from near-degenerate (steep-gradient) states
         step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
         step_norm = float(np.max(np.abs(step)))

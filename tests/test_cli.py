@@ -127,6 +127,21 @@ def test_bad_config_value_is_exit_3_not_a_traceback(tmp_path, capsys, key, value
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dim", "3", "dim must be 1 or 2"),
+    ("r_levels", "0.1", "smaller than the mesh width"),   # h_levels = 0.5
+])
+def test_unsupported_grid_is_exit_3_not_a_traceback(tmp_path, capsys, key,
+                                                    value, message):
+    lines = [line for line in LIOUVILLE_CFG.splitlines()
+             if not line.startswith(key + " ") and not line.startswith("L_slope")]
+    cfg = _write(tmp_path, "bad.cfg", "\n".join(lines + [f"{key} = {value}"]))
+    assert cli_main(["liouville", "--config", cfg,
+                     "--out", str(tmp_path / "bad.csv")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_hypothesis_violation_maps_to_exit_1(tmp_path):
     cfg = _write(tmp_path, "onesided.cfg", """
 scenario = liouville-one-sided

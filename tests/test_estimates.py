@@ -243,6 +243,27 @@ def test_choose_eps0_midpoint():
         choose_eps0(4, CapillaryAngle(np.arccos(0.97)))
 
 
+@pytest.mark.parametrize("n, theta, expected", [
+    (2, 0.06, 0.946457267086998),
+    (2, 1.2, 0.6745762405855659),
+    (2, np.pi / 2, 0.6666666666667427),
+    (3, 0.07, 0.08131808400889928),
+    (3, 3.071, 0.0821183089121863),
+    (4, 0.264, 0.045780264491668686),
+    (4, 1.0, 0.5),
+    (5, 0.355, 0.14031624632366424),
+    (6, 2.746, 0.18064723148359021),
+    (7, 0.426, 0.38123373037046776),
+    (8, 0.437, 0.2561961064245679),
+    (10, 2.685, 0.2295727135149264),
+    (11, 2.675, 0.4846254458618655),
+])
+def test_choose_eps0_pinned_values(n, theta, expected):
+    # exact equality: the scan and the bisection are elementwise IEEE
+    # operations, so a rewrite of either must not move a single bit
+    assert choose_eps0(n, CapillaryAngle(theta)) == expected
+
+
 def test_max_principle_coefficients_structure():
     rng = np.random.default_rng(6)
     for n in (2, 3, 4, 6):

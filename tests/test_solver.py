@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgraph import (CapillaryAngle, LinearSolveFailure, ProblemSpec,
                       ScalarField, SolveStatus, SolverConfig, SparseSystem,
@@ -209,6 +211,17 @@ def test_linear_solve_failure_on_iteration_cap():
     with pytest.raises(LinearSolveFailure):
         linear_solve(SparseSystem(sp.csr_matrix(spd), b),
                      SolverConfig(linear_max_iter=2))
+
+
+def test_sparse_system_leaves_the_callers_matrix_intact():
+    m = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    m.data[1] = 0.0             # one explicit zero
+    indices, indptr = m.indices.copy(), m.indptr.copy()
+    system = SparseSystem(m, np.ones(2))
+    assert system.matrix.nnz == 3
+    assert m.nnz == 4
+    assert np.array_equal(m.indices, indices)
+    assert np.array_equal(m.indptr, indptr)
 
 
 def test_linear_solve_breakdown_on_non_spd_systems():
@@ -465,6 +478,71 @@ def test_multigrid_cg_iterations_do_not_grow_with_1_over_h(monkeypatch):
     assert max(worst) <= 60
     for coarse, fine in zip(worst, worst[1:]):
         assert fine < 2 * coarse
+
+
+def test_forcing_term_choice_2_with_safeguard_cap_and_floors():
+    forcing = solver._forcing_term
+    assert forcing([1.0], None, 1e-12, 1e-12) == 0.3
+    # eta_k = 0.9 (r_k / r_{k-1})^2 once the safeguard 0.9 eta^2 <= 0.1
+    assert forcing([1.0, 0.1], 0.3, 1e-12, 1e-12) == pytest.approx(0.009)
+    # safeguard: 0.9 * 0.4^2 = 0.144 > 0.1 is kept
+    assert forcing([1.0, 0.1], 0.4, 1e-12, 1e-12) == pytest.approx(0.144)
+    # cap
+    assert forcing([1.0, 0.99], 0.3, 1e-12, 1e-12) == 0.5
+    # floors: half the distance to the target, and the configured floor
+    assert forcing([1.0, 1e-4], 0.3, 1e-5, 1e-12) == pytest.approx(0.05)
+    assert forcing([1.0, 1e-4], 0.3, 1e-12, 1e-3) == 1e-3
+
+
+def test_inexact_newton_on_the_finest_ladder_rung(monkeypatch):
+    # the h = 0.0125 problem above: fixed 1e-12 inner solves took 131 CG
+    # iterations in total to reach this energy
+    aff = affine_capillary_solution(THETA, (0.2,), 0.0)
+
+    def data(pts):
+        taper = np.cos(0.5 * np.pi * pts[:, 1]) ** 2
+        return aff(pts) + 0.25 * np.exp(-((pts[:, 0] - 0.4) ** 2 +
+                                          pts[:, 1] ** 2)) * taper
+
+    counts = []
+    pcg = solver._pcg
+
+    def counting_pcg(*args):
+        x, iterations = pcg(*args)
+        counts.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(solver, "_pcg", counting_pcg)
+    grid = build_grid(2, 0.0125, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, data)
+    _, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
+    assert rep.status is SolveStatus.CONVERGED
+    assert sum(counts) <= 40
+    assert rep.energy == pytest.approx(1.779392548889038, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40)
+@given(theta=st.floats(0.3, np.pi - 0.3), bprime=st.floats(-1.0, 1.0),
+       h=st.sampled_from([0.5, 0.25]))
+def test_inexact_newton_properties(theta, bprime, h):
+    angle = CapillaryAngle(theta)
+    grid = build_grid(2, h, 2.0, 1.0)
+    aff = affine_capillary_solution(angle, (bprime,), 0.0)
+
+    def data(pts):
+        taper = np.cos(0.5 * np.pi * pts[:, 1]) ** 2
+        return aff(pts) + 0.3 * np.exp(-(pts[:, 0] - 1.0) ** 2) * taper
+
+    spec = ProblemSpec.from_boundary_data(grid, angle, data)
+    cfg = SolverConfig()
+    sol, rep = newton_solve(spec, cfg)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations >= 1
+    assert rep.v_min >= angle.sin_t - 1e-12
+    target = cfg.tol_residual * max(1.0, rep.residual_history[0])
+    grad_e, _ = _energy_gradient(grid, sol.values, angle)
+    free = grid.free_indices
+    assert np.max(np.abs(grad_e[free] / grid.node_weights[free])) <= target
 
 
 def test_failed_line_search_is_reported_as_stalled():
