@@ -12,13 +12,14 @@ from .capillary import (AffineCapillarySolution, BoundaryFrame, CapillaryAngle,
                         area_element, boundary_frame, calibration_value,
                         capillary_area_element, capillary_boundary_residual,
                         capillary_energy, capillary_gauge, conormal,
-                        field_from_callable, quadrant_gradients, unit_normal)
+                        edge_differences, field_from_callable,
+                        quadrant_gradients, unit_normal)
 from .errors import (AngleOutOfRange, BadConfig, BadDimension,
                      CapillaryLabError, DegenerateAngle, DegenerateState,
-                     EmptyRegion, HypothesisViolation, InvariantViolation,
-                     LinearSolveFailure, NonconformingExtent, OutOfExtent,
-                     ShapeMismatch, StationarityViolation, UnresolvedRegion,
-                     ZeroVector)
+                     EmptyRegion, HypothesisViolation, InvalidParameter,
+                     InvariantViolation, LinearSolveFailure,
+                     NonconformingExtent, OutOfExtent, ShapeMismatch,
+                     StationarityViolation, UnresolvedRegion, ZeroVector)
 from .estimates import (AngleRangeResult, AuxiliaryField, CoefficientState,
                         CutoffCheckReport, CutoffParams, LinearBound,
                         MaxPrincipleCoefficients, admissible_angle_range,

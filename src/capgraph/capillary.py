@@ -189,6 +189,28 @@ def calibration_value(g_sigma, n_plane, theta: CapillaryAngle) -> np.ndarray | f
 # Cell quadrature (shared with the solver)
 # ---------------------------------------------------------------------------
 
+def edge_differences(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
+    """One-sided edge differences of every cell, one contiguous row each.
+
+    Returns (1, n_cells) in 1D (the cell difference) and (4, n_cells) in 2D
+    with rows (d_b, d_t, d_l, d_r): the x1-differences along the low-x2 and
+    high-x2 edges, then the x2-differences along the low-x1 and high-x1
+    edges.  Quadrant (corner) q = 2 i + j of a 2D cell has the gradient
+    (row i, row 2 + j); see quadrant_gradients.
+    """
+    vals = np.asarray(values, dtype=float)
+    c = grid.corner_rows
+    h = grid.h
+    if grid.dim == 1:
+        return ((vals[c[1]] - vals[c[0]]) / h)[None]
+    out = np.empty((4, c.shape[1]))
+    out[0] = (vals[c[1]] - vals[c[0]]) / h    # x1-difference, low-x2 edge
+    out[1] = (vals[c[3]] - vals[c[2]]) / h    # x1-difference, high-x2 edge
+    out[2] = (vals[c[2]] - vals[c[0]]) / h    # x2-difference, low-x1 edge
+    out[3] = (vals[c[3]] - vals[c[1]]) / h    # x2-difference, high-x1 edge
+    return out
+
+
 def quadrant_gradients(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
     """Per-cell corner gradients from one-sided edge differences.
 
@@ -198,21 +220,13 @@ def quadrant_gradients(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
     the discrete energy and the solver residual, so energy stationarity
     and the discrete equation agree exactly.
     """
-    vals = np.asarray(values, dtype=float)
-    c = grid.cell_corners
-    h = grid.h
+    d = edge_differences(grid, values)
     if grid.dim == 1:
-        g = (vals[c[:, 1]] - vals[c[:, 0]]) / h
-        return g[:, None, None]
-    d_b = (vals[c[:, 1]] - vals[c[:, 0]]) / h    # x1-difference, low-x2 edge
-    d_t = (vals[c[:, 3]] - vals[c[:, 2]]) / h    # x1-difference, high-x2 edge
-    d_l = (vals[c[:, 2]] - vals[c[:, 0]]) / h    # x2-difference, low-x1 edge
-    d_r = (vals[c[:, 3]] - vals[c[:, 1]]) / h    # x2-difference, high-x1 edge
-    out = np.empty((c.shape[0], 4, 2))
-    out[:, 0, 0], out[:, 0, 1] = d_b, d_l
-    out[:, 1, 0], out[:, 1, 1] = d_b, d_r
-    out[:, 2, 0], out[:, 2, 1] = d_t, d_l
-    out[:, 3, 0], out[:, 3, 1] = d_t, d_r
+        return d.T[:, :, None]
+    out = np.empty((d.shape[1], 4, 2))
+    for q in range(4):
+        out[:, q, 0] = d[q // 2]
+        out[:, q, 1] = d[2 + q % 2]
     return out
 
 
@@ -222,12 +236,21 @@ def capillary_energy(u: ScalarField, theta: CapillaryAngle, cells=None) -> float
     `cells` optionally restricts the sum to a subset of cell indices, so the
     energy is additive over disjoint cell partitions by construction.
     """
-    g = quadrant_gradients(u.grid, u.values)
+    d = edge_differences(u.grid, u.values)
     if cells is not None:
-        g = g[np.asarray(cells, dtype=int)]
-    v = capillary_area_element(g, theta)
+        d = d[:, np.asarray(cells, dtype=int)]
+    cos_t = theta.cos_t
+    if u.grid.dim == 1:
+        g = d[0]
+        v = np.sqrt(1.0 + g * g) + cos_t * g
+    else:
+        # v = W + cos(theta) g1 per quadrant, averaged in quadrant order
+        sq = d * d
+        v0, v1, v2, v3 = (np.sqrt(1.0 + (sq[i] + sq[j])) + cos_t * d[i]
+                          for i in (0, 1) for j in (2, 3))
+        v = (((v0 + v1) + v2) + v3) / 4.0
     cell_vol = u.grid.h ** u.grid.dim
-    return float(cell_vol * np.sum(np.mean(v, axis=1)))
+    return float(cell_vol * np.sum(v))
 
 
 # ---------------------------------------------------------------------------

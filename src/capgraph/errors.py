@@ -55,6 +55,10 @@ class OutOfExtent(CapillaryLabError):
     """Rescaled query point falls outside the source grid extent."""
 
 
+class InvalidParameter(CapillaryLabError, ValueError):
+    """Solver or problem parameter outside its domain; also a ValueError."""
+
+
 class BadConfig(CapillaryLabError):
     """Malformed or unknown configuration input."""
 

@@ -103,24 +103,35 @@ class HalfSpaceGrid:
         return out
 
     @cached_property
+    def corner_rows(self) -> np.ndarray:
+        """cell_corners transposed to a C-contiguous (k, n_cells) array: row
+        j lists corner j of every cell, so per-corner gathers are contiguous
+        and the flattened array is the stacked corner index of a one-bincount
+        scatter of (k, n_cells) cell values."""
+        out = np.ascontiguousarray(self.cell_corners.T)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def hessian_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fixed CSR pattern of the free-free energy Hessian.
 
         Returns (indptr, indices, slot): CSR row pointers and column indices
-        over the free nodes (in free_indices order), and an (n_cells, k*k)
+        over the free nodes (in free_indices order), and a (k*k, n_cells)
         map from each entry of a cell's local k x k block (k corners, rows
-        and columns in cell_corners order, row-major) to its position in
-        the CSR data.  Entries touching a Dirichlet node map to the dump
-        slot nnz.  Callers must give each matrix its own copy of indptr and
-        indices: the arrays are read-only.
+        and columns in cell_corners order; row i*k + j of the map holds
+        entry (i, j) of every cell) to its position in the CSR data.
+        Entries touching a Dirichlet node map to the dump slot nnz.  Callers
+        must give each matrix its own copy of indptr and indices: the arrays
+        are read-only.
         """
-        c = self.cell_corners
-        k = c.shape[1]
+        c = self.corner_rows
+        k = c.shape[0]
         nf = self.free_indices.size
         pos = np.full(self.n_nodes, -1, dtype=np.int64)
         pos[self.free_indices] = np.arange(nf)
-        rows = np.repeat(pos[c], k, axis=1)
-        cols = np.tile(pos[c], (1, k))
+        rows = np.repeat(pos[c], k, axis=0)
+        cols = np.tile(pos[c], (k, 1))
         # an entry touching a Dirichlet node gets the key nf^2, ranked last
         keys = np.where((rows >= 0) & (cols >= 0), rows * nf + cols, nf * nf)
         uniq, slot = np.unique(keys, return_inverse=True)
@@ -358,8 +369,16 @@ def inner_node_set(grid: HalfSpaceGrid, region: EllipsoidRegion) -> np.ndarray:
         axes[1:] = rho / region.theta.sin_t
     # Grid nodes have x1 >= 0, so the nearest ellipsoid point is feasible and
     # distance to the clipped closure equals distance to the full ellipsoid.
-    dist = _distance_to_ellipsoid(y, axes)
-    keep = member | (dist <= 0.5 * grid.h + 1e-12)
+    # The ellipsoid E is convex, symmetric and contains the ball of radius
+    # min(axes), so a point within reach of E lies in (1 + reach/min(axes)) E;
+    # only those points are bisected (with a factor-2 rounding margin), the
+    # rest stay at distance inf.  The bisection is independent per point.
+    reach = 0.5 * grid.h + 1e-12
+    near = (np.sum((y / axes) ** 2, axis=1)
+            <= (1.0 + 2.0 * reach / np.min(axes)) ** 2)
+    dist = np.full(grid.n_nodes, np.inf)
+    dist[near] = _distance_to_ellipsoid(y[near], axes)
+    keep = member | (dist <= reach)
     idx = np.flatnonzero(keep)
     if idx.size == 0:
         raise EmptyRegion(

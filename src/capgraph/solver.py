@@ -14,8 +14,9 @@ the scaled energy gradient.  Consequences used throughout the tests:
 * a converged solution is a discrete stationary point of the energy.
 
 The Hessian uses fixed-pattern assembly: each cell's local block is
-computed from the quadrant gradients and summed by one bincount into the
-free-free CSR pattern that the grid caches (HalfSpaceGrid.hessian_pattern).
+computed from the edge differences behind the quadrant gradients and summed
+by one bincount into the free-free CSR pattern that the grid caches
+(HalfSpaceGrid.hessian_pattern).
 Newton iterations are damped by backtracking on the residual norm, and each
 Newton system is solved in its SPD (volume-weighted) form by
 geometric-multigrid (V-cycle, damped Jacobi) preconditioned CG: bilinear
@@ -24,7 +25,17 @@ per step, no exact coarse solve.  Newton is inexact: each system is solved
 only to an Eisenstat-Walker forcing tolerance (choice 2 with safeguard,
 Eisenstat & Walker, SIAM J. Sci. Comput. 17(1), 1996), computed from the
 Newton residual history; SolverConfig.linear_tol is the tolerance of a
-standalone linear_solve and the floor of that forcing term.  Reductions have
+standalone linear_solve and the floor of that forcing term.  Without a given
+initial state, the first Newton step is lifted (a tangent-predictor step,
+Deuflhard 2004, ch. 5): the system is assembled at the affine fit to the
+Dirichlet data, before the data are imposed, and the Dirichlet increment
+enters the right-hand side through the full-lattice Hessian action, so the
+start has no O(1) jump one cell from the box faces.  The lifted state is
+kept, as Newton step 1, only when its residual beats the imposed start's;
+the convergence target stays anchored on the imposed start's residual.
+Cell kernels work on the four contiguous edge-difference rows of
+capillary.edge_differences, and the residual scatters its corner terms
+with one bincount over HalfSpaceGrid.corner_rows.  Reductions have
 fixed order, so repeated runs are bitwise reproducible.  The linear solver
 accepts SPD systems only.
 """
@@ -39,8 +50,9 @@ import scipy.sparse as sp
 
 from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         affine_capillary_solution, capillary_area_element,
-                        capillary_energy, quadrant_gradients)
-from .errors import InvariantViolation, LinearSolveFailure, ShapeMismatch
+                        capillary_energy, edge_differences)
+from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
+                     ShapeMismatch)
 from .geometry import HalfSpaceGrid
 
 
@@ -63,10 +75,10 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (0.0 < self.damping < 1.0):
-            raise ValueError(f"damping must lie in (0, 1), got {self.damping}")
+            raise InvalidParameter(f"damping must lie in (0, 1), got {self.damping}")
         for name in ("tol_residual", "min_step", "linear_tol"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise InvalidParameter(f"{name} must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +107,10 @@ class ProblemSpec:
                 f"got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("dirichlet values must be finite")
+            raise InvalidParameter("dirichlet values must be finite")
         object.__setattr__(self, "dirichlet", vals.copy())
         if not callable(self.H) and not np.isfinite(float(self.H)):
-            raise ValueError("H must be finite")
+            raise InvalidParameter("H must be finite")
 
     @classmethod
     def from_boundary_data(cls, grid, theta, data, H=0.0, C_H=None, initial=None):
@@ -170,75 +182,91 @@ def ghost_closure(tangential_grad, theta: CapillaryAngle) -> float:
 
 def _energy_gradient(grid: HalfSpaceGrid, values: np.ndarray,
                      theta: CapillaryAngle) -> tuple[np.ndarray, float]:
-    """Exact gradient of the discrete capillary energy, plus min quadrant v."""
-    n = grid.n_nodes
-    c = grid.cell_corners
-    h = grid.h
-    g = quadrant_gradients(grid, values)
-    w = np.sqrt(1.0 + np.sum(g * g, axis=2))
-    v_min = float(np.min(w + theta.cos_t * g[:, :, 0]))
+    """Exact gradient of the discrete capillary energy, plus min quadrant v.
+
+    Per-cell corner contributions are stacked (k, n_cells) and scattered by
+    one bincount over grid.corner_rows.
+    """
+    d = edge_differences(grid, values)
+    cos_t = theta.cos_t
     if grid.dim == 1:
-        f = g[:, 0, 0] / w[:, 0] + theta.cos_t
-        grad = np.bincount(c[:, 1], f, minlength=n) - np.bincount(c[:, 0], f, minlength=n)
-        return grad, v_min
-    f1 = g[..., 0] / w + theta.cos_t
-    f2 = g[..., 1] / w
-    q = h / 4.0
-    coef_b = q * (f1[:, 0] + f1[:, 1])
-    coef_t = q * (f1[:, 2] + f1[:, 3])
-    coef_l = q * (f2[:, 0] + f2[:, 2])
-    coef_r = q * (f2[:, 1] + f2[:, 3])
-    grad = (np.bincount(c[:, 1], coef_b, minlength=n)
-            - np.bincount(c[:, 0], coef_b, minlength=n)
-            + np.bincount(c[:, 3], coef_t, minlength=n)
-            - np.bincount(c[:, 2], coef_t, minlength=n)
-            + np.bincount(c[:, 2], coef_l, minlength=n)
-            - np.bincount(c[:, 0], coef_l, minlength=n)
-            + np.bincount(c[:, 3], coef_r, minlength=n)
-            - np.bincount(c[:, 1], coef_r, minlength=n))
+        g = d[0]
+        w = np.sqrt(1.0 + g * g)
+        v_min = float(np.min(w + cos_t * g))
+        f = g / w + cos_t
+        corner = np.stack([-f, f])
+    else:
+        # quadrant (i, j) has the gradient (d1[i], d2[j])
+        d1, d2 = d[:2, None], d[None, 2:]
+        w = np.sqrt(1.0 + (d1 * d1 + d2 * d2))
+        v_min = float(np.min(w + cos_t * d1))
+        f1 = d1 / w + cos_t
+        f2 = d2 / w
+        q = grid.h / 4.0
+        coef_bt = q * (f1[:, 0] + f1[:, 1])   # x1-flux, low/high-x2 edge
+        coef_lr = q * (f2[0] + f2[1])         # x2-flux, low/high-x1 edge
+        corner = np.stack([-(coef_bt[0] + coef_lr[0]),
+                           coef_bt[0] - coef_lr[1],
+                           coef_lr[0] - coef_bt[1],
+                           coef_bt[1] + coef_lr[1]])
+    grad = np.bincount(grid.corner_rows.ravel(), corner.ravel(),
+                       minlength=grid.n_nodes)
     return grad, v_min
 
 
-def _free_hessian(grid: HalfSpaceGrid, values: np.ndarray,
-                  theta: CapillaryAngle) -> sp.csr_matrix:
-    """Exact (positive semidefinite) energy Hessian on the free nodes.
+def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
+    """Per-cell local blocks of the exact (positive semidefinite) energy
+    Hessian, shaped (k*k, n_cells): row i*k + j is entry (i, j) of each
+    cell's k x k block over its corners (cell_corners order).
 
-    Each cell contributes a local block over its corners, summed into the
-    grid's fixed CSR pattern by one bincount (a fixed summation order).
     In 2D the block is the sum over quadrants q of D_q^T K_q D_q / 4, with
     D_q the two edge differences behind the quadrant gradient g and
     K_q = ((1 + |g|^2) I - g g^T) / W^3 the Hessian of W at g.  The
     contact-angle term is linear and adds nothing.
     """
-    g = quadrant_gradients(grid, values)
+    d = edge_differences(grid, values)
     if grid.dim == 1:
-        k = 1.0 / (grid.h * (1.0 + g[:, 0, 0] ** 2) ** 1.5)
-        blocks = np.stack([k, -k, -k, k], axis=1)
-    else:
-        g1, g2 = g[..., 0], g[..., 1]
-        w3 = 4.0 * (1.0 + g1 * g1 + g2 * g2) ** 1.5
-        a = ((1.0 + g2 * g2) / w3).T     # (4, n_cells) per quadrant
-        b = ((1.0 + g1 * g1) / w3).T
-        c = (-(g1 * g2) / w3).T
-        d0 = a[0] + a[1] + b[0] + b[2] + 2.0 * c[0]
-        d1 = a[0] + a[1] + b[1] + b[3] - 2.0 * c[1]
-        d2 = a[2] + a[3] + b[0] + b[2] - 2.0 * c[2]
-        d3 = a[2] + a[3] + b[1] + b[3] + 2.0 * c[3]
-        o01 = c[1] - c[0] - a[0] - a[1]
-        o02 = c[2] - c[0] - b[0] - b[2]
-        o03 = -(c[1] + c[2])
-        o12 = c[0] + c[3]
-        o13 = c[1] - c[3] - b[1] - b[3]
-        o23 = c[2] - c[3] - a[2] - a[3]
-        blocks = np.stack([d0, o01, o02, o03,
-                           o01, d1, o12, o13,
-                           o02, o12, d2, o23,
-                           o03, o13, o23, d3], axis=1)
+        k = 1.0 / (grid.h * (1.0 + d[0] ** 2) ** 1.5)
+        return np.stack([k, -k, -k, k])
+    d1, d2 = d[:2, None], d[None, 2:]
+    s1, s2 = d1 * d1, d2 * d2
+    w2 = 1.0 + s1 + s2
+    w3 = 4.0 * w2 * np.sqrt(w2)
+    a = ((1.0 + s2) / w3).reshape(4, -1)     # per quadrant q = 2 i + j
+    b = ((1.0 + s1) / w3).reshape(4, -1)
+    c = (-(d1 * d2) / w3).reshape(4, -1)
+    out = np.empty((16, d.shape[1]))
+    out[0] = a[0] + a[1] + b[0] + b[2] + 2.0 * c[0]
+    out[5] = a[0] + a[1] + b[1] + b[3] - 2.0 * c[1]
+    out[10] = a[2] + a[3] + b[0] + b[2] - 2.0 * c[2]
+    out[15] = a[2] + a[3] + b[1] + b[3] + 2.0 * c[3]
+    out[1] = out[4] = c[1] - c[0] - a[0] - a[1]
+    out[2] = out[8] = c[2] - c[0] - b[0] - b[2]
+    out[3] = out[12] = -(c[1] + c[2])
+    out[6] = out[9] = c[0] + c[3]
+    out[7] = out[13] = c[1] - c[3] - b[1] - b[3]
+    out[11] = out[14] = c[2] - c[3] - a[2] - a[3]
+    return out
+
+
+def _free_matrix(grid: HalfSpaceGrid, blocks: np.ndarray) -> sp.csr_matrix:
+    """Free-free matrix of per-cell blocks, summed into the grid's fixed CSR
+    pattern by one bincount (a fixed summation order)."""
     indptr, indices, slot = grid.hessian_pattern
     nnz = indices.size
     data = np.bincount(slot.ravel(), blocks.ravel(), minlength=nnz + 1)[:nnz]
     nf = indptr.size - 1
     return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nf, nf))
+
+
+def _block_action(grid: HalfSpaceGrid, blocks: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """Full-lattice product sum_c E_c^T B_c E_c x of per-cell blocks with
+    nodal values x, Dirichlet rows and columns included."""
+    c = grid.corner_rows
+    k = c.shape[0]
+    local = np.einsum("ijn,jn->in", blocks.reshape(k, k, -1), x[c])
+    return np.bincount(c.ravel(), local.ravel(), minlength=grid.n_nodes)
 
 
 def _check_field(u: ScalarField, spec: ProblemSpec) -> None:
@@ -277,7 +305,7 @@ def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> SparseSystem:
     free = grid.free_indices
     res, _ = _residual_full(u.values, spec)
     scale = sp.diags(-1.0 / grid.node_weights[free])
-    jac = (scale @ _free_hessian(grid, u.values, spec.theta)).tocsr()
+    jac = (scale @ _free_matrix(grid, _hessian_blocks(grid, u.values))).tocsr()
     return SparseSystem(matrix=jac, rhs=-res[free])
 
 
@@ -441,16 +469,45 @@ def _affine_initial(spec: ProblemSpec) -> np.ndarray:
     return fit.on_grid(grid).values + offset
 
 
+def _check_area_element(v_min: float, theta: CapillaryAngle) -> None:
+    if v_min < theta.sin_t - 1e-12:
+        raise InvariantViolation("capillary area element fell below sin(theta)")
+
+
+_LIFT_TOL = 1e-3     # relative CG tolerance of the lifted first step
+
+
+def _lifted_step(spec: ProblemSpec, affine: np.ndarray, delta: np.ndarray,
+                 cfg: SolverConfig) -> np.ndarray:
+    """Free-node response s to the Dirichlet increment delta of the
+    linearized problem at the affine start: H_ff s = w_f r_f - (H delta)_f,
+    with the Hessian H and the residual r taken at `affine` and H delta the
+    full-lattice action (a tangent-predictor step, Deuflhard, Newton Methods
+    for Nonlinear Problems, 2004, ch. 5)."""
+    grid = spec.grid
+    free = grid.free_indices
+    blocks = _hessian_blocks(grid, affine)
+    res, _ = _residual_full(affine, spec)
+    rhs = (grid.node_weights[free] * res[free]
+           - _block_action(grid, blocks, delta)[free])
+    system = SparseSystem(matrix=_free_matrix(grid, blocks), rhs=rhs,
+                          prolongations=grid.prolongations)
+    return linear_solve(system, replace(cfg, linear_tol=_LIFT_TOL))
+
+
 def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                  ) -> tuple[ScalarField, SolveReport]:
     """Damped Newton iteration on the discrete problem.
 
     Converged means the residual infinity norm fell below
-    tol_residual * max(1, initial residual).  Steps are accepted only when
-    they decrease the residual norm; when no step length down to min_step
-    does, the solve stops as STALLED.  Each Newton system is solved in its
-    SPD (volume-weighted) form by multigrid-preconditioned CG, to the
-    Eisenstat-Walker forcing tolerance of _forcing_term.
+    tol_residual * max(1, initial residual), the initial residual being that
+    of the start with the Dirichlet data imposed.  Without spec.initial the
+    first step is the lifted step of _lifted_step, kept only when it lowers
+    the residual (a rejected lift is not an iteration).  Later steps are
+    accepted only when they decrease the residual norm; when no step length
+    down to min_step does, the solve stops as STALLED.  Each Newton system
+    is solved in its SPD (volume-weighted) form by multigrid-preconditioned
+    CG, to the Eisenstat-Walker forcing tolerance of _forcing_term.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
@@ -458,10 +515,11 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     weights_f = grid.node_weights[free]
 
     if spec.initial is not None:
-        values = spec.initial.values.copy()
+        affine = None
+        values = spec.impose(spec.initial.values)
     else:
-        values = _affine_initial(spec)
-    values = spec.impose(values)
+        affine = _affine_initial(spec)
+        values = spec.impose(affine)
 
     def residual(vals):
         res, v_min = _residual_full(vals, spec)
@@ -469,8 +527,7 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
         return res_f, float(np.max(np.abs(res_f))), v_min
 
     res_f, res_norm, v_min = residual(values)
-    if v_min < spec.theta.sin_t - 1e-12:
-        raise InvariantViolation("capillary area element fell below sin(theta)")
+    _check_area_element(v_min, spec.theta)
     res0 = res_norm
     target = cfg.tol_residual * max(1.0, res0)
     history = [res_norm]
@@ -478,14 +535,26 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     status = SolveStatus.MAX_ITER
     eta = None
 
-    for _ in range(cfg.max_newton):
+    if (affine is not None and cfg.max_newton > 0 and res_norm > target
+            and np.any(values != affine)):
+        lifted = values.copy()
+        lifted[free] += _lifted_step(spec, affine, values - affine, cfg)
+        lift_res_f, lift_norm, lift_v_min = residual(lifted)
+        if lift_norm < res_norm:
+            values, res_f, res_norm, v_min = lifted, lift_res_f, lift_norm, lift_v_min
+            _check_area_element(v_min, spec.theta)
+            history.append(res_norm)
+            iterations = 1
+            eta = _LIFT_TOL     # the forcing sequence continues from the lift
+
+    for _ in range(cfg.max_newton - iterations):
         if res_norm <= target:
             break
         if res_norm > 1e6 * max(1.0, res0):
             status = SolveStatus.DIVERGED
             break
-        system = SparseSystem(matrix=_free_hessian(grid, values, spec.theta),
-                              rhs=weights_f * res_f,
+        hess = _free_matrix(grid, _hessian_blocks(grid, values))
+        system = SparseSystem(matrix=hess, rhs=weights_f * res_f,
                               prolongations=grid.prolongations)
         eta = _forcing_term(history, eta, target, cfg.linear_tol)
         step = linear_solve(system, replace(cfg, linear_tol=eta))
@@ -510,8 +579,7 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
             break
         values = trial
         res_f, res_norm, v_min = trial_res_f, trial_norm, trial_v_min
-        if v_min < spec.theta.sin_t - 1e-12:
-            raise InvariantViolation("capillary area element fell below sin(theta)")
+        _check_area_element(v_min, spec.theta)
         history.append(res_norm)
         iterations += 1
 

@@ -8,7 +8,8 @@ from capgraph import (CapillaryAngle, DegenerateAngle, ScalarField, ZeroVector,
                       build_grid, calibration_value, capillary_area_element,
                       capillary_boundary_residual, capillary_energy,
                       capillary_gauge, conormal, discrete_gradient,
-                      field_from_callable, unit_normal)
+                      edge_differences, field_from_callable,
+                      quadrant_gradients, unit_normal)
 
 
 def test_angle_validation_and_cached_trig():
@@ -221,3 +222,40 @@ def test_field_from_callable_and_validation():
     assert np.isclose(u.values[2], 0.25)
     with pytest.raises(ValueError):
         ScalarField(grid, np.full(grid.n_nodes, np.nan))
+
+
+def _quadrant_energy(u, theta, cells=None):
+    # the cell quadrature written on quadrant_gradients
+    g = quadrant_gradients(u.grid, u.values)
+    if cells is not None:
+        g = g[cells]
+    v = capillary_area_element(g, theta)
+    return float(u.grid.h ** u.grid.dim * np.sum(np.mean(v, axis=1)))
+
+
+@pytest.mark.parametrize("args", [(1, 0.1, 2.0), (2, 0.25, 2.0, 1.0),
+                                  (2, 0.05, 1.0, 1.0)])
+def test_capillary_energy_is_bitwise_the_quadrant_formula(args):
+    grid = build_grid(*args)
+    rng = np.random.default_rng(14)
+    n_cells = grid.cell_corners.shape[0]
+    for theta_val in (0.4, np.pi / 2, 2.5):
+        theta = CapillaryAngle(theta_val)
+        for amp in (0.1, 3.0):
+            u = ScalarField(grid, amp * rng.standard_normal(grid.n_nodes))
+            cells = rng.choice(n_cells, n_cells // 3, replace=False)
+            assert repr(capillary_energy(u, theta)) == repr(_quadrant_energy(u, theta))
+            assert (repr(capillary_energy(u, theta, cells=cells))
+                    == repr(_quadrant_energy(u, theta, cells)))
+
+
+def test_quadrant_gradients_pair_the_edge_differences():
+    grid = build_grid(2, 0.25, 1.0, 0.5)
+    vals = np.random.default_rng(15).standard_normal(grid.n_nodes)
+    d = edge_differences(grid, vals)
+    g = quadrant_gradients(grid, vals)
+    c = grid.cell_corners
+    assert np.array_equal(d[0], (vals[c[:, 1]] - vals[c[:, 0]]) / grid.h)
+    for q, (i, j) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
+        assert np.array_equal(g[:, q, 0], d[i])
+        assert np.array_equal(g[:, q, 1], d[j])

@@ -6,6 +6,7 @@ import pytest
 from capgraph import (BadDimension, CapillaryAngle, EllipsoidRegion,
                       EmptyRegion, NodeClass, NonconformingExtent, RegionKind,
                       build_grid, in_region, inner_node_set)
+from capgraph.geometry import _distance_to_ellipsoid
 
 
 def test_build_grid_1d_counts_and_classes():
@@ -127,3 +128,31 @@ def test_grid_arrays_are_immutable():
         grid.nodes[0, 0] = 5.0
     with pytest.raises(ValueError):
         grid.classes[0] = 0
+
+
+def _unfiltered_inner_node_set(grid, region):
+    # the distance rule of inner_node_set with every exterior node bisected
+    y = grid.nodes.copy()
+    y[:, 0] -= region.axial_center
+    if grid.dim > 1 and region.center:
+        y[:, 1:] -= np.asarray(region.center)
+    axes = np.full(grid.dim, region.semiaxis)
+    axes[1:] /= region.theta.sin_t
+    dist = _distance_to_ellipsoid(y, axes)
+    return np.flatnonzero(in_region(grid.nodes, region)
+                          | (dist <= 0.5 * grid.h + 1e-12))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_inner_node_set_prefilter_keeps_the_unfiltered_sets(dim):
+    for h in (0.5, 0.2):
+        grid = build_grid(dim, h, 4.0, 4.0)
+        for r in (0.6, 1.5, 3.0):
+            for theta_val in (0.5, np.pi / 2, 2.3):
+                theta = CapillaryAngle(theta_val)
+                for kind in RegionKind:
+                    for center in ((), (0.7,)) if dim == 2 else ((),):
+                        region = EllipsoidRegion(r, theta, kind, center)
+                        assert np.array_equal(
+                            inner_node_set(grid, region),
+                            _unfiltered_inner_node_set(grid, region))

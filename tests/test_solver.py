@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capgraph import (CapillaryAngle, LinearSolveFailure, ProblemSpec,
+from capgraph import (CapillaryAngle, CapillaryLabError, InvalidParameter,
+                      LinearSolveFailure, ProblemSpec,
                       ScalarField, SolveStatus, SolverConfig, SparseSystem,
                       affine_capillary_solution, assemble_jacobian,
                       assemble_residual, build_grid, capillary_energy,
@@ -553,3 +554,129 @@ def test_failed_line_search_is_reported_as_stalled():
     sol, rep = newton_solve(bad, SolverConfig(min_step=0.9))
     assert rep.status is SolveStatus.STALLED
     assert rep.iterations == 0
+
+
+def _ladder_data():
+    # the mesh-ladder problem of test_2d_self_reference_mesh_convergence
+    aff = affine_capillary_solution(THETA, (0.2,), 0.0)
+
+    def data(pts):
+        taper = np.cos(0.5 * np.pi * pts[:, 1]) ** 2
+        return aff(pts) + 0.25 * np.exp(-((pts[:, 0] - 0.4) ** 2 +
+                                          pts[:, 1] ** 2)) * taper
+    return data
+
+
+def test_lifted_start_makes_newton_steps_mesh_independent():
+    # from the imposed affine start these took 6, 7 and 8 steps
+    for h in (0.05, 0.025, 0.0125):
+        grid = build_grid(2, h, 1.0, 1.0)
+        spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+        _, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
+        assert rep.status is SolveStatus.CONVERGED
+        assert rep.iterations <= 5
+
+
+def _imposed_start_residual(spec):
+    start = spec.impose(solver._affine_initial(spec))
+    return float(np.max(np.abs(assemble_residual(ScalarField(spec.grid, start),
+                                                 spec))))
+
+
+def test_accepted_lift_is_the_first_newton_step():
+    grid = build_grid(2, 0.05, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    _, rep = newton_solve(spec, SolverConfig(max_newton=1))
+    assert rep.status is SolveStatus.MAX_ITER
+    assert rep.iterations == 1
+    assert rep.residual_history[0] == _imposed_start_residual(spec)
+    assert rep.residual_history[1] < 0.1 * rep.residual_history[0]
+    # no lift without a Newton budget
+    _, rep = newton_solve(spec, SolverConfig(max_newton=0))
+    assert rep.iterations == 0
+    assert rep.residual_history == (_imposed_start_residual(spec),)
+
+
+def test_rejected_lift_continues_from_the_imposed_start(monkeypatch):
+    calls = []
+    solve = solver.linear_solve
+
+    def zero_first_solve(system, cfg=None):
+        calls.append(system.rhs.size)
+        if len(calls) == 1:
+            return np.zeros_like(system.rhs)
+        return solve(system, cfg)
+
+    monkeypatch.setattr(solver, "linear_solve", zero_first_solve)
+    grid = build_grid(2, 0.05, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    _, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.residual_history[0] == _imposed_start_residual(spec)
+    # the rejected lift is not an iteration
+    assert len(calls) == rep.iterations + 1
+    assert len(rep.residual_history) == rep.iterations + 1
+
+
+@pytest.mark.parametrize("dim, extent", [
+    (2, (0.2, 1.4, 0.6)),      # 7 x 6 cells
+    (1, (0.1, 1.3)),           # 13 cells
+])
+def test_cell_kernels_match_central_differences(dim, extent):
+    grid = build_grid(dim, *extent)
+    rng = np.random.default_rng(16)
+    theta = CapillaryAngle(rng.uniform(0.3, np.pi - 0.3))
+    vals = rng.uniform(-1.0, 1.0, grid.n_nodes)
+    eye = np.eye(grid.n_nodes)
+    # the one-bincount energy gradient against the energy it differentiates
+    grad = _energy_gradient(grid, vals, theta)[0]
+    eps = 1e-5
+    fd = np.array([(capillary_energy(ScalarField(grid, vals + eps * e), theta)
+                    - capillary_energy(ScalarField(grid, vals - eps * e), theta))
+                   / (2.0 * eps) for e in eye])
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+    # the block Hessian action, Dirichlet columns included
+    blocks = solver._hessian_blocks(grid, vals)
+    action = np.stack([solver._block_action(grid, blocks, e) for e in eye],
+                      axis=1)
+    eps = 1e-6
+    fd = np.stack([(_energy_gradient(grid, vals + eps * e, theta)[0]
+                    - _energy_gradient(grid, vals - eps * e, theta)[0])
+                   / (2.0 * eps) for e in eye], axis=1)
+    assert np.max(np.abs(action - fd)) <= 1e-6 * np.max(np.abs(action))
+    # the free-free block is the assembled Hessian
+    free = grid.free_indices
+    assert np.allclose(solver._free_matrix(grid, blocks).toarray(),
+                       action[np.ix_(free, free)], rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=40)
+@given(theta=st.floats(0.2, np.pi - 0.2), bprime=st.floats(-2.0, 2.0),
+       offset=st.floats(-5.0, 5.0), h=st.sampled_from([0.5, 0.25]),
+       dim=st.sampled_from([1, 2]))
+def test_affine_data_are_recovered_to_roundoff(theta, bprime, offset, h, dim):
+    angle = CapillaryAngle(theta)
+    grid = build_grid(dim, h, 2.0, 1.0)
+    aff = affine_capillary_solution(angle, (bprime,) if dim == 2 else (), offset)
+    spec = ProblemSpec.from_boundary_data(grid, angle, aff)
+    sol, rep = newton_solve(spec)
+    exact = aff(grid.nodes)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations == 0
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    assert np.max(np.abs(sol.values - exact)) <= 1e-12 * scale
+
+
+def test_validation_errors_are_capillary_lab_errors():
+    grid = build_grid(1, 0.25, 1.0)
+    bad_configs = ({"damping": 1.0}, {"tol_residual": 0.0}, {"min_step": -1.0},
+                   {"linear_tol": 0.0})
+    for kwargs in bad_configs:
+        with pytest.raises(InvalidParameter):
+            SolverConfig(**kwargs)
+    with pytest.raises(InvalidParameter):
+        ProblemSpec(grid=grid, theta=THETA, dirichlet=np.array([np.nan]))
+    with pytest.raises(InvalidParameter):
+        ProblemSpec(grid=grid, theta=THETA, dirichlet=np.zeros(1), H=np.inf)
+    assert issubclass(InvalidParameter, CapillaryLabError)
+    assert issubclass(InvalidParameter, ValueError)
