@@ -13,7 +13,7 @@ from .capillary import (AffineCapillarySolution, BoundaryFrame, CapillaryAngle,
                         capillary_area_element, capillary_boundary_residual,
                         capillary_energy, capillary_gauge, conormal,
                         edge_differences, field_from_callable,
-                        quadrant_gradients, unit_normal)
+                        ghost_closure, unit_normal)
 from .errors import (AngleOutOfRange, BadConfig, BadDimension,
                      CapillaryLabError, DegenerateAngle, DegenerateState,
                      EmptyRegion, HypothesisViolation, InvalidParameter,
@@ -27,7 +27,7 @@ from .estimates import (AngleRangeResult, AuxiliaryField, CoefficientState,
                         angle_threshold, auxiliary_function, choose_eps0,
                         conormal_stationarity_residual, cutoff_derivative_check,
                         cutoff_profile, cutoff_weight, cutoff_weight_gradient,
-                        gradient_bound, height_weight,
+                        gradient_bound, height_scale, height_weight,
                         max_principle_coefficients, nondivergence_residual,
                         one_sided_slope_limit, shifted_cutoff_profile,
                         shifted_cutoff_weight)
@@ -42,7 +42,6 @@ from .harness import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       run_minimizer_test, run_solve_experiment, write_csv)
 from .solver import (ProblemSpec, SolveReport, SolveStatus, SolverConfig,
                      SparseSystem, assemble_jacobian, assemble_residual,
-                     discrete_gradient, ghost_closure, linear_solve,
-                     newton_solve)
+                     discrete_gradient, linear_solve, newton_solve)
 
 __version__ = "0.1.0"

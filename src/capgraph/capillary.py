@@ -41,6 +41,9 @@ class CapillaryAngle:
             raise DegenerateAngle(
                 f"sin(theta)={np.sin(t):.3g} below floor {self.sin_min}"
             )
+        if abs(np.cos(t)) == 1.0:
+            # theta within about 1e-8 of 0 or pi: cos^2 = 1 empties every range
+            raise DegenerateAngle(f"cos(theta) rounds to +-1 at theta={t}")
 
     @cached_property
     def cos_t(self) -> float:
@@ -117,19 +120,15 @@ def field_from_callable(grid: HalfSpaceGrid, fn) -> ScalarField:
 
 def area_element(g) -> np.ndarray | float:
     """W = sqrt(1 + |g|^2) for one gradient or a (..., dim) batch."""
-    arr = np.asarray(g, dtype=float)
-    if arr.ndim == 0:
-        arr = arr[None]
+    arr = np.atleast_1d(np.asarray(g, dtype=float))
     out = np.sqrt(1.0 + np.sum(arr * arr, axis=-1))
     return float(out) if out.ndim == 0 else out
 
 
 def capillary_area_element(g, theta: CapillaryAngle) -> np.ndarray | float:
     """v = W + cos(theta) g_1; always >= sin(theta)."""
-    arr = np.asarray(g, dtype=float)
-    if arr.ndim == 0:
-        arr = arr[None]
-    out = np.sqrt(1.0 + np.sum(arr * arr, axis=-1)) + theta.cos_t * arr[..., 0]
+    arr = np.atleast_1d(np.asarray(g, dtype=float))
+    out = area_element(arr) + theta.cos_t * arr[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -170,6 +169,15 @@ def conormal(g) -> np.ndarray:
     return out / (w * b)[..., None]
 
 
+def ghost_closure(tangential_grad, theta: CapillaryAngle) -> np.ndarray | float:
+    """Wall-normal slope u_1 = -cot(theta) sqrt(1 + |s|^2) closing a boundary
+    stencil: the unique root of the contact-angle condition given the
+    tangential gradient s (empty in 1D), for one s or a (..., dim-1) batch."""
+    s = np.atleast_1d(np.asarray(tangential_grad, dtype=float))
+    out = -theta.cot_t * np.sqrt(1.0 + np.sum(s * s, axis=-1))
+    return float(out) if out.ndim == 0 else out
+
+
 def calibration_value(g_sigma, n_plane, theta: CapillaryAngle) -> np.ndarray | float:
     """Pairing of the shifted normal nu(g) - cos(theta) e1 with a unit normal
     n_plane of a competitor hyperplane.
@@ -196,7 +204,9 @@ def edge_differences(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
     with rows (d_b, d_t, d_l, d_r): the x1-differences along the low-x2 and
     high-x2 edges, then the x2-differences along the low-x1 and high-x1
     edges.  Quadrant (corner) q = 2 i + j of a 2D cell has the gradient
-    (row i, row 2 + j); see quadrant_gradients.
+    (row i, row 2 + j).  These differences are the stencil behind both the
+    discrete energy and the solver residual, so energy stationarity and the
+    discrete equation agree exactly.
     """
     vals = np.asarray(values, dtype=float)
     c = grid.corner_rows
@@ -208,25 +218,6 @@ def edge_differences(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
     out[1] = (vals[c[3]] - vals[c[2]]) / h    # x1-difference, high-x2 edge
     out[2] = (vals[c[2]] - vals[c[0]]) / h    # x2-difference, low-x1 edge
     out[3] = (vals[c[3]] - vals[c[1]]) / h    # x2-difference, high-x1 edge
-    return out
-
-
-def quadrant_gradients(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
-    """Per-cell corner gradients from one-sided edge differences.
-
-    Returns (n_cells, q, dim) with q = 1 in 1D (the cell difference) and
-    q = 4 in 2D (one gradient per cell corner, built from the two edge
-    differences meeting at that corner).  This is the stencil behind both
-    the discrete energy and the solver residual, so energy stationarity
-    and the discrete equation agree exactly.
-    """
-    d = edge_differences(grid, values)
-    if grid.dim == 1:
-        return d.T[:, :, None]
-    out = np.empty((d.shape[1], 4, 2))
-    for q in range(4):
-        out[:, q, 0] = d[q // 2]
-        out[:, q, 1] = d[2 + q % 2]
     return out
 
 
@@ -302,8 +293,7 @@ class AffineCapillarySolution:
     @cached_property
     def slope(self) -> np.ndarray:
         bp = np.asarray(self.bprime, dtype=float)
-        s1 = -self.theta.cot_t * np.sqrt(1.0 + np.sum(bp ** 2))
-        return np.concatenate([[s1], bp])
+        return np.concatenate([[ghost_closure(bp, self.theta)], bp])
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -29,6 +29,19 @@ EXIT_NONCONVERGED = 2
 EXIT_BADCONFIG = 3
 
 
+def _checked(convert, ok, rule):
+    """argparse type: convert the text and require ok(value); anything else
+    is a usage error (exit 3) naming the rule."""
+    def parse(text):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capgraph",
@@ -47,13 +60,21 @@ def _build_parser() -> argparse.ArgumentParser:
     with_config("report", "gradient-bound sweep with fitted constants")
 
     sweep = sub.add_parser("sweep", help="angle range and constants table")
-    sweep.add_argument("--n", default="4", help="comma list of dimensions")
-    sweep.add_argument("--theta-steps", type=int, default=90)
-    sweep.add_argument("--sin-min", type=float, default=0.05)
+    sweep.add_argument("--n", default="4", help="comma list of dimensions",
+                       type=_checked(lambda text: [int(p) for p in text.split(",")
+                                                   if p.strip()],
+                                     lambda ns: ns and min(ns) >= 2,
+                                     "a comma list of integers >= 2"))
+    sweep.add_argument("--theta-steps", default=90,
+                       type=_checked(int, lambda k: k >= 1, "an integer >= 1"))
+    sweep.add_argument("--sin-min", default=0.05,
+                       type=_checked(float, lambda x: 0.0 < x < 1.0,
+                                     "a number in (0, 1)"))
     sweep.add_argument("--out", default="angle_sweep.csv")
 
     audit = sub.add_parser("audit", help="property battery over the closed forms")
-    audit.add_argument("--seed", type=int, default=0)
+    audit.add_argument("--seed", default=0,
+                       type=_checked(int, lambda k: k >= 0, "an integer >= 0"))
     audit.add_argument("--out", default="audit.csv")
     return parser
 
@@ -80,12 +101,11 @@ def _finish(report, out_path) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "sweep":
-        n_list = [int(part) for part in str(args.n).split(",") if part.strip()]
         lo = math.asin(args.sin_min) + 1e-9
         thetas = np.linspace(lo, math.pi - lo, args.theta_steps)
-        rows = run_angle_sweep(n_list, thetas, sin_min=args.sin_min)
+        rows = run_angle_sweep(args.n, thetas, sin_min=args.sin_min)
         write_csv(rows, args.out, ANGLE_SWEEP_COLUMNS)
-        print(f"angle sweep: {len(rows)} rows over n={n_list}")
+        print(f"angle sweep: {len(rows)} rows over n={args.n}")
         print(f"wrote {args.out}")
         return EXIT_OK
 

@@ -15,11 +15,12 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .capillary import CapillaryAngle, ScalarField, capillary_area_element
+from .capillary import (CapillaryAngle, ScalarField, _one_sided_normal_slope,
+                        capillary_area_element)
 from .errors import (AngleOutOfRange, DegenerateState, HypothesisViolation,
                      ShapeMismatch)
 from .geometry import EllipsoidRegion, RegionKind, in_region
-from .solver import ProblemSpec, discrete_gradient
+from .solver import ProblemSpec, _check_field, discrete_gradient
 
 DEFAULT_NSTAR = 1.0 / 36.0
 
@@ -84,20 +85,6 @@ class CutoffParams:
         return EllipsoidRegion(self.r, self.theta, RegionKind.OUTER, self.center)
 
 
-def _split(points, params: CutoffParams):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x1 = pts[:, 0] - abs(params.theta.cos_t) * params.r
-    if pts.shape[1] > 1:
-        prime = pts[:, 1:]
-        if params.center:
-            prime = prime - np.asarray(params.center)
-        tang = np.sum(prime * prime, axis=1)
-    else:
-        prime = np.zeros((pts.shape[0], 0))
-        tang = np.zeros(pts.shape[0])
-    return pts, x1, prime, tang
-
-
 def cutoff_profile(points, params: CutoffParams) -> np.ndarray | float:
     """Quadratic profile 1 - ((x1 - |cos| r)^2 + sin^2 |x' - p'|^2) / r^2.
 
@@ -105,8 +92,7 @@ def cutoff_profile(points, params: CutoffParams) -> np.ndarray | float:
     boundary of the outer ellipsoid.
     """
     single = np.asarray(points, dtype=float).ndim == 1
-    _, x1, _, tang = _split(points, params)
-    q = 1.0 - (x1 ** 2 + params.theta.sin_t ** 2 * tang) / params.r ** 2
+    q = 1.0 - params.outer_region().quadratic_value(points) / params.r ** 2
     return float(q[0]) if single else q
 
 
@@ -116,10 +102,11 @@ def cutoff_weight(points, params: CutoffParams) -> np.ndarray | float:
 
 
 def _profile_gradient(points, params: CutoffParams) -> np.ndarray:
-    _, x1, prime, _ = _split(points, params)
-    dq = np.empty((x1.size, params.dim))
-    dq[:, 0] = -2.0 * x1 / params.r ** 2
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dq = np.empty_like(pts)
+    dq[:, 0] = -2.0 * (pts[:, 0] - abs(params.theta.cos_t) * params.r) / params.r ** 2
     if params.dim > 1:
+        prime = pts[:, 1:] - np.asarray(params.center) if params.center else pts[:, 1:]
         dq[:, 1:] = -2.0 * params.theta.sin_t ** 2 * prime / params.r ** 2
     return dq
 
@@ -153,7 +140,8 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
     c, s = abs(th.cos_t), th.sin_t
     center = np.asarray(params.center) if params.center else np.zeros(dim - 1)
 
-    def draw_inside(count, rho):
+    def draw_inside(count, region):
+        rho = region.semiaxis
         pts = np.empty((0, dim))
         while pts.shape[0] < count:
             cand = np.empty((2 * count, dim))
@@ -161,14 +149,10 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
             if dim > 1:
                 cand[:, 1:] = center + rng.uniform(-rho / s, rho / s,
                                                    (2 * count, dim - 1))
-            val = (cand[:, 0] - c * r) ** 2
-            if dim > 1:
-                val = val + s ** 2 * np.sum((cand[:, 1:] - center) ** 2, axis=1)
-            keep = (cand[:, 0] >= 0.0) & (val < rho ** 2)
-            pts = np.vstack([pts, cand[keep]])
+            pts = np.vstack([pts, cand[in_region(cand, region)]])
         return pts[:count]
 
-    pts = draw_inside(samples, r)
+    pts = draw_inside(samples, params.outer_region())
     psi = np.atleast_1d(cutoff_weight(pts, params))
     grad = cutoff_weight_gradient(pts, params)
     gnorm = np.linalg.norm(grad, axis=1)
@@ -205,7 +189,7 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
         spec_norm = np.maximum(np.abs(half_tr + rad), np.abs(half_tr - rad))
     hessian_constant = float(np.max(spec_norm) * r ** 2)
 
-    ipts = draw_inside(samples, 0.5 * (1.0 + c) * r)
+    ipts = draw_inside(samples, EllipsoidRegion(r, th, RegionKind.INNER, params.center))
     ipsi = np.atleast_1d(cutoff_weight(ipts, params))
     inner_bound = (1.0 - (1.0 + c) ** 2 / 4.0) ** 2
     return CutoffCheckReport(
@@ -244,6 +228,14 @@ def height_weight(u_val, m_scale: float) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def height_scale(u: ScalarField, region: EllipsoidRegion) -> float:
+    """M = sup |u| + r over the nodes inside the region (over all nodes when
+    none is inside): the constant of the height weight."""
+    mask = in_region(u.grid.nodes, region)
+    pool = u.values[mask] if np.any(mask) else u.values
+    return float(np.max(np.abs(pool))) + region.r
+
+
 class AuxiliaryField(NamedTuple):
     values: np.ndarray
     argmax: int
@@ -265,12 +257,8 @@ def auxiliary_function(u: ScalarField, theta: CapillaryAngle,
         raise ShapeMismatch("cutoff dim does not match grid dim")
     grad = discrete_gradient(u, theta)
     v = capillary_area_element(grad.vectors, theta)
-    if params.m_scale is not None:
-        m_scale = params.m_scale
-    else:
-        mask = in_region(grid.nodes, params.outer_region())
-        pool = u.values[mask] if np.any(mask) else u.values
-        m_scale = float(np.max(np.abs(pool))) + params.r
+    m_scale = (height_scale(u, params.outer_region()) if params.m_scale is None
+               else params.m_scale)
     phi = height_weight(u.values, m_scale)
     if variant == "standard":
         psi = np.atleast_1d(cutoff_weight(grid.nodes, params))
@@ -406,14 +394,18 @@ def angle_condition_lower_bound(n: int, theta: CapillaryAngle, eps0: float) -> f
     return -a * a / (4.0 * denom) + a - denom * theta.cos_t ** 2
 
 
-def angle_condition_holds(n: int, theta: CapillaryAngle, eps0: float) -> bool:
-    """Splitting condition: ((n-1+e)/(n-2+e)) (1 - (n-1+e)/(4(n-2+e))) > cos^2."""
+def _splitting_lhs(n: int, eps0):
+    """((n-1+e)/(n-2+e)) (1 - (n-1+e)/(4(n-2+e))), elementwise in eps0."""
     denom = n - 2.0 + eps0
-    if denom <= 0.0:
-        raise DegenerateState("n - 2 + eps0 must be positive")
     a = n - 1.0 + eps0
-    lhs = (a / denom) * (1.0 - a / (4.0 * denom))
-    return lhs > theta.cos_t ** 2
+    return (a / denom) * (1.0 - a / (4.0 * denom))
+
+
+def angle_condition_holds(n: int, theta: CapillaryAngle, eps0: float) -> bool:
+    """Splitting condition: _splitting_lhs(n, eps0) > cos^2(theta)."""
+    if n - 2.0 + eps0 <= 0.0:
+        raise DegenerateState("n - 2 + eps0 must be positive")
+    return _splitting_lhs(n, eps0) > theta.cos_t ** 2
 
 
 def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:
@@ -426,9 +418,7 @@ def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:
 
     def f(eps):
         # elementwise, so the array scan and the scalar bisection agree bitwise
-        denom = n - 2.0 + eps
-        a = n - 1.0 + eps
-        return (a / denom) * (1.0 - a / (4.0 * denom)) - cos2
+        return _splitting_lhs(n, eps) - cos2
 
     lo_edge, hi_edge = 1e-15, 1.0 - 1e-15
     grid = np.linspace(lo_edge, hi_edge, 1025)
@@ -537,10 +527,7 @@ def conormal_stationarity_residual(u: ScalarField, theta: CapillaryAngle,
     v = capillary_area_element(grad.vectors, theta)
     vlat = grid.reshape(v)
     h = grid.h
-    if vlat.shape[0] >= 3:
-        dv1 = (-3.0 * vlat[0] + 4.0 * vlat[1] - vlat[2]) / (2.0 * h)
-    else:
-        dv1 = (vlat[1] - vlat[0]) / h
+    dv1 = _one_sided_normal_slope(vlat, h)
     cap = grid.capillary_indices
     if grid.dim == 1:
         g = grad.vectors[cap[0]]
@@ -562,9 +549,8 @@ def conormal_stationarity_residual(u: ScalarField, theta: CapillaryAngle,
 def nondivergence_residual(u: ScalarField, spec: ProblemSpec) -> np.ndarray:
     """(W^2 d_ij - u_i u_j) u_ij - H W^3 at interior nodes, via centered
     differences; diagnostic cross-check of the divergence-form residual."""
+    _check_field(u, spec)
     grid = u.grid
-    if grid is not spec.grid and grid.shape != spec.grid.shape:
-        raise ShapeMismatch("field grid does not match problem grid")
     lat = u.lattice()
     h = grid.h
     source = grid.reshape(spec.source_at_nodes())

@@ -1,43 +1,14 @@
 """Finite-volume solver for div(Du/W) = H with contact-angle wall condition.
 
-The discretization is variational: the discrete capillary energy (cell
-quadrature of v over corner gradients, see capillary.quadrant_gradients)
-plus a weighted source term is differentiated exactly, and the residual is
-the scaled energy gradient.  Consequences used throughout the tests:
-
-* the affine capillary family is annihilated to machine precision,
-* the wall condition enters as the natural flux -cos(theta) at the wall
-  face (no nonlinear per-node solve; the closed-form ghost closure is
-  equivalent and is used for reported nodal gradients),
-* at theta = pi/2 and u = 0 the Jacobian rows reduce to the standard
-  Laplacian stencil scaled by 1/h^2,
-* a converged solution is a discrete stationary point of the energy.
-
-The Hessian uses fixed-pattern assembly: each cell's local block is
-computed from the edge differences behind the quadrant gradients and summed
-by one bincount into the free-free CSR pattern that the grid caches
-(HalfSpaceGrid.hessian_pattern).
-Newton iterations are damped by backtracking on the residual norm, and each
-Newton system is solved in its SPD (volume-weighted) form by
-geometric-multigrid (V-cycle, damped Jacobi) preconditioned CG: bilinear
-prolongation cached on the grid, Galerkin coarse operators P^T A P rebuilt
-per step, no exact coarse solve.  Newton is inexact: each system is solved
-only to an Eisenstat-Walker forcing tolerance (choice 2 with safeguard,
-Eisenstat & Walker, SIAM J. Sci. Comput. 17(1), 1996), computed from the
-Newton residual history; SolverConfig.linear_tol is the tolerance of a
-standalone linear_solve and the floor of that forcing term.  Without a given
-initial state, the first Newton step is lifted (a tangent-predictor step,
-Deuflhard 2004, ch. 5): the system is assembled at the affine fit to the
-Dirichlet data, before the data are imposed, and the Dirichlet increment
-enters the right-hand side through the full-lattice Hessian action, so the
-start has no O(1) jump one cell from the box faces.  The lifted state is
-kept, as Newton step 1, only when its residual beats the imposed start's;
-the convergence target stays anchored on the imposed start's residual.
-Cell kernels work on the four contiguous edge-difference rows of
-capillary.edge_differences, and the residual scatters its corner terms
-with one bincount over HalfSpaceGrid.corner_rows.  Reductions have
-fixed order, so repeated runs are bitwise reproducible.  The linear solver
-accepts SPD systems only.
+The residual is the exact gradient of the discrete capillary energy (cell
+quadrature over capillary.edge_differences), driven to zero by damped
+inexact Newton with a lifted first step and multigrid-preconditioned CG;
+the README's numerical notes describe the scheme.  The code relies on three
+conditions: the linear solver accepts SPD systems only, so Newton systems
+are solved in their volume-weighted SPD form; reductions have fixed order,
+so repeated runs are bitwise reproducible; and the convergence target stays
+anchored on the residual of the imposed start (the start with the Dirichlet
+data imposed), whether or not the lifted step is kept.
 """
 
 from __future__ import annotations
@@ -50,7 +21,7 @@ import scipy.sparse as sp
 
 from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         affine_capillary_solution, capillary_area_element,
-                        capillary_energy, edge_differences)
+                        capillary_energy, edge_differences, ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
 from .geometry import HalfSpaceGrid
@@ -166,14 +137,6 @@ class SolveReport:
     v_min: float
     energy: float
     status: SolveStatus
-
-
-def ghost_closure(tangential_grad, theta: CapillaryAngle) -> float:
-    """Wall-normal slope u_1 = -cot(theta) sqrt(1 + |s|^2) closing a boundary
-    stencil; the unique root of the contact-angle condition given the
-    tangential gradient s (empty in 1D)."""
-    s = np.asarray(tangential_grad, dtype=float).ravel()
-    return float(-theta.cot_t * np.sqrt(1.0 + s @ s))
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +391,14 @@ def discrete_gradient(u: ScalarField, theta: CapillaryAngle) -> GradientField:
     lat = u.lattice()
     order0 = 2 if grid.shape[0] >= 3 else 1
     if grid.dim == 1:
-        d1 = np.gradient(lat, grid.h, edge_order=order0)
-        vec = d1[:, None].copy()
-        vec[grid.capillary_indices, 0] = ghost_closure((), theta)
+        vec = np.gradient(lat, grid.h, edge_order=order0)[:, None]
     else:
         order1 = 2 if grid.shape[1] >= 3 else 1
         d1 = np.gradient(lat, grid.h, axis=0, edge_order=order0)
         d2 = np.gradient(lat, grid.h, axis=1, edge_order=order1)
         vec = np.stack([d1.ravel(), d2.ravel()], axis=1)
-        cap = grid.capillary_indices
-        tang = vec[cap, 1]
-        vec[cap, 0] = -theta.cot_t * np.sqrt(1.0 + tang * tang)
+    cap = grid.capillary_indices
+    vec[cap, 0] = ghost_closure(vec[cap, 1:], theta)
     return GradientField(grid, vec,
                          scheme="centered-2 / one-sided-2 faces / ghost-closure wall")
 

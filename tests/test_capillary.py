@@ -9,7 +9,7 @@ from capgraph import (CapillaryAngle, DegenerateAngle, ScalarField, ZeroVector,
                       capillary_boundary_residual, capillary_energy,
                       capillary_gauge, conormal, discrete_gradient,
                       edge_differences, field_from_callable,
-                      quadrant_gradients, unit_normal)
+                      ghost_closure, unit_normal)
 
 
 def test_angle_validation_and_cached_trig():
@@ -21,6 +21,14 @@ def test_angle_validation_and_cached_trig():
         CapillaryAngle(np.pi - 0.001)
     # configurable floor
     CapillaryAngle(0.02, sin_min=0.01)
+
+
+def test_angle_whose_cosine_rounds_to_one_is_degenerate():
+    # sin(theta) clears a tiny floor, but cos^2(theta) == 1 in floating point
+    for theta_val in (1e-9, np.pi - 1e-9):
+        with pytest.raises(DegenerateAngle, match="rounds to"):
+            CapillaryAngle(theta_val, sin_min=1e-12)
+    assert CapillaryAngle(1e-7, sin_min=1e-12).cos_t ** 2 < 1.0
 
 
 def test_area_element_values():
@@ -224,6 +232,21 @@ def test_field_from_callable_and_validation():
         ScalarField(grid, np.full(grid.n_nodes, np.nan))
 
 
+def quadrant_gradients(grid, values):
+    """Per-cell corner gradients from one-sided edge differences, shaped
+    (n_cells, q, dim): q = 1 in 1D (the cell difference), q = 4 in 2D (one
+    gradient per cell corner, built from the two edge differences meeting
+    there).  The oracle of the quadrature behind the energy and residual."""
+    d = edge_differences(grid, values)
+    if grid.dim == 1:
+        return d.T[:, :, None]
+    out = np.empty((d.shape[1], 4, 2))
+    for q in range(4):
+        out[:, q, 0] = d[q // 2]
+        out[:, q, 1] = d[2 + q % 2]
+    return out
+
+
 def _quadrant_energy(u, theta, cells=None):
     # the cell quadrature written on quadrant_gradients
     g = quadrant_gradients(u.grid, u.values)
@@ -259,3 +282,34 @@ def test_quadrant_gradients_pair_the_edge_differences():
     for q, (i, j) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
         assert np.array_equal(g[:, q, 0], d[i])
         assert np.array_equal(g[:, q, 1], d[j])
+
+
+def test_ghost_closure_batch_is_bitwise_the_row_calls():
+    rng = np.random.default_rng(16)
+    for theta_val in (0.3, np.pi / 2, 2.0):
+        theta = CapillaryAngle(theta_val)
+        for width in (0, 1, 2):
+            s = rng.uniform(-4.0, 4.0, (7, width))
+            batch = ghost_closure(s, theta)
+            assert batch.shape == (7,)
+            rows = [ghost_closure(row, theta) for row in s]
+            assert all(isinstance(x, float) for x in rows)
+            assert batch.tobytes() == np.array(rows).tobytes()
+            # the affine family's wall slope is the same closure
+            aff = affine_capillary_solution(theta, s[0], 0.0)
+            assert aff.slope[0] == rows[0]
+
+
+@pytest.mark.parametrize("args", [(1, 0.1, 1.0), (2, 0.25, 1.0, 1.0)])
+def test_discrete_gradient_wall_rows_are_the_ghost_closure(args):
+    grid = build_grid(*args)
+    cap = grid.capillary_indices
+    rng = np.random.default_rng(17)
+    for theta_val in (0.5, np.pi / 2, 2.4):
+        theta = CapillaryAngle(theta_val)
+        u = ScalarField(grid, rng.standard_normal(grid.n_nodes))
+        g = discrete_gradient(u, theta).vectors
+        assert g[cap, 0].tobytes() == ghost_closure(g[cap, 1:], theta).tobytes()
+        # the closed rows meet the contact-angle condition u_1 + cos(theta) W = 0
+        w = area_element(g[cap])
+        assert np.max(np.abs(g[cap, 0] + theta.cos_t * w)) <= 1e-12 * np.max(w)

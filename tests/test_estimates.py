@@ -1,19 +1,22 @@
 """Cut-offs, auxiliary functions, angle ranges, constants, coefficients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from capgraph import (AngleOutOfRange, CapillaryAngle, CoefficientState,
-                      CutoffParams, DegenerateState, HypothesisViolation,
-                      LinearBound, ProblemSpec, ScalarField,
+                      CutoffParams, DegenerateState, EllipsoidRegion,
+                      HypothesisViolation, LinearBound, ProblemSpec, ScalarField,
                       admissible_angle_range, affine_capillary_solution,
                       angle_condition_holds, angle_condition_lower_bound,
                       angle_threshold, auxiliary_function, build_grid,
                       choose_eps0, conormal_stationarity_residual,
                       cutoff_derivative_check, cutoff_profile, cutoff_weight,
-                      field_from_callable, gradient_bound, height_weight,
-                      max_principle_coefficients, nondivergence_residual,
-                      one_sided_slope_limit, shifted_cutoff_profile)
+                      field_from_callable, gradient_bound, height_scale,
+                      height_weight, in_region, max_principle_coefficients,
+                      nondivergence_residual, one_sided_slope_limit,
+                      shifted_cutoff_profile)
 
 THETA = CapillaryAngle(np.pi / 3)
 
@@ -354,3 +357,21 @@ def test_nondivergence_agrees_with_divergence_form():
         w3 = (1.0 + np.sum(g * g, axis=1)) ** 1.5
         gaps.append(np.max(np.abs(nd - dv[pos] * w3[grid.interior_indices])))
     assert gaps[0] / gaps[1] >= 3.0
+
+
+def test_height_scale_over_the_region_and_fallback():
+    grid = build_grid(2, 0.25, 2.0, 2.0)
+    u = field_from_callable(grid, lambda p: p[:, 0] - 3.0 * p[:, 1])
+    region = EllipsoidRegion(1.0, THETA)
+    inside = in_region(grid.nodes, region)
+    assert 0 < np.count_nonzero(inside) < grid.n_nodes
+    assert height_scale(u, region) == np.max(np.abs(u.values[inside])) + 1.0
+    # no node inside: the sup runs over all nodes
+    far = EllipsoidRegion(0.1, THETA, center=(50.0,))
+    assert not np.any(in_region(grid.nodes, far))
+    assert height_scale(u, far) == np.max(np.abs(u.values)) + 0.1
+    # the auxiliary function's default M is the same scale
+    params = CutoffParams(r=1.0, theta=THETA, dim=2)
+    explicit = replace(params, m_scale=height_scale(u, params.outer_region()))
+    assert np.array_equal(auxiliary_function(u, THETA, params).values,
+                          auxiliary_function(u, THETA, explicit).values)

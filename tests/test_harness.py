@@ -1,7 +1,11 @@
 """Config parsing, blow-down, experiment runners, CSV artifacts."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       AngleOutOfRange, BadConfig, CapillaryAngle,
@@ -44,6 +48,30 @@ def test_parse_config_roundtrip_and_errors():
         parse_config("seed = 1")
     with pytest.raises(BadConfig, match="unknown scenario"):
         parse_config("scenario = nonsense")
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_CONFIG_VALUES = st.one_of(
+    st.integers(-3, 20).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.lists(st.floats(-5.0, 30.0), max_size=3).map(lambda xs: ", ".join(map(repr, xs))),
+    st.sampled_from(["", "true", "false", "junk", "1,,x", "affine-recovery",
+                     "liouville-linear-growth", "gradient-bound-sweep"]))
+
+
+@settings(max_examples=200)
+@given(scenario_first=st.booleans(),
+       lines=st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS + ("widget", "Dim", "")),
+                                _CONFIG_VALUES), max_size=4))
+def test_parse_config_returns_a_config_or_raises_bad_config(scenario_first, lines):
+    if scenario_first:
+        lines = [("scenario", "liouville-linear-growth")] + lines
+    text = "\n".join(f"{key} = {value}" for key, value in lines)
+    try:
+        cfg = parse_config(text)
+    except BadConfig:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 def test_blow_down_affine_and_identity():
