@@ -59,10 +59,6 @@ class CapillaryAngle:
     def cot_t(self) -> float:
         return self.cos_t / self.sin_t
 
-    @property
-    def is_free_boundary(self) -> bool:
-        return abs(self.cos_t) < 1e-15
-
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
@@ -89,11 +85,10 @@ class ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class GradientField:
-    """Per-node gradient vectors plus a tag recording the stencil used."""
+    """Per-node gradient vectors."""
 
     grid: HalfSpaceGrid
     vectors: np.ndarray        # (n_nodes, dim)
-    scheme: str
 
     def __post_init__(self):
         vec = np.asarray(self.vectors, dtype=float)
@@ -248,34 +243,23 @@ def capillary_energy(u: ScalarField, theta: CapillaryAngle, cells=None) -> float
 # Boundary diagnostics and the affine oracle family
 # ---------------------------------------------------------------------------
 
-def _one_sided_normal_slope(lattice: np.ndarray, h: float) -> np.ndarray:
-    """Second-order one-sided d/dx1 at the wall row (first-order fallback
-    when the grid has fewer than three layers)."""
-    if lattice.shape[0] >= 3:
-        return (-3.0 * lattice[0] + 4.0 * lattice[1] - lattice[2]) / (2.0 * h)
-    return (lattice[1] - lattice[0]) / h
+def _nodal_gradient(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
+    """(n_nodes, dim) nodal gradient without a wall closure: centered
+    second-order differences inside, one-sided second-order on every box
+    face (first order on an axis with only two nodes)."""
+    lat = grid.reshape(values)
+    return np.stack([np.gradient(lat, grid.h, axis=a, edge_order=2 if n >= 3 else 1)
+                     for a, n in enumerate(grid.shape)], axis=-1).reshape(-1, grid.dim)
 
 
 def capillary_boundary_residual(u: ScalarField, theta: CapillaryAngle) -> np.ndarray:
-    """u_1 + cos(theta) W per capillary node, from one-sided differences.
+    """u_1 + cos(theta) W per capillary node, from the nodal stencil.
 
     Zero exactly when the discrete contact-angle condition holds; returned in
     the order of grid.capillary_indices.
     """
-    grid = u.grid
-    lat = u.lattice()
-    u1 = _one_sided_normal_slope(lat, grid.h)
-    if grid.dim == 1:
-        u1_at = np.atleast_1d(u1)
-        gsq_at = u1_at ** 2
-    else:
-        wall = lat[0]
-        tang = np.gradient(wall, grid.h, edge_order=2 if wall.size >= 3 else 1)
-        # capillary nodes exclude the two Dirichlet corners of the wall row
-        sel = grid.capillary_indices % grid.shape[1]
-        u1_at = u1[sel]
-        gsq_at = u1_at ** 2 + tang[sel] ** 2
-    return u1_at + theta.cos_t * np.sqrt(1.0 + gsq_at)
+    g = _nodal_gradient(u.grid, u.values)[u.grid.capillary_indices]
+    return g[:, 0] + theta.cos_t * area_element(g)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .capillary import (CapillaryAngle, ScalarField, _one_sided_normal_slope,
+from .capillary import (CapillaryAngle, ScalarField, _nodal_gradient,
                         capillary_area_element)
 from .errors import (AngleOutOfRange, DegenerateState, HypothesisViolation,
                      ShapeMismatch)
@@ -105,9 +105,8 @@ def _profile_gradient(points, params: CutoffParams) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     dq = np.empty_like(pts)
     dq[:, 0] = -2.0 * (pts[:, 0] - abs(params.theta.cos_t) * params.r) / params.r ** 2
-    if params.dim > 1:
-        prime = pts[:, 1:] - np.asarray(params.center) if params.center else pts[:, 1:]
-        dq[:, 1:] = -2.0 * params.theta.sin_t ** 2 * prime / params.r ** 2
+    prime = pts[:, 1:] - np.asarray(params.center) if params.center else pts[:, 1:]
+    dq[:, 1:] = -2.0 * params.theta.sin_t ** 2 * prime / params.r ** 2
     return dq
 
 
@@ -441,23 +440,14 @@ def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:
                 b = mid
         return 0.5 * (a + b)
 
-    # collect maximal positive runs; the condition is quadratic so there is
-    # at most one, but scan generically
-    best = None
-    i = 0
-    while i < grid.size:
-        if pos[i]:
-            j = i
-            while j + 1 < grid.size and pos[j + 1]:
-                j += 1
-            left = 0.0 if i == 0 else bisect(grid[i - 1], grid[i])
-            right = 1.0 if j == grid.size - 1 else bisect(grid[j], grid[j + 1])
-            if best is None or right - left > best[1] - best[0]:
-                best = (left, right)
-            i = j + 1
-        else:
-            i += 1
-    return 0.5 * (best[0] + best[1])
+    # with t = 1 + 1/(n-2+e) the condition reads t - t^2/4 > cos^2: increasing
+    # in e for n = 2 (t > 2), decreasing for n >= 3 (t < 2), so the positive
+    # samples form one run touching an end of the scan
+    run = np.flatnonzero(pos)
+    i, j = run[0], run[-1]
+    left = 0.0 if i == 0 else bisect(grid[i - 1], grid[i])
+    right = 1.0 if j == grid.size - 1 else bisect(grid[j], grid[j + 1])
+    return 0.5 * (left + right)
 
 
 def max_principle_coefficients(state: CoefficientState,
@@ -525,24 +515,17 @@ def conormal_stationarity_residual(u: ScalarField, theta: CapillaryAngle,
     grid = u.grid
     grad = discrete_gradient(u, theta)
     v = capillary_area_element(grad.vectors, theta)
-    vlat = grid.reshape(v)
-    h = grid.h
-    dv1 = _one_sided_normal_slope(vlat, h)
     cap = grid.capillary_indices
-    if grid.dim == 1:
-        g = grad.vectors[cap[0]]
-        w2 = 1.0 + g[0] ** 2
-        return float(abs((1.0 - g[0] ** 2 / w2) * dv1))
-    cols = cap % grid.shape[1]
-    if corner_margin > 0.0:
-        x2 = grid.axis_coords(1)[cols]
-        keep = np.abs(x2) <= grid.Lp - corner_margin
+    if corner_margin > 0.0 and grid.dim > 1:
+        keep = np.abs(grid.nodes[cap, 1]) <= grid.Lp - corner_margin
         if np.any(keep):
-            cap, cols = cap[keep], cols[keep]
-    dv2 = np.gradient(vlat[0], h, edge_order=2 if vlat.shape[1] >= 3 else 1)
+            cap = cap[keep]
+    dv = _nodal_gradient(grid, v)[cap]
     g = grad.vectors[cap]
     w2 = 1.0 + np.sum(g * g, axis=1)
-    res = (1.0 - g[:, 0] ** 2 / w2) * dv1[cols] - (g[:, 0] * g[:, 1] / w2) * dv2[cols]
+    # (1 - g1^2/W^2) dv_1 - sum_{j>1} (g1 g_j / W^2) dv_j
+    cross = np.sum((g[:, :1] * g[:, 1:] / w2[:, None]) * dv[:, 1:], axis=1)
+    res = (1.0 - g[:, 0] ** 2 / w2) * dv[:, 0] - cross
     return float(np.max(np.abs(res)))
 
 
@@ -553,26 +536,23 @@ def nondivergence_residual(u: ScalarField, spec: ProblemSpec) -> np.ndarray:
     grid = u.grid
     lat = u.lattice()
     h = grid.h
-    source = grid.reshape(spec.source_at_nodes())
-    if grid.dim == 1:
-        u1 = np.gradient(lat, h, edge_order=2 if lat.size >= 3 else 1)
-        u11 = np.zeros_like(lat)
-        u11[1:-1] = (lat[2:] - 2.0 * lat[1:-1] + lat[:-2]) / h ** 2
-        w2 = 1.0 + u1 ** 2
-        res = (w2 - u1 ** 2) * u11 - source * w2 ** 1.5
-        return res[grid.interior_indices]
-    e0 = 2 if grid.shape[0] >= 3 else 1
-    e1 = 2 if grid.shape[1] >= 3 else 1
-    u1 = np.gradient(lat, h, axis=0, edge_order=e0)
-    u2 = np.gradient(lat, h, axis=1, edge_order=e1)
+    source = spec.source_at_nodes()
+    g = _nodal_gradient(grid, u.values)
+    u1 = g[:, 0]
     u11 = np.zeros_like(lat)
-    u22 = np.zeros_like(lat)
-    u12 = np.zeros_like(lat)
-    u11[1:-1, :] = (lat[2:, :] - 2.0 * lat[1:-1, :] + lat[:-2, :]) / h ** 2
-    u22[:, 1:-1] = (lat[:, 2:] - 2.0 * lat[:, 1:-1] + lat[:, :-2]) / h ** 2
-    u12[1:-1, 1:-1] = (lat[2:, 2:] - lat[2:, :-2] - lat[:-2, 2:]
-                       + lat[:-2, :-2]) / (4.0 * h ** 2)
-    w2 = 1.0 + u1 ** 2 + u2 ** 2
-    res = ((w2 - u1 ** 2) * u11 - 2.0 * u1 * u2 * u12 + (w2 - u2 ** 2) * u22
-           - source * w2 ** 1.5)
-    return res.ravel()[grid.interior_indices]
+    u11[1:-1] = (lat[2:] - 2.0 * lat[1:-1] + lat[:-2]) / h ** 2
+    if grid.dim == 1:
+        w2 = 1.0 + u1 ** 2
+        op = (w2 - u1 ** 2) * u11.ravel()
+    else:
+        u2 = g[:, 1]
+        u22 = np.zeros_like(lat)
+        u12 = np.zeros_like(lat)
+        u22[:, 1:-1] = (lat[:, 2:] - 2.0 * lat[:, 1:-1] + lat[:, :-2]) / h ** 2
+        u12[1:-1, 1:-1] = (lat[2:, 2:] - lat[2:, :-2] - lat[:-2, 2:]
+                           + lat[:-2, :-2]) / (4.0 * h ** 2)
+        w2 = 1.0 + u1 ** 2 + u2 ** 2
+        op = ((w2 - u1 ** 2) * u11.ravel() - 2.0 * u1 * u2 * u12.ravel()
+              + (w2 - u2 ** 2) * u22.ravel())
+    res = op - source * w2 ** 1.5
+    return res[grid.interior_indices]

@@ -195,10 +195,11 @@ class HalfSpaceGrid:
         w.flags.writeable = False
         return w
 
-    def axis_coords(self, axis: int) -> np.ndarray:
-        if axis == 0:
-            return np.linspace(0.0, self.L1, self.shape[0])
-        return np.linspace(-self.Lp, self.Lp, self.shape[1])
+    @property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Low and high box corners (0, -Lp, ...) and (L1, Lp, ...): the
+        first and last node."""
+        return self.nodes[0], self.nodes[-1]
 
     def reshape(self, values: np.ndarray) -> np.ndarray:
         """View flat nodal values on the (n1,) or (n1, n2) lattice."""
@@ -230,38 +231,25 @@ def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSp
     if not (np.isfinite(h) and h > 0.0):
         raise NonconformingExtent(f"mesh width h must be positive, got {h}")
 
-    m1 = _conforming_count(L1, h, "L1")
-    if dim == 1:
-        shape: tuple[int, ...] = (m1 + 1,)
-        x1 = np.linspace(0.0, L1, m1 + 1)
-        nodes = x1[:, None]
-        classes = np.full(m1 + 1, NodeClass.INTERIOR, dtype=np.int8)
-        classes[0] = NodeClass.CAPILLARY_BOUNDARY
-        classes[-1] = NodeClass.DIRICHLET_BOUNDARY
-        Lp_val = None
-    else:
-        if Lp is None:
-            raise NonconformingExtent("Lp is required for dim == 2")
-        mp = _conforming_count(Lp, h, "Lp")
-        n1, n2 = m1 + 1, 2 * mp + 1
-        shape = (n1, n2)
-        x1 = np.linspace(0.0, L1, n1)
-        x2 = np.linspace(-Lp, Lp, n2)
-        X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-        nodes = np.stack([X1.ravel(), X2.ravel()], axis=1)
-        cls = np.full((n1, n2), NodeClass.INTERIOR, dtype=np.int8)
-        cls[0, :] = NodeClass.CAPILLARY_BOUNDARY
-        # Dirichlet wins at corners where the wall meets another face.
-        cls[-1, :] = NodeClass.DIRICHLET_BOUNDARY
-        cls[:, 0] = NodeClass.DIRICHLET_BOUNDARY
-        cls[:, -1] = NodeClass.DIRICHLET_BOUNDARY
-        classes = cls.ravel()
-        Lp_val = Lp
-
+    axes = [np.linspace(0.0, L1, _conforming_count(L1, h, "L1") + 1)]
+    if dim > 1 and Lp is None:
+        raise NonconformingExtent("Lp is required for dim == 2")
+    axes += [np.linspace(-Lp, Lp, 2 * _conforming_count(Lp, h, "Lp") + 1)
+             for _ in range(dim - 1)]
+    shape = tuple(a.size for a in axes)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
+    cls = np.full(shape, NodeClass.INTERIOR, dtype=np.int8)
+    cls[0] = NodeClass.CAPILLARY_BOUNDARY
+    # Dirichlet wins at corners where the wall meets another face.
+    cls[-1] = NodeClass.DIRICHLET_BOUNDARY
+    for axis in range(1, dim):
+        side = np.moveaxis(cls, axis, 0)
+        side[0] = side[-1] = NodeClass.DIRICHLET_BOUNDARY
+    classes = cls.ravel()
     nodes.flags.writeable = False
     classes.flags.writeable = False
-    return HalfSpaceGrid(dim=dim, h=h, L1=L1, Lp=Lp_val, shape=shape,
-                         nodes=nodes, classes=classes)
+    return HalfSpaceGrid(dim=dim, h=h, L1=L1, Lp=Lp if dim > 1 else None,
+                         shape=shape, nodes=nodes, classes=classes)
 
 
 @dataclass(frozen=True)
@@ -362,11 +350,10 @@ def inner_node_set(grid: HalfSpaceGrid, region: EllipsoidRegion) -> np.ndarray:
     # Centered, metric-scaled coordinates: ellipsoid semiaxes (rho, rho/sin).
     y = pts.copy()
     y[:, 0] -= region.axial_center
-    if grid.dim > 1 and region.center:
+    if region.center:
         y[:, 1:] -= np.asarray(region.center)
     axes = np.full(grid.dim, rho)
-    if grid.dim > 1:
-        axes[1:] = rho / region.theta.sin_t
+    axes[1:] = rho / region.theta.sin_t
     # Grid nodes have x1 >= 0, so the nearest ellipsoid point is feasible and
     # distance to the clipped closure equals distance to the full ellipsoid.
     # The ellipsoid E is convex, symmetric and contains the ball of radius

@@ -278,12 +278,8 @@ def _smooth_bump(rng: np.random.Generator, grid: HalfSpaceGrid, n_modes: int = 3
     corner-compatible with the affine base (the wall corners otherwise seed
     a non-decaying local defect, see the geometry corner rule)."""
     dim = grid.dim
-    lo = np.zeros(dim)
-    hi = np.full(dim, grid.L1)
-    if dim > 1:
-        lo[1:], hi[1:] = -grid.Lp, grid.Lp
     amps = rng.uniform(0.3, 1.0, n_modes)
-    centers = rng.uniform(lo, hi, (n_modes, dim))
+    centers = rng.uniform(*grid.box, (n_modes, dim))
     widths = rng.uniform(0.15, 0.4, n_modes) * max(grid.L1, 2.0 * (grid.Lp or grid.L1))
 
     def raw(points):
@@ -368,16 +364,13 @@ def blow_down(u: ScalarField, R: float, target_grid: HalfSpaceGrid | None = None
                         None if src.dim == 1 else src.Lp / R)
         return ScalarField(tg, u.values / R)
     pts = target_grid.nodes * R
-    lo = np.zeros(src.dim)
-    hi = np.full(src.dim, src.L1)
-    if src.dim > 1:
-        lo[1:], hi[1:] = -src.Lp, src.Lp
+    lo, hi = src.box
     slack = 1e-9 * max(1.0, src.L1)
     if np.any(pts < lo - slack) or np.any(pts > hi + slack):
         raise OutOfExtent("rescaled query points leave the source extent")
     pts = np.clip(pts, lo, hi)
     from scipy.interpolate import RegularGridInterpolator
-    axes = [src.axis_coords(a) for a in range(src.dim)]
+    axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, src.shape)]
     rgi = RegularGridInterpolator(axes, u.lattice(), method="linear")
     return ScalarField(target_grid, rgi(pts) / R)
 

@@ -20,8 +20,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .capillary import (CapillaryAngle, GradientField, ScalarField,
-                        affine_capillary_solution, capillary_area_element,
-                        capillary_energy, edge_differences, ghost_closure)
+                        _nodal_gradient, affine_capillary_solution,
+                        capillary_area_element, capillary_energy,
+                        edge_differences, ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
 from .geometry import HalfSpaceGrid
@@ -58,7 +59,7 @@ class ProblemSpec:
 
     `H` is a constant or a callable on an (N, dim) array of points; `C_H`
     optionally records the bound |H| + |DH| <= C_H of the data family (it is
-    reported, not enforced).  `dirichlet` is aligned with
+    stored only: nothing enforces or reads it).  `dirichlet` is aligned with
     grid.dirichlet_indices.
     """
 
@@ -388,19 +389,10 @@ def discrete_gradient(u: ScalarField, theta: CapillaryAngle) -> GradientField:
     second-order on the box faces, and the ghost closure for the wall-normal
     component at capillary nodes."""
     grid = u.grid
-    lat = u.lattice()
-    order0 = 2 if grid.shape[0] >= 3 else 1
-    if grid.dim == 1:
-        vec = np.gradient(lat, grid.h, edge_order=order0)[:, None]
-    else:
-        order1 = 2 if grid.shape[1] >= 3 else 1
-        d1 = np.gradient(lat, grid.h, axis=0, edge_order=order0)
-        d2 = np.gradient(lat, grid.h, axis=1, edge_order=order1)
-        vec = np.stack([d1.ravel(), d2.ravel()], axis=1)
+    vec = _nodal_gradient(grid, u.values)
     cap = grid.capillary_indices
     vec[cap, 0] = ghost_closure(vec[cap, 1:], theta)
-    return GradientField(grid, vec,
-                         scheme="centered-2 / one-sided-2 faces / ghost-closure wall")
+    return GradientField(grid, vec)
 
 
 def _affine_initial(spec: ProblemSpec) -> np.ndarray:

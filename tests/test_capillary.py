@@ -10,6 +10,7 @@ from capgraph import (CapillaryAngle, DegenerateAngle, ScalarField, ZeroVector,
                       capillary_gauge, conormal, discrete_gradient,
                       edge_differences, field_from_callable,
                       ghost_closure, unit_normal)
+from capgraph.capillary import _nodal_gradient
 
 
 def test_angle_validation_and_cached_trig():
@@ -177,6 +178,43 @@ def test_capillary_boundary_residual_cases():
     assert np.allclose(res0, theta.cos_t, atol=1e-14)
     res90 = capillary_boundary_residual(zero, CapillaryAngle(np.pi / 2))
     assert np.max(np.abs(res90)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim, h, L1", [(1, 0.25, 1.0), (1, 0.25, 1.25),
+                                         (1, 0.1, 0.7), (2, 0.25, 1.0),
+                                         (2, 0.25, 1.25), (2, 0.1, 0.7)])
+def test_nodal_gradient_exact_for_quadratics_at_every_node(dim, h, L1):
+    # odd and even cell counts along x1; the faces use the one-sided
+    # second-order stencil, which is exact for quadratics like the centered one
+    grid = build_grid(dim, h, L1, 0.5)
+    x = grid.nodes
+    if dim == 1:
+        vals = 1.5 * x[:, 0] ** 2 - 0.7 * x[:, 0] + 0.2
+        exact = (3.0 * x[:, 0] - 0.7)[:, None]
+    else:
+        vals = (1.5 * x[:, 0] ** 2 - 0.8 * x[:, 0] * x[:, 1] + 0.6 * x[:, 1] ** 2
+                - 0.7 * x[:, 0] + 0.3 * x[:, 1])
+        exact = np.stack([3.0 * x[:, 0] - 0.8 * x[:, 1] - 0.7,
+                          -0.8 * x[:, 0] + 1.2 * x[:, 1] + 0.3], axis=1)
+    g = _nodal_gradient(grid, vals)
+    assert g.shape == (grid.n_nodes, dim)
+    assert np.max(np.abs(g - exact)) <= 1e-12
+
+
+def test_nodal_gradient_first_order_fallback_on_a_two_node_axis():
+    grid = build_grid(2, 0.5, 0.5, 1.0)
+    assert grid.shape == (2, 5)
+    g = _nodal_gradient(grid, 0.9 * grid.nodes[:, 0] - 0.4 * grid.nodes[:, 1] + 1.0)
+    assert np.max(np.abs(g - [0.9, -0.4])) <= 1e-14
+
+
+def test_1d_boundary_residual_vanishes_on_the_affine_solution():
+    grid = build_grid(1, 0.1, 2.0)
+    for theta in (CapillaryAngle(0.7), CapillaryAngle(2.0)):
+        aff = affine_capillary_solution(theta, (), 0.3)
+        res = capillary_boundary_residual(aff.on_grid(grid), theta)
+        assert res.shape == (1,)
+        assert abs(res[0]) <= 1e-12
 
 
 def test_affine_capillary_solution_slopes():

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from capgraph import (AngleOutOfRange, CapillaryAngle, CoefficientState,
                       CutoffParams, DegenerateState, EllipsoidRegion,
@@ -246,6 +248,21 @@ def test_choose_eps0_midpoint():
         choose_eps0(4, CapillaryAngle(np.arccos(0.97)))
 
 
+@given(n=st.integers(2, 11),
+       theta=st.floats(np.arcsin(0.05) + 1e-9, np.pi - np.arcsin(0.05) - 1e-9))
+def test_splitting_condition_changes_sign_at_most_once(n, theta):
+    # choose_eps0 reads the positive part of its scan as a single run
+    angle = CapillaryAngle(theta)
+    holds = np.array([angle_condition_holds(n, angle, e)
+                      for e in np.linspace(1e-6, 1.0 - 1e-6, 1001)])
+    assert np.count_nonzero(np.diff(holds.astype(int))) <= 1
+    try:
+        eps = choose_eps0(n, angle)
+    except AngleOutOfRange:
+        return
+    assert angle_condition_holds(n, angle, eps)
+
+
 @pytest.mark.parametrize("n, theta, expected", [
     (2, 0.06, 0.946457267086998),
     (2, 1.2, 0.6745762405855659),
@@ -316,6 +333,14 @@ def test_conormal_residual_affine_and_free_boundary():
     even = field_from_callable(grid, lambda p: np.cos(p[:, 1]) * (1 + p[:, 0] ** 2))
     res = conormal_stationarity_residual(even, theta90)
     assert np.isfinite(res)
+
+
+def test_1d_conormal_residual_vanishes_on_the_affine_solution():
+    grid = build_grid(1, 0.1, 2.0)
+    for theta in (THETA, CapillaryAngle(2.0)):
+        u = affine_capillary_solution(theta, (), -0.5).on_grid(grid)
+        assert conormal_stationarity_residual(u, theta) <= 1e-12
+        assert conormal_stationarity_residual(u, theta, corner_margin=0.2) <= 1e-12
 
 
 def test_nondivergence_residual_cases():

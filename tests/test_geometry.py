@@ -18,6 +18,13 @@ def test_build_grid_1d_counts_and_classes():
     assert np.count_nonzero(grid.classes == NodeClass.INTERIOR) == 3
 
 
+def test_grid_box_corners():
+    lo, hi = build_grid(1, 0.5, 2.0).box
+    assert lo.tolist() == [0.0] and hi.tolist() == [2.0]
+    lo, hi = build_grid(2, 0.1, 0.7, 0.3).box
+    assert lo.tolist() == [0.0, -0.3] and hi.tolist() == [0.7, 0.3]
+
+
 def test_build_grid_2d_corner_rule():
     grid = build_grid(2, 1.0, 2.0, 2.0)
     assert grid.n_nodes == 15
