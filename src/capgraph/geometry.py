@@ -9,9 +9,10 @@ data, and corners where the wall meets another face are assigned Dirichlet
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -124,22 +125,37 @@ class HalfSpaceGrid:
         Entries touching a Dirichlet node map to the dump slot nnz.  Callers
         must give each matrix its own copy of indptr and indices: the arrays
         are read-only.
+
+        Two nodes share a cell exactly when each lies in the other's 3^dim
+        stencil box, so a free node's row holds its free stencil neighbours.
+        Stencil offsets in flat order give ascending columns, so the free
+        neighbour masks, read node by node, are already in CSR order: no
+        sort is needed.
         """
+        stencil = (3,) * self.dim
+        free = self.classes != NodeClass.DIRICHLET_BOUNDARY
+        pos = np.where(free, np.cumsum(free, dtype=np.int32) - 1, -1)
+        padded = np.pad(pos.reshape(self.shape), 1, constant_values=-1)
+        offsets = np.stack(np.unravel_index(np.arange(3 ** self.dim), stencil), 1) - 1
+        # neighbour[o]: free position of each node's neighbour at offset o, or -1
+        neighbour = np.stack([padded[tuple(slice(1 + a, 1 + a + n)
+                                           for a, n in zip(off, self.shape))].ravel()
+                              for off in offsets])
+        mask = (neighbour >= 0).T & free[:, None]     # (node, offset)
+        indices = neighbour.T[mask]
+        indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))[free]))
+        indptr = indptr.astype(np.int32)
+        # entry[p, o]: CSR position of node p's pair with its offset-o
+        # neighbour, or the dump slot nnz
+        entry = np.full(mask.shape, indices.size)
+        entry[mask] = np.arange(indices.size)
+        # the stencil offset from corner i to corner j is the same in every cell
         c = self.corner_rows
         k = c.shape[0]
-        nf = self.free_indices.size
-        pos = np.full(self.n_nodes, -1, dtype=np.int64)
-        pos[self.free_indices] = np.arange(nf)
-        rows = np.repeat(pos[c], k, axis=0)
-        cols = np.tile(pos[c], (k, 1))
-        # an entry touching a Dirichlet node gets the key nf^2, ranked last
-        keys = np.where((rows >= 0) & (cols >= 0), rows * nf + cols, nf * nf)
-        uniq, slot = np.unique(keys, return_inverse=True)
-        if uniq[-1] == nf * nf:
-            uniq = uniq[:-1]
-        slot = slot.reshape(keys.shape)
-        indptr = np.searchsorted(uniq, np.arange(nf + 1) * nf).astype(np.int32)
-        indices = (uniq % nf).astype(np.int32)
+        corner = np.stack(np.unravel_index(c[:, 0], self.shape), axis=1)
+        pair = np.ravel_multi_index(
+            tuple(np.moveaxis(corner[None, :] - corner[:, None] + 1, -1, 0)), stencil)
+        slot = np.stack([entry[c[i], pair[i, j]] for i in range(k) for j in range(k)])
         for arr in (indptr, indices, slot):
             arr.flags.writeable = False
         return indptr, indices, slot
@@ -152,33 +168,46 @@ class HalfSpaceGrid:
         plus the last node of an axis with an odd cell count, so the box
         faces stay coarse nodes and Dirichlet nodes stay Dirichlet.  P
         interpolates (bi)linearly from the coarse free nodes to the fine
-        free nodes.  The hierarchy stops once an axis has fewer than three
+        free nodes.  The free set is a tensor product of per-axis masks, so
+        P is the tensor product of the per-axis interpolations restricted
+        to them (Trottenberg, Oosterlee & Schueller, Multigrid, 2001): a
+        fine free node has up to 2^dim coarse free parents, with weights 1,
+        1/2 or 1/4.  The hierarchy stops once an axis has fewer than three
         nodes or no free node is left.  The arrays are read-only.
         """
-        shape = self.shape
-        free = (self.classes != NodeClass.DIRICHLET_BOUNDARY).reshape(shape)
+        # wall row free and far row Dirichlet along x1, both ends Dirichlet
+        # along each side axis
+        masks = [(i < i.size - 1) & ((i > 0) | (axis == 0))
+                 for axis, i in enumerate(map(np.arange, self.shape))]
+        assert np.array_equal(reduce(np.logical_and.outer, masks).ravel(),
+                              self.classes != NodeClass.DIRICHLET_BOUNDARY)
         out = []
-        while min(shape) >= 3:
-            factors, keep = [], []
-            for n in shape:
-                coarse = np.arange(0, n, 2)
-                if (n - 1) % 2:
-                    coarse = np.append(coarse, n - 1)
-                factors.append(_linear_interpolation(n, coarse))
-                keep.append(coarse)
-            coarse_free = free[np.ix_(*keep)]
-            if not coarse_free.any():
+        while min(m.size for m in masks) >= 3:
+            factors = [_axis_interpolation(m) for m in masks]
+            masks = [coarse for _, _, coarse in factors]
+            if not all(m.any() for m in masks):
                 break
-            p = factors[0]
-            for f in factors[1:]:
-                p = sp.kron(p, f, format="csr")
-            p = p[np.flatnonzero(free)][:, np.flatnonzero(coarse_free)].tocsr()
+            # tensor product over the axes: candidate (a, b) of a fine node
+            # pairs its candidate a along the axes so far with candidate b
+            # along the next one; zero weights mark absent parents
+            cols, weights, _ = factors[0]
+            for fcols, fweights, fcoarse in factors[1:]:
+                k = cols.shape[0] * fcols.shape[0]
+                cols = (cols[:, None, :, None] * int(fcoarse.sum())
+                        + fcols[None, :, None, :]).reshape(k, -1)
+                weights = (weights[:, None, :, None]
+                           * fweights[None, :, None, :]).reshape(k, -1)
+            parent = (weights != 0.0).T
+            indptr = np.concatenate(([0], np.cumsum(parent.sum(axis=1))))
+            p = sp.csr_matrix((weights.T[parent], cols.T[parent],
+                               indptr.astype(np.int32)),
+                              shape=(parent.shape[0],
+                                     math.prod(int(m.sum()) for m in masks)))
             pair = (p, p.T.tocsr())
             for m in pair:
                 for arr in (m.data, m.indices, m.indptr):
                     arr.flags.writeable = False
             out.append(pair)
-            shape, free = coarse_free.shape, coarse_free
         return tuple(out)
 
     @cached_property
@@ -206,18 +235,31 @@ class HalfSpaceGrid:
         return np.asarray(values).reshape(self.shape)
 
 
-def _linear_interpolation(n: int, coarse: np.ndarray) -> sp.csr_matrix:
-    """(n, coarse.size) linear interpolation from the coarse nodes of a 1D
-    lattice: a kept node copies its value, a dropped node (every dropped
-    node lies midway between two kept ones) takes the mean of its two
-    neighbours."""
+def _axis_interpolation(free: np.ndarray):
+    """Linear interpolation along one lattice axis with free-node mask
+    `free`, coarsened to every second node plus the last one.
+
+    Returns (cols, weights, coarse_free): (2, m) arrays over the m fine
+    free nodes holding the coarse-free ranks of each node's two candidate
+    parents and their weights, and the coarse free mask.  A kept node copies its coarse node (weights 1
+    and 0); a dropped node lies midway between two kept ones and takes
+    1/2 from each free one (a Dirichlet parent gets weight 0).
+    """
+    n = free.size
+    keep = np.arange(0, n, 2)
+    if (n - 1) % 2:
+        keep = np.append(keep, n - 1)
+    coarse_free = free[keep]
+    rank = np.cumsum(coarse_free, dtype=np.int32) - 1
     col = np.full(n, -1)
-    col[coarse] = np.arange(coarse.size)
-    mid = np.flatnonzero(col < 0)
-    rows = np.concatenate([coarse, mid, mid])
-    cols = np.concatenate([np.arange(coarse.size), col[mid - 1], col[mid + 1]])
-    vals = np.concatenate([np.ones(coarse.size), np.full(2 * mid.size, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, coarse.size))
+    col[keep] = np.arange(keep.size)
+    mid = col < 0
+    lo = np.where(mid, np.roll(col, 1), col)
+    hi = np.where(mid, np.roll(col, -1), col)
+    weights = np.stack([np.where(mid, 0.5, 1.0) * coarse_free[lo],
+                        np.where(mid, 0.5, 0.0) * coarse_free[hi]])
+    cols = np.stack([rank[lo], rank[hi]])
+    return cols[:, free], weights[:, free], coarse_free
 
 
 def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSpaceGrid:

@@ -29,7 +29,7 @@ from .estimates import (admissible_angle_range, angle_condition_holds,
                         one_sided_slope_limit)
 from .geometry import (EllipsoidRegion, HalfSpaceGrid, RegionKind, build_grid,
                        in_region, inner_node_set)
-from .solver import (ProblemSpec, SolveStatus, SolverConfig, discrete_gradient,
+from .solver import (ProblemSpec, SolveStatus, SolverConfig, _gradient_vectors,
                      newton_solve)
 
 SCENARIOS = (
@@ -95,6 +95,9 @@ class ExperimentConfig:
             raise BadConfig("r_levels must be strictly increasing")
         if any(h <= 0.0 for h in self.h_levels):
             raise BadConfig("h_levels must be positive")
+        if not 0.0 < self.sin_min < 1.0:
+            # sin_min <= 0 would switch the degenerate-angle floor off
+            raise BadConfig(f"sin_min must lie in (0, 1), got {self.sin_min}")
 
     @property
     def theta(self) -> CapillaryAngle:
@@ -331,7 +334,7 @@ def _solve_level(theta: CapillaryAngle, grid: HalfSpaceGrid, data, level: int,
                             solver_cfg)
     if idx is None:
         idx = inner_node_set(grid, EllipsoidRegion(0.5 * r, theta, RegionKind.INNER))
-    grad = discrete_gradient(sol, theta).vectors[idx]
+    grad = _gradient_vectors(sol, theta)[idx]
     pts = grid.nodes[idx]
     design = np.hstack([pts, np.ones((pts.shape[0], 1))])
     coef, *_ = np.linalg.lstsq(design, sol.values[idx], rcond=None)

@@ -33,6 +33,7 @@ class SolveStatus(Enum):
     MAX_ITER = "max_iter"
     STALLED = "stalled"      # the line search found no acceptable step
     DIVERGED = "diverged"
+    LINEAR_FAILURE = "linear_failure"   # a Krylov solve broke down or stagnated
 
 
 @dataclass(frozen=True)
@@ -388,11 +389,18 @@ def discrete_gradient(u: ScalarField, theta: CapillaryAngle) -> GradientField:
     """Nodal gradient: centered second-order differences inside, one-sided
     second-order on the box faces, and the ghost closure for the wall-normal
     component at capillary nodes."""
+    return GradientField(u.grid, _gradient_vectors(u, theta))
+
+
+def _gradient_vectors(u: ScalarField, theta: CapillaryAngle) -> np.ndarray:
+    """The (n_nodes, dim) vectors of discrete_gradient, not checked for
+    finiteness: the diagnostics of an unconverged state whose differences
+    overflow report inf or nan instead of raising."""
     grid = u.grid
     vec = _nodal_gradient(grid, u.values)
     cap = grid.capillary_indices
     vec[cap, 0] = ghost_closure(vec[cap, 1:], theta)
-    return GradientField(grid, vec)
+    return vec
 
 
 def _affine_initial(spec: ProblemSpec) -> np.ndarray:
@@ -459,7 +467,9 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     accepted only when they decrease the residual norm; when no step length
     down to min_step does, the solve stops as STALLED.  Each Newton system
     is solved in its SPD (volume-weighted) form by multigrid-preconditioned
-    CG, to the Eisenstat-Walker forcing tolerance of _forcing_term.
+    CG, to the Eisenstat-Walker forcing tolerance of _forcing_term.  A
+    linear solve that breaks down or stagnates ends the solve as
+    LINEAR_FAILURE at the last accepted state.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
@@ -487,60 +497,66 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     status = SolveStatus.MAX_ITER
     eta = None
 
-    if (affine is not None and cfg.max_newton > 0 and res_norm > target
-            and np.any(values != affine)):
-        lifted = values.copy()
-        lifted[free] += _lifted_step(spec, affine, values - affine, cfg)
-        lift_res_f, lift_norm, lift_v_min = residual(lifted)
-        if lift_norm < res_norm:
-            values, res_f, res_norm, v_min = lifted, lift_res_f, lift_norm, lift_v_min
+    # only a linear solve raises LinearSolveFailure, and the state above is
+    # replaced only after one returns: a failure keeps the last accepted state
+    try:
+        if (affine is not None and cfg.max_newton > 0 and res_norm > target
+                and np.any(values != affine)):
+            lifted = values.copy()
+            lifted[free] += _lifted_step(spec, affine, values - affine, cfg)
+            lift_res_f, lift_norm, lift_v_min = residual(lifted)
+            if lift_norm < res_norm:
+                values, res_f, res_norm, v_min = (lifted, lift_res_f, lift_norm,
+                                                  lift_v_min)
+                _check_area_element(v_min, spec.theta)
+                history.append(res_norm)
+                iterations = 1
+                eta = _LIFT_TOL     # the forcing sequence continues from the lift
+
+        for _ in range(cfg.max_newton - iterations):
+            if res_norm <= target:
+                break
+            if res_norm > 1e6 * max(1.0, res0):
+                status = SolveStatus.DIVERGED
+                break
+            hess = _free_matrix(grid, _hessian_blocks(grid, values))
+            system = SparseSystem(matrix=hess, rhs=weights_f * res_f,
+                                  prolongations=grid.prolongations)
+            eta = _forcing_term(history, eta, target, cfg.linear_tol)
+            step = linear_solve(system, replace(cfg, linear_tol=eta))
+            # cap runaway directions from near-degenerate (steep-gradient) states
+            step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
+            step_norm = float(np.max(np.abs(step)))
+            if step_norm > step_cap:
+                step *= step_cap / step_norm
+
+            alpha = 1.0
+            accepted = False
+            while alpha >= cfg.min_step:
+                trial = values.copy()
+                trial[free] += alpha * step
+                trial_res_f, trial_norm, trial_v_min = residual(trial)
+                if trial_norm < (1.0 - 1e-4 * alpha) * res_norm:
+                    accepted = True
+                    break
+                alpha *= cfg.damping
+            if not accepted:
+                status = SolveStatus.STALLED
+                break
+            values = trial
+            res_f, res_norm, v_min = trial_res_f, trial_norm, trial_v_min
             _check_area_element(v_min, spec.theta)
             history.append(res_norm)
-            iterations = 1
-            eta = _LIFT_TOL     # the forcing sequence continues from the lift
-
-    for _ in range(cfg.max_newton - iterations):
-        if res_norm <= target:
-            break
-        if res_norm > 1e6 * max(1.0, res0):
-            status = SolveStatus.DIVERGED
-            break
-        hess = _free_matrix(grid, _hessian_blocks(grid, values))
-        system = SparseSystem(matrix=hess, rhs=weights_f * res_f,
-                              prolongations=grid.prolongations)
-        eta = _forcing_term(history, eta, target, cfg.linear_tol)
-        step = linear_solve(system, replace(cfg, linear_tol=eta))
-        # cap runaway directions from near-degenerate (steep-gradient) states
-        step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
-        step_norm = float(np.max(np.abs(step)))
-        if step_norm > step_cap:
-            step *= step_cap / step_norm
-
-        alpha = 1.0
-        accepted = False
-        while alpha >= cfg.min_step:
-            trial = values.copy()
-            trial[free] += alpha * step
-            trial_res_f, trial_norm, trial_v_min = residual(trial)
-            if trial_norm < (1.0 - 1e-4 * alpha) * res_norm:
-                accepted = True
-                break
-            alpha *= cfg.damping
-        if not accepted:
-            status = SolveStatus.STALLED
-            break
-        values = trial
-        res_f, res_norm, v_min = trial_res_f, trial_norm, trial_v_min
-        _check_area_element(v_min, spec.theta)
-        history.append(res_norm)
-        iterations += 1
+            iterations += 1
+    except LinearSolveFailure:
+        status = SolveStatus.LINEAR_FAILURE
 
     if res_norm <= target and status is SolveStatus.MAX_ITER:
         status = SolveStatus.CONVERGED
 
     solution = ScalarField(grid, values)
-    grad = discrete_gradient(solution, spec.theta)
-    v_nodal = capillary_area_element(grad.vectors, spec.theta)
+    v_nodal = capillary_area_element(_gradient_vectors(solution, spec.theta),
+                                     spec.theta)
     report = SolveReport(
         iterations=iterations,
         residual_history=tuple(history),

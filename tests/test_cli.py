@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from capgraph import LinearSolveFailure, solver
 from capgraph.cli import cli_main
 
 BASE_CFG = """
@@ -193,6 +194,30 @@ c0 = -1.0
     assert cli_main(["report", "--config", cfg, "--out", str(out)]) == 3
     assert "c0 must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sin_min", ["0", "-1"])
+def test_sin_min_outside_the_unit_interval_is_exit_3(tmp_path, capsys, sin_min):
+    cfg = _write(tmp_path, "bad.cfg", LIOUVILLE_CFG + f"sin_min = {sin_min}\n")
+    out = tmp_path / "bad.csv"
+    assert cli_main(["liouville", "--config", cfg, "--out", str(out)]) == 3
+    assert "sin_min must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "liouville"])
+def test_linear_failure_writes_the_csv_and_exits_2(tmp_path, capsys, monkeypatch,
+                                                   command):
+    def breakdown(system, cfg=None):
+        raise LinearSolveFailure("conjugate gradient breakdown (matrix not SPD?)")
+
+    monkeypatch.setattr(solver, "linear_solve", breakdown)
+    cfg = _write(tmp_path, "liouville.cfg", LIOUVILLE_CFG)
+    out = tmp_path / "out.csv"
+    assert cli_main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "solver status: linear_failure" in capsys.readouterr().err
+    rows = out.read_text().splitlines()[2:]
+    assert rows and all(row.endswith(",0,linear_failure") for row in rows)
 
 
 @pytest.mark.parametrize("theta_rad", ["1.0471975511965976", "1.5707963267948966"])

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capgraph import (BadDimension, CapillaryAngle, EllipsoidRegion,
                       EmptyRegion, NodeClass, NonconformingExtent, RegionKind,
@@ -163,3 +166,98 @@ def test_inner_node_set_prefilter_keeps_the_unfiltered_sets(dim):
                         assert np.array_equal(
                             inner_node_set(grid, region),
                             _unfiltered_inner_node_set(grid, region))
+
+
+def _oracle_hessian_pattern(grid):
+    """The sort-based pattern: np.unique over the key row * nf + col of
+    every cell-block entry (an entry touching a Dirichlet node gets the key
+    nf^2, ranked last)."""
+    c = grid.corner_rows
+    k = c.shape[0]
+    nf = grid.free_indices.size
+    pos = np.full(grid.n_nodes, -1, dtype=np.int64)
+    pos[grid.free_indices] = np.arange(nf)
+    rows = np.repeat(pos[c], k, axis=0)
+    cols = np.tile(pos[c], (k, 1))
+    keys = np.where((rows >= 0) & (cols >= 0), rows * nf + cols, nf * nf)
+    uniq, slot = np.unique(keys, return_inverse=True)
+    if uniq[-1] == nf * nf:
+        uniq = uniq[:-1]
+    slot = slot.reshape(keys.shape)
+    indptr = np.searchsorted(uniq, np.arange(nf + 1) * nf).astype(np.int32)
+    indices = (uniq % nf).astype(np.int32)
+    for arr in (indptr, indices, slot):
+        arr.flags.writeable = False
+    return indptr, indices, slot
+
+
+def _oracle_linear_interpolation(n, coarse):
+    """(n, coarse.size) linear interpolation from the coarse nodes of a 1D
+    lattice: a kept node copies its value, a dropped node takes the mean of
+    its two neighbours."""
+    col = np.full(n, -1)
+    col[coarse] = np.arange(coarse.size)
+    mid = np.flatnonzero(col < 0)
+    rows = np.concatenate([coarse, mid, mid])
+    cols = np.concatenate([np.arange(coarse.size), col[mid - 1], col[mid + 1]])
+    vals = np.concatenate([np.ones(coarse.size), np.full(2 * mid.size, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, coarse.size))
+
+
+def _oracle_prolongations(grid):
+    """The Kronecker-product hierarchy: full-lattice interpolation by
+    sp.kron of the 1D factors, then restricted to the free rows and the
+    coarse free columns by sparse fancy indexing."""
+    shape = grid.shape
+    free = (grid.classes != NodeClass.DIRICHLET_BOUNDARY).reshape(shape)
+    out = []
+    while min(shape) >= 3:
+        factors, keep = [], []
+        for n in shape:
+            coarse = np.arange(0, n, 2)
+            if (n - 1) % 2:
+                coarse = np.append(coarse, n - 1)
+            factors.append(_oracle_linear_interpolation(n, coarse))
+            keep.append(coarse)
+        coarse_free = free[np.ix_(*keep)]
+        if not coarse_free.any():
+            break
+        p = factors[0]
+        for f in factors[1:]:
+            p = sp.kron(p, f, format="csr")
+        p = p[np.flatnonzero(free)][:, np.flatnonzero(coarse_free)].tocsr()
+        pair = (p, p.T.tocsr())
+        for m in pair:
+            for arr in (m.data, m.indices, m.indptr):
+                arr.flags.writeable = False
+        out.append(pair)
+        shape, free = coarse_free.shape, coarse_free
+    return tuple(out)
+
+
+def _assert_identical(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.writeable == want.flags.writeable
+    assert got.tobytes() == want.tobytes()
+
+
+# m1 cells along x1 (m1 = 1 is a two-node axis), 2 * mp along x2
+@settings(max_examples=60)
+@given(dim=st.sampled_from([1, 2]), m1=st.integers(1, 48), mp=st.integers(1, 24))
+@example(dim=2, m1=1, mp=1)
+@example(dim=2, m1=1, mp=6)
+@example(dim=2, m1=7, mp=3)
+@example(dim=1, m1=1, mp=1)
+@example(dim=1, m1=2, mp=1)
+def test_closed_form_grid_caches_equal_the_sort_based_oracles(dim, m1, mp):
+    grid = build_grid(dim, 1.0, float(m1), float(mp))
+    for got, want in zip(grid.hessian_pattern, _oracle_hessian_pattern(grid),
+                         strict=True):
+        _assert_identical(got, want)
+    oracle = _oracle_prolongations(grid)
+    assert len(grid.prolongations) == len(oracle)
+    for pair, want_pair in zip(grid.prolongations, oracle):
+        for got, want in zip(pair, want_pair):
+            assert type(got) is type(want) and got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                _assert_identical(getattr(got, name), getattr(want, name))

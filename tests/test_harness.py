@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       AngleOutOfRange, BadConfig, CapillaryAngle,
-                      ExperimentConfig, HypothesisViolation, OutOfExtent,
+                      ExperimentConfig, ExperimentReport,
+                      HypothesisViolation, OutOfExtent, ReportRow,
                       ScalarField, affine_capillary_solution, blow_down,
                       build_grid, capillary_energy, discrete_gradient,
                       domain_for_radius, field_from_callable, parse_config,
@@ -265,6 +266,20 @@ def test_report_csv_schema_and_determinism(tmp_path):
     assert all(line.split(",")[0] == res.name and
                line.split(",")[3] == ("true" if res.passed else "false")
                for line, res in zip(lines[2:], results))
+
+
+def test_worst_status_ranks_a_linear_failure_last():
+    def report(*statuses):
+        rows = tuple(ReportRow(level=i, r=1.0, h=0.5, sup_grad_inner=0.0,
+                               affine_dev=0.0, energy=0.0, v_min=1.0,
+                               newton_iters=0, status=status)
+                     for i, status in enumerate(statuses))
+        return ExperimentReport(scenario="affine-recovery", rows=rows)
+
+    assert report().worst_status == "converged"
+    assert report("converged", "max_iter").worst_status == "max_iter"
+    assert report("linear_failure", "diverged", "stalled",
+                  "converged").worst_status == "linear_failure"
 
 
 def test_solve_experiment_row(tmp_path):

@@ -618,6 +618,33 @@ def test_rejected_lift_continues_from_the_imposed_start(monkeypatch):
     assert len(rep.residual_history) == rep.iterations + 1
 
 
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_linear_failure_is_a_status_with_the_partial_report(monkeypatch, fail_at):
+    # call 1 solves the lifted step, call 2 the first Newton step after it
+    calls = []
+    solve = solver.linear_solve
+
+    def breaking_solve(system, cfg=None):
+        calls.append(system.rhs.size)
+        if len(calls) == fail_at:
+            raise LinearSolveFailure("conjugate gradient breakdown (matrix not SPD?)")
+        return solve(system, cfg)
+
+    monkeypatch.setattr(solver, "linear_solve", breaking_solve)
+    grid = build_grid(2, 0.05, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    sol, rep = newton_solve(spec)
+    assert rep.status is SolveStatus.LINEAR_FAILURE
+    assert len(calls) == fail_at
+    # the report ends at the last accepted state: the imposed start, or the lift
+    assert rep.iterations == fail_at - 1
+    assert len(rep.residual_history) == fail_at
+    assert rep.residual_history[0] == _imposed_start_residual(spec)
+    assert rep.final_residual == rep.residual_history[-1]
+    assert float(np.max(np.abs(assemble_residual(sol, spec)))) == rep.final_residual
+    assert rep.energy == capillary_energy(sol, THETA)
+
+
 @pytest.mark.parametrize("dim, extent", [
     (2, (0.2, 1.4, 0.6)),      # 7 x 6 cells
     (1, (0.1, 1.3)),           # 13 cells
