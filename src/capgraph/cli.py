@@ -140,7 +140,9 @@ def _dispatch(args) -> int:
     if args.command == "report":
         report = run_gradient_bound_sweep(cfg)
         fit = report.fit
-        if fit.degenerate:
+        if fit is None:
+            print("bound fit skipped: a family member did not converge")
+        elif fit.degenerate:
             print("bound fit degenerate (constant M/r family): "
                   f"C1={fit.c1:.6g}, C2=C3=0")
         else:

@@ -16,11 +16,12 @@ from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BadDimension, EmptyRegion, NonconformingExtent
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
+
     from .capillary import CapillaryAngle
 
 _CONFORM_TOL = 1e-9
@@ -92,14 +93,9 @@ class HalfSpaceGrid:
         1D: (n_cells, 2) columns (left, right).
         2D: (n_cells, 4) columns (c00, c10, c01, c11); first index along x1.
         """
-        if self.dim == 1:
-            i = np.arange(self.shape[0] - 1)
-            out = np.stack([i, i + 1], axis=1)
-        else:
-            n1, n2 = self.shape
-            i1, i2 = np.meshgrid(np.arange(n1 - 1), np.arange(n2 - 1), indexing="ij")
-            c00 = (i1 * n2 + i2).ravel()
-            out = np.stack([c00, c00 + n2, c00 + 1, c00 + n2 + 1], axis=1)
+        low = np.indices([n - 1 for n in self.shape]).reshape(self.dim, -1, 1)
+        step = np.indices((2,) * self.dim).reshape(self.dim, 1, -1)[::-1]  # x1 fastest
+        out = np.ravel_multi_index(tuple(low + step), self.shape)
         out.flags.writeable = False
         return out
 
@@ -199,10 +195,8 @@ class HalfSpaceGrid:
                            * fweights[None, :, None, :]).reshape(k, -1)
             parent = (weights != 0.0).T
             indptr = np.concatenate(([0], np.cumsum(parent.sum(axis=1))))
-            p = sp.csr_matrix((weights.T[parent], cols.T[parent],
-                               indptr.astype(np.int32)),
-                              shape=(parent.shape[0],
-                                     math.prod(int(m.sum()) for m in masks)))
+            p = _csr_matrix(weights.T[parent], cols.T[parent], indptr.astype(np.int32),
+                            (parent.shape[0], math.prod(int(m.sum()) for m in masks)))
             pair = (p, p.T.tocsr())
             for m in pair:
                 for arr in (m.data, m.indices, m.indptr):
@@ -213,14 +207,8 @@ class HalfSpaceGrid:
     @cached_property
     def node_weights(self) -> np.ndarray:
         """Control-volume weight per node: h^dim * (adjacent cells) / 2^dim."""
-        counts = np.ones(self.shape)
-        for axis in range(self.dim):
-            edge = np.ones(self.shape[axis])
-            edge[1:-1] = 2.0
-            shp = [1] * self.dim
-            shp[axis] = self.shape[axis]
-            counts = counts * edge.reshape(shp)
-        w = counts.ravel() * (self.h / 2.0) ** self.dim
+        edges = [np.where(np.arange(n) % (n - 1) == 0, 1.0, 2.0) for n in self.shape]
+        w = reduce(np.multiply.outer, edges).ravel() * (self.h / 2.0) ** self.dim
         w.flags.writeable = False
         return w
 
@@ -233,6 +221,13 @@ class HalfSpaceGrid:
     def reshape(self, values: np.ndarray) -> np.ndarray:
         """View flat nodal values on the (n1,) or (n1, n2) lattice."""
         return np.asarray(values).reshape(self.shape)
+
+
+def _csr_matrix(data, indices, indptr, shape) -> sp.csr_matrix:
+    """The package's one scipy.sparse import, made at the first matrix built,
+    so that the solve-free commands start with numpy alone."""
+    import scipy.sparse
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _axis_interpolation(free: np.ndarray):

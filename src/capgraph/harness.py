@@ -466,7 +466,8 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6
     |cot(theta)|.  Measured sup|Du| over the inner region is regressed on
     (1, M/r, (M/r)^2); the intercept is shifted so the fitted bound
     dominates every measurement.  The fit is repeated per mesh level and
-    its drift per halving reported.
+    its drift per halving reported.  When any member's solve did not
+    converge, no fit is made (fit None) and no drift is checked.
     """
     if cfg.scenario != "gradient-bound-sweep":
         raise BadConfig(f"scenario {cfg.scenario!r} is not gradient-bound-sweep")
@@ -483,7 +484,6 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6
     rngs = _level_rngs(cfg, len(cfg.h_levels))
 
     rows = []
-    fits = []
     members = []
     for li, h in enumerate(cfg.h_levels):
         grid = domain_for_radius(r, theta, h, cfg.dim)
@@ -497,8 +497,16 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6
             ratios.append(height_scale(sol, EllipsoidRegion(r, theta)) / r)
             sups.append(row.sup_grad_inner)
         members.append(tuple(zip(ratios, sups)))
-        m = np.asarray(ratios)
-        y = np.log(np.asarray(sups) * one_minus)
+    details = {"family_size": family_size, "members": tuple(members)}
+    if any(row.status != SolveStatus.CONVERGED.value for row in rows):
+        # constants fitted to unsolved members would describe their starts
+        return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
+                                details=details)
+
+    fits = []
+    for level in members:
+        m, sups = (np.asarray(column) for column in zip(*level))
+        y = np.log(sups * one_minus)
         if float(np.std(m)) < 1e-9:
             fits.append((float(np.max(y)), 0.0, 0.0, 0.0, True))
         else:
@@ -528,8 +536,7 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6
                            per_level=tuple(f[:3] for f in fits),
                            stability=drift)
     return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows), fit=fit,
-                            details={"family_size": family_size,
-                                     "members": tuple(members)})
+                            details=details)
 
 
 def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         _nodal_gradient, affine_capillary_solution,
@@ -25,7 +25,10 @@ from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         edge_differences, ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
-from .geometry import HalfSpaceGrid
+from .geometry import HalfSpaceGrid, _csr_matrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class SolveStatus(Enum):
@@ -221,7 +224,7 @@ def _free_matrix(grid: HalfSpaceGrid, blocks: np.ndarray) -> sp.csr_matrix:
     nnz = indices.size
     data = np.bincount(slot.ravel(), blocks.ravel(), minlength=nnz + 1)[:nnz]
     nf = indptr.size - 1
-    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nf, nf))
+    return _csr_matrix(data, indices.copy(), indptr.copy(), (nf, nf))
 
 
 def _block_action(grid: HalfSpaceGrid, blocks: np.ndarray,
@@ -269,8 +272,8 @@ def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> SparseSystem:
     grid = spec.grid
     free = grid.free_indices
     res, _ = _residual_full(u.values, spec)
-    scale = sp.diags(-1.0 / grid.node_weights[free])
-    jac = (scale @ _free_matrix(grid, _hessian_blocks(grid, u.values))).tocsr()
+    jac = _free_matrix(grid, _hessian_blocks(grid, u.values))
+    jac.data *= np.repeat(-1.0 / grid.node_weights[free], np.diff(jac.indptr))
     return SparseSystem(matrix=jac, rhs=-res[free])
 
 

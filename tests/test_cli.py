@@ -1,8 +1,10 @@
 """CLI subcommands, exit codes, and CSV artifacts."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 
 from capgraph import LinearSolveFailure, solver
 from capgraph.cli import cli_main
+from capgraph.harness import SCENARIOS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BASE_CFG = """
 scenario = affine-recovery
@@ -218,6 +223,123 @@ def test_linear_failure_writes_the_csv_and_exits_2(tmp_path, capsys, monkeypatch
     assert "solver status: linear_failure" in capsys.readouterr().err
     rows = out.read_text().splitlines()[2:]
     assert rows and all(row.endswith(",0,linear_failure") for row in rows)
+
+
+def _run_python(args):
+    """A fresh interpreter with the checkout's sources on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def test_report_of_an_unsolved_family_skips_the_fit(tmp_path):
+    # c0 = 1e300 overflows every member's start, so all 12 solves end as
+    # linear_failure; a subprocess keeps their overflow warnings out of
+    # this process's warnings-as-errors filter
+    cfg = _write(tmp_path, "overflow.cfg", """
+scenario = gradient-bound-sweep
+theta_rad = 1.0471975511965976
+r_levels = 2.0
+h_levels = 0.5, 0.25
+c0 = 1e300
+seed = 4
+""")
+    out = tmp_path / "report.csv"
+    proc = _run_python(["-W", "ignore", "-m", "capgraph.cli", "report",
+                        "--config", cfg, "--out", str(out)])
+    assert proc.returncode == 2
+    assert "bound fit skipped: a family member did not converge" in proc.stdout
+    assert "C1=" not in proc.stdout
+    assert "solver status: linear_failure" in proc.stderr
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 12 and all(row.endswith(",linear_failure") for row in rows)
+
+
+_SCIPY_PROBE = """
+import sys
+from capgraph.cli import cli_main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out, cfg = sys.argv[1:]
+assert not scipy_modules(), scipy_modules()
+assert cli_main(["audit", "--seed", "0", "--out", out + "/audit.csv"]) == 0
+assert cli_main(["sweep", "--n", "2,4", "--theta-steps", "9",
+                 "--out", out + "/sweep.csv"]) == 0
+assert not scipy_modules(), scipy_modules()
+assert cli_main(["solve", "--config", cfg, "--out", out + "/solve.csv"]) == 0
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_solve_free_commands_start_without_scipy(tmp_path):
+    # scipy.sparse loads at the first sparse matrix: the first Newton step
+    # (the perturbed data rule out the affine start's zero-step solve)
+    cfg = _write(tmp_path, "liouville.cfg", LIOUVILLE_CFG)
+    proc = _run_python(["-c", _SCIPY_PROBE, str(tmp_path), cfg])
+    assert proc.returncode == 0, proc.stderr
+
+
+_CONFIG_COMMANDS = {"solve": ("affine-recovery", "liouville-linear-growth"),
+                    "liouville": ("liouville-linear-growth", "liouville-one-sided"),
+                    "report": ("gradient-bound-sweep",),
+                    "verify": ("minimizer-test", "conormal-check")}
+
+# one edit that makes any config invalid: bad values, r < h, an unknown
+# key, a line without '=' and a dimension other than 1 or 2
+_INVALID_EDITS = (("h_levels", "-0.5"), ("c0", "-1.0"), ("seed", "-1"),
+                  ("sin_min", "1.5"), ("r_levels", "2.0, 1.0"), ("r_levels", "0.1"),
+                  ("theta_rad", "nan"), ("perturb_amp", "inf"), ("dim", "3"),
+                  ("scenario", "no-such-scenario"), ("no_such_key", "1"),
+                  ("no equals sign", None))
+
+
+@st.composite
+def _small_configs(draw, command):
+    """Config lines whose grids stay below about 700 nodes (r <= 2,
+    h >= 0.25, sin(theta) >= 0.47) and whose data stay moderate."""
+    dim = draw(st.sampled_from([1, 2]))
+    entries = {
+        "scenario": draw(st.sampled_from(_CONFIG_COMMANDS[command])
+                         | st.sampled_from(SCENARIOS)),
+        "dim": dim,
+        "theta_rad": draw(st.floats(0.5, math.pi - 0.5)),
+        "r_levels": draw(st.sampled_from([(1.0,), (2.0,), (1.0, 2.0)])),
+        "h_levels": draw(st.lists(st.sampled_from([0.5, 0.25]), min_size=1,
+                                  max_size=2)),
+        "c0": draw(st.floats(0.0, 4.0)),
+        "perturb_amp": draw(st.floats(0.0, 0.5)),
+        "perturb_decay": draw(st.floats(0.0, 2.0)),
+        "L_slope": draw(st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim)),
+        "L_offset": draw(st.floats(-1.0, 1.0)),
+        "seed": draw(st.integers(0, 20)),
+        "strict_angle_range": draw(st.booleans()),
+    }
+    lines = {key: ", ".join(map(repr, val)) if isinstance(val, (tuple, list))
+             else str(val) for key, val in entries.items()}
+    edit = draw(st.none() | st.sampled_from(_INVALID_EDITS))
+    if edit is not None:
+        lines[edit[0]] = edit[1]
+    text = "\n".join(key if val is None else f"{key} = {val}"
+                     for key, val in lines.items())
+    return text, edit is not None
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_COMMANDS))
+def test_config_commands_exit_code_property(tmp_path, command):
+    @settings(max_examples=15)
+    @given(case=_small_configs(command))
+    def check(case):
+        text, invalid = case
+        cfg = _write(tmp_path, "fuzz.cfg", text)
+        code = cli_main([command, "--config", cfg,
+                         "--out", str(tmp_path / "fuzz.csv")])
+        assert code in (0, 1, 2, 3)
+        if invalid:
+            assert code == 3
+
+    check()
 
 
 @pytest.mark.parametrize("theta_rad", ["1.0471975511965976", "1.5707963267948966"])

@@ -412,6 +412,29 @@ def test_fixed_pattern_jacobian_matches_central_differences(dim, extent):
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
 
+@pytest.mark.parametrize("args", [(1, 0.1, 1.3), (2, 0.2, 1.4, 0.6)])
+def test_jacobian_row_scaling_is_bitwise_the_diagonal_product(args):
+    # oracle: the free Hessian left-multiplied by the sparse diagonal of
+    # -1/w.  The sparse product stores each row's columns in descending
+    # order, so its column indices are sorted before the comparison.  The
+    # flat state has exact zeros for SparseSystem to eliminate.
+    grid = build_grid(*args)
+    free = grid.free_indices
+    scale = sp.diags(-1.0 / grid.node_weights[free])
+    rng = np.random.default_rng(15)
+    for vals in (np.zeros(grid.n_nodes), rng.uniform(-1.0, 1.0, grid.n_nodes)):
+        spec = ProblemSpec(grid=grid, theta=THETA,
+                           dirichlet=vals[grid.dirichlet_indices], H=0.1)
+        hess = solver._free_matrix(grid, solver._hessian_blocks(grid, vals))
+        old = SparseSystem(matrix=(scale @ hess).tocsr(),
+                           rhs=np.zeros(free.size)).matrix.sorted_indices()
+        new = assemble_jacobian(ScalarField(grid, vals), spec).matrix
+        assert new.shape == old.shape
+        for a, b in ((new.data, old.data), (new.indices, old.indices),
+                     (new.indptr, old.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_consecutive_hessians_leave_the_cached_pattern_intact():
     # the first state is flat, so the Hessian has exact zeros that
     # SparseSystem eliminates from its own copy of the pattern
