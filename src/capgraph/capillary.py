@@ -116,7 +116,12 @@ def field_from_callable(grid: HalfSpaceGrid, fn) -> ScalarField:
 def area_element(g) -> np.ndarray | float:
     """W = sqrt(1 + |g|^2) for one gradient or a (..., dim) batch."""
     arr = np.atleast_1d(np.asarray(g, dtype=float))
-    out = np.sqrt(1.0 + np.sum(arr * arr, axis=-1))
+    # the components summed in order, as np.sum over a short last axis
+    # does, but without its per-row reduction cost
+    sq = arr[..., 0] * arr[..., 0]
+    for j in range(1, arr.shape[-1]):
+        sq = sq + arr[..., j] * arr[..., j]
+    out = np.sqrt(1.0 + sq)
     return float(out) if out.ndim == 0 else out
 
 

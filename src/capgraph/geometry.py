@@ -25,6 +25,9 @@ if TYPE_CHECKING:
     from .capillary import CapillaryAngle
 
 _CONFORM_TOL = 1e-9
+# the multigrid hierarchy stops at a level of at most this many free nodes,
+# which the linear solver factors and solves exactly
+_COARSEST_SIZE = 32
 
 
 class NodeClass(IntEnum):
@@ -168,8 +171,10 @@ class HalfSpaceGrid:
         P is the tensor product of the per-axis interpolations restricted
         to them (Trottenberg, Oosterlee & Schueller, Multigrid, 2001): a
         fine free node has up to 2^dim coarse free parents, with weights 1,
-        1/2 or 1/4.  The hierarchy stops once an axis has fewer than three
-        nodes or no free node is left.  The arrays are read-only.
+        1/2 or 1/4.  The hierarchy stops at the first level with at most
+        _COARSEST_SIZE free nodes (after at least one coarsening), which the
+        linear solver solves exactly, or earlier once an axis has fewer than
+        three nodes or no free node is left.  The arrays are read-only.
         """
         # wall row free and far row Dirichlet along x1, both ends Dirichlet
         # along each side axis
@@ -178,7 +183,8 @@ class HalfSpaceGrid:
         assert np.array_equal(reduce(np.logical_and.outer, masks).ravel(),
                               self.classes != NodeClass.DIRICHLET_BOUNDARY)
         out = []
-        while min(m.size for m in masks) >= 3:
+        while (min(m.size for m in masks) >= 3
+               and (not out or out[-1][0].shape[1] > _COARSEST_SIZE)):
             factors = [_axis_interpolation(m) for m in masks]
             masks = [coarse for _, _, coarse in factors]
             if not all(m.any() for m in masks):

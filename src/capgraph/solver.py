@@ -25,9 +25,11 @@ from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         edge_differences, ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
-from .geometry import HalfSpaceGrid, _csr_matrix
+from .geometry import _COARSEST_SIZE, HalfSpaceGrid, _csr_matrix
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import scipy.sparse as sp
 
 
@@ -293,38 +295,59 @@ def _smooth(a: sp.csr_matrix, wdinv: np.ndarray, b: np.ndarray,
     return x
 
 
-def _vcycle(levels, prolongations, b: np.ndarray, k: int = 0) -> np.ndarray:
-    """One symmetric V-cycle from a zero guess on level k.  The coarsest
-    level is smoothed like the others (no exact solve), so a hierarchy of
-    one level is plain damped Jacobi."""
-    a, wdinv = levels[k]
+def _vcycle(levels: list, coarsest: Callable[[np.ndarray], np.ndarray],
+            b: np.ndarray, k: int = 0) -> np.ndarray:
+    """One symmetric V-cycle from a zero guess on level k: smoothing, the
+    coarse correction through P_k and P_k^T, smoothing again; `coarsest`
+    solves the last level (see _galerkin_levels)."""
+    if k == len(levels):
+        return coarsest(b)
+    a, wdinv, p, pt = levels[k]
     x = _smooth(a, wdinv, b, None)
-    if k < len(prolongations):
-        p, r = prolongations[k]
-        x = x + p @ _vcycle(levels, prolongations, r @ (b - a @ x), k + 1)
+    x = x + p @ _vcycle(levels, coarsest, pt @ (b - a @ x), k + 1)
     return _smooth(a, wdinv, b, x)
 
 
-def _galerkin_levels(a: sp.csr_matrix, prolongations) -> list:
-    """(A_k, _OMEGA / |diag A_k|) per level, A_{k+1} = P_k^T A_k P_k."""
+def _jacobi_weights(a: sp.csr_matrix) -> np.ndarray:
+    d = np.abs(a.diagonal())
+    d[d == 0.0] = 1.0
+    return _OMEGA / d
+
+
+def _galerkin_levels(a: sp.csr_matrix, prolongations
+                     ) -> tuple[list, Callable[[np.ndarray], np.ndarray]]:
+    """The multigrid levels (A_k, _OMEGA / |diag A_k|, P_k, P_k^T) above the
+    last one, A_{k+1} = P_k^T A_k P_k, and the solver of the last level.
+
+    After at least one coarsening, a last level of at most _COARSEST_SIZE
+    unknowns is solved exactly: its dense matrix is factored once, L L^T
+    (Cholesky), and applied as L^-T L^-1, which keeps the preconditioner
+    symmetric; a failed factorization raises LinearSolveFailure (matrix not
+    SPD).  Any other last level is smoothed like the others, so a hierarchy
+    of one level is plain damped Jacobi.
+    """
     levels = []
-    for k in range(len(prolongations) + 1):
-        if k:
-            p, r = prolongations[k - 1]
-            a = (r @ a @ p).tocsr()
-        d = np.abs(a.diagonal())
-        d[d == 0.0] = 1.0
-        levels.append((a, _OMEGA / d))
-    return levels
+    for p, pt in prolongations:
+        levels.append((a, _jacobi_weights(a), p, pt))
+        a = (pt @ a @ p).tocsr()
+    if prolongations and a.shape[0] <= _COARSEST_SIZE:
+        try:
+            linv = np.linalg.inv(np.linalg.cholesky(a.toarray()))
+        except np.linalg.LinAlgError:
+            raise LinearSolveFailure(
+                "coarsest-level Cholesky breakdown (matrix not SPD?)") from None
+        return levels, lambda b: linv.T @ (linv @ b)
+    wdinv = _jacobi_weights(a)
+    return levels, lambda b: _smooth(a, wdinv, b, _smooth(a, wdinv, b, None))
 
 
 def _pcg(system: SparseSystem, tol_abs: float, max_iter: int) -> tuple[np.ndarray, int]:
     """Multigrid-preconditioned CG from zero; returns (x, iterations)."""
     a, b = system.matrix, system.rhs
-    levels = _galerkin_levels(a, system.prolongations)
+    levels, coarsest = _galerkin_levels(a, system.prolongations)
     x = np.zeros_like(b)
     r = b.copy()
-    z = _vcycle(levels, system.prolongations, r)
+    z = _vcycle(levels, coarsest, r)
     p = z.copy()
     rz = r @ z
     for it in range(1, max_iter + 1):
@@ -337,7 +360,7 @@ def _pcg(system: SparseSystem, tol_abs: float, max_iter: int) -> tuple[np.ndarra
         r -= alpha * ap
         if np.linalg.norm(r) <= tol_abs:
             return x, it
-        z = _vcycle(levels, system.prolongations, r)
+        z = _vcycle(levels, coarsest, r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -348,10 +371,12 @@ def linear_solve(system: SparseSystem, cfg: SolverConfig | None = None) -> np.nd
     """Solve the assembled system to relative tolerance cfg.linear_tol.
 
     CG preconditioned by one geometric-multigrid V-cycle (damped-Jacobi
-    smoothing, Galerkin coarse operators over system.prolongations; plain
-    damped Jacobi when there are none), deterministic for identical
-    inputs.  The matrix must be SPD: a nonpositive or nonfinite curvature
-    p^T A p raises LinearSolveFailure (CG breakdown).
+    smoothing, Galerkin coarse operators over system.prolongations, and an
+    exact coarsest solve by a dense Cholesky factor when the last level has
+    at most _COARSEST_SIZE unknowns; plain damped Jacobi when there are no
+    prolongations), deterministic for identical inputs.  The matrix must be
+    SPD: a nonpositive or nonfinite curvature p^T A p, or a failed coarsest
+    factorization, raises LinearSolveFailure (breakdown).
     """
     cfg = cfg or SolverConfig()
     bnorm = float(np.linalg.norm(system.rhs))

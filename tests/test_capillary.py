@@ -40,6 +40,16 @@ def test_area_element_values():
                       atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (1,), (5000,), (7, 4)])
+def test_area_element_is_bitwise_the_sum_of_squares(dim, batch):
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal(batch + (dim,)) * 10.0 ** rng.uniform(-8, 8, batch + (dim,))
+    want = np.sqrt(1.0 + np.sum(g * g, axis=-1))
+    got = area_element(g)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_capillary_gauge_values_and_zero_vector():
     theta = CapillaryAngle(1.1)
     assert np.isclose(capillary_gauge(np.array([0.0, 0.0, 1.0]), theta), 1.0)

@@ -211,7 +211,7 @@ def _oracle_prolongations(grid):
     shape = grid.shape
     free = (grid.classes != NodeClass.DIRICHLET_BOUNDARY).reshape(shape)
     out = []
-    while min(shape) >= 3:
+    while min(shape) >= 3 and (not out or np.count_nonzero(free) > 32):
         factors, keep = [], []
         for n in shape:
             coarse = np.arange(0, n, 2)
@@ -261,3 +261,19 @@ def test_closed_form_grid_caches_equal_the_sort_based_oracles(dim, m1, mp):
             assert type(got) is type(want) and got.shape == want.shape
             for name in ("data", "indices", "indptr"):
                 _assert_identical(getattr(got, name), getattr(want, name))
+
+
+def _level_sizes(grid):
+    return ([p.shape[0] for p, _ in grid.prolongations]
+            + [grid.prolongations[-1][0].shape[1]])
+
+
+def test_hierarchy_ends_at_the_first_level_of_at_most_32_free_nodes():
+    # the mesh-ladder grids: 780, 3,160 and 12,720 free nodes down to 12
+    for h in (0.05, 0.025, 0.0125):
+        sizes = _level_sizes(build_grid(2, h, 1.0, 1.0))
+        assert sizes[-1] <= 32
+        assert all(size > 32 for size in sizes[:-1])
+    # a grid that starts at or below the limit still coarsens once
+    grid = build_grid(1, 0.25, 1.0)
+    assert _level_sizes(grid) == [4, 2]

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capgraph import (CapillaryAngle, CapillaryLabError, InvalidParameter,
@@ -730,3 +730,88 @@ def test_validation_errors_are_capillary_lab_errors():
         ProblemSpec(grid=grid, theta=THETA, dirichlet=np.zeros(1), H=np.inf)
     assert issubclass(InvalidParameter, CapillaryLabError)
     assert issubclass(InvalidParameter, ValueError)
+
+
+def test_ladder_cg_iterations_with_the_exact_coarsest_solve(monkeypatch):
+    # 46 CG iterations in total when the hierarchy ran down to one unknown
+    counts = []
+    pcg = solver._pcg
+
+    def counting_pcg(*args):
+        x, iterations = pcg(*args)
+        counts.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(solver, "_pcg", counting_pcg)
+    for h in (0.05, 0.025, 0.0125):
+        grid = build_grid(2, h, 1.0, 1.0)
+        spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+        _, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
+        assert rep.status is SolveStatus.CONVERGED
+    assert sum(counts) <= 46
+
+
+def test_two_level_vcycle_matches_a_dense_oracle():
+    # 28 free nodes: one coarsening to 6, which is solved exactly
+    grid = build_grid(2, 0.25, 1.0, 1.0)
+    assert len(grid.prolongations) == 1
+    rng = np.random.default_rng(3)
+    hess = solver._free_matrix(grid, solver._hessian_blocks(
+        grid, rng.uniform(-1.0, 1.0, grid.n_nodes)))
+    b = rng.standard_normal(hess.shape[0])
+
+    a = hess.toarray()
+    p = grid.prolongations[0][0].toarray()
+    wdinv = solver._OMEGA / np.abs(np.diag(a))
+    x = np.zeros_like(b)
+    for _ in range(solver._SWEEPS):
+        x = x + wdinv * (b - a @ x)
+    x = x + p @ np.linalg.solve(p.T @ a @ p, p.T @ (b - a @ x))
+    for _ in range(solver._SWEEPS):
+        x = x + wdinv * (b - a @ x)
+
+    got = solver._vcycle(*solver._galerkin_levels(hess, grid.prolongations), b)
+    assert np.max(np.abs(got - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_non_spd_newton_system_fails_at_the_coarsest_factorization(monkeypatch):
+    # a negated Hessian: its Galerkin coarsest level is negative definite
+    blocks = solver._hessian_blocks
+    monkeypatch.setattr(solver, "_hessian_blocks",
+                        lambda grid, values: -blocks(grid, values))
+    errors = []
+    solve = solver.linear_solve
+
+    def recording_solve(system, cfg=None):
+        try:
+            return solve(system, cfg)
+        except LinearSolveFailure as exc:
+            errors.append(str(exc))
+            raise
+
+    monkeypatch.setattr(solver, "linear_solve", recording_solve)
+    grid = build_grid(2, 0.05, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    _, rep = newton_solve(spec)
+    assert rep.status is SolveStatus.LINEAR_FAILURE
+    assert len(errors) == 1 and "Cholesky breakdown" in errors[0]
+
+
+# L1 = m1 and Lp = mp cells at h = 1; m1 = 2 leaves a three-node x1 axis,
+# whose hierarchy stops at a smoothed last level above 32 unknowns (39 at
+# mp = 40); the 1D example coarsens 64 free nodes to an exact level of 32
+@settings(max_examples=40)
+@given(dim=st.sampled_from([1, 2]), m1=st.integers(1, 12),
+       mp=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=2, m1=2, mp=40, seed=0)
+@example(dim=1, m1=64, mp=1, seed=1)
+def test_multigrid_cg_matches_a_dense_solve(dim, m1, mp, seed):
+    grid = build_grid(dim, 1.0, float(m1), float(mp))
+    rng = np.random.default_rng(seed)
+    hess = solver._free_matrix(grid, solver._hessian_blocks(
+        grid, rng.uniform(-1.0, 1.0, grid.n_nodes)))
+    b = rng.standard_normal(hess.shape[0])
+    x = linear_solve(SparseSystem(hess, b, grid.prolongations),
+                     SolverConfig(linear_tol=1e-14))
+    want = np.linalg.solve(hess.toarray(), b)
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
