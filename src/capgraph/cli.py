@@ -15,8 +15,7 @@ import sys
 import numpy as np
 
 from .errors import (AngleOutOfRange, BadConfig, CapillaryLabError,
-                     HypothesisViolation, InvariantViolation,
-                     LinearSolveFailure)
+                     HypothesisViolation, InvariantViolation)
 from .harness import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       load_config, run_angle_sweep, run_audit,
                       run_conormal_check, run_gradient_bound_sweep,
@@ -189,9 +188,6 @@ def cli_main(argv=None) -> int:
     except (InvariantViolation, HypothesisViolation, AngleOutOfRange) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except LinearSolveFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
     except CapillaryLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG

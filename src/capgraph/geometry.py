@@ -9,10 +9,11 @@ data, and corners where the wall meets another face are assigned Dirichlet
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,6 +35,11 @@ class NodeClass(IntEnum):
     INTERIOR = 0
     CAPILLARY_BOUNDARY = 1
     DIRICHLET_BOUNDARY = 2
+
+
+# the plain int: numpy compares arrays with it several times faster than
+# with the enum member
+_DIRICHLET = int(NodeClass.DIRICHLET_BOUNDARY)
 
 
 class RegionKind(Enum):
@@ -82,33 +88,33 @@ class HalfSpaceGrid:
 
     @cached_property
     def dirichlet_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.classes == NodeClass.DIRICHLET_BOUNDARY)
+        return np.flatnonzero(self.classes == _DIRICHLET)
 
     @cached_property
     def free_indices(self) -> np.ndarray:
         """Interior plus capillary nodes, the unknowns of a solve."""
-        return np.flatnonzero(self.classes != NodeClass.DIRICHLET_BOUNDARY)
+        return np.flatnonzero(self.classes != _DIRICHLET)
 
-    @cached_property
+    @property
     def cell_corners(self) -> np.ndarray:
         """Flat node indices of each cell's corners.
 
         1D: (n_cells, 2) columns (left, right).
         2D: (n_cells, 4) columns (c00, c10, c01, c11); first index along x1.
         """
-        low = np.indices([n - 1 for n in self.shape]).reshape(self.dim, -1, 1)
-        step = np.indices((2,) * self.dim).reshape(self.dim, 1, -1)[::-1]  # x1 fastest
-        out = np.ravel_multi_index(tuple(low + step), self.shape)
-        out.flags.writeable = False
-        return out
+        return self.corner_rows.T
 
     @cached_property
     def corner_rows(self) -> np.ndarray:
-        """cell_corners transposed to a C-contiguous (k, n_cells) array: row
-        j lists corner j of every cell, so per-corner gathers are contiguous
-        and the flattened array is the stacked corner index of a one-bincount
-        scatter of (k, n_cells) cell values."""
-        out = np.ascontiguousarray(self.cell_corners.T)
+        """cell_corners as a C-contiguous (k, n_cells) array: row j lists
+        corner j of every cell, so per-corner gathers are contiguous and the
+        flattened array is the stacked corner index of a one-bincount
+        scatter of (k, n_cells) cell values.  Corner j is offset by bit a of
+        j along axis a (x1 fastest); cells are in lattice order."""
+        strides = _strides(self.shape)
+        low = reduce(np.add.outer, [np.arange(n - 1) * s
+                                    for n, s in zip(self.shape, strides)])
+        out = low.ravel() + (_corner_bits(self.dim) @ strides)[:, None]
         out.flags.writeable = False
         return out
 
@@ -121,74 +127,102 @@ class HalfSpaceGrid:
         map from each entry of a cell's local k x k block (k corners, rows
         and columns in cell_corners order; row i*k + j of the map holds
         entry (i, j) of every cell) to its position in the CSR data.
-        Entries touching a Dirichlet node map to the dump slot nnz.  Callers
-        must give each matrix its own copy of indptr and indices: the arrays
-        are read-only.
+        Entries touching a Dirichlet node map to the dump slot nnz.  The
+        arrays are read-only, and the matrices built on them share indptr
+        and indices, so a caller that changes a pattern in place (such as
+        eliminate_zeros) must copy it first.  A coarse level of the
+        multigrid hierarchy (see `coarse`) scatters its Galerkin cell blocks
+        through its own pattern.
 
         Two nodes share a cell exactly when each lies in the other's 3^dim
-        stencil box, so a free node's row holds its free stencil neighbours.
+        stencil box, so a free node's row holds its free stencil neighbours,
+        read through a sliding 3^dim window over the lattice of free ranks.
         Stencil offsets in flat order give ascending columns, so the free
         neighbour masks, read node by node, are already in CSR order: no
         sort is needed.
         """
         stencil = (3,) * self.dim
-        free = self.classes != NodeClass.DIRICHLET_BOUNDARY
-        pos = np.where(free, np.cumsum(free, dtype=np.int32) - 1, -1)
-        padded = np.pad(pos.reshape(self.shape), 1, constant_values=-1)
-        offsets = np.stack(np.unravel_index(np.arange(3 ** self.dim), stencil), 1) - 1
-        # neighbour[o]: free position of each node's neighbour at offset o, or -1
-        neighbour = np.stack([padded[tuple(slice(1 + a, 1 + a + n)
-                                           for a, n in zip(off, self.shape))].ravel()
-                              for off in offsets])
-        mask = (neighbour >= 0).T & free[:, None]     # (node, offset)
-        indices = neighbour.T[mask]
+        free = self.classes != _DIRICHLET
+        padded = np.full(tuple(n + 2 for n in self.shape), -1, dtype=np.int32)
+        padded[(slice(1, -1),) * self.dim] = np.where(
+            free, np.cumsum(free, dtype=np.int32) - 1, -1).reshape(self.shape)
+        # neighbour[p, o]: free rank of node p's neighbour at offset o, or -1,
+        # read through the 3^dim sliding-window view of the padded lattice
+        window = np.ndarray(self.shape + stencil, padded.dtype, padded, 0,
+                            padded.strides * 2)
+        neighbour = window.reshape(self.n_nodes, -1)
+        mask = (neighbour >= 0) & free[:, None]
+        indices = neighbour[mask]
         indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))[free]))
         indptr = indptr.astype(np.int32)
         # entry[p, o]: CSR position of node p's pair with its offset-o
         # neighbour, or the dump slot nnz
         entry = np.full(mask.shape, indices.size)
         entry[mask] = np.arange(indices.size)
-        # the stencil offset from corner i to corner j is the same in every cell
+        # corner j of a cell lies at the same stencil offset from its corner i
+        # in every cell
         c = self.corner_rows
-        k = c.shape[0]
-        corner = np.stack(np.unravel_index(c[:, 0], self.shape), axis=1)
-        pair = np.ravel_multi_index(
-            tuple(np.moveaxis(corner[None, :] - corner[:, None] + 1, -1, 0)), stencil)
-        slot = np.stack([entry[c[i], pair[i, j]] for i in range(k) for j in range(k)])
+        slot = entry[c[:, None, :], _corner_offsets(self.dim)[:, :, None]]
+        slot = slot.reshape(c.shape[0] ** 2, -1)
         for arr in (indptr, indices, slot):
             arr.flags.writeable = False
         return indptr, indices, slot
 
     @cached_property
-    def prolongations(self) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
-        """(P, P^T) per coarsening of the multigrid hierarchy, finest first.
+    def coarse(self) -> tuple[HalfSpaceGrid, ...]:
+        """The coarse levels of the multigrid hierarchy below this grid,
+        finest first.
 
         Each coarsening keeps every second lattice node along each axis,
-        plus the last node of an axis with an odd cell count, so the box
-        faces stay coarse nodes and Dirichlet nodes stay Dirichlet.  P
-        interpolates (bi)linearly from the coarse free nodes to the fine
+        plus the last node of an axis with an odd cell count.  A level is
+        the grid of the kept nodes (a subset of the fine nodes, classes
+        kept, h doubled except in that last cell), so the box faces stay
+        faces and a Dirichlet fine node has only Dirichlet coarse parents.
+        The hierarchy stops at the first level with at most _COARSEST_SIZE
+        free nodes (after at least one coarsening), which the linear solver
+        solves exactly, or earlier once an axis has fewer than three nodes
+        or no free node would be left.
+        """
+        out = []
+        grid = self
+        while (min(grid.shape) >= 3
+               and (not out or grid.free_indices.size > _COARSEST_SIZE)):
+            keep = np.ix_(*map(_kept_nodes, grid.shape))
+            classes = grid.classes.reshape(grid.shape)[keep]
+            if np.all(classes == _DIRICHLET):
+                break
+            nodes = grid.nodes.reshape(grid.shape + (self.dim,))[keep]
+            grid = HalfSpaceGrid(dim=self.dim, h=2.0 * grid.h, L1=self.L1, Lp=self.Lp,
+                                 shape=classes.shape,
+                                 nodes=nodes.reshape(-1, self.dim),
+                                 classes=classes.ravel())
+            for arr in (grid.nodes, grid.classes):
+                arr.flags.writeable = False
+            out.append(grid)
+        return tuple(out)
+
+    @cached_property
+    def prolongations(self) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
+        """(P, P^T) per coarsening of the multigrid hierarchy (see
+        `coarse`), finest first.
+
+        P interpolates (bi)linearly from the coarse free nodes to the fine
         free nodes.  The free set is a tensor product of per-axis masks, so
         P is the tensor product of the per-axis interpolations restricted
         to them (Trottenberg, Oosterlee & Schueller, Multigrid, 2001): a
         fine free node has up to 2^dim coarse free parents, with weights 1,
-        1/2 or 1/4.  The hierarchy stops at the first level with at most
-        _COARSEST_SIZE free nodes (after at least one coarsening), which the
-        linear solver solves exactly, or earlier once an axis has fewer than
-        three nodes or no free node is left.  The arrays are read-only.
+        1/2 or 1/4.  The arrays are read-only.
         """
         # wall row free and far row Dirichlet along x1, both ends Dirichlet
         # along each side axis
         masks = [(i < i.size - 1) & ((i > 0) | (axis == 0))
                  for axis, i in enumerate(map(np.arange, self.shape))]
         assert np.array_equal(reduce(np.logical_and.outer, masks).ravel(),
-                              self.classes != NodeClass.DIRICHLET_BOUNDARY)
+                              self.classes != _DIRICHLET)
         out = []
-        while (min(m.size for m in masks) >= 3
-               and (not out or out[-1][0].shape[1] > _COARSEST_SIZE)):
+        for level in self.coarse:
             factors = [_axis_interpolation(m) for m in masks]
             masks = [coarse for _, _, coarse in factors]
-            if not all(m.any() for m in masks):
-                break
             # tensor product over the axes: candidate (a, b) of a fine node
             # pairs its candidate a along the axes so far with candidate b
             # along the next one; zero weights mark absent parents
@@ -202,12 +236,50 @@ class HalfSpaceGrid:
             parent = (weights != 0.0).T
             indptr = np.concatenate(([0], np.cumsum(parent.sum(axis=1))))
             p = _csr_matrix(weights.T[parent], cols.T[parent], indptr.astype(np.int32),
-                            (parent.shape[0], math.prod(int(m.sum()) for m in masks)))
+                            (parent.shape[0], level.free_indices.size))
             pair = (p, p.T.tocsr())
             for m in pair:
                 for arr in (m.data, m.indices, m.indptr):
                     arr.flags.writeable = False
             out.append(pair)
+        return tuple(out)
+
+    @cached_property
+    def cell_restriction(self) -> tuple[tuple[slice | np.ndarray, np.ndarray,
+                                              np.ndarray], ...]:
+        """Groups (cells, maps, child) that form the Galerkin cell blocks of
+        the next coarsening, coarse[0], from the cell blocks B of this grid.
+
+        A coarse cell holds the fine cells 2 I + s along each axis, s = 0
+        or 1 (bit a of the child index s along axis a, as for corners), and
+        each child's corners interpolate from the coarse cell's corners by
+        a constant map R_s, so the coarse block is sum_s R_s^T B_s R_s.  An
+        odd cell count ends an axis in a coarse cell with the child s = 0
+        only.  A group gives coarse cells `cells`, the fine cells `child` of
+        their present children (child slowest) and the constant `maps` of
+        _child_maps: maps @ take(upper-triangle rows of B, child, axis=1),
+        reshaped to (maps.shape[1], len(cells)), are their blocks.  The
+        first group treats every coarse cell as regular (an absent child's
+        index runs past its axis, into the next row or past the end, where
+        the gather clips it); each later group overwrites the end cells of
+        one set of odd axes, larger sets last.
+        """
+        m = [n - 1 for n in self.shape]
+        mc = [(n + 1) // 2 for n in m]
+        fine, coarse = _strides(m), _strides(mc)
+        first = reduce(np.add.outer, [np.arange(n) * 2 * s for n, s in zip(mc, fine)])
+        child = first.ravel() + (_corner_bits(self.dim) @ fine)[:, None]
+        out = [(slice(None), _child_maps(self.dim, ())[1], child.ravel())]
+        odd = [a for a in range(self.dim) if m[a] % 2]
+        for size in range(1, len(odd) + 1):
+            for ends in itertools.combinations(odd, size):
+                cells = reduce(np.add.outer, [
+                    (np.array([n - 1]) if a in ends else np.arange(n)) * s
+                    for a, (n, s) in enumerate(zip(mc, coarse))]).ravel()
+                present, maps = _child_maps(self.dim, ends)
+                out.append((cells, maps, child[np.ix_(present, cells)].ravel()))
+        for _, _, idx in out:
+            idx.flags.writeable = False
         return tuple(out)
 
     @cached_property
@@ -236,31 +308,104 @@ def _csr_matrix(data, indices, indptr, shape) -> sp.csr_matrix:
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
+def _strides(shape) -> list[int]:
+    """Flat-index strides of a C-ordered lattice of the given shape."""
+    return [math.prod(shape[a + 1:]) for a in range(len(shape))]
+
+
+@cache
+def _corner_bits(dim: int) -> np.ndarray:
+    """(2^dim, dim) bits of the cell corners (or children): entry j, a is
+    bit a of j, the offset of corner j along axis a, so x1 is fastest."""
+    out = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
+    out.flags.writeable = False
+    return out
+
+
+@cache
+def _corner_offsets(dim: int) -> np.ndarray:
+    """(k, k) flat index in the 3^dim stencil box of the offset from cell
+    corner i to cell corner j."""
+    bits = _corner_bits(dim)
+    out = (bits[None, :] - bits[:, None] + 1) @ _strides((3,) * dim)
+    out.flags.writeable = False
+    return out
+
+
+def _kept_nodes(n: int) -> np.ndarray:
+    """Lattice positions that a coarsening keeps along an axis of n nodes:
+    every second one, plus the last one when the cell count is odd."""
+    keep = np.arange(0, n, 2)
+    return np.append(keep, n - 1) if (n - 1) % 2 else keep
+
+
+# per-axis interpolation of a child cell's two corner values (rows) from its
+# coarse cell's two (columns), indexed [odd end][child bit]: the two children
+# of a regular coarse cell meet at its midpoint, and the one child of an
+# odd-end cell is the cell itself
+_AXIS_CHILD_MAPS = np.array([[[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]],
+                             [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]]])
+
+
+@cache
+def _upper_entries(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices i*k + j of the entries i <= j of a cell's k x k block,
+    and of their mirrors j*k + i."""
+    i, j = np.triu_indices(2 ** dim)
+    return i * 2 ** dim + j, j * 2 ** dim + i
+
+
+@cache
+def _child_maps(dim: int, ends: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
+    """The children present in a coarse cell that is an odd-end cell along
+    the axes `ends`, and their maps side by side for cell_restriction.
+
+    Child s adds kron(R_s, R_s)^T B_s to the coarse block: column i*k + j
+    of row I*k + J is R_s[i, I] R_s[j, J], with R_s the (k, k) interpolation
+    of the child's corners (rows) from the coarse cell's corners (columns).
+    Blocks are symmetric, so the columns of an entry and of its mirror are
+    folded into one that acts on the upper-triangle entry alone; column
+    e*n + s of the result is child s's column of upper-triangle entry e.
+    """
+    upper, mirror = _upper_entries(dim)
+    present, maps = [], []
+    for s, bits in enumerate(_corner_bits(dim)):
+        if bits[list(ends)].any():
+            continue
+        r = reduce(np.kron, [_AXIS_CHILD_MAPS[int(a in ends), bits[a]]
+                             for a in reversed(range(dim))])
+        full = np.kron(r, r).T
+        present.append(s)
+        maps.append(full[:, upper] + np.where(upper != mirror, full[:, mirror], 0.0))
+    # (n, kk, u) -> (kk, u, n) -> (kk, u * n): column e * n + s
+    maps = np.ascontiguousarray(np.transpose(maps, (1, 2, 0))).reshape(len(maps[0]), -1)
+    maps.flags.writeable = False
+    return present, maps
+
+
 def _axis_interpolation(free: np.ndarray):
     """Linear interpolation along one lattice axis with free-node mask
     `free`, coarsened to every second node plus the last one.
 
     Returns (cols, weights, coarse_free): (2, m) arrays over the m fine
     free nodes holding the coarse-free ranks of each node's two candidate
-    parents and their weights, and the coarse free mask.  A kept node copies its coarse node (weights 1
-    and 0); a dropped node lies midway between two kept ones and takes
-    1/2 from each free one (a Dirichlet parent gets weight 0).
+    parents and their weights, and the coarse free mask.  A kept node
+    copies its coarse node (weights 1 and 0); a dropped node lies midway
+    between two kept ones and takes 1/2 from each free one (a Dirichlet
+    parent gets weight 0).
     """
     n = free.size
-    keep = np.arange(0, n, 2)
-    if (n - 1) % 2:
-        keep = np.append(keep, n - 1)
-    coarse_free = free[keep]
+    coarse_free = free[_kept_nodes(n)]
     rank = np.cumsum(coarse_free, dtype=np.int32) - 1
-    col = np.full(n, -1)
-    col[keep] = np.arange(keep.size)
-    mid = col < 0
-    lo = np.where(mid, np.roll(col, 1), col)
-    hi = np.where(mid, np.roll(col, -1), col)
+    # node i is kept as coarse node (i + 1) // 2 unless it is an odd node
+    # before the last one, which lies between coarse nodes i // 2 and i // 2 + 1
+    i = np.flatnonzero(free)
+    hi = (i + 1) // 2
+    mid = (i % 2 == 1) & (i < n - 1)
+    lo = hi - mid
     weights = np.stack([np.where(mid, 0.5, 1.0) * coarse_free[lo],
                         np.where(mid, 0.5, 0.0) * coarse_free[hi]])
-    cols = np.stack([rank[lo], rank[hi]])
-    return cols[:, free], weights[:, free], coarse_free
+    return np.stack([rank[lo], rank[hi]]), weights, coarse_free
 
 
 def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSpaceGrid:

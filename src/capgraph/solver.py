@@ -5,14 +5,16 @@ quadrature over capillary.edge_differences), driven to zero by damped
 inexact Newton with a lifted first step and multigrid-preconditioned CG;
 the README's numerical notes describe the scheme.  The code relies on three
 conditions: the linear solver accepts SPD systems only, so Newton systems
-are solved in their volume-weighted SPD form; reductions have fixed order,
-so repeated runs are bitwise reproducible; and the convergence target stays
+are solved in their volume-weighted SPD form; reductions have fixed order
+(numpy loops, not BLAS), so repeated runs are bitwise reproducible at any
+BLAS thread count; and the convergence target stays
 anchored on the residual of the imposed start (the start with the Dirichlet
 data imposed), whether or not the lifted step is kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -25,7 +27,8 @@ from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         edge_differences, ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
-from .geometry import _COARSEST_SIZE, HalfSpaceGrid, _csr_matrix
+from .geometry import (_COARSEST_SIZE, HalfSpaceGrid, _csr_matrix,
+                       _upper_entries)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -115,14 +118,17 @@ class ProblemSpec:
 class SparseSystem:
     """Row-compressed linear system; linear_solve needs it SPD.
 
-    `prolongations` holds the (P, P^T) pairs of a multigrid hierarchy whose
-    finest level is the matrix's unknowns (HalfSpaceGrid.prolongations for
-    a free-node system); empty means a one-level hierarchy.
+    `grid` and `blocks` describe the matrix as the free-free sum of the
+    per-cell blocks `blocks` over `grid` (the matrix of _free_matrix(grid,
+    blocks)); linear_solve then preconditions with the multigrid hierarchy
+    of grid.coarse, whose coarse operators it forms from the blocks.
+    Without them the preconditioner is one-level damped Jacobi.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    prolongations: tuple = ()
+    grid: HalfSpaceGrid | None = None
+    blocks: np.ndarray | None = None
 
     def __post_init__(self):
         # an owned copy: tocsr() alone returns a CSR input itself, and
@@ -133,6 +139,12 @@ class SparseSystem:
             raise ShapeMismatch(
                 f"system shape {m.shape} does not match rhs {self.rhs.shape}"
             )
+        if (self.grid is None) != (self.blocks is None) or (
+                self.grid is not None
+                and (m.shape[0] != self.grid.free_indices.size
+                     or self.blocks.shape[1:] != self.grid.corner_rows.shape[1:])):
+            raise ShapeMismatch("grid and blocks must both be given and match "
+                                "the matrix")
         object.__setattr__(self, "matrix", m)
 
 
@@ -221,12 +233,21 @@ def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
 
 def _free_matrix(grid: HalfSpaceGrid, blocks: np.ndarray) -> sp.csr_matrix:
     """Free-free matrix of per-cell blocks, summed into the grid's fixed CSR
-    pattern by one bincount (a fixed summation order)."""
+    pattern by one bincount (a fixed summation order).  The matrix shares
+    the pattern's read-only indptr and indices; its data is its own."""
     indptr, indices, slot = grid.hessian_pattern
     nnz = indices.size
     data = np.bincount(slot.ravel(), blocks.ravel(), minlength=nnz + 1)[:nnz]
     nf = indptr.size - 1
-    return _csr_matrix(data, indices.copy(), indptr.copy(), (nf, nf))
+    return _csr_matrix(data, indices, indptr, (nf, nf))
+
+
+def _cell_system(grid: HalfSpaceGrid, blocks: np.ndarray,
+                 rhs: np.ndarray) -> SparseSystem:
+    """The free-free system of per-cell blocks, with the grid and blocks
+    that give linear_solve its multigrid hierarchy."""
+    return SparseSystem(matrix=_free_matrix(grid, blocks), rhs=rhs,
+                        grid=grid, blocks=blocks)
 
 
 def _block_action(grid: HalfSpaceGrid, blocks: np.ndarray,
@@ -289,9 +310,16 @@ _SWEEPS = 2      # smoothing sweeps before and after each coarse correction
 
 def _smooth(a: sp.csr_matrix, wdinv: np.ndarray, b: np.ndarray,
             x: np.ndarray | None) -> np.ndarray:
-    """_SWEEPS damped-Jacobi sweeps on a x = b; x = None starts from zero."""
+    """_SWEEPS damped-Jacobi sweeps x += wdinv (b - a x) on a x = b, in
+    place on x; x = None starts from zero."""
     for _ in range(_SWEEPS):
-        x = wdinv * b if x is None else x + wdinv * (b - a @ x)
+        if x is None:
+            x = wdinv * b
+        else:
+            r = a @ x
+            np.subtract(b, r, out=r)
+            r *= wdinv
+            x += r
     return x
 
 
@@ -304,7 +332,7 @@ def _vcycle(levels: list, coarsest: Callable[[np.ndarray], np.ndarray],
         return coarsest(b)
     a, wdinv, p, pt = levels[k]
     x = _smooth(a, wdinv, b, None)
-    x = x + p @ _vcycle(levels, coarsest, pt @ (b - a @ x), k + 1)
+    x += p @ _vcycle(levels, coarsest, pt @ (b - a @ x), k + 1)
     return _smooth(a, wdinv, b, x)
 
 
@@ -314,23 +342,52 @@ def _jacobi_weights(a: sp.csr_matrix) -> np.ndarray:
     return _OMEGA / d
 
 
-def _galerkin_levels(a: sp.csr_matrix, prolongations
+def _coarse_blocks(grid: HalfSpaceGrid, blocks: np.ndarray) -> np.ndarray:
+    """Galerkin cell blocks of grid.coarse[0] from the cell blocks of grid:
+    per group of grid.cell_restriction, one matmul of the constant child
+    maps with a gather of the children's upper-triangle block entries
+    (sum_s kron(R_s, R_s)^T B_s for every coarse cell at once)."""
+    upper = blocks[_upper_entries(grid.dim)[0]]
+    out = None
+    for cells, maps, child in grid.cell_restriction:
+        gathered = np.take(upper, child, axis=1, mode="clip")
+        gathered = gathered.reshape(maps.shape[1], -1)
+        if out is None:
+            out = maps @ gathered
+        else:
+            out[:, cells] = maps @ gathered
+    return out
+
+
+def _galerkin_levels(a: sp.csr_matrix, grid: HalfSpaceGrid | None = None,
+                     blocks: np.ndarray | None = None
                      ) -> tuple[list, Callable[[np.ndarray], np.ndarray]]:
     """The multigrid levels (A_k, _OMEGA / |diag A_k|, P_k, P_k^T) above the
-    last one, A_{k+1} = P_k^T A_k P_k, and the solver of the last level.
+    last one, and the solver of the last level.
+
+    a is the free-free matrix of the cell blocks `blocks` over `grid`.  The
+    coarse operators A_{k+1} = P_k^T A_k P_k are formed cell by cell: the
+    coarse cell blocks are constant linear maps of their children's blocks
+    (_coarse_blocks), scattered through each coarse level's own
+    hessian_pattern.  This equals the sparse triple product because P
+    interpolates each fine cell's corners from its coarse cell's corners
+    only, and a Dirichlet fine node has only Dirichlet coarse parents.
 
     After at least one coarsening, a last level of at most _COARSEST_SIZE
     unknowns is solved exactly: its dense matrix is factored once, L L^T
     (Cholesky), and applied as L^-T L^-1, which keeps the preconditioner
     symmetric; a failed factorization raises LinearSolveFailure (matrix not
     SPD).  Any other last level is smoothed like the others, so a hierarchy
-    of one level is plain damped Jacobi.
+    of one level (no grid) is plain damped Jacobi.
     """
     levels = []
-    for p, pt in prolongations:
+    hierarchy = zip(grid.coarse, grid.prolongations) if grid is not None else ()
+    for coarse, (p, pt) in hierarchy:
         levels.append((a, _jacobi_weights(a), p, pt))
-        a = (pt @ a @ p).tocsr()
-    if prolongations and a.shape[0] <= _COARSEST_SIZE:
+        blocks = _coarse_blocks(grid, blocks)
+        grid = coarse
+        a = _free_matrix(grid, blocks)
+    if levels and a.shape[0] <= _COARSEST_SIZE:
         try:
             linv = np.linalg.inv(np.linalg.cholesky(a.toarray()))
         except np.linalg.LinAlgError:
@@ -341,28 +398,36 @@ def _galerkin_levels(a: sp.csr_matrix, prolongations
     return levels, lambda b: _smooth(a, wdinv, b, _smooth(a, wdinv, b, None))
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y summed in a fixed order: numpy's own einsum loop, not BLAS,
+    whose dot product splits long vectors across threads, so its last bits
+    depend on the thread count."""
+    return float(np.einsum("i,i", x, y))
+
+
 def _pcg(system: SparseSystem, tol_abs: float, max_iter: int) -> tuple[np.ndarray, int]:
     """Multigrid-preconditioned CG from zero; returns (x, iterations)."""
     a, b = system.matrix, system.rhs
-    levels, coarsest = _galerkin_levels(a, system.prolongations)
+    levels, coarsest = _galerkin_levels(a, system.grid, system.blocks)
     x = np.zeros_like(b)
     r = b.copy()
     z = _vcycle(levels, coarsest, r)
     p = z.copy()
-    rz = r @ z
+    rz = _dot(r, z)
     for it in range(1, max_iter + 1):
         ap = a @ p
-        pap = p @ ap
-        if not np.isfinite(pap) or pap <= 0.0:
+        pap = _dot(p, ap)
+        if not math.isfinite(pap) or pap <= 0.0:
             raise LinearSolveFailure("conjugate gradient breakdown (matrix not SPD?)")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol_abs:
+        if math.sqrt(_dot(r, r)) <= tol_abs:
             return x, it
         z = _vcycle(levels, coarsest, r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        rz_new = _dot(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise LinearSolveFailure(f"conjugate gradient stagnated after {max_iter} iterations")
 
@@ -370,16 +435,18 @@ def _pcg(system: SparseSystem, tol_abs: float, max_iter: int) -> tuple[np.ndarra
 def linear_solve(system: SparseSystem, cfg: SolverConfig | None = None) -> np.ndarray:
     """Solve the assembled system to relative tolerance cfg.linear_tol.
 
-    CG preconditioned by one geometric-multigrid V-cycle (damped-Jacobi
-    smoothing, Galerkin coarse operators over system.prolongations, and an
-    exact coarsest solve by a dense Cholesky factor when the last level has
-    at most _COARSEST_SIZE unknowns; plain damped Jacobi when there are no
-    prolongations), deterministic for identical inputs.  The matrix must be
-    SPD: a nonpositive or nonfinite curvature p^T A p, or a failed coarsest
-    factorization, raises LinearSolveFailure (breakdown).
+    CG preconditioned by one geometric-multigrid V-cycle over the hierarchy
+    of system.grid (damped-Jacobi smoothing, Galerkin coarse operators
+    formed from system.blocks, and an exact coarsest solve by a dense
+    Cholesky factor when the last level has at most _COARSEST_SIZE
+    unknowns; plain damped Jacobi for a system without grid and blocks).
+    The inner products are fixed-order numpy reductions, so the result is
+    bitwise the same for identical inputs at any BLAS thread count.  The
+    matrix must be SPD: a nonpositive or nonfinite curvature p^T A p, or a
+    failed coarsest factorization, raises LinearSolveFailure (breakdown).
     """
     cfg = cfg or SolverConfig()
-    bnorm = float(np.linalg.norm(system.rhs))
+    bnorm = math.sqrt(_dot(system.rhs, system.rhs))
     if bnorm == 0.0:
         return np.zeros_like(system.rhs)
     x, _ = _pcg(system, cfg.linear_tol * bnorm, cfg.linear_max_iter)
@@ -478,9 +545,8 @@ def _lifted_step(spec: ProblemSpec, affine: np.ndarray, delta: np.ndarray,
     res, _ = _residual_full(affine, spec)
     rhs = (grid.node_weights[free] * res[free]
            - _block_action(grid, blocks, delta)[free])
-    system = SparseSystem(matrix=_free_matrix(grid, blocks), rhs=rhs,
-                          prolongations=grid.prolongations)
-    return linear_solve(system, replace(cfg, linear_tol=_LIFT_TOL))
+    return linear_solve(_cell_system(grid, blocks, rhs),
+                        replace(cfg, linear_tol=_LIFT_TOL))
 
 
 def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
@@ -547,11 +613,11 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
             if res_norm > 1e6 * max(1.0, res0):
                 status = SolveStatus.DIVERGED
                 break
-            hess = _free_matrix(grid, _hessian_blocks(grid, values))
-            system = SparseSystem(matrix=hess, rhs=weights_f * res_f,
-                                  prolongations=grid.prolongations)
             eta = _forcing_term(history, eta, target, cfg.linear_tol)
-            step = linear_solve(system, replace(cfg, linear_tol=eta))
+            # no reference to the blocks outlives the linear solve
+            step = linear_solve(_cell_system(grid, _hessian_blocks(grid, values),
+                                             weights_f * res_f),
+                                replace(cfg, linear_tol=eta))
             # cap runaway directions from near-degenerate (steep-gradient) states
             step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
             step_norm = float(np.max(np.abs(step)))

@@ -1,7 +1,11 @@
 """Discretization, Jacobian consistency, Newton, and linear solves."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from hypothesis import strategies as st
 
 from capgraph import (CapillaryAngle, CapillaryLabError, InvalidParameter,
                       LinearSolveFailure, ProblemSpec,
-                      ScalarField, SolveStatus, SolverConfig, SparseSystem,
+                      ScalarField, ShapeMismatch, SolveStatus, SolverConfig,
+                      SparseSystem,
                       affine_capillary_solution, assemble_jacobian,
                       assemble_residual, build_grid, capillary_energy,
                       discrete_gradient, ghost_closure, linear_solve,
@@ -756,8 +761,8 @@ def test_two_level_vcycle_matches_a_dense_oracle():
     grid = build_grid(2, 0.25, 1.0, 1.0)
     assert len(grid.prolongations) == 1
     rng = np.random.default_rng(3)
-    hess = solver._free_matrix(grid, solver._hessian_blocks(
-        grid, rng.uniform(-1.0, 1.0, grid.n_nodes)))
+    blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
+    hess = solver._free_matrix(grid, blocks)
     b = rng.standard_normal(hess.shape[0])
 
     a = hess.toarray()
@@ -770,7 +775,7 @@ def test_two_level_vcycle_matches_a_dense_oracle():
     for _ in range(solver._SWEEPS):
         x = x + wdinv * (b - a @ x)
 
-    got = solver._vcycle(*solver._galerkin_levels(hess, grid.prolongations), b)
+    got = solver._vcycle(*solver._galerkin_levels(hess, grid, blocks), b)
     assert np.max(np.abs(got - x)) <= 1e-13 * np.max(np.abs(x))
 
 
@@ -808,10 +813,96 @@ def test_non_spd_newton_system_fails_at_the_coarsest_factorization(monkeypatch):
 def test_multigrid_cg_matches_a_dense_solve(dim, m1, mp, seed):
     grid = build_grid(dim, 1.0, float(m1), float(mp))
     rng = np.random.default_rng(seed)
-    hess = solver._free_matrix(grid, solver._hessian_blocks(
-        grid, rng.uniform(-1.0, 1.0, grid.n_nodes)))
+    blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
+    hess = solver._free_matrix(grid, blocks)
     b = rng.standard_normal(hess.shape[0])
-    x = linear_solve(SparseSystem(hess, b, grid.prolongations),
+    x = linear_solve(SparseSystem(hess, b, grid, blocks),
                      SolverConfig(linear_tol=1e-14))
     want = np.linalg.solve(hess.toarray(), b)
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
+# L1 = m1 and Lp = mp cells at h = 1: odd cell counts end an axis in a
+# coarse cell with one child; the thin box coarsens a three-node x1 axis
+@settings(max_examples=40)
+@given(dim=st.sampled_from([1, 2]), m1=st.integers(1, 12),
+       mp=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=2, m1=2, mp=20, seed=0)      # 2 x 40 cells
+@example(dim=1, m1=64, mp=1, seed=1)      # the 64-cell line
+@example(dim=2, m1=13, mp=5, seed=2)      # odd along both axes
+def test_cell_block_coarse_operators_equal_the_sparse_triple_product(dim, m1, mp,
+                                                                     seed):
+    grid = build_grid(dim, 1.0, float(m1), float(mp))
+    rng = np.random.default_rng(seed)
+    blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
+    want = solver._free_matrix(grid, blocks)
+    fine = grid
+    for coarse, (p, pt) in zip(grid.coarse, grid.prolongations, strict=True):
+        want = (pt @ want @ p).tocsr().sorted_indices()
+        blocks = solver._coarse_blocks(fine, blocks)
+        got = solver._free_matrix(coarse, blocks)
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert (np.max(np.abs(got.data - want.data))
+                <= 1e-13 * np.max(np.abs(want.data)))
+        fine = coarse
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from capgraph import (CapillaryAngle, ProblemSpec, SolverConfig,
+                      affine_capillary_solution, build_grid, newton_solve)
+theta = CapillaryAngle(np.pi / 3)
+aff = affine_capillary_solution(theta, (0.2,), 0.0)
+def data(pts):
+    taper = np.cos(0.5 * np.pi * pts[:, 1]) ** 2
+    return aff(pts) + 0.25 * np.exp(-((pts[:, 0] - 0.4) ** 2 + pts[:, 1] ** 2)) * taper
+spec = ProblemSpec.from_boundary_data(build_grid(2, 0.0125, 1.0, 1.0), theta, data)
+sol, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
+print(rep.status.value, rep.iterations, repr(rep.energy),
+      hashlib.sha256(sol.values.tobytes()).hexdigest())
+"""
+
+
+def test_ladder_solution_bytes_do_not_depend_on_the_blas_thread_count():
+    # 13,041 nodes, where a BLAS dot product of the 12,720 free values
+    # changes in its last bits between one and two threads
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith("converged 4 ")
+    assert outputs[0] == outputs[1]
+
+
+
+def test_fixed_order_dot_product_does_not_depend_on_buffer_alignment():
+    # the same 50,560 values at 8 element offsets (every alignment of a
+    # 64-byte line) give one bitwise result
+    rng = np.random.default_rng(21)
+    x, y = rng.standard_normal((2, 50_560))
+    results = set()
+    for offset in range(8):
+        buf = np.empty((2, x.size + 8))
+        xs, ys = buf[0, offset:offset + x.size], buf[1, 7 - offset:7 - offset + x.size]
+        xs[:], ys[:] = x, y
+        results.add(solver._dot(xs, ys))
+    assert len(results) == 1
+
+
+def test_sparse_system_needs_grid_and_blocks_together():
+    grid = build_grid(2, 0.25, 1.0, 1.0)
+    blocks = solver._hessian_blocks(grid, np.zeros(grid.n_nodes))
+    hess = solver._free_matrix(grid, blocks)
+    b = np.ones(hess.shape[0])
+    for kwargs in ({"grid": grid}, {"blocks": blocks},
+                   {"grid": build_grid(2, 0.25, 1.0, 0.5), "blocks": blocks}):
+        with pytest.raises(ShapeMismatch):
+            SparseSystem(hess, b, **kwargs)
