@@ -11,8 +11,9 @@ solver modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -198,27 +199,37 @@ def calibration_value(g_sigma, n_plane, theta: CapillaryAngle) -> np.ndarray | f
 # ---------------------------------------------------------------------------
 
 def edge_differences(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
-    """One-sided edge differences of every cell, one contiguous row each.
+    """One-sided edge differences of every cell, one contiguous row per edge.
 
-    Returns (1, n_cells) in 1D (the cell difference) and (4, n_cells) in 2D
-    with rows (d_b, d_t, d_l, d_r): the x1-differences along the low-x2 and
-    high-x2 edges, then the x2-differences along the low-x1 and high-x1
-    edges.  Quadrant (corner) q = 2 i + j of a 2D cell has the gradient
-    (row i, row 2 + j).  These differences are the stencil behind both the
-    discrete energy and the solver residual, so energy stationarity and the
-    discrete equation agree exactly.
+    Returns (dim 2^(dim-1), n_cells): the x1 edges, then the x2 edges and so
+    on, each axis in low-corner order (in 2D the rows d_b, d_t, d_l, d_r).
+    Quadrant (corner) q takes gradient component a from the x_a edge
+    through q.  This stencil is behind both the discrete energy and the
+    solver residual, so energy stationarity and the discrete equation agree
+    exactly.
     """
-    vals = np.asarray(values, dtype=float)
-    c = grid.corner_rows
-    h = grid.h
-    if grid.dim == 1:
-        return ((vals[c[1]] - vals[c[0]]) / h)[None]
-    out = np.empty((4, c.shape[1]))
-    out[0] = (vals[c[1]] - vals[c[0]]) / h    # x1-difference, low-x2 edge
-    out[1] = (vals[c[3]] - vals[c[2]]) / h    # x1-difference, high-x2 edge
-    out[2] = (vals[c[2]] - vals[c[0]]) / h    # x2-difference, low-x1 edge
-    out[3] = (vals[c[3]] - vals[c[1]]) / h    # x2-difference, high-x1 edge
-    return out
+    corners = np.asarray(values, dtype=float)[grid.corner_rows]
+    cube = corners.reshape((2,) * grid.dim + (-1,))
+    return np.concatenate([(cube[hi] - cube[lo]).reshape(-1, corners.shape[1])
+                           for lo, hi in _edge_ends(grid.dim)]) / grid.h
+
+
+@cache
+def _edge_ends(dim: int) -> list[tuple[tuple, tuple]]:
+    """Per axis a, the indices of the low and of the high corners of the x_a
+    edges in a (2,)*dim + (n_cells,) array of corner values, which holds
+    corner j at index (bit dim-1, ..., bit 0) of j."""
+    return [tuple((slice(None),) * (dim - 1 - a) + (end,) for end in (0, 1))
+            for a in range(dim)]
+
+
+def _quadrant_gradients(d: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Component a of every quadrant gradient, for each axis a: a view of
+    the x_a rows of the edge differences d that broadcasts to (2,)*dim +
+    (n_cells,), quadrant q at index (bit dim-1, ..., bit 0) of q.  Its
+    length along axis dim-1-a is 1: an x_a edge's two quadrants share it."""
+    rows = d.reshape((dim,) + (2,) * (dim - 1) + (-1,))
+    return [rows[a][lo[:-1] + (None,)] for a, (lo, _) in enumerate(_edge_ends(dim))]
 
 
 def capillary_energy(u: ScalarField, theta: CapillaryAngle, cells=None) -> float:
@@ -227,21 +238,15 @@ def capillary_energy(u: ScalarField, theta: CapillaryAngle, cells=None) -> float
     `cells` optionally restricts the sum to a subset of cell indices, so the
     energy is additive over disjoint cell partitions by construction.
     """
+    dim = u.grid.dim
     d = edge_differences(u.grid, u.values)
     if cells is not None:
         d = d[:, np.asarray(cells, dtype=int)]
-    cos_t = theta.cos_t
-    if u.grid.dim == 1:
-        g = d[0]
-        v = np.sqrt(1.0 + g * g) + cos_t * g
-    else:
-        # v = W + cos(theta) g1 per quadrant, averaged in quadrant order
-        sq = d * d
-        v0, v1, v2, v3 = (np.sqrt(1.0 + (sq[i] + sq[j])) + cos_t * d[i]
-                          for i in (0, 1) for j in (2, 3))
-        v = (((v0 + v1) + v2) + v3) / 4.0
-    cell_vol = u.grid.h ** u.grid.dim
-    return float(cell_vol * np.sum(v))
+    g = _quadrant_gradients(d, dim)
+    v = np.sqrt(1.0 + sum(_quadrant_gradients(d * d, dim))) + theta.cos_t * g[0]
+    # the mean over each cell's quadrants, in order (one shared entry in 1D)
+    v = v.reshape(math.prod(v.shape[:-1]), -1)
+    return float(u.grid.h ** dim * np.sum(v.sum(axis=0) / len(v)))
 
 
 # ---------------------------------------------------------------------------

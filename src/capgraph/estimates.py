@@ -119,7 +119,7 @@ def cutoff_weight_gradient(points, params: CutoffParams) -> np.ndarray:
 class CutoffCheckReport(NamedTuple):
     max_gradient_violation: float    # of |D psi| <= 4 sqrt(psi) / r in the region
     max_boundary_residual: float     # of d1 psi = 4 sqrt(psi) |cos| / r on the wall
-    hessian_constant: float          # measured sup |D^2 psi| r^2
+    hessian_constant: float          # measured sup |D^2 psi| r^2 (Frobenius)
     min_weight_inner: float          # min psi over the inner ellipsoid samples
     inner_lower_bound: float         # (1 - (1 + |cos|)^2 / 4)^2
 
@@ -145,9 +145,7 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
         while pts.shape[0] < count:
             cand = np.empty((2 * count, dim))
             cand[:, 0] = rng.uniform(max(0.0, c * r - rho), c * r + rho, 2 * count)
-            if dim > 1:
-                cand[:, 1:] = center + rng.uniform(-rho / s, rho / s,
-                                                   (2 * count, dim - 1))
+            cand[:, 1:] = center + rng.uniform(-rho / s, rho / s, (2 * count, dim - 1))
             pts = np.vstack([pts, cand[in_region(cand, region)]])
         return pts[:count]
 
@@ -159,34 +157,26 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
 
     n_bdry = max(1, samples // 10)
     bpts = np.zeros((n_bdry, dim))
-    if dim > 1:
-        while True:
-            cand = center + rng.uniform(-r, r, (4 * n_bdry, dim - 1))
-            keep = np.sum((cand - center) ** 2, axis=1) < (0.999999 * r) ** 2
-            if np.count_nonzero(keep) >= n_bdry:
-                bpts[:, 1:] = cand[keep][:n_bdry]
-                break
+    while True:
+        cand = center + rng.uniform(-r, r, (4 * n_bdry, dim - 1))
+        keep = np.sum((cand - center) ** 2, axis=1) < (0.999999 * r) ** 2
+        if np.count_nonzero(keep) >= n_bdry:
+            bpts[:, 1:] = cand[keep][:n_bdry]
+            break
     bpsi = np.atleast_1d(cutoff_weight(bpts, params))
     bgrad = cutoff_weight_gradient(bpts, params)
     boundary_residual = float(
         np.max(np.abs(bgrad[:, 0] - 4.0 * np.sqrt(bpsi) * c / r)))
 
-    # second derivatives: D^2 psi = 2 (DQ DQ^T + Q D^2 Q), D^2 Q diagonal
+    # second derivatives: D^2 psi = 2 (DQ DQ^T + Q D^2 Q), D^2 Q diagonal,
+    # one (dim, dim) matrix per sample along the last axis; |D^2 psi| is the
+    # Frobenius norm (a batched spectral norm costs one LAPACK call per sample)
     q = np.atleast_1d(cutoff_profile(pts, params))
-    dq = _profile_gradient(pts, params)
+    dq = np.ascontiguousarray(_profile_gradient(pts, params).T)
     d2q_diag = np.full(dim, -2.0 / r ** 2)
-    if dim > 1:
-        d2q_diag[1:] = -2.0 * s ** 2 / r ** 2
-    if dim == 1:
-        spec_norm = np.abs(2.0 * (dq[:, 0] ** 2 + q * d2q_diag[0]))
-    else:
-        a = 2.0 * (dq[:, 0] ** 2 + q * d2q_diag[0])
-        cc = 2.0 * (dq[:, 1] ** 2 + q * d2q_diag[1])
-        b = 2.0 * dq[:, 0] * dq[:, 1]
-        half_tr = 0.5 * (a + cc)
-        rad = np.sqrt((0.5 * (a - cc)) ** 2 + b ** 2)
-        spec_norm = np.maximum(np.abs(half_tr + rad), np.abs(half_tr - rad))
-    hessian_constant = float(np.max(spec_norm) * r ** 2)
+    d2q_diag[1:] = -2.0 * s ** 2 / r ** 2
+    hess = 2.0 * (dq[:, None] * dq[None, :] + np.diag(d2q_diag)[:, :, None] * q)
+    hessian_constant = float(np.max(np.linalg.norm(hess, axis=(0, 1))) * r ** 2)
 
     ipts = draw_inside(samples, EllipsoidRegion(r, th, RegionKind.INNER, params.center))
     ipsi = np.atleast_1d(cutoff_weight(ipts, params))
@@ -538,21 +528,20 @@ def nondivergence_residual(u: ScalarField, spec: ProblemSpec) -> np.ndarray:
     h = grid.h
     source = spec.source_at_nodes()
     g = _nodal_gradient(grid, u.values)
-    u1 = g[:, 0]
-    u11 = np.zeros_like(lat)
-    u11[1:-1] = (lat[2:] - 2.0 * lat[1:-1] + lat[:-2]) / h ** 2
-    if grid.dim == 1:
-        w2 = 1.0 + u1 ** 2
-        op = (w2 - u1 ** 2) * u11.ravel()
-    else:
-        u2 = g[:, 1]
-        u22 = np.zeros_like(lat)
-        u12 = np.zeros_like(lat)
-        u22[:, 1:-1] = (lat[:, 2:] - 2.0 * lat[:, 1:-1] + lat[:, :-2]) / h ** 2
-        u12[1:-1, 1:-1] = (lat[2:, 2:] - lat[2:, :-2] - lat[:-2, 2:]
-                           + lat[:-2, :-2]) / (4.0 * h ** 2)
-        w2 = 1.0 + u1 ** 2 + u2 ** 2
-        op = ((w2 - u1 ** 2) * u11.ravel() - 2.0 * u1 * u2 * u12.ravel()
-              + (w2 - u2 ** 2) * u22.ravel())
+    w2 = 1.0
+    for a in range(grid.dim):
+        w2 = w2 + g[:, a] ** 2
+    # np.roll wraps around at the box faces, where no interior node lies
+    op = 0.0
+    for a, b in zip(*np.triu_indices(grid.dim)):
+        if a == b:
+            second = (np.roll(lat, -1, a) - 2.0 * lat + np.roll(lat, 1, a)) / h ** 2
+            coef = w2 - g[:, a] ** 2
+        else:
+            second = (np.roll(lat, (-1, -1), (a, b)) - np.roll(lat, (-1, 1), (a, b))
+                      - np.roll(lat, (1, -1), (a, b))
+                      + np.roll(lat, (1, 1), (a, b))) / (4.0 * h ** 2)
+            coef = -2.0 * g[:, a] * g[:, b]
+        op = op + coef * second.ravel()
     res = op - source * w2 ** 1.5
     return res[grid.interior_indices]

@@ -267,8 +267,6 @@ def domain_for_radius(r: float, theta: CapillaryAngle, h: float, dim: int
             f"region radius r={r} is smaller than the mesh width h={h}")
     need1 = (1.0 + abs(theta.cos_t)) * r
     m1 = int(np.ceil(need1 / h - 1e-9)) + 1
-    if dim == 1:
-        return build_grid(1, h, m1 * h)
     needp = r / theta.sin_t
     mp = int(np.ceil(needp / h - 1e-9)) + 1
     return build_grid(dim, h, m1 * h, mp * h)
@@ -277,7 +275,7 @@ def domain_for_radius(r: float, theta: CapillaryAngle, h: float, dim: int
 def _smooth_bump(rng: np.random.Generator, grid: HalfSpaceGrid, n_modes: int = 3):
     """Seeded nonnegative bump, normalized to unit max over Dirichlet nodes.
 
-    In 2D the bump is tapered to zero at the side faces so the data stays
+    The bump is tapered to zero at every side face so the data stays
     corner-compatible with the affine base (the wall corners otherwise seed
     a non-decaying local defect, see the geometry corner rule)."""
     dim = grid.dim
@@ -290,8 +288,8 @@ def _smooth_bump(rng: np.random.Generator, grid: HalfSpaceGrid, n_modes: int = 3
         out = np.zeros(pts.shape[0])
         for a, q, s in zip(amps, centers, widths):
             out += a * np.exp(-np.sum((pts - q) ** 2, axis=1) / (2.0 * s * s))
-        if dim > 1:
-            out *= np.cos(0.5 * np.pi * pts[:, 1] / grid.Lp) ** 2
+        for axis in range(1, dim):
+            out *= np.cos(0.5 * np.pi * pts[:, axis] / grid.Lp) ** 2
         return out
 
     peak = float(np.max(raw(grid.nodes[grid.dirichlet_indices])))

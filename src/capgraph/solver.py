@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .capillary import (CapillaryAngle, GradientField, ScalarField,
-                        _nodal_gradient, affine_capillary_solution,
+                        _edge_ends, _nodal_gradient, _quadrant_gradients,
+                        affine_capillary_solution,
                         capillary_area_element, capillary_energy,
                         edge_differences, ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
@@ -166,34 +168,48 @@ def _energy_gradient(grid: HalfSpaceGrid, values: np.ndarray,
                      theta: CapillaryAngle) -> tuple[np.ndarray, float]:
     """Exact gradient of the discrete capillary energy, plus min quadrant v.
 
-    Per-cell corner contributions are stacked (k, n_cells) and scattered by
-    one bincount over grid.corner_rows.
+    The flux of an x_a edge, from dv/dg_a of its two quadrants, goes to its
+    high corner and, negated, to its low corner; the (k, n_cells) corner
+    sums are scattered by one bincount over grid.corner_rows.
     """
+    dim = grid.dim
     d = edge_differences(grid, values)
-    cos_t = theta.cos_t
-    if grid.dim == 1:
-        g = d[0]
-        w = np.sqrt(1.0 + g * g)
-        v_min = float(np.min(w + cos_t * g))
-        f = g / w + cos_t
-        corner = np.stack([-f, f])
-    else:
-        # quadrant (i, j) has the gradient (d1[i], d2[j])
-        d1, d2 = d[:2, None], d[None, 2:]
-        w = np.sqrt(1.0 + (d1 * d1 + d2 * d2))
-        v_min = float(np.min(w + cos_t * d1))
-        f1 = d1 / w + cos_t
-        f2 = d2 / w
-        q = grid.h / 4.0
-        coef_bt = q * (f1[:, 0] + f1[:, 1])   # x1-flux, low/high-x2 edge
-        coef_lr = q * (f2[0] + f2[1])         # x2-flux, low/high-x1 edge
-        corner = np.stack([-(coef_bt[0] + coef_lr[0]),
-                           coef_bt[0] - coef_lr[1],
-                           coef_lr[0] - coef_bt[1],
-                           coef_bt[1] + coef_lr[1]])
-    grad = np.bincount(grid.corner_rows.ravel(), corner.ravel(),
-                       minlength=grid.n_nodes)
+    g = _quadrant_gradients(d, dim)
+    w = np.sqrt(1.0 + sum(_quadrant_gradients(d * d, dim)))
+    v_min = float(np.min(w + theta.cos_t * g[0]))
+    cube = np.zeros((2,) * dim + grid.corner_rows.shape[1:])
+    scale = grid.h ** (dim - 1) / 2 ** (dim - 1)
+    for a, (lo, hi) in enumerate(_edge_ends(dim)):
+        f = g[a] / w
+        if a == 0:
+            f += theta.cos_t
+        # scale times the mean over the edge's quadrants (one shared entry in 1D)
+        flux = (scale / f.shape[dim - 1 - a]) * f.sum(axis=dim - 1 - a)
+        cube[lo] -= flux
+        cube[hi] += flux
+    grad = np.bincount(grid.corner_rows.ravel(), cube.ravel(), minlength=grid.n_nodes)
     return grad, v_min
+
+
+@cache
+def _hessian_map(dim: int) -> np.ndarray:
+    """The constant (k*k, k dim(dim+1)/2) map of _hessian_blocks: column
+    t*k + q holds T_q^T E_t T_q, with T_q the (dim, k) map from a cell's
+    corner values to h times quadrant q's gradient and E_t the symmetric
+    unit matrix of upper-triangle entry t."""
+    k = 2 ** dim
+    q, axis = np.arange(k)[:, None], np.arange(dim)
+    t = np.zeros((k, dim, k))
+    t[q, axis, q & ~(1 << axis)] = -1.0
+    t[q, axis, q | (1 << axis)] = 1.0
+    # pair[i, j, a, b, q] = T_q[a, i] T_q[b, j]; an off-diagonal entry (a, b)
+    # of the upper triangle stands for its mirror (b, a) too
+    pair = np.einsum("qai,qbj->ijabq", t, t)
+    a, b = np.triu_indices(dim)
+    out = pair[:, :, a, b] + pair[:, :, b, a] * (a != b)[:, None]
+    out = np.ascontiguousarray(out.reshape(k * k, -1))
+    out.flags.writeable = False
+    return out
 
 
 def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
@@ -201,34 +217,25 @@ def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
     Hessian, shaped (k*k, n_cells): row i*k + j is entry (i, j) of each
     cell's k x k block over its corners (cell_corners order).
 
-    In 2D the block is the sum over quadrants q of D_q^T K_q D_q / 4, with
-    D_q the two edge differences behind the quadrant gradient g and
-    K_q = ((1 + |g|^2) I - g g^T) / W^3 the Hessian of W at g.  The
-    contact-angle term is linear and adds nothing.
+    The block is h^(dim-2)/k sum_q T_q^T K_q T_q (see _hessian_map), with
+    K_q = ((1 + |g|^2) I - g g^T) / W^3 the Hessian of W at quadrant q's
+    gradient g: one matmul of the map with the stacked upper triangles of
+    the K_q, whose diagonal 1 + sum_{c != a} g_c^2 does not cancel on steep
+    gradients as W^2 - g_a^2 would.  The linear contact-angle term adds
+    nothing.
     """
+    dim = grid.dim
     d = edge_differences(grid, values)
-    if grid.dim == 1:
-        k = 1.0 / (grid.h * (1.0 + d[0] ** 2) ** 1.5)
-        return np.stack([k, -k, -k, k])
-    d1, d2 = d[:2, None], d[None, 2:]
-    s1, s2 = d1 * d1, d2 * d2
-    w2 = 1.0 + s1 + s2
-    w3 = 4.0 * w2 * np.sqrt(w2)
-    a = ((1.0 + s2) / w3).reshape(4, -1)     # per quadrant q = 2 i + j
-    b = ((1.0 + s1) / w3).reshape(4, -1)
-    c = (-(d1 * d2) / w3).reshape(4, -1)
-    out = np.empty((16, d.shape[1]))
-    out[0] = a[0] + a[1] + b[0] + b[2] + 2.0 * c[0]
-    out[5] = a[0] + a[1] + b[1] + b[3] - 2.0 * c[1]
-    out[10] = a[2] + a[3] + b[0] + b[2] - 2.0 * c[2]
-    out[15] = a[2] + a[3] + b[1] + b[3] + 2.0 * c[3]
-    out[1] = out[4] = c[1] - c[0] - a[0] - a[1]
-    out[2] = out[8] = c[2] - c[0] - b[0] - b[2]
-    out[3] = out[12] = -(c[1] + c[2])
-    out[6] = out[9] = c[0] + c[3]
-    out[7] = out[13] = c[1] - c[3] - b[1] - b[3]
-    out[11] = out[14] = c[2] - c[3] - a[2] - a[3]
-    return out
+    g = _quadrant_gradients(d, dim)
+    sq = _quadrant_gradients(d * d, dim)
+    w2 = 1.0 + sum(sq)
+    w3 = (2 ** dim * grid.h ** (2 - dim)) * w2 * np.sqrt(w2)
+    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]    # triu_indices order
+    # assignment broadcasts the one 1D entry to both quadrants
+    upper = np.empty((len(pairs),) + (2,) * dim + d.shape[1:])
+    for t, (a, b) in enumerate(pairs):
+        upper[t] = (1.0 + sum(sq[:a] + sq[a + 1:]) if a == b else -(g[a] * g[b])) / w3
+    return _hessian_map(dim) @ upper.reshape(-1, d.shape[1])
 
 
 def _free_matrix(grid: HalfSpaceGrid, blocks: np.ndarray) -> sp.csr_matrix:

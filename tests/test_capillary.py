@@ -176,6 +176,13 @@ def test_capillary_energy_lower_bound_and_additivity():
     assert abs(total - part) <= 1e-12 * max(1.0, abs(total))
 
 
+@pytest.mark.parametrize("args", [(1, 0.25, 1.0), (2, 0.25, 1.0, 0.5)])
+def test_capillary_energy_over_no_cells_is_zero(args):
+    grid = build_grid(*args)
+    u = ScalarField(grid, np.random.default_rng(17).standard_normal(grid.n_nodes))
+    assert capillary_energy(u, CapillaryAngle(1.0), cells=np.array([], dtype=int)) == 0.0
+
+
 def test_capillary_boundary_residual_cases():
     grid = build_grid(2, 0.1, 1.0, 1.0)
     theta = CapillaryAngle(2.0)

@@ -18,10 +18,12 @@ from capgraph import (CapillaryAngle, CapillaryLabError, InvalidParameter,
                       ScalarField, ShapeMismatch, SolveStatus, SolverConfig,
                       SparseSystem,
                       affine_capillary_solution, assemble_jacobian,
-                      assemble_residual, build_grid, capillary_energy,
+                      assemble_residual, build_grid, capillary_area_element,
+                      capillary_energy,
                       discrete_gradient, ghost_closure, linear_solve,
                       newton_solve)
 from capgraph import solver
+from capgraph.geometry import HalfSpaceGrid, NodeClass
 from capgraph.solver import _energy_gradient
 
 THETA = CapillaryAngle(np.pi / 3)
@@ -673,12 +675,30 @@ def test_linear_failure_is_a_status_with_the_partial_report(monkeypatch, fail_at
     assert rep.energy == capillary_energy(sol, THETA)
 
 
+def _box_grid(h, shape):
+    """A lattice of any dimension with the node classes of build_grid (which
+    builds dim 1 and 2 only): wall capillary, far and side faces Dirichlet."""
+    axes = [np.arange(n) * h for n in shape[:1]]
+    axes += [(np.arange(n) - (n - 1) / 2) * h for n in shape[1:]]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(shape))
+    cls = np.full(shape, NodeClass.INTERIOR, dtype=np.int8)
+    cls[0] = NodeClass.CAPILLARY_BOUNDARY
+    cls[-1] = NodeClass.DIRICHLET_BOUNDARY
+    for axis in range(1, len(shape)):
+        side = np.moveaxis(cls, axis, 0)
+        side[0] = side[-1] = NodeClass.DIRICHLET_BOUNDARY
+    return HalfSpaceGrid(dim=len(shape), h=h, L1=(shape[0] - 1) * h,
+                         Lp=(shape[1] - 1) * h / 2, shape=tuple(shape),
+                         nodes=nodes, classes=cls.ravel())
+
+
 @pytest.mark.parametrize("dim, extent", [
     (2, (0.2, 1.4, 0.6)),      # 7 x 6 cells
     (1, (0.1, 1.3)),           # 13 cells
+    (3, (0.5, (3, 4, 4))),     # 2 x 3 x 3 cells, built by _box_grid
 ])
 def test_cell_kernels_match_central_differences(dim, extent):
-    grid = build_grid(dim, *extent)
+    grid = build_grid(dim, *extent) if dim < 3 else _box_grid(*extent)
     rng = np.random.default_rng(16)
     theta = CapillaryAngle(rng.uniform(0.3, np.pi - 0.3))
     vals = rng.uniform(-1.0, 1.0, grid.n_nodes)
@@ -703,6 +723,18 @@ def test_cell_kernels_match_central_differences(dim, extent):
     free = grid.free_indices
     assert np.allclose(solver._free_matrix(grid, blocks).toarray(),
                        action[np.ix_(free, free)], rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("grid", [build_grid(1, 0.25, 1.0),
+                                  build_grid(2, 0.25, 1.0, 0.5),
+                                  _box_grid(0.5, (3, 4, 4))])
+def test_energy_of_an_affine_field_is_volume_times_v(grid):
+    theta = CapillaryAngle(1.1)
+    slope = np.array([0.7, -0.4, 1.3])[:grid.dim]
+    u = ScalarField(grid, grid.nodes @ slope)
+    volume = np.prod(np.array(grid.shape) - 1) * grid.h ** grid.dim
+    expect = volume * capillary_area_element(slope, theta)
+    assert abs(capillary_energy(u, theta) - expect) <= 1e-13 * expect
 
 
 @settings(max_examples=40)
