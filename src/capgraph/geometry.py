@@ -497,7 +497,8 @@ def in_region(p, region: EllipsoidRegion) -> bool | np.ndarray:
 def _distance_to_ellipsoid(y: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Euclidean distance from exterior points y (centered coords) to the
     ellipsoid sum((y_i/axes_i)^2) = 1, by bisection on the projection
-    parameter.  Points inside get distance 0.
+    parameter until no bracket moves (at most 100 halvings).  Points inside
+    get distance 0.
     """
     y = np.atleast_2d(y)
     a2 = axes ** 2
@@ -521,8 +522,12 @@ def _distance_to_ellipsoid(y: np.ndarray, axes: np.ndarray) -> np.ndarray:
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         high = phi(mid) > 1.0
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
+        new_lo = np.where(high, mid, lo)
+        new_hi = np.where(high, hi, mid)
+        # a step that moves no bracket end repeats forever: a fixed point
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     t = 0.5 * (lo + hi)
     proj = a2 * ye / (t[:, None] + a2)
     d[ext] = np.linalg.norm(ye - proj, axis=1)

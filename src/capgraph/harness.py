@@ -27,8 +27,8 @@ from .estimates import (admissible_angle_range, angle_condition_holds,
                         choose_eps0, conormal_stationarity_residual,
                         cutoff_derivative_check, CutoffParams, height_scale,
                         one_sided_slope_limit)
-from .geometry import (EllipsoidRegion, HalfSpaceGrid, RegionKind, build_grid,
-                       in_region, inner_node_set)
+from .geometry import (EllipsoidRegion, HalfSpaceGrid, RegionKind, _corner_bits,
+                       _strides, build_grid, in_region, inner_node_set)
 from .solver import (ProblemSpec, SolveStatus, SolverConfig, _gradient_vectors,
                      newton_solve)
 
@@ -319,8 +319,10 @@ def _first_level(cfg: ExperimentConfig, h: float, amp: float):
 
 def _solve_level(theta: CapillaryAngle, grid: HalfSpaceGrid, data, level: int,
                  r: float, h: float, idx: np.ndarray | None = None,
-                 solver_cfg: SolverConfig | None = None):
-    """Solve one truncated problem and build its report row.
+                 solver_cfg: SolverConfig | None = None,
+                 initial: ScalarField | None = None):
+    """Solve one truncated problem, from `initial` when given (a warm start;
+    see newton_solve), and build its report row.
 
     Both gradient columns come from one discrete gradient over the inner
     node set `idx` (default: the inner ellipsoid of radius r/2):
@@ -328,7 +330,8 @@ def _solve_level(theta: CapillaryAngle, grid: HalfSpaceGrid, data, level: int,
     from the slope of the best-fit capillary affine solution.  Returns the
     solution, the row and the inner gradients.
     """
-    sol, rep = newton_solve(ProblemSpec.from_boundary_data(grid, theta, data),
+    sol, rep = newton_solve(ProblemSpec.from_boundary_data(grid, theta, data,
+                                                           initial=initial),
                             solver_cfg)
     if idx is None:
         idx = inner_node_set(grid, EllipsoidRegion(0.5 * r, theta, RegionKind.INNER))
@@ -354,7 +357,9 @@ def blow_down(u: ScalarField, R: float, target_grid: HalfSpaceGrid | None = None
     """Rescale x -> u(Rx)/R.
 
     Without a target grid the source lattice is rescaled exactly (nodes map
-    onto nodes); with one, values are interpolated bilinearly and queries
+    onto nodes); with one, values are interpolated multilinearly on the
+    source lattice (the point's cell and its fraction across the cell per
+    axis, then the weighted sum over the cell's 2^dim corners), and queries
     outside the source extent raise OutOfExtent.
     """
     if R < 1.0:
@@ -369,11 +374,17 @@ def blow_down(u: ScalarField, R: float, target_grid: HalfSpaceGrid | None = None
     slack = 1e-9 * max(1.0, src.L1)
     if np.any(pts < lo - slack) or np.any(pts > hi + slack):
         raise OutOfExtent("rescaled query points leave the source extent")
-    pts = np.clip(pts, lo, hi)
-    from scipy.interpolate import RegularGridInterpolator
-    axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, src.shape)]
-    rgi = RegularGridInterpolator(axes, u.lattice(), method="linear")
-    return ScalarField(target_grid, rgi(pts) / R)
+    n = np.asarray(src.shape)
+    t = (np.clip(pts, lo, hi) - lo) / src.h
+    cell = np.minimum(t.astype(np.intp), n - 2)
+    frac = t - cell
+    strides = _strides(src.shape)
+    low = cell @ strides
+    out = np.zeros(pts.shape[0])
+    for bits in _corner_bits(src.dim):
+        weight = np.prod(np.where(bits, frac, 1.0 - frac), axis=1)
+        out += weight * u.values[low + bits @ strides]
+    return ScalarField(target_grid, out / R)
 
 
 def run_solve_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -466,6 +477,12 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6
     dominates every measurement.  The fit is repeated per mesh level and
     its drift per halving reported.  When any member's solve did not
     converge, no fit is made (fit None) and no drift is checked.
+
+    The members of a level are solved by continuation along the equally
+    spaced scales: member k > 0 starts from the secant 2 u_{k-1} - u_{k-2}
+    through the two members before it (u_{-1} = 0, the scale-0 member), as
+    long as every earlier member of the level converged; otherwise it
+    starts cold.
     """
     if cfg.scenario != "gradient-bound-sweep":
         raise BadConfig(f"scenario {cfg.scenario!r} is not gradient-bound-sweep")
@@ -488,9 +505,18 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6
         bump = _smooth_bump(rngs[li], grid)
         inner_idx = inner_node_set(grid, EllipsoidRegion(r, theta, RegionKind.INNER))
         ratios, sups = [], []
+        path = [np.zeros(grid.n_nodes)]     # u_{-1}, then the converged members
         for k in range(family_size):
+            start = None
+            if k > 0 and len(path) == k + 1:    # every earlier member converged
+                # the difference first: 2 u_{k-1} alone may overflow where
+                # the secant does not
+                start = ScalarField(grid, path[-1] + (path[-1] - path[-2]))
             data = _family(base, bump, scale=cfg.c0 * (k + 1) / family_size * r)
-            sol, row, _ = _solve_level(theta, grid, data, len(rows), r, h, inner_idx)
+            sol, row, _ = _solve_level(theta, grid, data, len(rows), r, h, inner_idx,
+                                       initial=start)
+            if row.status == SolveStatus.CONVERGED.value:
+                path.append(sol.values)
             rows.append(row)
             ratios.append(height_scale(sol, EllipsoidRegion(r, theta)) / r)
             sups.append(row.sup_grad_inner)
@@ -583,7 +609,12 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
 
 def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
     """Solve one problem at each mesh level and track the decay of the
-    conormal stationarity residual along the wall."""
+    conormal stationarity residual along the wall.
+
+    Nested iteration: a level after the first starts from the previous
+    level's solution, interpolated onto its grid (the box is the same at
+    every level), when that solve converged.
+    """
     if cfg.scenario != "conormal-check":
         raise BadConfig(f"scenario {cfg.scenario!r} is not conormal-check")
     theta = cfg.theta
@@ -593,11 +624,14 @@ def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
     # error at the corner-adjacent wall nodes that does not decay
     margin = 2.0 * max(cfg.h_levels)
     rows, residuals = [], []
+    coarser = None
     for level, h in enumerate(cfg.h_levels):
         # identical box across levels (conforming to the coarsest mesh), so
         # refinement compares discretizations of one continuous problem
         grid = build_grid(cfg.dim, h, probe.L1, probe.Lp)
-        sol, row, _ = _solve_level(theta, grid, data, level, r, h)
+        start = None if coarser is None else blow_down(coarser, 1.0, grid)
+        sol, row, _ = _solve_level(theta, grid, data, level, r, h, initial=start)
+        coarser = sol if row.status == SolveStatus.CONVERGED.value else None
         rows.append(row)
         residuals.append(conormal_stationarity_residual(sol, theta,
                                                         corner_margin=margin))

@@ -7,9 +7,10 @@ the README's numerical notes describe the scheme.  The code relies on three
 conditions: the linear solver accepts SPD systems only, so Newton systems
 are solved in their volume-weighted SPD form; reductions have fixed order
 (numpy loops, not BLAS), so repeated runs are bitwise reproducible at any
-BLAS thread count; and the convergence target stays
-anchored on the residual of the imposed start (the start with the Dirichlet
-data imposed), whether or not the lifted step is kept.
+BLAS thread count; and the convergence target stays anchored on the
+residual of the imposed affine start (the affine start with the Dirichlet
+data imposed), whether or not the lifted step is kept and whether or not
+the solve starts from a given initial state.
 """
 
 from __future__ import annotations
@@ -561,37 +562,43 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     """Damped Newton iteration on the discrete problem.
 
     Converged means the residual infinity norm fell below
-    tol_residual * max(1, initial residual), the initial residual being that
-    of the start with the Dirichlet data imposed.  Without spec.initial the
-    first step is the lifted step of _lifted_step, kept only when it lowers
-    the residual (a rejected lift is not an iteration).  Later steps are
-    accepted only when they decrease the residual norm; when no step length
-    down to min_step does, the solve stops as STALLED.  Each Newton system
-    is solved in its SPD (volume-weighted) form by multigrid-preconditioned
-    CG, to the Eisenstat-Walker forcing tolerance of _forcing_term.  A
-    linear solve that breaks down or stagnates ends the solve as
-    LINEAR_FAILURE at the last accepted state.
+    tol_residual * max(1, R0), R0 being the residual of the imposed affine
+    start: the slope-matched affine start of _affine_initial with the
+    Dirichlet data imposed.  R0 anchors the target and the divergence guard
+    also when spec.initial is given (a warm start, at the cost of one more
+    residual evaluation): a warm start's own small residual would put the
+    target at the roundoff floor, where the line search stalls.  Without
+    spec.initial the first step is the lifted step of _lifted_step, kept
+    only when it lowers the residual (a rejected lift is not an iteration);
+    a warm start takes no lift, so its iterations are Newton steps only.
+    Later steps are accepted only when they decrease the residual norm;
+    when no step length down to min_step does, the solve stops as STALLED.
+    Each Newton system is solved in its SPD (volume-weighted) form by
+    multigrid-preconditioned CG, to the Eisenstat-Walker forcing tolerance
+    of _forcing_term.  A linear solve that breaks down or stagnates ends
+    the solve as LINEAR_FAILURE at the last accepted state.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
     free = grid.free_indices
     weights_f = grid.node_weights[free]
 
-    if spec.initial is not None:
-        affine = None
-        values = spec.impose(spec.initial.values)
-    else:
-        affine = _affine_initial(spec)
-        values = spec.impose(affine)
-
     def residual(vals):
         res, v_min = _residual_full(vals, spec)
         res_f = res[free]
         return res_f, float(np.max(np.abs(res_f))), v_min
 
+    affine = _affine_initial(spec)
+    values = spec.impose(affine)
     res_f, res_norm, v_min = residual(values)
     _check_area_element(v_min, spec.theta)
     res0 = res_norm
+    if spec.initial is not None:
+        # a warm start keeps the cold start's anchor res0 and takes no lift
+        affine = None
+        values = spec.impose(spec.initial.values)
+        res_f, res_norm, v_min = residual(values)
+        _check_area_element(v_min, spec.theta)
     target = cfg.tol_residual * max(1.0, res0)
     history = [res_norm]
     iterations = 0

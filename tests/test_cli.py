@@ -281,6 +281,24 @@ def test_solve_free_commands_start_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_INTERPOLATE_PROBE = """
+import sys
+from capgraph.cli import cli_main
+
+out, cfg = sys.argv[1:]
+assert cli_main(["verify", "--config", cfg, "--out", out]) == 0
+assert "scipy.interpolate" not in sys.modules
+"""
+
+
+def test_nested_iteration_interpolates_without_scipy_interpolate(tmp_path):
+    # conormal-check starts each finer mesh from the coarser solution,
+    # interpolated by blow_down in numpy alone
+    cfg = _write(tmp_path, "conormal.cfg", CONORMAL_CFG)
+    proc = _run_python(["-c", _INTERPOLATE_PROBE, str(tmp_path / "verify.csv"), cfg])
+    assert proc.returncode == 0, proc.stderr
+
+
 _CONFIG_COMMANDS = {"solve": ("affine-recovery", "liouville-linear-growth"),
                     "liouville": ("liouville-linear-growth", "liouville-one-sided"),
                     "report": ("gradient-bound-sweep",),

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       AngleOutOfRange, BadConfig, CapillaryAngle,
                       ExperimentConfig, ExperimentReport,
-                      HypothesisViolation, OutOfExtent, ReportRow,
+                      HypothesisViolation, InvariantViolation, OutOfExtent,
+                      ReportRow,
                       ScalarField, affine_capillary_solution, blow_down,
                       build_grid, capillary_energy, discrete_gradient,
                       domain_for_radius, field_from_callable, parse_config,
-                      run_angle_sweep, run_audit, run_gradient_bound_sweep,
-                      run_liouville_experiment, run_minimizer_test,
-                      run_solve_experiment, write_csv)
+                      run_angle_sweep, run_audit, run_conormal_check,
+                      run_gradient_bound_sweep, run_liouville_experiment,
+                      run_minimizer_test, run_solve_experiment, write_csv)
+from capgraph import harness
 
 THETA = CapillaryAngle(np.pi / 3)
 
@@ -128,6 +130,19 @@ def test_blow_down_composition_and_out_of_extent():
     vals = blow_down(u, 1.5, target_grid=small_target)
     expected = small_target.nodes @ aff.slope + 1.0 / 1.5
     assert np.max(np.abs(vals.values - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_blow_down_interpolation_reproduces_affine_fields(dim):
+    # multilinear interpolation is exact on affine fields, also at query
+    # points off the source nodes (h = 0.07 against 0.1)
+    src = build_grid(dim, 0.1, 2.0, 1.0)
+    slope = np.array([-0.6, 0.45])[:dim]
+    u = ScalarField(src, src.nodes @ slope + 0.3)
+    for R, target in ((1.0, build_grid(dim, 0.07, 1.4, 0.7)),
+                      (1.5, build_grid(dim, 0.05, 1.3, 0.65))):
+        down = blow_down(u, R, target_grid=target)
+        assert np.max(np.abs(down.values - (target.nodes @ slope + 0.3 / R))) <= 1e-13
 
 
 def test_liouville_zero_perturbation_recovers_affine():
@@ -299,3 +314,64 @@ def test_audit_battery_passes():
     names = {res.name for res in results}
     assert {"v_lower_bound_margin", "cutoff_boundary_identity",
             "coefficient_equivalences", "region_inclusion"} <= names
+
+
+_ROW_VALUES = ("sup_grad_inner", "affine_dev", "energy", "v_min")
+
+
+def _solved(run, cfg, monkeypatch, cold):
+    """The rows of every solve run(cfg) makes, and the report it returns or
+    the InvariantViolation it raises; cold=True drops each solve's initial
+    state, so every solve starts cold."""
+    rows = []
+    solve = harness._solve_level
+
+    def recording(*args, initial=None, **kwargs):
+        out = solve(*args, initial=None if cold else initial, **kwargs)
+        rows.append(out[1])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_solve_level", recording)
+        try:
+            return rows, run(cfg)
+        except InvariantViolation as exc:
+            return rows, exc
+
+
+def _assert_matches_cold(run, cfg, monkeypatch):
+    rows, outcome = _solved(run, cfg, monkeypatch, cold=False)
+    cold_rows, cold_outcome = _solved(run, cfg, monkeypatch, cold=True)
+    assert len(rows) == len(cold_rows)
+    for w, c in zip(rows, cold_rows):
+        assert (w.level, w.r, w.h) == (c.level, c.r, c.h)
+        if c.status == "converged":
+            assert w.status == "converged"
+            for name in _ROW_VALUES:
+                assert getattr(w, name) == pytest.approx(getattr(c, name),
+                                                         rel=1e-6, abs=1e-9)
+    assert type(outcome) is type(cold_outcome)
+    return rows, cold_rows, outcome, cold_outcome
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_warm_started_families_match_their_cold_solves(monkeypatch, seed):
+    # continuation across the report family and nested iteration across the
+    # conormal-check meshes change the Newton steps, not the solutions; the
+    # report's drift check fails cold at c0 = 0.5 (and at c0 = 4 for some
+    # seeds), and the warm run must end the same way
+    for c0 in (0.5, 2.0, 4.0):
+        cfg = ExperimentConfig(scenario="gradient-bound-sweep", r_levels=(4.0,),
+                               h_levels=(0.5, 0.25), c0=c0, seed=seed)
+        rows, cold_rows, report, cold = _assert_matches_cold(
+            run_gradient_bound_sweep, cfg, monkeypatch)
+        assert sum(r.newton_iters for r in rows) < \
+            sum(r.newton_iters for r in cold_rows)
+        if isinstance(report, ExperimentReport):
+            assert np.asarray(report.fit.per_level) == pytest.approx(
+                np.asarray(cold.fit.per_level), rel=1e-6, abs=1e-9)
+    cfg = ExperimentConfig(scenario="conormal-check", r_levels=(1.0,),
+                           h_levels=(0.2, 0.1, 0.05), perturb_amp=0.3, seed=seed)
+    *_, report, cold = _assert_matches_cold(run_conormal_check, cfg, monkeypatch)
+    assert report.details["residuals"] == pytest.approx(cold.details["residuals"],
+                                                        rel=1e-6, abs=1e-9)

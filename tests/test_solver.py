@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -646,6 +647,73 @@ def test_rejected_lift_continues_from_the_imposed_start(monkeypatch):
     # the rejected lift is not an iteration
     assert len(calls) == rep.iterations + 1
     assert len(rep.residual_history) == rep.iterations + 1
+
+
+def _recorded_targets(monkeypatch):
+    """The convergence targets newton_solve hands to its forcing term, one
+    per Newton step."""
+    targets = []
+    forcing = solver._forcing_term
+
+    def recording(history, eta_prev, target, floor):
+        targets.append(target)
+        return forcing(history, eta_prev, target, floor)
+
+    monkeypatch.setattr(solver, "_forcing_term", recording)
+    return targets
+
+
+def test_warm_start_at_a_cold_solution_converges_at_once_on_the_cold_target():
+    grid = build_grid(2, 0.05, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    cfg = SolverConfig(tol_residual=1e-8)
+    sol, cold = newton_solve(spec, cfg)
+    target = cfg.tol_residual * max(1.0, _imposed_start_residual(spec))
+    assert cold.status is SolveStatus.CONVERGED
+    assert target > 2.0 * cfg.tol_residual
+
+    again, rep = newton_solve(replace(spec, initial=sol), cfg)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations == 0
+    assert rep.residual_history == (cold.final_residual,)
+    assert np.array_equal(again.values, sol.values)
+
+    # a start whose residual lies above the target a warm anchor would give
+    # (tol_residual, as the residual is below 1) and below the cold target
+    free = grid.free_indices
+    bump = np.zeros(grid.n_nodes)
+    bump[free] = 1e-6 * np.exp(-np.sum((grid.nodes[free] - (0.5, 0.0)) ** 2, axis=1))
+    probe = ScalarField(grid, sol.values + bump)
+    slope = float(np.max(np.abs(assemble_residual(probe, spec))))
+    start = ScalarField(grid, sol.values + (0.5 * target / slope) * bump)
+    start_res = float(np.max(np.abs(assemble_residual(start, spec))))
+    assert cfg.tol_residual < start_res <= target
+    _, rep = newton_solve(replace(spec, initial=start), cfg)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations == 0
+
+
+def test_a_start_worse_than_the_affine_start_keeps_the_cold_target(monkeypatch):
+    targets = _recorded_targets(monkeypatch)
+    grid = build_grid(2, 0.05, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    cfg = SolverConfig(tol_residual=1e-10)
+    anchor = _imposed_start_residual(spec)
+    target = cfg.tol_residual * max(1.0, anchor)
+    _, cold = newton_solve(spec, cfg)
+    assert cold.status is SolveStatus.CONVERGED
+    assert targets and set(targets) == {target}
+
+    pts = grid.nodes
+    worse = spec.impose(solver._affine_initial(spec)) + 0.3 * np.sin(
+        3.0 * np.pi * pts[:, 0]) * np.cos(0.5 * np.pi * pts[:, 1])
+    targets.clear()
+    _, rep = newton_solve(replace(spec, initial=ScalarField(grid, worse)), cfg)
+    assert rep.residual_history[0] > anchor
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations >= 1
+    assert targets and set(targets) == {target}
+    assert rep.final_residual <= target
 
 
 @pytest.mark.parametrize("fail_at", [1, 2])
