@@ -499,15 +499,16 @@ def conormal_stationarity_residual(u: ScalarField, theta: CapillaryAngle,
 
     Vanishes for exact capillary solutions; for solved fields it decays with
     the mesh.  `corner_margin` excludes wall nodes within that distance of
-    the wall corners, where the Dirichlet-wins corner rule commits a local
-    error that does not decay in the recovered derivative.
+    any side face (the wall's rim), where the Dirichlet-wins corner rule
+    commits a local error that does not decay in the recovered derivative.
     """
     grid = u.grid
     grad = discrete_gradient(u, theta)
     v = capillary_area_element(grad.vectors, theta)
     cap = grid.capillary_indices
-    if corner_margin > 0.0 and grid.dim > 1:
-        keep = np.abs(grid.nodes[cap, 1]) <= grid.Lp - corner_margin
+    if corner_margin > 0.0:
+        keep = np.all(np.abs(grid.nodes[cap, 1:]) <= grid.box[1][1:] - corner_margin,
+                      axis=1)
         if np.any(keep):
             cap = cap[keep]
     dv = _nodal_gradient(grid, v)[cap]

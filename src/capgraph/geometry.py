@@ -129,10 +129,8 @@ class HalfSpaceGrid:
         entry (i, j) of every cell) to its position in the CSR data.
         Entries touching a Dirichlet node map to the dump slot nnz.  The
         arrays are read-only, and the matrices built on them share indptr
-        and indices, so a caller that changes a pattern in place (such as
-        eliminate_zeros) must copy it first.  A coarse level of the
-        multigrid hierarchy (see `coarse`) scatters its Galerkin cell blocks
-        through its own pattern.
+        and indices.  A coarse level of the multigrid hierarchy (see
+        `coarse`) scatters its Galerkin cell blocks through its own pattern.
 
         Two nodes share a cell exactly when each lies in the other's 3^dim
         stencil box, so a free node's row holds its free stencil neighbours,

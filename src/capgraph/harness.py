@@ -366,8 +366,7 @@ def blow_down(u: ScalarField, R: float, target_grid: HalfSpaceGrid | None = None
         raise ValueError(f"blow-down scale must be >= 1, got {R}")
     src = u.grid
     if target_grid is None:
-        tg = build_grid(src.dim, src.h / R, src.L1 / R,
-                        None if src.dim == 1 else src.Lp / R)
+        tg = build_grid(src.dim, src.h / R, *map(float, src.box[1] / R))
         return ScalarField(tg, u.values / R)
     pts = target_grid.nodes * R
     lo, hi = src.box

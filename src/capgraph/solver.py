@@ -69,17 +69,14 @@ class SolverConfig:
 class ProblemSpec:
     """Problem data: grid, contact angle, curvature source, Dirichlet values.
 
-    `H` is a constant or a callable on an (N, dim) array of points; `C_H`
-    optionally records the bound |H| + |DH| <= C_H of the data family (it is
-    stored only: nothing enforces or reads it).  `dirichlet` is aligned with
-    grid.dirichlet_indices.
+    `H` is a constant or a callable on an (N, dim) array of points.
+    `dirichlet` is aligned with grid.dirichlet_indices.
     """
 
     grid: HalfSpaceGrid
     theta: CapillaryAngle
     dirichlet: np.ndarray
     H: object = 0.0
-    C_H: float | None = None
     initial: ScalarField | None = None
 
     def __post_init__(self):
@@ -97,14 +94,13 @@ class ProblemSpec:
             raise InvalidParameter("H must be finite")
 
     @classmethod
-    def from_boundary_data(cls, grid, theta, data, H=0.0, C_H=None, initial=None):
+    def from_boundary_data(cls, grid, theta, data, H=0.0, initial=None):
         """Build a spec from a callable (or array) of Dirichlet data."""
         if callable(data):
             vals = np.asarray(data(grid.nodes[grid.dirichlet_indices]), dtype=float)
         else:
             vals = np.asarray(data, dtype=float)
-        return cls(grid=grid, theta=theta, dirichlet=vals, H=H, C_H=C_H,
-                   initial=initial)
+        return cls(grid=grid, theta=theta, dirichlet=vals, H=H, initial=initial)
 
     def source_at_nodes(self) -> np.ndarray:
         if callable(self.H):
@@ -126,6 +122,10 @@ class SparseSystem:
     blocks)); linear_solve then preconditions with the multigrid hierarchy
     of grid.coarse, whose coarse operators it forms from the blocks.
     Without them the preconditioner is one-level damped Jacobi.
+
+    The system holds its matrix as given (a non-CSR input is converted),
+    explicit zeros included; a matrix built on a grid shares the grid's
+    read-only hessian_pattern.
     """
 
     matrix: sp.csr_matrix
@@ -134,10 +134,7 @@ class SparseSystem:
     blocks: np.ndarray | None = None
 
     def __post_init__(self):
-        # an owned copy: tocsr() alone returns a CSR input itself, and
-        # eliminate_zeros works in place
-        m = self.matrix.tocsr(copy=True)
-        m.eliminate_zeros()
+        m = self.matrix.tocsr()
         if m.shape[0] != m.shape[1] or m.shape[0] != self.rhs.shape[0]:
             raise ShapeMismatch(
                 f"system shape {m.shape} does not match rhs {self.rhs.shape}"
@@ -242,7 +239,9 @@ def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
 def _free_matrix(grid: HalfSpaceGrid, blocks: np.ndarray) -> sp.csr_matrix:
     """Free-free matrix of per-cell blocks, summed into the grid's fixed CSR
     pattern by one bincount (a fixed summation order).  The matrix shares
-    the pattern's read-only indptr and indices; its data is its own."""
+    the pattern's read-only indptr and indices, as every matrix the solver
+    builds on a grid does (Newton, lift and coarse-level systems alike);
+    its data is its own, and entries that sum to zero stay stored."""
     indptr, indices, slot = grid.hessian_pattern
     nnz = indices.size
     data = np.bincount(slot.ravel(), blocks.ravel(), minlength=nnz + 1)[:nnz]

@@ -165,10 +165,8 @@ seed = 1
 
 def test_console_entry_point_runs(tmp_path):
     cfg = _write(tmp_path, "base.cfg", BASE_CFG)
-    proc = subprocess.run(
-        [sys.executable, "-m", "capgraph.cli", "solve", "--config", cfg,
-         "--out", str(tmp_path / "o.csv")],
-        capture_output=True, text=True)
+    proc = _run_python(["-m", "capgraph.cli", "solve", "--config", cfg,
+                        "--out", str(tmp_path / "o.csv")])
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
 

@@ -20,10 +20,10 @@ from capgraph import (CapillaryAngle, CapillaryLabError, InvalidParameter,
                       SparseSystem,
                       affine_capillary_solution, assemble_jacobian,
                       assemble_residual, build_grid, capillary_area_element,
-                      capillary_energy,
+                      capillary_energy, conormal_stationarity_residual,
                       discrete_gradient, ghost_closure, linear_solve,
                       newton_solve)
-from capgraph import solver
+from capgraph import estimates, solver
 from capgraph.geometry import HalfSpaceGrid, NodeClass
 from capgraph.solver import _energy_gradient
 
@@ -119,7 +119,7 @@ def test_variable_curvature_residual_consistency():
         grid = build_grid(1, h, 1.0)
         u = ScalarField(grid, exact(grid.nodes[:, 0]))
         spec = ProblemSpec.from_boundary_data(
-            grid, theta, lambda p: exact(p[:, 0]), H=H, C_H=0.4)
+            grid, theta, lambda p: exact(p[:, 0]), H=H)
         res = assemble_residual(u, spec)
         wall_norms.append(abs(res[0]))           # half-cell row: first order
         interior_norms.append(np.max(np.abs(res[1:])))
@@ -225,12 +225,17 @@ def test_linear_solve_failure_on_iteration_cap():
 def test_sparse_system_leaves_the_callers_matrix_intact():
     m = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
     m.data[1] = 0.0             # one explicit zero
-    indices, indptr = m.indices.copy(), m.indptr.copy()
+    data, indices, indptr = m.data.copy(), m.indices.copy(), m.indptr.copy()
     system = SparseSystem(m, np.ones(2))
-    assert system.matrix.nnz == 3
+    # held as given, explicit zero included
+    assert system.matrix is m
     assert m.nnz == 4
-    assert np.array_equal(m.indices, indices)
-    assert np.array_equal(m.indptr, indptr)
+    for arr, before in ((m.data, data), (m.indices, indices), (m.indptr, indptr)):
+        assert arr.tobytes() == before.tobytes()
+    # a non-CSR input is converted
+    converted = SparseSystem(m.tocoo(), np.ones(2)).matrix
+    assert converted.format == "csr"
+    assert np.array_equal(converted.toarray(), m.toarray())
 
 
 def test_linear_solve_breakdown_on_non_spd_systems():
@@ -424,8 +429,9 @@ def test_fixed_pattern_jacobian_matches_central_differences(dim, extent):
 def test_jacobian_row_scaling_is_bitwise_the_diagonal_product(args):
     # oracle: the free Hessian left-multiplied by the sparse diagonal of
     # -1/w.  The sparse product stores each row's columns in descending
-    # order, so its column indices are sorted before the comparison.  The
-    # flat state has exact zeros for SparseSystem to eliminate.
+    # order, so its column indices are sorted before the comparison.  It
+    # also drops the exact zeros of the flat state, which the Jacobian keeps
+    # in the grid's pattern, so a compacted copy of the Jacobian is compared.
     grid = build_grid(*args)
     free = grid.free_indices
     scale = sp.diags(-1.0 / grid.node_weights[free])
@@ -434,9 +440,9 @@ def test_jacobian_row_scaling_is_bitwise_the_diagonal_product(args):
         spec = ProblemSpec(grid=grid, theta=THETA,
                            dirichlet=vals[grid.dirichlet_indices], H=0.1)
         hess = solver._free_matrix(grid, solver._hessian_blocks(grid, vals))
-        old = SparseSystem(matrix=(scale @ hess).tocsr(),
-                           rhs=np.zeros(free.size)).matrix.sorted_indices()
-        new = assemble_jacobian(ScalarField(grid, vals), spec).matrix
+        old = (scale @ hess).tocsr().sorted_indices()
+        new = assemble_jacobian(ScalarField(grid, vals), spec).matrix.copy()
+        new.eliminate_zeros()
         assert new.shape == old.shape
         for a, b in ((new.data, old.data), (new.indices, old.indices),
                      (new.indptr, old.indptr)):
@@ -444,8 +450,8 @@ def test_jacobian_row_scaling_is_bitwise_the_diagonal_product(args):
 
 
 def test_consecutive_hessians_leave_the_cached_pattern_intact():
-    # the first state is flat, so the Hessian has exact zeros that
-    # SparseSystem eliminates from its own copy of the pattern
+    # the first state is flat, so the Hessian has exact zeros, which stay
+    # stored in the pattern that every system shares with the grid
     args = (2, 0.2, 1.4, 0.6)
     grid = build_grid(*args)
     theta = CapillaryAngle(np.pi / 2)
@@ -460,12 +466,57 @@ def test_consecutive_hessians_leave_the_cached_pattern_intact():
                                                     lambda p: np.zeros(len(p)))
         fresh = assemble_jacobian(ScalarField(fresh_grid, v), fresh_spec)
         assert np.array_equal(system.matrix.toarray(), fresh.matrix.toarray())
-    assert reused[0].matrix.nnz < reused[1].matrix.nnz
+    assert np.any(reused[0].matrix.data == 0.0)
+    _assert_systems_share_the_intact_pattern(reused, grid, args)
+
+
+def _assert_systems_share_the_intact_pattern(systems, grid, args):
+    """Every system's indptr and indices are the grid's hessian_pattern
+    arrays, which are read-only and byte-identical to a fresh grid's."""
+    indptr, indices, _ = grid.hessian_pattern
+    for system in systems:
+        assert np.shares_memory(system.matrix.indptr, indptr)
+        assert np.shares_memory(system.matrix.indices, indices)
     for cached, fresh in zip(grid.hessian_pattern, build_grid(*args).hessian_pattern):
-        assert np.array_equal(cached, fresh)
         assert not cached.flags.writeable
-        assert not any(np.shares_memory(cached, arr) for system in reused
-                       for arr in (system.matrix.indices, system.matrix.indptr))
+        assert cached.dtype == fresh.dtype and cached.tobytes() == fresh.tobytes()
+
+
+def test_flat_state_zeros_leave_the_linear_solve_bitwise_unchanged():
+    # the flat Newton system stores exact zeros in the shared pattern; they
+    # add exact zeros to every product, so compacting them changes no bit
+    grid = build_grid(2, 0.05, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, CapillaryAngle(np.pi / 2),
+                                          lambda p: np.zeros(len(p)), H=0.1)
+    free = grid.free_indices
+    flat = np.zeros(grid.n_nodes)
+    res, _ = solver._residual_full(flat, spec)
+    blocks = solver._hessian_blocks(grid, flat)
+    system = solver._cell_system(grid, blocks, grid.node_weights[free] * res[free])
+    compact = system.matrix.copy()
+    compact.eliminate_zeros()
+    assert compact.nnz < system.matrix.nnz
+    as_built = linear_solve(system)
+    compacted = linear_solve(SparseSystem(compact, system.rhs, grid, blocks))
+    assert np.any(as_built != 0.0)
+    assert as_built.tobytes() == compacted.tobytes()
+
+
+def test_newton_systems_share_the_read_only_pattern(monkeypatch):
+    systems = []
+
+    def recording_solve(system, cfg=None):
+        systems.append(system)
+        return linear_solve(system, cfg)
+
+    monkeypatch.setattr(solver, "linear_solve", recording_solve)
+    args = (2, 0.1, 1.0, 1.0)
+    grid = build_grid(*args)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    _, rep = newton_solve(spec)
+    assert rep.status is SolveStatus.CONVERGED
+    assert len(systems) >= 2          # the lift and at least one Newton step
+    _assert_systems_share_the_intact_pattern(systems, grid, args)
 
 
 def test_grid_is_freed_after_newton_solve():
@@ -758,6 +809,29 @@ def _box_grid(h, shape):
     return HalfSpaceGrid(dim=len(shape), h=h, L1=(shape[0] - 1) * h,
                          Lp=(shape[1] - 1) * h / 2, shape=tuple(shape),
                          nodes=nodes, classes=cls.ravel())
+
+
+def test_conormal_corner_margin_trims_every_side_face(monkeypatch):
+    # at the flat state with theta = pi/2 the residual of a capillary node
+    # is its d_1 v, so a d_1 v that is 1 at one node and 0 elsewhere reads 1
+    # exactly when the margin keeps that node
+    grid = _box_grid(0.5, (3, 6, 8))      # side faces at 1.25 and 1.75
+    u = ScalarField(grid, np.zeros(grid.n_nodes))
+    theta = CapillaryAngle(np.pi / 2)
+    margin = 0.6
+    cap = grid.capillary_indices
+    side = np.abs(grid.nodes[cap, 1:])
+    expected = cap[np.all(side <= np.array([1.25, 1.75]) - margin, axis=1)]
+    assert 0 < expected.size < cap.size
+    for node in cap:
+        def spike(grid, v, node=node):
+            out = np.zeros((grid.n_nodes, grid.dim))
+            out[node, 0] = 1.0
+            return out
+
+        monkeypatch.setattr(estimates, "_nodal_gradient", spike)
+        kept = conormal_stationarity_residual(u, theta, corner_margin=margin)
+        assert kept == float(node in expected)
 
 
 @pytest.mark.parametrize("dim, extent", [
