@@ -169,17 +169,15 @@ class HalfSpaceGrid:
     @cached_property
     def coarse(self) -> tuple[HalfSpaceGrid, ...]:
         """The coarse levels of the multigrid hierarchy below this grid,
-        finest first.
-
-        Each coarsening keeps every second lattice node along each axis,
-        plus the last node of an axis with an odd cell count.  A level is
-        the grid of the kept nodes (a subset of the fine nodes, classes
-        kept, h doubled except in that last cell), so the box faces stay
-        faces and a Dirichlet fine node has only Dirichlet coarse parents.
-        The hierarchy stops at the first level with at most _COARSEST_SIZE
-        free nodes (after at least one coarsening), which the linear solver
-        solves exactly, or earlier once an axis has fewer than three nodes
-        or no free node would be left.
+        finest first.  Each coarsening keeps every second lattice node along
+        each axis, plus the last node of an axis with an odd cell count.  A
+        level is the grid of the kept nodes (classes kept, h doubled except
+        in that last cell), so the box faces stay faces and a Dirichlet fine
+        node has only Dirichlet coarse parents.  The hierarchy stops at the
+        first level with at most _COARSEST_SIZE free nodes (after at least
+        one coarsening), which the linear solver solves exactly, or earlier
+        once an axis has fewer than three nodes or no free node would be
+        left.
         """
         out = []
         grid = self
@@ -200,16 +198,25 @@ class HalfSpaceGrid:
         return tuple(out)
 
     @cached_property
-    def prolongations(self) -> tuple[tuple[sp.csr_matrix, sp.csr_matrix], ...]:
-        """(P, P^T) per coarsening of the multigrid hierarchy (see
-        `coarse`), finest first.
+    def hessian_diagonal(self) -> np.ndarray:
+        """Read-only positions of the diagonal in hessian_pattern's data."""
+        indptr, indices, _ = self.hessian_pattern
+        out = np.flatnonzero(indices == np.repeat(np.arange(indptr.size - 1),
+                                                  np.diff(indptr)))
+        out.flags.writeable = False
+        return out
 
-        P interpolates (bi)linearly from the coarse free nodes to the fine
-        free nodes.  The free set is a tensor product of per-axis masks, so
-        P is the tensor product of the per-axis interpolations restricted
-        to them (Trottenberg, Oosterlee & Schueller, Multigrid, 2001): a
-        fine free node has up to 2^dim coarse free parents, with weights 1,
-        1/2 or 1/4.  The arrays are read-only.
+    @cached_property
+    def prolongations(self) -> tuple[sp.csr_matrix, ...]:
+        """P per coarsening of the multigrid hierarchy (see `coarse`),
+        finest first, read-only; the solver restricts through P's own
+        arrays, so no P^T is stored.
+
+        P interpolates (bi)linearly from the coarse to the fine free nodes:
+        the tensor product of the per-axis interpolations restricted to the
+        per-axis free masks (Trottenberg, Oosterlee & Schueller, Multigrid,
+        2001), so a fine free node has up to 2^dim coarse free parents, with
+        weights 1, 1/2 or 1/4.
         """
         # wall row free and far row Dirichlet along x1, both ends Dirichlet
         # along each side axis
@@ -235,11 +242,9 @@ class HalfSpaceGrid:
             indptr = np.concatenate(([0], np.cumsum(parent.sum(axis=1))))
             p = _csr_matrix(weights.T[parent], cols.T[parent], indptr.astype(np.int32),
                             (parent.shape[0], level.free_indices.size))
-            pair = (p, p.T.tocsr())
-            for m in pair:
-                for arr in (m.data, m.indices, m.indptr):
-                    arr.flags.writeable = False
-            out.append(pair)
+            for arr in (p.data, p.indices, p.indptr):
+                arr.flags.writeable = False
+            out.append(p)
         return tuple(out)
 
     @cached_property
@@ -300,8 +305,9 @@ class HalfSpaceGrid:
 
 
 def _csr_matrix(data, indices, indptr, shape) -> sp.csr_matrix:
-    """The package's one scipy.sparse import, made at the first matrix built,
-    so that the solve-free commands start with numpy alone."""
+    """The scipy.sparse import of every matrix the package builds, made at
+    the first one, so that the solve-free commands start with numpy alone
+    (the solver's products import the compiled kernels the same way)."""
     import scipy.sparse
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
 

@@ -1,16 +1,12 @@
 """Finite-volume solver for div(Du/W) = H with contact-angle wall condition.
 
-The residual is the exact gradient of the discrete capillary energy (cell
-quadrature over capillary.edge_differences), driven to zero by damped
-inexact Newton with a lifted first step and multigrid-preconditioned CG;
-the README's numerical notes describe the scheme.  The code relies on three
-conditions: the linear solver accepts SPD systems only, so Newton systems
-are solved in their volume-weighted SPD form; reductions have fixed order
-(numpy loops, not BLAS), so repeated runs are bitwise reproducible at any
-BLAS thread count; and the convergence target stays anchored on the
-residual of the imposed affine start (the affine start with the Dirichlet
-data imposed), whether or not the lifted step is kept and whether or not
-the solve starts from a given initial state.
+The residual is the exact gradient of the discrete capillary energy, driven
+to zero by damped inexact Newton with a lifted first step and multigrid-
+preconditioned CG (README, numerical notes).  Newton systems are solved in
+their volume-weighted SPD form, the only one the linear solver accepts;
+reductions have fixed order (numpy loops, not BLAS), so runs are bitwise
+reproducible at any BLAS thread count; and the convergence target stays
+anchored on the residual of the imposed affine start.
 """
 
 from __future__ import annotations
@@ -61,8 +57,12 @@ class SolverConfig:
         if not (0.0 < self.damping < 1.0):
             raise InvalidParameter(f"damping must lie in (0, 1), got {self.damping}")
         for name in ("tol_residual", "min_step", "linear_tol"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidParameter(f"{name} must be positive")
+            if not (math.isfinite(v := getattr(self, name)) and v > 0.0):
+                raise InvalidParameter(f"{name} must be positive and finite, got {v}")
+        for name, low in (("max_newton", 0), ("linear_max_iter", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+                raise InvalidParameter(f"{name} must be an integer >= {low}, got {v!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,15 +117,10 @@ class ProblemSpec:
 class SparseSystem:
     """Row-compressed linear system; linear_solve needs it SPD.
 
-    `grid` and `blocks` describe the matrix as the free-free sum of the
-    per-cell blocks `blocks` over `grid` (the matrix of _free_matrix(grid,
-    blocks)); linear_solve then preconditions with the multigrid hierarchy
-    of grid.coarse, whose coarse operators it forms from the blocks.
-    Without them the preconditioner is one-level damped Jacobi.
-
-    The system holds its matrix as given (a non-CSR input is converted),
-    explicit zeros included; a matrix built on a grid shares the grid's
-    read-only hessian_pattern.
+    With `grid` and `blocks` (the matrix is _free_matrix(grid, blocks)),
+    linear_solve preconditions with the multigrid hierarchy of grid.coarse;
+    without them, with one-level damped Jacobi.  The matrix is held as
+    given (a non-CSR input is converted), explicit zeros included.
     """
 
     matrix: sp.csr_matrix
@@ -236,17 +231,21 @@ def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
     return _hessian_map(dim) @ upper.reshape(-1, d.shape[1])
 
 
+def _free_data(grid: HalfSpaceGrid, blocks: np.ndarray) -> np.ndarray:
+    """CSR data over grid.hessian_pattern of the free-free sum of per-cell
+    blocks: one bincount, a fixed summation order from +0.0 (so no entry is
+    -0.0); entries that sum to zero stay stored."""
+    _, indices, slot = grid.hessian_pattern
+    return np.bincount(slot.ravel(), blocks.ravel(),
+                       minlength=indices.size + 1)[:indices.size]
+
+
 def _free_matrix(grid: HalfSpaceGrid, blocks: np.ndarray) -> sp.csr_matrix:
-    """Free-free matrix of per-cell blocks, summed into the grid's fixed CSR
-    pattern by one bincount (a fixed summation order).  The matrix shares
-    the pattern's read-only indptr and indices, as every matrix the solver
-    builds on a grid does (Newton, lift and coarse-level systems alike);
-    its data is its own, and entries that sum to zero stay stored."""
-    indptr, indices, slot = grid.hessian_pattern
-    nnz = indices.size
-    data = np.bincount(slot.ravel(), blocks.ravel(), minlength=nnz + 1)[:nnz]
+    """Free-free matrix of per-cell blocks on the grid's read-only pattern,
+    shared by every system and level the solver builds on a grid."""
+    indptr, indices, _ = grid.hessian_pattern
     nf = indptr.size - 1
-    return _csr_matrix(data, indices, indptr, (nf, nf))
+    return _csr_matrix(_free_data(grid, blocks), indices, indptr, (nf, nf))
 
 
 def _cell_system(grid: HalfSpaceGrid, blocks: np.ndarray,
@@ -315,7 +314,36 @@ _OMEGA = 0.8     # damped-Jacobi weight of the multigrid smoother
 _SWEEPS = 2      # smoothing sweeps before and after each coarse correction
 
 
-def _smooth(a: sp.csr_matrix, wdinv: np.ndarray, b: np.ndarray,
+@cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, imported at the first product."""
+    from scipy.sparse import _sparsetools
+    return _sparsetools
+
+
+def _csr_arrays(m: sp.csr_matrix) -> tuple:
+    """(indptr, indices, data, n_cols): the plain CSR arrays of a matrix."""
+    return m.indptr, m.indices, m.data, m.shape[1]
+
+
+def _product(m: tuple, x: np.ndarray) -> np.ndarray:
+    """m x for CSR arrays m by the compiled kernel behind scipy's `@`."""
+    indptr, indices, data, n_cols = m
+    y = np.zeros(indptr.size - 1)
+    _sparsetools().csr_matvec(indptr.size - 1, n_cols, indptr, indices, data, x, y)
+    return y
+
+
+def _restrict(m: tuple, x: np.ndarray) -> np.ndarray:
+    """m^T x by the CSC kernel on m's CSR arrays (m^T's CSC arrays): y[i]
+    gains m[j, i] x[j] in ascending j, bitwise the CSR product of m^T."""
+    indptr, indices, data, n_cols = m
+    y = np.zeros(n_cols)
+    _sparsetools().csc_matvec(n_cols, indptr.size - 1, indptr, indices, data, x, y)
+    return y
+
+
+def _smooth(a: tuple, wdinv: np.ndarray, b: np.ndarray,
             x: np.ndarray | None) -> np.ndarray:
     """_SWEEPS damped-Jacobi sweeps x += wdinv (b - a x) on a x = b, in
     place on x; x = None starts from zero."""
@@ -323,7 +351,7 @@ def _smooth(a: sp.csr_matrix, wdinv: np.ndarray, b: np.ndarray,
         if x is None:
             x = wdinv * b
         else:
-            r = a @ x
+            r = _product(a, x)
             np.subtract(b, r, out=r)
             r *= wdinv
             x += r
@@ -337,16 +365,16 @@ def _vcycle(levels: list, coarsest: Callable[[np.ndarray], np.ndarray],
     solves the last level (see _galerkin_levels)."""
     if k == len(levels):
         return coarsest(b)
-    a, wdinv, p, pt = levels[k]
+    a, wdinv, p = levels[k]
     x = _smooth(a, wdinv, b, None)
-    x += p @ _vcycle(levels, coarsest, pt @ (b - a @ x), k + 1)
+    x += _product(p, _vcycle(levels, coarsest,
+                             _restrict(p, b - _product(a, x)), k + 1))
     return _smooth(a, wdinv, b, x)
 
 
-def _jacobi_weights(a: sp.csr_matrix) -> np.ndarray:
-    d = np.abs(a.diagonal())
-    d[d == 0.0] = 1.0
-    return _OMEGA / d
+def _jacobi_weights(diagonal: np.ndarray) -> np.ndarray:
+    d = np.abs(diagonal)
+    return _OMEGA / np.where(d == 0.0, 1.0, d)
 
 
 def _coarse_blocks(grid: HalfSpaceGrid, blocks: np.ndarray) -> np.ndarray:
@@ -366,42 +394,44 @@ def _coarse_blocks(grid: HalfSpaceGrid, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _galerkin_levels(a: sp.csr_matrix, grid: HalfSpaceGrid | None = None,
+def _galerkin_levels(matrix: sp.csr_matrix, grid: HalfSpaceGrid | None = None,
                      blocks: np.ndarray | None = None
                      ) -> tuple[list, Callable[[np.ndarray], np.ndarray]]:
-    """The multigrid levels (A_k, _OMEGA / |diag A_k|, P_k, P_k^T) above the
-    last one, and the solver of the last level.
+    """The multigrid levels (A_k, _OMEGA / |diag A_k|, P_k) above the last
+    one, A_k and P_k as plain CSR arrays, and the solver of the last level.
 
-    a is the free-free matrix of the cell blocks `blocks` over `grid`.  The
-    coarse operators A_{k+1} = P_k^T A_k P_k are formed cell by cell: the
-    coarse cell blocks are constant linear maps of their children's blocks
-    (_coarse_blocks), scattered through each coarse level's own
-    hessian_pattern.  This equals the sparse triple product because P
-    interpolates each fine cell's corners from its coarse cell's corners
-    only, and a Dirichlet fine node has only Dirichlet coarse parents.
-
-    After at least one coarsening, a last level of at most _COARSEST_SIZE
-    unknowns is solved exactly: its dense matrix is factored once, L L^T
-    (Cholesky), and applied as L^-T L^-1, which keeps the preconditioner
-    symmetric; a failed factorization raises LinearSolveFailure (matrix not
-    SPD).  Any other last level is smoothed like the others, so a hierarchy
-    of one level (no grid) is plain damped Jacobi.
+    matrix is the free-free matrix of the cell blocks `blocks` over `grid`.
+    A coarse level holds only the data, over its grid's hessian_pattern, of
+    A_{k+1} = P_k^T A_k P_k formed cell by cell (_coarse_blocks; exact, as
+    P interpolates a fine cell's corners from its coarse cell's corners only
+    and a Dirichlet fine node has only Dirichlet coarse parents).  After at
+    least one coarsening, a last level of at most _COARSEST_SIZE unknowns
+    is solved exactly by its dense Cholesky factor, applied as L^-T L^-1 (a
+    symmetric preconditioner); a failed factorization raises
+    LinearSolveFailure.  Any other last level is smoothed like the others,
+    so a hierarchy of one level (no grid) is plain damped Jacobi.
     """
+    a, diagonal = _csr_arrays(matrix), matrix.diagonal()
     levels = []
     hierarchy = zip(grid.coarse, grid.prolongations) if grid is not None else ()
-    for coarse, (p, pt) in hierarchy:
-        levels.append((a, _jacobi_weights(a), p, pt))
+    for coarse, p in hierarchy:
+        levels.append((a, _jacobi_weights(diagonal), _csr_arrays(p)))
         blocks = _coarse_blocks(grid, blocks)
         grid = coarse
-        a = _free_matrix(grid, blocks)
-    if levels and a.shape[0] <= _COARSEST_SIZE:
+        data = _free_data(grid, blocks)
+        a = grid.hessian_pattern[:2] + (data, grid.free_indices.size)
+        diagonal = data[grid.hessian_diagonal]
+    indptr, indices, data, n = a
+    if levels and n <= _COARSEST_SIZE:
+        dense = np.zeros((n, n))
+        dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
         try:
-            linv = np.linalg.inv(np.linalg.cholesky(a.toarray()))
+            linv = np.linalg.inv(np.linalg.cholesky(dense))
         except np.linalg.LinAlgError:
             raise LinearSolveFailure(
                 "coarsest-level Cholesky breakdown (matrix not SPD?)") from None
         return levels, lambda b: linv.T @ (linv @ b)
-    wdinv = _jacobi_weights(a)
+    wdinv = _jacobi_weights(diagonal)
     return levels, lambda b: _smooth(a, wdinv, b, _smooth(a, wdinv, b, None))
 
 
@@ -414,15 +444,15 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 def _pcg(system: SparseSystem, tol_abs: float, max_iter: int) -> tuple[np.ndarray, int]:
     """Multigrid-preconditioned CG from zero; returns (x, iterations)."""
-    a, b = system.matrix, system.rhs
-    levels, coarsest = _galerkin_levels(a, system.grid, system.blocks)
+    a, b = _csr_arrays(system.matrix), system.rhs
+    levels, coarsest = _galerkin_levels(system.matrix, system.grid, system.blocks)
     x = np.zeros_like(b)
     r = b.copy()
     z = _vcycle(levels, coarsest, r)
     p = z.copy()
     rz = _dot(r, z)
     for it in range(1, max_iter + 1):
-        ap = a @ p
+        ap = _product(a, p)
         pap = _dot(p, ap)
         if not math.isfinite(pap) or pap <= 0.0:
             raise LinearSolveFailure("conjugate gradient breakdown (matrix not SPD?)")
@@ -442,15 +472,11 @@ def _pcg(system: SparseSystem, tol_abs: float, max_iter: int) -> tuple[np.ndarra
 def linear_solve(system: SparseSystem, cfg: SolverConfig | None = None) -> np.ndarray:
     """Solve the assembled system to relative tolerance cfg.linear_tol.
 
-    CG preconditioned by one geometric-multigrid V-cycle over the hierarchy
-    of system.grid (damped-Jacobi smoothing, Galerkin coarse operators
-    formed from system.blocks, and an exact coarsest solve by a dense
-    Cholesky factor when the last level has at most _COARSEST_SIZE
-    unknowns; plain damped Jacobi for a system without grid and blocks).
-    The inner products are fixed-order numpy reductions, so the result is
-    bitwise the same for identical inputs at any BLAS thread count.  The
-    matrix must be SPD: a nonpositive or nonfinite curvature p^T A p, or a
-    failed coarsest factorization, raises LinearSolveFailure (breakdown).
+    CG preconditioned by one multigrid V-cycle (_galerkin_levels), with
+    fixed-order inner products, so the result is bitwise the same for
+    identical inputs at any BLAS thread count.  The matrix must be SPD: a
+    nonpositive or nonfinite curvature p^T A p, or a failed coarsest
+    factorization, raises LinearSolveFailure (breakdown).
     """
     cfg = cfg or SolverConfig()
     bnorm = math.sqrt(_dot(system.rhs, system.rhs))
@@ -561,21 +587,19 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     """Damped Newton iteration on the discrete problem.
 
     Converged means the residual infinity norm fell below
-    tol_residual * max(1, R0), R0 being the residual of the imposed affine
-    start: the slope-matched affine start of _affine_initial with the
-    Dirichlet data imposed.  R0 anchors the target and the divergence guard
-    also when spec.initial is given (a warm start, at the cost of one more
-    residual evaluation): a warm start's own small residual would put the
-    target at the roundoff floor, where the line search stalls.  Without
-    spec.initial the first step is the lifted step of _lifted_step, kept
-    only when it lowers the residual (a rejected lift is not an iteration);
-    a warm start takes no lift, so its iterations are Newton steps only.
-    Later steps are accepted only when they decrease the residual norm;
-    when no step length down to min_step does, the solve stops as STALLED.
-    Each Newton system is solved in its SPD (volume-weighted) form by
-    multigrid-preconditioned CG, to the Eisenstat-Walker forcing tolerance
-    of _forcing_term.  A linear solve that breaks down or stagnates ends
-    the solve as LINEAR_FAILURE at the last accepted state.
+    tol_residual * max(1, R0), R0 being the residual of the slope-matched
+    affine start of _affine_initial with the Dirichlet data imposed.  R0
+    anchors the target and the divergence guard also for a warm start
+    (spec.initial; one more residual evaluation), whose own small residual
+    would put the target at the roundoff floor, where the line search
+    stalls.  A cold solve's first step is _lifted_step, kept only when it
+    lowers the residual (a rejected lift is not an iteration); a warm start
+    takes no lift.  Later steps are accepted only when they decrease the
+    residual norm, else the solve stops as STALLED.  Each Newton system is
+    solved in its SPD (volume-weighted) form by multigrid-preconditioned CG
+    to the Eisenstat-Walker tolerance of _forcing_term; a linear solve that
+    breaks down or stagnates ends the solve as LINEAR_FAILURE at the last
+    accepted state.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid

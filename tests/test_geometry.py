@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from capgraph import (BadDimension, CapillaryAngle, EllipsoidRegion,
                       EmptyRegion, NodeClass, NonconformingExtent, RegionKind,
                       build_grid, in_region, inner_node_set)
+from capgraph import solver
 from capgraph.geometry import _distance_to_ellipsoid
 
 
@@ -226,11 +227,9 @@ def _oracle_prolongations(grid):
         for f in factors[1:]:
             p = sp.kron(p, f, format="csr")
         p = p[np.flatnonzero(free)][:, np.flatnonzero(coarse_free)].tocsr()
-        pair = (p, p.T.tocsr())
-        for m in pair:
-            for arr in (m.data, m.indices, m.indptr):
-                arr.flags.writeable = False
-        out.append(pair)
+        for arr in (p.data, p.indices, p.indptr):
+            arr.flags.writeable = False
+        out.append(p)
         shape, free = coarse_free.shape, coarse_free
     return tuple(out)
 
@@ -256,16 +255,21 @@ def test_closed_form_grid_caches_equal_the_sort_based_oracles(dim, m1, mp):
         _assert_identical(got, want)
     oracle = _oracle_prolongations(grid)
     assert len(grid.prolongations) == len(oracle)
-    for pair, want_pair in zip(grid.prolongations, oracle):
-        for got, want in zip(pair, want_pair):
-            assert type(got) is type(want) and got.shape == want.shape
-            for name in ("data", "indices", "indptr"):
-                _assert_identical(getattr(got, name), getattr(want, name))
+    rng = np.random.default_rng(m1 * 100 + mp)
+    for got, want in zip(grid.prolongations, oracle):
+        assert type(got) is type(want) and got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            _assert_identical(getattr(got, name), getattr(want, name))
+        # no P^T is stored: the restriction through P's own arrays is
+        # bitwise the CSR product of the oracle's P^T
+        x = rng.standard_normal(got.shape[0])
+        assert (solver._restrict(solver._csr_arrays(got), x).tobytes()
+                == (want.T.tocsr() @ x).tobytes())
 
 
 def _level_sizes(grid):
-    return ([p.shape[0] for p, _ in grid.prolongations]
-            + [grid.prolongations[-1][0].shape[1]])
+    return ([p.shape[0] for p in grid.prolongations]
+            + [grid.prolongations[-1].shape[1]])
 
 
 def test_hierarchy_ends_at_the_first_level_of_at_most_32_free_nodes():

@@ -899,7 +899,13 @@ def test_affine_data_are_recovered_to_roundoff(theta, bprime, offset, h, dim):
 def test_validation_errors_are_capillary_lab_errors():
     grid = build_grid(1, 0.25, 1.0)
     bad_configs = ({"damping": 1.0}, {"tol_residual": 0.0}, {"min_step": -1.0},
-                   {"linear_tol": 0.0})
+                   {"linear_tol": 0.0}, {"tol_residual": np.nan},
+                   {"tol_residual": np.inf}, {"min_step": np.nan},
+                   {"min_step": np.inf}, {"linear_tol": np.nan},
+                   {"linear_tol": np.inf}, {"max_newton": 2.5},
+                   {"max_newton": -1}, {"max_newton": True},
+                   {"max_newton": "3"}, {"linear_max_iter": 0},
+                   {"linear_max_iter": -5})
     for kwargs in bad_configs:
         with pytest.raises(InvalidParameter):
             SolverConfig(**kwargs)
@@ -940,7 +946,7 @@ def test_two_level_vcycle_matches_a_dense_oracle():
     b = rng.standard_normal(hess.shape[0])
 
     a = hess.toarray()
-    p = grid.prolongations[0][0].toarray()
+    p = grid.prolongations[0].toarray()
     wdinv = solver._OMEGA / np.abs(np.diag(a))
     x = np.zeros_like(b)
     for _ in range(solver._SWEEPS):
@@ -951,6 +957,66 @@ def test_two_level_vcycle_matches_a_dense_oracle():
 
     got = solver._vcycle(*solver._galerkin_levels(hess, grid, blocks), b)
     assert np.max(np.abs(got - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_product_is_bitwise_the_scipy_product():
+    # a 2D Newton system at a random state, whose pattern indices are int32
+    grid = build_grid(2, 0.1, 1.0, 1.0)
+    rng = np.random.default_rng(17)
+    vals = rng.uniform(-1.0, 1.0, grid.n_nodes)
+    spec = ProblemSpec(grid=grid, theta=THETA,
+                       dirichlet=vals[grid.dirichlet_indices], H=0.1)
+    hess = assemble_jacobian(ScalarField(grid, vals), spec).matrix
+    assert hess.indices.dtype == np.int32
+    x = rng.standard_normal(hess.shape[0])
+    _assert_same_bytes(solver._product(solver._csr_arrays(hess), x), hess @ x)
+    # a grid-less SPD matrix with int64 indptr and indices, the kernel's
+    # other index type
+    a = rng.standard_normal((40, 40))
+    spd = sp.csr_matrix(a @ a.T + 40.0 * np.eye(40))
+    spd.indptr, spd.indices = spd.indptr.astype(np.int64), spd.indices.astype(np.int64)
+    assert spd.indptr.dtype == spd.indices.dtype == np.int64
+    x = rng.standard_normal(40)
+    _assert_same_bytes(solver._product(solver._csr_arrays(spd), x), spd @ x)
+    b = rng.standard_normal(40)
+    got = linear_solve(SparseSystem(spd, b), SolverConfig(linear_tol=1e-14))
+    want = np.linalg.solve(spd.toarray(), b)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_restriction_through_p_is_bitwise_the_product_of_p_transpose():
+    # odd cell counts along x1 and on the coarse levels along x2 (13 x 10
+    # cells coarsen to 7 x 5; 25 x 18 to 13 x 9 and 7 x 5), where an
+    # axis ends in a one-child coarse cell
+    rng = np.random.default_rng(18)
+    for extent, n_levels in (((13.0, 5.0), 1), ((25.0, 9.0), 2)):
+        grid = build_grid(2, 1.0, *extent)
+        assert len(grid.prolongations) == n_levels
+        for p in grid.prolongations:
+            x = rng.standard_normal(p.shape[0])
+            _assert_same_bytes(solver._restrict(solver._csr_arrays(p), x),
+                               p.T.tocsr() @ x)
+            y = rng.standard_normal(p.shape[1])
+            _assert_same_bytes(solver._product(solver._csr_arrays(p), y), p @ y)
+
+
+def test_coarse_level_diagonal_index_reads_the_diagonal():
+    for args in ((1, 0.25, 3.0), (2, 1.0, 13.0, 5.0), (2, 0.05, 1.0, 1.0)):
+        grid = build_grid(*args)
+        rng = np.random.default_rng(19)
+        blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
+        levels = (grid,) + grid.coarse
+        for k, level in enumerate(levels):
+            if k:
+                blocks = solver._coarse_blocks(levels[k - 1], blocks)
+            m = solver._free_matrix(level, blocks)
+            assert not level.hessian_diagonal.flags.writeable
+            _assert_same_bytes(m.data[level.hessian_diagonal], m.diagonal())
 
 
 def test_non_spd_newton_system_fails_at_the_coarsest_factorization(monkeypatch):
@@ -1011,8 +1077,8 @@ def test_cell_block_coarse_operators_equal_the_sparse_triple_product(dim, m1, mp
     blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
     want = solver._free_matrix(grid, blocks)
     fine = grid
-    for coarse, (p, pt) in zip(grid.coarse, grid.prolongations, strict=True):
-        want = (pt @ want @ p).tocsr().sorted_indices()
+    for coarse, p in zip(grid.coarse, grid.prolongations, strict=True):
+        want = (p.T.tocsr() @ want @ p).tocsr().sorted_indices()
         blocks = solver._coarse_blocks(fine, blocks)
         got = solver._free_matrix(coarse, blocks)
         assert got.shape == want.shape
