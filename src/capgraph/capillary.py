@@ -203,33 +203,71 @@ def edge_differences(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
 
     Returns (dim 2^(dim-1), n_cells): the x1 edges, then the x2 edges and so
     on, each axis in low-corner order (in 2D the rows d_b, d_t, d_l, d_r).
-    Quadrant (corner) q takes gradient component a from the x_a edge
-    through q.  This stencil is behind both the discrete energy and the
-    solver residual, so energy stationarity and the discrete equation agree
-    exactly.
+    A (..., n_nodes) batch of nodal values gives these rows behind its
+    leading axes.  Quadrant (corner) q takes gradient component a from the
+    x_a edge through q.  This stencil is behind both the discrete energy and
+    the solver residual, so energy stationarity and the discrete equation
+    agree exactly.
     """
-    corners = np.asarray(values, dtype=float)[grid.corner_rows]
-    cube = corners.reshape((2,) * grid.dim + (-1,))
-    return np.concatenate([(cube[hi] - cube[lo]).reshape(-1, corners.shape[1])
-                           for lo, hi in _edge_ends(grid.dim)]) / grid.h
+    vals = np.asarray(values, dtype=float)
+    # one field's gather takes numpy's fast path, two to three times the
+    # speed of the general one a batch needs
+    corners = (vals[grid.corner_rows] if vals.ndim == 1
+               else vals[..., grid.corner_rows])
+    lead, n_cells = corners.shape[:-2], corners.shape[-1]
+    cube = corners.reshape(lead + (2,) * grid.dim + (n_cells,))
+    return np.concatenate([(cube[hi] - cube[lo]).reshape(lead + (-1, n_cells))
+                           for lo, hi in _edge_ends(grid.dim)], axis=-2) / grid.h
 
 
 @cache
 def _edge_ends(dim: int) -> list[tuple[tuple, tuple]]:
     """Per axis a, the indices of the low and of the high corners of the x_a
-    edges in a (2,)*dim + (n_cells,) array of corner values, which holds
-    corner j at index (bit dim-1, ..., bit 0) of j."""
-    return [tuple((slice(None),) * (dim - 1 - a) + (end,) for end in (0, 1))
+    edges in a (...,) + (2,)*dim + (n_cells,) array of corner values, which
+    holds corner j at index (bit dim-1, ..., bit 0) of j."""
+    return [tuple((Ellipsis, end) + (slice(None),) * (a + 1) for end in (0, 1))
             for a in range(dim)]
 
 
 def _quadrant_gradients(d: np.ndarray, dim: int) -> list[np.ndarray]:
     """Component a of every quadrant gradient, for each axis a: a view of
-    the x_a rows of the edge differences d that broadcasts to (2,)*dim +
-    (n_cells,), quadrant q at index (bit dim-1, ..., bit 0) of q.  Its
-    length along axis dim-1-a is 1: an x_a edge's two quadrants share it."""
-    rows = d.reshape((dim,) + (2,) * (dim - 1) + (-1,))
-    return [rows[a][lo[:-1] + (None,)] for a, (lo, _) in enumerate(_edge_ends(dim))]
+    the x_a rows of the edge differences d that broadcasts to (...,) +
+    (2,)*dim + (n_cells,), quadrant q at index (bit dim-1, ..., bit 0) of q.
+    Its length along bit a is 1: an x_a edge's two quadrants share it."""
+    rows = d.reshape(d.shape[:-2] + (dim,) + (2,) * (dim - 1) + (d.shape[-1],))
+    return [rows[index] for index in _quadrant_index(dim)]
+
+
+@cache
+def _quadrant_index(dim: int) -> tuple[tuple, ...]:
+    """Per axis a, the index of the x_a rows in edge differences shaped
+    (...,) + (dim,) + (2,)*(dim-1) + (n_cells,), with a new axis at bit a."""
+    return tuple((Ellipsis, a) + (slice(None),) * (dim - 1 - a) + (None,)
+                 + (slice(None),) * (a + 1) for a in range(dim))
+
+
+def capillary_energies(grid: HalfSpaceGrid, values: np.ndarray,
+                       theta: CapillaryAngle, cells=None) -> np.ndarray:
+    """Discrete capillary energy of each state in a (..., n_nodes) batch of
+    nodal values, shaped (...); capillary_energy is the one-field case.
+
+    Every state's energy is bitwise the same in any batch: the quadrants of
+    a cell are added in order and each state's cells are summed on their
+    own 1-D row, so no reduction depends on the batch's layout.
+    """
+    dim = grid.dim
+    d = edge_differences(grid, values)
+    if cells is not None:
+        d = d[..., np.asarray(cells, dtype=int)]
+    g = _quadrant_gradients(d, dim)
+    v = np.sqrt(1.0 + sum(_quadrant_gradients(d * d, dim))) + theta.cos_t * g[0]
+    # the mean over each cell's quadrants (one shared entry in 1D)
+    k = math.prod(v.shape[-dim - 1:-1])
+    v = v.reshape(v.shape[:-dim - 1] + (k, v.shape[-1]))
+    means = sum(v[..., q, :] for q in range(k)) / k
+    rows = means.reshape(math.prod(means.shape[:-1]), means.shape[-1])
+    sums = [np.sum(row) for row in rows]
+    return grid.h ** dim * np.reshape(sums, means.shape[:-1])
 
 
 def capillary_energy(u: ScalarField, theta: CapillaryAngle, cells=None) -> float:
@@ -238,15 +276,7 @@ def capillary_energy(u: ScalarField, theta: CapillaryAngle, cells=None) -> float
     `cells` optionally restricts the sum to a subset of cell indices, so the
     energy is additive over disjoint cell partitions by construction.
     """
-    dim = u.grid.dim
-    d = edge_differences(u.grid, u.values)
-    if cells is not None:
-        d = d[:, np.asarray(cells, dtype=int)]
-    g = _quadrant_gradients(d, dim)
-    v = np.sqrt(1.0 + sum(_quadrant_gradients(d * d, dim))) + theta.cos_t * g[0]
-    # the mean over each cell's quadrants, in order (one shared entry in 1D)
-    v = v.reshape(math.prod(v.shape[:-1]), -1)
-    return float(u.grid.h ** dim * np.sum(v.sum(axis=0) / len(v)))
+    return float(capillary_energies(u.grid, u.values, theta, cells))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ _CONFORM_TOL = 1e-9
 # the multigrid hierarchy stops at a level of at most this many free nodes,
 # which the linear solver factors and solves exactly
 _COARSEST_SIZE = 32
+# halvings between two bracket decisions of _distance_to_ellipsoid
+_DECIDE_EVERY = 8
 
 
 class NodeClass(IntEnum):
@@ -498,43 +500,61 @@ def in_region(p, region: EllipsoidRegion) -> bool | np.ndarray:
     return bool(ok[0]) if single else ok
 
 
-def _distance_to_ellipsoid(y: np.ndarray, axes: np.ndarray) -> np.ndarray:
+def _distance_to_ellipsoid(y: np.ndarray, axes: np.ndarray,
+                           reach: float | None = None) -> np.ndarray:
     """Euclidean distance from exterior points y (centered coords) to the
     ellipsoid sum((y_i/axes_i)^2) = 1, by bisection on the projection
-    parameter until no bracket moves (at most 100 halvings).  Points inside
+    parameter t until no bracket moves (at most 100 halvings).  Points inside
     get distance 0.
+
+    The distance at t, |y_i| t/(t + axes_i^2) per axis, grows with t, also
+    in rounded arithmetic, so d(lo) <= d <= d(hi) for every bracket.  With a
+    `reach`, a point stops bisecting once its bracket decides d <= reach
+    (checked every _DECIDE_EVERY halvings), and its entry is the bracket
+    end's distance that decided it: `d <= reach` is then exact, the entry
+    only a bound.
     """
     y = np.atleast_2d(y)
     a2 = axes ** 2
     inside = np.sum((y / axes) ** 2, axis=1) <= 1.0
     d = np.zeros(y.shape[0])
-    ext = ~inside
-    if not np.any(ext):
+    live = np.flatnonzero(~inside)      # the points still bisected
+    if live.size == 0:
         return d
-    ye = y[ext]
+    ye = y[live]
 
-    def phi(t):
+    def phi(ye, t):
         return np.sum((axes * ye / (t[:, None] + a2)) ** 2, axis=1)
 
-    lo = np.zeros(ye.shape[0])
+    def dist(ye, t):
+        return np.linalg.norm(ye - a2 * ye / (t[:, None] + a2), axis=1)
+
+    lo = np.zeros(live.size)
     hi = np.sqrt(y.shape[1]) * np.max(np.abs(ye) * axes, axis=1) + np.max(a2)
     for _ in range(64):
-        grow = phi(hi) > 1.0
+        grow = phi(ye, hi) > 1.0
         if not np.any(grow):
             break
         hi[grow] *= 2.0
-    for _ in range(100):
+    for k in range(100):
+        if reach is not None and k % _DECIDE_EVERY == 0:
+            d_lo, d_hi = dist(ye, lo), dist(ye, hi)
+            within, beyond = d_hi <= reach, d_lo > reach
+            d[live[within]] = d_hi[within]
+            d[live[beyond]] = d_lo[beyond]
+            open_ = ~(within | beyond)
+            live, ye, lo, hi = live[open_], ye[open_], lo[open_], hi[open_]
+            if live.size == 0:
+                return d
         mid = 0.5 * (lo + hi)
-        high = phi(mid) > 1.0
+        high = phi(ye, mid) > 1.0
         new_lo = np.where(high, mid, lo)
         new_hi = np.where(high, hi, mid)
         # a step that moves no bracket end repeats forever: a fixed point
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
-    t = 0.5 * (lo + hi)
-    proj = a2 * ye / (t[:, None] + a2)
-    d[ext] = np.linalg.norm(ye - proj, axis=1)
+    d[live] = dist(ye, 0.5 * (lo + hi))
     return d
 
 
@@ -561,7 +581,7 @@ def inner_node_set(grid: HalfSpaceGrid, region: EllipsoidRegion) -> np.ndarray:
     near = (np.sum((y / axes) ** 2, axis=1)
             <= (1.0 + 2.0 * reach / np.min(axes)) ** 2)
     dist = np.full(grid.n_nodes, np.inf)
-    dist[near] = _distance_to_ellipsoid(y[near], axes)
+    dist[near] = _distance_to_ellipsoid(y[near], axes, reach)
     keep = member | (dist <= reach)
     idx = np.flatnonzero(keep)
     if idx.size == 0:

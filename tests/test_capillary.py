@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capgraph import (CapillaryAngle, DegenerateAngle, ScalarField, ZeroVector,
                       affine_capillary_solution, area_element, boundary_frame,
@@ -10,7 +12,7 @@ from capgraph import (CapillaryAngle, DegenerateAngle, ScalarField, ZeroVector,
                       capillary_gauge, conormal, discrete_gradient,
                       edge_differences, field_from_callable,
                       ghost_closure, unit_normal)
-from capgraph.capillary import _nodal_gradient
+from capgraph.capillary import _nodal_gradient, capillary_energies
 
 
 def test_angle_validation_and_cached_trig():
@@ -325,6 +327,30 @@ def test_capillary_energy_is_bitwise_the_quadrant_formula(args):
             assert repr(capillary_energy(u, theta)) == repr(_quadrant_energy(u, theta))
             assert (repr(capillary_energy(u, theta, cells=cells))
                     == repr(_quadrant_energy(u, theta, cells)))
+
+
+# m1 cells along x1, 2 * mp along x2, at three mesh widths
+@settings(max_examples=50)
+@given(dim=st.sampled_from([1, 2]), h=st.sampled_from([0.1, 0.25, 1.0]),
+       m1=st.integers(1, 12), mp=st.integers(1, 6), n_states=st.integers(1, 9),
+       theta_val=st.floats(0.2, 2.9), amp=st.sampled_from([1e-3, 0.5, 4.0]),
+       seed=st.integers(0, 2 ** 16))
+@example(dim=1, h=1.0, m1=1, mp=1, n_states=1, theta_val=np.pi / 2, amp=0.5, seed=0)
+@example(dim=2, h=0.25, m1=1, mp=1, n_states=30, theta_val=np.pi / 3, amp=0.5, seed=1)
+def test_batched_energies_are_bitwise_the_single_energies(dim, h, m1, mp, n_states,
+                                                          theta_val, amp, seed):
+    grid = build_grid(dim, h, m1 * h, mp * h)
+    theta = CapillaryAngle(theta_val)
+    rng = np.random.default_rng(seed)
+    batch = amp * rng.standard_normal((n_states, grid.n_nodes))
+    n_cells = grid.cell_corners.shape[0]
+    for cells in (None, rng.choice(n_cells, (n_cells + 1) // 2, replace=False)):
+        got = capillary_energies(grid, batch, theta, cells)
+        assert got.shape == (n_states,)
+        for row, energy in zip(batch, got):
+            u = ScalarField(grid, row)
+            assert repr(float(energy)) == repr(capillary_energy(u, theta, cells))
+            assert repr(float(energy)) == repr(_quadrant_energy(u, theta, cells))
 
 
 def test_quadrant_gradients_pair_the_edge_differences():

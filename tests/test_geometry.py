@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capgraph import (BadDimension, CapillaryAngle, EllipsoidRegion,
                       EmptyRegion, NodeClass, NonconformingExtent, RegionKind,
-                      build_grid, in_region, inner_node_set)
+                      build_grid, domain_for_radius, in_region,
+                      inner_node_set)
 from capgraph import solver
 from capgraph.geometry import _distance_to_ellipsoid
 
@@ -167,6 +168,52 @@ def test_inner_node_set_prefilter_keeps_the_unfiltered_sets(dim):
                         assert np.array_equal(
                             inner_node_set(grid, region),
                             _unfiltered_inner_node_set(grid, region))
+
+
+# a domain of radius r at mesh width h (r/h <= 40), holding a region of
+# radius scale * r as the CLI's solves (r/2) and `report` (r) use it
+@settings(max_examples=80)
+@given(dim=st.sampled_from([1, 2]), theta_val=st.floats(0.3, 2.8),
+       r=st.floats(0.5, 8.0), h=st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5]),
+       scale=st.sampled_from([0.5, 1.0]), kind=st.sampled_from(list(RegionKind)),
+       center=st.none() | st.floats(-1.0, 1.0))
+# the CLI's on-surface nodes: (0.5, +-3) has q == 1 exactly in the inner
+# region of radius 4 at theta = pi/3
+@example(dim=2, theta_val=np.pi / 3, r=4.0, h=0.25, scale=1.0,
+         kind=RegionKind.INNER, center=None)
+@example(dim=2, theta_val=np.pi / 3, r=4.0, h=0.5, scale=1.0,
+         kind=RegionKind.INNER, center=None)
+@example(dim=2, theta_val=np.pi / 3, r=8.0, h=0.25, scale=0.5,
+         kind=RegionKind.INNER, center=None)
+# nodes at distance h/2, decided only by a bracket narrower than 1e-12
+@example(dim=2, theta_val=np.pi / 3, r=1.0, h=0.05, scale=0.5,
+         kind=RegionKind.INNER, center=None)
+def test_inner_node_set_equals_the_unfiltered_sets_on_radius_domains(
+        dim, theta_val, r, h, scale, kind, center):
+    assume(h <= r <= 40.0 * h)
+    theta = CapillaryAngle(theta_val)
+    grid = domain_for_radius(r, theta, h, dim)
+    region = EllipsoidRegion(scale * r, theta, kind,
+                             () if dim == 1 or center is None else (center,))
+    assert np.array_equal(inner_node_set(grid, region),
+                          _unfiltered_inner_node_set(grid, region))
+
+
+@settings(max_examples=40)
+@given(dim=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16),
+       reach=st.floats(1e-3, 0.5) | st.integers(0, 199))
+def test_reach_decided_distances_bound_the_full_bisection(dim, seed, reach):
+    rng = np.random.default_rng(seed)
+    axes = rng.uniform(0.5, 3.0, dim)
+    y = rng.uniform(-4.0, 4.0, (200, dim))
+    full = _distance_to_ellipsoid(y, axes)
+    if isinstance(reach, int):      # a point exactly at the reach
+        reach = float(full[reach])
+    got = _distance_to_ellipsoid(y, axes, reach)
+    within = got <= reach
+    assert np.array_equal(within, full <= reach)
+    # the bracket end that decided a point bounds its distance
+    assert np.all(np.where(within, got >= full, got <= full))
 
 
 def _oracle_hessian_pattern(grid):

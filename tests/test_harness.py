@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       AngleOutOfRange, BadConfig, CapillaryAngle,
                       ExperimentConfig, ExperimentReport,
-                      HypothesisViolation, InvariantViolation, OutOfExtent,
-                      ReportRow,
+                      HypothesisViolation, InvalidParameter,
+                      InvariantViolation, OutOfExtent, ReportRow,
+                      StationarityViolation,
                       ScalarField, affine_capillary_solution, blow_down,
                       build_grid, capillary_energy, discrete_gradient,
                       domain_for_radius, field_from_callable, parse_config,
@@ -193,6 +194,111 @@ def test_minimizer_single_node_convexity():
                       + capillary_energy(ScalarField(grid, um), THETA)
                       - 2.0 * e0)
             assert second > 0.0
+
+
+def _minimizer_config(seed, r=2.0):
+    # the CLI's verify-minimizer case
+    return ExperimentConfig(scenario="minimizer-test", theta_rad=float(THETA.theta),
+                            r_levels=(r,), h_levels=(0.25,), seed=seed)
+
+
+def _sequential_battery(cfg, values, energy0, trials):
+    """The competitor loop one trial and one amplitude at a time, each
+    energy one capillary_energy call; returns the (trials, 3) gains and the
+    perturbations."""
+    grid, _, rng = harness._first_level(cfg, cfg.h_levels[0], cfg.perturb_amp)
+    gains, draws = [], []
+    for _ in range(trials):
+        w = np.zeros(grid.n_nodes)
+        w[grid.free_indices] = rng.standard_normal(grid.free_indices.size)
+        w /= np.max(np.abs(w))
+        gains.append([capillary_energy(ScalarField(grid, values + eps * w), cfg.theta)
+                      - energy0 for eps in harness.MINIMIZER_EPSILONS])
+        draws.append(w)
+    return np.array(gains), draws
+
+
+def _recorded_battery(monkeypatch, cfg, trials):
+    """run_minimizer_test with its solve and its batched energies recorded:
+    (report, solution, energy of the solution, (trials, 3) gains)."""
+    solves, energies = [], []
+    solve_level, capillary_energies = harness._solve_level, harness.capillary_energies
+
+    def solve(*args, **kwargs):
+        solves.append(solve_level(*args, **kwargs))
+        return solves[-1]
+
+    def batch(*args, **kwargs):
+        energies.append(capillary_energies(*args, **kwargs))
+        return energies[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_solve_level", solve)
+        m.setattr(harness, "capillary_energies", batch)
+        report = run_minimizer_test(cfg, trials=trials)
+    (sol, row, _), = solves
+    return report, sol, row.energy, np.concatenate(energies).reshape(trials, -1) - row.energy
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_minimizer_battery_matches_the_sequential_loop(monkeypatch, seed):
+    cfg = _minimizer_config(seed)
+    report, sol, energy0, gains = _recorded_battery(monkeypatch, cfg, 100)
+    want, _ = _sequential_battery(cfg, sol.values, energy0, 100)
+    # each batched energy is bitwise the single capillary_energy call
+    assert gains.tobytes() == want.tobytes()
+    # the closed-form slope against np.polyfit's
+    log_eps = np.log(harness.MINIMIZER_EPSILONS)
+    slopes = np.array([np.polyfit(log_eps, np.log(row), 1)[0] for row in want])
+    got = harness._log_slopes(log_eps, gains)
+    assert np.max(np.abs(got - slopes)) <= 1e-9
+    assert abs(report.details["min_quadratic_slope"] - np.min(slopes)) <= 1e-9
+    assert report.details["max_energy_drop"] == -min(0.0, np.min(want))
+
+
+def test_minimizer_gains_do_not_depend_on_the_chunk_size(monkeypatch):
+    cfg, trials = _minimizer_config(0, r=1.5), 23
+    runs = []
+    for chunk in (1, 7, 10, trials):
+        monkeypatch.setattr(harness, "_MINIMIZER_CHUNK", chunk)
+        report, *_, gains = _recorded_battery(monkeypatch, cfg, trials)
+        runs.append((report.details, gains.tobytes()))
+    assert all(run == runs[0] for run in runs)
+    assert runs[0][0]["trials"] == trials
+
+
+# noisy fields are no minimizers; the sequential loop first undercuts the
+# energy at (trial, amplitude index) `first`.  At seed 3 that is inside the
+# first chunk and not at its first amplitude; at seed 4 the first chunk also
+# undercuts at trial 5 with the largest amplitude, which an amplitude-major
+# order would report first
+@pytest.mark.parametrize("seed, amp, first", [(3, 0.02, (5, 1)), (4, 0.1, (0, 1))])
+def test_minimizer_violation_names_the_first_offending_competitor(monkeypatch, seed,
+                                                                 amp, first):
+    cfg = _minimizer_config(seed, r=1.5)
+    grid, _, _ = harness._first_level(cfg, 0.25, cfg.perturb_amp)
+    values = (affine_capillary_solution(THETA, (0.0,), 0.0)(grid.nodes)
+              + amp * np.random.default_rng(7).standard_normal(grid.n_nodes))
+    field = ScalarField(grid, values)
+    energy0 = capillary_energy(field, THETA)
+    row = ReportRow(level=0, r=1.5, h=0.25, sup_grad_inner=0.0, affine_dev=0.0,
+                    energy=energy0, v_min=0.0, newton_iters=1, status="converged")
+    monkeypatch.setattr(harness, "_solve_level", lambda *a, **k: (field, row, None))
+    gains, draws = _sequential_battery(cfg, values, energy0, 10)
+    trial, e = np.argwhere(gains < -1e-10)[0]
+    assert (trial, e) == first
+    for chunk in (1, 4, 10):
+        monkeypatch.setattr(harness, "_MINIMIZER_CHUNK", chunk)
+        with pytest.raises(StationarityViolation, match=f"trial {trial}:") as info:
+            run_minimizer_test(cfg)
+        assert info.value.epsilon == harness.MINIMIZER_EPSILONS[e]
+        assert info.value.perturbation.tobytes() == draws[trial].tobytes()
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.0, True, "5", None])
+def test_minimizer_test_rejects_a_trial_count_that_is_not_a_positive_integer(trials):
+    with pytest.raises(InvalidParameter, match="trials"):
+        run_minimizer_test(_minimizer_config(0), trials=trials)
 
 
 def test_gradient_bound_sweep_degenerate_and_angle_guard():
