@@ -61,6 +61,20 @@ class CapillaryAngle:
         return self.cos_t / self.sin_t
 
 
+def _cos_theta(theta: CapillaryAngle | np.ndarray) -> float | np.ndarray:
+    """cos(theta) of one CapillaryAngle, or elementwise of an array of angles
+    in (0, pi), one per point: the same snapped cosine either way."""
+    if isinstance(theta, CapillaryAngle):
+        return theta.cos_t
+    t = np.asarray(theta, dtype=float)
+    # a NaN fails both comparisons; the sin(theta) floor of CapillaryAngle
+    # is not checked, it would cost a second trig pass over the points
+    if t.size and not (np.min(t) > 0.0 and np.max(t) < np.pi):
+        raise DegenerateAngle("every angle must lie in (0, pi)")
+    c = np.cos(t)
+    return np.where(np.abs(c) < 1e-15, 0.0, c)
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Nodal values of the height function on a grid."""
@@ -126,20 +140,24 @@ def area_element(g) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def capillary_area_element(g, theta: CapillaryAngle) -> np.ndarray | float:
-    """v = W + cos(theta) g_1; always >= sin(theta)."""
+def capillary_area_element(g, theta: CapillaryAngle | np.ndarray
+                           ) -> np.ndarray | float:
+    """v = W + cos(theta) g_1; always >= sin(theta).  theta is one
+    CapillaryAngle or an array of angles broadcasting against g's points."""
     arr = np.atleast_1d(np.asarray(g, dtype=float))
-    out = area_element(arr) + theta.cos_t * arr[..., 0]
+    out = area_element(arr) + _cos_theta(theta) * arr[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
-def capillary_gauge(xi, theta: CapillaryAngle) -> np.ndarray | float:
-    """Anisotropic gauge |xi| - cos(theta) <xi, e1>; positive off the origin."""
+def capillary_gauge(xi, theta: CapillaryAngle | np.ndarray) -> np.ndarray | float:
+    """Anisotropic gauge |xi| - cos(theta) <xi, e1>; positive off the origin.
+    theta is one CapillaryAngle or an array of angles broadcasting against
+    xi's vectors."""
     arr = np.asarray(xi, dtype=float)
     norm = np.sqrt(np.sum(arr * arr, axis=-1))
     if np.any(norm == 0.0):
         raise ZeroVector("gauge is not defined at the zero vector")
-    out = norm - theta.cos_t * arr[..., 0]
+    out = norm - _cos_theta(theta) * arr[..., 0]
     return float(out) if out.ndim == 0 else out
 
 

@@ -373,12 +373,23 @@ class MaxPrincipleCoefficients:
     range_lower_bound: float
 
 
-def angle_condition_lower_bound(n: int, theta: CapillaryAngle, eps0: float) -> float:
-    """-(n-1+e)^2 / (4(n-2+e)) + (n-1+e) - (n-2+e) cos^2; positive exactly
-    when the splitting condition holds."""
+def _splitting_denominator(n: int, eps0):
+    """(eps0, n - 2 + eps0) with eps0 a scalar as given or a float array;
+    raises DegenerateState unless every denominator is positive."""
+    if np.ndim(eps0) != 0:
+        eps0 = np.asarray(eps0, dtype=float)
     denom = n - 2.0 + eps0
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise DegenerateState("n - 2 + eps0 must be positive")
+    return eps0, denom
+
+
+def angle_condition_lower_bound(n: int, theta: CapillaryAngle,
+                                eps0: float | np.ndarray) -> float | np.ndarray:
+    """-(n-1+e)^2 / (4(n-2+e)) + (n-1+e) - (n-2+e) cos^2; positive exactly
+    when the splitting condition holds.  Elementwise in an array eps0; a
+    scalar eps0 gives a scalar of its own type."""
+    eps0, denom = _splitting_denominator(n, eps0)
     a = n - 1.0 + eps0
     return -a * a / (4.0 * denom) + a - denom * theta.cos_t ** 2
 
@@ -390,11 +401,17 @@ def _splitting_lhs(n: int, eps0):
     return (a / denom) * (1.0 - a / (4.0 * denom))
 
 
-def angle_condition_holds(n: int, theta: CapillaryAngle, eps0: float) -> bool:
-    """Splitting condition: _splitting_lhs(n, eps0) > cos^2(theta)."""
-    if n - 2.0 + eps0 <= 0.0:
-        raise DegenerateState("n - 2 + eps0 must be positive")
+def angle_condition_holds(n: int, theta: CapillaryAngle,
+                          eps0: float | np.ndarray) -> bool | np.ndarray:
+    """Splitting condition: _splitting_lhs(n, eps0) > cos^2(theta).
+    Elementwise in an array eps0; a bool for a float eps0."""
+    eps0, _ = _splitting_denominator(n, eps0)
     return _splitting_lhs(n, eps0) > theta.cos_t ** 2
+
+
+# scan of choose_eps0 over (0, 1), built once
+_EPS0_SCAN = np.linspace(1e-15, 1.0 - 1e-15, 1025)
+_EPS0_SCAN.flags.writeable = False
 
 
 def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:
@@ -409,8 +426,7 @@ def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:
         # elementwise, so the array scan and the scalar bisection agree bitwise
         return _splitting_lhs(n, eps) - cos2
 
-    lo_edge, hi_edge = 1e-15, 1.0 - 1e-15
-    grid = np.linspace(lo_edge, hi_edge, 1025)
+    grid = _EPS0_SCAN
     pos = f(grid) > 0.0
     if not np.any(pos):
         raise AngleOutOfRange(

@@ -17,8 +17,9 @@ import numpy as np
 
 from .capillary import (AffineCapillarySolution, CapillaryAngle, ScalarField,
                         affine_capillary_solution, area_element,
-                        calibration_value, capillary_energies, capillary_gauge,
-                        conormal, unit_normal)
+                        calibration_value, capillary_area_element,
+                        capillary_energies, capillary_gauge, conormal,
+                        unit_normal)
 from .errors import (AngleOutOfRange, BadConfig, HypothesisViolation,
                      InvalidParameter, InvariantViolation, OutOfExtent,
                      StationarityViolation, UnresolvedRegion)
@@ -57,6 +58,10 @@ MINIMIZER_EPSILONS = (1e-1, 1e-2, 1e-3)
 # 3 * _MINIMIZER_CHUNK competitors keep the transient near 1 MB on CLI grids,
 # where one batch of every trial would cost ten times that
 _MINIMIZER_CHUNK = 10
+# points per chunk of the audit's v >= sin(theta) check: about 4 MB whatever
+# n_gradients; smaller chunks took about 8,000 page faults per audit against
+# 3,000, the C allocator handing freed memory back (BENCH_audit.json)
+_AUDIT_CHUNK = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +580,12 @@ def _log_slopes(log_eps: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return sum(x[k] * y[:, k] for k in range(x.size)) / np.dot(x, x)
 
 
+def _require_count(name: str, value) -> None:
+    """Raise InvalidParameter unless value is an integer >= 1 (bool rejected)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
                        ) -> ExperimentReport:
     """Competitor test of the minimizing property of a solved field.
@@ -588,8 +599,7 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
     """
     if cfg.scenario != "minimizer-test":
         raise BadConfig(f"scenario {cfg.scenario!r} is not minimizer-test")
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise InvalidParameter(f"trials must be an integer >= 1, got {trials!r}")
+    _require_count("trials", trials)
     theta = cfg.theta
     r, h = cfg.r_levels[0], cfg.h_levels[0]
     grid, data, rng = _first_level(cfg, h, cfg.perturb_amp)
@@ -697,16 +707,35 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
               cutoff_draws: int = 20, cutoff_samples: int = 10_000
               ) -> list[CheckResult]:
     """Property battery over the closed-form apparatus; returns one
-    CheckResult per invariant."""
+    CheckResult per invariant.
+
+    The v >= sin(theta) check streams its n_gradients points in chunks of
+    _AUDIT_CHUNK, so its memory does not depend on n_gradients; every check
+    draws the same numbers as one full-size draw would.
+    """
+    for name, count in (("n_gradients", n_gradients), ("cutoff_draws", cutoff_draws),
+                        ("cutoff_samples", cutoff_samples)):
+        _require_count(name, count)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     checks = []
 
-    # pointwise lower bound of the capillary area element
-    thetas = _sample_angles(rng, n_gradients)
-    grads = rng.uniform(-30.0, 30.0, (n_gradients, 2))
-    # cos(theta) inline: one angle per point, the library takes one angle
-    v = area_element(grads) + np.cos(thetas) * grads[:, 0]
-    margin = float(np.min(v - np.sin(thetas)))
+    # pointwise lower bound of the capillary area element: the angles are the
+    # stream's first n_gradients doubles and the gradients the next
+    # 2 n_gradients, read by a second Philox advanced to the first gradient
+    # (four doubles per counter step); rng then takes over its state
+    gen = np.random.Philox()
+    gen.state = rng.bit_generator.state
+    gen.advance(int(n_gradients) // 4)    # advance overflows on a numpy int
+    gen.random_raw(n_gradients % 4)
+    grad_rng = np.random.Generator(gen)
+    margin = np.inf
+    for first in range(0, n_gradients, _AUDIT_CHUNK):
+        count = min(_AUDIT_CHUNK, n_gradients - first)
+        thetas = _sample_angles(rng, count)
+        grads = grad_rng.uniform(-30.0, 30.0, (count, 2))
+        v = capillary_area_element(grads, thetas)
+        margin = min(margin, float(np.min(v - np.sin(thetas))))
+    rng.bit_generator.state = gen.state
     checks.append(CheckResult("v_lower_bound_margin", margin, -1e-12,
                               margin >= -1e-12))
 
@@ -717,14 +746,10 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
     worst = 0.0
     for i in range(0, m, 2000):
         sl = slice(i, i + 2000)
-        angle_block = thetas[sl]
         g = grads[sl]
-        w = area_element(g)
-        nu = unit_normal(g)
-        # cos(theta) inline: one angle per point, the library takes one angle
-        gauge = np.linalg.norm(nu, axis=1) - np.cos(angle_block) * nu[:, 0]
-        vv = w + np.cos(angle_block) * g[:, 0]
-        worst = max(worst, float(np.max(np.abs(gauge * w - vv))))
+        gauge = capillary_gauge(unit_normal(g), thetas[sl])
+        vv = capillary_area_element(g, thetas[sl])
+        worst = max(worst, float(np.max(np.abs(gauge * area_element(g) - vv))))
     checks.append(CheckResult("gauge_energy_identity", worst, 1e-12,
                               worst <= 1e-12))
 
@@ -778,10 +803,9 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
     for n in range(2, 9):
         for t in theta_grid:
             angle = CapillaryAngle(float(t))
-            for eps in eps_grid:
-                lb = angle_condition_lower_bound(n, angle, float(eps))
-                if (lb > 0.0) != angle_condition_holds(n, angle, float(eps)):
-                    disagreements += 1
+            lb = angle_condition_lower_bound(n, angle, eps_grid)
+            disagreements += int(np.count_nonzero(
+                (lb > 0.0) != angle_condition_holds(n, angle, eps_grid)))
             if n >= 3:
                 at_zero = angle_condition_lower_bound(n, angle, 0.0) > 0.0
                 member = angle.cos_t ** 2 < angle_threshold(n)

@@ -83,6 +83,37 @@ def test_capillary_area_element_values():
     assert np.isclose(capillary_area_element(np.zeros(2), theta), 1.0)
 
 
+def test_per_point_angles_match_one_angle_calls():
+    # an array of angles, one per point, gives bitwise the values of one
+    # CapillaryAngle call per point, the pi/2 snap of cos included
+    rng = np.random.default_rng(11)
+    thetas = np.concatenate([rng.uniform(0.06, np.pi - 0.06, 300),
+                             [np.pi / 2, np.nextafter(np.pi / 2, 4.0)]])
+    grads = rng.uniform(-20.0, 20.0, (thetas.size, 2))
+    xi = rng.standard_normal((thetas.size, 3))
+    v = capillary_area_element(grads, thetas)
+    gauge = capillary_gauge(xi, thetas)
+    one = [(capillary_area_element(g, CapillaryAngle(t)),
+            capillary_gauge(x, CapillaryAngle(t)))
+           for g, x, t in zip(grads, xi, thetas)]
+    assert v.tobytes() == np.array([a for a, _ in one]).tobytes()
+    assert gauge.tobytes() == np.array([b for _, b in one]).tobytes()
+    # cos snaps to 0 within 1e-15 of pi/2, so v is W there
+    assert v[-2:].tolist() == area_element(grads[-2:]).tolist()
+    # a batch of gradients against one angle broadcasts like a CapillaryAngle
+    assert capillary_area_element(grads, thetas[0]).tobytes() == \
+        capillary_area_element(grads, CapillaryAngle(thetas[0])).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, np.pi, -0.5, 4.0, np.nan, np.inf])
+def test_per_point_angles_outside_zero_pi_are_rejected(bad):
+    thetas = np.array([1.0, bad, 2.0])
+    with pytest.raises(DegenerateAngle):
+        capillary_area_element(np.ones((3, 2)), thetas)
+    with pytest.raises(DegenerateAngle):
+        capillary_gauge(np.ones((3, 3)), thetas)
+
+
 def test_v_lower_bound_and_equality_localization():
     rng = np.random.default_rng(42)
     n = 200_000

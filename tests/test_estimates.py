@@ -236,6 +236,35 @@ def test_lower_bound_value_and_equivalences():
                 assert (angle_condition_lower_bound(n, angle, 0.0) > 0.0) == member
 
 
+def test_angle_condition_over_an_eps0_array():
+    # an array of eps0 gives bitwise the scalar calls' values; a scalar eps0
+    # keeps its own result type, as the sweep CSV's script_B cells rely on
+    for n in (2, 3, 5, 8):
+        # eps0 = 0 is allowed from n = 3 on
+        eps = np.linspace(0.0 if n >= 3 else 0.03, 0.99, 34)
+        for t in (0.3, np.pi / 2, 2.5):
+            angle = CapillaryAngle(t)
+            lb = angle_condition_lower_bound(n, angle, eps)
+            assert lb.tobytes() == np.array(
+                [angle_condition_lower_bound(n, angle, float(e)) for e in eps]).tobytes()
+            assert angle_condition_holds(n, angle, eps).tolist() == \
+                [angle_condition_holds(n, angle, float(e)) for e in eps]
+    assert type(angle_condition_lower_bound(4, THETA, 0.5)) is float
+    assert type(angle_condition_lower_bound(4, THETA, np.float64(0.5))) is np.float64
+    assert type(angle_condition_holds(4, THETA, 0.5)) is bool
+    assert angle_condition_lower_bound(4, THETA, [0.25, 0.5]).shape == (2,)
+
+
+def test_angle_condition_rejects_any_nonpositive_denominator():
+    # n = 2 needs eps0 > 0; one bad entry rejects the whole array
+    for fn in (angle_condition_lower_bound, angle_condition_holds):
+        with pytest.raises(DegenerateState):
+            fn(2, THETA, np.array([0.5, 0.0, 0.7]))
+        with pytest.raises(DegenerateState):
+            fn(2, THETA, 0.0)
+        assert np.ndim(fn(2, THETA, np.array([0.5, 0.7]))) == 1
+
+
 def test_choose_eps0_midpoint():
     # free-boundary n = 2: the admissible interval is (1/3, 1)
     eps = choose_eps0(2, CapillaryAngle(np.pi / 2))

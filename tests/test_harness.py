@@ -8,17 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
-                      AngleOutOfRange, BadConfig, CapillaryAngle,
+                      AngleOutOfRange, BadConfig, CapillaryAngle, CheckResult,
+                      CutoffParams, EllipsoidRegion,
                       ExperimentConfig, ExperimentReport,
                       HypothesisViolation, InvalidParameter,
-                      InvariantViolation, OutOfExtent, ReportRow,
+                      InvariantViolation, OutOfExtent, RegionKind, ReportRow,
                       StationarityViolation,
-                      ScalarField, affine_capillary_solution, blow_down,
-                      build_grid, capillary_energy, discrete_gradient,
-                      domain_for_radius, field_from_callable, parse_config,
+                      ScalarField, affine_capillary_solution,
+                      angle_condition_holds, angle_condition_lower_bound,
+                      angle_threshold, area_element, blow_down,
+                      build_grid, calibration_value, capillary_energy,
+                      capillary_gauge, conormal, cutoff_derivative_check,
+                      discrete_gradient, domain_for_radius,
+                      field_from_callable, in_region, parse_config,
                       run_angle_sweep, run_audit, run_conormal_check,
                       run_gradient_bound_sweep, run_liouville_experiment,
-                      run_minimizer_test, run_solve_experiment, write_csv)
+                      run_minimizer_test, run_solve_experiment,
+                      unit_normal, write_csv)
 from capgraph import harness
 
 THETA = CapillaryAngle(np.pi / 3)
@@ -420,6 +426,131 @@ def test_audit_battery_passes():
     names = {res.name for res in results}
     assert {"v_lower_bound_margin", "cutoff_boundary_identity",
             "coefficient_equivalences", "region_inclusion"} <= names
+
+
+def _one_shot_audit(seed, n_gradients, cutoff_draws, cutoff_samples):
+    """The audit battery with its v >= sin(theta) check drawn and evaluated
+    in one go and cos(theta) written inline: the oracle of the streamed
+    check, its state hand-off and the library calls of run_audit."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    thetas = harness._sample_angles(rng, n_gradients)
+    grads = rng.uniform(-30.0, 30.0, (n_gradients, 2))
+    v = area_element(grads) + np.cos(thetas) * grads[:, 0]
+    margin = float(np.min(v - np.sin(thetas)))
+    checks = [CheckResult("v_lower_bound_margin", margin, -1e-12, margin >= -1e-12)]
+
+    thetas = harness._sample_angles(rng, 10_000)
+    grads = rng.uniform(-10.0, 10.0, (10_000, 2))
+    worst = 0.0
+    for i in range(0, 10_000, 2000):
+        c, g = np.cos(thetas[i:i + 2000]), grads[i:i + 2000]
+        nu = unit_normal(g)
+        gauge = np.linalg.norm(nu, axis=1) - c * nu[:, 0]
+        worst = max(worst, float(np.max(np.abs(
+            gauge * area_element(g) - (area_element(g) + c * g[:, 0])))))
+    checks.append(CheckResult("gauge_energy_identity", worst, 1e-12, worst <= 1e-12))
+
+    g = rng.uniform(-10.0, 10.0, (10_000, 2))
+    nu, mu = unit_normal(g), conormal(g)
+    worst = max(float(np.max(np.abs(np.linalg.norm(nu, axis=1) - 1.0))),
+                float(np.max(np.abs(np.linalg.norm(mu, axis=1) - 1.0))),
+                float(np.max(np.abs(np.sum(nu * mu, axis=1)))))
+    checks.append(CheckResult("frame_orthogonality", worst, 1e-12, worst <= 1e-12))
+
+    worst = -np.inf
+    for _ in range(10):
+        angle = CapillaryAngle(float(harness._sample_angles(rng, 1)[0]))
+        g = rng.uniform(-5.0, 5.0, (1000, 2))
+        npl = rng.standard_normal((1000, 3))
+        npl /= np.linalg.norm(npl, axis=1)[:, None]
+        worst = max(worst, float(np.max(calibration_value(g, npl, angle)
+                                        - capillary_gauge(npl, angle))))
+    checks.append(CheckResult("calibration_inequality", worst, 1e-12, worst <= 1e-12))
+
+    worst = [-np.inf] * 3
+    for draw in range(cutoff_draws):
+        angle = CapillaryAngle(float(harness._sample_angles(rng, 1)[0]))
+        r = float(np.exp(rng.uniform(np.log(0.5), np.log(8.0))))
+        rep = cutoff_derivative_check(CutoffParams(r=r, theta=angle, dim=2),
+                                      cutoff_samples, seed=seed + draw)
+        worst = [max(w, x) for w, x in zip(worst, (
+            rep.max_gradient_violation, rep.max_boundary_residual,
+            rep.inner_lower_bound - rep.min_weight_inner))]
+    checks += [CheckResult(name, w, 1e-12, w <= 1e-12) for name, w in zip(
+        ("cutoff_gradient_bound", "cutoff_boundary_identity", "cutoff_inner_floor"),
+        worst)]
+
+    bad = 0
+    lo = np.arcsin(0.05) + 1e-9
+    for n in range(2, 9):
+        for t in np.linspace(lo, np.pi - lo, 50):
+            angle = CapillaryAngle(float(t))
+            for eps in np.linspace(0.05, 0.95, 10):
+                bad += ((angle_condition_lower_bound(n, angle, float(eps)) > 0.0)
+                        != angle_condition_holds(n, angle, float(eps)))
+            if n >= 3:
+                bad += ((angle_condition_lower_bound(n, angle, 0.0) > 0.0)
+                        != (angle.cos_t ** 2 < angle_threshold(n)))
+    checks.append(CheckResult("coefficient_equivalences", float(bad), 0.0, bad == 0))
+
+    bad = 0
+    for _ in range(5):
+        angle = CapillaryAngle(float(harness._sample_angles(rng, 1)[0]))
+        r = float(np.exp(rng.uniform(np.log(0.5), np.log(8.0))))
+        pts = rng.uniform(-2.0 * r, 2.0 * r, (20_000, 2))
+        pts[:, 0] = np.abs(pts[:, 0])
+        bad += int(np.count_nonzero(
+            in_region(pts, EllipsoidRegion(r, angle, RegionKind.INNER))
+            & ~in_region(pts, EllipsoidRegion(r, angle, RegionKind.OUTER))))
+    checks.append(CheckResult("region_inclusion", float(bad), 0.0, bad == 0))
+    return checks
+
+
+@pytest.mark.parametrize("n_gradients", [
+    1, 2, 3, 5, harness._AUDIT_CHUNK - 1, harness._AUDIT_CHUNK + 1,
+    2 * harness._AUDIT_CHUNK + 3])
+def test_streamed_audit_matches_one_shot_draws(n_gradients):
+    # the chunks read the same Philox stream as one full-size draw, and every
+    # later check starts where that draw left the stream
+    for seed in range(3):
+        streamed = run_audit(seed, n_gradients, cutoff_draws=2, cutoff_samples=50)
+        oracle = _one_shot_audit(seed, n_gradients, 2, 50)
+        assert [(c.name, c.value, c.passed) for c in streamed] == \
+            [(c.name, c.value, c.passed) for c in oracle]
+
+
+def test_audit_memory_does_not_grow_with_n_gradients():
+    import tracemalloc
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            run_audit(0, n, cutoff_draws=1, cutoff_samples=100)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    run_audit(0, 10, cutoff_draws=1, cutoff_samples=10)    # lazy set-up
+    big, small = peak(1_000_000), peak(250_000)
+    # one full-size draw of a million points peaked near 46 MB
+    assert big < 6.0
+    assert abs(big - small) < 1.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_gradients": 0}, {"n_gradients": -3}, {"n_gradients": 1.0},
+    {"n_gradients": True}, {"n_gradients": "10"}, {"cutoff_draws": 0},
+    {"cutoff_draws": False}, {"cutoff_samples": 0}, {"cutoff_samples": 2.5},
+])
+def test_audit_rejects_bad_sizes(kwargs):
+    with pytest.raises(InvalidParameter):
+        run_audit(0, **{"n_gradients": 10, "cutoff_draws": 1,
+                        "cutoff_samples": 10, **kwargs})
+
+
+def test_audit_accepts_numpy_integer_sizes():
+    results = run_audit(0, np.int64(10), np.int32(1), np.int64(10))
+    assert all(res.passed for res in results)
 
 
 _ROW_VALUES = ("sup_grad_inner", "affine_dev", "energy", "v_min")
