@@ -25,7 +25,8 @@ from .estimates import (AngleRangeResult, AuxiliaryField, CoefficientState,
                         MaxPrincipleCoefficients, admissible_angle_range,
                         angle_condition_holds, angle_condition_lower_bound,
                         angle_threshold, auxiliary_function, choose_eps0,
-                        conormal_stationarity_residual, cutoff_derivative_check,
+                        choose_eps0_array, conormal_stationarity_residual,
+                        cutoff_derivative_check,
                         cutoff_profile, cutoff_weight, cutoff_weight_gradient,
                         gradient_bound, height_scale, height_weight,
                         max_principle_coefficients, nondivergence_residual,

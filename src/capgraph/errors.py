@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class CapillaryLabError(Exception):
     """Base class for all package-specific errors."""
@@ -57,6 +59,12 @@ class OutOfExtent(CapillaryLabError):
 
 class InvalidParameter(CapillaryLabError, ValueError):
     """Solver or problem parameter outside its domain; also a ValueError."""
+
+
+def require_count(name: str, value) -> None:
+    """Raise InvalidParameter unless value is an integer >= 1 (bool rejected)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class BadConfig(CapillaryLabError):

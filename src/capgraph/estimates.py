@@ -15,10 +15,10 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .capillary import (CapillaryAngle, ScalarField, _nodal_gradient,
+from .capillary import (CapillaryAngle, ScalarField, _cos_theta, _nodal_gradient,
                         capillary_area_element)
 from .errors import (AngleOutOfRange, DegenerateState, HypothesisViolation,
-                     ShapeMismatch)
+                     ShapeMismatch, require_count)
 from .geometry import EllipsoidRegion, RegionKind, in_region
 from .solver import ProblemSpec, _check_field, discrete_gradient
 
@@ -132,27 +132,31 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
     identity for the normal derivative, the inner lower bound of psi, and
     measures the dimensionless second-derivative constant.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    require_count("samples", samples)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     r, th, dim = params.r, params.theta, params.dim
     c, s = abs(th.cos_t), th.sin_t
     center = np.asarray(params.center) if params.center else np.zeros(dim - 1)
 
     def draw_inside(count, region):
+        # batches of 2 count candidates, each adding its first accepted rows
         rho = region.semiaxis
-        pts = np.empty((0, dim))
-        while pts.shape[0] < count:
+        pts, filled = np.empty((count, dim)), 0
+        while filled < count:
             cand = np.empty((2 * count, dim))
             cand[:, 0] = rng.uniform(max(0.0, c * r - rho), c * r + rho, 2 * count)
             cand[:, 1:] = center + rng.uniform(-rho / s, rho / s, (2 * count, dim - 1))
-            pts = np.vstack([pts, cand[in_region(cand, region)]])
-        return pts[:count]
+            kept = np.compress(in_region(cand, region), cand, axis=0)[:count - filled]
+            pts[filled:filled + len(kept)] = kept
+            filled += len(kept)
+        return pts
 
+    # Q and DQ, shared by psi = Q^2, D psi = 2 Q DQ and D^2 psi below
     pts = draw_inside(samples, params.outer_region())
-    psi = np.atleast_1d(cutoff_weight(pts, params))
-    grad = cutoff_weight_gradient(pts, params)
-    gnorm = np.linalg.norm(grad, axis=1)
+    q = np.atleast_1d(cutoff_profile(pts, params))
+    dq = _profile_gradient(pts, params)
+    psi = q * q
+    gnorm = np.linalg.norm(2.0 * q[:, None] * dq, axis=1)
     grad_violation = float(np.max(gnorm - 4.0 * np.sqrt(psi) / r))
 
     n_bdry = max(1, samples // 10)
@@ -171,11 +175,10 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
     # second derivatives: D^2 psi = 2 (DQ DQ^T + Q D^2 Q), D^2 Q diagonal,
     # one (dim, dim) matrix per sample along the last axis; |D^2 psi| is the
     # Frobenius norm (a batched spectral norm costs one LAPACK call per sample)
-    q = np.atleast_1d(cutoff_profile(pts, params))
-    dq = np.ascontiguousarray(_profile_gradient(pts, params).T)
+    dqt = np.ascontiguousarray(dq.T)
     d2q_diag = np.full(dim, -2.0 / r ** 2)
     d2q_diag[1:] = -2.0 * s ** 2 / r ** 2
-    hess = 2.0 * (dq[:, None] * dq[None, :] + np.diag(d2q_diag)[:, :, None] * q)
+    hess = 2.0 * (dqt[:, None] * dqt[None, :] + np.diag(d2q_diag)[:, :, None] * q)
     hessian_constant = float(np.max(np.linalg.norm(hess, axis=(0, 1))) * r ** 2)
 
     ipts = draw_inside(samples, EllipsoidRegion(r, th, RegionKind.INNER, params.center))
@@ -384,14 +387,24 @@ def _splitting_denominator(n: int, eps0):
     return eps0, denom
 
 
-def angle_condition_lower_bound(n: int, theta: CapillaryAngle,
+def _cos_squared(theta: CapillaryAngle | np.ndarray) -> float | np.ndarray:
+    """cos^2(theta) of a CapillaryAngle or of an array of angles, both by the
+    C pow of float ** (numpy's power squares as x * x, which rounds
+    differently for about one angle in a thousand)."""
+    if isinstance(theta, CapillaryAngle):
+        return theta.cos_t ** 2
+    return np.float_power(_cos_theta(theta), 2.0)
+
+
+def angle_condition_lower_bound(n: int, theta: CapillaryAngle | np.ndarray,
                                 eps0: float | np.ndarray) -> float | np.ndarray:
     """-(n-1+e)^2 / (4(n-2+e)) + (n-1+e) - (n-2+e) cos^2; positive exactly
-    when the splitting condition holds.  Elementwise in an array eps0; a
-    scalar eps0 gives a scalar of its own type."""
+    when the splitting condition holds.  Elementwise, broadcasting an array
+    of angles against an array eps0; one CapillaryAngle with a scalar eps0
+    gives a scalar of eps0's own type."""
     eps0, denom = _splitting_denominator(n, eps0)
     a = n - 1.0 + eps0
-    return -a * a / (4.0 * denom) + a - denom * theta.cos_t ** 2
+    return -a * a / (4.0 * denom) + a - denom * _cos_squared(theta)
 
 
 def _splitting_lhs(n: int, eps0):
@@ -401,12 +414,13 @@ def _splitting_lhs(n: int, eps0):
     return (a / denom) * (1.0 - a / (4.0 * denom))
 
 
-def angle_condition_holds(n: int, theta: CapillaryAngle,
+def angle_condition_holds(n: int, theta: CapillaryAngle | np.ndarray,
                           eps0: float | np.ndarray) -> bool | np.ndarray:
     """Splitting condition: _splitting_lhs(n, eps0) > cos^2(theta).
-    Elementwise in an array eps0; a bool for a float eps0."""
+    Elementwise, broadcasting an array of angles against an array eps0; a
+    bool for one CapillaryAngle with a float eps0."""
     eps0, _ = _splitting_denominator(n, eps0)
-    return _splitting_lhs(n, eps0) > theta.cos_t ** 2
+    return _splitting_lhs(n, eps0) > _cos_squared(theta)
 
 
 # scan of choose_eps0 over (0, 1), built once
@@ -414,46 +428,58 @@ _EPS0_SCAN = np.linspace(1e-15, 1.0 - 1e-15, 1025)
 _EPS0_SCAN.flags.writeable = False
 
 
-def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:
-    """Midpoint of the open subinterval of (0, 1) where the splitting
-    condition holds, endpoints located by bisection.
+def choose_eps0_array(n: int, theta: CapillaryAngle | np.ndarray,
+                      tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """choose_eps0 for each angle of a 1-D array (or of one CapillaryAngle):
+    the midpoints, NaN where no eps0 is admissible, and whether an end of
+    the interval was bisected (False when the whole scan is admissible).
 
-    Raises AngleOutOfRange when no admissible eps0 exists.
+    One masked bisection runs over every end to locate; an entry stops on
+    the scalar rule b - a <= tol, so the midpoints are the scalar ones.
     """
-    cos2 = theta.cos_t ** 2
-
-    def f(eps):
-        # elementwise, so the array scan and the scalar bisection agree bitwise
-        return _splitting_lhs(n, eps) - cos2
-
-    grid = _EPS0_SCAN
-    pos = f(grid) > 0.0
-    if not np.any(pos):
-        raise AngleOutOfRange(
-            f"no admissible eps0 in (0,1) for n={n}, theta={theta.theta:.4f}")
-
-    def bisect(a, b):
-        # sign change between a and b; return the root to tolerance tol
-        fa = f(a)
-        for _ in range(200):
-            if b - a <= tol:
-                break
-            mid = 0.5 * (a + b)
-            fmid = f(mid)
-            if (fmid > 0.0) == (fa > 0.0):
-                a, fa = mid, fmid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
+    cos2 = np.atleast_1d(_cos_squared(theta))
+    grid, m = _EPS0_SCAN, cos2.size
+    # one scan row per angle; elementwise, so an entry equals the scalar f(eps)
+    scan = _splitting_lhs(n, grid) - cos2[:, None]
+    pos = scan > 0.0
+    found = np.any(pos, axis=1)
     # with t = 1 + 1/(n-2+e) the condition reads t - t^2/4 > cos^2: increasing
     # in e for n = 2 (t > 2), decreasing for n >= 3 (t < 2), so the positive
     # samples form one run touching an end of the scan
-    run = np.flatnonzero(pos)
-    i, j = run[0], run[-1]
-    left = 0.0 if i == 0 else bisect(grid[i - 1], grid[i])
-    right = 1.0 if j == grid.size - 1 else bisect(grid[j], grid[j + 1])
-    return 0.5 * (left + right)
+    first = np.argmax(pos, axis=1)
+    final = grid.size - 1 - np.argmax(pos[:, ::-1], axis=1)
+    # brackets (grid[col], grid[col + 1]) of the left ends, then of the right
+    # ends; an end where the run meets the end of the scan stays closed
+    open_end = np.concatenate([found & (first > 0), found & (final < grid.size - 1)])
+    cols = np.clip(np.concatenate([first - 1, final]), 0, grid.size - 2)
+    a, b = grid[cols], grid[cols + 1]
+    fa, c2 = scan[np.tile(np.arange(m), 2), cols], np.tile(cos2, 2)
+    for _ in range(200):
+        live = open_end & (b - a > tol)
+        if not np.any(live):
+            break
+        mid = 0.5 * (a + b)
+        fmid = _splitting_lhs(n, mid) - c2
+        up = live & ((fmid > 0.0) == (fa > 0.0))
+        a, fa = np.where(up, mid, a), np.where(up, fmid, fa)
+        b = np.where(live & ~up, mid, b)
+    ends = np.where(open_end, 0.5 * (a + b), np.repeat([0.0, 1.0], m))
+    return (np.where(found, 0.5 * (ends[:m] + ends[m:]), np.nan),
+            open_end[:m] | open_end[m:])
+
+
+def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:
+    """Midpoint of the open subinterval of (0, 1) where the splitting
+    condition holds, endpoints located by bisection: a numpy float64, or the
+    float 0.5 when no end needed one.
+
+    Raises AngleOutOfRange when no admissible eps0 exists.
+    """
+    eps, bisected = choose_eps0_array(n, theta, tol)
+    if np.isnan(eps[0]):
+        raise AngleOutOfRange(
+            f"no admissible eps0 in (0,1) for n={n}, theta={theta.theta:.4f}")
+    return eps[0] if bisected[0] else float(eps[0])
 
 
 def max_principle_coefficients(state: CoefficientState,

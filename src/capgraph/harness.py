@@ -21,11 +21,12 @@ from .capillary import (AffineCapillarySolution, CapillaryAngle, ScalarField,
                         capillary_energies, capillary_gauge, conormal,
                         unit_normal)
 from .errors import (AngleOutOfRange, BadConfig, HypothesisViolation,
-                     InvalidParameter, InvariantViolation, OutOfExtent,
-                     StationarityViolation, UnresolvedRegion)
-from .estimates import (admissible_angle_range, angle_condition_holds,
-                        angle_condition_lower_bound, angle_threshold,
-                        choose_eps0, conormal_stationarity_residual,
+                     InvariantViolation, OutOfExtent, StationarityViolation,
+                     UnresolvedRegion, require_count)
+from .estimates import (_cos_squared, admissible_angle_range,
+                        angle_condition_holds, angle_condition_lower_bound,
+                        angle_threshold, choose_eps0_array,
+                        conormal_stationarity_residual,
                         cutoff_derivative_check, CutoffParams, height_scale,
                         one_sided_slope_limit)
 from .geometry import (EllipsoidRegion, HalfSpaceGrid, RegionKind, _corner_bits,
@@ -580,12 +581,6 @@ def _log_slopes(log_eps: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return sum(x[k] * y[:, k] for k in range(x.size)) / np.dot(x, x)
 
 
-def _require_count(name: str, value) -> None:
-    """Raise InvalidParameter unless value is an integer >= 1 (bool rejected)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
                        ) -> ExperimentReport:
     """Competitor test of the minimizing property of a solved field.
@@ -599,7 +594,7 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
     """
     if cfg.scenario != "minimizer-test":
         raise BadConfig(f"scenario {cfg.scenario!r} is not minimizer-test")
-    _require_count("trials", trials)
+    require_count("trials", trials)
     theta = cfg.theta
     r, h = cfg.r_levels[0], cfg.h_levels[0]
     grid, data, rng = _first_level(cfg, h, cfg.perturb_amp)
@@ -676,21 +671,22 @@ def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_angle_sweep(n_list, theta_grid, sin_min: float = 0.05) -> list[AngleSweepRow]:
     """Tabulate the admissibility threshold, margin, slope limit, and the
-    lower-bound constant at the midpoint splitting parameter."""
+    lower-bound constant at the midpoint splitting parameter (at eps0 = 0
+    when none is admissible): a numpy float64 where an end of the admissible
+    interval was bisected, a float otherwise."""
+    thetas = np.array([float(t) for t in theta_grid])
+    angles = [CapillaryAngle(t, sin_min=sin_min) for t in thetas.tolist()]
     rows = []
-    for n in n_list:
-        for t in theta_grid:
-            angle = CapillaryAngle(float(t), sin_min=sin_min)
-            res = admissible_angle_range(int(n), angle)
-            try:
-                eps_mid = choose_eps0(int(n), angle)
-                script_b = angle_condition_lower_bound(int(n), angle, eps_mid)
-            except AngleOutOfRange:
-                script_b = angle_condition_lower_bound(int(n), angle, 0.0)
+    for n in map(int, n_list):
+        ranges = [admissible_angle_range(n, angle) for angle in angles]
+        eps_mid, bisected = choose_eps0_array(n, thetas)
+        script_b = angle_condition_lower_bound(n, thetas, np.nan_to_num(eps_mid))
+        for angle, res, b, flag in zip(angles, ranges, script_b, bisected):
             rows.append(AngleSweepRow(
-                n=int(n), theta=float(t), in_U=res.in_range,
+                n=n, theta=angle.theta, in_U=res.in_range,
                 threshold=res.threshold, margin=res.margin,
-                C_theta=one_sided_slope_limit(angle), script_B=script_b))
+                C_theta=one_sided_slope_limit(angle),
+                script_B=b if flag else float(b)))
     return rows
 
 
@@ -715,7 +711,7 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
     """
     for name, count in (("n_gradients", n_gradients), ("cutoff_draws", cutoff_draws),
                         ("cutoff_samples", cutoff_samples)):
-        _require_count(name, count)
+        require_count(name, count)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     checks = []
 
@@ -795,22 +791,21 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
     checks.append(CheckResult("cutoff_inner_floor", worst_inner, 1e-12,
                               worst_inner <= 1e-12))
 
-    # coefficient equivalences over the (theta, n, eps0) grid
+    # coefficient equivalences over the (theta, n, eps0) grid, one call per
+    # n and function on a column of angles against the eps0 row
     disagreements = 0
     lo = math.asin(0.05) + 1e-9
     theta_grid = np.linspace(lo, math.pi - lo, 50)
     eps_grid = np.linspace(0.05, 0.95, 10)
+    cos2 = _cos_squared(theta_grid)
     for n in range(2, 9):
-        for t in theta_grid:
-            angle = CapillaryAngle(float(t))
-            lb = angle_condition_lower_bound(n, angle, eps_grid)
+        lb = angle_condition_lower_bound(n, theta_grid[:, None], eps_grid)
+        disagreements += int(np.count_nonzero(
+            (lb > 0.0) != angle_condition_holds(n, theta_grid[:, None], eps_grid)))
+        if n >= 3:
+            at_zero = angle_condition_lower_bound(n, theta_grid, 0.0) > 0.0
             disagreements += int(np.count_nonzero(
-                (lb > 0.0) != angle_condition_holds(n, angle, eps_grid)))
-            if n >= 3:
-                at_zero = angle_condition_lower_bound(n, angle, 0.0) > 0.0
-                member = angle.cos_t ** 2 < angle_threshold(n)
-                if at_zero != member:
-                    disagreements += 1
+                at_zero != (cos2 < angle_threshold(n))))
     checks.append(CheckResult("coefficient_equivalences", float(disagreements),
                               0.0, disagreements == 0))
 

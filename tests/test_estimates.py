@@ -8,17 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from capgraph import (AngleOutOfRange, CapillaryAngle, CoefficientState,
-                      CutoffParams, DegenerateState, EllipsoidRegion,
-                      HypothesisViolation, LinearBound, ProblemSpec, ScalarField,
+                      CutoffParams, DegenerateAngle, DegenerateState,
+                      EllipsoidRegion, HypothesisViolation, InvalidParameter,
+                      LinearBound, ProblemSpec, RegionKind, ScalarField,
                       admissible_angle_range, affine_capillary_solution,
                       angle_condition_holds, angle_condition_lower_bound,
                       angle_threshold, auxiliary_function, build_grid,
-                      choose_eps0, conormal_stationarity_residual,
-                      cutoff_derivative_check, cutoff_profile, cutoff_weight,
+                      choose_eps0, choose_eps0_array,
+                      conormal_stationarity_residual, cutoff_derivative_check,
+                      cutoff_profile, cutoff_weight, cutoff_weight_gradient,
                       field_from_callable, gradient_bound, height_scale,
                       height_weight, in_region, max_principle_coefficients,
                       nondivergence_residual, one_sided_slope_limit,
                       shifted_cutoff_profile)
+from capgraph.estimates import _EPS0_SCAN, _profile_gradient, _splitting_lhs
 
 THETA = CapillaryAngle(np.pi / 3)
 
@@ -50,6 +53,80 @@ def test_cutoff_derivative_check_report():
     assert rep.max_boundary_residual <= 1e-12
     assert rep.min_weight_inner >= rep.inner_lower_bound - 1e-12
     assert np.isfinite(rep.hessian_constant) and rep.hessian_constant > 0.0
+
+
+def _vstack_cutoff_check(params, samples, seed=0):
+    """cutoff_derivative_check as it was written with a growing vstack of
+    accepted candidates and the profile evaluated by each consumer: the
+    oracle of the single-pass sampler and of the shared profile."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    r, th, dim = params.r, params.theta, params.dim
+    c, s = abs(th.cos_t), th.sin_t
+    center = np.asarray(params.center) if params.center else np.zeros(dim - 1)
+
+    def draw_inside(count, region):
+        rho = region.semiaxis
+        pts = np.empty((0, dim))
+        while pts.shape[0] < count:
+            cand = np.empty((2 * count, dim))
+            cand[:, 0] = rng.uniform(max(0.0, c * r - rho), c * r + rho, 2 * count)
+            cand[:, 1:] = center + rng.uniform(-rho / s, rho / s, (2 * count, dim - 1))
+            pts = np.vstack([pts, cand[in_region(cand, region)]])
+        return pts[:count]
+
+    pts = draw_inside(samples, params.outer_region())
+    psi = np.atleast_1d(cutoff_weight(pts, params))
+    gnorm = np.linalg.norm(cutoff_weight_gradient(pts, params), axis=1)
+    grad_violation = float(np.max(gnorm - 4.0 * np.sqrt(psi) / r))
+    n_bdry = max(1, samples // 10)
+    bpts = np.zeros((n_bdry, dim))
+    while True:
+        cand = center + rng.uniform(-r, r, (4 * n_bdry, dim - 1))
+        keep = np.sum((cand - center) ** 2, axis=1) < (0.999999 * r) ** 2
+        if np.count_nonzero(keep) >= n_bdry:
+            bpts[:, 1:] = cand[keep][:n_bdry]
+            break
+    bpsi = np.atleast_1d(cutoff_weight(bpts, params))
+    bgrad = cutoff_weight_gradient(bpts, params)
+    boundary_residual = float(np.max(np.abs(bgrad[:, 0] - 4.0 * np.sqrt(bpsi) * c / r)))
+    q = np.atleast_1d(cutoff_profile(pts, params))
+    dq = np.ascontiguousarray(_profile_gradient(pts, params).T)
+    d2q_diag = np.full(dim, -2.0 / r ** 2)
+    d2q_diag[1:] = -2.0 * s ** 2 / r ** 2
+    hess = 2.0 * (dq[:, None] * dq[None, :] + np.diag(d2q_diag)[:, :, None] * q)
+    hessian_constant = float(np.max(np.linalg.norm(hess, axis=(0, 1))) * r ** 2)
+    ipts = draw_inside(samples, EllipsoidRegion(r, th, RegionKind.INNER, params.center))
+    ipsi = np.atleast_1d(cutoff_weight(ipts, params))
+    return (grad_violation, boundary_residual, hessian_constant,
+            float(np.min(ipsi)), (1.0 - (1.0 + c) ** 2 / 4.0) ** 2)
+
+
+def test_single_pass_cutoff_sampler_matches_the_vstack_oracle():
+    # a batch of 2 samples candidates can accept fewer than samples rows (at
+    # samples 1-3 even none), so the rejection path draws several batches
+    cases = [CutoffParams(r=1.0, theta=CapillaryAngle(0.3), dim=2),
+             CutoffParams(r=2.5, theta=CapillaryAngle(np.pi / 2), dim=2),
+             CutoffParams(r=0.7, theta=CapillaryAngle(2.9), dim=3, center=(0.4, -1.0))]
+    for params in cases:
+        for samples in (1, 2, 3):
+            for seed in range(50):
+                assert tuple(cutoff_derivative_check(params, samples, seed)) == \
+                    _vstack_cutoff_check(params, samples, seed)
+        for seed in range(3):
+            assert tuple(cutoff_derivative_check(params, 2000, seed)) == \
+                _vstack_cutoff_check(params, 2000, seed)
+
+
+@pytest.mark.parametrize("samples", [0, -2, 2.5, "3", True, None, np.float64(4.0)])
+def test_cutoff_check_rejects_a_sample_count_that_is_not_a_positive_integer(samples):
+    with pytest.raises(InvalidParameter, match="samples"):
+        cutoff_derivative_check(CutoffParams(r=1.0, theta=THETA, dim=2), samples)
+
+
+def test_cutoff_check_accepts_a_numpy_integer_sample_count():
+    params = CutoffParams(r=1.0, theta=THETA, dim=2)
+    assert cutoff_derivative_check(params, np.int64(20), 1) == \
+        cutoff_derivative_check(params, 20, 1)
 
 
 def test_shifted_cutoff_profile_modes():
@@ -255,6 +332,31 @@ def test_angle_condition_over_an_eps0_array():
     assert angle_condition_lower_bound(4, THETA, [0.25, 0.5]).shape == (2,)
 
 
+def test_angle_condition_over_an_angle_array():
+    # an (m, 1) column of angles against an eps0 row gives bitwise the
+    # per-angle scalar calls, the cosine snapped at pi/2 as CapillaryAngle
+    # does; squaring goes through pow as for a float, which x * x would not
+    # match for about one angle in a thousand, so 2,000 angles check it
+    lo = np.arcsin(0.05) + 1e-9
+    thetas = np.r_[np.random.default_rng(3).uniform(lo, np.pi - lo, 2000), np.pi / 2]
+    for n in (2, 3, 5, 8):
+        eps = np.linspace(0.0 if n >= 3 else 0.03, 0.99, 7)
+        lb = angle_condition_lower_bound(n, thetas[:, None], eps)
+        holds = angle_condition_holds(n, thetas[:, None], eps)
+        assert lb.shape == holds.shape == (thetas.size, eps.size)
+        angles = [CapillaryAngle(t) for t in thetas.tolist()]
+        assert lb.tobytes() == np.array(
+            [angle_condition_lower_bound(n, a, eps) for a in angles]).tobytes()
+        assert holds.tolist() == [angle_condition_holds(n, a, eps).tolist()
+                                  for a in angles]
+    assert angle_condition_lower_bound(4, np.array([np.pi / 2]), 0.0)[0] == 1.875
+    assert type(angle_condition_lower_bound(4, THETA, 0.5)) is float
+    assert type(angle_condition_holds(4, THETA, 0.5)) is bool
+    for bad in (np.array([0.5, 0.0]), np.array([np.pi]), np.array([np.nan])):
+        with pytest.raises(DegenerateAngle):
+            angle_condition_lower_bound(4, bad, 0.5)
+
+
 def test_angle_condition_rejects_any_nonpositive_denominator():
     # n = 2 needs eps0 > 0; one bad entry rejects the whole array
     for fn in (angle_condition_lower_bound, angle_condition_holds):
@@ -290,6 +392,77 @@ def test_splitting_condition_changes_sign_at_most_once(n, theta):
     except AngleOutOfRange:
         return
     assert angle_condition_holds(n, angle, eps)
+
+
+def _scalar_choose_eps0(n, theta, tol=1e-12):
+    """choose_eps0 as it was written, one scalar bisection per end: the
+    oracle of the masked bisection over an array of angles."""
+    cos2 = theta.cos_t ** 2
+
+    def f(eps):
+        return _splitting_lhs(n, eps) - cos2
+
+    grid = _EPS0_SCAN
+    pos = f(grid) > 0.0
+    if not np.any(pos):
+        raise AngleOutOfRange(f"n={n}")
+
+    def bisect(a, b):
+        fa = f(a)
+        for _ in range(200):
+            if b - a <= tol:
+                break
+            mid = 0.5 * (a + b)
+            fmid = f(mid)
+            if (fmid > 0.0) == (fa > 0.0):
+                a, fa = mid, fmid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    run = np.flatnonzero(pos)
+    i, j = run[0], run[-1]
+    left = 0.0 if i == 0 else bisect(grid[i - 1], grid[i])
+    right = 1.0 if j == grid.size - 1 else bisect(grid[j], grid[j + 1])
+    return 0.5 * (left + right)
+
+
+_SWEEP_LO = float(np.arcsin(0.05) + 1e-9)
+
+
+@given(n=st.integers(2, 12),
+       thetas=st.lists(st.floats(_SWEEP_LO, np.pi - _SWEEP_LO), min_size=1,
+                       max_size=40),
+       tol=st.sampled_from([1e-12, 1e-6, 0.0]))
+def test_eps0_array_core_matches_the_scalar_bisection(n, thetas, tol):
+    # every entry of one masked bisection equals its own scalar bisection to
+    # the bit; NaN marks exactly the angles without an admissible eps0, and
+    # the flag exactly those where the scalar code bisected (a float64 there,
+    # the float 0.5 where the whole scan is admissible)
+    eps, bisected = choose_eps0_array(n, np.array(thetas), tol)
+    assert eps.shape == bisected.shape == (len(thetas),)
+    for t, e, flag in zip(thetas, eps.tolist(), bisected.tolist()):
+        angle = CapillaryAngle(t)
+        try:
+            expected = _scalar_choose_eps0(n, angle, tol)
+        except AngleOutOfRange:
+            assert np.isnan(e) and not flag
+            with pytest.raises(AngleOutOfRange):
+                choose_eps0(n, angle, tol)
+            continue
+        assert e == expected and flag == (type(expected) is np.float64)
+        got = choose_eps0(n, angle, tol)
+        assert got == expected and type(got) is type(expected)
+
+
+def test_choose_eps0_keeps_its_return_types():
+    # the whole scan admissible: the float 0.5; an end bisected: a float64
+    assert type(choose_eps0(4, CapillaryAngle(1.0))) is float
+    assert type(choose_eps0(2, CapillaryAngle(1.2))) is np.float64
+    eps, bisected = choose_eps0_array(4, np.array([1.0, 1.2, np.arccos(0.97)]))
+    assert eps[0] == 0.5 and np.isnan(eps[2])
+    assert bisected.tolist() == [False, False, False]
+    assert choose_eps0_array(4, np.array([]))[0].shape == (0,)
 
 
 @pytest.mark.parametrize("n, theta, expected", [

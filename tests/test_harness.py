@@ -8,19 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
-                      AngleOutOfRange, BadConfig, CapillaryAngle, CheckResult,
+                      AngleOutOfRange, AngleSweepRow, BadConfig,
+                      CapillaryAngle, CheckResult,
                       CutoffParams, EllipsoidRegion,
                       ExperimentConfig, ExperimentReport,
                       HypothesisViolation, InvalidParameter,
                       InvariantViolation, OutOfExtent, RegionKind, ReportRow,
                       StationarityViolation,
-                      ScalarField, affine_capillary_solution,
-                      angle_condition_holds, angle_condition_lower_bound,
+                      ScalarField, admissible_angle_range,
+                      affine_capillary_solution, angle_condition_holds,
+                      angle_condition_lower_bound,
                       angle_threshold, area_element, blow_down,
                       build_grid, calibration_value, capillary_energy,
-                      capillary_gauge, conormal, cutoff_derivative_check,
+                      capillary_gauge, choose_eps0, conormal,
+                      cutoff_derivative_check,
                       discrete_gradient, domain_for_radius,
-                      field_from_callable, in_region, parse_config,
+                      field_from_callable, in_region, one_sided_slope_limit,
+                      parse_config,
                       run_angle_sweep, run_audit, run_conormal_check,
                       run_gradient_bound_sweep, run_liouville_experiment,
                       run_minimizer_test, run_solve_experiment,
@@ -355,6 +359,42 @@ def test_angle_sweep_rows_and_symmetry():
     four = [row for row in rows if row.n == 4]
     c_vals = [row.C_theta for row in four]
     assert np.allclose(c_vals, c_vals[::-1], atol=1e-15)
+
+
+def _per_cell_sweep(n_list, theta_grid, sin_min=0.05):
+    """run_angle_sweep as it was written, one CapillaryAngle and one
+    choose_eps0 call per (n, theta) cell: the oracle of the per-n sweep."""
+    rows = []
+    for n in n_list:
+        for t in theta_grid:
+            angle = CapillaryAngle(float(t), sin_min=sin_min)
+            res = admissible_angle_range(int(n), angle)
+            try:
+                eps_mid = choose_eps0(int(n), angle)
+                script_b = angle_condition_lower_bound(int(n), angle, eps_mid)
+            except AngleOutOfRange:
+                script_b = angle_condition_lower_bound(int(n), angle, 0.0)
+            rows.append(AngleSweepRow(
+                n=int(n), theta=float(t), in_U=res.in_range,
+                threshold=res.threshold, margin=res.margin,
+                C_theta=one_sided_slope_limit(angle), script_B=script_b))
+    return rows
+
+
+@pytest.mark.parametrize("sin_min", [0.05, 0.5])
+@pytest.mark.parametrize("steps", [1, 2, 45, 90])
+def test_angle_sweep_matches_the_per_cell_loop(tmp_path, steps, sin_min):
+    # the same CSV bytes, script_B's np.float64(...) cells included
+    lo = np.arcsin(sin_min) + 1e-9
+    thetas = np.linspace(lo, np.pi - lo, steps)
+    dims = [2, 3, 4, 5, 6, 7, 8, 12]
+    blobs = []
+    for tag, rows in (("array", run_angle_sweep(dims, thetas, sin_min)),
+                      ("cells", _per_cell_sweep(dims, thetas, sin_min))):
+        write_csv(rows, tmp_path / f"{tag}.csv", ANGLE_SWEEP_COLUMNS)
+        blobs.append((tmp_path / f"{tag}.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert run_angle_sweep([4], []) == [] and run_angle_sweep([], thetas) == []
 
 
 def test_report_csv_schema_and_determinism(tmp_path):
