@@ -59,10 +59,11 @@ MINIMIZER_EPSILONS = (1e-1, 1e-2, 1e-3)
 # 3 * _MINIMIZER_CHUNK competitors keep the transient near 1 MB on CLI grids,
 # where one batch of every trial would cost ten times that
 _MINIMIZER_CHUNK = 10
-# points per chunk of the audit's v >= sin(theta) check: about 4 MB whatever
-# n_gradients; smaller chunks took about 8,000 page faults per audit against
-# 3,000, the C allocator handing freed memory back (BENCH_audit.json)
-_AUDIT_CHUNK = 2 ** 16
+# points per chunk of each share of the audit's v >= sin(theta) check: about
+# 1.9 MB per share in flight, 3.7 MB for the two, whatever n_gradients; 2^16
+# per share doubled that and took an audit process's peak RSS from 42 to 46 MB
+# (BENCH_audit_threads.json)
+_AUDIT_CHUNK = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -699,14 +700,54 @@ def _sample_angles(rng, count, sin_min=0.05):
     return rng.uniform(lo, math.pi - lo, count)
 
 
+def _philox_at(state, offset: int) -> np.random.Generator:
+    """A generator on a copy of the Philox `state`, moved `offset` doubles
+    along its stream; the state must be at a counter boundary, as a freshly
+    seeded one is (four doubles per counter step)."""
+    gen = np.random.Philox()
+    gen.state = state
+    gen.advance(int(offset) // 4)    # advance overflows on a numpy int
+    gen.random_raw(int(offset) % 4)
+    return np.random.Generator(gen)
+
+
+def _v_margin(state, n_gradients: int, lo: int, hi: int) -> float:
+    """min of v - sin(theta) over points [lo, hi) of the audit's
+    v >= sin(theta) check, streamed in chunks of _AUDIT_CHUNK: point i takes
+    double i of the stream at `state` as its angle and doubles
+    n_gradients + 2i, n_gradients + 2i + 1 as its gradient; inf when empty."""
+    angles = _philox_at(state, lo)
+    grads = _philox_at(state, n_gradients + 2 * lo)
+    margin = np.inf
+    for first in range(lo, hi, _AUDIT_CHUNK):
+        count = min(_AUDIT_CHUNK, hi - first)
+        thetas = _sample_angles(angles, count)
+        v = capillary_area_element(grads.uniform(-30.0, 30.0, (count, 2)), thetas)
+        margin = min(margin, float(np.min(v - np.sin(thetas))))
+    return margin
+
+
+def _run_shares(fn, shares) -> list:
+    """[fn(*args) for args in shares], the first share in the calling thread
+    and the others on one worker thread, which is joined before this
+    returns, also when a share raises; its exception re-raises here."""
+    from concurrent.futures import ThreadPoolExecutor    # ~6 ms, at first use
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        rest = [worker.submit(fn, *args) for args in shares[1:]]
+        return [fn(*shares[0])] + [future.result() for future in rest]
+
+
 def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
               cutoff_draws: int = 20, cutoff_samples: int = 10_000
               ) -> list[CheckResult]:
     """Property battery over the closed-form apparatus; returns one
     CheckResult per invariant.
 
-    The v >= sin(theta) check streams its n_gradients points in chunks of
-    _AUDIT_CHUNK, so its memory does not depend on n_gradients; every check
+    The v >= sin(theta) check and the cut-off draws each run as two shares,
+    one in the calling thread and one on a worker thread; each result is the
+    min or max over both shares, so it does not depend on the split.  Each
+    share of the v check streams its points in chunks of _AUDIT_CHUNK, so
+    the memory in flight is two chunks whatever n_gradients; every check
     draws the same numbers as one full-size draw would.
     """
     for name, count in (("n_gradients", n_gradients), ("cutoff_draws", cutoff_draws),
@@ -717,21 +758,13 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
 
     # pointwise lower bound of the capillary area element: the angles are the
     # stream's first n_gradients doubles and the gradients the next
-    # 2 n_gradients, read by a second Philox advanced to the first gradient
-    # (four doubles per counter step); rng then takes over its state
-    gen = np.random.Philox()
-    gen.state = rng.bit_generator.state
-    gen.advance(int(n_gradients) // 4)    # advance overflows on a numpy int
-    gen.random_raw(n_gradients % 4)
-    grad_rng = np.random.Generator(gen)
-    margin = np.inf
-    for first in range(0, n_gradients, _AUDIT_CHUNK):
-        count = min(_AUDIT_CHUNK, n_gradients - first)
-        thetas = _sample_angles(rng, count)
-        grads = grad_rng.uniform(-30.0, 30.0, (count, 2))
-        v = capillary_area_element(grads, thetas)
-        margin = min(margin, float(np.min(v - np.sin(thetas))))
-    rng.bit_generator.state = gen.state
+    # 2 n_gradients; each share reads its span of both, and rng then goes on
+    # after the last gradient
+    start = rng.bit_generator.state
+    mid = n_gradients // 2
+    margin = min(_run_shares(_v_margin, [(start, n_gradients, 0, mid),
+                                         (start, n_gradients, mid, n_gradients)]))
+    rng.bit_generator.state = _philox_at(start, 3 * n_gradients).bit_generator.state
     checks.append(CheckResult("v_lower_bound_margin", margin, -1e-12,
                               margin >= -1e-12))
 
@@ -774,13 +807,21 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
     checks.append(CheckResult("calibration_inequality", worst, 1e-12,
                               worst <= 1e-12))
 
-    # cut-off identities
+    # cut-off identities: every (angle, r) is drawn first, in draw order;
+    # each check makes its own generator from seed + draw
+    draws = [(CapillaryAngle(float(_sample_angles(rng, 1)[0])),
+              float(np.exp(rng.uniform(np.log(0.5), np.log(8.0)))))
+             for _ in range(cutoff_draws)]
+
+    def cutoff_share(lo, hi):
+        return [cutoff_derivative_check(CutoffParams(r=r, theta=angle, dim=2),
+                                        cutoff_samples, seed=seed + draw)
+                for draw, (angle, r) in enumerate(draws[lo:hi], lo)]
+
+    half = (cutoff_draws + 1) // 2
+    head, tail = _run_shares(cutoff_share, [(0, half), (half, cutoff_draws)])
     worst_grad, worst_bdry, worst_inner = -np.inf, -np.inf, -np.inf
-    for draw in range(cutoff_draws):
-        angle = CapillaryAngle(float(_sample_angles(rng, 1)[0]))
-        r = float(np.exp(rng.uniform(np.log(0.5), np.log(8.0))))
-        params = CutoffParams(r=r, theta=angle, dim=2)
-        rep = cutoff_derivative_check(params, cutoff_samples, seed=seed + draw)
+    for rep in head + tail:
         worst_grad = max(worst_grad, rep.max_gradient_violation)
         worst_bdry = max(worst_bdry, rep.max_boundary_residual)
         worst_inner = max(worst_inner, rep.inner_lower_bound - rep.min_weight_inner)

@@ -296,6 +296,24 @@ def test_solve_free_commands_start_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_FUTURES_PROBE = """
+import sys
+import capgraph.cli
+from capgraph.harness import run_audit
+
+assert "concurrent.futures" not in sys.modules
+run_audit(0, 10, cutoff_draws=1, cutoff_samples=10)
+assert "concurrent.futures" in sys.modules
+"""
+
+
+def test_cli_start_leaves_the_audit_worker_pool_unloaded():
+    # the audit imports its worker pool at first use, so start-up stays
+    # numpy-only
+    proc = _run_python(["-c", _FUTURES_PROBE])
+    assert proc.returncode == 0, proc.stderr
+
+
 _INTERPOLATE_PROBE = """
 import sys
 from capgraph.cli import cli_main

@@ -1,10 +1,11 @@
 """Config parsing, blow-down, experiment runners, CSV artifacts."""
 
+import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
@@ -30,6 +31,7 @@ from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       run_minimizer_test, run_solve_experiment,
                       unit_normal, write_csv)
 from capgraph import harness
+from capgraph.cli import cli_main
 
 THETA = CapillaryAngle(np.pi / 3)
 
@@ -546,17 +548,71 @@ def _one_shot_audit(seed, n_gradients, cutoff_draws, cutoff_samples):
     return checks
 
 
-@pytest.mark.parametrize("n_gradients", [
-    1, 2, 3, 5, harness._AUDIT_CHUNK - 1, harness._AUDIT_CHUNK + 1,
-    2 * harness._AUDIT_CHUNK + 3])
-def test_streamed_audit_matches_one_shot_draws(n_gradients):
-    # the chunks read the same Philox stream as one full-size draw, and every
-    # later check starts where that draw left the stream
+_CHUNK = harness._AUDIT_CHUNK
+
+
+@pytest.mark.parametrize("n_gradients, cutoff_draws", [
+    # sizes whose two shares of the v check sit around a chunk boundary
+    *(pytest.param(n, 2, id=str(n))
+      for n in (1, 2, 3, 5, 2 * _CHUNK - 1, 2 * _CHUNK + 1, 4 * _CHUNK + 3)),
+    # one cut-off draw leaves the worker's share empty, three split unevenly
+    pytest.param(3, 1, id="3-draws1"), pytest.param(5, 3, id="5-draws3"),
+    pytest.param(2 * _CHUNK + 1, 1, id=f"{2 * _CHUNK + 1}-draws1"),
+    pytest.param(2 * _CHUNK + 1, 3, id=f"{2 * _CHUNK + 1}-draws3")])
+def test_streamed_audit_matches_one_shot_draws(n_gradients, cutoff_draws):
+    # the chunks of both shares read the same Philox stream as one full-size
+    # draw, and every later check starts where that draw left the stream
     for seed in range(3):
-        streamed = run_audit(seed, n_gradients, cutoff_draws=2, cutoff_samples=50)
-        oracle = _one_shot_audit(seed, n_gradients, 2, 50)
+        streamed = run_audit(seed, n_gradients, cutoff_draws=cutoff_draws,
+                             cutoff_samples=50)
+        oracle = _one_shot_audit(seed, n_gradients, cutoff_draws, 50)
         assert [(c.name, c.value, c.passed) for c in streamed] == \
             [(c.name, c.value, c.passed) for c in oracle]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 2 * _CHUNK + 5), cut=st.integers(0, 4 * _CHUNK),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2 * _CHUNK + 5, cut=_CHUNK + 3, seed=0)
+@example(n=7, cut=3, seed=1)
+def test_v_margin_split_is_exact(n, cut, seed):
+    # any split point gives the one-span margin bitwise, at 0, at n and off
+    # the four-double counter steps alike
+    state = np.random.Philox(np.random.SeedSequence(seed)).state
+    whole = harness._v_margin(state, n, 0, n)
+    assert whole < np.inf
+    for split in {0, n, cut % (n + 1)}:
+        shares = (harness._v_margin(state, n, 0, split),
+                  harness._v_margin(state, n, split, n))
+        assert min(shares).hex() == whole.hex()
+    # the hand-off state draws what follows the angles and gradients
+    one_shot = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    one_shot.random(3 * n)
+    assert np.array_equal(harness._philox_at(state, 3 * n).random(9),
+                          one_shot.random(9))
+
+
+@pytest.mark.parametrize("name", ["capillary_area_element",
+                                  "cutoff_derivative_check"])
+def test_audit_worker_failure_propagates_and_joins(name, monkeypatch, tmp_path):
+    before = threading.active_count()
+    run_audit(0, 100, cutoff_draws=2, cutoff_samples=50)
+    assert threading.active_count() == before
+    original = getattr(harness, name)
+
+    def fails_on_the_worker(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise InvalidParameter("worker share failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, fails_on_the_worker)
+    with pytest.raises(InvalidParameter, match="worker share failed"):
+        run_audit(0, 100, cutoff_draws=2, cutoff_samples=50)
+    assert threading.active_count() == before
+    # a CapillaryLabError from the worker is the CLI's exit 3
+    assert cli_main(["audit", "--seed", "0", "--out",
+                     str(tmp_path / "audit.csv")]) == 3
+    assert threading.active_count() == before
 
 
 def test_audit_memory_does_not_grow_with_n_gradients():
