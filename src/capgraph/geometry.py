@@ -21,8 +21,6 @@ import numpy as np
 from .errors import BadDimension, EmptyRegion, NonconformingExtent
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
-
     from .capillary import CapillaryAngle
 
 _CONFORM_TOL = 1e-9
@@ -200,6 +198,16 @@ class HalfSpaceGrid:
         return tuple(out)
 
     @cached_property
+    def hessian_rows(self) -> np.ndarray:
+        """Read-only row of each entry in hessian_pattern's data, the dense
+        scatter index of the solver's coarsest level (left out of
+        hessian_diagonal, so that a fine grid does not hold it)."""
+        indptr = self.hessian_pattern[0]
+        out = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def hessian_diagonal(self) -> np.ndarray:
         """Read-only positions of the diagonal in hessian_pattern's data."""
         indptr, indices, _ = self.hessian_pattern
@@ -209,10 +217,10 @@ class HalfSpaceGrid:
         return out
 
     @cached_property
-    def prolongations(self) -> tuple[sp.csr_matrix, ...]:
+    def prolongations(self) -> tuple[tuple, ...]:
         """P per coarsening of the multigrid hierarchy (see `coarse`),
-        finest first, read-only; the solver restricts through P's own
-        arrays, so no P^T is stored.
+        finest first, as read-only CSR arrays (indptr, indices, data,
+        n_cols); the solver restricts through them, so no P^T is stored.
 
         P interpolates (bi)linearly from the coarse to the fine free nodes:
         the tensor product of the per-axis interpolations restricted to the
@@ -242,11 +250,10 @@ class HalfSpaceGrid:
                            * fweights[None, :, None, :]).reshape(k, -1)
             parent = (weights != 0.0).T
             indptr = np.concatenate(([0], np.cumsum(parent.sum(axis=1))))
-            p = _csr_matrix(weights.T[parent], cols.T[parent], indptr.astype(np.int32),
-                            (parent.shape[0], level.free_indices.size))
-            for arr in (p.data, p.indices, p.indptr):
+            p = (indptr.astype(np.int32), cols.T[parent], weights.T[parent])
+            for arr in p:
                 arr.flags.writeable = False
-            out.append(p)
+            out.append(p + (level.free_indices.size,))
         return tuple(out)
 
     @cached_property
@@ -304,14 +311,6 @@ class HalfSpaceGrid:
     def reshape(self, values: np.ndarray) -> np.ndarray:
         """View flat nodal values on the (n1,) or (n1, n2) lattice."""
         return np.asarray(values).reshape(self.shape)
-
-
-def _csr_matrix(data, indices, indptr, shape) -> sp.csr_matrix:
-    """The scipy.sparse import of every matrix the package builds, made at
-    the first one, so that the solve-free commands start with numpy alone
-    (the solver's products import the compiled kernels the same way)."""
-    import scipy.sparse
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _strides(shape) -> list[int]:

@@ -12,7 +12,7 @@ anchored on the residual of the imposed affine start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import TYPE_CHECKING
@@ -26,8 +26,7 @@ from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         edge_differences, ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
-from .geometry import (_COARSEST_SIZE, HalfSpaceGrid, _csr_matrix,
-                       _upper_entries)
+from .geometry import _COARSEST_SIZE, HalfSpaceGrid, _upper_entries
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -92,6 +91,8 @@ class ProblemSpec:
         object.__setattr__(self, "dirichlet", vals.copy())
         if not callable(self.H) and not np.isfinite(float(self.H)):
             raise InvalidParameter("H must be finite")
+        if self.initial is not None:
+            _check_field(self.initial, self)
 
     @classmethod
     def from_boundary_data(cls, grid, theta, data, H=0.0, initial=None):
@@ -115,12 +116,12 @@ class ProblemSpec:
 
 @dataclass(frozen=True, eq=False)
 class SparseSystem:
-    """Row-compressed linear system; linear_solve needs it SPD.
-
-    With `grid` and `blocks` (the matrix is _free_matrix(grid, blocks)),
-    linear_solve preconditions with the multigrid hierarchy of grid.coarse;
-    without them, with one-level damped Jacobi.  The matrix is held as
-    given (a non-CSR input is converted), explicit zeros included.
+    """Row-compressed linear system of the public API (newton_solve builds
+    none); linear_solve needs it SPD.  With `grid` and `blocks` (the matrix
+    is that of _free_level(grid, blocks)), linear_solve preconditions with
+    the multigrid hierarchy of grid.coarse; without them, with one-level
+    damped Jacobi.  The matrix is held as given (a non-CSR input is
+    converted), explicit zeros included.
     """
 
     matrix: sp.csr_matrix
@@ -240,20 +241,13 @@ def _free_data(grid: HalfSpaceGrid, blocks: np.ndarray) -> np.ndarray:
                        minlength=indices.size + 1)[:indices.size]
 
 
-def _free_matrix(grid: HalfSpaceGrid, blocks: np.ndarray) -> sp.csr_matrix:
-    """Free-free matrix of per-cell blocks on the grid's read-only pattern,
-    shared by every system and level the solver builds on a grid."""
+def _free_level(grid: HalfSpaceGrid, blocks: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Free-free matrix of per-cell blocks as plain CSR arrays (indptr,
+    indices, data, n_cols) on the grid's read-only pattern, shared by every
+    system and level the solver builds on a grid, and its diagonal."""
     indptr, indices, _ = grid.hessian_pattern
-    nf = indptr.size - 1
-    return _csr_matrix(_free_data(grid, blocks), indices, indptr, (nf, nf))
-
-
-def _cell_system(grid: HalfSpaceGrid, blocks: np.ndarray,
-                 rhs: np.ndarray) -> SparseSystem:
-    """The free-free system of per-cell blocks, with the grid and blocks
-    that give linear_solve its multigrid hierarchy."""
-    return SparseSystem(matrix=_free_matrix(grid, blocks), rhs=rhs,
-                        grid=grid, blocks=blocks)
+    data = _free_data(grid, blocks)
+    return (indptr, indices, data, indptr.size - 1), data[grid.hessian_diagonal]
 
 
 def _block_action(grid: HalfSpaceGrid, blocks: np.ndarray,
@@ -297,12 +291,14 @@ def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> SparseSystem:
     with a CG breakdown; newton_solve undoes the scaling to solve an SPD
     system instead).
     """
+    import scipy.sparse     # the solve-free commands never load scipy
     _check_field(u, spec)
     grid = spec.grid
     free = grid.free_indices
     res, _ = _residual_full(u.values, spec)
-    jac = _free_matrix(grid, _hessian_blocks(grid, u.values))
-    jac.data *= np.repeat(-1.0 / grid.node_weights[free], np.diff(jac.indptr))
+    (indptr, indices, data, nf), _ = _free_level(grid, _hessian_blocks(grid, u.values))
+    data *= np.repeat(-1.0 / grid.node_weights[free], np.diff(indptr))
+    jac = scipy.sparse.csr_matrix((data, indices, indptr), shape=(nf, nf))
     return SparseSystem(matrix=jac, rhs=-res[free])
 
 
@@ -319,11 +315,6 @@ def _sparsetools():
     """scipy's compiled sparse kernels, imported at the first product."""
     from scipy.sparse import _sparsetools
     return _sparsetools
-
-
-def _csr_arrays(m: sp.csr_matrix) -> tuple:
-    """(indptr, indices, data, n_cols): the plain CSR arrays of a matrix."""
-    return m.indptr, m.indices, m.data, m.shape[1]
 
 
 def _product(m: tuple, x: np.ndarray) -> np.ndarray:
@@ -394,13 +385,15 @@ def _coarse_blocks(grid: HalfSpaceGrid, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _galerkin_levels(matrix: sp.csr_matrix, grid: HalfSpaceGrid | None = None,
+def _galerkin_levels(a: tuple, diagonal: np.ndarray,
+                     grid: HalfSpaceGrid | None = None,
                      blocks: np.ndarray | None = None
                      ) -> tuple[list, Callable[[np.ndarray], np.ndarray]]:
     """The multigrid levels (A_k, _OMEGA / |diag A_k|, P_k) above the last
     one, A_k and P_k as plain CSR arrays, and the solver of the last level.
 
-    matrix is the free-free matrix of the cell blocks `blocks` over `grid`.
+    a (CSR arrays, with diagonal `diagonal`) is the free-free matrix of the
+    cell blocks `blocks` over `grid`.
     A coarse level holds only the data, over its grid's hessian_pattern, of
     A_{k+1} = P_k^T A_k P_k formed cell by cell (_coarse_blocks; exact, as
     P interpolates a fine cell's corners from its coarse cell's corners only
@@ -411,20 +404,17 @@ def _galerkin_levels(matrix: sp.csr_matrix, grid: HalfSpaceGrid | None = None,
     LinearSolveFailure.  Any other last level is smoothed like the others,
     so a hierarchy of one level (no grid) is plain damped Jacobi.
     """
-    a, diagonal = _csr_arrays(matrix), matrix.diagonal()
     levels = []
     hierarchy = zip(grid.coarse, grid.prolongations) if grid is not None else ()
     for coarse, p in hierarchy:
-        levels.append((a, _jacobi_weights(diagonal), _csr_arrays(p)))
+        levels.append((a, _jacobi_weights(diagonal), p))
         blocks = _coarse_blocks(grid, blocks)
         grid = coarse
-        data = _free_data(grid, blocks)
-        a = grid.hessian_pattern[:2] + (data, grid.free_indices.size)
-        diagonal = data[grid.hessian_diagonal]
-    indptr, indices, data, n = a
+        a, diagonal = _free_level(grid, blocks)
+    _, indices, data, n = a
     if levels and n <= _COARSEST_SIZE:
         dense = np.zeros((n, n))
-        dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+        dense[grid.hessian_rows, indices] = data
         try:
             linv = np.linalg.inv(np.linalg.cholesky(dense))
         except np.linalg.LinAlgError:
@@ -442,10 +432,17 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i", x, y))
 
 
-def _pcg(system: SparseSystem, tol_abs: float, max_iter: int) -> tuple[np.ndarray, int]:
-    """Multigrid-preconditioned CG from zero; returns (x, iterations)."""
-    a, b = _csr_arrays(system.matrix), system.rhs
-    levels, coarsest = _galerkin_levels(system.matrix, system.grid, system.blocks)
+def _pcg(a: tuple, diagonal: np.ndarray, b: np.ndarray, rtol: float,
+         max_iter: int, grid: HalfSpaceGrid | None = None,
+         blocks: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """The one Krylov core of the package: CG on the CSR arrays a (with
+    diagonal `diagonal`), preconditioned by one V-cycle of
+    _galerkin_levels(a, diagonal, grid, blocks), from zero until
+    |b - a x| <= rtol |b|; returns (x, iterations), (0, 0) for b = 0."""
+    bnorm = math.sqrt(_dot(b, b))
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0
+    levels, coarsest = _galerkin_levels(a, diagonal, grid, blocks)
     x = np.zeros_like(b)
     r = b.copy()
     z = _vcycle(levels, coarsest, r)
@@ -459,7 +456,7 @@ def _pcg(system: SparseSystem, tol_abs: float, max_iter: int) -> tuple[np.ndarra
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if math.sqrt(_dot(r, r)) <= tol_abs:
+        if math.sqrt(_dot(r, r)) <= rtol * bnorm:
             return x, it
         z = _vcycle(levels, coarsest, r)
         rz_new = _dot(r, z)
@@ -472,18 +469,23 @@ def _pcg(system: SparseSystem, tol_abs: float, max_iter: int) -> tuple[np.ndarra
 def linear_solve(system: SparseSystem, cfg: SolverConfig | None = None) -> np.ndarray:
     """Solve the assembled system to relative tolerance cfg.linear_tol.
 
-    CG preconditioned by one multigrid V-cycle (_galerkin_levels), with
-    fixed-order inner products, so the result is bitwise the same for
-    identical inputs at any BLAS thread count.  The matrix must be SPD: a
-    nonpositive or nonfinite curvature p^T A p, or a failed coarsest
+    By _pcg, newton_solve's Krylov core: CG preconditioned by one multigrid
+    V-cycle, with fixed-order inner products, so the result is bitwise the
+    same for identical inputs at any BLAS thread count.  The matrix must be
+    SPD: a nonpositive or nonfinite curvature p^T A p, or a failed coarsest
     factorization, raises LinearSolveFailure (breakdown).
     """
     cfg = cfg or SolverConfig()
-    bnorm = math.sqrt(_dot(system.rhs, system.rhs))
-    if bnorm == 0.0:
-        return np.zeros_like(system.rhs)
-    x, _ = _pcg(system, cfg.linear_tol * bnorm, cfg.linear_max_iter)
-    return x
+    m = system.matrix
+    return _pcg((m.indptr, m.indices, m.data, m.shape[1]), m.diagonal(),
+                system.rhs, cfg.linear_tol, cfg.linear_max_iter,
+                system.grid, system.blocks)[0]
+
+
+def _cell_solve(grid: HalfSpaceGrid, blocks: np.ndarray, rhs: np.ndarray,
+                rtol: float, max_iter: int) -> np.ndarray:
+    """_pcg on a lift or Newton system of per-cell blocks over the grid."""
+    return _pcg(*_free_level(grid, blocks), rhs, rtol, max_iter, grid, blocks)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +580,7 @@ def _lifted_step(spec: ProblemSpec, affine: np.ndarray, delta: np.ndarray,
     res, _ = _residual_full(affine, spec)
     rhs = (grid.node_weights[free] * res[free]
            - _block_action(grid, blocks, delta)[free])
-    return linear_solve(_cell_system(grid, blocks, rhs),
-                        replace(cfg, linear_tol=_LIFT_TOL))
+    return _cell_solve(grid, blocks, rhs, _LIFT_TOL, cfg.linear_max_iter)
 
 
 def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
@@ -652,9 +653,8 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                 break
             eta = _forcing_term(history, eta, target, cfg.linear_tol)
             # no reference to the blocks outlives the linear solve
-            step = linear_solve(_cell_system(grid, _hessian_blocks(grid, values),
-                                             weights_f * res_f),
-                                replace(cfg, linear_tol=eta))
+            step = _cell_solve(grid, _hessian_blocks(grid, values),
+                               weights_f * res_f, eta, cfg.linear_max_iter)
             # cap runaway directions from near-degenerate (steep-gradient) states
             step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
             step_norm = float(np.max(np.abs(step)))

@@ -228,10 +228,10 @@ def test_sin_min_outside_the_unit_interval_is_exit_3(tmp_path, capsys, sin_min):
 @pytest.mark.parametrize("command", ["solve", "liouville"])
 def test_linear_failure_writes_the_csv_and_exits_2(tmp_path, capsys, monkeypatch,
                                                    command):
-    def breakdown(system, cfg=None):
+    def breakdown(*args):
         raise LinearSolveFailure("conjugate gradient breakdown (matrix not SPD?)")
 
-    monkeypatch.setattr(solver, "linear_solve", breakdown)
+    monkeypatch.setattr(solver, "_pcg", breakdown)
     cfg = _write(tmp_path, "liouville.cfg", LIOUVILLE_CFG)
     out = tmp_path / "out.csv"
     assert cli_main([command, "--config", cfg, "--out", str(out)]) == 2

@@ -384,6 +384,48 @@ def test_2d_self_reference_mesh_convergence():
         assert a / b >= 1.8
 
 
+def _manufactured_solution(theta, amp=0.4):
+    """u = f(x2) - cot(theta) sqrt(1 + f'(x2)^2) x1 with f = amp sin, which
+    meets the wall condition u_1/W = -cos(theta) at x1 = 0 for any f, and
+    H = div(Du/W) in closed form; returns (u, Du, H), callables on points."""
+    cot = theta.cos_t / theta.sin_t
+
+    def parts(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        f1, f2, f3 = amp * np.cos(y), -amp * np.sin(y), -amp * np.cos(y)
+        s = np.sqrt(1.0 + f1 ** 2)
+        s1 = f1 * f2 / s
+        s2 = (f2 ** 2 + f1 * f3) / s - (f1 * f2) ** 2 / s ** 3
+        return (amp * np.sin(y) - cot * s * x, -cot * s, f1 - cot * x * s1,
+                -cot * s1, f2 - cot * x * s2)
+
+    def source(pts):
+        _, ux, uy, uxy, uyy = parts(pts)     # u_11 = 0
+        w2 = 1.0 + ux ** 2 + uy ** 2
+        return ((1.0 + ux ** 2) * uyy - 2.0 * ux * uy * uxy) / (w2 * np.sqrt(w2))
+
+    return (lambda pts: parts(pts)[0],
+            lambda pts: np.stack(parts(pts)[1:3], axis=1), source)
+
+
+def test_manufactured_solution_converges_at_second_order():
+    # the errors read 9.26e-5, 2.33e-5, 5.82e-6 (u) and 1.39e-3, 3.36e-4,
+    # 8.24e-5 (gradient): ratios 3.98-4.14
+    theta = CapillaryAngle(np.pi / 3)
+    exact, grad, source = _manufactured_solution(theta)
+    errs = []
+    for h in (0.1, 0.05, 0.025):
+        grid = build_grid(2, h, 1.0, 1.0)
+        spec = ProblemSpec.from_boundary_data(grid, theta, exact, H=source)
+        sol, rep = newton_solve(spec)
+        assert rep.status is SolveStatus.CONVERGED
+        vectors = discrete_gradient(sol, theta).vectors
+        errs.append((np.max(np.abs(sol.values - exact(grid.nodes))),
+                     np.max(np.abs(vectors - grad(grid.nodes)))))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert min(np.divide(coarse, fine)) >= 3.6
+
+
 def test_diverged_status_is_reported_not_raised():
     # force an immediate stop via a zero-iteration budget
     grid = build_grid(1, 0.25, 1.0)
@@ -439,7 +481,7 @@ def test_jacobian_row_scaling_is_bitwise_the_diagonal_product(args):
     for vals in (np.zeros(grid.n_nodes), rng.uniform(-1.0, 1.0, grid.n_nodes)):
         spec = ProblemSpec(grid=grid, theta=THETA,
                            dirichlet=vals[grid.dirichlet_indices], H=0.1)
-        hess = solver._free_matrix(grid, solver._hessian_blocks(grid, vals))
+        hess = _free_matrix(grid, solver._hessian_blocks(grid, vals))
         old = (scale @ hess).tocsr().sorted_indices()
         new = assemble_jacobian(ScalarField(grid, vals), spec).matrix.copy()
         new.eliminate_zeros()
@@ -467,16 +509,19 @@ def test_consecutive_hessians_leave_the_cached_pattern_intact():
         fresh = assemble_jacobian(ScalarField(fresh_grid, v), fresh_spec)
         assert np.array_equal(system.matrix.toarray(), fresh.matrix.toarray())
     assert np.any(reused[0].matrix.data == 0.0)
-    _assert_systems_share_the_intact_pattern(reused, grid, args)
+    _assert_systems_share_the_intact_pattern(
+        [(system.matrix.indptr, system.matrix.indices) for system in reused],
+        grid, args)
 
 
-def _assert_systems_share_the_intact_pattern(systems, grid, args):
-    """Every system's indptr and indices are the grid's hessian_pattern
-    arrays, which are read-only and byte-identical to a fresh grid's."""
+def _assert_systems_share_the_intact_pattern(patterns, grid, args):
+    """Every system's indptr and indices, given as pairs, are the grid's
+    hessian_pattern arrays, which are read-only and byte-identical to a
+    fresh grid's."""
     indptr, indices, _ = grid.hessian_pattern
-    for system in systems:
-        assert np.shares_memory(system.matrix.indptr, indptr)
-        assert np.shares_memory(system.matrix.indices, indices)
+    for system_indptr, system_indices in patterns:
+        assert np.shares_memory(system_indptr, indptr)
+        assert np.shares_memory(system_indices, indices)
     for cached, fresh in zip(grid.hessian_pattern, build_grid(*args).hessian_pattern):
         assert not cached.flags.writeable
         assert cached.dtype == fresh.dtype and cached.tobytes() == fresh.tobytes()
@@ -492,7 +537,8 @@ def test_flat_state_zeros_leave_the_linear_solve_bitwise_unchanged():
     flat = np.zeros(grid.n_nodes)
     res, _ = solver._residual_full(flat, spec)
     blocks = solver._hessian_blocks(grid, flat)
-    system = solver._cell_system(grid, blocks, grid.node_weights[free] * res[free])
+    system = SparseSystem(_free_matrix(grid, blocks),
+                          grid.node_weights[free] * res[free], grid, blocks)
     compact = system.matrix.copy()
     compact.eliminate_zeros()
     assert compact.nnz < system.matrix.nnz
@@ -504,12 +550,13 @@ def test_flat_state_zeros_leave_the_linear_solve_bitwise_unchanged():
 
 def test_newton_systems_share_the_read_only_pattern(monkeypatch):
     systems = []
+    pcg = solver._pcg
 
-    def recording_solve(system, cfg=None):
-        systems.append(system)
-        return linear_solve(system, cfg)
+    def recording_pcg(a, *args):
+        systems.append(a[:2])
+        return pcg(a, *args)
 
-    monkeypatch.setattr(solver, "linear_solve", recording_solve)
+    monkeypatch.setattr(solver, "_pcg", recording_pcg)
     args = (2, 0.1, 1.0, 1.0)
     grid = build_grid(*args)
     spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
@@ -681,15 +728,15 @@ def test_accepted_lift_is_the_first_newton_step():
 
 def test_rejected_lift_continues_from_the_imposed_start(monkeypatch):
     calls = []
-    solve = solver.linear_solve
+    pcg = solver._pcg
 
-    def zero_first_solve(system, cfg=None):
-        calls.append(system.rhs.size)
+    def zero_first_solve(a, diagonal, b, *args):
+        calls.append(b.size)
         if len(calls) == 1:
-            return np.zeros_like(system.rhs)
-        return solve(system, cfg)
+            return np.zeros_like(b), 0
+        return pcg(a, diagonal, b, *args)
 
-    monkeypatch.setattr(solver, "linear_solve", zero_first_solve)
+    monkeypatch.setattr(solver, "_pcg", zero_first_solve)
     grid = build_grid(2, 0.05, 1.0, 1.0)
     spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
     _, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
@@ -712,6 +759,29 @@ def _recorded_targets(monkeypatch):
 
     monkeypatch.setattr(solver, "_forcing_term", recording)
     return targets
+
+
+def test_warm_start_on_another_grid_is_rejected_when_the_spec_is_built(monkeypatch):
+    evaluations = []
+    residual = solver._residual_full
+
+    def counting_residual(*args):
+        evaluations.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(solver, "_residual_full", counting_residual)
+    grid = build_grid(2, 0.1, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    finer = ScalarField(build_grid(2, 0.05, 1.0, 1.0), np.zeros(861))
+    with pytest.raises(ShapeMismatch):
+        replace(spec, initial=finer)
+    with pytest.raises(ShapeMismatch):
+        ProblemSpec.from_boundary_data(grid, THETA, _ladder_data(), initial=finer)
+    assert evaluations == []
+    # a field on another grid of the same shape passes, as in _check_field
+    same = ScalarField(build_grid(2, 0.1, 1.0, 1.0), spec.impose(np.zeros(grid.n_nodes)))
+    _, rep = newton_solve(replace(spec, initial=same))
+    assert rep.status is SolveStatus.CONVERGED and evaluations
 
 
 def test_warm_start_at_a_cold_solution_converges_at_once_on_the_cold_target():
@@ -771,15 +841,15 @@ def test_a_start_worse_than_the_affine_start_keeps_the_cold_target(monkeypatch):
 def test_linear_failure_is_a_status_with_the_partial_report(monkeypatch, fail_at):
     # call 1 solves the lifted step, call 2 the first Newton step after it
     calls = []
-    solve = solver.linear_solve
+    pcg = solver._pcg
 
-    def breaking_solve(system, cfg=None):
-        calls.append(system.rhs.size)
+    def breaking_pcg(a, diagonal, b, *args):
+        calls.append(b.size)
         if len(calls) == fail_at:
             raise LinearSolveFailure("conjugate gradient breakdown (matrix not SPD?)")
-        return solve(system, cfg)
+        return pcg(a, diagonal, b, *args)
 
-    monkeypatch.setattr(solver, "linear_solve", breaking_solve)
+    monkeypatch.setattr(solver, "_pcg", breaking_pcg)
     grid = build_grid(2, 0.05, 1.0, 1.0)
     spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
     sol, rep = newton_solve(spec)
@@ -863,7 +933,7 @@ def test_cell_kernels_match_central_differences(dim, extent):
     assert np.max(np.abs(action - fd)) <= 1e-6 * np.max(np.abs(action))
     # the free-free block is the assembled Hessian
     free = grid.free_indices
-    assert np.allclose(solver._free_matrix(grid, blocks).toarray(),
+    assert np.allclose(_free_matrix(grid, blocks).toarray(),
                        action[np.ix_(free, free)], rtol=0.0, atol=1e-13)
 
 
@@ -933,6 +1003,8 @@ def test_ladder_cg_iterations_with_the_exact_coarsest_solve(monkeypatch):
         spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
         _, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
         assert rep.status is SolveStatus.CONVERGED
+    # the lift and three Newton steps per rung all reach the counted core
+    assert len(counts) == 12
     assert sum(counts) <= 46
 
 
@@ -942,11 +1014,11 @@ def test_two_level_vcycle_matches_a_dense_oracle():
     assert len(grid.prolongations) == 1
     rng = np.random.default_rng(3)
     blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
-    hess = solver._free_matrix(grid, blocks)
+    hess = _free_matrix(grid, blocks)
     b = rng.standard_normal(hess.shape[0])
 
     a = hess.toarray()
-    p = grid.prolongations[0].toarray()
+    p = _matrix(grid.prolongations[0]).toarray()
     wdinv = solver._OMEGA / np.abs(np.diag(a))
     x = np.zeros_like(b)
     for _ in range(solver._SWEEPS):
@@ -955,13 +1027,30 @@ def test_two_level_vcycle_matches_a_dense_oracle():
     for _ in range(solver._SWEEPS):
         x = x + wdinv * (b - a @ x)
 
-    got = solver._vcycle(*solver._galerkin_levels(hess, grid, blocks), b)
+    got = solver._vcycle(*solver._galerkin_levels(*solver._free_level(grid, blocks),
+                                                  grid, blocks), b)
     assert np.max(np.abs(got - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 def _assert_same_bytes(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _arrays(m):
+    """The plain CSR arrays (indptr, indices, data, n_cols) of a matrix."""
+    return m.indptr, m.indices, m.data, m.shape[1]
+
+
+def _matrix(p):
+    """The scipy matrix of plain CSR arrays (indptr, indices, data, n_cols)."""
+    indptr, indices, data, n_cols = p
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_cols))
+
+
+def _free_matrix(grid, blocks):
+    """The solver's free-free matrix of per-cell blocks as a scipy matrix."""
+    return _matrix(solver._free_level(grid, blocks)[0])
 
 
 def test_kernel_product_is_bitwise_the_scipy_product():
@@ -974,7 +1063,7 @@ def test_kernel_product_is_bitwise_the_scipy_product():
     hess = assemble_jacobian(ScalarField(grid, vals), spec).matrix
     assert hess.indices.dtype == np.int32
     x = rng.standard_normal(hess.shape[0])
-    _assert_same_bytes(solver._product(solver._csr_arrays(hess), x), hess @ x)
+    _assert_same_bytes(solver._product(_arrays(hess), x), hess @ x)
     # a grid-less SPD matrix with int64 indptr and indices, the kernel's
     # other index type
     a = rng.standard_normal((40, 40))
@@ -982,11 +1071,54 @@ def test_kernel_product_is_bitwise_the_scipy_product():
     spd.indptr, spd.indices = spd.indptr.astype(np.int64), spd.indices.astype(np.int64)
     assert spd.indptr.dtype == spd.indices.dtype == np.int64
     x = rng.standard_normal(40)
-    _assert_same_bytes(solver._product(solver._csr_arrays(spd), x), spd @ x)
+    _assert_same_bytes(solver._product(_arrays(spd), x), spd @ x)
     b = rng.standard_normal(40)
     got = linear_solve(SparseSystem(spd, b), SolverConfig(linear_tol=1e-14))
     want = np.linalg.solve(spd.toarray(), b)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_newton_solve_builds_no_scipy_matrix(monkeypatch):
+    # the Newton loop and a fresh grid's hierarchy run on plain CSR arrays;
+    # only the public assemble_jacobian builds a matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy matrix was built")
+
+    monkeypatch.setattr(sp, "csr_matrix", refuse)
+    grid = build_grid(2, 0.1, 1.0, 1.0)
+    _, rep = newton_solve(ProblemSpec.from_boundary_data(grid, THETA, _ladder_data()))
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations >= 2
+    with pytest.raises(AssertionError, match="scipy matrix"):
+        assemble_jacobian(ScalarField(grid, np.zeros(grid.n_nodes)),
+                          ProblemSpec(grid=grid, theta=THETA,
+                                      dirichlet=np.zeros(grid.dirichlet_indices.size)))
+
+
+def test_array_core_and_linear_solve_agree_on_a_newton_system(monkeypatch):
+    # the Newton driver's call of _pcg on the grid's arrays, and the public
+    # linear_solve of the same system built as a scipy matrix
+    grid = build_grid(2, 0.1, 1.0, 1.0)
+    rng = np.random.default_rng(22)
+    blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
+    b = rng.standard_normal(grid.free_indices.size)
+    counts = []
+    pcg = solver._pcg
+
+    def counting_pcg(*args):
+        x, iterations = pcg(*args)
+        counts.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(solver, "_pcg", counting_pcg)
+    system = SparseSystem(_free_matrix(grid, blocks), b, grid, blocks)
+    for rtol in (0.3, 1e-3, 1e-12):
+        counts.clear()
+        core, core_iterations = pcg(*solver._free_level(grid, blocks), b, rtol, 100,
+                                    grid, blocks)
+        public = linear_solve(system, SolverConfig(linear_tol=rtol, linear_max_iter=100))
+        _assert_same_bytes(core, public)
+        assert counts == [core_iterations] and core_iterations >= 1
 
 
 def test_restriction_through_p_is_bitwise_the_product_of_p_transpose():
@@ -998,11 +1130,11 @@ def test_restriction_through_p_is_bitwise_the_product_of_p_transpose():
         grid = build_grid(2, 1.0, *extent)
         assert len(grid.prolongations) == n_levels
         for p in grid.prolongations:
-            x = rng.standard_normal(p.shape[0])
-            _assert_same_bytes(solver._restrict(solver._csr_arrays(p), x),
-                               p.T.tocsr() @ x)
-            y = rng.standard_normal(p.shape[1])
-            _assert_same_bytes(solver._product(solver._csr_arrays(p), y), p @ y)
+            m = _matrix(p)
+            x = rng.standard_normal(m.shape[0])
+            _assert_same_bytes(solver._restrict(p, x), m.T.tocsr() @ x)
+            y = rng.standard_normal(m.shape[1])
+            _assert_same_bytes(solver._product(p, y), m @ y)
 
 
 def test_coarse_level_diagonal_index_reads_the_diagonal():
@@ -1014,7 +1146,7 @@ def test_coarse_level_diagonal_index_reads_the_diagonal():
         for k, level in enumerate(levels):
             if k:
                 blocks = solver._coarse_blocks(levels[k - 1], blocks)
-            m = solver._free_matrix(level, blocks)
+            m = _free_matrix(level, blocks)
             assert not level.hessian_diagonal.flags.writeable
             _assert_same_bytes(m.data[level.hessian_diagonal], m.diagonal())
 
@@ -1025,16 +1157,16 @@ def test_non_spd_newton_system_fails_at_the_coarsest_factorization(monkeypatch):
     monkeypatch.setattr(solver, "_hessian_blocks",
                         lambda grid, values: -blocks(grid, values))
     errors = []
-    solve = solver.linear_solve
+    pcg = solver._pcg
 
-    def recording_solve(system, cfg=None):
+    def recording_pcg(*args):
         try:
-            return solve(system, cfg)
+            return pcg(*args)
         except LinearSolveFailure as exc:
             errors.append(str(exc))
             raise
 
-    monkeypatch.setattr(solver, "linear_solve", recording_solve)
+    monkeypatch.setattr(solver, "_pcg", recording_pcg)
     grid = build_grid(2, 0.05, 1.0, 1.0)
     spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
     _, rep = newton_solve(spec)
@@ -1054,7 +1186,7 @@ def test_multigrid_cg_matches_a_dense_solve(dim, m1, mp, seed):
     grid = build_grid(dim, 1.0, float(m1), float(mp))
     rng = np.random.default_rng(seed)
     blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
-    hess = solver._free_matrix(grid, blocks)
+    hess = _free_matrix(grid, blocks)
     b = rng.standard_normal(hess.shape[0])
     x = linear_solve(SparseSystem(hess, b, grid, blocks),
                      SolverConfig(linear_tol=1e-14))
@@ -1075,12 +1207,12 @@ def test_cell_block_coarse_operators_equal_the_sparse_triple_product(dim, m1, mp
     grid = build_grid(dim, 1.0, float(m1), float(mp))
     rng = np.random.default_rng(seed)
     blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
-    want = solver._free_matrix(grid, blocks)
+    want = _free_matrix(grid, blocks)
     fine = grid
-    for coarse, p in zip(grid.coarse, grid.prolongations, strict=True):
+    for coarse, p in zip(grid.coarse, map(_matrix, grid.prolongations), strict=True):
         want = (p.T.tocsr() @ want @ p).tocsr().sorted_indices()
         blocks = solver._coarse_blocks(fine, blocks)
-        got = solver._free_matrix(coarse, blocks)
+        got = _free_matrix(coarse, blocks)
         assert got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -1140,7 +1272,7 @@ def test_fixed_order_dot_product_does_not_depend_on_buffer_alignment():
 def test_sparse_system_needs_grid_and_blocks_together():
     grid = build_grid(2, 0.25, 1.0, 1.0)
     blocks = solver._hessian_blocks(grid, np.zeros(grid.n_nodes))
-    hess = solver._free_matrix(grid, blocks)
+    hess = _free_matrix(grid, blocks)
     b = np.ones(hess.shape[0])
     for kwargs in ({"grid": grid}, {"blocks": blocks},
                    {"grid": build_grid(2, 0.25, 1.0, 0.5), "blocks": blocks}):
