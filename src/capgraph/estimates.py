@@ -17,8 +17,8 @@ import numpy as np
 
 from .capillary import (CapillaryAngle, ScalarField, _cos_theta, _nodal_gradient,
                         capillary_area_element)
-from .errors import (AngleOutOfRange, DegenerateState, HypothesisViolation,
-                     ShapeMismatch, require_count)
+from .errors import (AngleOutOfRange, DegenerateState, EmptyRegion,
+                     HypothesisViolation, ShapeMismatch, require_count)
 from .geometry import EllipsoidRegion, RegionKind, in_region
 from .solver import ProblemSpec, _check_field, discrete_gradient
 
@@ -96,9 +96,15 @@ def cutoff_profile(points, params: CutoffParams) -> np.ndarray | float:
     return float(q[0]) if single else q
 
 
+def _positive_square(q):
+    pos = np.maximum(q, 0.0)
+    return pos * pos
+
+
 def cutoff_weight(points, params: CutoffParams) -> np.ndarray | float:
-    q = cutoff_profile(points, params)
-    return q * q
+    """Squared positive part of the profile: zero outside the outer
+    ellipsoid, where the profile is negative."""
+    return _positive_square(cutoff_profile(points, params))
 
 
 def _profile_gradient(points, params: CutoffParams) -> np.ndarray:
@@ -111,8 +117,9 @@ def _profile_gradient(points, params: CutoffParams) -> np.ndarray:
 
 
 def cutoff_weight_gradient(points, params: CutoffParams) -> np.ndarray:
-    """Analytic gradient of the squared profile."""
-    q = np.atleast_1d(cutoff_profile(points, params))
+    """Analytic gradient of the cut-off weight: 2 Q DQ where the profile Q
+    is positive, zero outside the outer ellipsoid."""
+    q = np.maximum(np.atleast_1d(cutoff_profile(points, params)), 0.0)
     return 2.0 * q[:, None] * _profile_gradient(points, params)
 
 
@@ -207,9 +214,7 @@ def shifted_cutoff_profile(points, u_vals, params: CutoffParams) -> np.ndarray |
 
 
 def shifted_cutoff_weight(points, u_vals, params: CutoffParams) -> np.ndarray | float:
-    qs = shifted_cutoff_profile(points, u_vals, params)
-    pos = np.maximum(qs, 0.0)
-    return pos * pos
+    return _positive_square(shifted_cutoff_profile(points, u_vals, params))
 
 
 def height_weight(u_val, m_scale: float) -> np.ndarray | float:
@@ -238,11 +243,14 @@ def auxiliary_function(u: ScalarField, theta: CapillaryAngle,
                        params: CutoffParams,
                        variant: Literal["standard", "shifted"] = "standard",
                        ) -> AuxiliaryField:
-    """Nodal height-weight * cutoff-weight * log(capillary area element).
+    """Nodal height-weight * cutoff-weight * log(capillary area element),
+    with its maximum over the nodes of the closed outer ellipsoid (profile
+    >= 0), the region of the cut-off.
 
     The standard variant uses the plain ellipsoidal weight, the shifted one
     the height-shifted weight of the one-sided estimate.  Gradients come
-    from the solver's nodal stencil.
+    from the solver's nodal stencil.  Raises EmptyRegion when no node lies
+    in the closed outer ellipsoid.
     """
     grid = u.grid
     if grid.dim != params.dim:
@@ -252,14 +260,18 @@ def auxiliary_function(u: ScalarField, theta: CapillaryAngle,
     m_scale = (height_scale(u, params.outer_region()) if params.m_scale is None
                else params.m_scale)
     phi = height_weight(u.values, m_scale)
+    q = np.atleast_1d(cutoff_profile(grid.nodes, params))
+    region = np.flatnonzero(q >= 0.0)
+    if region.size == 0:
+        raise EmptyRegion("no grid node lies in the closed outer ellipsoid")
     if variant == "standard":
-        psi = np.atleast_1d(cutoff_weight(grid.nodes, params))
+        psi = _positive_square(q)    # cutoff_weight at the nodes
     elif variant == "shifted":
         psi = np.atleast_1d(shifted_cutoff_weight(grid.nodes, u.values, params))
     else:
         raise ValueError(f"unknown variant {variant!r}")
     vals = phi * psi * np.log(v)
-    arg = int(np.argmax(vals))
+    arg = int(region[np.argmax(vals[region])])
     return AuxiliaryField(values=vals, argmax=arg, max_value=float(vals[arg]))
 
 
@@ -286,17 +298,24 @@ def angle_threshold(n: int) -> float:
     return (3.0 * n - 7.0) * (n - 1.0) / (4.0 * (n - 2.0) ** 2)
 
 
+def _angle_ranges(dims, cos2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """admissible_angle_range for each of a list of dimensions against cos^2
+    of one angle or of a row of angles: the thresholds as a (dims, 1)
+    column, the margins and in-range flags shaped (dims, angles)."""
+    thr = np.array([[angle_threshold(n)] for n in dims])
+    margin = thr - cos2
+    return thr, margin, (np.array(dims)[:, None] <= 3) | (margin > 0.0)
+
+
 def admissible_angle_range(n: int, theta: CapillaryAngle) -> AngleRangeResult:
     """Check cos^2(theta) against the dimensional threshold.
 
     Dimensions 2 and 3 are unrestricted; from dimension 4 on the estimate
     needs cos^2(theta) strictly below the threshold.
     """
-    thr = angle_threshold(n)
-    margin = thr - theta.cos_t ** 2
-    in_range = True if n <= 3 else margin > 0.0
-    return AngleRangeResult(n=n, theta=theta, in_range=in_range,
-                            threshold=thr, margin=margin)
+    thr, margin, in_range = _angle_ranges([n], theta.cos_t ** 2)
+    return AngleRangeResult(n=n, theta=theta, in_range=in_range.item(),
+                            threshold=thr.item(), margin=margin.item())
 
 
 def one_sided_slope_limit(theta: CapillaryAngle) -> float:
@@ -396,12 +415,13 @@ def _cos_squared(theta: CapillaryAngle | np.ndarray) -> float | np.ndarray:
     return np.float_power(_cos_theta(theta), 2.0)
 
 
-def angle_condition_lower_bound(n: int, theta: CapillaryAngle | np.ndarray,
+def angle_condition_lower_bound(n: int | np.ndarray,
+                                theta: CapillaryAngle | np.ndarray,
                                 eps0: float | np.ndarray) -> float | np.ndarray:
     """-(n-1+e)^2 / (4(n-2+e)) + (n-1+e) - (n-2+e) cos^2; positive exactly
     when the splitting condition holds.  Elementwise, broadcasting an array
-    of angles against an array eps0; one CapillaryAngle with a scalar eps0
-    gives a scalar of eps0's own type."""
+    of angles (and a column of dimensions n) against an array eps0; one
+    CapillaryAngle with a scalar eps0 gives a scalar of eps0's own type."""
     eps0, denom = _splitting_denominator(n, eps0)
     a = n - 1.0 + eps0
     return -a * a / (4.0 * denom) + a - denom * _cos_squared(theta)
@@ -428,44 +448,63 @@ _EPS0_SCAN = np.linspace(1e-15, 1.0 - 1e-15, 1025)
 _EPS0_SCAN.flags.writeable = False
 
 
-def choose_eps0_array(n: int, theta: CapillaryAngle | np.ndarray,
+def choose_eps0_array(n: int | np.ndarray, theta: CapillaryAngle | np.ndarray,
                       tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """choose_eps0 for each angle of a 1-D array (or of one CapillaryAngle):
-    the midpoints, NaN where no eps0 is admissible, and whether an end of
-    the interval was bisected (False when the whole scan is admissible).
+    """choose_eps0 for each angle of a 1-D array (or of one CapillaryAngle)
+    in one dimension n, or in each of a (k, 1) column of dimensions: the
+    midpoints, NaN where no eps0 is admissible, and whether an end of the
+    interval was bisected (False when the whole scan is admissible), shaped
+    (angles,) for one n and (k, angles) for a column.
 
-    One masked bisection runs over every end to locate; an entry stops on
-    the scalar rule b - a <= tol, so the midpoints are the scalar ones.
+    The (angles x 1025) scan of each dimension is made and dropped in turn,
+    so one is alive at a time; then one masked bisection runs over every
+    open end of every (n, theta) pair.  An entry stops on the scalar rule
+    b - a <= tol, so the midpoints are the scalar ones.
     """
     cos2 = np.atleast_1d(_cos_squared(theta))
-    grid, m = _EPS0_SCAN, cos2.size
-    # one scan row per angle; elementwise, so an entry equals the scalar f(eps)
-    scan = _splitting_lhs(n, grid) - cos2[:, None]
-    pos = scan > 0.0
-    found = np.any(pos, axis=1)
-    # with t = 1 + 1/(n-2+e) the condition reads t - t^2/4 > cos^2: increasing
-    # in e for n = 2 (t > 2), decreasing for n >= 3 (t < 2), so the positive
-    # samples form one run touching an end of the scan
-    first = np.argmax(pos, axis=1)
-    final = grid.size - 1 - np.argmax(pos[:, ::-1], axis=1)
-    # brackets (grid[col], grid[col + 1]) of the left ends, then of the right
-    # ends; an end where the run meets the end of the scan stays closed
-    open_end = np.concatenate([found & (first > 0), found & (final < grid.size - 1)])
-    cols = np.clip(np.concatenate([first - 1, final]), 0, grid.size - 2)
-    a, b = grid[cols], grid[cols + 1]
-    fa, c2 = scan[np.tile(np.arange(m), 2), cols], np.tile(cos2, 2)
+    dims = np.asarray(n)
+    if dims.ndim != 0 and dims.shape != (dims.size, 1):
+        raise ShapeMismatch("n must be one dimension or a (k, 1) column of them")
+    grid, last, flat = _EPS0_SCAN, _EPS0_SCAN.size - 1, dims.reshape(-1)
+    # per dimension and end (left, right), the bracket (grid[col],
+    # grid[col + 1]) and its left value f(grid[col]); an end where the
+    # positive run meets the end of the scan stays closed
+    cols = np.empty((2, flat.size, cos2.size), dtype=np.intp)
+    open_end = np.empty(cols.shape, dtype=bool)
+    fa = np.empty(cols.shape)
+    found = np.empty(cols.shape[1:], dtype=bool)
+    for i, dim in enumerate(flat.tolist()):
+        lhs = _splitting_lhs(dim, grid)
+        # one scan row per angle; f = lhs - cos^2 > 0 exactly where lhs > cos^2
+        pos = lhs > cos2[:, None]
+        found[i] = np.any(pos, axis=1)
+        # with t = 1 + 1/(n-2+e) the condition reads t - t^2/4 > cos^2:
+        # increasing in e for n = 2 (t > 2), decreasing for n >= 3 (t < 2),
+        # so the positive samples form one run touching an end of the scan
+        first = np.argmax(pos, axis=1)
+        final = last - np.argmax(pos[:, ::-1], axis=1)
+        open_end[:, i] = found[i] & (first > 0), found[i] & (final < last)
+        cols[:, i] = np.clip(first - 1, 0, last - 1), np.minimum(final, last - 1)
+        fa[:, i] = lhs[cols[:, i]] - cos2
+    # one masked bisection over the open ends of every dimension and angle
+    where = np.nonzero(open_end)
+    a, b, fa = grid[cols[where]], grid[cols[where] + 1], fa[where]
+    n_at, c2 = flat[where[1]], cos2[where[2]]
     for _ in range(200):
-        live = open_end & (b - a > tol)
+        live = b - a > tol
         if not np.any(live):
             break
         mid = 0.5 * (a + b)
-        fmid = _splitting_lhs(n, mid) - c2
+        fmid = _splitting_lhs(n_at, mid) - c2
         up = live & ((fmid > 0.0) == (fa > 0.0))
         a, fa = np.where(up, mid, a), np.where(up, fmid, fa)
         b = np.where(live & ~up, mid, b)
-    ends = np.where(open_end, 0.5 * (a + b), np.repeat([0.0, 1.0], m))
-    return (np.where(found, 0.5 * (ends[:m] + ends[m:]), np.nan),
-            open_end[:m] | open_end[m:])
+    ends = np.empty(open_end.shape)
+    ends[0], ends[1] = 0.0, 1.0
+    ends[where] = 0.5 * (a + b)
+    eps = np.where(found, 0.5 * (ends[0] + ends[1]), np.nan)
+    bisected = open_end[0] | open_end[1]
+    return (eps, bisected) if dims.ndim else (eps[0], bisected[0])
 
 
 def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .capillary import (AffineCapillarySolution, CapillaryAngle, ScalarField,
 from .errors import (AngleOutOfRange, BadConfig, HypothesisViolation,
                      InvariantViolation, OutOfExtent, StationarityViolation,
                      UnresolvedRegion, require_count)
-from .estimates import (_cos_squared, admissible_angle_range,
+from .estimates import (_angle_ranges, _cos_squared, admissible_angle_range,
                         angle_condition_holds, angle_condition_lower_bound,
                         angle_threshold, choose_eps0_array,
                         conormal_stationarity_residual,
@@ -251,12 +252,27 @@ class CheckResult:
     passed: bool
 
 
+# _fmt's branch for each exact type the tables hold; a cell of any other
+# type (np.float64, np.bool_, ...) goes through _fmt itself
+_CELL_FORMATS = {bool: _fmt, float: repr, int: str, str: str}
+
+
 def write_csv(rows, path, columns) -> None:
     """Write a `schema=1` CSV: the header `columns`, then one line per row
-    holding its dataclass fields in declaration order."""
+    holding its dataclass fields in declaration order, each cell by _fmt.
+    The field names are resolved once, from the first row; a row of
+    another class raises TypeError."""
     lines = ["schema=1", ",".join(columns)]
+    table, fmt = None, _CELL_FORMATS.get
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, f.name)) for f in fields(row)))
+        if table is None:
+            table, names = type(row), [f.name for f in fields(row)]
+            cells = attrgetter(*names)
+        elif type(row) is not table:
+            raise TypeError(f"{type(row).__name__} row in a table of "
+                            f"{table.__name__} rows")
+        values = cells(row) if len(names) > 1 else (cells(row),)
+        lines.append(",".join([fmt(type(v), _fmt)(v) for v in values]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -674,21 +690,30 @@ def run_angle_sweep(n_list, theta_grid, sin_min: float = 0.05) -> list[AngleSwee
     """Tabulate the admissibility threshold, margin, slope limit, and the
     lower-bound constant at the midpoint splitting parameter (at eps0 = 0
     when none is admissible): a numpy float64 where an end of the admissible
-    interval was bisected, a float otherwise."""
-    thetas = np.array([float(t) for t in theta_grid])
-    angles = [CapillaryAngle(t, sin_min=sin_min) for t in thetas.tolist()]
-    rows = []
-    for n in map(int, n_list):
-        ranges = [admissible_angle_range(n, angle) for angle in angles]
-        eps_mid, bisected = choose_eps0_array(n, thetas)
-        script_b = angle_condition_lower_bound(n, thetas, np.nan_to_num(eps_mid))
-        for angle, res, b, flag in zip(angles, ranges, script_b, bisected):
-            rows.append(AngleSweepRow(
-                n=n, theta=angle.theta, in_U=res.in_range,
-                threshold=res.threshold, margin=res.margin,
-                C_theta=one_sided_slope_limit(angle),
-                script_B=b if flag else float(b)))
-    return rows
+    interval was bisected, a float otherwise.
+
+    Each angle is validated and its slope limit and cos^2 computed once;
+    the other columns come as (n, theta) arrays from one call of each
+    library function over the column of dimensions.
+    """
+    dims = [int(n) for n in n_list]
+    angles = [CapillaryAngle(float(t), sin_min=sin_min) for t in theta_grid]
+    if not dims or not angles:
+        return []
+    thetas = np.array([angle.theta for angle in angles])
+    column = np.array(dims)[:, None]
+    thr, margin, in_u = _angle_ranges(dims, _cos_squared(thetas))
+    eps_mid, bisected = choose_eps0_array(column, thetas)
+    script_b = angle_condition_lower_bound(column, thetas, np.nan_to_num(eps_mid))
+    c_theta = [one_sided_slope_limit(angle) for angle in angles]
+    theta_vals = thetas.tolist()
+    return [AngleSweepRow(n=n, theta=t, in_U=ok, threshold=thr_n, margin=mg,
+                          C_theta=c, script_B=np.float64(b) if flag else b)
+            for n, thr_n, in_n, margin_n, b_n, flag_n in zip(
+                dims, thr[:, 0].tolist(), in_u.tolist(), margin.tolist(),
+                script_b.tolist(), bisected.tolist())
+            for t, ok, mg, c, b, flag in zip(theta_vals, in_n, margin_n, c_theta,
+                                             b_n, flag_n)]
 
 
 # ---------------------------------------------------------------------------

@@ -108,15 +108,20 @@ def test_audit_subcommand(tmp_path, capsys):
 
 def test_closed_form_csvs_keep_their_pinned_bytes(tmp_path, capsys):
     # sha256 of the seed-0 audit and of the 45-step sweep over n = 2..8 as
-    # written before the closed forms ran as array programs; a numpy or libm
-    # whose cos or pow rounds differently would move them too
+    # written before the closed forms ran as array programs, and of the
+    # 90-step sweep as written before the sweep ran as one program over every
+    # dimension; a numpy or libm whose cos or pow rounds differently would
+    # move them too
     digests = {
         "audit": "6425b697460b3e5f594809e25d591cff311e16b251fca9776c4122ca84b753b9",
         "sweep": "6ab80498fa43c98760e8b80361b765b2c2aad810be79f4ca07d88b9974758130",
+        "sweep-90": "687c53c9048227730caee30f8b84019e9eaf55f1e94b50282742c29109d0b544",
     }
     for name, argv in (("audit", ["audit", "--seed", "0"]),
                        ("sweep", ["sweep", "--n", "2,3,4,5,6,7,8",
-                                  "--theta-steps", "45"])):
+                                  "--theta-steps", "45"]),
+                       ("sweep-90", ["sweep", "--n", "2,3,4,5,6,7,8",
+                                     "--theta-steps", "90"])):
         out = tmp_path / f"{name}.csv"
         assert cli_main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name]

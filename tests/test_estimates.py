@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from capgraph import (AngleOutOfRange, CapillaryAngle, CoefficientState,
                       CutoffParams, DegenerateAngle, DegenerateState,
-                      EllipsoidRegion, HypothesisViolation, InvalidParameter,
-                      LinearBound, ProblemSpec, RegionKind, ScalarField,
-                      admissible_angle_range, affine_capillary_solution,
+                      EllipsoidRegion, EmptyRegion, HypothesisViolation,
+                      InvalidParameter, LinearBound, ProblemSpec, RegionKind,
+                      ScalarField, ShapeMismatch, admissible_angle_range,
+                      affine_capillary_solution,
                       angle_condition_holds, angle_condition_lower_bound,
                       angle_threshold, auxiliary_function, build_grid,
                       choose_eps0, choose_eps0_array,
@@ -195,7 +196,10 @@ def test_auxiliary_function_reference_cases():
     scaled = auxiliary_function(u, THETA,
                                 CutoffParams(r=1.5, theta=THETA, dim=2,
                                              m_scale=10.0))
-    assert scaled.argmax == int(np.argmin(prod))
+    # the maximum is taken over the closed outer region, where the profile is
+    # >= 0; outside it the weight is 0 and no node there may win the tie
+    region = np.flatnonzero(cutoff_profile(grid.nodes, params) >= 0.0)
+    assert scaled.argmax == int(region[np.argmin(prod[region])])
 
     # free boundary with constant field: v = 1 so the function vanishes
     theta90 = CapillaryAngle(np.pi / 2)
@@ -216,6 +220,36 @@ def test_auxiliary_function_reference_cases():
                               CutoffParams(r=r, theta=theta90b, dim=2))
     assert shell_node.size > 0
     assert np.max(np.abs(out2.values[shell_node])) <= 1e-12
+
+
+@given(theta=st.floats(0.3, np.pi - 0.3), r=st.floats(0.5, 1.5),
+       amp=st.floats(-50.0, 50.0), tilt=st.floats(-2.0, 2.0))
+def test_auxiliary_maximum_stays_in_the_closed_outer_region(theta, r, amp, tilt):
+    # a plane inside the outer region and a steep wall outside it: log v is
+    # largest outside, and may be <= 0 everywhere inside, where a zero
+    # outside would win the tie; the cut-off weight must be zero off its
+    # support and the maximum taken over the closed region
+    angle = CapillaryAngle(theta)
+    grid = build_grid(2, 0.25, 2.0, 2.0)
+    params = CutoffParams(r=r, theta=angle, dim=2)
+    q = cutoff_profile(grid.nodes, params)
+    u = ScalarField(grid, tilt * grid.nodes[:, 0] + amp * np.maximum(-q, 0.0) ** 2)
+    out = auxiliary_function(u, angle, params)
+    inside = q >= 0.0
+    assert inside[out.argmax]
+    assert out.max_value == np.max(out.values[inside])
+    assert np.all(out.values[~inside] == 0.0)
+    assert np.all(cutoff_weight(grid.nodes[~inside], params) == 0.0)
+    assert np.all(cutoff_weight_gradient(grid.nodes[~inside], params) == 0.0)
+
+
+def test_auxiliary_function_needs_a_node_in_the_region():
+    grid = build_grid(2, 0.5, 2.0, 2.0)
+    # centred between wall nodes, with no node inside
+    params = CutoffParams(r=0.2, theta=THETA, dim=2, center=(0.25,))
+    field = ScalarField(grid, np.zeros(grid.n_nodes))
+    with pytest.raises(EmptyRegion):
+        auxiliary_function(field, THETA, params)
 
 
 def test_shifted_auxiliary_variant_under_bound():
@@ -453,6 +487,59 @@ def test_eps0_array_core_matches_the_scalar_bisection(n, thetas, tol):
         assert e == expected and flag == (type(expected) is np.float64)
         got = choose_eps0(n, angle, tol)
         assert got == expected and type(got) is type(expected)
+
+
+_EPS0_DIMS = (2, 3, 4, 8, 12, 100)
+_ANGLE = st.floats(_SWEEP_LO, np.pi - _SWEEP_LO)
+
+
+@given(dims=st.permutations(_EPS0_DIMS),
+       thetas=st.one_of(
+           st.just([]),
+           st.lists(_ANGLE, min_size=1, max_size=1),
+           st.lists(st.floats(np.pi / 2 - 1e-6, np.pi / 2 + 1e-6), min_size=1,
+                    max_size=20),
+           st.lists(st.floats(_SWEEP_LO, _SWEEP_LO + 1e-3)
+                    | st.floats(np.pi - _SWEEP_LO - 1e-3, np.pi - _SWEEP_LO),
+                    min_size=1, max_size=20),
+           st.lists(_ANGLE, max_size=40)))
+def test_eps0_over_a_column_of_dimensions_is_one_call_per_dimension(dims, thetas):
+    # one masked bisection over every (n, theta) end gives each dimension's
+    # row to the bit, NaN cells and flags included, in any order of the column
+    thetas = np.array(thetas, dtype=float)
+    eps, bisected = choose_eps0_array(np.array(dims)[:, None], thetas)
+    assert eps.shape == bisected.shape == (len(dims), thetas.size)
+    for n, row, flags in zip(dims, eps, bisected):
+        one, one_flags = choose_eps0_array(n, thetas)
+        assert row.tobytes() == one.tobytes()
+        assert flags.tobytes() == one_flags.tobytes()
+
+
+def test_eps0_column_keeps_its_exception_types():
+    # below dimension 2 the array core raises nothing, row by row as one call
+    # per dimension, and choose_eps0 raises AngleOutOfRange only where no
+    # eps0 is admissible; degenerate angles raise DegenerateAngle
+    thetas = np.array([1.0, np.pi / 2, 0.3])
+    eps, bisected = choose_eps0_array(np.array([[1], [0], [-3]]), thetas)
+    for n, row, flags in zip((1, 0, -3), eps, bisected):
+        one, one_flags = choose_eps0_array(n, thetas)
+        assert row.tobytes() == one.tobytes()
+        assert flags.tobytes() == one_flags.tobytes()
+    # the values the per-dimension core gave before the column existed
+    assert np.all(np.isnan(eps[0])) and np.isnan(eps[1:, 2]).all()
+    assert eps[1, 1] == eps[2, 0] == eps[2, 1] == 0.5
+    assert bisected.tolist() == [[False] * 3, [True, False, False], [False] * 3]
+    with pytest.raises(AngleOutOfRange):
+        choose_eps0(1, CapillaryAngle(np.pi / 2))
+    assert choose_eps0(0, CapillaryAngle(np.pi / 2)) == 0.5
+    for bad in ([0.0, 1.0], [np.pi], [np.nan], [1.0, 4.0], [-1.0]):
+        with pytest.raises(DegenerateAngle):
+            choose_eps0_array(np.array([[2], [4]]), np.array(bad))
+        with pytest.raises(DegenerateAngle):
+            choose_eps0_array(4, np.array(bad))
+    for shape in ((2,), (1, 2), (2, 1, 1)):
+        with pytest.raises(ShapeMismatch):
+            choose_eps0_array(np.full(shape, 4), thetas)
 
 
 def test_choose_eps0_keeps_its_return_types():

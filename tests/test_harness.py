@@ -1,7 +1,7 @@
 """Config parsing, blow-down, experiment runners, CSV artifacts."""
 
 import threading
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       AngleOutOfRange, AngleSweepRow, BadConfig,
                       CapillaryAngle, CheckResult,
-                      CutoffParams, EllipsoidRegion,
+                      CutoffParams, DegenerateAngle, EllipsoidRegion,
                       ExperimentConfig, ExperimentReport,
                       HypothesisViolation, InvalidParameter,
                       InvariantViolation, OutOfExtent, RegionKind, ReportRow,
@@ -397,6 +397,68 @@ def test_angle_sweep_matches_the_per_cell_loop(tmp_path, steps, sin_min):
         blobs.append((tmp_path / f"{tag}.csv").read_bytes())
     assert blobs[0] == blobs[1]
     assert run_angle_sweep([4], []) == [] and run_angle_sweep([], thetas) == []
+
+
+def test_angle_sweep_keeps_its_exception_types():
+    # a dimension below 2 is a ValueError and a degenerate angle a
+    # DegenerateAngle, the angles checked first; no angles or no dimensions
+    # give no rows, whatever the other list holds
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+        run_angle_sweep([4, 1], [1.0])
+    for theta, sin_min in ((0.0, 0.05), (np.nan, 0.05), (3.2, 0.05),
+                           (0.01, 0.05), (0.3, 0.5)):
+        with pytest.raises(DegenerateAngle):
+            run_angle_sweep([1, 4], [1.0, theta], sin_min)
+    assert run_angle_sweep([1], []) == []
+
+
+@dataclass(frozen=True)
+class _Cells:
+    flag: bool
+    np_flag: np.bool_
+    count: int
+    np_count: np.int64
+    value: float
+    np_value: np.float64
+    name: str
+    neg_zero: float
+    missing: float
+    big: float
+
+
+_CELL_ROWS = [
+    _Cells(True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(1.0 / 3.0),
+           "converged", -0.0, float("nan"), float("inf")),
+    _Cells(False, np.bool_(True), -12, np.int64(0), 1e300, np.float64(-0.0),
+           "", 0.0, np.nan, -np.inf),
+    # the declared types are not enforced: a cell is written by its own type
+    _Cells(np.float64(2.5), 1, np.float64(np.nan), False, 7, "x",
+           np.int64(4), np.bool_(False), np.float64(np.inf), True),
+]
+
+
+def test_write_csv_matches_the_per_cell_rule(tmp_path):
+    # each line is _fmt, the one cell rule, over the row's fields: np.float64
+    # cells keep their np.float64(...) text and numpy bools and ints their str()
+    columns = [f.name for f in fields(_Cells)]
+    path = tmp_path / "cells.csv"
+    write_csv(_CELL_ROWS, path, columns)
+    lines = ["schema=1", ",".join(columns)] + [
+        ",".join(harness._fmt(getattr(row, f.name)) for f in fields(row))
+        for row in _CELL_ROWS]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert lines[2] == ("true,False,3,-7,0.1,np.float64(0.3333333333333333),"
+                        "converged,-0.0,nan,inf")
+
+    write_csv([], path, ("a", "b"))
+    assert path.read_bytes() == b"schema=1\na,b\n"
+    write_csv(iter(_CELL_ROWS[:1]), path, columns)
+    assert path.read_text().splitlines()[2] == lines[2]
+
+    mixed = tmp_path / "mixed.csv"
+    with pytest.raises(TypeError, match="CheckResult row in a table of _Cells"):
+        write_csv([_CELL_ROWS[0], CheckResult("x", 1.0, 0.0, True)], mixed, columns)
+    assert not mixed.exists()
 
 
 def test_report_csv_schema_and_determinism(tmp_path):
