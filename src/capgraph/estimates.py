@@ -158,12 +158,12 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
             filled += len(kept)
         return pts
 
-    # Q and DQ, shared by psi = Q^2, D psi = 2 Q DQ and D^2 psi below
+    # psi and D psi by the library functions; Q and DQ for D^2 psi below
     pts = draw_inside(samples, params.outer_region())
+    psi = np.atleast_1d(cutoff_weight(pts, params))
+    gnorm = np.linalg.norm(cutoff_weight_gradient(pts, params), axis=1)
     q = np.atleast_1d(cutoff_profile(pts, params))
     dq = _profile_gradient(pts, params)
-    psi = q * q
-    gnorm = np.linalg.norm(2.0 * q[:, None] * dq, axis=1)
     grad_violation = float(np.max(gnorm - 4.0 * np.sqrt(psi) / r))
 
     n_bdry = max(1, samples // 10)

@@ -22,8 +22,8 @@ from .capillary import (AffineCapillarySolution, CapillaryAngle, ScalarField,
                         capillary_energies, capillary_gauge, conormal,
                         unit_normal)
 from .errors import (AngleOutOfRange, BadConfig, HypothesisViolation,
-                     InvariantViolation, OutOfExtent, StationarityViolation,
-                     UnresolvedRegion, require_count)
+                     InvalidParameter, InvariantViolation, OutOfExtent,
+                     StationarityViolation, UnresolvedRegion, require_count)
 from .estimates import (_angle_ranges, _cos_squared, admissible_angle_range,
                         angle_condition_holds, angle_condition_lower_bound,
                         angle_threshold, choose_eps0_array,
@@ -226,7 +226,7 @@ class ExperimentReport:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
@@ -694,8 +694,12 @@ def run_angle_sweep(n_list, theta_grid, sin_min: float = 0.05) -> list[AngleSwee
 
     Each angle is validated and its slope limit and cos^2 computed once;
     the other columns come as (n, theta) arrays from one call of each
-    library function over the column of dimensions.
+    library function over the column of dimensions.  A dimension that is
+    not an integer (4.5, nan) raises InvalidParameter.
     """
+    n_list = list(n_list)
+    if not all(float(n).is_integer() for n in n_list):
+        raise InvalidParameter(f"dimensions must be integers, got {n_list}")
     dims = [int(n) for n in n_list]
     angles = [CapillaryAngle(float(t), sin_min=sin_min) for t in theta_grid]
     if not dims or not angles:

@@ -482,12 +482,6 @@ def linear_solve(system: SparseSystem, cfg: SolverConfig | None = None) -> np.nd
                 system.grid, system.blocks)[0]
 
 
-def _cell_solve(grid: HalfSpaceGrid, blocks: np.ndarray, rhs: np.ndarray,
-                rtol: float, max_iter: int) -> np.ndarray:
-    """_pcg on a lift or Newton system of per-cell blocks over the grid."""
-    return _pcg(*_free_level(grid, blocks), rhs, rtol, max_iter, grid, blocks)[0]
-
-
 # ---------------------------------------------------------------------------
 # Nodal gradients and the Newton driver
 # ---------------------------------------------------------------------------
@@ -567,25 +561,9 @@ def _check_area_element(v_min: float, theta: CapillaryAngle) -> None:
 _LIFT_TOL = 1e-3     # relative CG tolerance of the lifted first step
 
 
-def _lifted_step(spec: ProblemSpec, affine: np.ndarray, delta: np.ndarray,
-                 cfg: SolverConfig) -> np.ndarray:
-    """Free-node response s to the Dirichlet increment delta of the
-    linearized problem at the affine start: H_ff s = w_f r_f - (H delta)_f,
-    with the Hessian H and the residual r taken at `affine` and H delta the
-    full-lattice action (a tangent-predictor step, Deuflhard, Newton Methods
-    for Nonlinear Problems, 2004, ch. 5)."""
-    grid = spec.grid
-    free = grid.free_indices
-    blocks = _hessian_blocks(grid, affine)
-    res, _ = _residual_full(affine, spec)
-    rhs = (grid.node_weights[free] * res[free]
-           - _block_action(grid, blocks, delta)[free])
-    return _cell_solve(grid, blocks, rhs, _LIFT_TOL, cfg.linear_max_iter)
-
-
 def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                  ) -> tuple[ScalarField, SolveReport]:
-    """Damped Newton iteration on the discrete problem.
+    """Damped inexact Newton iteration on the discrete problem.
 
     Converged means the residual infinity norm fell below
     tol_residual * max(1, R0), R0 being the residual of the slope-matched
@@ -593,14 +571,23 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     anchors the target and the divergence guard also for a warm start
     (spec.initial; one more residual evaluation), whose own small residual
     would put the target at the roundoff floor, where the line search
-    stalls.  A cold solve's first step is _lifted_step, kept only when it
-    lowers the residual (a rejected lift is not an iteration); a warm start
-    takes no lift.  Later steps are accepted only when they decrease the
-    residual norm, else the solve stops as STALLED.  Each Newton system is
-    solved in its SPD (volume-weighted) form by multigrid-preconditioned CG
-    to the Eisenstat-Walker tolerance of _forcing_term; a linear solve that
-    breaks down or stagnates ends the solve as LINEAR_FAILURE at the last
-    accepted state.
+    stalls.
+
+    Each step solves H_ff s = w_f r_f - (H delta)_f for the free nodes, in
+    its SPD (volume-weighted) form by multigrid-preconditioned CG, with the
+    Hessian H and the residual r taken at a linearization point and H delta
+    the full-lattice action.  A cold solve's first step is the lift, a
+    tangent-predictor step (Deuflhard, Newton Methods for Nonlinear
+    Problems, 2004, ch. 5): linearized at the affine start for the Dirichlet
+    increment delta, solved to _LIFT_TOL, one trial at full length, kept
+    when it lowers the residual at all.  A rejected lift is not an
+    iteration; a warm start takes no lift.  A Newton step is linearized at
+    the current state (delta = 0), solved to the Eisenstat-Walker tolerance
+    of _forcing_term (continuing from _LIFT_TOL after a kept lift), capped,
+    and backtracked to an Armijo decrease (1 - 1e-4 alpha) of the residual
+    norm, else the solve stops as STALLED.  A linear solve that breaks down
+    or stagnates ends the solve as LINEAR_FAILURE at the last accepted
+    state.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
@@ -617,9 +604,10 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     res_f, res_norm, v_min = residual(values)
     _check_area_element(v_min, spec.theta)
     res0 = res_norm
+    # no lift when the imposed start is the affine start itself
+    lift = spec.initial is None and bool(np.any(values != affine))
     if spec.initial is not None:
         # a warm start keeps the cold start's anchor res0 and takes no lift
-        affine = None
         values = spec.impose(spec.initial.values)
         res_f, res_norm, v_min = residual(values)
         _check_area_element(v_min, spec.theta)
@@ -632,53 +620,52 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     # only a linear solve raises LinearSolveFailure, and the state above is
     # replaced only after one returns: a failure keeps the last accepted state
     try:
-        if (affine is not None and cfg.max_newton > 0 and res_norm > target
-                and np.any(values != affine)):
-            lifted = values.copy()
-            lifted[free] += _lifted_step(spec, affine, values - affine, cfg)
-            lift_res_f, lift_norm, lift_v_min = residual(lifted)
-            if lift_norm < res_norm:
-                values, res_f, res_norm, v_min = (lifted, lift_res_f, lift_norm,
-                                                  lift_v_min)
-                _check_area_element(v_min, spec.theta)
-                history.append(res_norm)
-                iterations = 1
-                eta = _LIFT_TOL     # the forcing sequence continues from the lift
-
-        for _ in range(cfg.max_newton - iterations):
+        while iterations < cfg.max_newton:
             if res_norm <= target:
                 break
             if res_norm > 1e6 * max(1.0, res0):
                 status = SolveStatus.DIVERGED
                 break
-            eta = _forcing_term(history, eta, target, cfg.linear_tol)
-            # no reference to the blocks outlives the linear solve
-            step = _cell_solve(grid, _hessian_blocks(grid, values),
-                               weights_f * res_f, eta, cfg.linear_max_iter)
-            # cap runaway directions from near-degenerate (steep-gradient) states
-            step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
+            blocks = _hessian_blocks(grid, affine if lift else values)
+            if lift:
+                # one trial at full length, kept on any decrease
+                rhs = (weights_f * residual(affine)[0]
+                       - _block_action(grid, blocks, values - affine)[free])
+                rtol, step_cap, min_alpha, armijo = _LIFT_TOL, math.inf, 1.0, 0.0
+            else:
+                rhs = weights_f * res_f
+                rtol = _forcing_term(history, eta, target, cfg.linear_tol)
+                # cap runaway directions from near-degenerate (steep-gradient) states
+                step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
+                min_alpha, armijo = cfg.min_step, 1e-4
+            step = _pcg(*_free_level(grid, blocks), rhs, rtol, cfg.linear_max_iter,
+                        grid, blocks)[0]
+            del blocks      # no reference to the blocks outlives the linear solve
             step_norm = float(np.max(np.abs(step)))
             if step_norm > step_cap:
                 step *= step_cap / step_norm
 
             alpha = 1.0
             accepted = False
-            while alpha >= cfg.min_step:
+            while alpha >= min_alpha:
                 trial = values.copy()
                 trial[free] += alpha * step
                 trial_res_f, trial_norm, trial_v_min = residual(trial)
-                if trial_norm < (1.0 - 1e-4 * alpha) * res_norm:
+                if trial_norm < (1.0 - armijo * alpha) * res_norm:
                     accepted = True
                     break
                 alpha *= cfg.damping
-            if not accepted:
+            if accepted:
+                values = trial
+                res_f, res_norm, v_min = trial_res_f, trial_norm, trial_v_min
+                _check_area_element(v_min, spec.theta)
+                history.append(res_norm)
+                iterations += 1
+                eta = rtol
+            elif not lift:
                 status = SolveStatus.STALLED
                 break
-            values = trial
-            res_f, res_norm, v_min = trial_res_f, trial_norm, trial_v_min
-            _check_area_element(v_min, spec.theta)
-            history.append(res_norm)
-            iterations += 1
+            lift = False
     except LinearSolveFailure:
         status = SolveStatus.LINEAR_FAILURE
 

@@ -22,6 +22,7 @@ from capgraph import (AngleOutOfRange, CapillaryAngle, CoefficientState,
                       height_weight, in_region, max_principle_coefficients,
                       nondivergence_residual, one_sided_slope_limit,
                       shifted_cutoff_profile)
+from capgraph import estimates
 from capgraph.estimates import _EPS0_SCAN, _profile_gradient, _splitting_lhs
 
 THETA = CapillaryAngle(np.pi / 3)
@@ -116,6 +117,16 @@ def test_single_pass_cutoff_sampler_matches_the_vstack_oracle():
         for seed in range(3):
             assert tuple(cutoff_derivative_check(params, 2000, seed)) == \
                 _vstack_cutoff_check(params, 2000, seed)
+
+
+def test_cutoff_check_reads_the_library_weight_gradient(monkeypatch):
+    # the interior samples take D psi from cutoff_weight_gradient itself, so
+    # a wrong gradient there shows as a gradient violation
+    params = CutoffParams(r=2.5, theta=THETA, dim=2)
+    assert cutoff_derivative_check(params, 1000, seed=2).max_gradient_violation <= 0.0
+    monkeypatch.setattr(estimates, "cutoff_weight_gradient",
+                        lambda points, p: 3.0 * cutoff_weight_gradient(points, p))
+    assert cutoff_derivative_check(params, 1000, seed=2).max_gradient_violation > 0.5
 
 
 @pytest.mark.parametrize("samples", [0, -2, 2.5, "3", True, None, np.float64(4.0)])

@@ -412,6 +412,19 @@ def test_angle_sweep_keeps_its_exception_types():
     assert run_angle_sweep([1], []) == []
 
 
+def test_angle_sweep_rejects_non_integer_dimensions():
+    # a dimension is not truncated: 4.5 is no n = 4 row
+    for n_list in ([4.5], [4, 2.5], [np.float64(3.5)], [np.nan], [np.inf]):
+        with pytest.raises(InvalidParameter, match="dimensions must be integers"):
+            run_angle_sweep(n_list, [0.3])
+    rows = run_angle_sweep([4], [0.3, 1.2])
+    for n in (np.int64(4), 4.0):
+        same = run_angle_sweep([n], [0.3, 1.2])
+        assert same == rows and all(type(row.n) is int for row in same)
+    with pytest.raises(ValueError):
+        run_angle_sweep([1], [0.3])
+
+
 @dataclass(frozen=True)
 class _Cells:
     flag: bool
@@ -439,7 +452,8 @@ _CELL_ROWS = [
 
 def test_write_csv_matches_the_per_cell_rule(tmp_path):
     # each line is _fmt, the one cell rule, over the row's fields: np.float64
-    # cells keep their np.float64(...) text and numpy bools and ints their str()
+    # cells keep their np.float64(...) text, numpy ints their str(), and
+    # numpy bools are written true/false like Python bools
     columns = [f.name for f in fields(_Cells)]
     path = tmp_path / "cells.csv"
     write_csv(_CELL_ROWS, path, columns)
@@ -447,8 +461,10 @@ def test_write_csv_matches_the_per_cell_rule(tmp_path):
         ",".join(harness._fmt(getattr(row, f.name)) for f in fields(row))
         for row in _CELL_ROWS]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-    assert lines[2] == ("true,False,3,-7,0.1,np.float64(0.3333333333333333),"
+    assert lines[2] == ("true,false,3,-7,0.1,np.float64(0.3333333333333333),"
                         "converged,-0.0,nan,inf")
+    assert lines[3].split(",")[1] == "true"
+    assert lines[4].split(",")[7] == "false"
 
     write_csv([], path, ("a", "b"))
     assert path.read_bytes() == b"schema=1\na,b\n"

@@ -1,6 +1,7 @@
 """Discretization, Jacobian consistency, Newton, and linear solves."""
 
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -726,25 +727,39 @@ def test_accepted_lift_is_the_first_newton_step():
     assert rep.residual_history == (_imposed_start_residual(spec),)
 
 
+def _assert_forcing_sequence(rtols, history, start, target, cfg, eta):
+    """rtols[k] is the forcing term after history[:start + k + 1], each
+    continuing from the one before it and the first from `eta`."""
+    for k, rtol in enumerate(rtols):
+        assert rtol == solver._forcing_term(list(history[:start + k + 1]), eta,
+                                            target, cfg.linear_tol)
+        eta = rtol
+
+
 def test_rejected_lift_continues_from_the_imposed_start(monkeypatch):
-    calls = []
+    calls = []      # the rtol of each _pcg call
     pcg = solver._pcg
 
-    def zero_first_solve(a, diagonal, b, *args):
-        calls.append(b.size)
+    def zero_first_solve(a, diagonal, b, rtol, *args):
+        calls.append(rtol)
         if len(calls) == 1:
             return np.zeros_like(b), 0
-        return pcg(a, diagonal, b, *args)
+        return pcg(a, diagonal, b, rtol, *args)
 
     monkeypatch.setattr(solver, "_pcg", zero_first_solve)
     grid = build_grid(2, 0.05, 1.0, 1.0)
     spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
-    _, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
+    cfg = SolverConfig(tol_residual=1e-12)
+    _, rep = newton_solve(spec, cfg)
     assert rep.status is SolveStatus.CONVERGED
     assert rep.residual_history[0] == _imposed_start_residual(spec)
     # the rejected lift is not an iteration
     assert len(calls) == rep.iterations + 1
     assert len(rep.residual_history) == rep.iterations + 1
+    # nor does it start the forcing sequence: eta is still None after it
+    assert calls[0] == solver._LIFT_TOL and calls[1] == solver._EW_ETA0
+    _assert_forcing_sequence(calls[1:], rep.residual_history, 0,
+                             cfg.tol_residual * rep.residual_history[0], cfg, None)
 
 
 def _recorded_targets(monkeypatch):
@@ -1006,6 +1021,73 @@ def test_ladder_cg_iterations_with_the_exact_coarsest_solve(monkeypatch):
     # the lift and three Newton steps per rung all reach the counted core
     assert len(counts) == 12
     assert sum(counts) <= 46
+
+
+# per ladder rung h: sha256 of the solution's values, the Newton steps and
+# the repr of the residual history, as computed before the lift became the
+# first step of the Newton loop
+LADDER_SOLUTIONS = {
+    0.05: ("6f6bc51a7a955135f0eca980479014afd0b7034dd080f4832e20133e5200a649", 4,
+           "(28.046832149081364, 0.25996958256536623, 0.005955021183411644, "
+           "2.3918541276063406e-06, 5.741067343745242e-13)"),
+    0.025: ("f77cc0a1b97bf736a5eaf54d6b4ea26d37bb83fa556801e09c714f87c2b68887", 4,
+            "(59.14811038537814, 0.31277749402834754, 0.00842467307168252, "
+            "5.718119601080817e-06, 2.544579130736579e-12)"),
+    0.0125: ("af9fb8c1ab06df9f934183d725841bd45a9697c4584810686cb6716dc141354d", 4,
+             "(122.26241200380579, 0.35179861022564257, 0.0102300199268001, "
+             "1.055835873002564e-05, 6.939934737992813e-12)"),
+}
+
+
+@pytest.mark.parametrize("h", sorted(LADDER_SOLUTIONS, reverse=True))
+def test_ladder_solutions_keep_their_pinned_bytes(h):
+    digest, iterations, history = LADDER_SOLUTIONS[h]
+    grid = build_grid(2, h, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    sol, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
+    assert rep.status is SolveStatus.CONVERGED
+    assert hashlib.sha256(sol.values.tobytes()).hexdigest() == digest
+    assert rep.iterations == iterations
+    assert repr(rep.residual_history) == history
+
+
+def test_pcg_tolerances_follow_the_lift_and_the_forcing_terms(monkeypatch):
+    rtols = []
+    pcg = solver._pcg
+
+    def recording_pcg(a, diagonal, b, rtol, *args):
+        rtols.append(rtol)
+        return pcg(a, diagonal, b, rtol, *args)
+
+    monkeypatch.setattr(solver, "_pcg", recording_pcg)
+    grid = build_grid(2, 0.05, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    cfg = SolverConfig(tol_residual=1e-12)
+
+    # a cold solve lifts first; the forcing terms continue from eta = _LIFT_TOL
+    sol, rep = newton_solve(spec, cfg)
+    assert rep.status is SolveStatus.CONVERGED
+    assert len(rtols) == rep.iterations
+    assert rtols[0] == solver._LIFT_TOL
+    target = cfg.tol_residual * rep.residual_history[0]
+    _assert_forcing_sequence(rtols[1:], rep.residual_history, 1, target, cfg,
+                             solver._LIFT_TOL)
+
+    # a warm start takes no lift: its first solve gets the first-step forcing
+    rtols.clear()
+    _, rep = newton_solve(replace(spec, initial=ScalarField(
+        grid, 0.5 * (sol.values + spec.impose(solver._affine_initial(spec))))), cfg)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rtols and solver._LIFT_TOL not in rtols
+    assert rtols[0] == solver._EW_ETA0
+    _assert_forcing_sequence(rtols, rep.residual_history, 0, target, cfg, None)
+
+    # the lift ignores min_step; the Newton step after it has no trial length
+    rtols.clear()
+    _, rep = newton_solve(spec, SolverConfig(min_step=1.5, max_newton=2))
+    assert rep.status is SolveStatus.STALLED
+    assert rep.iterations == 1
+    assert rtols[0] == solver._LIFT_TOL and len(rtols) == 2
 
 
 def test_two_level_vcycle_matches_a_dense_oracle():
