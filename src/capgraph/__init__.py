@@ -42,7 +42,7 @@ from .harness import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       run_gradient_bound_sweep, run_liouville_experiment,
                       run_minimizer_test, run_solve_experiment, write_csv)
 from .solver import (ProblemSpec, SolveReport, SolveStatus, SolverConfig,
-                     SparseSystem, assemble_jacobian, assemble_residual,
-                     discrete_gradient, linear_solve, newton_solve)
+                     assemble_jacobian, assemble_residual, discrete_gradient,
+                     newton_solve)
 
 __version__ = "0.1.0"

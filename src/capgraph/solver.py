@@ -3,7 +3,7 @@
 The residual is the exact gradient of the discrete capillary energy, driven
 to zero by damped inexact Newton with a lifted first step and multigrid-
 preconditioned CG (README, numerical notes).  Newton systems are solved in
-their volume-weighted SPD form, the only one the linear solver accepts;
+their volume-weighted SPD form, the only one _pcg accepts;
 reductions have fixed order (numpy loops, not BLAS), so runs are bitwise
 reproducible at any BLAS thread count; and the convergence target stays
 anchored on the residual of the imposed affine start.
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .geometry import _COARSEST_SIZE, HalfSpaceGrid, _upper_entries
 
 if TYPE_CHECKING:
     from collections.abc import Callable
-
-    import scipy.sparse as sp
 
 
 class SolveStatus(Enum):
@@ -48,20 +46,16 @@ class SolverConfig:
     max_newton: int = 50
     damping: float = 0.5             # backtracking factor
     min_step: float = 1e-6
-    linear_tol: float = 1e-12        # relative 2-norm target of a standalone
-                                     # linear_solve; floor of the Newton forcing
-    linear_max_iter: int = 20000
 
     def __post_init__(self):
         if not (0.0 < self.damping < 1.0):
             raise InvalidParameter(f"damping must lie in (0, 1), got {self.damping}")
-        for name in ("tol_residual", "min_step", "linear_tol"):
+        for name in ("tol_residual", "min_step"):
             if not (math.isfinite(v := getattr(self, name)) and v > 0.0):
                 raise InvalidParameter(f"{name} must be positive and finite, got {v}")
-        for name, low in (("max_newton", 0), ("linear_max_iter", 1)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
-                raise InvalidParameter(f"{name} must be an integer >= {low}, got {v!r}")
+        v = self.max_newton
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+            raise InvalidParameter(f"max_newton must be an integer >= 0, got {v!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,36 +106,6 @@ class ProblemSpec:
         out = np.array(values, dtype=float)
         out[self.grid.dirichlet_indices] = self.dirichlet
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class SparseSystem:
-    """Row-compressed linear system of the public API (newton_solve builds
-    none); linear_solve needs it SPD.  With `grid` and `blocks` (the matrix
-    is that of _free_level(grid, blocks)), linear_solve preconditions with
-    the multigrid hierarchy of grid.coarse; without them, with one-level
-    damped Jacobi.  The matrix is held as given (a non-CSR input is
-    converted), explicit zeros included.
-    """
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    grid: HalfSpaceGrid | None = None
-    blocks: np.ndarray | None = None
-
-    def __post_init__(self):
-        m = self.matrix.tocsr()
-        if m.shape[0] != m.shape[1] or m.shape[0] != self.rhs.shape[0]:
-            raise ShapeMismatch(
-                f"system shape {m.shape} does not match rhs {self.rhs.shape}"
-            )
-        if (self.grid is None) != (self.blocks is None) or (
-                self.grid is not None
-                and (m.shape[0] != self.grid.free_indices.size
-                     or self.blocks.shape[1:] != self.grid.corner_rows.shape[1:])):
-            raise ShapeMismatch("grid and blocks must both be given and match "
-                                "the matrix")
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -283,23 +247,26 @@ def assemble_residual(u: ScalarField, spec: ProblemSpec) -> np.ndarray:
     return res[spec.grid.free_indices]
 
 
-def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> SparseSystem:
+class JacobianSystem(NamedTuple):
+    matrix: tuple       # CSR arrays (indptr, indices, data, n_cols)
+    rhs: np.ndarray
+
+
+def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> JacobianSystem:
     """Exact derivative of the discrete residual, with rhs = -residual.
 
     The matrix is the energy Hessian restricted to free nodes, row-scaled by
-    the control volumes (hence not SPD as stored: linear_solve rejects it
-    with a CG breakdown; newton_solve undoes the scaling to solve an SPD
-    system instead).
+    the control volumes (hence not SPD as stored: _pcg rejects it with a CG
+    breakdown; newton_solve undoes the scaling to solve an SPD system
+    instead), as plain CSR arrays on the grid's read-only pattern.
     """
-    import scipy.sparse     # the solve-free commands never load scipy
     _check_field(u, spec)
     grid = spec.grid
     free = grid.free_indices
     res, _ = _residual_full(u.values, spec)
     (indptr, indices, data, nf), _ = _free_level(grid, _hessian_blocks(grid, u.values))
     data *= np.repeat(-1.0 / grid.node_weights[free], np.diff(indptr))
-    jac = scipy.sparse.csr_matrix((data, indices, indptr), shape=(nf, nf))
-    return SparseSystem(matrix=jac, rhs=-res[free])
+    return JacobianSystem(matrix=(indptr, indices, data, nf), rhs=-res[free])
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +404,16 @@ def _pcg(a: tuple, diagonal: np.ndarray, b: np.ndarray, rtol: float,
          blocks: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """The one Krylov core of the package: CG on the CSR arrays a (with
     diagonal `diagonal`), preconditioned by one V-cycle of
-    _galerkin_levels(a, diagonal, grid, blocks), from zero until
-    |b - a x| <= rtol |b|; returns (x, iterations), (0, 0) for b = 0."""
+    _galerkin_levels(a, diagonal, grid, blocks) (one level of damped Jacobi
+    without a grid), from zero until |b - a x| <= rtol |b|; returns
+    (x, iterations), (0, 0) for b = 0.
+
+    The inner products have a fixed order, so x is bitwise the same for
+    identical inputs at any BLAS thread count.  a must be SPD: a
+    nonpositive or nonfinite curvature p^T a p, or a failed coarsest
+    factorization, raises LinearSolveFailure (breakdown), as does reaching
+    max_iter iterations (stagnation).
+    """
     bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0
@@ -466,22 +441,6 @@ def _pcg(a: tuple, diagonal: np.ndarray, b: np.ndarray, rtol: float,
     raise LinearSolveFailure(f"conjugate gradient stagnated after {max_iter} iterations")
 
 
-def linear_solve(system: SparseSystem, cfg: SolverConfig | None = None) -> np.ndarray:
-    """Solve the assembled system to relative tolerance cfg.linear_tol.
-
-    By _pcg, newton_solve's Krylov core: CG preconditioned by one multigrid
-    V-cycle, with fixed-order inner products, so the result is bitwise the
-    same for identical inputs at any BLAS thread count.  The matrix must be
-    SPD: a nonpositive or nonfinite curvature p^T A p, or a failed coarsest
-    factorization, raises LinearSolveFailure (breakdown).
-    """
-    cfg = cfg or SolverConfig()
-    m = system.matrix
-    return _pcg((m.indptr, m.indices, m.data, m.shape[1]), m.diagonal(),
-                system.rhs, cfg.linear_tol, cfg.linear_max_iter,
-                system.grid, system.blocks)[0]
-
-
 # ---------------------------------------------------------------------------
 # Nodal gradients and the Newton driver
 # ---------------------------------------------------------------------------
@@ -491,6 +450,8 @@ _EW_ETA0 = 0.3          # forcing term of the first Newton step
 _EW_GAMMA = 0.9
 _EW_SAFEGUARD = 0.1     # keep _EW_GAMMA eta_{k-1}^2 once it exceeds this
 _EW_ETA_MAX = 0.5
+_FORCING_FLOOR = 1e-12  # least relative 2-norm target of a Newton system
+_CG_MAX_ITER = 20000    # _pcg iterations of one system before stagnation
 
 
 def _forcing_term(history: list, eta_prev: float | None, target: float,
@@ -634,11 +595,11 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                 rtol, step_cap, min_alpha, armijo = _LIFT_TOL, math.inf, 1.0, 0.0
             else:
                 rhs = weights_f * res_f
-                rtol = _forcing_term(history, eta, target, cfg.linear_tol)
+                rtol = _forcing_term(history, eta, target, _FORCING_FLOOR)
                 # cap runaway directions from near-degenerate (steep-gradient) states
                 step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
                 min_alpha, armijo = cfg.min_step, 1e-4
-            step = _pcg(*_free_level(grid, blocks), rhs, rtol, cfg.linear_max_iter,
+            step = _pcg(*_free_level(grid, blocks), rhs, rtol, _CG_MAX_ITER,
                         grid, blocks)[0]
             del blocks      # no reference to the blocks outlives the linear solve
             step_norm = float(np.max(np.abs(step)))

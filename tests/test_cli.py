@@ -345,6 +345,30 @@ def test_solve_free_commands_start_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_JACOBIAN_PROBE = """
+import sys
+import numpy as np
+import capgraph
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+grid = capgraph.build_grid(2, 0.25, 1.0, 1.0)
+spec = capgraph.ProblemSpec(grid=grid, theta=capgraph.CapillaryAngle(np.pi / 3),
+                            dirichlet=np.zeros(grid.dirichlet_indices.size))
+vals = np.random.default_rng(0).uniform(size=grid.n_nodes)
+system = capgraph.assemble_jacobian(capgraph.ScalarField(grid, vals), spec)
+assert system.matrix[3] == grid.free_indices.size == system.rhs.size
+assert not scipy_modules(), scipy_modules()
+"""
+
+
+def test_assemble_jacobian_leaves_scipy_unloaded():
+    # the public Jacobian is plain CSR arrays: no scipy matrix is built
+    proc = _run_python(["-c", _JACOBIAN_PROBE])
+    assert proc.returncode == 0, proc.stderr
+
+
 _FUTURES_PROBE = """
 import sys
 import capgraph.cli

@@ -18,12 +18,10 @@ from hypothesis import strategies as st
 from capgraph import (CapillaryAngle, CapillaryLabError, InvalidParameter,
                       LinearSolveFailure, ProblemSpec,
                       ScalarField, ShapeMismatch, SolveStatus, SolverConfig,
-                      SparseSystem,
                       affine_capillary_solution, assemble_jacobian,
                       assemble_residual, build_grid, capillary_area_element,
                       capillary_energy, conormal_stationarity_residual,
-                      discrete_gradient, ghost_closure, linear_solve,
-                      newton_solve)
+                      discrete_gradient, ghost_closure, newton_solve)
 from capgraph import estimates, solver
 from capgraph.geometry import HalfSpaceGrid, NodeClass
 from capgraph.solver import _energy_gradient
@@ -133,7 +131,7 @@ def test_jacobian_is_laplacian_at_flat_free_boundary():
     theta = CapillaryAngle(np.pi / 2)
     spec = ProblemSpec.from_boundary_data(grid, theta, lambda p: np.zeros(len(p)))
     system = assemble_jacobian(ScalarField(grid, np.zeros(grid.n_nodes)), spec)
-    jac = system.matrix.toarray()
+    jac = _matrix(system.matrix).toarray()
     free = grid.free_indices
     n2 = grid.shape[1]
     h2 = grid.h ** 2
@@ -155,7 +153,7 @@ def test_jacobian_interior_block_symmetric_at_free_boundary():
     rng = np.random.default_rng(2)
     u = ScalarField(grid, 0.3 * rng.standard_normal(grid.n_nodes))
     spec = ProblemSpec.from_boundary_data(grid, theta, lambda p: np.zeros(len(p)))
-    jac = assemble_jacobian(u, spec).matrix.toarray()
+    jac = _matrix(assemble_jacobian(u, spec).matrix).toarray()
     free = grid.free_indices
     interior_pos = np.searchsorted(free, grid.interior_indices)
     block = jac[np.ix_(interior_pos, interior_pos)]
@@ -177,7 +175,7 @@ def test_jacobian_directional_derivative_slopes():
         base = assemble_residual(u, spec)
         w = rng.standard_normal(grid.free_indices.size)
         w /= np.max(np.abs(w))
-        jw = system.matrix @ w
+        jw = _matrix(system.matrix) @ w
         errs = []
         eps_list = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
         for eps in eps_list:
@@ -190,27 +188,39 @@ def test_jacobian_directional_derivative_slopes():
     assert min(slopes) >= 0.9
 
 
+def _solve(m, b, rtol=1e-12, max_iter=solver._CG_MAX_ITER, grid=None, blocks=None):
+    """_pcg on the CSR arrays and diagonal of the scipy matrix m; without a
+    grid its preconditioner is one level of damped Jacobi."""
+    return solver._pcg(_arrays(m), m.diagonal(), b, rtol, max_iter, grid, blocks)
+
+
 def test_linear_solve_identity_and_1d_laplacian():
-    cfg = SolverConfig()
     eye = sp.identity(4, format="csr")
     b = np.array([1.0, -2.0, 0.5, 3.0])
-    assert np.allclose(linear_solve(SparseSystem(eye, b), cfg), b)
+    assert np.allclose(_solve(eye, b)[0], b)
 
     lap = sp.csr_matrix(np.array([[2.0, -1.0, 0.0],
                                   [-1.0, 2.0, -1.0],
                                   [0.0, -1.0, 2.0]]))
     rhs = np.full(3, 0.25 ** 2)
-    x = linear_solve(SparseSystem(lap, rhs), cfg)
+    x, _ = _solve(lap, rhs)
     assert np.allclose(x, [0.09375, 0.125, 0.09375], atol=1e-12)
 
 
-def test_linear_solve_random_spd_against_dense():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((20, 20))
-    spd = a @ a.T + 20.0 * np.eye(20)
-    b = rng.standard_normal(20)
-    x = linear_solve(SparseSystem(sp.csr_matrix(spd), b), SolverConfig())
-    assert np.max(np.abs(x - np.linalg.solve(spd, b))) <= 1e-10
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=20, seed=4)
+def test_linear_solve_random_spd_against_dense(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    spd = a @ a.T + n * np.eye(n)
+    b = rng.standard_normal(n)
+    x, _ = _solve(sp.csr_matrix(spd), b)
+    want = np.linalg.solve(spd, b)
+    assert np.max(np.abs(x - want)) <= 1e-10
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+    x, iterations = _solve(sp.csr_matrix(spd), np.zeros(n))
+    assert iterations == 0
+    _assert_same_bytes(x, np.zeros(n))
 
 
 def test_linear_solve_failure_on_iteration_cap():
@@ -219,37 +229,21 @@ def test_linear_solve_failure_on_iteration_cap():
     spd = a @ a.T + 30.0 * np.eye(30)
     b = rng.standard_normal(30)
     with pytest.raises(LinearSolveFailure):
-        linear_solve(SparseSystem(sp.csr_matrix(spd), b),
-                     SolverConfig(linear_max_iter=2))
-
-
-def test_sparse_system_leaves_the_callers_matrix_intact():
-    m = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    m.data[1] = 0.0             # one explicit zero
-    data, indices, indptr = m.data.copy(), m.indices.copy(), m.indptr.copy()
-    system = SparseSystem(m, np.ones(2))
-    # held as given, explicit zero included
-    assert system.matrix is m
-    assert m.nnz == 4
-    for arr, before in ((m.data, data), (m.indices, indices), (m.indptr, indptr)):
-        assert arr.tobytes() == before.tobytes()
-    # a non-CSR input is converted
-    converted = SparseSystem(m.tocoo(), np.ones(2)).matrix
-    assert converted.format == "csr"
-    assert np.array_equal(converted.toarray(), m.toarray())
+        _solve(sp.csr_matrix(spd), b, max_iter=2)
 
 
 def test_linear_solve_breakdown_on_non_spd_systems():
     b = np.array([1.0, -2.0, 0.5, 3.0])
     with pytest.raises(LinearSolveFailure, match="breakdown"):
-        linear_solve(SparseSystem(-sp.identity(4, format="csr"), b))
+        _solve(-sp.identity(4, format="csr"), b)
     # the row-scaled Jacobian is not SPD as stored; only newton_solve's
     # volume-weighted form is
     grid = build_grid(2, 0.25, 1.0, 1.0)
     _, spec = _affine_problem(grid, THETA, (0.0,))
     u = ScalarField(grid, np.random.default_rng(0).uniform(size=grid.n_nodes))
+    system = assemble_jacobian(u, spec)
     with pytest.raises(LinearSolveFailure, match="breakdown"):
-        linear_solve(assemble_jacobian(u, spec))
+        _solve(_matrix(system.matrix), system.rhs)
 
 
 def test_newton_recovers_affine_from_perturbed_start():
@@ -463,7 +457,7 @@ def test_fixed_pattern_jacobian_matches_central_differences(dim, extent):
     spec = ProblemSpec(grid=grid, theta=theta,
                        dirichlet=vals[grid.dirichlet_indices], H=0.1)
     u = ScalarField(grid, vals)
-    jac = assemble_jacobian(u, spec).matrix.toarray()
+    jac = _matrix(assemble_jacobian(u, spec).matrix).toarray()
     fd = _central_difference_jacobian(u, spec)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
@@ -484,7 +478,7 @@ def test_jacobian_row_scaling_is_bitwise_the_diagonal_product(args):
                            dirichlet=vals[grid.dirichlet_indices], H=0.1)
         hess = _free_matrix(grid, solver._hessian_blocks(grid, vals))
         old = (scale @ hess).tocsr().sorted_indices()
-        new = assemble_jacobian(ScalarField(grid, vals), spec).matrix.copy()
+        new = _matrix(assemble_jacobian(ScalarField(grid, vals), spec).matrix).copy()
         new.eliminate_zeros()
         assert new.shape == old.shape
         for a, b in ((new.data, old.data), (new.indices, old.indices),
@@ -508,11 +502,11 @@ def test_consecutive_hessians_leave_the_cached_pattern_intact():
         fresh_spec = ProblemSpec.from_boundary_data(fresh_grid, theta,
                                                     lambda p: np.zeros(len(p)))
         fresh = assemble_jacobian(ScalarField(fresh_grid, v), fresh_spec)
-        assert np.array_equal(system.matrix.toarray(), fresh.matrix.toarray())
-    assert np.any(reused[0].matrix.data == 0.0)
+        assert np.array_equal(_matrix(system.matrix).toarray(),
+                              _matrix(fresh.matrix).toarray())
+    assert np.any(reused[0].matrix[2] == 0.0)
     _assert_systems_share_the_intact_pattern(
-        [(system.matrix.indptr, system.matrix.indices) for system in reused],
-        grid, args)
+        [system.matrix[:2] for system in reused], grid, args)
 
 
 def _assert_systems_share_the_intact_pattern(patterns, grid, args):
@@ -538,13 +532,13 @@ def test_flat_state_zeros_leave_the_linear_solve_bitwise_unchanged():
     flat = np.zeros(grid.n_nodes)
     res, _ = solver._residual_full(flat, spec)
     blocks = solver._hessian_blocks(grid, flat)
-    system = SparseSystem(_free_matrix(grid, blocks),
-                          grid.node_weights[free] * res[free], grid, blocks)
-    compact = system.matrix.copy()
+    hess = _free_matrix(grid, blocks)
+    b = grid.node_weights[free] * res[free]
+    compact = hess.copy()
     compact.eliminate_zeros()
-    assert compact.nnz < system.matrix.nnz
-    as_built = linear_solve(system)
-    compacted = linear_solve(SparseSystem(compact, system.rhs, grid, blocks))
+    assert compact.nnz < hess.nnz
+    as_built, _ = _solve(hess, b, grid=grid, blocks=blocks)
+    compacted, _ = _solve(compact, b, grid=grid, blocks=blocks)
     assert np.any(as_built != 0.0)
     assert as_built.tobytes() == compacted.tobytes()
 
@@ -732,7 +726,7 @@ def _assert_forcing_sequence(rtols, history, start, target, cfg, eta):
     continuing from the one before it and the first from `eta`."""
     for k, rtol in enumerate(rtols):
         assert rtol == solver._forcing_term(list(history[:start + k + 1]), eta,
-                                            target, cfg.linear_tol)
+                                            target, solver._FORCING_FLOOR)
         eta = rtol
 
 
@@ -984,13 +978,10 @@ def test_affine_data_are_recovered_to_roundoff(theta, bprime, offset, h, dim):
 def test_validation_errors_are_capillary_lab_errors():
     grid = build_grid(1, 0.25, 1.0)
     bad_configs = ({"damping": 1.0}, {"tol_residual": 0.0}, {"min_step": -1.0},
-                   {"linear_tol": 0.0}, {"tol_residual": np.nan},
-                   {"tol_residual": np.inf}, {"min_step": np.nan},
-                   {"min_step": np.inf}, {"linear_tol": np.nan},
-                   {"linear_tol": np.inf}, {"max_newton": 2.5},
-                   {"max_newton": -1}, {"max_newton": True},
-                   {"max_newton": "3"}, {"linear_max_iter": 0},
-                   {"linear_max_iter": -5})
+                   {"tol_residual": np.nan}, {"tol_residual": np.inf},
+                   {"min_step": np.nan}, {"min_step": np.inf},
+                   {"max_newton": 2.5}, {"max_newton": -1},
+                   {"max_newton": True}, {"max_newton": "3"})
     for kwargs in bad_configs:
         with pytest.raises(InvalidParameter):
             SolverConfig(**kwargs)
@@ -1142,10 +1133,11 @@ def test_kernel_product_is_bitwise_the_scipy_product():
     vals = rng.uniform(-1.0, 1.0, grid.n_nodes)
     spec = ProblemSpec(grid=grid, theta=THETA,
                        dirichlet=vals[grid.dirichlet_indices], H=0.1)
-    hess = assemble_jacobian(ScalarField(grid, vals), spec).matrix
-    assert hess.indices.dtype == np.int32
+    arrays = assemble_jacobian(ScalarField(grid, vals), spec).matrix
+    assert arrays[1].dtype == np.int32
+    hess = _matrix(arrays)
     x = rng.standard_normal(hess.shape[0])
-    _assert_same_bytes(solver._product(_arrays(hess), x), hess @ x)
+    _assert_same_bytes(solver._product(arrays, x), hess @ x)
     # a grid-less SPD matrix with int64 indptr and indices, the kernel's
     # other index type
     a = rng.standard_normal((40, 40))
@@ -1155,14 +1147,14 @@ def test_kernel_product_is_bitwise_the_scipy_product():
     x = rng.standard_normal(40)
     _assert_same_bytes(solver._product(_arrays(spd), x), spd @ x)
     b = rng.standard_normal(40)
-    got = linear_solve(SparseSystem(spd, b), SolverConfig(linear_tol=1e-14))
+    got, _ = _solve(spd, b, rtol=1e-14)
     want = np.linalg.solve(spd.toarray(), b)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_newton_solve_builds_no_scipy_matrix(monkeypatch):
-    # the Newton loop and a fresh grid's hierarchy run on plain CSR arrays;
-    # only the public assemble_jacobian builds a matrix
+    # the Newton loop, a fresh grid's hierarchy and the public
+    # assemble_jacobian all run on plain CSR arrays
     def refuse(*args, **kwargs):
         raise AssertionError("a scipy matrix was built")
 
@@ -1171,36 +1163,10 @@ def test_newton_solve_builds_no_scipy_matrix(monkeypatch):
     _, rep = newton_solve(ProblemSpec.from_boundary_data(grid, THETA, _ladder_data()))
     assert rep.status is SolveStatus.CONVERGED
     assert rep.iterations >= 2
-    with pytest.raises(AssertionError, match="scipy matrix"):
-        assemble_jacobian(ScalarField(grid, np.zeros(grid.n_nodes)),
-                          ProblemSpec(grid=grid, theta=THETA,
-                                      dirichlet=np.zeros(grid.dirichlet_indices.size)))
-
-
-def test_array_core_and_linear_solve_agree_on_a_newton_system(monkeypatch):
-    # the Newton driver's call of _pcg on the grid's arrays, and the public
-    # linear_solve of the same system built as a scipy matrix
-    grid = build_grid(2, 0.1, 1.0, 1.0)
-    rng = np.random.default_rng(22)
-    blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
-    b = rng.standard_normal(grid.free_indices.size)
-    counts = []
-    pcg = solver._pcg
-
-    def counting_pcg(*args):
-        x, iterations = pcg(*args)
-        counts.append(iterations)
-        return x, iterations
-
-    monkeypatch.setattr(solver, "_pcg", counting_pcg)
-    system = SparseSystem(_free_matrix(grid, blocks), b, grid, blocks)
-    for rtol in (0.3, 1e-3, 1e-12):
-        counts.clear()
-        core, core_iterations = pcg(*solver._free_level(grid, blocks), b, rtol, 100,
-                                    grid, blocks)
-        public = linear_solve(system, SolverConfig(linear_tol=rtol, linear_max_iter=100))
-        _assert_same_bytes(core, public)
-        assert counts == [core_iterations] and core_iterations >= 1
+    system = assemble_jacobian(ScalarField(grid, np.zeros(grid.n_nodes)),
+                               ProblemSpec(grid=grid, theta=THETA,
+                                           dirichlet=np.zeros(grid.dirichlet_indices.size)))
+    assert system.matrix[3] == grid.free_indices.size == system.rhs.size
 
 
 def test_restriction_through_p_is_bitwise_the_product_of_p_transpose():
@@ -1231,6 +1197,33 @@ def test_coarse_level_diagonal_index_reads_the_diagonal():
             m = _free_matrix(level, blocks)
             assert not level.hessian_diagonal.flags.writeable
             _assert_same_bytes(m.data[level.hessian_diagonal], m.diagonal())
+
+
+def test_cg_stagnation_ends_the_solve_at_the_last_accepted_state(monkeypatch):
+    # a system that needs more than _CG_MAX_ITER iterations ends the solve
+    # as LINEAR_FAILURE with the history of the steps before it
+    counts = []
+    pcg = solver._pcg
+
+    def counting_pcg(*args):
+        x, iterations = pcg(*args)
+        counts.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(solver, "_pcg", counting_pcg)
+    grid = build_grid(2, 0.05, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    _, full = newton_solve(spec)
+    assert full.status is SolveStatus.CONVERGED
+    # every step was kept, so system k produced history entry k + 1
+    assert len(counts) == full.iterations
+    first = int(np.argmax(counts))      # the first system with the most iterations
+    monkeypatch.setattr(solver, "_pcg", pcg)
+    monkeypatch.setattr(solver, "_CG_MAX_ITER", max(counts) - 1)
+    _, rep = newton_solve(spec)
+    assert rep.status is SolveStatus.LINEAR_FAILURE
+    assert rep.iterations == first
+    assert rep.residual_history == full.residual_history[:first + 1]
 
 
 def test_non_spd_newton_system_fails_at_the_coarsest_factorization(monkeypatch):
@@ -1270,8 +1263,7 @@ def test_multigrid_cg_matches_a_dense_solve(dim, m1, mp, seed):
     blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
     hess = _free_matrix(grid, blocks)
     b = rng.standard_normal(hess.shape[0])
-    x = linear_solve(SparseSystem(hess, b, grid, blocks),
-                     SolverConfig(linear_tol=1e-14))
+    x, _ = _solve(hess, b, rtol=1e-14, grid=grid, blocks=blocks)
     want = np.linalg.solve(hess.toarray(), b)
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -1349,14 +1341,3 @@ def test_fixed_order_dot_product_does_not_depend_on_buffer_alignment():
         xs[:], ys[:] = x, y
         results.add(solver._dot(xs, ys))
     assert len(results) == 1
-
-
-def test_sparse_system_needs_grid_and_blocks_together():
-    grid = build_grid(2, 0.25, 1.0, 1.0)
-    blocks = solver._hessian_blocks(grid, np.zeros(grid.n_nodes))
-    hess = _free_matrix(grid, blocks)
-    b = np.ones(hess.shape[0])
-    for kwargs in ({"grid": grid}, {"blocks": blocks},
-                   {"grid": build_grid(2, 0.25, 1.0, 0.5), "blocks": blocks}):
-        with pytest.raises(ShapeMismatch):
-            SparseSystem(hess, b, **kwargs)
