@@ -71,8 +71,10 @@ def _cos_theta(theta: CapillaryAngle | np.ndarray) -> float | np.ndarray:
     # is not checked, it would cost a second trig pass over the points
     if t.size and not (np.min(t) > 0.0 and np.max(t) < np.pi):
         raise DegenerateAngle("every angle must lie in (0, pi)")
-    c = np.cos(t)
-    return np.where(np.abs(c) < 1e-15, 0.0, c)
+    # snapped in place on the function's own array, a 0-d one for a 0-d t
+    c = np.cos(t, out=np.empty(t.shape))
+    c[np.abs(c) < 1e-15] = 0.0
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +134,14 @@ def area_element(g) -> np.ndarray | float:
     """W = sqrt(1 + |g|^2) for one gradient or a (..., dim) batch."""
     arr = np.atleast_1d(np.asarray(g, dtype=float))
     # the components summed in order, as np.sum over a short last axis
-    # does, but without its per-row reduction cost
-    sq = arr[..., 0] * arr[..., 0]
+    # does, but without its per-row reduction cost; in place on the
+    # function's own array (0-d for one gradient), never on g
+    x = arr[..., 0]
+    out = np.multiply(x, x, out=np.empty(x.shape))
     for j in range(1, arr.shape[-1]):
-        sq = sq + arr[..., j] * arr[..., j]
-    out = np.sqrt(1.0 + sq)
+        out += arr[..., j] * arr[..., j]
+    out += 1.0
+    np.sqrt(out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -145,7 +150,12 @@ def capillary_area_element(g, theta: CapillaryAngle | np.ndarray
     """v = W + cos(theta) g_1; always >= sin(theta).  theta is one
     CapillaryAngle or an array of angles broadcasting against g's points."""
     arr = np.atleast_1d(np.asarray(g, dtype=float))
-    out = area_element(arr) + _cos_theta(theta) * arr[..., 0]
+    c, x = _cos_theta(theta), arr[..., 0]
+    if isinstance(c, np.ndarray) and c.shape == np.broadcast_shapes(c.shape, x.shape):
+        out = np.multiply(c, x, out=c)      # _cos_theta's own array
+    else:
+        out = c * x
+    out += area_element(arr)
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cache, cached_property, reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -57,6 +57,15 @@ def _conforming_count(extent: float, h: float, name: str) -> int:
             f"{name}={extent} is not a positive integer multiple of h={h}"
         )
     return int(m_round)
+
+
+class HessianPattern(NamedTuple):
+    """CSR pattern of a grid's free-free Hessian (HalfSpaceGrid.hessian_pattern)."""
+
+    indptr: np.ndarray      # (nf + 1,) int32 row pointers
+    indices: np.ndarray     # (nnz,) int32 column indices
+    slot: np.ndarray        # (k*k, n_cells) CSR position of each block entry
+    diagonal: np.ndarray    # (nf,) CSR positions of the diagonal entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,25 +128,27 @@ class HalfSpaceGrid:
         return out
 
     @cached_property
-    def hessian_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fixed CSR pattern of the free-free energy Hessian.
+    def hessian_pattern(self) -> HessianPattern:
+        """Fixed CSR pattern of the free-free energy Hessian, a read-only
+        HessianPattern record (indptr, indices, slot, diagonal).
 
-        Returns (indptr, indices, slot): CSR row pointers and column indices
-        over the free nodes (in free_indices order), and a (k*k, n_cells)
+        indptr and indices are the CSR row pointers and column indices over
+        the free nodes (in free_indices order); slot is a (k*k, n_cells)
         map from each entry of a cell's local k x k block (k corners, rows
         and columns in cell_corners order; row i*k + j of the map holds
-        entry (i, j) of every cell) to its position in the CSR data.
-        Entries touching a Dirichlet node map to the dump slot nnz.  The
-        arrays are read-only, and the matrices built on them share indptr
-        and indices.  A coarse level of the multigrid hierarchy (see
-        `coarse`) scatters its Galerkin cell blocks through its own pattern.
+        entry (i, j) of every cell) to its position in the CSR data, and
+        diagonal holds the positions of the diagonal entries.  Entries
+        touching a Dirichlet node map to the dump slot nnz.  The arrays are
+        read-only, and the matrices built on them share indptr and indices.
+        A coarse level of the multigrid hierarchy (see `coarse`) scatters
+        its Galerkin cell blocks through its own pattern.
 
         Two nodes share a cell exactly when each lies in the other's 3^dim
         stencil box, so a free node's row holds its free stencil neighbours,
         read through a sliding 3^dim window over the lattice of free ranks.
         Stencil offsets in flat order give ascending columns, so the free
-        neighbour masks, read node by node, are already in CSR order: no
-        sort is needed.
+        neighbour masks, read node by node, are already in CSR order: one
+        cumulative count over them numbers the entries, with no sort.
         """
         stencil = (3,) * self.dim
         free = self.classes != _DIRICHLET
@@ -151,20 +162,21 @@ class HalfSpaceGrid:
         neighbour = window.reshape(self.n_nodes, -1)
         mask = (neighbour >= 0) & free[:, None]
         indices = neighbour[mask]
-        indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))[free]))
-        indptr = indptr.astype(np.int32)
-        # entry[p, o]: CSR position of node p's pair with its offset-o
-        # neighbour, or the dump slot nnz
-        entry = np.full(mask.shape, indices.size)
-        entry[mask] = np.arange(indices.size)
+        # count[p, o]: entries up to and including node p's offset o; a row
+        # ends at its last offset, and entry[p, o] is the CSR position of
+        # node p's pair with its offset-o neighbour, or the dump slot nnz
+        count = np.cumsum(mask, dtype=np.int64).reshape(mask.shape)
+        indptr = np.concatenate(([0], count[free, -1])).astype(np.int32)
+        entry = np.where(mask, count - 1, indices.size)
         # corner j of a cell lies at the same stencil offset from its corner i
-        # in every cell
+        # in every cell; a node's own offset is the stencil's centre
         c = self.corner_rows
         slot = entry[c[:, None, :], _corner_offsets(self.dim)[:, :, None]]
-        slot = slot.reshape(c.shape[0] ** 2, -1)
-        for arr in (indptr, indices, slot):
+        out = HessianPattern(indptr, indices, slot.reshape(c.shape[0] ** 2, -1),
+                             entry[free, entry.shape[1] // 2])
+        for arr in out:
             arr.flags.writeable = False
-        return indptr, indices, slot
+        return out
 
     @cached_property
     def coarse(self) -> tuple[HalfSpaceGrid, ...]:
@@ -196,25 +208,6 @@ class HalfSpaceGrid:
                 arr.flags.writeable = False
             out.append(grid)
         return tuple(out)
-
-    @cached_property
-    def hessian_rows(self) -> np.ndarray:
-        """Read-only row of each entry in hessian_pattern's data, the dense
-        scatter index of the solver's coarsest level (left out of
-        hessian_diagonal, so that a fine grid does not hold it)."""
-        indptr = self.hessian_pattern[0]
-        out = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def hessian_diagonal(self) -> np.ndarray:
-        """Read-only positions of the diagonal in hessian_pattern's data."""
-        indptr, indices, _ = self.hessian_pattern
-        out = np.flatnonzero(indices == np.repeat(np.arange(indptr.size - 1),
-                                                  np.diff(indptr)))
-        out.flags.writeable = False
-        return out
 
     @cached_property
     def prolongations(self) -> tuple[tuple, ...]:

@@ -60,6 +60,8 @@ MINIMIZER_EPSILONS = (1e-1, 1e-2, 1e-3)
 # 3 * _MINIMIZER_CHUNK competitors keep the transient near 1 MB on CLI grids,
 # where one batch of every trial would cost ten times that
 _MINIMIZER_CHUNK = 10
+# members of the gradient-bound sweep's boundary-data family per mesh level
+_FAMILY_SIZE = 6
 # points per chunk of each share of the audit's v >= sin(theta) check: about
 # 1.9 MB per share in flight, 3.7 MB for the two, whatever n_gradients; 2^16
 # per share doubled that and took an audit process's peak RSS from 42 to 46 MB
@@ -491,18 +493,17 @@ def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                             details=details)
 
 
-def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6
-                             ) -> ExperimentReport:
+def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     """Fit the exponential gradient bound over a boundary-data family.
 
     At fixed region radius, family member k scales the whole data shape
-    (affine trace plus bump) by c0 * (k+1)/K * r, staying in the linear
-    growth class while sweeping the wall gradient well past the angle floor
-    |cot(theta)|.  Measured sup|Du| over the inner region is regressed on
-    (1, M/r, (M/r)^2); the intercept is shifted so the fitted bound
-    dominates every measurement.  The fit is repeated per mesh level and
-    its drift per halving reported.  When any member's solve did not
-    converge, no fit is made (fit None) and no drift is checked.
+    (affine trace plus bump) by c0 * (k+1)/K * r, K = _FAMILY_SIZE, staying
+    in the linear growth class while sweeping the wall gradient well past
+    the angle floor |cot(theta)|.  Measured sup|Du| over the inner region
+    is regressed on (1, M/r, (M/r)^2); the intercept is shifted so the
+    fitted bound dominates every measurement.  The fit is repeated per mesh
+    level and its drift per halving reported.  When any member's solve did
+    not converge, no fit is made (fit None) and no drift is checked.
 
     The members of a level are solved by continuation along the equally
     spaced scales: member k > 0 starts from the secant 2 u_{k-1} - u_{k-2}
@@ -532,13 +533,13 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6
         inner_idx = inner_node_set(grid, EllipsoidRegion(r, theta, RegionKind.INNER))
         ratios, sups = [], []
         path = [np.zeros(grid.n_nodes)]     # u_{-1}, then the converged members
-        for k in range(family_size):
+        for k in range(_FAMILY_SIZE):
             start = None
             if k > 0 and len(path) == k + 1:    # every earlier member converged
                 # the difference first: 2 u_{k-1} alone may overflow where
                 # the secant does not
                 start = ScalarField(grid, path[-1] + (path[-1] - path[-2]))
-            data = _family(base, bump, scale=cfg.c0 * (k + 1) / family_size * r)
+            data = _family(base, bump, scale=cfg.c0 * (k + 1) / _FAMILY_SIZE * r)
             sol, row, _ = _solve_level(theta, grid, data, len(rows), r, h, inner_idx,
                                        initial=start)
             if row.status == SolveStatus.CONVERGED.value:
@@ -547,7 +548,7 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig, family_size: int = 6
             ratios.append(height_scale(sol, EllipsoidRegion(r, theta)) / r)
             sups.append(row.sup_grad_inner)
         members.append(tuple(zip(ratios, sups)))
-    details = {"family_size": family_size, "members": tuple(members)}
+    details = {"family_size": _FAMILY_SIZE, "members": tuple(members)}
     if any(row.status != SolveStatus.CONVERGED.value for row in rows):
         # constants fitted to unsolved members would describe their starts
         return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
@@ -724,9 +725,24 @@ def run_angle_sweep(n_list, theta_grid, sin_min: float = 0.05) -> list[AngleSwee
 # Property audit (no solves)
 # ---------------------------------------------------------------------------
 
-def _sample_angles(rng, count, sin_min=0.05):
-    lo = math.asin(sin_min) + 1e-9
-    return rng.uniform(lo, math.pi - lo, count)
+# the audit's angles: uniform over the angles whose sine clears the 0.05
+# floor of CapillaryAngle
+_ANGLE_LO = math.asin(0.05) + 1e-9
+_AUDIT_ANGLES = (_ANGLE_LO, math.pi - _ANGLE_LO)
+
+
+def _sample_angles(rng, count):
+    return rng.uniform(*_AUDIT_ANGLES, count)
+
+
+def _uniform_into(gen: np.random.Generator, out: np.ndarray, lo: float,
+                  hi: float) -> np.ndarray:
+    """gen.uniform(lo, hi, out.shape) written into the C-contiguous `out`:
+    lo + (hi - lo) u from the same doubles u, bit for bit."""
+    gen.random(out=out)
+    out *= hi - lo
+    out += lo
+    return out
 
 
 def _philox_at(state, offset: int) -> np.random.Generator:
@@ -744,15 +760,20 @@ def _v_margin(state, n_gradients: int, lo: int, hi: int) -> float:
     """min of v - sin(theta) over points [lo, hi) of the audit's
     v >= sin(theta) check, streamed in chunks of _AUDIT_CHUNK: point i takes
     double i of the stream at `state` as its angle and doubles
-    n_gradients + 2i, n_gradients + 2i + 1 as its gradient; inf when empty."""
+    n_gradients + 2i, n_gradients + 2i + 1 as its gradient; inf when empty.
+    The angle, gradient and sine buffers are allocated once per share."""
     angles = _philox_at(state, lo)
     grads = _philox_at(state, n_gradients + 2 * lo)
+    size = min(_AUDIT_CHUNK, hi - lo)
+    theta_buf, sin_buf, grad_buf = np.empty(size), np.empty(size), np.empty((size, 2))
     margin = np.inf
     for first in range(lo, hi, _AUDIT_CHUNK):
         count = min(_AUDIT_CHUNK, hi - first)
-        thetas = _sample_angles(angles, count)
-        v = capillary_area_element(grads.uniform(-30.0, 30.0, (count, 2)), thetas)
-        margin = min(margin, float(np.min(v - np.sin(thetas))))
+        thetas = _uniform_into(angles, theta_buf[:count], *_AUDIT_ANGLES)
+        g = _uniform_into(grads, grad_buf[:count], -30.0, 30.0)
+        v = capillary_area_element(g, thetas)
+        v -= np.sin(thetas, out=sin_buf[:count])
+        margin = min(margin, float(np.min(v)))
     return margin
 
 
@@ -864,8 +885,7 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
     # coefficient equivalences over the (theta, n, eps0) grid, one call per
     # n and function on a column of angles against the eps0 row
     disagreements = 0
-    lo = math.asin(0.05) + 1e-9
-    theta_grid = np.linspace(lo, math.pi - lo, 50)
+    theta_grid = np.linspace(*_AUDIT_ANGLES, 50)
     eps_grid = np.linspace(0.05, 0.95, 10)
     cos2 = _cos_squared(theta_grid)
     for n in range(2, 9):

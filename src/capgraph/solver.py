@@ -43,19 +43,10 @@ class SolveStatus(Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     tol_residual: float = 1e-10      # relative infinity-norm target
-    max_newton: int = 50
-    damping: float = 0.5             # backtracking factor
-    min_step: float = 1e-6
 
     def __post_init__(self):
-        if not (0.0 < self.damping < 1.0):
-            raise InvalidParameter(f"damping must lie in (0, 1), got {self.damping}")
-        for name in ("tol_residual", "min_step"):
-            if not (math.isfinite(v := getattr(self, name)) and v > 0.0):
-                raise InvalidParameter(f"{name} must be positive and finite, got {v}")
-        v = self.max_newton
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
-            raise InvalidParameter(f"max_newton must be an integer >= 0, got {v!r}")
+        if not (math.isfinite(v := self.tol_residual) and v > 0.0):
+            raise InvalidParameter(f"tol_residual must be positive and finite, got {v}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +191,7 @@ def _free_data(grid: HalfSpaceGrid, blocks: np.ndarray) -> np.ndarray:
     """CSR data over grid.hessian_pattern of the free-free sum of per-cell
     blocks: one bincount, a fixed summation order from +0.0 (so no entry is
     -0.0); entries that sum to zero stay stored."""
-    _, indices, slot = grid.hessian_pattern
+    _, indices, slot, _ = grid.hessian_pattern
     return np.bincount(slot.ravel(), blocks.ravel(),
                        minlength=indices.size + 1)[:indices.size]
 
@@ -209,9 +200,9 @@ def _free_level(grid: HalfSpaceGrid, blocks: np.ndarray) -> tuple[tuple, np.ndar
     """Free-free matrix of per-cell blocks as plain CSR arrays (indptr,
     indices, data, n_cols) on the grid's read-only pattern, shared by every
     system and level the solver builds on a grid, and its diagonal."""
-    indptr, indices, _ = grid.hessian_pattern
+    indptr, indices, _, diagonal = grid.hessian_pattern
     data = _free_data(grid, blocks)
-    return (indptr, indices, data, indptr.size - 1), data[grid.hessian_diagonal]
+    return (indptr, indices, data, indptr.size - 1), data[diagonal]
 
 
 def _block_action(grid: HalfSpaceGrid, blocks: np.ndarray,
@@ -378,10 +369,10 @@ def _galerkin_levels(a: tuple, diagonal: np.ndarray,
         blocks = _coarse_blocks(grid, blocks)
         grid = coarse
         a, diagonal = _free_level(grid, blocks)
-    _, indices, data, n = a
+    indptr, indices, data, n = a
     if levels and n <= _COARSEST_SIZE:
         dense = np.zeros((n, n))
-        dense[grid.hessian_rows, indices] = data
+        dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
         try:
             linv = np.linalg.inv(np.linalg.cholesky(dense))
         except np.linalg.LinAlgError:
@@ -520,6 +511,9 @@ def _check_area_element(v_min: float, theta: CapillaryAngle) -> None:
 
 
 _LIFT_TOL = 1e-3     # relative CG tolerance of the lifted first step
+_MAX_NEWTON = 50     # Newton steps of one solve, a kept lift included
+_DAMPING = 0.5       # backtracking factor of the line search
+_MIN_STEP = 1e-6     # shortest trial length of a Newton step
 
 
 def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
@@ -545,10 +539,11 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     iteration; a warm start takes no lift.  A Newton step is linearized at
     the current state (delta = 0), solved to the Eisenstat-Walker tolerance
     of _forcing_term (continuing from _LIFT_TOL after a kept lift), capped,
-    and backtracked to an Armijo decrease (1 - 1e-4 alpha) of the residual
-    norm, else the solve stops as STALLED.  A linear solve that breaks down
-    or stagnates ends the solve as LINEAR_FAILURE at the last accepted
-    state.
+    and backtracked by _DAMPING to an Armijo decrease (1 - 1e-4 alpha) of
+    the residual norm at a length alpha >= _MIN_STEP, else the solve stops
+    as STALLED; after _MAX_NEWTON steps it stops as MAX_ITER.  A linear
+    solve that breaks down or stagnates ends the solve as LINEAR_FAILURE at
+    the last accepted state.
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
@@ -581,7 +576,7 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     # only a linear solve raises LinearSolveFailure, and the state above is
     # replaced only after one returns: a failure keeps the last accepted state
     try:
-        while iterations < cfg.max_newton:
+        while iterations < _MAX_NEWTON:
             if res_norm <= target:
                 break
             if res_norm > 1e6 * max(1.0, res0):
@@ -598,7 +593,7 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                 rtol = _forcing_term(history, eta, target, _FORCING_FLOOR)
                 # cap runaway directions from near-degenerate (steep-gradient) states
                 step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
-                min_alpha, armijo = cfg.min_step, 1e-4
+                min_alpha, armijo = _MIN_STEP, 1e-4
             step = _pcg(*_free_level(grid, blocks), rhs, rtol, _CG_MAX_ITER,
                         grid, blocks)[0]
             del blocks      # no reference to the blocks outlives the linear solve
@@ -615,7 +610,7 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                 if trial_norm < (1.0 - armijo * alpha) * res_norm:
                     accepted = True
                     break
-                alpha *= cfg.damping
+                alpha *= _DAMPING
             if accepted:
                 values = trial
                 res_f, res_norm, v_min = trial_res_f, trial_norm, trial_v_min

@@ -12,7 +12,7 @@ from capgraph import (CapillaryAngle, DegenerateAngle, ScalarField, ZeroVector,
                       capillary_gauge, conormal, discrete_gradient,
                       edge_differences, field_from_callable,
                       ghost_closure, unit_normal)
-from capgraph.capillary import _nodal_gradient, capillary_energies
+from capgraph.capillary import _cos_theta, _nodal_gradient, capillary_energies
 
 
 def test_angle_validation_and_cached_trig():
@@ -48,8 +48,10 @@ def test_area_element_is_bitwise_the_sum_of_squares(dim, batch):
     rng = np.random.default_rng(dim)
     g = rng.standard_normal(batch + (dim,)) * 10.0 ** rng.uniform(-8, 8, batch + (dim,))
     want = np.sqrt(1.0 + np.sum(g * g, axis=-1))
+    g.flags.writeable = False       # computed in place, but never on g
     got = area_element(g)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert type(got) is (float if batch == () else np.ndarray)
 
 
 def test_capillary_gauge_values_and_zero_vector():
@@ -85,12 +87,18 @@ def test_capillary_area_element_values():
 
 def test_per_point_angles_match_one_angle_calls():
     # an array of angles, one per point, gives bitwise the values of one
-    # CapillaryAngle call per point, the pi/2 snap of cos included
+    # CapillaryAngle call per point, the pi/2 snap of cos included; the
+    # kernels compute in place on arrays of their own, so read-only inputs
+    # pass through intact
     rng = np.random.default_rng(11)
     thetas = np.concatenate([rng.uniform(0.06, np.pi - 0.06, 300),
                              [np.pi / 2, np.nextafter(np.pi / 2, 4.0)]])
     grads = rng.uniform(-20.0, 20.0, (thetas.size, 2))
     xi = rng.standard_normal((thetas.size, 3))
+    inputs = (thetas, grads, xi)
+    saved = [arr.tobytes() for arr in inputs]
+    for arr in inputs:
+        arr.flags.writeable = False
     v = capillary_area_element(grads, thetas)
     gauge = capillary_gauge(xi, thetas)
     one = [(capillary_area_element(g, CapillaryAngle(t)),
@@ -103,6 +111,26 @@ def test_per_point_angles_match_one_angle_calls():
     # a batch of gradients against one angle broadcasts like a CapillaryAngle
     assert capillary_area_element(grads, thetas[0]).tobytes() == \
         capillary_area_element(grads, CapillaryAngle(thetas[0])).tobytes()
+    # (k, m, 2) gradients against (k, m) angles, and against (m,) angles
+    assert capillary_area_element(grads.reshape(2, -1, 2),
+                                  thetas.reshape(2, -1)).tobytes() == v.tobytes()
+    back = capillary_area_element(grads[::-1], thetas)
+    assert capillary_area_element(np.stack([grads, grads[::-1]]), thetas).tobytes() \
+        == np.concatenate([v, back]).tobytes()
+    # one gradient (1-D) against every angle
+    assert capillary_area_element(grads[0], thetas).tobytes() == np.array(
+        [capillary_area_element(grads[0], CapillaryAngle(t)) for t in thetas]).tobytes()
+    # a 0-d angle against one gradient and against a scalar (1D) gradient
+    for t in thetas[[0, -2, -1]]:
+        angle, zero_d = CapillaryAngle(t), np.array(t)
+        zero_d.flags.writeable = False
+        cos = _cos_theta(zero_d)
+        assert cos.shape == () and float(cos).hex() == angle.cos_t.hex()
+        for g in (grads[0], 0.7):
+            got = capillary_area_element(g, zero_d)
+            assert type(got) is float
+            assert got.hex() == capillary_area_element(g, angle).hex()
+    assert [arr.tobytes() for arr in inputs] == saved
 
 
 @pytest.mark.parametrize("bad", [0.0, np.pi, -0.5, 4.0, np.nan, np.inf])

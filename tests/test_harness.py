@@ -313,10 +313,11 @@ def test_minimizer_test_rejects_a_trial_count_that_is_not_a_positive_integer(tri
         run_minimizer_test(_minimizer_config(0), trials=trials)
 
 
-def test_gradient_bound_sweep_degenerate_and_angle_guard():
+def test_gradient_bound_sweep_degenerate_and_angle_guard(monkeypatch):
+    monkeypatch.setattr(harness, "_FAMILY_SIZE", 3)
     cfg = ExperimentConfig(scenario="gradient-bound-sweep", r_levels=(2.0,),
                            h_levels=(0.5,), c0=0.0, seed=2)
-    report = run_gradient_bound_sweep(cfg, family_size=3)
+    report = run_gradient_bound_sweep(cfg)
     assert report.fit.degenerate
     assert report.fit.c2 == 0.0 and report.fit.c3 == 0.0
 
@@ -328,11 +329,12 @@ def test_gradient_bound_sweep_degenerate_and_angle_guard():
         run_gradient_bound_sweep(steep)
 
 
-def test_gradient_bound_fit_dominates_measurements():
+def test_gradient_bound_fit_dominates_measurements(monkeypatch):
     from capgraph import gradient_bound
+    monkeypatch.setattr(harness, "_FAMILY_SIZE", 4)
     cfg = ExperimentConfig(scenario="gradient-bound-sweep", r_levels=(2.0,),
                            h_levels=(0.5,), c0=2.0, seed=4)
-    report = run_gradient_bound_sweep(cfg, family_size=4)
+    report = run_gradient_bound_sweep(cfg)
     fit = report.fit
     assert not fit.degenerate
     assert fit.fit_residual >= 0.0
@@ -668,6 +670,26 @@ def test_v_margin_split_is_exact(n, cut, seed):
     one_shot.random(3 * n)
     assert np.array_equal(harness._philox_at(state, 3 * n).random(9),
                           one_shot.random(9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(counter=st.integers(0, 2 ** 40), rem=st.integers(1, 3),
+       count=st.integers(1, 50), columns=st.sampled_from([(), (2,)]),
+       bounds=st.sampled_from([harness._AUDIT_ANGLES, (-30.0, 30.0)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_uniform_into_is_bitwise_uniform(counter, rem, count, columns, bounds, seed):
+    # random(out=) scaled in place draws the doubles of uniform(lo, hi) over
+    # both audit ranges (angles, gradient components) and leaves the stream
+    # at the same place, off the four-double counter steps too
+    state = np.random.Philox(np.random.SeedSequence(seed)).state
+    offset = 4 * counter + rem
+    drawn = harness._philox_at(state, offset)
+    want = drawn.uniform(*bounds, (count,) + columns)
+    filled = harness._philox_at(state, offset)
+    out = np.empty((count,) + columns)
+    assert harness._uniform_into(filled, out, *bounds) is out
+    assert out.tobytes() == want.tobytes()
+    assert filled.random(5).tobytes() == drawn.random(5).tobytes()
 
 
 @pytest.mark.parametrize("name", ["capillary_area_element",

@@ -421,13 +421,44 @@ def test_manufactured_solution_converges_at_second_order():
         assert min(np.divide(coarse, fine)) >= 3.6
 
 
-def test_diverged_status_is_reported_not_raised():
+def test_1d_manufactured_solution_converges_at_second_order():
+    # u = -cot(theta) x + a (1 - cos x) has u'(0) = -cot(theta), the wall
+    # condition u'/W = -cos(theta), and H = (u'/W)' = u''/W^3; the errors
+    # read 3.37e-4 ... 5.25e-6 (u) and 2.26e-3 ... 3.68e-5 (gradient):
+    # ratios 3.90-4.00
+    theta = CapillaryAngle(np.pi / 3)
+    cot, a = theta.cos_t / theta.sin_t, 0.8
+
+    def slope(pts):
+        return -cot + a * np.sin(pts[:, 0])
+
+    def exact(pts):
+        return -cot * pts[:, 0] + a * (1.0 - np.cos(pts[:, 0]))
+
+    def source(pts):
+        return a * np.cos(pts[:, 0]) / (1.0 + slope(pts) ** 2) ** 1.5
+
+    errs = []
+    for h in (0.1, 0.05, 0.025, 0.0125):
+        grid = build_grid(1, h, 1.0)
+        spec = ProblemSpec.from_boundary_data(grid, theta, exact, H=source)
+        sol, rep = newton_solve(spec)
+        assert rep.status is SolveStatus.CONVERGED
+        vectors = discrete_gradient(sol, theta).vectors
+        errs.append((np.max(np.abs(sol.values - exact(grid.nodes))),
+                     np.max(np.abs(vectors[:, 0] - slope(grid.nodes)))))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert min(np.divide(coarse, fine)) >= 3.6
+
+
+def test_diverged_status_is_reported_not_raised(monkeypatch):
     # force an immediate stop via a zero-iteration budget
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 0)
     grid = build_grid(1, 0.25, 1.0)
     aff, spec = _affine_problem(grid, THETA, ())
     bad = ProblemSpec(grid=grid, theta=THETA, dirichlet=spec.dirichlet,
                       initial=ScalarField(grid, 5.0 * np.ones(grid.n_nodes)))
-    sol, rep = newton_solve(bad, SolverConfig(max_newton=0))
+    sol, rep = newton_solve(bad)
     assert rep.status in (SolveStatus.MAX_ITER, SolveStatus.CONVERGED)
     assert rep.iterations == 0
 
@@ -513,7 +544,7 @@ def _assert_systems_share_the_intact_pattern(patterns, grid, args):
     """Every system's indptr and indices, given as pairs, are the grid's
     hessian_pattern arrays, which are read-only and byte-identical to a
     fresh grid's."""
-    indptr, indices, _ = grid.hessian_pattern
+    indptr, indices, _, _ = grid.hessian_pattern
     for system_indptr, system_indices in patterns:
         assert np.shares_memory(system_indptr, indptr)
         assert np.shares_memory(system_indices, indices)
@@ -670,12 +701,13 @@ def test_inexact_newton_properties(theta, bprime, h):
     assert np.max(np.abs(grad_e[free] / grid.node_weights[free])) <= target
 
 
-def test_failed_line_search_is_reported_as_stalled():
+def test_failed_line_search_is_reported_as_stalled(monkeypatch):
+    monkeypatch.setattr(solver, "_MIN_STEP", 0.9)
     grid = build_grid(1, 0.25, 1.0)
     _, spec = _affine_problem(grid, THETA, ())
     bad = ProblemSpec(grid=grid, theta=THETA, dirichlet=spec.dirichlet,
                       initial=ScalarField(grid, 5.0 * np.ones(grid.n_nodes)))
-    sol, rep = newton_solve(bad, SolverConfig(min_step=0.9))
+    sol, rep = newton_solve(bad)
     assert rep.status is SolveStatus.STALLED
     assert rep.iterations == 0
 
@@ -707,16 +739,18 @@ def _imposed_start_residual(spec):
                                                  spec))))
 
 
-def test_accepted_lift_is_the_first_newton_step():
+def test_accepted_lift_is_the_first_newton_step(monkeypatch):
     grid = build_grid(2, 0.05, 1.0, 1.0)
     spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
-    _, rep = newton_solve(spec, SolverConfig(max_newton=1))
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
+    _, rep = newton_solve(spec)
     assert rep.status is SolveStatus.MAX_ITER
     assert rep.iterations == 1
     assert rep.residual_history[0] == _imposed_start_residual(spec)
     assert rep.residual_history[1] < 0.1 * rep.residual_history[0]
     # no lift without a Newton budget
-    _, rep = newton_solve(spec, SolverConfig(max_newton=0))
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 0)
+    _, rep = newton_solve(spec)
     assert rep.iterations == 0
     assert rep.residual_history == (_imposed_start_residual(spec),)
 
@@ -977,14 +1011,9 @@ def test_affine_data_are_recovered_to_roundoff(theta, bprime, offset, h, dim):
 
 def test_validation_errors_are_capillary_lab_errors():
     grid = build_grid(1, 0.25, 1.0)
-    bad_configs = ({"damping": 1.0}, {"tol_residual": 0.0}, {"min_step": -1.0},
-                   {"tol_residual": np.nan}, {"tol_residual": np.inf},
-                   {"min_step": np.nan}, {"min_step": np.inf},
-                   {"max_newton": 2.5}, {"max_newton": -1},
-                   {"max_newton": True}, {"max_newton": "3"})
-    for kwargs in bad_configs:
+    for tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InvalidParameter):
-            SolverConfig(**kwargs)
+            SolverConfig(tol_residual=tol)
     with pytest.raises(InvalidParameter):
         ProblemSpec(grid=grid, theta=THETA, dirichlet=np.array([np.nan]))
     with pytest.raises(InvalidParameter):
@@ -1073,9 +1102,11 @@ def test_pcg_tolerances_follow_the_lift_and_the_forcing_terms(monkeypatch):
     assert rtols[0] == solver._EW_ETA0
     _assert_forcing_sequence(rtols, rep.residual_history, 0, target, cfg, None)
 
-    # the lift ignores min_step; the Newton step after it has no trial length
+    # the lift ignores _MIN_STEP; the Newton step after it has no trial length
     rtols.clear()
-    _, rep = newton_solve(spec, SolverConfig(min_step=1.5, max_newton=2))
+    monkeypatch.setattr(solver, "_MIN_STEP", 1.5)
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 2)
+    _, rep = newton_solve(spec)
     assert rep.status is SolveStatus.STALLED
     assert rep.iterations == 1
     assert rtols[0] == solver._LIFT_TOL and len(rtols) == 2
@@ -1195,8 +1226,9 @@ def test_coarse_level_diagonal_index_reads_the_diagonal():
             if k:
                 blocks = solver._coarse_blocks(levels[k - 1], blocks)
             m = _free_matrix(level, blocks)
-            assert not level.hessian_diagonal.flags.writeable
-            _assert_same_bytes(m.data[level.hessian_diagonal], m.diagonal())
+            diagonal = level.hessian_pattern.diagonal
+            assert not diagonal.flags.writeable
+            _assert_same_bytes(m.data[diagonal], m.diagonal())
 
 
 def test_cg_stagnation_ends_the_solve_at_the_last_accepted_state(monkeypatch):
