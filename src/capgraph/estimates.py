@@ -40,6 +40,15 @@ class LinearBound:
     def slope_norm(self) -> float:
         return float(np.linalg.norm(self.slope))
 
+    def check_slope(self, theta: CapillaryAngle) -> None:
+        """Raise HypothesisViolation when |DL| exceeds the one-sided slope
+        limit of the angle: the hypothesis of the one-sided estimate."""
+        limit = one_sided_slope_limit(theta)
+        if self.slope_norm > limit + 1e-15:
+            raise HypothesisViolation(
+                f"|DL|={self.slope_norm:.3e} exceeds the slope "
+                f"limit {limit:.3e} for theta={theta.theta:.4f}")
+
 
 @dataclass(frozen=True)
 class CutoffParams:
@@ -74,12 +83,7 @@ class CutoffParams:
         if self.bound is not None:
             if len(self.bound.slope) != self.dim:
                 raise ShapeMismatch("bound slope length must equal dim")
-            limit = one_sided_slope_limit(self.theta)
-            if self.bound.slope_norm > limit + 1e-15:
-                raise HypothesisViolation(
-                    f"|DL|={self.bound.slope_norm:.3e} exceeds the slope "
-                    f"limit {limit:.3e} for theta={self.theta.theta:.4f}"
-                )
+            self.bound.check_slope(self.theta)
 
     def outer_region(self) -> EllipsoidRegion:
         return EllipsoidRegion(self.r, self.theta, RegionKind.OUTER, self.center)
@@ -326,13 +330,17 @@ def one_sided_slope_limit(theta: CapillaryAngle) -> float:
     return (1.0 / 36.0) * c * (1.0 - s) / (1.0 + c / s)
 
 
-def gradient_bound(m_scale: float, r: float, theta: CapillaryAngle,
-                   c1: float, c2: float, c3: float) -> float:
-    """Bound (1/(1 - |cos|)) exp(c1 + c2 M/r + c3 M^2/r^2); the constants are
-    fit/report parameters, not values supplied by the theory."""
+def gradient_bound(m_scale: float | np.ndarray, r: float, theta: CapillaryAngle,
+                   c1: float | np.ndarray, c2: float | np.ndarray,
+                   c3: float | np.ndarray) -> float | np.ndarray:
+    """Bound (1/(1 - |cos|)) exp(c1 + c2 M/r + c3 M^2/r^2), elementwise over
+    an array of M (and arrays of constants broadcasting against it); the
+    constants are fit/report parameters, not values supplied by the theory.
+    Raises ValueError unless every M is at least r (a NaN M included)."""
     if r <= 0.0:
         raise ValueError("r must be positive")
-    if m_scale < r:
+    m_scale = np.asarray(m_scale, dtype=float)
+    if not np.all(m_scale >= r):
         raise ValueError("m_scale is sup|u| + r and cannot be below r")
     ratio = m_scale / r
     return np.exp(c1 + c2 * ratio + c3 * ratio ** 2) / (1.0 - abs(theta.cos_t))

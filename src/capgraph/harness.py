@@ -26,10 +26,9 @@ from .errors import (AngleOutOfRange, BadConfig, HypothesisViolation,
                      StationarityViolation, UnresolvedRegion, require_count)
 from .estimates import (_angle_ranges, _cos_squared, admissible_angle_range,
                         angle_condition_holds, angle_condition_lower_bound,
-                        angle_threshold, choose_eps0_array,
-                        conormal_stationarity_residual,
-                        cutoff_derivative_check, CutoffParams, height_scale,
-                        one_sided_slope_limit)
+                        choose_eps0_array, conormal_stationarity_residual,
+                        cutoff_derivative_check, CutoffParams, gradient_bound,
+                        height_scale, LinearBound, one_sided_slope_limit)
 from .geometry import (EllipsoidRegion, HalfSpaceGrid, RegionKind, _corner_bits,
                        _strides, build_grid, in_region, inner_node_set)
 from .solver import (ProblemSpec, SolveStatus, SolverConfig, _gradient_vectors,
@@ -440,13 +439,9 @@ def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise BadConfig(f"scenario {cfg.scenario!r} is not a liouville mode")
     theta = cfg.theta
     one_sided = cfg.scenario == "liouville-one-sided"
-    slope = cfg.slope_vector()
     if one_sided:
-        limit = one_sided_slope_limit(theta)
-        if float(np.linalg.norm(slope)) > limit + 1e-15:
-            raise HypothesisViolation(
-                f"|DL|={np.linalg.norm(slope):.3e} exceeds the one-sided slope "
-                f"limit {limit:.3e}")
+        bound = LinearBound(tuple(cfg.slope_vector().tolist()), cfg.L_offset)
+        bound.check_slope(theta)
         base = affine_capillary_solution(theta, np.zeros(cfg.dim - 1), cfg.L_offset)
         sign = -1.0 if theta.cos_t > 0.0 else 1.0
     else:
@@ -464,9 +459,8 @@ def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         dpts = grid.nodes[grid.dirichlet_indices]
         dvals = data(dpts)
         if one_sided:
-            bound_vals = dpts @ slope + cfg.L_offset
             # sign < 0: u <= L required; sign > 0: u >= L required
-            if np.any(sign * (dvals - bound_vals) < -1e-12):
+            if np.any(sign * (dvals - bound(dpts)) < -1e-12):
                 raise HypothesisViolation("data crosses the one-sided bound")
         else:
             growth = cfg.c0 * (1.0 + np.linalg.norm(dpts, axis=1))
@@ -477,9 +471,7 @@ def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _, row, grad = _solve_level(theta, grid, data, level, r, h)
         rows.append(row)
         if one_sided:
-            target = np.zeros(cfg.dim)
-            target[0] = -theta.cot_t
-            one_sided_gap = float(np.max(np.linalg.norm(grad - target, axis=1)))
+            one_sided_gap = float(np.max(np.linalg.norm(grad - base.slope, axis=1)))
 
     devs = [row.affine_dev for row in rows]
     for a, b in zip(devs, devs[1:]):
@@ -499,11 +491,10 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     At fixed region radius, family member k scales the whole data shape
     (affine trace plus bump) by c0 * (k+1)/K * r, K = _FAMILY_SIZE, staying
     in the linear growth class while sweeping the wall gradient well past
-    the angle floor |cot(theta)|.  Measured sup|Du| over the inner region
-    is regressed on (1, M/r, (M/r)^2); the intercept is shifted so the
-    fitted bound dominates every measurement.  The fit is repeated per mesh
-    level and its drift per halving reported.  When any member's solve did
-    not converge, no fit is made (fit None) and no drift is checked.
+    the angle floor |cot(theta)|.  _bound_fit fits the bound to the
+    measured sup|Du| over the inner region at every mesh level and checks
+    its drift per halving; when any member's solve did not converge, no fit
+    is made (fit None) and no drift is checked.
 
     The members of a level are solved by continuation along the equally
     spaced scales: member k > 0 starts from the secant 2 u_{k-1} - u_{k-2}
@@ -522,7 +513,6 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
                 f"range for n={cfg.dim} (threshold {res.threshold:.4f})")
     r = cfg.r_levels[0]
     base = cfg.affine_base()
-    one_minus = 1.0 - abs(theta.cos_t)
     rngs = _level_rngs(cfg, len(cfg.h_levels))
 
     rows = []
@@ -554,40 +544,41 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
                                 details=details)
 
-    fits = []
-    for level in members:
-        m, sups = (np.asarray(column) for column in zip(*level))
-        y = np.log(sups * one_minus)
-        if float(np.std(m)) < 1e-9:
-            fits.append((float(np.max(y)), 0.0, 0.0, 0.0, True))
-        else:
-            design = np.stack([np.ones_like(m), m, m * m], axis=1)
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-            resid = y - design @ coef
-            coef = coef.copy()
-            coef[0] += max(0.0, float(np.max(resid)))   # one-sided validity
-            fits.append((float(coef[0]), float(coef[1]), float(coef[2]),
-                         float(np.sqrt(np.mean(resid ** 2))), False))
+    return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
+                            fit=_bound_fit(members, r, theta), details=details)
 
-    drift = float("nan")
-    if len(fits) > 1:
-        drifts = []
-        for (a, b) in zip(fits, fits[1:]):
-            num = np.abs(np.asarray(b[:3]) - np.asarray(a[:3]))
-            den = np.maximum(np.abs(np.asarray(a[:3])), 1e-2)
-            drifts.append(float(np.max(num / den)))
-        drift = max(drifts)
-        if drift > 0.2:
-            raise InvariantViolation(
-                f"fitted bound constants drifted {drift:.1%} per mesh halving "
-                f"(limit 20%)")
-    last = fits[-1]
-    fit = GradientBoundFit(c1=last[0], c2=last[1], c3=last[2],
-                           fit_residual=last[3], degenerate=last[4],
-                           per_level=tuple(f[:3] for f in fits),
-                           stability=drift)
-    return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows), fit=fit,
-                            details=details)
+
+def _bound_fit(members, r: float, theta: CapillaryAngle) -> GradientBoundFit:
+    """Fit y = log(sup / gradient_bound(M, r, theta, 0, 0, 0)) by least
+    squares on (1, M/r, (M/r)^2) at every mesh level of `members` (per
+    level, the family's (M/r, sup|Du|) pairs) as one array program.  A level
+    whose M/r is constant (std below 1e-9) is fitted on the first column
+    alone and is degenerate (c2 = c3 = 0, rms 0).  c1 is shifted by the
+    largest residual log(sup / gradient_bound(M, r, theta, c)), so the bound
+    dominates every member.  Returns the last level's fit with every level's
+    constants and their largest relative drift per halving; raises
+    InvariantViolation when that drift exceeds 20%."""
+    ratio, sup = np.moveaxis(np.asarray(members, dtype=float), -1, 0)
+    m = ratio * r
+    y = np.log(sup / gradient_bound(m, r, theta, 0.0, 0.0, 0.0))
+    varying = np.std(ratio, axis=1) >= 1e-9
+    used = (np.arange(3) == 0) | varying[:, None]       # (levels, 3) columns
+    design = np.where(used[:, None], ratio[..., None] ** np.arange(3), 0.0)
+    coef = np.where(used, (np.linalg.pinv(design) @ y[..., None])[..., 0], 0.0)
+    resid = np.log(sup / gradient_bound(m, r, theta, *coef.T[..., None]))
+    coef[:, 0] += np.max(resid, axis=1)
+    rms = np.where(varying, np.sqrt(np.mean(resid ** 2, axis=1)), 0.0)
+    steps = np.abs(np.diff(coef, axis=0)) / np.maximum(np.abs(coef[:-1]), 1e-2)
+    drift = float(np.max(steps)) if steps.size else float("nan")
+    if drift > 0.2:
+        raise InvariantViolation(
+            f"fitted bound constants drifted {drift:.1%} per mesh halving "
+            f"(limit 20%)")
+    c1, c2, c3 = coef[-1].tolist()
+    return GradientBoundFit(c1=c1, c2=c2, c3=c3, fit_residual=float(rms[-1]),
+                            degenerate=not varying[-1],
+                            per_level=tuple(map(tuple, coef.tolist())),
+                            stability=drift)
 
 
 def _log_slopes(log_eps: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -883,19 +874,19 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
                               worst_inner <= 1e-12))
 
     # coefficient equivalences over the (theta, n, eps0) grid, one call per
-    # n and function on a column of angles against the eps0 row
+    # n and function on a column of angles against the eps0 row; then the
+    # sign at eps0 = 0 against the admissible range, for every n >= 3 at once
     disagreements = 0
     theta_grid = np.linspace(*_AUDIT_ANGLES, 50)
     eps_grid = np.linspace(0.05, 0.95, 10)
-    cos2 = _cos_squared(theta_grid)
     for n in range(2, 9):
         lb = angle_condition_lower_bound(n, theta_grid[:, None], eps_grid)
         disagreements += int(np.count_nonzero(
             (lb > 0.0) != angle_condition_holds(n, theta_grid[:, None], eps_grid)))
-        if n >= 3:
-            at_zero = angle_condition_lower_bound(n, theta_grid, 0.0) > 0.0
-            disagreements += int(np.count_nonzero(
-                at_zero != (cos2 < angle_threshold(n))))
+    dims = range(3, 9)
+    at_zero = angle_condition_lower_bound(np.array(dims)[:, None], theta_grid, 0.0) > 0.0
+    _, _, in_range = _angle_ranges(dims, _cos_squared(theta_grid))
+    disagreements += int(np.count_nonzero(at_zero != in_range))
     checks.append(CheckResult("coefficient_equivalences", float(disagreements),
                               0.0, disagreements == 0))
 

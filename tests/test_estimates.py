@@ -326,6 +326,19 @@ def test_gradient_bound_monotone_and_limit():
         gradient_bound(0.5, 1.0, THETA, 0.0, 0.0, 0.0)
 
 
+def test_gradient_bound_of_an_array_is_the_elementwise_bound():
+    m = np.array([[2.0, 2.5, 7.0, 40.0], [2.0, 3.25, 9.5, 11.0]])
+    got = gradient_bound(m, 2.0, THETA, 0.3, 0.2, -0.01)
+    assert got.shape == m.shape
+    want = [[gradient_bound(x, 2.0, THETA, 0.3, 0.2, -0.01) for x in row]
+            for row in m.tolist()]
+    assert got == pytest.approx(np.array(want), rel=1e-15, abs=0.0)
+    # one height below r, or one NaN, spoils the whole array
+    for bad in ([2.0, 1.999], [2.0, np.nan], np.nan, [[3.0], [-1.0]]):
+        with pytest.raises(ValueError, match="cannot be below r"):
+            gradient_bound(bad, 2.0, THETA, 0.0, 0.0, 0.0)
+
+
 def test_coefficient_state_validation():
     b = (0.0, 0.6, 0.8)
     st = CoefficientState(n=3, theta=THETA, u_n=10.0, b=b, eps0=0.5)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
@@ -14,7 +14,8 @@ from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       CutoffParams, DegenerateAngle, EllipsoidRegion,
                       ExperimentConfig, ExperimentReport,
                       HypothesisViolation, InvalidParameter,
-                      InvariantViolation, OutOfExtent, RegionKind, ReportRow,
+                      InvariantViolation, LinearBound, OutOfExtent,
+                      RegionKind, ReportRow,
                       StationarityViolation,
                       ScalarField, admissible_angle_range,
                       affine_capillary_solution, angle_condition_holds,
@@ -24,7 +25,8 @@ from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       capillary_gauge, choose_eps0, conormal,
                       cutoff_derivative_check,
                       discrete_gradient, domain_for_radius,
-                      field_from_callable, in_region, one_sided_slope_limit,
+                      field_from_callable, gradient_bound, in_region,
+                      one_sided_slope_limit,
                       parse_config,
                       run_angle_sweep, run_audit, run_conormal_check,
                       run_gradient_bound_sweep, run_liouville_experiment,
@@ -350,6 +352,168 @@ def test_gradient_bound_fit_stable_across_resolutions():
     report = run_gradient_bound_sweep(cfg)
     assert len(report.fit.per_level) == 2
     assert report.fit.stability <= 0.2
+
+
+# (c1, c2, c3, fit_residual, stability) of the benchmark's report config
+# (r = 4, h = 0.5 and 0.25, c0 = 2, theta = pi/3) per seed
+_PINNED_FITS = {
+    0: (-2.205635287062665, 0.7161090004193846, -0.047441850148061515,
+        0.03378394342191099, 0.027901691988582177),
+    1: (-2.2459658490114602, 0.7613854604875523, -0.05363791765427075,
+        0.03190259879033753, 0.05266703558297106),
+    2: (-2.2442652666478566, 0.7581042552135748, -0.053155425439087176,
+        0.031820325000325306, 0.037355719127441),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_FITS))
+def test_report_fit_keeps_its_pinned_constants(seed):
+    cfg = ExperimentConfig(scenario="gradient-bound-sweep", r_levels=(4.0,),
+                           h_levels=(0.5, 0.25), c0=2.0, seed=seed)
+    fit = run_gradient_bound_sweep(cfg).fit
+    assert not fit.degenerate
+    got = (fit.c1, fit.c2, fit.c3, fit.fit_residual, fit.stability)
+    assert got == pytest.approx(_PINNED_FITS[seed], rel=1e-12, abs=0.0)
+
+
+_SIN_FLOOR_ANGLE = float(np.arcsin(0.05)) + 1e-9
+_ANGLES = st.floats(_SIN_FLOOR_ANGLE, np.pi - _SIN_FLOOR_ANGLE)
+
+
+def _pairwise_drift(per_level):
+    """The report's drift per halving, one pair of levels at a time."""
+    drifts = [max(abs(b - a) / max(abs(a), 1e-2) for a, b in zip(lo, hi))
+              for lo, hi in zip(per_level, per_level[1:])]
+    return max(drifts) if drifts else float("nan")
+
+
+@st.composite
+def _bound_families(draw):
+    """(members, r, theta): 1-3 levels of a 3-8 member family whose M/r
+    values are 1 plus gaps of 0.1-0.8 (or one constant value), each level a
+    copy of the first moved by `spread` times draws in [-1, 1]."""
+    k = draw(st.integers(3, 8))
+    gaps = draw(st.lists(st.floats(0.1, 0.8), min_size=k - 1, max_size=k - 1))
+    ratios = 1.0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    if draw(st.booleans()):
+        ratios[:] = ratios[-1]
+    log_sups = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k)))
+    spread = draw(st.sampled_from([0.0, 1e-3, 0.3]))
+    members = []
+    for _ in range(draw(st.sampled_from((1, 2, 3)))):
+        move = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)))
+        level = ratios + 0.05 * spread * (1.0 + move) * (np.ptp(ratios) > 0.0)
+        members.append(tuple(zip(level.tolist(),
+                                 np.exp(log_sups + spread * move).tolist())))
+    return members, draw(st.floats(0.5, 8.0)), CapillaryAngle(draw(_ANGLES))
+
+
+def _loop_fit(level, theta):
+    """One level's (c1, c2, c3) by the per-level loop the report ran before
+    its fit became one array program: lstsq on (1, M/r, (M/r)^2) with the
+    intercept shifted by the largest residual, or max y for constant M/r."""
+    m, sups = (np.asarray(column) for column in zip(*level))
+    y = np.log(sups * (1.0 - abs(theta.cos_t)))
+    if np.std(m) < 1e-9:
+        return (float(np.max(y)), 0.0, 0.0)
+    design = np.stack([np.ones_like(m), m, m * m], axis=1)
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    coef[0] += np.max(y - design @ coef)
+    return tuple(coef.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=_bound_families())
+def test_bound_fit_dominates_every_member_and_reports_its_drift(family):
+    members, r, theta = family
+    per_level = [_loop_fit(level, theta) for level in members]
+    drift = _pairwise_drift(per_level)
+    assume(abs(drift - 0.2) > 1e-6)     # the two fits may round either way
+    if drift > 0.2:
+        with pytest.raises(InvariantViolation, match="per mesh halving"):
+            harness._bound_fit(members, r, theta)
+        return
+    fit = harness._bound_fit(members, r, theta)
+    assert fit.per_level[-1] == (fit.c1, fit.c2, fit.c3)
+    assert np.asarray(fit.per_level) == pytest.approx(np.asarray(per_level),
+                                                      rel=1e-9, abs=1e-9)
+    for (ratio, sup) in members[-1]:
+        bound = gradient_bound(ratio * r, r, theta, fit.c1, fit.c2, fit.c3)
+        assert sup <= bound * (1.0 + 1e-12)
+    if len(members) == 1:
+        assert np.isnan(fit.stability)
+    else:
+        assert fit.stability == pytest.approx(_pairwise_drift(fit.per_level),
+                                              rel=1e-12, abs=0.0)
+
+
+def test_bound_fit_of_a_constant_height_family_is_degenerate():
+    sups = np.array([1.5, 2.5, 2.0, 3.0, 2.25])
+    level = tuple((1.7, s) for s in sups.tolist())
+    fit = harness._bound_fit([level], 2.0, THETA)
+    assert fit.degenerate
+    assert fit.c2 == 0.0 and fit.c3 == 0.0 and fit.fit_residual == 0.0
+    top = float(np.max(np.log(sups * (1.0 - abs(THETA.cos_t)))))
+    assert fit.c1 == pytest.approx(top, rel=1e-12, abs=0.0)
+    assert np.isnan(fit.stability)
+
+
+def test_bound_fit_catches_a_fine_level_scaled_by_a_quarter():
+    # a two-level family with c1 near 0.5 and a 2% mesh change: the drift
+    # passes; scaling the fine level's sups by 1.25 moves c1 by log 1.25,
+    # about 45% of |c1|.  (The check sees this only where |c1| is below
+    # log(1.25) / 0.2, about 1.1: on the report's own families, c1 near
+    # -2.2, the same scaling moves it by about 10% and passes.)
+    ratios = 1.0 + 0.4 * np.arange(6)
+    sups = np.exp(0.5 + 0.3 * ratios - 0.02 * ratios ** 2
+                  + 0.01 * np.sin(7.0 * ratios)) / (1.0 - abs(THETA.cos_t))
+
+    def family(fine_scale):
+        return [tuple(zip(ratios.tolist(), sups.tolist())),
+                tuple(zip(ratios.tolist(), (1.02 * fine_scale * sups).tolist()))]
+
+    assert harness._bound_fit(family(1.0), 2.0, THETA).stability < 0.2
+    with pytest.raises(InvariantViolation, match="per mesh halving"):
+        harness._bound_fit(family(1.25), 2.0, THETA)
+
+
+class _Solved(Exception):
+    """Raised in place of the first solve: the hypotheses held."""
+
+
+def _slope_limit_message(make) -> str | None:
+    """The message of the slope-limit HypothesisViolation that make() raises,
+    or None when it raises none (a solve reached, or another hypothesis)."""
+    try:
+        make()
+    except HypothesisViolation as exc:
+        return str(exc) if "slope limit" in str(exc) else None
+    except _Solved:
+        pass
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=_ANGLES, direction=st.floats(0.0, 2.0 * np.pi),
+       factor=st.floats(0.5, 2.0))
+def test_one_sided_slope_rule_is_shared(theta, direction, factor):
+    angle = CapillaryAngle(theta)
+    limit = one_sided_slope_limit(angle)
+    slope = (factor * limit * np.array([np.cos(direction), np.sin(direction)])).tolist()
+    cutoff = _slope_limit_message(lambda: CutoffParams(
+        r=1.0, theta=angle, dim=2, bound=LinearBound(tuple(slope), 0.0)))
+    cfg = ExperimentConfig(scenario="liouville-one-sided", theta_rad=theta,
+                           r_levels=(2.0,), h_levels=(0.5,), L_slope=tuple(slope))
+
+    def solved(*args, **kwargs):
+        raise _Solved
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "_solve_level", solved)
+        liouville = _slope_limit_message(lambda: run_liouville_experiment(cfg))
+    assert liouville == cutoff
+    if limit > 1e-12 and abs(factor - 1.0) > 1e-9:
+        assert (cutoff is not None) == (factor > 1.0)
 
 
 def test_angle_sweep_rows_and_symmetry():
