@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cache, cached_property, reduce
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,15 +57,6 @@ def _conforming_count(extent: float, h: float, name: str) -> int:
             f"{name}={extent} is not a positive integer multiple of h={h}"
         )
     return int(m_round)
-
-
-class HessianPattern(NamedTuple):
-    """CSR pattern of a grid's free-free Hessian (HalfSpaceGrid.hessian_pattern)."""
-
-    indptr: np.ndarray      # (nf + 1,) int32 row pointers
-    indices: np.ndarray     # (nnz,) int32 column indices
-    slot: np.ndarray        # (k*k, n_cells) CSR position of each block entry
-    diagonal: np.ndarray    # (nf,) CSR positions of the diagonal entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,57 +116,6 @@ class HalfSpaceGrid:
                                     for n, s in zip(self.shape, strides)])
         out = low.ravel() + (_corner_bits(self.dim) @ strides)[:, None]
         out.flags.writeable = False
-        return out
-
-    @cached_property
-    def hessian_pattern(self) -> HessianPattern:
-        """Fixed CSR pattern of the free-free energy Hessian, a read-only
-        HessianPattern record (indptr, indices, slot, diagonal).
-
-        indptr and indices are the CSR row pointers and column indices over
-        the free nodes (in free_indices order); slot is a (k*k, n_cells)
-        map from each entry of a cell's local k x k block (k corners, rows
-        and columns in cell_corners order; row i*k + j of the map holds
-        entry (i, j) of every cell) to its position in the CSR data, and
-        diagonal holds the positions of the diagonal entries.  Entries
-        touching a Dirichlet node map to the dump slot nnz.  The arrays are
-        read-only, and the matrices built on them share indptr and indices.
-        A coarse level of the multigrid hierarchy (see `coarse`) scatters
-        its Galerkin cell blocks through its own pattern.
-
-        Two nodes share a cell exactly when each lies in the other's 3^dim
-        stencil box, so a free node's row holds its free stencil neighbours,
-        read through a sliding 3^dim window over the lattice of free ranks.
-        Stencil offsets in flat order give ascending columns, so the free
-        neighbour masks, read node by node, are already in CSR order: one
-        cumulative count over them numbers the entries, with no sort.
-        """
-        stencil = (3,) * self.dim
-        free = self.classes != _DIRICHLET
-        padded = np.full(tuple(n + 2 for n in self.shape), -1, dtype=np.int32)
-        padded[(slice(1, -1),) * self.dim] = np.where(
-            free, np.cumsum(free, dtype=np.int32) - 1, -1).reshape(self.shape)
-        # neighbour[p, o]: free rank of node p's neighbour at offset o, or -1,
-        # read through the 3^dim sliding-window view of the padded lattice
-        window = np.ndarray(self.shape + stencil, padded.dtype, padded, 0,
-                            padded.strides * 2)
-        neighbour = window.reshape(self.n_nodes, -1)
-        mask = (neighbour >= 0) & free[:, None]
-        indices = neighbour[mask]
-        # count[p, o]: entries up to and including node p's offset o; a row
-        # ends at its last offset, and entry[p, o] is the CSR position of
-        # node p's pair with its offset-o neighbour, or the dump slot nnz
-        count = np.cumsum(mask, dtype=np.int64).reshape(mask.shape)
-        indptr = np.concatenate(([0], count[free, -1])).astype(np.int32)
-        entry = np.where(mask, count - 1, indices.size)
-        # corner j of a cell lies at the same stencil offset from its corner i
-        # in every cell; a node's own offset is the stencil's centre
-        c = self.corner_rows
-        slot = entry[c[:, None, :], _corner_offsets(self.dim)[:, :, None]]
-        out = HessianPattern(indptr, indices, slot.reshape(c.shape[0] ** 2, -1),
-                             entry[free, entry.shape[1] // 2])
-        for arr in out:
-            arr.flags.writeable = False
         return out
 
     @cached_property
@@ -316,16 +256,6 @@ def _corner_bits(dim: int) -> np.ndarray:
     """(2^dim, dim) bits of the cell corners (or children): entry j, a is
     bit a of j, the offset of corner j along axis a, so x1 is fastest."""
     out = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
-    out.flags.writeable = False
-    return out
-
-
-@cache
-def _corner_offsets(dim: int) -> np.ndarray:
-    """(k, k) flat index in the 3^dim stencil box of the offset from cell
-    corner i to cell corner j."""
-    bits = _corner_bits(dim)
-    out = (bits[None, :] - bits[:, None] + 1) @ _strides((3,) * dim)
     out.flags.writeable = False
     return out
 

@@ -431,22 +431,21 @@ def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     linear-growth mode: affine trace (tangential slope from L_slope) plus a
     signed bump of amplitude perturb_amp * r^(-perturb_decay).
-    one-sided mode: data stays on one side of the linear bound L (above or
-    below according to the angle), and the interior gradient is driven to
-    the symmetric slope.
+    one-sided mode: the affine trace with L's tangential slope and offset,
+    which stays on the side of L that the angle requires (|L| is at most
+    one_sided_slope_limit < |cot(theta)|), plus a bump on that side;
+    one_sided_gap measures the interior gradient against its slope.
     """
     if cfg.scenario not in ("liouville-linear-growth", "liouville-one-sided"):
         raise BadConfig(f"scenario {cfg.scenario!r} is not a liouville mode")
     theta = cfg.theta
     one_sided = cfg.scenario == "liouville-one-sided"
+    base = cfg.affine_base()
+    sign = 1.0
     if one_sided:
         bound = LinearBound(tuple(cfg.slope_vector().tolist()), cfg.L_offset)
         bound.check_slope(theta)
-        base = affine_capillary_solution(theta, np.zeros(cfg.dim - 1), cfg.L_offset)
         sign = -1.0 if theta.cos_t > 0.0 else 1.0
-    else:
-        base = cfg.affine_base()
-        sign = 1.0
 
     pairs = cfg.level_pairs()
     rows = []

@@ -3,7 +3,10 @@
 The residual is the exact gradient of the discrete capillary energy, driven
 to zero by damped inexact Newton with a lifted first step and multigrid-
 preconditioned CG (README, numerical notes).  Newton systems are solved in
-their volume-weighted SPD form, the only one _pcg accepts;
+their volume-weighted SPD form, the only one _pcg accepts.  The free nodes
+of every multigrid level form a box of the lattice, so each level's
+operator is stored by diagonals, one per stencil delta, added up from the
+cell blocks by slices; the prolongations are the only CSR arrays.  All
 reductions have fixed order (numpy loops, not BLAS), so runs are bitwise
 reproducible at any BLAS thread count; and the convergence target stays
 anchored on the residual of the imposed affine start.
@@ -11,6 +14,7 @@ anchored on the residual of the imposed affine start.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +30,8 @@ from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         edge_differences, ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
-from .geometry import _COARSEST_SIZE, HalfSpaceGrid, _upper_entries
+from .geometry import (_COARSEST_SIZE, HalfSpaceGrid, _corner_bits, _strides,
+                       _upper_entries)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -187,22 +192,61 @@ def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
     return _hessian_map(dim) @ upper.reshape(-1, d.shape[1])
 
 
-def _free_data(grid: HalfSpaceGrid, blocks: np.ndarray) -> np.ndarray:
-    """CSR data over grid.hessian_pattern of the free-free sum of per-cell
-    blocks: one bincount, a fixed summation order from +0.0 (so no entry is
-    -0.0); entries that sum to zero stay stored."""
-    _, indices, slot, _ = grid.hessian_pattern
-    return np.bincount(slot.ravel(), blocks.ravel(),
-                       minlength=indices.size + 1)[:indices.size]
+@cache
+def _diagonal_map(dim: int) -> tuple[np.ndarray, tuple[tuple[tuple, tuple], ...]]:
+    """The constant diagonal layout of _free_level: the (3^dim, dim)
+    stencil deltas in lexicographic order, and per cell-block entry i*k + j,
+    in ascending order, the index of its cells where both corners are free
+    in the (k*k,) + cell-lattice blocks and of their column nodes in the
+    (3^dim,) + free-lattice diagonals.
+
+    Entry (i, j) couples corner i's node (the row) with corner j's node
+    (the column), at delta b_j - b_i of the corner bits.  The free nodes
+    span x1 in [0, n1 - 2] and a side axis in [1, n - 2], so both corners
+    are free in the cells from 0 along x1 and from 1 - min(b_i, b_j) along
+    a side axis, up to max(b_i, b_j) cells before the end; the column
+    nodes are those cells shifted by b_j (and by -1 along a side axis, to
+    free coordinates).  Slices counted from the end fit every lattice.
+    """
+    bits = _corner_bits(dim)
+    deltas = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+    deltas.flags.writeable = False
+    side = np.arange(dim) > 0
+    plan = []
+    for e, (bi, bj) in enumerate(itertools.product(bits, repeat=2)):
+        lo, hi = np.minimum(bi, bj), np.maximum(bi, bj)
+        start = side * (1 - lo)
+        cells = tuple(slice(s, -m or None) for s, m in zip(start.tolist(), hi.tolist()))
+        nodes = tuple(slice(s, -m or None) for s, m in zip((start + bj - side).tolist(),
+                                                          (hi - bj).tolist()))
+        row = int(np.ravel_multi_index(tuple(bj - bi + 1), (3,) * dim))
+        plan.append(((e,) + cells, (row,) + nodes))
+    return deltas, tuple(plan)
 
 
 def _free_level(grid: HalfSpaceGrid, blocks: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Free-free matrix of per-cell blocks as plain CSR arrays (indptr,
-    indices, data, n_cols) on the grid's read-only pattern, shared by every
-    system and level the solver builds on a grid, and its diagonal."""
-    indptr, indices, _, diagonal = grid.hessian_pattern
-    data = _free_data(grid, blocks)
-    return (indptr, indices, data, indptr.size - 1), data[diagonal]
+    """Free-free matrix of per-cell blocks as DIA arrays (offsets, data, n)
+    in scipy's layout, data[d, j] = A[j - offsets[d], j], and its diagonal,
+    the row of the zero delta (offset 0).
+
+    The free nodes form a box, so each stencil delta is one diagonal at the
+    offset deltas @ free strides.  Two deltas share an offset where a side
+    axis has one or two free nodes, never in one row: the other holds +0.0
+    there, as does every position of no stencil pair.  The block entries
+    are added over their cells by slice-adds (_diagonal_map) in ascending
+    order from +0.0, the order of a one-bincount scatter, and lexicographic
+    deltas keep each row's entries in ascending columns, as CSR does.
+    """
+    deltas, plan = _diagonal_map(grid.dim)
+    free = (grid.shape[0] - 1,) + tuple(n - 2 for n in grid.shape[1:])
+    cells = blocks.reshape((-1,) + tuple(n - 1 for n in grid.shape))
+    data = np.zeros((deltas.shape[0],) + free)
+    for cell, node in plan:
+        target = data[node]
+        target += cells[cell]
+    n = math.prod(free)
+    data = data.reshape(-1, n)
+    return (deltas @ _strides(free), data, n), data[deltas.shape[0] // 2]
 
 
 def _block_action(grid: HalfSpaceGrid, blocks: np.ndarray,
@@ -239,7 +283,7 @@ def assemble_residual(u: ScalarField, spec: ProblemSpec) -> np.ndarray:
 
 
 class JacobianSystem(NamedTuple):
-    matrix: tuple       # CSR arrays (indptr, indices, data, n_cols)
+    matrix: tuple       # DIA arrays (offsets, data, n), as _free_level
     rhs: np.ndarray
 
 
@@ -249,15 +293,17 @@ def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> JacobianSystem:
     The matrix is the energy Hessian restricted to free nodes, row-scaled by
     the control volumes (hence not SPD as stored: _pcg rejects it with a CG
     breakdown; newton_solve undoes the scaling to solve an SPD system
-    instead), as plain CSR arrays on the grid's read-only pattern.
+    instead), as the DIA arrays of _free_level.
     """
     _check_field(u, spec)
     grid = spec.grid
     free = grid.free_indices
     res, _ = _residual_full(u.values, spec)
-    (indptr, indices, data, nf), _ = _free_level(grid, _hessian_blocks(grid, u.values))
-    data *= np.repeat(-1.0 / grid.node_weights[free], np.diff(indptr))
-    return JacobianSystem(matrix=(indptr, indices, data, nf), rhs=-res[free])
+    (offsets, data, n), _ = _free_level(grid, _hessian_blocks(grid, u.values))
+    # entry (d, j) lies in row j - offsets[d]; one outside the matrix is zero
+    data *= np.take(-1.0 / grid.node_weights[free], np.arange(n) - offsets[:, None],
+                    mode="clip")
+    return JacobianSystem(matrix=(offsets, data, n), rhs=-res[free])
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +319,16 @@ def _sparsetools():
     """scipy's compiled sparse kernels, imported at the first product."""
     from scipy.sparse import _sparsetools
     return _sparsetools
+
+
+def _dia_product(a: tuple, x: np.ndarray) -> np.ndarray:
+    """a x for DIA arrays a by scipy's compiled kernel, one diagonal after
+    the other: bitwise the CSR product when a's offsets put each row's
+    entries in ascending column order (x finite; zeros add nothing)."""
+    offsets, data, n = a
+    y = np.zeros(n)
+    _sparsetools().dia_matvec(n, n, offsets.size, n, offsets, data, x, y)
+    return y
 
 
 def _product(m: tuple, x: np.ndarray) -> np.ndarray:
@@ -300,7 +356,7 @@ def _smooth(a: tuple, wdinv: np.ndarray, b: np.ndarray,
         if x is None:
             x = wdinv * b
         else:
-            r = _product(a, x)
+            r = _dia_product(a, x)
             np.subtract(b, r, out=r)
             r *= wdinv
             x += r
@@ -317,7 +373,7 @@ def _vcycle(levels: list, coarsest: Callable[[np.ndarray], np.ndarray],
     a, wdinv, p = levels[k]
     x = _smooth(a, wdinv, b, None)
     x += _product(p, _vcycle(levels, coarsest,
-                             _restrict(p, b - _product(a, x)), k + 1))
+                             _restrict(p, b - _dia_product(a, x)), k + 1))
     return _smooth(a, wdinv, b, x)
 
 
@@ -343,16 +399,28 @@ def _coarse_blocks(grid: HalfSpaceGrid, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dense(a: tuple) -> np.ndarray:
+    """The dense matrix of DIA arrays a by one bincount, so the entries of
+    two diagonals at one offset add."""
+    offsets, data, n = a
+    cols = np.arange(n)
+    rows = cols - offsets[:, None]
+    inside = (rows >= 0) & (rows < n)
+    return np.bincount((rows * n + cols)[inside], data[inside],
+                       minlength=n * n).reshape(n, n)
+
+
 def _galerkin_levels(a: tuple, diagonal: np.ndarray,
                      grid: HalfSpaceGrid | None = None,
                      blocks: np.ndarray | None = None
                      ) -> tuple[list, Callable[[np.ndarray], np.ndarray]]:
     """The multigrid levels (A_k, _OMEGA / |diag A_k|, P_k) above the last
-    one, A_k and P_k as plain CSR arrays, and the solver of the last level.
+    one, A_k as DIA arrays and P_k as CSR arrays, and the solver of the last
+    level.
 
-    a (CSR arrays, with diagonal `diagonal`) is the free-free matrix of the
+    a (DIA arrays, with diagonal `diagonal`) is the free-free matrix of the
     cell blocks `blocks` over `grid`.
-    A coarse level holds only the data, over its grid's hessian_pattern, of
+    A coarse level is the _free_level of
     A_{k+1} = P_k^T A_k P_k formed cell by cell (_coarse_blocks; exact, as
     P interpolates a fine cell's corners from its coarse cell's corners only
     and a Dirichlet fine node has only Dirichlet coarse parents).  After at
@@ -369,12 +437,9 @@ def _galerkin_levels(a: tuple, diagonal: np.ndarray,
         blocks = _coarse_blocks(grid, blocks)
         grid = coarse
         a, diagonal = _free_level(grid, blocks)
-    indptr, indices, data, n = a
-    if levels and n <= _COARSEST_SIZE:
-        dense = np.zeros((n, n))
-        dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+    if levels and a[2] <= _COARSEST_SIZE:
         try:
-            linv = np.linalg.inv(np.linalg.cholesky(dense))
+            linv = np.linalg.inv(np.linalg.cholesky(_dense(a)))
         except np.linalg.LinAlgError:
             raise LinearSolveFailure(
                 "coarsest-level Cholesky breakdown (matrix not SPD?)") from None
@@ -393,8 +458,9 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 def _pcg(a: tuple, diagonal: np.ndarray, b: np.ndarray, rtol: float,
          max_iter: int, grid: HalfSpaceGrid | None = None,
          blocks: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """The one Krylov core of the package: CG on the CSR arrays a (with
-    diagonal `diagonal`), preconditioned by one V-cycle of
+    """The one Krylov core of the package: CG on the DIA arrays a
+    (offsets, data, n) of _free_level, with diagonal `diagonal`,
+    preconditioned by one V-cycle of
     _galerkin_levels(a, diagonal, grid, blocks) (one level of damped Jacobi
     without a grid), from zero until |b - a x| <= rtol |b|; returns
     (x, iterations), (0, 0) for b = 0.
@@ -415,7 +481,7 @@ def _pcg(a: tuple, diagonal: np.ndarray, b: np.ndarray, rtol: float,
     p = z.copy()
     rz = _dot(r, z)
     for it in range(1, max_iter + 1):
-        ap = _product(a, p)
+        ap = _dia_product(a, p)
         pap = _dot(p, ap)
         if not math.isfinite(pap) or pap <= 0.0:
             raise LinearSolveFailure("conjugate gradient breakdown (matrix not SPD?)")

@@ -233,8 +233,13 @@ def test_acceptance_10_jacobian_consistency():
                            dirichlet=vals[grid.dirichlet_indices],
                            H=rng.uniform(-0.3, 0.3))
         u = ScalarField(grid, vals)
-        indptr, indices, data, n_cols = assemble_jacobian(u, spec).matrix
-        jac = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_cols))
+        # DIA arrays: data[d, j] is entry (j - offsets[d], j)
+        offsets, data, n = assemble_jacobian(u, spec).matrix
+        cols = np.broadcast_to(np.arange(n), data.shape)
+        rows = cols - offsets[:, None]
+        inside = (rows >= 0) & (rows < n)
+        jac = sp.coo_matrix((data[inside], (rows[inside], cols[inside])),
+                            shape=(n, n)).tocsr()
         base = assemble_residual(u, spec)
         w = rng.standard_normal(grid.free_indices.size)
         w /= np.max(np.abs(w))

@@ -358,13 +358,13 @@ spec = capgraph.ProblemSpec(grid=grid, theta=capgraph.CapillaryAngle(np.pi / 3),
                             dirichlet=np.zeros(grid.dirichlet_indices.size))
 vals = np.random.default_rng(0).uniform(size=grid.n_nodes)
 system = capgraph.assemble_jacobian(capgraph.ScalarField(grid, vals), spec)
-assert system.matrix[3] == grid.free_indices.size == system.rhs.size
+assert system.matrix[2] == grid.free_indices.size == system.rhs.size
 assert not scipy_modules(), scipy_modules()
 """
 
 
 def test_assemble_jacobian_leaves_scipy_unloaded():
-    # the public Jacobian is plain CSR arrays: no scipy matrix is built
+    # the public Jacobian is plain DIA arrays: no scipy matrix is built
     proc = _run_python(["-c", _JACOBIAN_PROBE])
     assert proc.returncode == 0, proc.stderr
 

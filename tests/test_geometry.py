@@ -216,33 +216,6 @@ def test_reach_decided_distances_bound_the_full_bisection(dim, seed, reach):
     assert np.all(np.where(within, got >= full, got <= full))
 
 
-def _oracle_hessian_pattern(grid):
-    """The sort-based pattern by field name: np.unique over the key
-    row * nf + col of every cell-block entry (an entry touching a Dirichlet
-    node gets the key nf^2, ranked last); the diagonal entries are the keys
-    i * nf + i."""
-    c = grid.corner_rows
-    k = c.shape[0]
-    nf = grid.free_indices.size
-    pos = np.full(grid.n_nodes, -1, dtype=np.int64)
-    pos[grid.free_indices] = np.arange(nf)
-    rows = np.repeat(pos[c], k, axis=0)
-    cols = np.tile(pos[c], (k, 1))
-    keys = np.where((rows >= 0) & (cols >= 0), rows * nf + cols, nf * nf)
-    uniq, slot = np.unique(keys, return_inverse=True)
-    if uniq[-1] == nf * nf:
-        uniq = uniq[:-1]
-    slot = slot.reshape(keys.shape)
-    indptr = np.searchsorted(uniq, np.arange(nf + 1) * nf).astype(np.int32)
-    indices = (uniq % nf).astype(np.int32)
-    diagonal = np.searchsorted(uniq, np.arange(nf) * (nf + 1))
-    out = {"indptr": indptr, "indices": indices, "slot": slot,
-           "diagonal": diagonal}
-    for arr in out.values():
-        arr.flags.writeable = False
-    return out
-
-
 def _oracle_linear_interpolation(n, coarse):
     """(n, coarse.size) linear interpolation from the coarse nodes of a 1D
     lattice: a kept node copies its value, a dropped node takes the mean of
@@ -301,11 +274,6 @@ def _assert_identical(got, want):
 @example(dim=1, m1=2, mp=1)
 def test_closed_form_grid_caches_equal_the_sort_based_oracles(dim, m1, mp):
     grid = build_grid(dim, 1.0, float(m1), float(mp))
-    pattern = grid.hessian_pattern
-    oracle = _oracle_hessian_pattern(grid)
-    assert pattern._fields == tuple(oracle)
-    for name, want in oracle.items():
-        _assert_identical(getattr(pattern, name), want)
     oracle = _oracle_prolongations(grid)
     assert len(grid.prolongations) == len(oracle)
     rng = np.random.default_rng(m1 * 100 + mp)

@@ -516,6 +516,60 @@ def test_one_sided_slope_rule_is_shared(theta, direction, factor):
         assert (cutoff is not None) == (factor > 1.0)
 
 
+def _one_sided_run(theta, l_slope, l_offset=0.0):
+    """run_liouville_experiment's one-sided report at r = 2 and 4, h = 0.5,
+    and the inner gradients of its last level."""
+    grads = []
+    solve_level = harness._solve_level
+
+    def recording(*args, **kwargs):
+        out = solve_level(*args, **kwargs)
+        grads.append(out[2])
+        return out
+
+    cfg = ExperimentConfig(scenario="liouville-one-sided", theta_rad=theta,
+                           r_levels=(2.0, 4.0), h_levels=(0.5,),
+                           L_slope=tuple(l_slope), L_offset=l_offset, seed=0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "_solve_level", recording)
+        report = run_liouville_experiment(cfg)
+    return report, grads[-1]
+
+
+# L within the slope limit, with a tangential part L': the data is the
+# affine capillary solution of slope (-cot(theta) sqrt(1 + |L'|^2), L')
+# plus a bump on the required side, so no node crosses L, and the gap is
+# measured against that slope
+@settings(max_examples=12, deadline=None)
+@given(theta=st.floats(0.3, np.pi - 0.3), factor=st.floats(0.0, 1.0),
+       direction=st.floats(-np.pi, np.pi), offset=st.floats(-1.0, 1.0))
+@example(theta=np.pi / 3, factor=1.0, direction=np.pi / 2, offset=0.0)
+@example(theta=2 * np.pi / 3, factor=1.0, direction=-np.pi / 4, offset=0.5)
+def test_one_sided_target_takes_the_tangential_slope_of_l(theta, factor, direction,
+                                                          offset):
+    assume(abs(np.sin(direction)) >= 0.1)
+    angle = CapillaryAngle(theta)
+    limit = one_sided_slope_limit(angle)
+    slope = factor * limit * np.array([np.cos(direction), np.sin(direction)])
+    report, grad = _one_sided_run(theta, slope.tolist(), offset)
+    target = affine_capillary_solution(angle, slope[1:], offset).slope
+    assert target[1] == slope[1]
+    assert report.details["one_sided_gap"] == float(
+        np.max(np.linalg.norm(grad - target, axis=1)))
+
+
+def test_two_tangential_slopes_of_l_give_two_targets():
+    # the same bump at L' = +-limit/2: the interior tangential gradient
+    # moves with L', and so does the gap against the target
+    limit = one_sided_slope_limit(THETA)
+    runs = [_one_sided_run(float(THETA.theta), (0.0, sign * 0.5 * limit))
+            for sign in (1.0, -1.0)]
+    (up, grad_up), (down, grad_down) = runs
+    assert up.details["one_sided_gap"] != down.details["one_sided_gap"]
+    shift = float(np.mean(grad_up[:, 1] - grad_down[:, 1]))
+    assert abs(shift - limit) <= 0.01 * limit
+
+
 def test_angle_sweep_rows_and_symmetry():
     thetas = np.linspace(0.3, np.pi - 0.3, 11)
     rows = run_angle_sweep([3, 4], thetas)
