@@ -242,10 +242,24 @@ def edge_differences(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
     # speed of the general one a batch needs
     corners = (vals[grid.corner_rows] if vals.ndim == 1
                else vals[..., grid.corner_rows])
-    lead, n_cells = corners.shape[:-2], corners.shape[-1]
-    cube = corners.reshape(lead + (2,) * grid.dim + (n_cells,))
-    return np.concatenate([(cube[hi] - cube[lo]).reshape(lead + (-1, n_cells))
-                           for lo, hi in _edge_ends(grid.dim)], axis=-2) / grid.h
+    d = np.empty(corners.shape[:-2] + (grid.dim * 2 ** (grid.dim - 1),
+                                       corners.shape[-1]))
+    for out, hi, lo in _edge_views(corners, d, grid.dim):
+        np.subtract(hi, lo, out=out)
+    d /= grid.h
+    return d
+
+
+def _edge_views(corners: np.ndarray, d: np.ndarray, dim: int) -> list[tuple]:
+    """Per axis a, the views (out, high, low) of the x_a rows of the edge
+    differences d and of the high and low corners of the x_a edges in the
+    (..., 2^dim, n_cells) corner values: np.subtract(high, low, out=out),
+    then d /= h, fills d as edge_differences does."""
+    n_cells = corners.shape[-1]
+    cube = corners.reshape(corners.shape[:-2] + (2,) * dim + (n_cells,))
+    rows = d.reshape(d.shape[:-2] + (dim,) + (2,) * (dim - 1) + (n_cells,))
+    return [(rows[(Ellipsis, a) + (slice(None),) * dim], cube[hi], cube[lo])
+            for a, (lo, hi) in enumerate(_edge_ends(dim))]
 
 
 @cache

@@ -205,16 +205,17 @@ class HalfSpaceGrid:
         _child_maps: maps @ take(upper-triangle rows of B, child, axis=1),
         reshaped to (maps.shape[1], len(cells)), are their blocks.  The
         first group treats every coarse cell as regular (an absent child's
-        index runs past its axis, into the next row or past the end, where
-        the gather clips it); each later group overwrites the end cells of
-        one set of odd axes, larger sets last.
+        index runs past its axis, into the next row, or past the end, where
+        it is clipped to the last cell); each later group overwrites the end
+        cells of one set of odd axes, larger sets last.
         """
         m = [n - 1 for n in self.shape]
         mc = [(n + 1) // 2 for n in m]
         fine, coarse = _strides(m), _strides(mc)
         first = reduce(np.add.outer, [np.arange(n) * 2 * s for n, s in zip(mc, fine)])
         child = first.ravel() + (_corner_bits(self.dim) @ fine)[:, None]
-        out = [(slice(None), _child_maps(self.dim, ())[1], child.ravel())]
+        out = [(slice(None), _child_maps(self.dim, ())[1],
+                np.minimum(child.ravel(), math.prod(m) - 1))]
         odd = [a for a in range(self.dim) if m[a] % 2]
         for size in range(1, len(odd) + 1):
             for ends in itertools.combinations(odd, size):

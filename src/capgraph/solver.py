@@ -6,7 +6,10 @@ preconditioned CG (README, numerical notes).  Newton systems are solved in
 their volume-weighted SPD form, the only one _pcg accepts.  The free nodes
 of every multigrid level form a box of the lattice, so each level's
 operator is stored by diagonals, one per stencil delta, added up from the
-cell blocks by slices; the prolongations are the only CSR arrays.  All
+cell blocks by slices; the prolongations are the only CSR arrays.  Each
+solve carves one scratch slab (_Scratch) into the fine grid's kernel
+buffers, which the residuals, the cell blocks, the fine level's diagonals
+and its first coarsening reuse, so no call maps fresh memory.  All
 reductions have fixed order (numpy loops, not BLAS), so runs are bitwise
 reproducible at any BLAS thread count; and the convergence target stays
 anchored on the residual of the imposed affine start.
@@ -18,16 +21,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .capillary import (CapillaryAngle, GradientField, ScalarField,
-                        _edge_ends, _nodal_gradient, _quadrant_gradients,
-                        affine_capillary_solution,
+                        _edge_ends, _edge_views, _nodal_gradient,
+                        _quadrant_gradients, affine_capillary_solution,
                         capillary_area_element, capillary_energy,
-                        edge_differences, ghost_closure)
+                        ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
 from .geometry import (_COARSEST_SIZE, HalfSpaceGrid, _corner_bits, _strides,
@@ -58,7 +61,10 @@ class SolverConfig:
 class ProblemSpec:
     """Problem data: grid, contact angle, curvature source, Dirichlet values.
 
-    `H` is a constant or a callable on an (N, dim) array of points.
+    `H` is a constant or a callable on an (N, dim) array of points; it
+    must be pure: newton_solve evaluates source_at_nodes() once per solve
+    and hands the array to every residual, which for a pure H is bitwise
+    the same as evaluating it per residual (assemble_residual still does).
     `dirichlet` is aligned with grid.dirichlet_indices.
     """
 
@@ -118,30 +124,183 @@ class SolveReport:
 # Assembly
 # ---------------------------------------------------------------------------
 
+def _view(slab: np.ndarray, start: int, shape: tuple) -> np.ndarray:
+    return slab[start:start + math.prod(shape)].reshape(shape)
+
+
+def _free_shape(grid: HalfSpaceGrid) -> tuple[int, ...]:
+    """The box of free nodes: x1 from the wall to one row before the far
+    face, each side axis without its two end rows."""
+    return (grid.shape[0] - 1,) + tuple(n - 2 for n in grid.shape[1:])
+
+
+class _Cells(NamedTuple):
+    """One cell-kernel pass's stencil buffers, views of a _Scratch slab."""
+    load: Callable[[np.ndarray], None]   # fills them from nodal values
+    g: list             # quadrant gradients: views of the edge differences
+    sq: list            # their squares: views of the squared differences
+    w: np.ndarray       # W^2 = 1 + |g|^2, _quadrant_shape
+    spare: np.ndarray   # a _quadrant_shape view of the corner gather, dead
+                        # once the differences are taken
+
+
+def _cells(grid: HalfSpaceGrid, slab: np.ndarray, start: int) -> _Cells:
+    """The stencil buffers of a pass from `start`: corner gather, edge
+    differences, their squares and W^2, in that order."""
+    dim, rows, h = grid.dim, grid.corner_rows, grid.h
+    k, n = rows.shape
+    e = dim * k // 2
+    corners = _view(slab, start, (k, n))
+    d = _view(slab, start + k * n, (e, n))
+    sq = _view(slab, start + (k + e) * n, (e, n))
+    wshape = _quadrant_shape(dim, n)
+    w = _view(slab, start + (k + 2 * e) * n, wshape)
+    edges = _edge_views(corners, d, dim)
+    sqq = _quadrant_gradients(sq, dim)
+
+    def load(vals):
+        # the indices are in range: the mode only spares take a buffered
+        # copy of `out`
+        np.asarray(vals, dtype=float).take(rows, out=corners, mode="wrap")
+        for out, hi, lo in edges:
+            np.subtract(hi, lo, out=out)
+        np.divide(d, h, out=d)
+        np.multiply(d, d, out=sq)
+        _one_plus_sum(sqq, w)
+
+    return _Cells(load, _quadrant_gradients(d, dim), sqq, w,
+                  _view(slab, start, wshape))
+
+
+def _quadrant_shape(dim: int, n_cells: int) -> tuple[int, ...]:
+    """The shape of a value per quadrant of every cell: the quadrant
+    gradients broadcast to it (in 1D the two quadrants share their one
+    x1 edge, so it is (1, n_cells))."""
+    return ((2,) * dim if dim > 1 else (1,)) + (n_cells,)
+
+
+def _cells_size(dim: int, n_cells: int) -> int:
+    """The slab length of _cells: corner gather, two (dim 2^(dim-1),
+    n_cells) difference buffers and W^2."""
+    k = 2 ** dim
+    return (k + dim * k) * n_cells + math.prod(_quadrant_shape(dim, n_cells))
+
+
+def _one_plus_sum(terms: list, out: np.ndarray) -> None:
+    """out = 1.0 + sum(terms) rounded as written (0 + t is t for the
+    squares here), into `out`, to which the terms broadcast."""
+    if len(terms) < 2:
+        np.add(1.0, terms[0] if terms else 0.0, out=out)
+        return
+    np.add(terms[0], terms[1], out=out)
+    for t in terms[2:]:
+        out += t
+    out += 1.0
+
+
+class _Scratch:
+    """One Newton solve's scratch: a float64 slab carved into the buffers
+    of the fine grid's cell kernels, with every view built here, once, so
+    that a kernel call looks nothing up and allocates only its result.
+
+    The slab has two lanes, each holding one set of buffers at a time.
+    Lane 0 holds the (k*k, n_cells) cell blocks of _hessian_blocks; before
+    the blocks are written, its stencil buffers (_cells; the square root
+    of W^2 reuses the corner gather); and once their upper-triangle rows
+    are copied, the gathers of the first coarsening (_coarse_blocks).
+    Lane 1 holds what is used while the blocks live, or after them: the
+    blocks' stacked upper triangles; the residual's stencil buffers
+    (_energy_gradient: the quotient reuses the squares, the corner cube
+    the corner gather, and a half buffer takes the per-axis flux sums);
+    the corner gather and products of _block_action; or the fine level's
+    DIA data (_free_level), which live through _pcg, with the blocks'
+    upper-triangle rows behind them.  A kernel called without a scratch
+    builds its own.
+    """
+
+    def __init__(self, grid: HalfSpaceGrid):
+        dim, rows = grid.dim, grid.corner_rows
+        k, n = rows.shape
+        pairs = [(a, b) for a in range(dim) for b in range(a, dim)]  # triu order
+        upper_index = _upper_entries(dim)[0]
+        free = _free_shape(grid)
+        dia = 3 ** dim * math.prod(free)
+        # the first coarsening's first gather, of every child of every
+        # coarse cell (clipped ones included), is its largest
+        gather = upper_index.size * k * math.prod(m // 2 for m in grid.shape)
+        start = max(k * k * n, _cells_size(dim, n), gather)
+        lane1 = max(len(pairs) * k * n, _cells_size(dim, n) + k // 2 * n,
+                    2 * k * n, dia + upper_index.size * n)
+        slab = np.empty(start + lane1)
+        self._slab, self._grid = slab, grid
+        self.rows_flat = rows.ravel()
+
+        # _hessian_blocks
+        self.hessian = _cells(grid, slab, 0)
+        self.triangles = _view(slab, start, (len(pairs) * k, n))
+        entries = _view(slab, start, (len(pairs),) + (2,) * dim + (n,))
+        self.numerators = [(entries[t], a, b) for t, (a, b) in enumerate(pairs)]
+        self.blocks = _view(slab, 0, (k * k, n))
+
+        # _energy_gradient
+        self.residual = c = _cells(grid, slab, start)
+        wshape = c.w.shape
+        self.quot = _view(slab, start + (k + dim * k // 2) * n, wshape)
+        half = _view(slab, start + _cells_size(dim, n), (2,) * (dim - 1) + (n,))
+        self.half, self.half0 = half, half.reshape(c.g[0].shape)
+        cube = _view(slab, start, (2,) * dim + (n,))
+        self.cube, self.cube_flat = cube, cube.reshape(-1)
+        scale = grid.h ** (dim - 1) / 2 ** (dim - 1)
+        # per axis: scale times the mean over the edge's quadrants (one
+        # shared entry in 1D), and the edges' low and high corners
+        self.fluxes = [(scale / wshape[dim - 1 - a], dim - 1 - a, cube[lo], cube[hi])
+                       for a, (lo, hi) in enumerate(_edge_ends(dim))]
+
+        # _block_action
+        self.xc = _view(slab, start, (k, n))
+        self.local = _view(slab, start + k * n, (k, n))
+        self.local_flat = self.local.reshape(-1)
+
+        # _free_level and _coarse_blocks of the fine level
+        self.dia = _view(slab, start, (3 ** dim,) + free)
+        self.upper_rows = _view(slab, start + dia, (upper_index.size, n))
+
+    @cached_property
+    def gathers(self) -> list[np.ndarray]:
+        """Per group of the fine grid's cell_restriction, its gather's view
+        (built at the first coarsening, as the grid's groups are)."""
+        u = self.upper_rows.shape[0]
+        return [_view(self._slab, 0, (u, child.size))
+                for _, _, child in self._grid.cell_restriction]
+
+
 def _energy_gradient(grid: HalfSpaceGrid, values: np.ndarray,
-                     theta: CapillaryAngle) -> tuple[np.ndarray, float]:
+                     theta: CapillaryAngle, scratch: _Scratch | None = None
+                     ) -> tuple[np.ndarray, float]:
     """Exact gradient of the discrete capillary energy, plus min quadrant v.
 
     The flux of an x_a edge, from dv/dg_a of its two quadrants, goes to its
     high corner and, negated, to its low corner; the (k, n_cells) corner
     sums are scattered by one bincount over grid.corner_rows.
     """
-    dim = grid.dim
-    d = edge_differences(grid, values)
-    g = _quadrant_gradients(d, dim)
-    w = np.sqrt(1.0 + sum(_quadrant_gradients(d * d, dim)))
-    v_min = float(np.min(w + theta.cos_t * g[0]))
-    cube = np.zeros((2,) * dim + grid.corner_rows.shape[1:])
-    scale = grid.h ** (dim - 1) / 2 ** (dim - 1)
-    for a, (lo, hi) in enumerate(_edge_ends(dim)):
-        f = g[a] / w
+    s = _Scratch(grid) if scratch is None else scratch
+    load, g, _, w, _ = s.residual
+    quot, half = s.quot, s.half
+    load(values)
+    np.sqrt(w, out=w)
+    np.multiply(g[0], theta.cos_t, out=s.half0)
+    np.add(w, s.half0, out=quot)
+    v_min = float(np.minimum.reduce(quot, axis=None))
+    s.cube.fill(0.0)
+    for a, (coef, axis, lo, hi) in enumerate(s.fluxes):
+        np.divide(g[a], w, out=quot)
         if a == 0:
-            f += theta.cos_t
-        # scale times the mean over the edge's quadrants (one shared entry in 1D)
-        flux = (scale / f.shape[dim - 1 - a]) * f.sum(axis=dim - 1 - a)
-        cube[lo] -= flux
-        cube[hi] += flux
-    grad = np.bincount(grid.corner_rows.ravel(), cube.ravel(), minlength=grid.n_nodes)
+            quot += theta.cos_t
+        np.add.reduce(quot, axis=axis, out=half)
+        half *= coef
+        lo -= half
+        hi += half
+    grad = np.bincount(s.rows_flat, s.cube_flat, minlength=grid.n_nodes)
     return grad, v_min
 
 
@@ -166,10 +325,12 @@ def _hessian_map(dim: int) -> np.ndarray:
     return out
 
 
-def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
+def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray,
+                    scratch: _Scratch | None = None) -> np.ndarray:
     """Per-cell local blocks of the exact (positive semidefinite) energy
     Hessian, shaped (k*k, n_cells): row i*k + j is entry (i, j) of each
-    cell's k x k block over its corners (cell_corners order).
+    cell's k x k block over its corners (cell_corners order); a view of
+    the scratch's slab.
 
     The block is h^(dim-2)/k sum_q T_q^T K_q T_q (see _hessian_map), with
     K_q = ((1 + |g|^2) I - g g^T) / W^3 the Hessian of W at quadrant q's
@@ -178,18 +339,21 @@ def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
     gradients as W^2 - g_a^2 would.  The linear contact-angle term adds
     nothing.
     """
-    dim = grid.dim
-    d = edge_differences(grid, values)
-    g = _quadrant_gradients(d, dim)
-    sq = _quadrant_gradients(d * d, dim)
-    w2 = 1.0 + sum(sq)
-    w3 = (2 ** dim * grid.h ** (2 - dim)) * w2 * np.sqrt(w2)
-    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]    # triu_indices order
-    # assignment broadcasts the one 1D entry to both quadrants
-    upper = np.empty((len(pairs),) + (2,) * dim + d.shape[1:])
-    for t, (a, b) in enumerate(pairs):
-        upper[t] = (1.0 + sum(sq[:a] + sq[a + 1:]) if a == b else -(g[a] * g[b])) / w3
-    return _hessian_map(dim) @ upper.reshape(-1, d.shape[1])
+    s = _Scratch(grid) if scratch is None else scratch
+    load, g, sq, w3, root = s.hessian
+    load(values)
+    np.sqrt(w3, out=root)
+    w3 *= 2 ** grid.dim * grid.h ** (2 - grid.dim)
+    w3 *= root          # 2^dim h^(2-dim) W^3, from W^2
+    # in 1D the one entry broadcasts to both quadrants
+    for up, a, b in s.numerators:
+        if a == b:
+            _one_plus_sum(sq[:a] + sq[a + 1:], up)
+        else:
+            np.multiply(g[a], g[b], out=up)
+            np.negative(up, out=up)
+        up /= w3
+    return np.matmul(_hessian_map(grid.dim), s.triangles, out=s.blocks)
 
 
 @cache
@@ -224,10 +388,13 @@ def _diagonal_map(dim: int) -> tuple[np.ndarray, tuple[tuple[tuple, tuple], ...]
     return deltas, tuple(plan)
 
 
-def _free_level(grid: HalfSpaceGrid, blocks: np.ndarray) -> tuple[tuple, np.ndarray]:
+def _free_level(grid: HalfSpaceGrid, blocks: np.ndarray,
+                data: np.ndarray | None = None) -> tuple[tuple, np.ndarray]:
     """Free-free matrix of per-cell blocks as DIA arrays (offsets, data, n)
     in scipy's layout, data[d, j] = A[j - offsets[d], j], and its diagonal,
-    the row of the zero delta (offset 0).
+    the row of the zero delta (offset 0).  `data`, shaped (3^dim,) + the
+    free box, is filled in place (the fine level's scratch view), else a
+    new array.
 
     The free nodes form a box, so each stencil delta is one diagonal at the
     offset deltas @ free strides.  Two deltas share an offset where a side
@@ -238,25 +405,29 @@ def _free_level(grid: HalfSpaceGrid, blocks: np.ndarray) -> tuple[tuple, np.ndar
     deltas keep each row's entries in ascending columns, as CSR does.
     """
     deltas, plan = _diagonal_map(grid.dim)
-    free = (grid.shape[0] - 1,) + tuple(n - 2 for n in grid.shape[1:])
+    free = _free_shape(grid)
     cells = blocks.reshape((-1,) + tuple(n - 1 for n in grid.shape))
-    data = np.zeros((deltas.shape[0],) + free)
+    if data is None:
+        data = np.zeros((deltas.shape[0],) + free)
+    else:
+        data.fill(0.0)
     for cell, node in plan:
         target = data[node]
         target += cells[cell]
     n = math.prod(free)
-    data = data.reshape(-1, n)
+    data = data.reshape(deltas.shape[0], n)
     return (deltas @ _strides(free), data, n), data[deltas.shape[0] // 2]
 
 
-def _block_action(grid: HalfSpaceGrid, blocks: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
+def _block_action(grid: HalfSpaceGrid, blocks: np.ndarray, x: np.ndarray,
+                  scratch: _Scratch | None = None) -> np.ndarray:
     """Full-lattice product sum_c E_c^T B_c E_c x of per-cell blocks with
     nodal values x, Dirichlet rows and columns included."""
-    c = grid.corner_rows
-    k = c.shape[0]
-    local = np.einsum("ijn,jn->in", blocks.reshape(k, k, -1), x[c])
-    return np.bincount(c.ravel(), local.ravel(), minlength=grid.n_nodes)
+    s = _Scratch(grid) if scratch is None else scratch
+    k = s.xc.shape[0]
+    x.take(grid.corner_rows, out=s.xc, mode="wrap")   # in range; see _cells
+    np.einsum("ijn,jn->in", blocks.reshape(k, k, -1), s.xc, out=s.local)
+    return np.bincount(s.rows_flat, s.local_flat, minlength=grid.n_nodes)
 
 
 def _check_field(u: ScalarField, spec: ProblemSpec) -> None:
@@ -264,9 +435,15 @@ def _check_field(u: ScalarField, spec: ProblemSpec) -> None:
         raise ShapeMismatch("field grid does not match problem grid")
 
 
-def _residual_full(values: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float]:
-    grad, v_min = _energy_gradient(spec.grid, values, spec.theta)
-    res = -grad / spec.grid.node_weights - spec.source_at_nodes()
+def _residual_full(values: np.ndarray, spec: ProblemSpec,
+                   scratch: _Scratch | None = None,
+                   source: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """-grad / node_weights - H at every node, in place on the gradient,
+    and the min quadrant v; `source` is spec.source_at_nodes()."""
+    res, v_min = _energy_gradient(spec.grid, values, spec.theta, scratch)
+    np.negative(res, out=res)
+    res /= spec.grid.node_weights
+    res -= spec.source_at_nodes() if source is None else source
     return res, v_min
 
 
@@ -298,8 +475,10 @@ def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> JacobianSystem:
     _check_field(u, spec)
     grid = spec.grid
     free = grid.free_indices
-    res, _ = _residual_full(u.values, spec)
-    (offsets, data, n), _ = _free_level(grid, _hessian_blocks(grid, u.values))
+    scratch = _Scratch(grid)
+    res, _ = _residual_full(u.values, spec, scratch)
+    # the diagonals get an array of their own, not a view of the scratch
+    (offsets, data, n), _ = _free_level(grid, _hessian_blocks(grid, u.values, scratch))
     # entry (d, j) lies in row j - offsets[d]; one outside the matrix is zero
     data *= np.take(-1.0 / grid.node_weights[free], np.arange(n) - offsets[:, None],
                     mode="clip")
@@ -382,15 +561,27 @@ def _jacobi_weights(diagonal: np.ndarray) -> np.ndarray:
     return _OMEGA / np.where(d == 0.0, 1.0, d)
 
 
-def _coarse_blocks(grid: HalfSpaceGrid, blocks: np.ndarray) -> np.ndarray:
+def _coarse_blocks(grid: HalfSpaceGrid, blocks: np.ndarray,
+                   scratch: _Scratch | None = None) -> np.ndarray:
     """Galerkin cell blocks of grid.coarse[0] from the cell blocks of grid:
     per group of grid.cell_restriction, one matmul of the constant child
     maps with a gather of the children's upper-triangle block entries
-    (sum_s kron(R_s, R_s)^T B_s for every coarse cell at once)."""
-    upper = blocks[_upper_entries(grid.dim)[0]]
+    (sum_s kron(R_s, R_s)^T B_s for every coarse cell at once).
+
+    With the fine grid's scratch, the upper-triangle rows and the gathers
+    are its views, and the gathers overwrite the blocks, which are dead
+    once their rows are copied."""
+    rows = _upper_entries(grid.dim)[0]
+    if scratch is None:
+        upper, gathers = blocks[rows], None
+    else:
+        # in range; see _cells
+        upper = blocks.take(rows, axis=0, out=scratch.upper_rows, mode="wrap")
+        gathers = scratch.gathers
     out = None
-    for cells, maps, child in grid.cell_restriction:
-        gathered = np.take(upper, child, axis=1, mode="clip")
+    for group, (cells, maps, child) in enumerate(grid.cell_restriction):
+        gathered = upper.take(child, axis=1, mode="wrap",
+                              out=None if gathers is None else gathers[group])
         gathered = gathered.reshape(maps.shape[1], -1)
         if out is None:
             out = maps @ gathered
@@ -412,14 +603,16 @@ def _dense(a: tuple) -> np.ndarray:
 
 def _galerkin_levels(a: tuple, diagonal: np.ndarray,
                      grid: HalfSpaceGrid | None = None,
-                     blocks: np.ndarray | None = None
+                     blocks: np.ndarray | None = None,
+                     scratch: _Scratch | None = None
                      ) -> tuple[list, Callable[[np.ndarray], np.ndarray]]:
     """The multigrid levels (A_k, _OMEGA / |diag A_k|, P_k) above the last
     one, A_k as DIA arrays and P_k as CSR arrays, and the solver of the last
     level.
 
     a (DIA arrays, with diagonal `diagonal`) is the free-free matrix of the
-    cell blocks `blocks` over `grid`.
+    cell blocks `blocks` over `grid`, whose scratch, if given, the first
+    coarsening uses (and overwrites the blocks; see _coarse_blocks).
     A coarse level is the _free_level of
     A_{k+1} = P_k^T A_k P_k formed cell by cell (_coarse_blocks; exact, as
     P interpolates a fine cell's corners from its coarse cell's corners only
@@ -434,7 +627,8 @@ def _galerkin_levels(a: tuple, diagonal: np.ndarray,
     hierarchy = zip(grid.coarse, grid.prolongations) if grid is not None else ()
     for coarse, p in hierarchy:
         levels.append((a, _jacobi_weights(diagonal), p))
-        blocks = _coarse_blocks(grid, blocks)
+        blocks = _coarse_blocks(grid, blocks, scratch)
+        scratch = None
         grid = coarse
         a, diagonal = _free_level(grid, blocks)
     if levels and a[2] <= _COARSEST_SIZE:
@@ -457,13 +651,14 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 def _pcg(a: tuple, diagonal: np.ndarray, b: np.ndarray, rtol: float,
          max_iter: int, grid: HalfSpaceGrid | None = None,
-         blocks: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+         blocks: np.ndarray | None = None,
+         scratch: _Scratch | None = None) -> tuple[np.ndarray, int]:
     """The one Krylov core of the package: CG on the DIA arrays a
     (offsets, data, n) of _free_level, with diagonal `diagonal`,
     preconditioned by one V-cycle of
-    _galerkin_levels(a, diagonal, grid, blocks) (one level of damped Jacobi
-    without a grid), from zero until |b - a x| <= rtol |b|; returns
-    (x, iterations), (0, 0) for b = 0.
+    _galerkin_levels(a, diagonal, grid, blocks, scratch) (one level of
+    damped Jacobi without a grid), from zero until |b - a x| <= rtol |b|;
+    returns (x, iterations), (0, 0) for b = 0.
 
     The inner products have a fixed order, so x is bitwise the same for
     identical inputs at any BLAS thread count.  a must be SPD: a
@@ -474,7 +669,7 @@ def _pcg(a: tuple, diagonal: np.ndarray, b: np.ndarray, rtol: float,
     bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    levels, coarsest = _galerkin_levels(a, diagonal, grid, blocks)
+    levels, coarsest = _galerkin_levels(a, diagonal, grid, blocks, scratch)
     x = np.zeros_like(b)
     r = b.copy()
     z = _vcycle(levels, coarsest, r)
@@ -615,9 +810,11 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     grid = spec.grid
     free = grid.free_indices
     weights_f = grid.node_weights[free]
+    scratch = _Scratch(grid)
+    source = spec.source_at_nodes()
 
     def residual(vals):
-        res, v_min = _residual_full(vals, spec)
+        res, v_min = _residual_full(vals, spec, scratch, source)
         res_f = res[free]
         return res_f, float(np.max(np.abs(res_f))), v_min
 
@@ -648,11 +845,11 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
             if res_norm > 1e6 * max(1.0, res0):
                 status = SolveStatus.DIVERGED
                 break
-            blocks = _hessian_blocks(grid, affine if lift else values)
+            blocks = _hessian_blocks(grid, affine if lift else values, scratch)
             if lift:
                 # one trial at full length, kept on any decrease
                 rhs = (weights_f * residual(affine)[0]
-                       - _block_action(grid, blocks, values - affine)[free])
+                       - _block_action(grid, blocks, values - affine, scratch)[free])
                 rtol, step_cap, min_alpha, armijo = _LIFT_TOL, math.inf, 1.0, 0.0
             else:
                 rhs = weights_f * res_f
@@ -660,8 +857,8 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                 # cap runaway directions from near-degenerate (steep-gradient) states
                 step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
                 min_alpha, armijo = _MIN_STEP, 1e-4
-            step = _pcg(*_free_level(grid, blocks), rhs, rtol, _CG_MAX_ITER,
-                        grid, blocks)[0]
+            step = _pcg(*_free_level(grid, blocks, scratch.dia), rhs, rtol,
+                        _CG_MAX_ITER, grid, blocks, scratch)[0]
             del blocks      # no reference to the blocks outlives the linear solve
             step_norm = float(np.max(np.abs(step)))
             if step_norm > step_cap:
@@ -691,6 +888,7 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     except LinearSolveFailure:
         status = SolveStatus.LINEAR_FAILURE
 
+    del scratch         # the slab dies before the diagnostics allocate theirs
     if res_norm <= target and status is SolveStatus.MAX_ITER:
         status = SolveStatus.CONVERGED
 

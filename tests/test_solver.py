@@ -5,6 +5,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -1303,6 +1305,122 @@ def test_diagonal_levels_are_bitwise_the_csr_matrix_of_the_cell_blocks(dim, n1, 
         _assert_same_bytes(solver._dense(a), want)
 
 
+def _assert_same_levels(got, want, b):
+    """Two _galerkin_levels results are bitwise the same hierarchy: the
+    same DIA arrays, Jacobi weights and prolongations on every level, and
+    the same last-level solve and V-cycle of b."""
+    (levels, coarsest), (fresh, fresh_coarsest) = got, want
+    assert len(levels) == len(fresh)
+    for (a, wdinv, p), (fa, fwdinv, fp) in zip(levels, fresh):
+        _assert_same_bytes(a[0], fa[0])
+        _assert_same_bytes(a[1], fa[1])
+        assert a[2] == fa[2] and p is fp
+        _assert_same_bytes(wdinv, fwdinv)
+    last = fresh[-1][2][3] if fresh else b.size
+    x = np.linspace(-1.0, 1.0, last)
+    _assert_same_bytes(coarsest(x), fresh_coarsest(x))
+    _assert_same_bytes(solver._vcycle(levels, coarsest, b),
+                       solver._vcycle(fresh, fresh_coarsest, b))
+
+
+# L1 = n1 - 1 cells at h = 1, and in 2D n2 side nodes: a side axis of 2
+# nodes has no free node, of 3 one free row; odd cell counts give coarse
+# cells with one child along an axis
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n1=st.integers(2, 24), n2=st.integers(2, 14),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=2, n1=14, n2=7, seed=0)      # 13 x 6 cells
+@example(dim=2, n1=9, n2=3, seed=1)       # 8 x 2 cells, one free side row
+@example(dim=2, n1=6, n2=2, seed=2)       # no free node
+@example(dim=1, n1=66, n2=3, seed=3)      # 65 cells
+def test_one_scratch_gives_the_kernels_of_fresh_calls_bit_for_bit(dim, n1, n2, seed):
+    grid = build_grid(1, 1.0, n1 - 1.0) if dim == 1 else _box_grid(1.0, (n1, n2))
+    rng = np.random.default_rng(seed)
+    theta = CapillaryAngle(rng.uniform(0.3, np.pi - 0.3))
+    spec = ProblemSpec(grid=grid, theta=theta,
+                       dirichlet=np.zeros(grid.dirichlet_indices.size),
+                       H=lambda pts: np.sin(pts[:, 0]))
+    scratch = solver._Scratch(grid)
+    source = spec.source_at_nodes()
+    # two states through one scratch: the second must not see the first
+    for state in range(2):
+        vals = rng.uniform(-2.0, 2.0, grid.n_nodes) * (state + 1)
+        blocks = solver._hessian_blocks(grid, vals, scratch)
+        fresh_blocks = solver._hessian_blocks(grid, vals)
+        _assert_same_bytes(blocks, fresh_blocks)
+        # the residual and the block action run while the blocks live
+        res, v_min = solver._residual_full(vals, spec, scratch, source)
+        fresh_res, fresh_v_min = solver._residual_full(vals, spec)
+        _assert_same_bytes(res, fresh_res)
+        assert v_min == fresh_v_min
+        x = rng.standard_normal(grid.n_nodes)
+        _assert_same_bytes(solver._block_action(grid, blocks, x, scratch),
+                           solver._block_action(grid, fresh_blocks, x))
+        a, diagonal = solver._free_level(grid, blocks, scratch.dia)
+        fa, fdiagonal = solver._free_level(grid, fresh_blocks)
+        _assert_same_bytes(a[1], fa[1])
+        _assert_same_bytes(a[0], fa[0])
+        _assert_same_bytes(diagonal, fdiagonal)
+        _assert_same_bytes(blocks, fresh_blocks)
+        # the first coarsening overwrites the blocks
+        b = rng.standard_normal(a[2])
+        got = solver._galerkin_levels(a, diagonal, grid, blocks, scratch)
+        _assert_same_levels(got, solver._galerkin_levels(fa, fdiagonal, grid,
+                                                         fresh_blocks), b)
+
+
+def _threaded_problems():
+    # two problems on grids of one shape (3,321 nodes)
+    ladder = ProblemSpec.from_boundary_data(build_grid(2, 0.025, 1.0, 1.0), THETA,
+                                            _ladder_data())
+    _, sourced = _affine_problem(build_grid(2, 0.025, 1.0, 1.0), THETA, (0.3,), 0.1,
+                                 H=0.2)
+    return ladder, sourced
+
+
+def test_two_solves_on_two_threads_give_the_serial_bytes():
+    # each solve carves its own scratch, so two at once share no buffer
+    serial = [newton_solve(spec) for spec in _threaded_problems()]
+    specs = _threaded_problems()
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def run(i):
+        barrier.wait(timeout=60.0)
+        results[i] = newton_solve(specs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+        assert not t.is_alive()
+    assert None not in results
+    for (sol, rep), (want_sol, want_rep) in zip(results, serial, strict=True):
+        assert rep.status is SolveStatus.CONVERGED
+        _assert_same_bytes(sol.values, want_sol.values)
+        assert rep == want_rep
+
+
+def test_ladder_solve_memory_peak_stays_at_the_parent_kernels():
+    # the 3,321-node ladder rung on a fresh grid, after a first solve has
+    # loaded scipy: the per-call temporaries peaked at 1.79 MB before the
+    # scratch slab (1.78-1.79 MB with it; a buffer per name took the
+    # 13,041-node rung from 7.12 to 11.02 MB)
+    newton_solve(ProblemSpec.from_boundary_data(build_grid(2, 0.25, 1.0, 1.0), THETA,
+                                                _ladder_data()))
+    spec = ProblemSpec.from_boundary_data(build_grid(2, 0.025, 1.0, 1.0), THETA,
+                                          _ladder_data())
+    tracemalloc.start()
+    try:
+        _, rep = newton_solve(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status is SolveStatus.CONVERGED
+    assert peak <= 1.15 * 1.79e6
+
+
 def test_cg_stagnation_ends_the_solve_at_the_last_accepted_state(monkeypatch):
     # a system that needs more than _CG_MAX_ITER iterations ends the solve
     # as LINEAR_FAILURE with the history of the steps before it
@@ -1334,7 +1452,7 @@ def test_non_spd_newton_system_fails_at_the_coarsest_factorization(monkeypatch):
     # a negated Hessian: its Galerkin coarsest level is negative definite
     blocks = solver._hessian_blocks
     monkeypatch.setattr(solver, "_hessian_blocks",
-                        lambda grid, values: -blocks(grid, values))
+                        lambda grid, values, scratch: -blocks(grid, values, scratch))
     errors = []
     pcg = solver._pcg
 
