@@ -7,10 +7,9 @@ functions, angle ranges, explicit constants), and runs desk-scale flatness
 experiments through a config-driven harness and CLI.
 """
 
-from .capillary import (AffineCapillarySolution, BoundaryFrame, CapillaryAngle,
-                        GradientField, ScalarField, affine_capillary_solution,
-                        area_element, boundary_frame, calibration_value,
-                        capillary_area_element, capillary_boundary_residual,
+from .capillary import (AffineCapillarySolution, CapillaryAngle, GradientField,
+                        ScalarField, affine_capillary_solution, area_element,
+                        calibration_value, capillary_area_element,
                         capillary_energy, capillary_gauge, conormal,
                         edge_differences, field_from_callable,
                         ghost_closure, unit_normal)
@@ -20,16 +19,15 @@ from .errors import (AngleOutOfRange, BadConfig, BadDimension,
                      InvariantViolation, LinearSolveFailure,
                      NonconformingExtent, OutOfExtent, ShapeMismatch,
                      StationarityViolation, UnresolvedRegion, ZeroVector)
-from .estimates import (AngleRangeResult, AuxiliaryField, CoefficientState,
-                        CutoffCheckReport, CutoffParams, LinearBound,
-                        MaxPrincipleCoefficients, admissible_angle_range,
+from .estimates import (AngleRangeResult, AuxiliaryField, CutoffCheckReport,
+                        CutoffParams, LinearBound, admissible_angle_range,
                         angle_condition_holds, angle_condition_lower_bound,
-                        angle_threshold, auxiliary_function, choose_eps0,
+                        angle_threshold, auxiliary_function,
                         choose_eps0_array, conormal_stationarity_residual,
                         cutoff_derivative_check,
                         cutoff_profile, cutoff_weight, cutoff_weight_gradient,
                         gradient_bound, height_scale, height_weight,
-                        max_principle_coefficients, nondivergence_residual,
+                        nondivergence_residual,
                         one_sided_slope_limit, shifted_cutoff_profile,
                         shifted_cutoff_weight)
 from .geometry import (EllipsoidRegion, HalfSpaceGrid, NodeClass, RegionKind,

@@ -322,7 +322,7 @@ def capillary_energy(u: ScalarField, theta: CapillaryAngle, cells=None) -> float
 
 
 # ---------------------------------------------------------------------------
-# Boundary diagnostics and the affine oracle family
+# Nodal gradient and the affine oracle family
 # ---------------------------------------------------------------------------
 
 def _nodal_gradient(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
@@ -332,16 +332,6 @@ def _nodal_gradient(grid: HalfSpaceGrid, values: np.ndarray) -> np.ndarray:
     lat = grid.reshape(values)
     return np.stack([np.gradient(lat, grid.h, axis=a, edge_order=2 if n >= 3 else 1)
                      for a, n in enumerate(grid.shape)], axis=-1).reshape(-1, grid.dim)
-
-
-def capillary_boundary_residual(u: ScalarField, theta: CapillaryAngle) -> np.ndarray:
-    """u_1 + cos(theta) W per capillary node, from the nodal stencil.
-
-    Zero exactly when the discrete contact-angle condition holds; returned in
-    the order of grid.capillary_indices.
-    """
-    g = _nodal_gradient(u.grid, u.values)[u.grid.capillary_indices]
-    return g[:, 0] + theta.cos_t * area_element(g)
 
 
 @dataclass(frozen=True)
@@ -375,27 +365,3 @@ def affine_capillary_solution(theta: CapillaryAngle, bprime=(), c: float = 0.0
     and offset c."""
     return AffineCapillarySolution(theta, tuple(float(b) for b in np.atleast_1d(bprime))
                                    if np.size(bprime) else (), float(c))
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryFrame:
-    """Per-capillary-node frame: area elements and the (normal, conormal) pair."""
-
-    node_indices: np.ndarray
-    W: np.ndarray
-    v: np.ndarray
-    nu: np.ndarray             # (n_cap, dim + 1)
-    mu: np.ndarray             # (n_cap, dim + 1)
-
-
-def boundary_frame(grad: GradientField, theta: CapillaryAngle) -> BoundaryFrame:
-    """Assemble the boundary frame from an already computed gradient field."""
-    idx = grad.grid.capillary_indices
-    g = grad.vectors[idx]
-    return BoundaryFrame(
-        node_indices=idx,
-        W=area_element(g),
-        v=capillary_area_element(g, theta),
-        nu=unit_normal(g),
-        mu=conormal(g),
-    )

@@ -4,25 +4,29 @@ Covers the ellipsoidal cut-off profile and its derivative identities, the
 height weight and the auxiliary function whose maximum is analyzed, the
 admissible-angle range with its explicit dimensional threshold, the slope
 limit for one-sided linear bounds, the generic exponential gradient bound,
-and the coefficient expressions of the squared second derivatives in the
-maximum-principle inequality together with their dimensional lower bound.
+and the splitting condition on eps0 behind the angle range, with its
+dimensional lower bound and the admissible eps0 of each (n, theta).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .capillary import (CapillaryAngle, ScalarField, _cos_theta, _nodal_gradient,
                         capillary_area_element)
-from .errors import (AngleOutOfRange, DegenerateState, EmptyRegion,
+from .errors import (DegenerateState, EmptyRegion,
                      HypothesisViolation, ShapeMismatch, require_count)
 from .geometry import EllipsoidRegion, RegionKind, in_region
 from .solver import ProblemSpec, _check_field, discrete_gradient
 
 DEFAULT_NSTAR = 1.0 / 36.0
+
+
+def _positive_finite(x) -> bool:
+    return bool(np.isfinite(x) and x > 0.0)
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ class LinearBound:
         """Raise HypothesisViolation when |DL| exceeds the one-sided slope
         limit of the angle: the hypothesis of the one-sided estimate."""
         limit = one_sided_slope_limit(theta)
-        if self.slope_norm > limit + 1e-15:
+        if not self.slope_norm <= limit + 1e-15:    # a NaN slope fails too
             raise HypothesisViolation(
                 f"|DL|={self.slope_norm:.3e} exceeds the slope "
                 f"limit {limit:.3e} for theta={theta.theta:.4f}")
@@ -68,12 +72,12 @@ class CutoffParams:
     bound: LinearBound | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.r) and self.r > 0.0):
+        if not _positive_finite(self.r):
             raise ValueError(f"r must be positive, got {self.r}")
-        if self.nstar <= 0.0:
-            raise ValueError("nstar must be positive")
-        if self.m_scale is not None and self.m_scale <= 0.0:
-            raise ValueError("m_scale must be positive")
+        if not _positive_finite(self.nstar):
+            raise ValueError(f"nstar must be positive and finite, got {self.nstar}")
+        if self.m_scale is not None and not _positive_finite(self.m_scale):
+            raise ValueError(f"m_scale must be positive and finite, got {self.m_scale}")
         center = tuple(float(c) for c in self.center)
         if center and len(center) != self.dim - 1:
             raise ShapeMismatch(
@@ -223,8 +227,8 @@ def shifted_cutoff_weight(points, u_vals, params: CutoffParams) -> np.ndarray | 
 
 def height_weight(u_val, m_scale: float) -> np.ndarray | float:
     """Affine weight u/(2M) + 1; lies in (1/2, 3/2) while |u| < M."""
-    if m_scale <= 0.0:
-        raise ValueError("m_scale must be positive")
+    if not _positive_finite(m_scale):
+        raise ValueError(f"m_scale must be positive and finite, got {m_scale}")
     out = np.asarray(u_val, dtype=float) / (2.0 * m_scale) + 1.0
     return float(out) if out.ndim == 0 else out
 
@@ -347,61 +351,8 @@ def gradient_bound(m_scale: float | np.ndarray, r: float, theta: CapillaryAngle,
 
 
 # ---------------------------------------------------------------------------
-# Maximum-principle coefficients
+# Splitting condition and eps0
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoefficientState:
-    """State at a candidate interior maximum after rotating coordinates.
-
-    u_n is the (positive) gradient magnitude, b the unit vector of wall-normal
-    components in the rotated frame (b[-1] along the gradient direction), and
-    eps0 the splitting parameter in (0, 1).  W and v are derived.
-    """
-
-    n: int
-    theta: CapillaryAngle
-    u_n: float
-    b: tuple[float, ...]
-    eps0: float
-    W: float = field(init=False)
-    v: float = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise DegenerateState(f"dimension must be >= 2, got {self.n}")
-        if not (self.u_n > 0.0 and np.isfinite(self.u_n)):
-            raise DegenerateState("u_n must be positive and finite")
-        if not (0.0 < self.eps0 < 1.0):
-            raise DegenerateState("eps0 must lie in (0, 1)")
-        b = np.asarray(self.b, dtype=float)
-        if b.shape != (self.n,):
-            raise ShapeMismatch(f"b must have {self.n} components")
-        if abs(b @ b - 1.0) > 1e-12:
-            raise DegenerateState("b must be a unit vector to 1e-12")
-        object.__setattr__(self, "b", tuple(b))
-        w = float(np.sqrt(1.0 + self.u_n ** 2))
-        object.__setattr__(self, "W", w)
-        object.__setattr__(
-            self, "v", w + abs(self.theta.cos_t) * self.u_n * b[-1])
-
-
-@dataclass(frozen=True)
-class MaxPrincipleCoefficients:
-    """Coefficients of the squared second derivatives and their lower bound.
-
-    `tangent_tangent[i]` multiplies the i-th pure tangential term,
-    `paired_lower_bounds` are the combined bounds after pairing with the
-    worst index (sorted by decreasing b_i^2), and `range_lower_bound` is the
-    dimensional constant whose positivity is the admissibility condition.
-    """
-
-    normal_normal: float
-    normal_tangent: float
-    tangent_tangent: np.ndarray
-    paired_lower_bounds: np.ndarray
-    range_lower_bound: float
-
 
 def _splitting_denominator(n: int, eps0):
     """(eps0, n - 2 + eps0) with eps0 a scalar as given or a float array;
@@ -451,23 +402,26 @@ def angle_condition_holds(n: int, theta: CapillaryAngle | np.ndarray,
     return _splitting_lhs(n, eps0) > _cos_squared(theta)
 
 
-# scan of choose_eps0 over (0, 1), built once
+# scan of choose_eps0_array over (0, 1), built once
 _EPS0_SCAN = np.linspace(1e-15, 1.0 - 1e-15, 1025)
 _EPS0_SCAN.flags.writeable = False
 
 
 def choose_eps0_array(n: int | np.ndarray, theta: CapillaryAngle | np.ndarray,
                       tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """choose_eps0 for each angle of a 1-D array (or of one CapillaryAngle)
-    in one dimension n, or in each of a (k, 1) column of dimensions: the
-    midpoints, NaN where no eps0 is admissible, and whether an end of the
-    interval was bisected (False when the whole scan is admissible), shaped
+    """Midpoint of the open subinterval of (0, 1) where the splitting
+    condition holds, its ends located by bisection, for each angle of a 1-D
+    array (or of one CapillaryAngle) in one dimension n, or in each of a
+    (k, 1) column of dimensions: the midpoints, NaN where no eps0 is
+    admissible, and whether an end of the interval was bisected (False when
+    the whole scan is admissible, where the midpoint is 0.5), shaped
     (angles,) for one n and (k, angles) for a column.
 
     The (angles x 1025) scan of each dimension is made and dropped in turn,
     so one is alive at a time; then one masked bisection runs over every
-    open end of every (n, theta) pair.  An entry stops on the scalar rule
-    b - a <= tol, so the midpoints are the scalar ones.
+    open end of every (n, theta) pair.  An entry stops on the rule
+    b - a <= tol of a bisection of its own, so each midpoint is the one that
+    bisection finds.
     """
     cos2 = np.atleast_1d(_cos_squared(theta))
     dims = np.asarray(n)
@@ -513,68 +467,6 @@ def choose_eps0_array(n: int | np.ndarray, theta: CapillaryAngle | np.ndarray,
     eps = np.where(found, 0.5 * (ends[0] + ends[1]), np.nan)
     bisected = open_end[0] | open_end[1]
     return (eps, bisected) if dims.ndim else (eps[0], bisected[0])
-
-
-def choose_eps0(n: int, theta: CapillaryAngle, tol: float = 1e-12) -> float:
-    """Midpoint of the open subinterval of (0, 1) where the splitting
-    condition holds, endpoints located by bisection: a numpy float64, or the
-    float 0.5 when no end needed one.
-
-    Raises AngleOutOfRange when no admissible eps0 exists.
-    """
-    eps, bisected = choose_eps0_array(n, theta, tol)
-    if np.isnan(eps[0]):
-        raise AngleOutOfRange(
-            f"no admissible eps0 in (0,1) for n={n}, theta={theta.theta:.4f}")
-    return eps[0] if bisected[0] else float(eps[0])
-
-
-def max_principle_coefficients(state: CoefficientState,
-                               correction: float = 0.0) -> MaxPrincipleCoefficients:
-    """Evaluate the leading coefficient expressions at the given state.
-
-    With correction = 0 the log-correction terms are dropped (leading order);
-    a positive correction constant C reinstates them, which requires
-    v log v > 0.
-    """
-    n, th = state.n, state.theta
-    ac = abs(th.cos_t)
-    u_n, w, v = state.u_n, state.W, state.v
-    b = np.asarray(state.b)
-    b_n = b[-1]
-    b_tang = b[:-1]
-
-    if correction != 0.0:
-        logv = np.log(v)
-        if v * logv <= 0.0:
-            raise DegenerateState(
-                "log-correction terms require v log v > 0 (v > 1)")
-        corr_nn = correction / (v * logv)
-        corr_w = correction * w / logv
-    else:
-        corr_nn = corr_w = 0.0
-
-    normal_normal = (u_n + ac * w * b_n) * u_n / w ** 3 - corr_nn
-    normal_tangent = (u_n + ac * w * b_n) * u_n / w - corr_w
-    tangent_tangent = (w * (w + ac * u_n * b_n)
-                       - ac ** 2 * w ** 2 * b_tang ** 2) / v - corr_w
-
-    order = np.argsort(-(b_tang ** 2), kind="stable")
-    b_sorted = b_tang[order]
-    eps = state.eps0
-    if n >= 3:
-        lead = 1.0 + ac * b_n - ac ** 2 * b_sorted[0] ** 2
-        paired = (1.0 + ac * b_n - ac ** 2 * b_sorted[1:] ** 2
-                  + (n - 2.0 + eps) * lead)
-    else:
-        paired = np.empty(0)
-    return MaxPrincipleCoefficients(
-        normal_normal=float(normal_normal),
-        normal_tangent=float(normal_tangent),
-        tangent_tangent=np.atleast_1d(tangent_tangent),
-        paired_lower_bounds=paired,
-        range_lower_bound=angle_condition_lower_bound(n, th, eps),
-    )
 
 
 # ---------------------------------------------------------------------------

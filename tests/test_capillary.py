@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capgraph import (CapillaryAngle, DegenerateAngle, ScalarField, ZeroVector,
-                      affine_capillary_solution, area_element, boundary_frame,
-                      build_grid, calibration_value, capillary_area_element,
-                      capillary_boundary_residual, capillary_energy,
-                      capillary_gauge, conormal, discrete_gradient,
+                      affine_capillary_solution, area_element, build_grid,
+                      calibration_value, capillary_area_element,
+                      capillary_energy, capillary_gauge, conormal,
+                      discrete_gradient,
                       edge_differences, field_from_callable,
                       ghost_closure, unit_normal)
 from capgraph.capillary import _cos_theta, _nodal_gradient, capillary_energies
@@ -191,19 +191,6 @@ def test_conormal_sign_convention_and_frame():
         assert np.max(np.abs(np.linalg.norm(mu, axis=1) - 1.0)) <= 1e-12
 
 
-def test_boundary_frame_invariants():
-    theta = CapillaryAngle(np.pi / 3)
-    grid = build_grid(2, 0.25, 1.0, 1.0)
-    aff = affine_capillary_solution(theta, (0.4,), -0.2)
-    grad = discrete_gradient(aff.on_grid(grid), theta)
-    frame = boundary_frame(grad, theta)
-    assert frame.node_indices.size == grid.capillary_indices.size
-    assert np.max(np.abs(np.linalg.norm(frame.nu, axis=1) - 1.0)) <= 1e-12
-    assert np.max(np.abs(np.linalg.norm(frame.mu, axis=1) - 1.0)) <= 1e-12
-    assert np.max(np.abs(np.sum(frame.nu * frame.mu, axis=1))) <= 1e-12
-    assert np.all(frame.v >= theta.sin_t - 1e-12)
-
-
 def test_capillary_energy_constant_and_affine():
     grid = build_grid(2, 0.1, 2.0, 2.0)
     domain_area = 2.0 * 4.0
@@ -244,20 +231,6 @@ def test_capillary_energy_over_no_cells_is_zero(args):
     assert capillary_energy(u, CapillaryAngle(1.0), cells=np.array([], dtype=int)) == 0.0
 
 
-def test_capillary_boundary_residual_cases():
-    grid = build_grid(2, 0.1, 1.0, 1.0)
-    theta = CapillaryAngle(2.0)
-    aff = affine_capillary_solution(theta, (-0.3,), 0.6)
-    res = capillary_boundary_residual(aff.on_grid(grid), theta)
-    assert np.max(np.abs(res)) <= 1e-12
-
-    zero = ScalarField(grid, np.zeros(grid.n_nodes))
-    res0 = capillary_boundary_residual(zero, theta)
-    assert np.allclose(res0, theta.cos_t, atol=1e-14)
-    res90 = capillary_boundary_residual(zero, CapillaryAngle(np.pi / 2))
-    assert np.max(np.abs(res90)) <= 1e-15
-
-
 @pytest.mark.parametrize("dim, h, L1", [(1, 0.25, 1.0), (1, 0.25, 1.25),
                                          (1, 0.1, 0.7), (2, 0.25, 1.0),
                                          (2, 0.25, 1.25), (2, 0.1, 0.7)])
@@ -284,15 +257,6 @@ def test_nodal_gradient_first_order_fallback_on_a_two_node_axis():
     assert grid.shape == (2, 5)
     g = _nodal_gradient(grid, 0.9 * grid.nodes[:, 0] - 0.4 * grid.nodes[:, 1] + 1.0)
     assert np.max(np.abs(g - [0.9, -0.4])) <= 1e-14
-
-
-def test_1d_boundary_residual_vanishes_on_the_affine_solution():
-    grid = build_grid(1, 0.1, 2.0)
-    for theta in (CapillaryAngle(0.7), CapillaryAngle(2.0)):
-        aff = affine_capillary_solution(theta, (), 0.3)
-        res = capillary_boundary_residual(aff.on_grid(grid), theta)
-        assert res.shape == (1,)
-        assert abs(res[0]) <= 1e-12
 
 
 def test_affine_capillary_solution_slopes():

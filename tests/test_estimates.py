@@ -7,23 +7,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from capgraph import (AngleOutOfRange, CapillaryAngle, CoefficientState,
-                      CutoffParams, DegenerateAngle, DegenerateState,
+from capgraph import (AngleOutOfRange, CapillaryAngle, CutoffParams,
+                      DegenerateAngle, DegenerateState,
                       EllipsoidRegion, EmptyRegion, HypothesisViolation,
                       InvalidParameter, LinearBound, ProblemSpec, RegionKind,
                       ScalarField, ShapeMismatch, admissible_angle_range,
                       affine_capillary_solution,
                       angle_condition_holds, angle_condition_lower_bound,
                       angle_threshold, auxiliary_function, build_grid,
-                      choose_eps0, choose_eps0_array,
+                      choose_eps0_array,
                       conormal_stationarity_residual, cutoff_derivative_check,
                       cutoff_profile, cutoff_weight, cutoff_weight_gradient,
                       field_from_callable, gradient_bound, height_scale,
-                      height_weight, in_region, max_principle_coefficients,
-                      nondivergence_residual, one_sided_slope_limit,
-                      shifted_cutoff_profile)
+                      height_weight, in_region, nondivergence_residual,
+                      one_sided_slope_limit, shifted_cutoff_profile)
 from capgraph import estimates
-from capgraph.estimates import _EPS0_SCAN, _profile_gradient, _splitting_lhs
+from capgraph.estimates import _profile_gradient
+from conftest import scalar_choose_eps0
 
 THETA = CapillaryAngle(np.pi / 3)
 
@@ -176,6 +176,28 @@ def test_cutoff_params_validation():
     limit = one_sided_slope_limit(THETA)
     CutoffParams(r=1.0, theta=THETA, dim=2,
                  bound=LinearBound((limit / 2.0, 0.0), 1.0))
+
+
+@pytest.mark.parametrize("slope", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
+                                   (-np.inf, np.nan)])
+@pytest.mark.parametrize("theta", [THETA, CapillaryAngle(np.pi / 2)])
+def test_a_non_finite_slope_violates_the_one_sided_hypothesis(slope, theta):
+    # a NaN |DL| compares False with the limit either way round
+    with pytest.raises(HypothesisViolation):
+        LinearBound(slope).check_slope(theta)
+    with pytest.raises(HypothesisViolation):
+        CutoffParams(r=1.0, theta=theta, dim=2, bound=LinearBound(slope))
+    LinearBound((0.0, 0.0)).check_slope(theta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_cutoff_params_reject_a_non_finite_or_nonpositive_scale(bad):
+    for name in ("r", "nstar", "m_scale"):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            CutoffParams(**{"r": 1.0, "theta": THETA, name: bad})
+    with pytest.raises(ValueError, match="m_scale must be positive"):
+        height_weight(np.array([0.0, 1.0]), bad)
+    assert CutoffParams(r=1.0, theta=THETA, nstar=0.5, m_scale=2.0).m_scale == 2.0
 
 
 def test_height_weight_range_and_linearity():
@@ -339,19 +361,6 @@ def test_gradient_bound_of_an_array_is_the_elementwise_bound():
             gradient_bound(bad, 2.0, THETA, 0.0, 0.0, 0.0)
 
 
-def test_coefficient_state_validation():
-    b = (0.0, 0.6, 0.8)
-    st = CoefficientState(n=3, theta=THETA, u_n=10.0, b=b, eps0=0.5)
-    assert np.isclose(st.W ** 2 - st.u_n ** 2, 1.0, atol=1e-12)
-    assert st.v >= (1.0 - abs(THETA.cos_t)) * st.W - 1e-12
-    with pytest.raises(DegenerateState):
-        CoefficientState(n=3, theta=THETA, u_n=10.0, b=(1.0, 1.0, 1.0), eps0=0.5)
-    with pytest.raises(DegenerateState):
-        CoefficientState(n=3, theta=THETA, u_n=-1.0, b=b, eps0=0.5)
-    with pytest.raises(DegenerateState):
-        CoefficientState(n=3, theta=THETA, u_n=1.0, b=b, eps0=1.5)
-
-
 def test_lower_bound_value_and_equivalences():
     # reference value of the dimensional constant at n = 4, eps0 = 0, pi/2
     val = angle_condition_lower_bound(4, CapillaryAngle(np.pi / 2), 0.0)
@@ -427,62 +436,27 @@ def test_angle_condition_rejects_any_nonpositive_denominator():
 
 def test_choose_eps0_midpoint():
     # free-boundary n = 2: the admissible interval is (1/3, 1)
-    eps = choose_eps0(2, CapillaryAngle(np.pi / 2))
-    assert abs(eps - 2.0 / 3.0) <= 1e-9
+    (eps,), (flag,) = choose_eps0_array(2, CapillaryAngle(np.pi / 2))
+    assert abs(eps - 2.0 / 3.0) <= 1e-9 and flag
     assert angle_condition_holds(2, CapillaryAngle(np.pi / 2), eps)
     # n = 4 inside the range: condition holds at the midpoint
-    eps4 = choose_eps0(4, CapillaryAngle(1.2))
+    (eps4,), _ = choose_eps0_array(4, CapillaryAngle(1.2))
     assert angle_condition_holds(4, CapillaryAngle(1.2), eps4)
-    with pytest.raises(AngleOutOfRange):
-        choose_eps0(4, CapillaryAngle(np.arccos(0.97)))
+    # outside the range: NaN, and no end bisected
+    (eps_out,), (flag_out,) = choose_eps0_array(4, CapillaryAngle(np.arccos(0.97)))
+    assert np.isnan(eps_out) and not flag_out
 
 
 @given(n=st.integers(2, 11),
        theta=st.floats(np.arcsin(0.05) + 1e-9, np.pi - np.arcsin(0.05) - 1e-9))
 def test_splitting_condition_changes_sign_at_most_once(n, theta):
-    # choose_eps0 reads the positive part of its scan as a single run
+    # choose_eps0_array reads the positive part of its scan as a single run
     angle = CapillaryAngle(theta)
     holds = np.array([angle_condition_holds(n, angle, e)
                       for e in np.linspace(1e-6, 1.0 - 1e-6, 1001)])
     assert np.count_nonzero(np.diff(holds.astype(int))) <= 1
-    try:
-        eps = choose_eps0(n, angle)
-    except AngleOutOfRange:
-        return
-    assert angle_condition_holds(n, angle, eps)
-
-
-def _scalar_choose_eps0(n, theta, tol=1e-12):
-    """choose_eps0 as it was written, one scalar bisection per end: the
-    oracle of the masked bisection over an array of angles."""
-    cos2 = theta.cos_t ** 2
-
-    def f(eps):
-        return _splitting_lhs(n, eps) - cos2
-
-    grid = _EPS0_SCAN
-    pos = f(grid) > 0.0
-    if not np.any(pos):
-        raise AngleOutOfRange(f"n={n}")
-
-    def bisect(a, b):
-        fa = f(a)
-        for _ in range(200):
-            if b - a <= tol:
-                break
-            mid = 0.5 * (a + b)
-            fmid = f(mid)
-            if (fmid > 0.0) == (fa > 0.0):
-                a, fa = mid, fmid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    run = np.flatnonzero(pos)
-    i, j = run[0], run[-1]
-    left = 0.0 if i == 0 else bisect(grid[i - 1], grid[i])
-    right = 1.0 if j == grid.size - 1 else bisect(grid[j], grid[j + 1])
-    return 0.5 * (left + right)
+    (eps,), _ = choose_eps0_array(n, angle)
+    assert np.isnan(eps) or angle_condition_holds(n, angle, eps)
 
 
 _SWEEP_LO = float(np.arcsin(0.05) + 1e-9)
@@ -502,15 +476,11 @@ def test_eps0_array_core_matches_the_scalar_bisection(n, thetas, tol):
     for t, e, flag in zip(thetas, eps.tolist(), bisected.tolist()):
         angle = CapillaryAngle(t)
         try:
-            expected = _scalar_choose_eps0(n, angle, tol)
+            expected = scalar_choose_eps0(n, angle, tol)
         except AngleOutOfRange:
             assert np.isnan(e) and not flag
-            with pytest.raises(AngleOutOfRange):
-                choose_eps0(n, angle, tol)
             continue
         assert e == expected and flag == (type(expected) is np.float64)
-        got = choose_eps0(n, angle, tol)
-        assert got == expected and type(got) is type(expected)
 
 
 _EPS0_DIMS = (2, 3, 4, 8, 12, 100)
@@ -541,8 +511,8 @@ def test_eps0_over_a_column_of_dimensions_is_one_call_per_dimension(dims, thetas
 
 def test_eps0_column_keeps_its_exception_types():
     # below dimension 2 the array core raises nothing, row by row as one call
-    # per dimension, and choose_eps0 raises AngleOutOfRange only where no
-    # eps0 is admissible; degenerate angles raise DegenerateAngle
+    # per dimension, and NaN marks where no eps0 is admissible; degenerate
+    # angles raise DegenerateAngle
     thetas = np.array([1.0, np.pi / 2, 0.3])
     eps, bisected = choose_eps0_array(np.array([[1], [0], [-3]]), thetas)
     for n, row, flags in zip((1, 0, -3), eps, bisected):
@@ -553,9 +523,11 @@ def test_eps0_column_keeps_its_exception_types():
     assert np.all(np.isnan(eps[0])) and np.isnan(eps[1:, 2]).all()
     assert eps[1, 1] == eps[2, 0] == eps[2, 1] == 0.5
     assert bisected.tolist() == [[False] * 3, [True, False, False], [False] * 3]
-    with pytest.raises(AngleOutOfRange):
-        choose_eps0(1, CapillaryAngle(np.pi / 2))
-    assert choose_eps0(0, CapillaryAngle(np.pi / 2)) == 0.5
+    # one CapillaryAngle: NaN at n = 1 and 0.5 at n = 0, no end bisected
+    eps1, flag1 = choose_eps0_array(1, CapillaryAngle(np.pi / 2))
+    assert np.isnan(eps1[0]) and not flag1[0]
+    eps0, flag0 = choose_eps0_array(0, CapillaryAngle(np.pi / 2))
+    assert eps0[0] == 0.5 and not flag0[0]
     for bad in ([0.0, 1.0], [np.pi], [np.nan], [1.0, 4.0], [-1.0]):
         with pytest.raises(DegenerateAngle):
             choose_eps0_array(np.array([[2], [4]]), np.array(bad))
@@ -567,9 +539,7 @@ def test_eps0_column_keeps_its_exception_types():
 
 
 def test_choose_eps0_keeps_its_return_types():
-    # the whole scan admissible: the float 0.5; an end bisected: a float64
-    assert type(choose_eps0(4, CapillaryAngle(1.0))) is float
-    assert type(choose_eps0(2, CapillaryAngle(1.2))) is np.float64
+    # the whole scan admissible: 0.5 with no end bisected; no eps0: NaN
     eps, bisected = choose_eps0_array(4, np.array([1.0, 1.2, np.arccos(0.97)]))
     assert eps[0] == 0.5 and np.isnan(eps[2])
     assert bisected.tolist() == [False, False, False]
@@ -594,46 +564,8 @@ def test_choose_eps0_keeps_its_return_types():
 def test_choose_eps0_pinned_values(n, theta, expected):
     # exact equality: the scan and the bisection are elementwise IEEE
     # operations, so a rewrite of either must not move a single bit
-    assert choose_eps0(n, CapillaryAngle(theta)) == expected
-
-
-def test_max_principle_coefficients_structure():
-    rng = np.random.default_rng(6)
-    for n in (2, 3, 4, 6):
-        for _ in range(40):
-            theta = CapillaryAngle(rng.uniform(np.arcsin(0.06),
-                                               np.pi - np.arcsin(0.06)))
-            b = rng.standard_normal(n)
-            b /= np.linalg.norm(b)
-            st = CoefficientState(n=n, theta=theta, u_n=2e3, b=tuple(b),
-                                  eps0=0.5)
-            co = max_principle_coefficients(st)
-            # normal-tangent coefficient is positive at large gradient
-            assert co.normal_tangent > 0.0
-            # at most one tangential coefficient can be nonpositive, and only
-            # the one carrying the largest squared component
-            tt = co.tangent_tangent * st.v
-            nonpos = np.flatnonzero(tt <= 0.0)
-            assert nonpos.size <= 1
-            if nonpos.size == 1:
-                assert nonpos[0] == np.argmax(np.asarray(b[:-1]) ** 2)
-            # paired bounds dominate the dimensional constant
-            if co.paired_lower_bounds.size:
-                assert np.all(co.paired_lower_bounds
-                              >= co.range_lower_bound - 1e-12)
-
-
-def test_max_principle_coefficients_log_correction_guard():
-    b = np.array([0.6, 0.8])
-    st_small = CoefficientState(n=2, theta=THETA, u_n=0.1, b=tuple(b), eps0=0.5)
-    if st_small.v <= 1.0:
-        with pytest.raises(DegenerateState):
-            max_principle_coefficients(st_small, correction=1.0)
-    st_big = CoefficientState(n=2, theta=THETA, u_n=50.0, b=tuple(b), eps0=0.5)
-    co = max_principle_coefficients(st_big, correction=1.0)
-    co0 = max_principle_coefficients(st_big, correction=0.0)
-    assert co.normal_normal < co0.normal_normal
-    assert co.normal_tangent < co0.normal_tangent
+    (eps,), (bisected,) = choose_eps0_array(n, CapillaryAngle(theta))
+    assert eps == expected and bisected == (expected != 0.5)
 
 
 def test_conormal_residual_affine_and_free_boundary():

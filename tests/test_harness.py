@@ -22,7 +22,7 @@ from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       angle_condition_lower_bound,
                       angle_threshold, area_element, blow_down,
                       build_grid, calibration_value, capillary_energy,
-                      capillary_gauge, choose_eps0, conormal,
+                      capillary_gauge, conormal,
                       cutoff_derivative_check,
                       discrete_gradient, domain_for_radius,
                       field_from_callable, gradient_bound, in_region,
@@ -34,6 +34,7 @@ from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       unit_normal, write_csv)
 from capgraph import harness
 from capgraph.cli import cli_main
+from conftest import scalar_choose_eps0
 
 THETA = CapillaryAngle(np.pi / 3)
 
@@ -584,15 +585,16 @@ def test_angle_sweep_rows_and_symmetry():
 
 
 def _per_cell_sweep(n_list, theta_grid, sin_min=0.05):
-    """run_angle_sweep as it was written, one CapillaryAngle and one
-    choose_eps0 call per (n, theta) cell: the oracle of the per-n sweep."""
+    """run_angle_sweep as it was written, one CapillaryAngle and one scalar
+    eps0 bisection per (n, theta) cell: the oracle of the array sweep, which
+    shares none of choose_eps0_array's code."""
     rows = []
     for n in n_list:
         for t in theta_grid:
             angle = CapillaryAngle(float(t), sin_min=sin_min)
             res = admissible_angle_range(int(n), angle)
             try:
-                eps_mid = choose_eps0(int(n), angle)
+                eps_mid = scalar_choose_eps0(int(n), angle)
                 script_b = angle_condition_lower_bound(int(n), angle, eps_mid)
             except AngleOutOfRange:
                 script_b = angle_condition_lower_bound(int(n), angle, 0.0)
