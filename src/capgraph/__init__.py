@@ -13,15 +13,15 @@ from .capillary import (AffineCapillarySolution, CapillaryAngle, GradientField,
                         capillary_energy, capillary_gauge, conormal,
                         edge_differences, field_from_callable,
                         ghost_closure, unit_normal)
-from .errors import (AngleOutOfRange, BadConfig, BadDimension,
-                     CapillaryLabError, DegenerateAngle, DegenerateState,
+from .errors import (BadConfig, BadDimension, CapillaryLabError,
+                     DegenerateAngle, DegenerateState,
                      EmptyRegion, HypothesisViolation, InvalidParameter,
                      InvariantViolation, LinearSolveFailure,
                      NonconformingExtent, OutOfExtent, ShapeMismatch,
                      StationarityViolation, UnresolvedRegion, ZeroVector)
-from .estimates import (AngleRangeResult, AuxiliaryField, CutoffCheckReport,
-                        CutoffParams, LinearBound, admissible_angle_range,
-                        angle_condition_holds, angle_condition_lower_bound,
+from .estimates import (AuxiliaryField, CutoffCheckReport, CutoffParams,
+                        LinearBound, angle_condition_holds,
+                        angle_condition_lower_bound,
                         angle_threshold, auxiliary_function,
                         choose_eps0_array, conormal_stationarity_residual,
                         cutoff_derivative_check,

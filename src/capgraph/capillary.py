@@ -174,9 +174,8 @@ def capillary_gauge(xi, theta: CapillaryAngle | np.ndarray) -> np.ndarray | floa
 def unit_normal(g) -> np.ndarray:
     """Upward unit normal (-g, 1)/W of the graph, in R^(dim+1)."""
     arr = np.atleast_1d(np.asarray(g, dtype=float))
-    w = np.sqrt(1.0 + np.sum(arr * arr, axis=-1))
     out = np.concatenate([-arr, np.ones(arr.shape[:-1] + (1,))], axis=-1)
-    return out / w[..., None]
+    return out / np.expand_dims(area_element(arr), -1)
 
 
 def conormal(g) -> np.ndarray:
@@ -187,7 +186,7 @@ def conormal(g) -> np.ndarray:
     contact-angle condition (mu points out of the wetted region).
     """
     arr = np.atleast_1d(np.asarray(g, dtype=float))
-    w = np.sqrt(1.0 + np.sum(arr * arr, axis=-1))
+    w = area_element(arr)
     g1 = arr[..., 0]
     bar = arr[..., 1:]
     b = np.sqrt(1.0 + np.sum(bar * bar, axis=-1))
@@ -289,7 +288,7 @@ def _quadrant_index(dim: int) -> tuple[tuple, ...]:
 
 
 def capillary_energies(grid: HalfSpaceGrid, values: np.ndarray,
-                       theta: CapillaryAngle, cells=None) -> np.ndarray:
+                       theta: CapillaryAngle) -> np.ndarray:
     """Discrete capillary energy of each state in a (..., n_nodes) batch of
     nodal values, shaped (...); capillary_energy is the one-field case.
 
@@ -299,8 +298,6 @@ def capillary_energies(grid: HalfSpaceGrid, values: np.ndarray,
     """
     dim = grid.dim
     d = edge_differences(grid, values)
-    if cells is not None:
-        d = d[..., np.asarray(cells, dtype=int)]
     g = _quadrant_gradients(d, dim)
     v = np.sqrt(1.0 + sum(_quadrant_gradients(d * d, dim))) + theta.cos_t * g[0]
     # the mean over each cell's quadrants (one shared entry in 1D)
@@ -312,13 +309,9 @@ def capillary_energies(grid: HalfSpaceGrid, values: np.ndarray,
     return grid.h ** dim * np.reshape(sums, means.shape[:-1])
 
 
-def capillary_energy(u: ScalarField, theta: CapillaryAngle, cells=None) -> float:
-    """Discrete capillary energy: cell quadrature of v over the domain.
-
-    `cells` optionally restricts the sum to a subset of cell indices, so the
-    energy is additive over disjoint cell partitions by construction.
-    """
-    return float(capillary_energies(u.grid, u.values, theta, cells))
+def capillary_energy(u: ScalarField, theta: CapillaryAngle) -> float:
+    """Discrete capillary energy: cell quadrature of v over the domain."""
+    return float(capillary_energies(u.grid, u.values, theta))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .errors import (AngleOutOfRange, BadConfig, CapillaryLabError,
-                     HypothesisViolation, InvariantViolation)
+from .errors import (BadConfig, CapillaryLabError, HypothesisViolation,
+                     InvariantViolation)
 from .harness import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       load_config, run_angle_sweep, run_audit,
                       run_conormal_check, run_gradient_bound_sweep,
@@ -185,7 +185,7 @@ def cli_main(argv=None) -> int:
     except (BadConfig, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
-    except (InvariantViolation, HypothesisViolation, AngleOutOfRange) as exc:
+    except (InvariantViolation, HypothesisViolation) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except CapillaryLabError as exc:

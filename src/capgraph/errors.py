@@ -45,10 +45,6 @@ class DegenerateState(CapillaryLabError):
     """Coefficient evaluation requested outside its domain of validity."""
 
 
-class AngleOutOfRange(CapillaryLabError):
-    """Contact angle outside the admissible range for the requested dimension."""
-
-
 class HypothesisViolation(CapillaryLabError):
     """Configured data family breaks the hypothesis of the chosen scenario."""
 

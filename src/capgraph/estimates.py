@@ -36,6 +36,13 @@ class LinearBound:
     slope: tuple[float, ...]
     offset: float = 0.0
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.slope)):
+            # no slope limit admits it: the one-sided hypothesis fails
+            raise HypothesisViolation(f"slope entries must be finite, got {self.slope}")
+        if not np.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset}")
+
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return pts @ np.asarray(self.slope) + self.offset
@@ -48,7 +55,7 @@ class LinearBound:
         """Raise HypothesisViolation when |DL| exceeds the one-sided slope
         limit of the angle: the hypothesis of the one-sided estimate."""
         limit = one_sided_slope_limit(theta)
-        if not self.slope_norm <= limit + 1e-15:    # a NaN slope fails too
+        if not self.slope_norm <= limit + 1e-15:    # an overflowed norm fails too
             raise HypothesisViolation(
                 f"|DL|={self.slope_norm:.3e} exceeds the slope "
                 f"limit {limit:.3e} for theta={theta.theta:.4f}")
@@ -66,7 +73,6 @@ class CutoffParams:
     r: float
     theta: CapillaryAngle
     dim: int = 2
-    center: tuple[float, ...] = ()
     nstar: float = DEFAULT_NSTAR
     m_scale: float | None = None
     bound: LinearBound | None = None
@@ -74,27 +80,22 @@ class CutoffParams:
     def __post_init__(self):
         if not _positive_finite(self.r):
             raise ValueError(f"r must be positive, got {self.r}")
+        require_count("dim", self.dim)
         if not _positive_finite(self.nstar):
             raise ValueError(f"nstar must be positive and finite, got {self.nstar}")
         if self.m_scale is not None and not _positive_finite(self.m_scale):
             raise ValueError(f"m_scale must be positive and finite, got {self.m_scale}")
-        center = tuple(float(c) for c in self.center)
-        if center and len(center) != self.dim - 1:
-            raise ShapeMismatch(
-                f"center needs {self.dim - 1} tangential components, got {len(center)}"
-            )
-        object.__setattr__(self, "center", center)
         if self.bound is not None:
             if len(self.bound.slope) != self.dim:
                 raise ShapeMismatch("bound slope length must equal dim")
             self.bound.check_slope(self.theta)
 
     def outer_region(self) -> EllipsoidRegion:
-        return EllipsoidRegion(self.r, self.theta, RegionKind.OUTER, self.center)
+        return EllipsoidRegion(self.r, self.theta, RegionKind.OUTER)
 
 
 def cutoff_profile(points, params: CutoffParams) -> np.ndarray | float:
-    """Quadratic profile 1 - ((x1 - |cos| r)^2 + sin^2 |x' - p'|^2) / r^2.
+    """Quadratic profile 1 - ((x1 - |cos| r)^2 + sin^2 |x'|^2) / r^2.
 
     The cut-off weight is its square; the profile vanishes on the relative
     boundary of the outer ellipsoid.
@@ -115,26 +116,20 @@ def cutoff_weight(points, params: CutoffParams) -> np.ndarray | float:
     return _positive_square(cutoff_profile(points, params))
 
 
-def _profile_gradient(points, params: CutoffParams) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dq = np.empty_like(pts)
-    dq[:, 0] = -2.0 * (pts[:, 0] - abs(params.theta.cos_t) * params.r) / params.r ** 2
-    prime = pts[:, 1:] - np.asarray(params.center) if params.center else pts[:, 1:]
-    dq[:, 1:] = -2.0 * params.theta.sin_t ** 2 * prime / params.r ** 2
-    return dq
-
-
 def cutoff_weight_gradient(points, params: CutoffParams) -> np.ndarray:
     """Analytic gradient of the cut-off weight: 2 Q DQ where the profile Q
     is positive, zero outside the outer ellipsoid."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     q = np.maximum(np.atleast_1d(cutoff_profile(points, params)), 0.0)
-    return 2.0 * q[:, None] * _profile_gradient(points, params)
+    dq = np.empty_like(pts)
+    dq[:, 0] = -2.0 * (pts[:, 0] - abs(params.theta.cos_t) * params.r) / params.r ** 2
+    dq[:, 1:] = -2.0 * params.theta.sin_t ** 2 * pts[:, 1:] / params.r ** 2
+    return 2.0 * q[:, None] * dq
 
 
 class CutoffCheckReport(NamedTuple):
     max_gradient_violation: float    # of |D psi| <= 4 sqrt(psi) / r in the region
     max_boundary_residual: float     # of d1 psi = 4 sqrt(psi) |cos| / r on the wall
-    hessian_constant: float          # measured sup |D^2 psi| r^2 (Frobenius)
     min_weight_inner: float          # min psi over the inner ellipsoid samples
     inner_lower_bound: float         # (1 - (1 + |cos|)^2 / 4)^2
 
@@ -144,14 +139,12 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
     """Sample the derivative identities of the cut-off weight.
 
     Checks |D psi| <= 4 sqrt(psi)/r at interior samples, the exact wall
-    identity for the normal derivative, the inner lower bound of psi, and
-    measures the dimensionless second-derivative constant.
+    identity for the normal derivative and the inner lower bound of psi.
     """
     require_count("samples", samples)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     r, th, dim = params.r, params.theta, params.dim
     c, s = abs(th.cos_t), th.sin_t
-    center = np.asarray(params.center) if params.center else np.zeros(dim - 1)
 
     def draw_inside(count, region):
         # batches of 2 count candidates, each adding its first accepted rows
@@ -160,25 +153,22 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
         while filled < count:
             cand = np.empty((2 * count, dim))
             cand[:, 0] = rng.uniform(max(0.0, c * r - rho), c * r + rho, 2 * count)
-            cand[:, 1:] = center + rng.uniform(-rho / s, rho / s, (2 * count, dim - 1))
+            cand[:, 1:] = rng.uniform(-rho / s, rho / s, (2 * count, dim - 1))
             kept = np.compress(in_region(cand, region), cand, axis=0)[:count - filled]
             pts[filled:filled + len(kept)] = kept
             filled += len(kept)
         return pts
 
-    # psi and D psi by the library functions; Q and DQ for D^2 psi below
     pts = draw_inside(samples, params.outer_region())
     psi = np.atleast_1d(cutoff_weight(pts, params))
     gnorm = np.linalg.norm(cutoff_weight_gradient(pts, params), axis=1)
-    q = np.atleast_1d(cutoff_profile(pts, params))
-    dq = _profile_gradient(pts, params)
     grad_violation = float(np.max(gnorm - 4.0 * np.sqrt(psi) / r))
 
     n_bdry = max(1, samples // 10)
     bpts = np.zeros((n_bdry, dim))
     while True:
-        cand = center + rng.uniform(-r, r, (4 * n_bdry, dim - 1))
-        keep = np.sum((cand - center) ** 2, axis=1) < (0.999999 * r) ** 2
+        cand = rng.uniform(-r, r, (4 * n_bdry, dim - 1))
+        keep = np.sum(cand ** 2, axis=1) < (0.999999 * r) ** 2
         if np.count_nonzero(keep) >= n_bdry:
             bpts[:, 1:] = cand[keep][:n_bdry]
             break
@@ -187,22 +177,12 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
     boundary_residual = float(
         np.max(np.abs(bgrad[:, 0] - 4.0 * np.sqrt(bpsi) * c / r)))
 
-    # second derivatives: D^2 psi = 2 (DQ DQ^T + Q D^2 Q), D^2 Q diagonal,
-    # one (dim, dim) matrix per sample along the last axis; |D^2 psi| is the
-    # Frobenius norm (a batched spectral norm costs one LAPACK call per sample)
-    dqt = np.ascontiguousarray(dq.T)
-    d2q_diag = np.full(dim, -2.0 / r ** 2)
-    d2q_diag[1:] = -2.0 * s ** 2 / r ** 2
-    hess = 2.0 * (dqt[:, None] * dqt[None, :] + np.diag(d2q_diag)[:, :, None] * q)
-    hessian_constant = float(np.max(np.linalg.norm(hess, axis=(0, 1))) * r ** 2)
-
-    ipts = draw_inside(samples, EllipsoidRegion(r, th, RegionKind.INNER, params.center))
+    ipts = draw_inside(samples, EllipsoidRegion(r, th, RegionKind.INNER))
     ipsi = np.atleast_1d(cutoff_weight(ipts, params))
     inner_bound = (1.0 - (1.0 + c) ** 2 / 4.0) ** 2
     return CutoffCheckReport(
         max_gradient_violation=grad_violation,
         max_boundary_residual=boundary_residual,
-        hessian_constant=hessian_constant,
         min_weight_inner=float(np.min(ipsi)),
         inner_lower_bound=inner_bound,
     )
@@ -287,15 +267,6 @@ def auxiliary_function(u: ScalarField, theta: CapillaryAngle,
 # Angle range, constants, bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AngleRangeResult:
-    n: int
-    theta: CapillaryAngle
-    in_range: bool
-    threshold: float
-    margin: float
-
-
 def angle_threshold(n: int) -> float:
     """(3n - 7)(n - 1) / (4 (n - 2)^2) for n >= 3; infinite for n = 2 where
     no restriction applies."""
@@ -307,23 +278,14 @@ def angle_threshold(n: int) -> float:
 
 
 def _angle_ranges(dims, cos2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """admissible_angle_range for each of a list of dimensions against cos^2
-    of one angle or of a row of angles: the thresholds as a (dims, 1)
-    column, the margins and in-range flags shaped (dims, angles)."""
+    """The admissible-angle range of each of a list of dimensions against
+    cos^2 of one angle or of a row of angles: the thresholds as a (dims, 1)
+    column, the margins threshold - cos^2 and the in-range flags shaped
+    (dims, angles).  Dimensions 2 and 3 are unrestricted; from dimension 4
+    on the estimate needs cos^2(theta) strictly below the threshold."""
     thr = np.array([[angle_threshold(n)] for n in dims])
     margin = thr - cos2
     return thr, margin, (np.array(dims)[:, None] <= 3) | (margin > 0.0)
-
-
-def admissible_angle_range(n: int, theta: CapillaryAngle) -> AngleRangeResult:
-    """Check cos^2(theta) against the dimensional threshold.
-
-    Dimensions 2 and 3 are unrestricted; from dimension 4 on the estimate
-    needs cos^2(theta) strictly below the threshold.
-    """
-    thr, margin, in_range = _angle_ranges([n], theta.cos_t ** 2)
-    return AngleRangeResult(n=n, theta=theta, in_range=in_range.item(),
-                            threshold=thr.item(), margin=margin.item())
 
 
 def one_sided_slope_limit(theta: CapillaryAngle) -> float:

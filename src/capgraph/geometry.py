@@ -95,22 +95,15 @@ class HalfSpaceGrid:
         """Interior plus capillary nodes, the unknowns of a solve."""
         return np.flatnonzero(self.classes != _DIRICHLET)
 
-    @property
-    def cell_corners(self) -> np.ndarray:
-        """Flat node indices of each cell's corners.
-
-        1D: (n_cells, 2) columns (left, right).
-        2D: (n_cells, 4) columns (c00, c10, c01, c11); first index along x1.
-        """
-        return self.corner_rows.T
-
     @cached_property
     def corner_rows(self) -> np.ndarray:
-        """cell_corners as a C-contiguous (k, n_cells) array: row j lists
-        corner j of every cell, so per-corner gathers are contiguous and the
-        flattened array is the stacked corner index of a one-bincount
-        scatter of (k, n_cells) cell values.  Corner j is offset by bit a of
-        j along axis a (x1 fastest); cells are in lattice order."""
+        """Flat node indices of the cell corners as a C-contiguous
+        (k, n_cells) array: row j lists corner j of every cell (in 1D the
+        rows left, right; in 2D c00, c10, c01, c11), so per-corner gathers
+        are contiguous and the flattened array is the stacked corner index
+        of a one-bincount scatter of (k, n_cells) cell values.  Corner j is
+        offset by bit a of j along axis a (x1 fastest); cells are in lattice
+        order."""
         strides = _strides(self.shape)
         low = reduce(np.add.outer, [np.arange(n - 1) * s
                                     for n, s in zip(self.shape, strides)])
@@ -373,20 +366,17 @@ def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSp
 class EllipsoidRegion:
     """Angle-adapted ellipsoidal truncation of the half-space.
 
-    Membership set: {x1 >= 0, (x1 - |cos(theta)| r)^2 + sin^2(theta) |x' - center|^2 < rho^2}
+    Membership set: {x1 >= 0, (x1 - |cos(theta)| r)^2 + sin^2(theta) |x'|^2 < rho^2}
     with rho = r for OUTER and rho = (1 + |cos(theta)|) r / 2 for INNER.
-    The tangential center defaults to the origin.
     """
 
     r: float
     theta: "CapillaryAngle"
     kind: RegionKind = RegionKind.OUTER
-    center: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (np.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"region radius must be positive, got {self.r}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @property
     def semiaxis(self) -> float:
@@ -399,14 +389,11 @@ class EllipsoidRegion:
         return abs(self.theta.cos_t) * self.r
 
     def quadratic_value(self, points: np.ndarray) -> np.ndarray:
-        """(x1 - |cos| r)^2 + sin^2 |x' - center|^2 for each point."""
+        """(x1 - |cos| r)^2 + sin^2 |x'|^2 for each point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         val = (pts[:, 0] - self.axial_center) ** 2
         if pts.shape[1] > 1:
-            prime = pts[:, 1:]
-            if self.center:
-                prime = prime - np.asarray(self.center)
-            val = val + self.theta.sin_t ** 2 * np.sum(prime ** 2, axis=1)
+            val = val + self.theta.sin_t ** 2 * np.sum(pts[:, 1:] ** 2, axis=1)
         return val
 
 
@@ -490,8 +477,6 @@ def inner_node_set(grid: HalfSpaceGrid, region: EllipsoidRegion) -> np.ndarray:
     # Centered, metric-scaled coordinates: ellipsoid semiaxes (rho, rho/sin).
     y = pts.copy()
     y[:, 0] -= region.axial_center
-    if region.center:
-        y[:, 1:] -= np.asarray(region.center)
     axes = np.full(grid.dim, rho)
     axes[1:] = rho / region.theta.sin_t
     # Grid nodes have x1 >= 0, so the nearest ellipsoid point is feasible and

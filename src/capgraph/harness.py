@@ -21,10 +21,10 @@ from .capillary import (AffineCapillarySolution, CapillaryAngle, ScalarField,
                         calibration_value, capillary_area_element,
                         capillary_energies, capillary_gauge, conormal,
                         unit_normal)
-from .errors import (AngleOutOfRange, BadConfig, HypothesisViolation,
+from .errors import (BadConfig, HypothesisViolation,
                      InvalidParameter, InvariantViolation, OutOfExtent,
                      StationarityViolation, UnresolvedRegion, require_count)
-from .estimates import (_angle_ranges, _cos_squared, admissible_angle_range,
+from .estimates import (_angle_ranges, _cos_squared,
                         angle_condition_holds, angle_condition_lower_bound,
                         choose_eps0_array, conormal_stationarity_residual,
                         cutoff_derivative_check, CutoffParams, gradient_bound,
@@ -86,7 +86,6 @@ class ExperimentConfig:
     L_offset: float = 0.0
     seed: int = 0
     out_csv: str | None = None
-    strict_angle_range: bool = False
     sin_min: float = 0.05
 
     def __post_init__(self):
@@ -139,11 +138,9 @@ class ExperimentConfig:
 
 
 # value parser per ExperimentConfig field annotation (a string, as the module
-# postpones the evaluation of annotations); a bad value raises ValueError or
-# KeyError
+# postpones the evaluation of annotations); a bad value raises ValueError
 _FLOAT_LIST = "tuple[float, ...]"
-_PARSERS = {"bool": lambda v: {"true": True, "false": False}[v.lower()],
-            "int": int, "float": float, "str": str, "str | None": str,
+_PARSERS = {"int": int, "float": float, "str": str, "str | None": str,
             _FLOAT_LIST: lambda v: tuple(float(p) for p in v.split(",") if p.strip())}
 
 
@@ -167,7 +164,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise BadConfig(f"duplicate config key '{key}' (line {lineno})")
         try:
             entries[key] = _PARSERS[kinds[key]](val)
-        except (ValueError, KeyError):
+        except ValueError:
             raise BadConfig(f"bad value for config key '{key}': {val!r}") from None
     if "scenario" not in entries:
         raise BadConfig("missing required config key 'scenario'")
@@ -300,16 +297,17 @@ def domain_for_radius(r: float, theta: CapillaryAngle, h: float, dim: int
     return build_grid(dim, h, m1 * h, mp * h)
 
 
-def _smooth_bump(rng: np.random.Generator, grid: HalfSpaceGrid, n_modes: int = 3):
-    """Seeded nonnegative bump, normalized to unit max over Dirichlet nodes.
+def _smooth_bump(rng: np.random.Generator, grid: HalfSpaceGrid):
+    """Seeded nonnegative bump of three Gaussian modes, normalized to unit
+    max over Dirichlet nodes.
 
     The bump is tapered to zero at every side face so the data stays
     corner-compatible with the affine base (the wall corners otherwise seed
     a non-decaying local defect, see the geometry corner rule)."""
     dim = grid.dim
-    amps = rng.uniform(0.3, 1.0, n_modes)
-    centers = rng.uniform(*grid.box, (n_modes, dim))
-    widths = rng.uniform(0.15, 0.4, n_modes) * max(grid.L1, 2.0 * (grid.Lp or grid.L1))
+    amps = rng.uniform(0.3, 1.0, 3)
+    centers = rng.uniform(*grid.box, (3, dim))
+    widths = rng.uniform(0.15, 0.4, 3) * max(grid.L1, 2.0 * (grid.Lp or grid.L1))
 
     def raw(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -504,12 +502,6 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.scenario != "gradient-bound-sweep":
         raise BadConfig(f"scenario {cfg.scenario!r} is not gradient-bound-sweep")
     theta = cfg.theta
-    if cfg.strict_angle_range:
-        res = admissible_angle_range(max(cfg.dim, 2), theta)
-        if not res.in_range:
-            raise AngleOutOfRange(
-                f"cos^2(theta)={theta.cos_t ** 2:.4f} outside the admissible "
-                f"range for n={cfg.dim} (threshold {res.threshold:.4f})")
     r = cfg.r_levels[0]
     base = cfg.affine_base()
     rngs = _level_rngs(cfg, len(cfg.h_levels))

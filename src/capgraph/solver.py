@@ -329,7 +329,7 @@ def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray,
                     scratch: _Scratch | None = None) -> np.ndarray:
     """Per-cell local blocks of the exact (positive semidefinite) energy
     Hessian, shaped (k*k, n_cells): row i*k + j is entry (i, j) of each
-    cell's k x k block over its corners (cell_corners order); a view of
+    cell's k x k block over its corners (corner_rows order); a view of
     the scratch's slab.
 
     The block is h^(dim-2)/k sum_q T_q^T K_q T_q (see _hessian_map), with

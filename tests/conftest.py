@@ -9,7 +9,7 @@ and a slow host cannot fail a test on timing.
 import numpy as np
 from hypothesis import settings
 
-from capgraph import AngleOutOfRange
+from capgraph import angle_threshold
 from capgraph.estimates import _EPS0_SCAN, _splitting_lhs
 
 settings.register_profile("capgraph", derandomize=True, deadline=None,
@@ -17,11 +17,24 @@ settings.register_profile("capgraph", derandomize=True, deadline=None,
 settings.load_profile("capgraph")
 
 
+class NoAdmissibleEps0(Exception):
+    """No eps0 in (0, 1) meets the splitting condition of one (n, theta)."""
+
+
+def scalar_angle_range(n, theta):
+    """(in_range, threshold, margin) of one (n, theta): the oracle of the
+    sweep's array range.  Dimensions up to 3 are unrestricted; from 4 on the
+    margin threshold - cos^2(theta) must be positive."""
+    threshold = angle_threshold(n)
+    margin = threshold - theta.cos_t ** 2
+    return n <= 3 or margin > 0.0, threshold, margin
+
+
 def scalar_choose_eps0(n, theta, tol=1e-12):
     """The admissible eps0 of one (n, theta), one scalar bisection per end:
     the oracle of choose_eps0_array's masked bisection.  A numpy float64
     where an end was bisected, the float 0.5 where the whole scan is
-    admissible; raises AngleOutOfRange where no eps0 is admissible."""
+    admissible; raises NoAdmissibleEps0 where no eps0 is admissible."""
     cos2 = theta.cos_t ** 2
 
     def f(eps):
@@ -30,7 +43,7 @@ def scalar_choose_eps0(n, theta, tol=1e-12):
     grid = _EPS0_SCAN
     pos = f(grid) > 0.0
     if not np.any(pos):
-        raise AngleOutOfRange(f"n={n}")
+        raise NoAdmissibleEps0(f"n={n}")
 
     def bisect(a, b):
         fa = f(a)

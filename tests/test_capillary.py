@@ -217,18 +217,13 @@ def test_capillary_energy_lower_bound_and_additivity():
     u = ScalarField(grid, rng.standard_normal(grid.n_nodes))
     total = capillary_energy(u, theta)
     assert total >= theta.sin_t * domain_area - 1e-12
-    n_cells = grid.cell_corners.shape[0]
-    split = n_cells // 3
-    part = (capillary_energy(u, theta, cells=np.arange(split))
-            + capillary_energy(u, theta, cells=np.arange(split, n_cells)))
+    # additive over the cells: the node rows up to x1 = 0.4 and from it on
+    # are the fields of two boxes that split the cells between them
+    lat = u.lattice()
+    part = sum(capillary_energy(ScalarField(build_grid(2, 0.2, width, 1.0),
+                                            rows.ravel()), theta)
+               for width, rows in ((0.4, lat[:3]), (0.6, lat[2:])))
     assert abs(total - part) <= 1e-12 * max(1.0, abs(total))
-
-
-@pytest.mark.parametrize("args", [(1, 0.25, 1.0), (2, 0.25, 1.0, 0.5)])
-def test_capillary_energy_over_no_cells_is_zero(args):
-    grid = build_grid(*args)
-    u = ScalarField(grid, np.random.default_rng(17).standard_normal(grid.n_nodes))
-    assert capillary_energy(u, CapillaryAngle(1.0), cells=np.array([], dtype=int)) == 0.0
 
 
 @pytest.mark.parametrize("dim, h, L1", [(1, 0.25, 1.0), (1, 0.25, 1.25),
@@ -327,11 +322,9 @@ def quadrant_gradients(grid, values):
     return out
 
 
-def _quadrant_energy(u, theta, cells=None):
+def _quadrant_energy(u, theta):
     # the cell quadrature written on quadrant_gradients
     g = quadrant_gradients(u.grid, u.values)
-    if cells is not None:
-        g = g[cells]
     v = capillary_area_element(g, theta)
     return float(u.grid.h ** u.grid.dim * np.sum(np.mean(v, axis=1)))
 
@@ -341,15 +334,11 @@ def _quadrant_energy(u, theta, cells=None):
 def test_capillary_energy_is_bitwise_the_quadrant_formula(args):
     grid = build_grid(*args)
     rng = np.random.default_rng(14)
-    n_cells = grid.cell_corners.shape[0]
     for theta_val in (0.4, np.pi / 2, 2.5):
         theta = CapillaryAngle(theta_val)
         for amp in (0.1, 3.0):
             u = ScalarField(grid, amp * rng.standard_normal(grid.n_nodes))
-            cells = rng.choice(n_cells, n_cells // 3, replace=False)
             assert repr(capillary_energy(u, theta)) == repr(_quadrant_energy(u, theta))
-            assert (repr(capillary_energy(u, theta, cells=cells))
-                    == repr(_quadrant_energy(u, theta, cells)))
 
 
 # m1 cells along x1, 2 * mp along x2, at three mesh widths
@@ -366,14 +355,12 @@ def test_batched_energies_are_bitwise_the_single_energies(dim, h, m1, mp, n_stat
     theta = CapillaryAngle(theta_val)
     rng = np.random.default_rng(seed)
     batch = amp * rng.standard_normal((n_states, grid.n_nodes))
-    n_cells = grid.cell_corners.shape[0]
-    for cells in (None, rng.choice(n_cells, (n_cells + 1) // 2, replace=False)):
-        got = capillary_energies(grid, batch, theta, cells)
-        assert got.shape == (n_states,)
-        for row, energy in zip(batch, got):
-            u = ScalarField(grid, row)
-            assert repr(float(energy)) == repr(capillary_energy(u, theta, cells))
-            assert repr(float(energy)) == repr(_quadrant_energy(u, theta, cells))
+    got = capillary_energies(grid, batch, theta)
+    assert got.shape == (n_states,)
+    for row, energy in zip(batch, got):
+        u = ScalarField(grid, row)
+        assert repr(float(energy)) == repr(capillary_energy(u, theta))
+        assert repr(float(energy)) == repr(_quadrant_energy(u, theta))
 
 
 def test_quadrant_gradients_pair_the_edge_differences():
@@ -381,8 +368,8 @@ def test_quadrant_gradients_pair_the_edge_differences():
     vals = np.random.default_rng(15).standard_normal(grid.n_nodes)
     d = edge_differences(grid, vals)
     g = quadrant_gradients(grid, vals)
-    c = grid.cell_corners
-    assert np.array_equal(d[0], (vals[c[:, 1]] - vals[c[:, 0]]) / grid.h)
+    c = grid.corner_rows
+    assert np.array_equal(d[0], (vals[c[1]] - vals[c[0]]) / grid.h)
     for q, (i, j) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
         assert np.array_equal(g[:, q, 0], d[i])
         assert np.array_equal(g[:, q, 1], d[j])

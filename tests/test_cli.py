@@ -217,6 +217,38 @@ def test_unsupported_grid_is_exit_3_not_a_traceback(tmp_path, capsys, key,
     assert not (tmp_path / "bad.csv").exists()
 
 
+REPORT_CFG = """
+scenario = gradient-bound-sweep
+r_levels = 2.0
+h_levels = 0.5
+c0 = 0.0
+seed = 2
+"""
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_a_config_that_sets_strict_angle_range_is_exit_3(tmp_path, capsys, value):
+    # the key is gone: the angle restriction starts at n = 4, where no grid
+    # is built, so it could only ever turn bad input into exit 1
+    cfg = _write(tmp_path, "strict.cfg", REPORT_CFG + f"strict_angle_range = {value}\n")
+    out = tmp_path / "report.csv"
+    assert cli_main(["report", "--config", cfg, "--out", str(out)]) == 3
+    assert "unknown config key 'strict_angle_range'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", ["", "strict_angle_range = true\n"])
+def test_a_steep_angle_in_dimension_4_is_exit_3(tmp_path, capsys, extra):
+    # cos^2(0.2456) = 0.94 lies above the n = 4 threshold 15/16, but a
+    # dimension above 2 is bad input before any angle range is read
+    cfg = _write(tmp_path, "steep.cfg",
+                 REPORT_CFG + "dim = 4\ntheta_rad = 0.2456\n" + extra)
+    out = tmp_path / "report.csv"
+    assert cli_main(["report", "--config", cfg, "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hypothesis_violation_maps_to_exit_1(tmp_path):
     cfg = _write(tmp_path, "onesided.cfg", """
 scenario = liouville-one-sided
@@ -411,12 +443,13 @@ _CONFIG_COMMANDS = {"solve": ("affine-recovery", "liouville-linear-growth"),
                     "verify": ("minimizer-test", "conormal-check")}
 
 # one edit that makes any config invalid: bad values, r < h, an unknown
-# key, a line without '=' and a dimension other than 1 or 2
+# key (a retired one too), a line without '=' and a dimension other than 1
+# or 2
 _INVALID_EDITS = (("h_levels", "-0.5"), ("c0", "-1.0"), ("seed", "-1"),
                   ("sin_min", "1.5"), ("r_levels", "2.0, 1.0"), ("r_levels", "0.1"),
                   ("theta_rad", "nan"), ("perturb_amp", "inf"), ("dim", "3"),
                   ("scenario", "no-such-scenario"), ("no_such_key", "1"),
-                  ("no equals sign", None))
+                  ("strict_angle_range", "false"), ("no equals sign", None))
 
 
 @st.composite
@@ -438,7 +471,6 @@ def _small_configs(draw, command):
         "L_slope": draw(st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim)),
         "L_offset": draw(st.floats(-1.0, 1.0)),
         "seed": draw(st.integers(0, 20)),
-        "strict_angle_range": draw(st.booleans()),
     }
     lines = {key: ", ".join(map(repr, val)) if isinstance(val, (tuple, list))
              else str(val) for key, val in entries.items()}

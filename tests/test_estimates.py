@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from capgraph import (AngleOutOfRange, CapillaryAngle, CutoffParams,
+from capgraph import (CapillaryAngle, CutoffParams,
                       DegenerateAngle, DegenerateState,
                       EllipsoidRegion, EmptyRegion, HypothesisViolation,
                       InvalidParameter, LinearBound, ProblemSpec, RegionKind,
-                      ScalarField, ShapeMismatch, admissible_angle_range,
-                      affine_capillary_solution,
+                      ScalarField, ShapeMismatch, affine_capillary_solution,
                       angle_condition_holds, angle_condition_lower_bound,
                       angle_threshold, auxiliary_function, build_grid,
                       choose_eps0_array,
@@ -22,8 +21,8 @@ from capgraph import (AngleOutOfRange, CapillaryAngle, CutoffParams,
                       height_weight, in_region, nondivergence_residual,
                       one_sided_slope_limit, shifted_cutoff_profile)
 from capgraph import estimates
-from capgraph.estimates import _profile_gradient
-from conftest import scalar_choose_eps0
+from capgraph.estimates import _angle_ranges
+from conftest import NoAdmissibleEps0, scalar_choose_eps0
 
 THETA = CapillaryAngle(np.pi / 3)
 
@@ -54,7 +53,6 @@ def test_cutoff_derivative_check_report():
     assert rep.max_gradient_violation <= 1e-12
     assert rep.max_boundary_residual <= 1e-12
     assert rep.min_weight_inner >= rep.inner_lower_bound - 1e-12
-    assert np.isfinite(rep.hessian_constant) and rep.hessian_constant > 0.0
 
 
 def _vstack_cutoff_check(params, samples, seed=0):
@@ -64,7 +62,6 @@ def _vstack_cutoff_check(params, samples, seed=0):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     r, th, dim = params.r, params.theta, params.dim
     c, s = abs(th.cos_t), th.sin_t
-    center = np.asarray(params.center) if params.center else np.zeros(dim - 1)
 
     def draw_inside(count, region):
         rho = region.semiaxis
@@ -72,7 +69,7 @@ def _vstack_cutoff_check(params, samples, seed=0):
         while pts.shape[0] < count:
             cand = np.empty((2 * count, dim))
             cand[:, 0] = rng.uniform(max(0.0, c * r - rho), c * r + rho, 2 * count)
-            cand[:, 1:] = center + rng.uniform(-rho / s, rho / s, (2 * count, dim - 1))
+            cand[:, 1:] = rng.uniform(-rho / s, rho / s, (2 * count, dim - 1))
             pts = np.vstack([pts, cand[in_region(cand, region)]])
         return pts[:count]
 
@@ -83,23 +80,17 @@ def _vstack_cutoff_check(params, samples, seed=0):
     n_bdry = max(1, samples // 10)
     bpts = np.zeros((n_bdry, dim))
     while True:
-        cand = center + rng.uniform(-r, r, (4 * n_bdry, dim - 1))
-        keep = np.sum((cand - center) ** 2, axis=1) < (0.999999 * r) ** 2
+        cand = rng.uniform(-r, r, (4 * n_bdry, dim - 1))
+        keep = np.sum(cand ** 2, axis=1) < (0.999999 * r) ** 2
         if np.count_nonzero(keep) >= n_bdry:
             bpts[:, 1:] = cand[keep][:n_bdry]
             break
     bpsi = np.atleast_1d(cutoff_weight(bpts, params))
     bgrad = cutoff_weight_gradient(bpts, params)
     boundary_residual = float(np.max(np.abs(bgrad[:, 0] - 4.0 * np.sqrt(bpsi) * c / r)))
-    q = np.atleast_1d(cutoff_profile(pts, params))
-    dq = np.ascontiguousarray(_profile_gradient(pts, params).T)
-    d2q_diag = np.full(dim, -2.0 / r ** 2)
-    d2q_diag[1:] = -2.0 * s ** 2 / r ** 2
-    hess = 2.0 * (dq[:, None] * dq[None, :] + np.diag(d2q_diag)[:, :, None] * q)
-    hessian_constant = float(np.max(np.linalg.norm(hess, axis=(0, 1))) * r ** 2)
-    ipts = draw_inside(samples, EllipsoidRegion(r, th, RegionKind.INNER, params.center))
+    ipts = draw_inside(samples, EllipsoidRegion(r, th, RegionKind.INNER))
     ipsi = np.atleast_1d(cutoff_weight(ipts, params))
-    return (grad_violation, boundary_residual, hessian_constant,
+    return (grad_violation, boundary_residual,
             float(np.min(ipsi)), (1.0 - (1.0 + c) ** 2 / 4.0) ** 2)
 
 
@@ -108,7 +99,7 @@ def test_single_pass_cutoff_sampler_matches_the_vstack_oracle():
     # samples 1-3 even none), so the rejection path draws several batches
     cases = [CutoffParams(r=1.0, theta=CapillaryAngle(0.3), dim=2),
              CutoffParams(r=2.5, theta=CapillaryAngle(np.pi / 2), dim=2),
-             CutoffParams(r=0.7, theta=CapillaryAngle(2.9), dim=3, center=(0.4, -1.0))]
+             CutoffParams(r=0.7, theta=CapillaryAngle(2.9), dim=3)]
     for params in cases:
         for samples in (1, 2, 3):
             for seed in range(50):
@@ -200,6 +191,26 @@ def test_cutoff_params_reject_a_non_finite_or_nonpositive_scale(bad):
     assert CutoffParams(r=1.0, theta=THETA, nstar=0.5, m_scale=2.0).m_scale == 2.0
 
 
+@pytest.mark.parametrize("dim", [0, -1, 1.5, True])
+def test_cutoff_params_reject_a_dimension_below_one(dim):
+    with pytest.raises(InvalidParameter, match="dim must be an integer >= 1"):
+        CutoffParams(r=1.0, theta=THETA, dim=dim)
+    assert CutoffParams(r=1.0, theta=THETA, dim=1).dim == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linear_bound_rejects_a_non_finite_offset_or_slope(bad):
+    with pytest.raises(ValueError, match="offset must be finite"):
+        LinearBound((0.0, 0.0), bad)
+    # no slope limit admits a non-finite slope entry
+    with pytest.raises(HypothesisViolation, match="slope entries must be finite"):
+        LinearBound((0.0, bad))
+    bound = LinearBound((0.0, 0.0), 0.5)
+    params = CutoffParams(r=1.0, theta=THETA, dim=2, bound=bound)
+    assert shifted_cutoff_profile(np.zeros(2), 0.0, params) == pytest.approx(
+        cutoff_profile(np.zeros(2), params) - 0.5 / (2.0 * params.nstar))
+
+
 def test_height_weight_range_and_linearity():
     assert height_weight(0.0, 3.0) == 1.0
     assert height_weight(3.0, 3.0) == 1.5
@@ -277,9 +288,11 @@ def test_auxiliary_maximum_stays_in_the_closed_outer_region(theta, r, amp, tilt)
 
 
 def test_auxiliary_function_needs_a_node_in_the_region():
+    # a grid shifted off the origin: the region lies between wall nodes,
+    # with no node inside
     grid = build_grid(2, 0.5, 2.0, 2.0)
-    # centred between wall nodes, with no node inside
-    params = CutoffParams(r=0.2, theta=THETA, dim=2, center=(0.25,))
+    grid = replace(grid, nodes=grid.nodes + (0.0, 0.25))
+    params = CutoffParams(r=0.2, theta=THETA, dim=2)
     field = ScalarField(grid, np.zeros(grid.n_nodes))
     with pytest.raises(EmptyRegion):
         auxiliary_function(field, THETA, params)
@@ -304,15 +317,14 @@ def test_angle_threshold_values():
 
 
 def test_admissible_angle_range_cases():
-    for t in np.linspace(0.1, np.pi - 0.1, 17):
-        assert admissible_angle_range(3, CapillaryAngle(t)).in_range
-        assert admissible_angle_range(2, CapillaryAngle(t)).in_range
-    res = admissible_angle_range(4, CapillaryAngle(np.pi / 2))
-    assert res.in_range and np.isclose(res.threshold, 0.9375)
-    steep = CapillaryAngle(np.arccos(0.97))
-    res = admissible_angle_range(4, steep)
-    assert not res.in_range
-    assert res.margin < 0.0
+    cos2 = np.cos(np.linspace(0.1, np.pi - 0.1, 17)) ** 2
+    _, _, in_range = _angle_ranges([2, 3], cos2)
+    assert in_range.shape == (2, 17) and np.all(in_range)
+    thr, margin, in_range = _angle_ranges([4], CapillaryAngle(np.pi / 2).cos_t ** 2)
+    assert in_range.item() and np.isclose(thr.item(), 0.9375)
+    thr, margin, in_range = _angle_ranges([4], CapillaryAngle(np.arccos(0.97)).cos_t ** 2)
+    assert not in_range.item()
+    assert margin.item() < 0.0
 
 
 def test_one_sided_slope_limit_properties():
@@ -477,7 +489,7 @@ def test_eps0_array_core_matches_the_scalar_bisection(n, thetas, tol):
         angle = CapillaryAngle(t)
         try:
             expected = scalar_choose_eps0(n, angle, tol)
-        except AngleOutOfRange:
+        except NoAdmissibleEps0:
             assert np.isnan(e) and not flag
             continue
         assert e == expected and flag == (type(expected) is np.float64)
@@ -636,10 +648,12 @@ def test_height_scale_over_the_region_and_fallback():
     inside = in_region(grid.nodes, region)
     assert 0 < np.count_nonzero(inside) < grid.n_nodes
     assert height_scale(u, region) == np.max(np.abs(u.values[inside])) + 1.0
-    # no node inside: the sup runs over all nodes
-    far = EllipsoidRegion(0.1, THETA, center=(50.0,))
-    assert not np.any(in_region(grid.nodes, far))
-    assert height_scale(u, far) == np.max(np.abs(u.values)) + 0.1
+    # no node inside (the grid shifted off the origin): the sup runs over
+    # all nodes
+    far = ScalarField(replace(grid, nodes=grid.nodes + (0.0, 50.0)), u.values)
+    small = EllipsoidRegion(0.1, THETA)
+    assert not np.any(in_region(far.grid.nodes, small))
+    assert height_scale(far, small) == np.max(np.abs(u.values)) + 0.1
     # the auxiliary function's default M is the same scale
     params = CutoffParams(r=1.0, theta=THETA, dim=2)
     explicit = replace(params, m_scale=height_scale(u, params.outer_region()))

@@ -1,5 +1,7 @@
 """Grid construction, node classification, and ellipsoidal regions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -91,12 +93,17 @@ def test_inner_node_set_1d_closure_tolerance():
     assert np.allclose(grid.nodes[idx].ravel(), [0.0, 0.5, 1.0])
 
 
+def _shifted(grid, offset):
+    """The grid with every node moved by `offset` along x2: a lattice off
+    the origin, as a caller can build one."""
+    return replace(grid, nodes=grid.nodes + (0.0, offset)) if offset else grid
+
+
 def test_inner_node_set_empty_region():
-    grid = build_grid(2, 0.5, 2.0, 2.0)
+    far = _shifted(build_grid(2, 0.5, 2.0, 2.0), 50.0)
     theta = CapillaryAngle(np.pi / 3)
-    far = EllipsoidRegion(0.5, theta, RegionKind.OUTER, center=(50.0,))
     with pytest.raises(EmptyRegion):
-        inner_node_set(grid, far)
+        inner_node_set(far, EllipsoidRegion(0.5, theta, RegionKind.OUTER))
 
 
 def test_inner_subset_of_outer_on_grid():
@@ -146,8 +153,6 @@ def _unfiltered_inner_node_set(grid, region):
     # the distance rule of inner_node_set with every exterior node bisected
     y = grid.nodes.copy()
     y[:, 0] -= region.axial_center
-    if grid.dim > 1 and region.center:
-        y[:, 1:] -= np.asarray(region.center)
     axes = np.full(grid.dim, region.semiaxis)
     axes[1:] /= region.theta.sin_t
     dist = _distance_to_ellipsoid(y, axes)
@@ -158,13 +163,13 @@ def _unfiltered_inner_node_set(grid, region):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_inner_node_set_prefilter_keeps_the_unfiltered_sets(dim):
     for h in (0.5, 0.2):
-        grid = build_grid(dim, h, 4.0, 4.0)
-        for r in (0.6, 1.5, 3.0):
-            for theta_val in (0.5, np.pi / 2, 2.3):
-                theta = CapillaryAngle(theta_val)
-                for kind in RegionKind:
-                    for center in ((), (0.7,)) if dim == 2 else ((),):
-                        region = EllipsoidRegion(r, theta, kind, center)
+        for offset in (0.0, -0.7) if dim == 2 else (0.0,):
+            grid = _shifted(build_grid(dim, h, 4.0, 4.0), offset)
+            for r in (0.6, 1.5, 3.0):
+                for theta_val in (0.5, np.pi / 2, 2.3):
+                    theta = CapillaryAngle(theta_val)
+                    for kind in RegionKind:
+                        region = EllipsoidRegion(r, theta, kind)
                         assert np.array_equal(
                             inner_node_set(grid, region),
                             _unfiltered_inner_node_set(grid, region))
@@ -176,25 +181,26 @@ def test_inner_node_set_prefilter_keeps_the_unfiltered_sets(dim):
 @given(dim=st.sampled_from([1, 2]), theta_val=st.floats(0.3, 2.8),
        r=st.floats(0.5, 8.0), h=st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5]),
        scale=st.sampled_from([0.5, 1.0]), kind=st.sampled_from(list(RegionKind)),
-       center=st.none() | st.floats(-1.0, 1.0))
+       offset=st.none() | st.floats(-1.0, 1.0))
 # the CLI's on-surface nodes: (0.5, +-3) has q == 1 exactly in the inner
 # region of radius 4 at theta = pi/3
 @example(dim=2, theta_val=np.pi / 3, r=4.0, h=0.25, scale=1.0,
-         kind=RegionKind.INNER, center=None)
+         kind=RegionKind.INNER, offset=None)
 @example(dim=2, theta_val=np.pi / 3, r=4.0, h=0.5, scale=1.0,
-         kind=RegionKind.INNER, center=None)
+         kind=RegionKind.INNER, offset=None)
 @example(dim=2, theta_val=np.pi / 3, r=8.0, h=0.25, scale=0.5,
-         kind=RegionKind.INNER, center=None)
+         kind=RegionKind.INNER, offset=None)
 # nodes at distance h/2, decided only by a bracket narrower than 1e-12
 @example(dim=2, theta_val=np.pi / 3, r=1.0, h=0.05, scale=0.5,
-         kind=RegionKind.INNER, center=None)
+         kind=RegionKind.INNER, offset=None)
 def test_inner_node_set_equals_the_unfiltered_sets_on_radius_domains(
-        dim, theta_val, r, h, scale, kind, center):
+        dim, theta_val, r, h, scale, kind, offset):
     assume(h <= r <= 40.0 * h)
     theta = CapillaryAngle(theta_val)
     grid = domain_for_radius(r, theta, h, dim)
-    region = EllipsoidRegion(scale * r, theta, kind,
-                             () if dim == 1 or center is None else (center,))
+    if dim == 2 and offset is not None:
+        grid = _shifted(grid, -offset)
+    region = EllipsoidRegion(scale * r, theta, kind)
     assert np.array_equal(inner_node_set(grid, region),
                           _unfiltered_inner_node_set(grid, region))
 

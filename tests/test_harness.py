@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
-                      AngleOutOfRange, AngleSweepRow, BadConfig,
+                      AngleSweepRow, BadConfig, BadDimension,
                       CapillaryAngle, CheckResult,
                       CutoffParams, DegenerateAngle, EllipsoidRegion,
                       ExperimentConfig, ExperimentReport,
@@ -17,8 +17,7 @@ from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       InvariantViolation, LinearBound, OutOfExtent,
                       RegionKind, ReportRow,
                       StationarityViolation,
-                      ScalarField, admissible_angle_range,
-                      affine_capillary_solution, angle_condition_holds,
+                      ScalarField, affine_capillary_solution, angle_condition_holds,
                       angle_condition_lower_bound,
                       angle_threshold, area_element, blow_down,
                       build_grid, calibration_value, capillary_energy,
@@ -34,7 +33,7 @@ from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       unit_normal, write_csv)
 from capgraph import harness
 from capgraph.cli import cli_main
-from conftest import scalar_choose_eps0
+from conftest import NoAdmissibleEps0, scalar_angle_range, scalar_choose_eps0
 
 THETA = CapillaryAngle(np.pi / 3)
 
@@ -49,16 +48,17 @@ def test_parse_config_roundtrip_and_errors():
     h_levels = 0.5
     L_slope = 0.0, 0.25
     seed = 9
-    strict_angle_range = false
     """
     cfg = parse_config(text)
     assert cfg.scenario == "liouville-linear-growth"
     assert cfg.r_levels == (2.0, 4.0)
     assert cfg.level_pairs() == ((2.0, 0.5), (4.0, 0.5))
-    assert cfg.seed == 9 and cfg.strict_angle_range is False
+    assert cfg.seed == 9
 
     with pytest.raises(BadConfig, match="unknown config key 'badkey'"):
         parse_config("scenario = angle-sweep\nbadkey = 1")
+    with pytest.raises(BadConfig, match="unknown config key 'strict_angle_range'"):
+        parse_config("scenario = angle-sweep\nstrict_angle_range = false")
     with pytest.raises(BadConfig, match="bad value for config key 'dim'"):
         parse_config("scenario = angle-sweep\ndim = two")
     with pytest.raises(BadConfig, match="duplicate"):
@@ -324,11 +324,11 @@ def test_gradient_bound_sweep_degenerate_and_angle_guard(monkeypatch):
     assert report.fit.degenerate
     assert report.fit.c2 == 0.0 and report.fit.c3 == 0.0
 
+    # the angle restriction starts at n = 4, a dimension no grid is built in
     steep = ExperimentConfig(scenario="gradient-bound-sweep", r_levels=(2.0,),
                              h_levels=(0.5,), dim=4,
-                             theta_rad=float(np.arccos(0.97)),
-                             strict_angle_range=True, seed=2)
-    with pytest.raises(AngleOutOfRange):
+                             theta_rad=float(np.arccos(0.97)), seed=2)
+    with pytest.raises(BadDimension):
         run_gradient_bound_sweep(steep)
 
 
@@ -585,22 +585,23 @@ def test_angle_sweep_rows_and_symmetry():
 
 
 def _per_cell_sweep(n_list, theta_grid, sin_min=0.05):
-    """run_angle_sweep as it was written, one CapillaryAngle and one scalar
-    eps0 bisection per (n, theta) cell: the oracle of the array sweep, which
-    shares none of choose_eps0_array's code."""
+    """run_angle_sweep as it was written, one CapillaryAngle, one scalar
+    angle range and one scalar eps0 bisection per (n, theta) cell: the
+    oracle of the array sweep, which shares none of the code of
+    _angle_ranges or choose_eps0_array."""
     rows = []
     for n in n_list:
         for t in theta_grid:
             angle = CapillaryAngle(float(t), sin_min=sin_min)
-            res = admissible_angle_range(int(n), angle)
+            in_range, threshold, margin = scalar_angle_range(int(n), angle)
             try:
                 eps_mid = scalar_choose_eps0(int(n), angle)
                 script_b = angle_condition_lower_bound(int(n), angle, eps_mid)
-            except AngleOutOfRange:
+            except NoAdmissibleEps0:
                 script_b = angle_condition_lower_bound(int(n), angle, 0.0)
             rows.append(AngleSweepRow(
-                n=int(n), theta=float(t), in_U=res.in_range,
-                threshold=res.threshold, margin=res.margin,
+                n=int(n), theta=float(t), in_U=in_range,
+                threshold=threshold, margin=margin,
                 C_theta=one_sided_slope_limit(angle), script_B=script_b))
     return rows
 
