@@ -10,6 +10,7 @@ dimensional lower bound and the admissible eps0 of each (n, theta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -49,7 +50,7 @@ class LinearBound:
 
     @property
     def slope_norm(self) -> float:
-        return float(np.linalg.norm(self.slope))
+        return math.hypot(*self.slope)
 
     def check_slope(self, theta: CapillaryAngle) -> None:
         """Raise HypothesisViolation when |DL| exceeds the one-sided slope

@@ -4,7 +4,11 @@ The computational domain is an axis-aligned box [0, L1] x [-Lp, Lp]^(dim-1)
 discretized with uniform spacing h.  Nodes on the wall {x1 = 0} carry the
 contact-angle boundary condition, the remaining box faces carry Dirichlet
 data, and corners where the wall meets another face are assigned Dirichlet
-(the node would otherwise be over-determined).
+(the node would otherwise be over-determined).  The free nodes of such a
+lattice form a box (free_shape), and so do those of each level of its
+multigrid hierarchy (HalfSpaceGrid.coarse): a coarse level is a lattice
+shape (_coarse_shape) with the prolongation and the cell groups of its
+coarsening, and builds no node coordinates or classes.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cache, cached_property, reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -57,6 +61,13 @@ def _conforming_count(extent: float, h: float, name: str) -> int:
             f"{name}={extent} is not a positive integer multiple of h={h}"
         )
     return int(m_round)
+
+
+class Coarsening(NamedTuple):
+    """One coarsening of the multigrid hierarchy (HalfSpaceGrid.coarse)."""
+    shape: tuple[int, ...]   # the coarse lattice
+    prolongation: tuple      # P, see _prolongation
+    cells: tuple             # the Galerkin cell groups, see _cell_restriction
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,113 +123,25 @@ class HalfSpaceGrid:
         return out
 
     @cached_property
-    def coarse(self) -> tuple[HalfSpaceGrid, ...]:
-        """The coarse levels of the multigrid hierarchy below this grid,
+    def coarse(self) -> tuple[Coarsening, ...]:
+        """The multigrid hierarchy below this grid, one Coarsening per level,
         finest first.  Each coarsening keeps every second lattice node along
-        each axis, plus the last node of an axis with an odd cell count.  A
-        level is the grid of the kept nodes (classes kept, h doubled except
-        in that last cell), so the box faces stay faces and a Dirichlet fine
+        each axis, plus the last node of an axis with an odd cell count
+        (_coarse_shape), so the box faces stay faces and a Dirichlet fine
         node has only Dirichlet coarse parents.  The hierarchy stops at the
         first level with at most _COARSEST_SIZE free nodes (after at least
         one coarsening), which the linear solver solves exactly, or earlier
         once an axis has fewer than three nodes or no free node would be
         left.
         """
-        out = []
-        grid = self
-        while (min(grid.shape) >= 3
-               and (not out or grid.free_indices.size > _COARSEST_SIZE)):
-            keep = np.ix_(*map(_kept_nodes, grid.shape))
-            classes = grid.classes.reshape(grid.shape)[keep]
-            if np.all(classes == _DIRICHLET):
+        out, shape = [], self.shape
+        while min(shape) >= 3 and (not out
+                                   or math.prod(free_shape(shape)) > _COARSEST_SIZE):
+            coarse = _coarse_shape(shape)
+            if not math.prod(free_shape(coarse)):
                 break
-            nodes = grid.nodes.reshape(grid.shape + (self.dim,))[keep]
-            grid = HalfSpaceGrid(dim=self.dim, h=2.0 * grid.h, L1=self.L1, Lp=self.Lp,
-                                 shape=classes.shape,
-                                 nodes=nodes.reshape(-1, self.dim),
-                                 classes=classes.ravel())
-            for arr in (grid.nodes, grid.classes):
-                arr.flags.writeable = False
-            out.append(grid)
-        return tuple(out)
-
-    @cached_property
-    def prolongations(self) -> tuple[tuple, ...]:
-        """P per coarsening of the multigrid hierarchy (see `coarse`),
-        finest first, as read-only CSR arrays (indptr, indices, data,
-        n_cols); the solver restricts through them, so no P^T is stored.
-
-        P interpolates (bi)linearly from the coarse to the fine free nodes:
-        the tensor product of the per-axis interpolations restricted to the
-        per-axis free masks (Trottenberg, Oosterlee & Schueller, Multigrid,
-        2001), so a fine free node has up to 2^dim coarse free parents, with
-        weights 1, 1/2 or 1/4.
-        """
-        # wall row free and far row Dirichlet along x1, both ends Dirichlet
-        # along each side axis
-        masks = [(i < i.size - 1) & ((i > 0) | (axis == 0))
-                 for axis, i in enumerate(map(np.arange, self.shape))]
-        assert np.array_equal(reduce(np.logical_and.outer, masks).ravel(),
-                              self.classes != _DIRICHLET)
-        out = []
-        for level in self.coarse:
-            factors = [_axis_interpolation(m) for m in masks]
-            masks = [coarse for _, _, coarse in factors]
-            # tensor product over the axes: candidate (a, b) of a fine node
-            # pairs its candidate a along the axes so far with candidate b
-            # along the next one; zero weights mark absent parents
-            cols, weights, _ = factors[0]
-            for fcols, fweights, fcoarse in factors[1:]:
-                k = cols.shape[0] * fcols.shape[0]
-                cols = (cols[:, None, :, None] * int(fcoarse.sum())
-                        + fcols[None, :, None, :]).reshape(k, -1)
-                weights = (weights[:, None, :, None]
-                           * fweights[None, :, None, :]).reshape(k, -1)
-            parent = (weights != 0.0).T
-            indptr = np.concatenate(([0], np.cumsum(parent.sum(axis=1))))
-            p = (indptr.astype(np.int32), cols.T[parent], weights.T[parent])
-            for arr in p:
-                arr.flags.writeable = False
-            out.append(p + (level.free_indices.size,))
-        return tuple(out)
-
-    @cached_property
-    def cell_restriction(self) -> tuple[tuple[slice | np.ndarray, np.ndarray,
-                                              np.ndarray], ...]:
-        """Groups (cells, maps, child) that form the Galerkin cell blocks of
-        the next coarsening, coarse[0], from the cell blocks B of this grid.
-
-        A coarse cell holds the fine cells 2 I + s along each axis, s = 0
-        or 1 (bit a of the child index s along axis a, as for corners), and
-        each child's corners interpolate from the coarse cell's corners by
-        a constant map R_s, so the coarse block is sum_s R_s^T B_s R_s.  An
-        odd cell count ends an axis in a coarse cell with the child s = 0
-        only.  A group gives coarse cells `cells`, the fine cells `child` of
-        their present children (child slowest) and the constant `maps` of
-        _child_maps: maps @ take(upper-triangle rows of B, child, axis=1),
-        reshaped to (maps.shape[1], len(cells)), are their blocks.  The
-        first group treats every coarse cell as regular (an absent child's
-        index runs past its axis, into the next row, or past the end, where
-        it is clipped to the last cell); each later group overwrites the end
-        cells of one set of odd axes, larger sets last.
-        """
-        m = [n - 1 for n in self.shape]
-        mc = [(n + 1) // 2 for n in m]
-        fine, coarse = _strides(m), _strides(mc)
-        first = reduce(np.add.outer, [np.arange(n) * 2 * s for n, s in zip(mc, fine)])
-        child = first.ravel() + (_corner_bits(self.dim) @ fine)[:, None]
-        out = [(slice(None), _child_maps(self.dim, ())[1],
-                np.minimum(child.ravel(), math.prod(m) - 1))]
-        odd = [a for a in range(self.dim) if m[a] % 2]
-        for size in range(1, len(odd) + 1):
-            for ends in itertools.combinations(odd, size):
-                cells = reduce(np.add.outer, [
-                    (np.array([n - 1]) if a in ends else np.arange(n)) * s
-                    for a, (n, s) in enumerate(zip(mc, coarse))]).ravel()
-                present, maps = _child_maps(self.dim, ends)
-                out.append((cells, maps, child[np.ix_(present, cells)].ravel()))
-        for _, _, idx in out:
-            idx.flags.writeable = False
+            out.append(Coarsening(coarse, _prolongation(shape), _cell_restriction(shape)))
+            shape = coarse
         return tuple(out)
 
     @cached_property
@@ -254,11 +177,86 @@ def _corner_bits(dim: int) -> np.ndarray:
     return out
 
 
-def _kept_nodes(n: int) -> np.ndarray:
-    """Lattice positions that a coarsening keeps along an axis of n nodes:
+def free_shape(shape) -> tuple[int, ...]:
+    """The box of free nodes of a lattice: x1 from the wall to one row
+    before the far face, each side axis without its two end rows."""
+    return (shape[0] - 1,) + tuple(n - 2 for n in shape[1:])
+
+
+def _coarse_shape(shape) -> tuple[int, ...]:
+    """The lattice of the nodes that a coarsening keeps along each axis:
     every second one, plus the last one when the cell count is odd."""
-    keep = np.arange(0, n, 2)
-    return np.append(keep, n - 1) if (n - 1) % 2 else keep
+    return tuple(n // 2 + 1 for n in shape)
+
+
+def _prolongation(shape) -> tuple:
+    """P of the coarsening of a lattice as read-only CSR arrays (indptr,
+    indices, data, n_cols); the solver restricts through them, so no P^T
+    is stored.
+
+    P interpolates (bi)linearly from the coarse to the fine free nodes:
+    the tensor product of the per-axis interpolations restricted to the
+    free boxes (Trottenberg, Oosterlee & Schueller, Multigrid, 2001), so a
+    fine free node has up to 2^dim coarse free parents, with weights 1, 1/2
+    or 1/4.
+    """
+    coarse = free_shape(_coarse_shape(shape))
+    factors = [_axis_interpolation(n, n - 1 - m)
+               for n, m in zip(shape, free_shape(shape))]
+    # tensor product over the axes: candidate (a, b) of a fine node pairs
+    # its candidate a along the axes so far with candidate b along the next
+    # one; zero weights mark absent parents
+    cols, weights = factors[0]
+    for (fcols, fweights), m in zip(factors[1:], coarse[1:]):
+        k = cols.shape[0] * fcols.shape[0]
+        cols = (cols[:, None, :, None] * m + fcols[None, :, None, :]).reshape(k, -1)
+        weights = (weights[:, None, :, None] * fweights[None, :, None, :]).reshape(k, -1)
+    parent = (weights != 0.0).T
+    indptr = np.concatenate(([0], np.cumsum(parent.sum(axis=1))))
+    p = (indptr.astype(np.int32), cols.T[parent], weights.T[parent])
+    for arr in p:
+        arr.flags.writeable = False
+    return p + (math.prod(coarse),)
+
+
+def _cell_restriction(shape) -> tuple[tuple[slice | np.ndarray, np.ndarray,
+                                            np.ndarray], ...]:
+    """Groups (cells, maps, child) that form the Galerkin cell blocks of
+    the coarsening of a lattice from the cell blocks B of the lattice.
+
+    A coarse cell holds the fine cells 2 I + s along each axis, s = 0 or 1
+    (bit a of the child index s along axis a, as for corners), and each
+    child's corners interpolate from the coarse cell's corners by a
+    constant map R_s, so the coarse block is sum_s R_s^T B_s R_s.  An odd
+    cell count ends an axis in a coarse cell with the child s = 0 only.  A
+    group gives coarse cells `cells`, the fine cells `child` of their
+    present children (child slowest) and the constant `maps` of
+    _child_maps: maps @ take(upper-triangle rows of B, child, axis=1),
+    reshaped to (maps.shape[1], len(cells)), are their blocks.  The first
+    group treats every coarse cell as regular (an absent child's index runs
+    past its axis, into the next row, or past the end, where it is clipped
+    to the last cell); each later group overwrites the end cells of one set
+    of odd axes, larger sets last.
+    """
+    dim = len(shape)
+    m = [n - 1 for n in shape]
+    mc = [n - 1 for n in _coarse_shape(shape)]
+    fine, coarse = _strides(m), _strides(mc)
+    first = reduce(np.add.outer, [np.arange(n) * 2 * s for n, s in zip(mc, fine)])
+    child = first.ravel() + (_corner_bits(dim) @ fine)[:, None]
+    out = [(slice(None), _child_maps(dim, ())[1],
+            np.minimum(child.ravel(), math.prod(m) - 1))]
+    odd = [a for a in range(dim) if m[a] % 2]
+    for size in range(1, len(odd) + 1):
+        for ends in itertools.combinations(odd, size):
+            cells = reduce(np.add.outer, [
+                (np.array([n - 1]) if a in ends else np.arange(n)) * s
+                for a, (n, s) in enumerate(zip(mc, coarse))]).ravel()
+            present, maps = _child_maps(dim, ends)
+            out.append((cells, maps, child[np.ix_(present, cells)].ravel()))
+    for _, _, idx in out:
+        idx.flags.writeable = False
+    return tuple(out)
 
 
 # per-axis interpolation of a child cell's two corner values (rows) from its
@@ -305,29 +303,24 @@ def _child_maps(dim: int, ends: tuple[int, ...]) -> tuple[list[int], np.ndarray]
     return present, maps
 
 
-def _axis_interpolation(free: np.ndarray):
-    """Linear interpolation along one lattice axis with free-node mask
-    `free`, coarsened to every second node plus the last one.
+def _axis_interpolation(n: int, first: int):
+    """Linear interpolation along one lattice axis of n nodes, whose free
+    nodes run from `first` to n - 2, from its coarsening (_coarse_shape),
+    whose free nodes run from `first` to n // 2 - 1.
 
-    Returns (cols, weights, coarse_free): (2, m) arrays over the m fine
-    free nodes holding the coarse-free ranks of each node's two candidate
-    parents and their weights, and the coarse free mask.  A kept node
-    copies its coarse node (weights 1 and 0); a dropped node lies midway
-    between two kept ones and takes 1/2 from each free one (a Dirichlet
-    parent gets weight 0).
+    Returns (cols, weights): (2, m) arrays over the m fine free nodes
+    holding the coarse-free ranks of each node's two candidate parents and
+    their weights.  An even node copies its coarse node (weights 1 and 0);
+    an odd node lies midway between two kept ones and takes 1/2 from each
+    free one.  A Dirichlet parent gets weight 0, and its rank is void.
     """
-    n = free.size
-    coarse_free = free[_kept_nodes(n)]
-    rank = np.cumsum(coarse_free, dtype=np.int32) - 1
-    # node i is kept as coarse node (i + 1) // 2 unless it is an odd node
-    # before the last one, which lies between coarse nodes i // 2 and i // 2 + 1
-    i = np.flatnonzero(free)
+    i = np.arange(first, n - 1, dtype=np.int32)
+    mid = i % 2
     hi = (i + 1) // 2
-    mid = (i % 2 == 1) & (i < n - 1)
     lo = hi - mid
-    weights = np.stack([np.where(mid, 0.5, 1.0) * coarse_free[lo],
-                        np.where(mid, 0.5, 0.0) * coarse_free[hi]])
-    return np.stack([rank[lo], rank[hi]]), weights, coarse_free
+    weights = np.stack([np.where(mid, 0.5, 1.0) * (lo >= first),
+                        np.where(mid, 0.5, 0.0) * (hi < n // 2)])
+    return np.stack([lo, hi]) - first, weights
 
 
 def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSpaceGrid:

@@ -21,7 +21,7 @@ from .capillary import (AffineCapillarySolution, CapillaryAngle, ScalarField,
                         calibration_value, capillary_area_element,
                         capillary_energies, capillary_gauge, conormal,
                         unit_normal)
-from .errors import (BadConfig, HypothesisViolation,
+from .errors import (BadConfig, BadDimension, HypothesisViolation,
                      InvalidParameter, InvariantViolation, OutOfExtent,
                      StationarityViolation, UnresolvedRegion, require_count)
 from .estimates import (_angle_ranges, _cos_squared,
@@ -91,6 +91,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise BadConfig(f"unknown scenario '{self.scenario}'")
+        if self.dim not in (1, 2):
+            raise BadDimension(f"dim must be 1 or 2, got {self.dim}")
         for f in sorted(fields(self), key=lambda f: f.name):
             val = getattr(self, f.name)
             if f.type in ("float", _FLOAT_LIST) and not np.all(np.isfinite(val)):
@@ -170,7 +172,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise BadConfig("missing required config key 'scenario'")
     try:
         return ExperimentConfig(**entries)
-    except TypeError as exc:
+    except (TypeError, BadDimension) as exc:
         raise BadConfig(str(exc)) from None
 
 
@@ -388,7 +390,7 @@ def blow_down(u: ScalarField, R: float, target_grid: HalfSpaceGrid | None = None
     axis, then the weighted sum over the cell's 2^dim corners), and queries
     outside the source extent raise OutOfExtent.
     """
-    if R < 1.0:
+    if not R >= 1.0:
         raise ValueError(f"blow-down scale must be >= 1, got {R}")
     src = u.grid
     if target_grid is None:

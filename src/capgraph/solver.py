@@ -3,16 +3,18 @@
 The residual is the exact gradient of the discrete capillary energy, driven
 to zero by damped inexact Newton with a lifted first step and multigrid-
 preconditioned CG (README, numerical notes).  Newton systems are solved in
-their volume-weighted SPD form, the only one _pcg accepts.  The free nodes
-of every multigrid level form a box of the lattice, so each level's
-operator is stored by diagonals, one per stencil delta, added up from the
-cell blocks by slices; the prolongations are the only CSR arrays.  Each
-solve carves one scratch slab (_Scratch) into the fine grid's kernel
-buffers, which the residuals, the cell blocks, the fine level's diagonals
-and its first coarsening reuse, so no call maps fresh memory.  All
-reductions have fixed order (numpy loops, not BLAS), so runs are bitwise
-reproducible at any BLAS thread count; and the convergence target stays
-anchored on the residual of the imposed affine start.
+their volume-weighted SPD form, the only one _pcg accepts.  The multigrid
+hierarchy is the grid's tuple of Coarsening records (geometry), read level
+by level.  The free nodes of every level form a box of its lattice
+(geometry.free_shape), so each level's operator is stored by diagonals,
+one per stencil delta, added up from the cell blocks by slices; the
+prolongations are the only CSR arrays.  Each solve carves one scratch slab
+(_Scratch) into the fine grid's kernel buffers, which the residuals, the
+cell blocks, the fine level's diagonals and its first coarsening reuse, so
+no call maps fresh memory.  All reductions have fixed order (numpy loops,
+not BLAS), so runs are bitwise reproducible at any BLAS thread count; and
+the convergence target stays anchored on the residual of the imposed
+affine start.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
-from .geometry import (_COARSEST_SIZE, HalfSpaceGrid, _corner_bits, _strides,
-                       _upper_entries)
+from .geometry import (_COARSEST_SIZE, Coarsening, HalfSpaceGrid, _coarse_shape,
+                       _corner_bits, _strides, _upper_entries, free_shape)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -128,12 +130,6 @@ def _view(slab: np.ndarray, start: int, shape: tuple) -> np.ndarray:
     return slab[start:start + math.prod(shape)].reshape(shape)
 
 
-def _free_shape(grid: HalfSpaceGrid) -> tuple[int, ...]:
-    """The box of free nodes: x1 from the wall to one row before the far
-    face, each side axis without its two end rows."""
-    return (grid.shape[0] - 1,) + tuple(n - 2 for n in grid.shape[1:])
-
-
 class _Cells(NamedTuple):
     """One cell-kernel pass's stencil buffers, views of a _Scratch slab."""
     load: Callable[[np.ndarray], None]   # fills them from nodal values
@@ -223,11 +219,12 @@ class _Scratch:
         k, n = rows.shape
         pairs = [(a, b) for a in range(dim) for b in range(a, dim)]  # triu order
         upper_index = _upper_entries(dim)[0]
-        free = _free_shape(grid)
+        free = free_shape(grid.shape)
         dia = 3 ** dim * math.prod(free)
         # the first coarsening's first gather, of every child of every
         # coarse cell (clipped ones included), is its largest
-        gather = upper_index.size * k * math.prod(m // 2 for m in grid.shape)
+        gather = upper_index.size * k * math.prod(
+            c - 1 for c in _coarse_shape(grid.shape))
         start = max(k * k * n, _cells_size(dim, n), gather)
         lane1 = max(len(pairs) * k * n, _cells_size(dim, n) + k // 2 * n,
                     2 * k * n, dia + upper_index.size * n)
@@ -267,11 +264,11 @@ class _Scratch:
 
     @cached_property
     def gathers(self) -> list[np.ndarray]:
-        """Per group of the fine grid's cell_restriction, its gather's view
-        (built at the first coarsening, as the grid's groups are)."""
+        """Per cell group of the fine grid's first coarsening, its gather's
+        view (built at that coarsening, after the hierarchy)."""
         u = self.upper_rows.shape[0]
         return [_view(self._slab, 0, (u, child.size))
-                for _, _, child in self._grid.cell_restriction]
+                for _, _, child in self._grid.coarse[0].cells]
 
 
 def _energy_gradient(grid: HalfSpaceGrid, values: np.ndarray,
@@ -388,13 +385,13 @@ def _diagonal_map(dim: int) -> tuple[np.ndarray, tuple[tuple[tuple, tuple], ...]
     return deltas, tuple(plan)
 
 
-def _free_level(grid: HalfSpaceGrid, blocks: np.ndarray,
+def _free_level(shape: tuple[int, ...], blocks: np.ndarray,
                 data: np.ndarray | None = None) -> tuple[tuple, np.ndarray]:
-    """Free-free matrix of per-cell blocks as DIA arrays (offsets, data, n)
-    in scipy's layout, data[d, j] = A[j - offsets[d], j], and its diagonal,
-    the row of the zero delta (offset 0).  `data`, shaped (3^dim,) + the
-    free box, is filled in place (the fine level's scratch view), else a
-    new array.
+    """Free-free matrix of the per-cell blocks of a lattice of the given
+    shape as DIA arrays (offsets, data, n) in scipy's layout, data[d, j] =
+    A[j - offsets[d], j], and its diagonal, the row of the zero delta
+    (offset 0).  `data`, shaped (3^dim,) + the free box, is filled in place
+    (the fine level's scratch view), else a new array.
 
     The free nodes form a box, so each stencil delta is one diagonal at the
     offset deltas @ free strides.  Two deltas share an offset where a side
@@ -404,9 +401,9 @@ def _free_level(grid: HalfSpaceGrid, blocks: np.ndarray,
     order from +0.0, the order of a one-bincount scatter, and lexicographic
     deltas keep each row's entries in ascending columns, as CSR does.
     """
-    deltas, plan = _diagonal_map(grid.dim)
-    free = _free_shape(grid)
-    cells = blocks.reshape((-1,) + tuple(n - 1 for n in grid.shape))
+    deltas, plan = _diagonal_map(len(shape))
+    free = free_shape(shape)
+    cells = blocks.reshape((-1,) + tuple(n - 1 for n in shape))
     if data is None:
         data = np.zeros((deltas.shape[0],) + free)
     else:
@@ -478,7 +475,8 @@ def assemble_jacobian(u: ScalarField, spec: ProblemSpec) -> JacobianSystem:
     scratch = _Scratch(grid)
     res, _ = _residual_full(u.values, spec, scratch)
     # the diagonals get an array of their own, not a view of the scratch
-    (offsets, data, n), _ = _free_level(grid, _hessian_blocks(grid, u.values, scratch))
+    (offsets, data, n), _ = _free_level(grid.shape,
+                                        _hessian_blocks(grid, u.values, scratch))
     # entry (d, j) lies in row j - offsets[d]; one outside the matrix is zero
     data *= np.take(-1.0 / grid.node_weights[free], np.arange(n) - offsets[:, None],
                     mode="clip")
@@ -561,17 +559,18 @@ def _jacobi_weights(diagonal: np.ndarray) -> np.ndarray:
     return _OMEGA / np.where(d == 0.0, 1.0, d)
 
 
-def _coarse_blocks(grid: HalfSpaceGrid, blocks: np.ndarray,
+def _coarse_blocks(level: Coarsening, blocks: np.ndarray,
                    scratch: _Scratch | None = None) -> np.ndarray:
-    """Galerkin cell blocks of grid.coarse[0] from the cell blocks of grid:
-    per group of grid.cell_restriction, one matmul of the constant child
-    maps with a gather of the children's upper-triangle block entries
-    (sum_s kron(R_s, R_s)^T B_s for every coarse cell at once).
+    """Galerkin cell blocks of the coarsening `level` from the cell blocks
+    of the lattice it coarsens: per group of level.cells, one matmul of the
+    constant child maps with a gather of the children's upper-triangle
+    block entries (sum_s kron(R_s, R_s)^T B_s for every coarse cell at
+    once).
 
     With the fine grid's scratch, the upper-triangle rows and the gathers
     are its views, and the gathers overwrite the blocks, which are dead
     once their rows are copied."""
-    rows = _upper_entries(grid.dim)[0]
+    rows = _upper_entries(len(level.shape))[0]
     if scratch is None:
         upper, gathers = blocks[rows], None
     else:
@@ -579,7 +578,7 @@ def _coarse_blocks(grid: HalfSpaceGrid, blocks: np.ndarray,
         upper = blocks.take(rows, axis=0, out=scratch.upper_rows, mode="wrap")
         gathers = scratch.gathers
     out = None
-    for group, (cells, maps, child) in enumerate(grid.cell_restriction):
+    for group, (cells, maps, child) in enumerate(level.cells):
         gathered = upper.take(child, axis=1, mode="wrap",
                               out=None if gathers is None else gathers[group])
         gathered = gathered.reshape(maps.shape[1], -1)
@@ -602,7 +601,7 @@ def _dense(a: tuple) -> np.ndarray:
 
 
 def _galerkin_levels(a: tuple, diagonal: np.ndarray,
-                     grid: HalfSpaceGrid | None = None,
+                     coarse: tuple[Coarsening, ...] = (),
                      blocks: np.ndarray | None = None,
                      scratch: _Scratch | None = None
                      ) -> tuple[list, Callable[[np.ndarray], np.ndarray]]:
@@ -611,26 +610,25 @@ def _galerkin_levels(a: tuple, diagonal: np.ndarray,
     level.
 
     a (DIA arrays, with diagonal `diagonal`) is the free-free matrix of the
-    cell blocks `blocks` over `grid`, whose scratch, if given, the first
-    coarsening uses (and overwrites the blocks; see _coarse_blocks).
-    A coarse level is the _free_level of
-    A_{k+1} = P_k^T A_k P_k formed cell by cell (_coarse_blocks; exact, as
-    P interpolates a fine cell's corners from its coarse cell's corners only
-    and a Dirichlet fine node has only Dirichlet coarse parents).  After at
+    cell blocks `blocks` over a grid, `coarse` its hierarchy (grid.coarse),
+    and the grid's scratch, if given, serves the first coarsening (which
+    overwrites the blocks; see _coarse_blocks).  A coarse level is the
+    _free_level of A_{k+1} = P_k^T A_k P_k formed cell by cell
+    (_coarse_blocks; exact, as P interpolates a fine cell's corners from
+    its coarse cell's corners only and a Dirichlet fine node has only
+    Dirichlet coarse parents).  After at
     least one coarsening, a last level of at most _COARSEST_SIZE unknowns
     is solved exactly by its dense Cholesky factor, applied as L^-T L^-1 (a
     symmetric preconditioner); a failed factorization raises
     LinearSolveFailure.  Any other last level is smoothed like the others,
-    so a hierarchy of one level (no grid) is plain damped Jacobi.
+    so a hierarchy of one level (no coarsening) is plain damped Jacobi.
     """
     levels = []
-    hierarchy = zip(grid.coarse, grid.prolongations) if grid is not None else ()
-    for coarse, p in hierarchy:
-        levels.append((a, _jacobi_weights(diagonal), p))
-        blocks = _coarse_blocks(grid, blocks, scratch)
+    for level in coarse:
+        levels.append((a, _jacobi_weights(diagonal), level.prolongation))
+        blocks = _coarse_blocks(level, blocks, scratch)
         scratch = None
-        grid = coarse
-        a, diagonal = _free_level(grid, blocks)
+        a, diagonal = _free_level(level.shape, blocks)
     if levels and a[2] <= _COARSEST_SIZE:
         try:
             linv = np.linalg.inv(np.linalg.cholesky(_dense(a)))
@@ -650,14 +648,14 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _pcg(a: tuple, diagonal: np.ndarray, b: np.ndarray, rtol: float,
-         max_iter: int, grid: HalfSpaceGrid | None = None,
+         max_iter: int, coarse: tuple[Coarsening, ...] = (),
          blocks: np.ndarray | None = None,
          scratch: _Scratch | None = None) -> tuple[np.ndarray, int]:
     """The one Krylov core of the package: CG on the DIA arrays a
     (offsets, data, n) of _free_level, with diagonal `diagonal`,
     preconditioned by one V-cycle of
-    _galerkin_levels(a, diagonal, grid, blocks, scratch) (one level of
-    damped Jacobi without a grid), from zero until |b - a x| <= rtol |b|;
+    _galerkin_levels(a, diagonal, coarse, blocks, scratch) (one level of
+    damped Jacobi without a coarsening), from zero until |b - a x| <= rtol |b|;
     returns (x, iterations), (0, 0) for b = 0.
 
     The inner products have a fixed order, so x is bitwise the same for
@@ -669,7 +667,7 @@ def _pcg(a: tuple, diagonal: np.ndarray, b: np.ndarray, rtol: float,
     bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    levels, coarsest = _galerkin_levels(a, diagonal, grid, blocks, scratch)
+    levels, coarsest = _galerkin_levels(a, diagonal, coarse, blocks, scratch)
     x = np.zeros_like(b)
     r = b.copy()
     z = _vcycle(levels, coarsest, r)
@@ -857,8 +855,8 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                 # cap runaway directions from near-degenerate (steep-gradient) states
                 step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
                 min_alpha, armijo = _MIN_STEP, 1e-4
-            step = _pcg(*_free_level(grid, blocks, scratch.dia), rhs, rtol,
-                        _CG_MAX_ITER, grid, blocks, scratch)[0]
+            step = _pcg(*_free_level(grid.shape, blocks, scratch.dia), rhs, rtol,
+                        _CG_MAX_ITER, grid.coarse, blocks, scratch)[0]
             del blocks      # no reference to the blocks outlives the linear solve
             step_norm = float(np.max(np.abs(step)))
             if step_norm > step_cap:

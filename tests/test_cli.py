@@ -204,6 +204,7 @@ def test_bad_config_value_is_exit_3_not_a_traceback(tmp_path, capsys, key, value
 
 @pytest.mark.parametrize("key, value, message", [
     ("dim", "3", "dim must be 1 or 2"),
+    ("dim", "-1", "dim must be 1 or 2"),
     ("r_levels", "0.1", "smaller than the mesh width"),   # h_levels = 0.5
 ])
 def test_unsupported_grid_is_exit_3_not_a_traceback(tmp_path, capsys, key,

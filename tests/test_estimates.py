@@ -181,6 +181,16 @@ def test_a_non_finite_slope_violates_the_one_sided_hypothesis(slope, theta):
     LinearBound((0.0, 0.0)).check_slope(theta)
 
 
+@pytest.mark.parametrize("theta", [THETA, CapillaryAngle(np.pi / 2)])
+def test_a_huge_finite_slope_violates_the_one_sided_hypothesis(theta):
+    # |DL| of (1e200, 1e200) is finite, 1.41e200, and not a sum of squares
+    # that overflows to a warning
+    with pytest.raises(HypothesisViolation, match="1.414e"):
+        LinearBound((1e200, 1e200)).check_slope(theta)
+    with pytest.raises(HypothesisViolation):
+        CutoffParams(r=1.0, theta=theta, dim=2, bound=LinearBound((1e200, 1e200)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_cutoff_params_reject_a_non_finite_or_nonpositive_scale(bad):
     for name in ("r", "nstar", "m_scale"):

@@ -238,7 +238,8 @@ def _oracle_linear_interpolation(n, coarse):
 def _oracle_prolongations(grid):
     """The Kronecker-product hierarchy: full-lattice interpolation by
     sp.kron of the 1D factors, then restricted to the free rows and the
-    coarse free columns by sparse fancy indexing."""
+    coarse free columns by sparse fancy indexing; (kept-node shape, P) per
+    coarsening."""
     shape = grid.shape
     free = (grid.classes != NodeClass.DIRICHLET_BOUNDARY).reshape(shape)
     out = []
@@ -259,7 +260,7 @@ def _oracle_prolongations(grid):
         p = p[np.flatnonzero(free)][:, np.flatnonzero(coarse_free)].tocsr()
         for arr in (p.data, p.indices, p.indptr):
             arr.flags.writeable = False
-        out.append(p)
+        out.append((coarse_free.shape, p))
         shape, free = coarse_free.shape, coarse_free
     return tuple(out)
 
@@ -281,9 +282,11 @@ def _assert_identical(got, want):
 def test_closed_form_grid_caches_equal_the_sort_based_oracles(dim, m1, mp):
     grid = build_grid(dim, 1.0, float(m1), float(mp))
     oracle = _oracle_prolongations(grid)
-    assert len(grid.prolongations) == len(oracle)
+    assert len(grid.coarse) == len(oracle)
     rng = np.random.default_rng(m1 * 100 + mp)
-    for got, want in zip(grid.prolongations, oracle):
+    for level, (shape, want) in zip(grid.coarse, oracle):
+        assert level.shape == shape
+        got = level.prolongation
         indptr, indices, data, n_cols = got
         assert (indptr.size - 1, n_cols) == want.shape
         for arr, name in zip(got, ("indptr", "indices", "data")):
@@ -296,8 +299,8 @@ def test_closed_form_grid_caches_equal_the_sort_based_oracles(dim, m1, mp):
 
 
 def _level_sizes(grid):
-    return ([p[0].size - 1 for p in grid.prolongations]
-            + [grid.prolongations[-1][3]])
+    return ([level.prolongation[0].size - 1 for level in grid.coarse]
+            + [grid.coarse[-1].prolongation[3]])
 
 
 def test_hierarchy_ends_at_the_first_level_of_at_most_32_free_nodes():

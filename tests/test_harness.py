@@ -143,6 +143,10 @@ def test_blow_down_composition_and_out_of_extent():
     with pytest.raises(OutOfExtent):
         blow_down(u, 1.5, target_grid=target)
     small_target = build_grid(2, 0.05, 1.0, 0.5)
+    for bad in (0.5, np.nan):
+        for tg in (None, small_target):
+            with pytest.raises(ValueError, match="blow-down scale must be >= 1"):
+                blow_down(u, bad, target_grid=tg)
     vals = blow_down(u, 1.5, target_grid=small_target)
     expected = small_target.nodes @ aff.slope + 1.0 / 1.5
     assert np.max(np.abs(vals.values - expected)) <= 1e-12
@@ -324,12 +328,11 @@ def test_gradient_bound_sweep_degenerate_and_angle_guard(monkeypatch):
     assert report.fit.degenerate
     assert report.fit.c2 == 0.0 and report.fit.c3 == 0.0
 
-    # the angle restriction starts at n = 4, a dimension no grid is built in
-    steep = ExperimentConfig(scenario="gradient-bound-sweep", r_levels=(2.0,),
-                             h_levels=(0.5,), dim=4,
-                             theta_rad=float(np.arccos(0.97)), seed=2)
+    # the angle restriction starts at n = 4, a dimension no config admits
     with pytest.raises(BadDimension):
-        run_gradient_bound_sweep(steep)
+        ExperimentConfig(scenario="gradient-bound-sweep", r_levels=(2.0,),
+                         h_levels=(0.5,), dim=4,
+                         theta_rad=float(np.arccos(0.97)), seed=2)
 
 
 def test_gradient_bound_fit_dominates_measurements(monkeypatch):

@@ -191,9 +191,11 @@ def test_jacobian_directional_derivative_slopes():
 
 
 def _solve(m, b, rtol=1e-12, max_iter=solver._CG_MAX_ITER, grid=None, blocks=None):
-    """_pcg on the DIA arrays and diagonal of the scipy matrix m; without a
-    grid its preconditioner is one level of damped Jacobi."""
-    return solver._pcg(_arrays(m), m.diagonal(), b, rtol, max_iter, grid, blocks)
+    """_pcg on the DIA arrays and diagonal of the scipy matrix m, with the
+    hierarchy of grid; without a grid its preconditioner is one level of
+    damped Jacobi."""
+    return solver._pcg(_arrays(m), m.diagonal(), b, rtol, max_iter,
+                       () if grid is None else grid.coarse, blocks)
 
 
 def test_linear_solve_identity_and_1d_laplacian():
@@ -569,8 +571,8 @@ def test_flat_state_zeros_leave_the_linear_solve_bitwise_unchanged():
         grid, np.random.default_rng(0).uniform(size=grid.n_nodes)))
     moved.eliminate_zeros()
     assert compact.nnz < moved.nnz
-    as_built, _ = solver._pcg(*solver._free_level(grid, blocks), b, 1e-12,
-                              solver._CG_MAX_ITER, grid, blocks)
+    as_built, _ = solver._pcg(*solver._free_level(grid.shape, blocks), b, 1e-12,
+                              solver._CG_MAX_ITER, grid.coarse, blocks)
     compacted, _ = _solve(compact, b, grid=grid, blocks=blocks)
     assert np.any(as_built != 0.0)
     assert as_built.tobytes() == compacted.tobytes()
@@ -581,7 +583,7 @@ def test_grid_is_freed_after_newton_solve():
     _, spec = _affine_problem(grid, THETA, (0.2,))
     sol, rep = newton_solve(spec)
     assert rep.status is SolveStatus.CONVERGED
-    assert grid.prolongations and grid.coarse
+    assert grid.coarse and grid.coarse[0].prolongation
     ref = weakref.ref(grid)
     del grid, spec, sol
     gc.collect()
@@ -904,7 +906,8 @@ def _box_grid(h, shape):
         side = np.moveaxis(cls, axis, 0)
         side[0] = side[-1] = NodeClass.DIRICHLET_BOUNDARY
     return HalfSpaceGrid(dim=len(shape), h=h, L1=(shape[0] - 1) * h,
-                         Lp=(shape[1] - 1) * h / 2, shape=tuple(shape),
+                         Lp=(shape[1] - 1) * h / 2 if len(shape) > 1 else None,
+                         shape=tuple(shape),
                          nodes=nodes, classes=cls.ravel())
 
 
@@ -1134,14 +1137,14 @@ def test_pcg_tolerances_follow_the_lift_and_the_forcing_terms(monkeypatch):
 def test_two_level_vcycle_matches_a_dense_oracle():
     # 28 free nodes: one coarsening to 6, which is solved exactly
     grid = build_grid(2, 0.25, 1.0, 1.0)
-    assert len(grid.prolongations) == 1
+    assert len(grid.coarse) == 1
     rng = np.random.default_rng(3)
     blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
     hess = _free_matrix(grid, blocks)
     b = rng.standard_normal(hess.shape[0])
 
     a = hess.toarray()
-    p = _matrix(grid.prolongations[0]).toarray()
+    p = _matrix(grid.coarse[0].prolongation).toarray()
     wdinv = solver._OMEGA / np.abs(np.diag(a))
     x = np.zeros_like(b)
     for _ in range(solver._SWEEPS):
@@ -1150,8 +1153,8 @@ def test_two_level_vcycle_matches_a_dense_oracle():
     for _ in range(solver._SWEEPS):
         x = x + wdinv * (b - a @ x)
 
-    got = solver._vcycle(*solver._galerkin_levels(*solver._free_level(grid, blocks),
-                                                  grid, blocks), b)
+    got = solver._vcycle(*solver._galerkin_levels(
+        *solver._free_level(grid.shape, blocks), grid.coarse, blocks), b)
     assert np.max(np.abs(got - x)) <= 1e-13 * np.max(np.abs(x))
 
 
@@ -1190,9 +1193,10 @@ def _matrix(p):
     return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n_cols))
 
 
-def _free_matrix(grid, blocks):
-    """The solver's free-free matrix of per-cell blocks as a scipy matrix."""
-    return _csr(solver._free_level(grid, blocks)[0])
+def _free_matrix(level, blocks):
+    """The solver's free-free matrix of per-cell blocks on the lattice of a
+    grid or a coarsening as a scipy matrix."""
+    return _csr(solver._free_level(level.shape, blocks)[0])
 
 
 def test_kernel_product_is_bitwise_the_scipy_product():
@@ -1247,8 +1251,8 @@ def test_restriction_through_p_is_bitwise_the_product_of_p_transpose():
     rng = np.random.default_rng(18)
     for extent, n_levels in (((13.0, 5.0), 1), ((25.0, 9.0), 2)):
         grid = build_grid(2, 1.0, *extent)
-        assert len(grid.prolongations) == n_levels
-        for p in grid.prolongations:
+        assert len(grid.coarse) == n_levels
+        for p in (level.prolongation for level in grid.coarse):
             m = _matrix(p)
             x = rng.standard_normal(m.shape[0])
             _assert_same_bytes(solver._restrict(p, x), m.T.tocsr() @ x)
@@ -1292,12 +1296,11 @@ def test_diagonal_levels_are_bitwise_the_csr_matrix_of_the_cell_blocks(dim, n1, 
     rng = np.random.default_rng(seed)
     vals = np.zeros(grid.n_nodes) if flat else rng.uniform(-1.0, 1.0, grid.n_nodes)
     blocks = solver._hessian_blocks(grid, vals)
-    levels = (grid,) + grid.coarse
-    for k, level in enumerate(levels):
+    for k, shape in enumerate([grid.shape] + [level.shape for level in grid.coarse]):
         if k:
-            blocks = solver._coarse_blocks(levels[k - 1], blocks)
-        a, diagonal = solver._free_level(level, blocks)
-        want = _oracle_free_hessian(level, blocks)
+            blocks = solver._coarse_blocks(grid.coarse[k - 1], blocks)
+        a, diagonal = solver._free_level(shape, blocks)
+        want = _oracle_free_hessian(_box_grid(1.0, shape), blocks)
         assert a[2] == want.shape[0] and a[1].shape == (3 ** dim, a[2])
         x = rng.standard_normal(a[2])
         _assert_same_bytes(solver._dia_product(a, x), sp.csr_matrix(want) @ x)
@@ -1356,16 +1359,16 @@ def test_one_scratch_gives_the_kernels_of_fresh_calls_bit_for_bit(dim, n1, n2, s
         x = rng.standard_normal(grid.n_nodes)
         _assert_same_bytes(solver._block_action(grid, blocks, x, scratch),
                            solver._block_action(grid, fresh_blocks, x))
-        a, diagonal = solver._free_level(grid, blocks, scratch.dia)
-        fa, fdiagonal = solver._free_level(grid, fresh_blocks)
+        a, diagonal = solver._free_level(grid.shape, blocks, scratch.dia)
+        fa, fdiagonal = solver._free_level(grid.shape, fresh_blocks)
         _assert_same_bytes(a[1], fa[1])
         _assert_same_bytes(a[0], fa[0])
         _assert_same_bytes(diagonal, fdiagonal)
         _assert_same_bytes(blocks, fresh_blocks)
         # the first coarsening overwrites the blocks
         b = rng.standard_normal(a[2])
-        got = solver._galerkin_levels(a, diagonal, grid, blocks, scratch)
-        _assert_same_levels(got, solver._galerkin_levels(fa, fdiagonal, grid,
+        got = solver._galerkin_levels(a, diagonal, grid.coarse, blocks, scratch)
+        _assert_same_levels(got, solver._galerkin_levels(fa, fdiagonal, grid.coarse,
                                                          fresh_blocks), b)
 
 
@@ -1504,18 +1507,17 @@ def test_cell_block_coarse_operators_equal_the_sparse_triple_product(dim, m1, mp
     rng = np.random.default_rng(seed)
     blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
     want = _free_matrix(grid, blocks)
-    fine = grid
-    for coarse, p in zip(grid.coarse, map(_matrix, grid.prolongations), strict=True):
+    for level in grid.coarse:
+        p = _matrix(level.prolongation)
         want = (p.T.tocsr() @ want @ p).tocsr()
-        blocks = solver._coarse_blocks(fine, blocks)
-        got = _free_matrix(coarse, blocks).toarray()
+        blocks = solver._coarse_blocks(level, blocks)
+        got = _free_matrix(level, blocks).toarray()
         assert got.shape == want.shape
         # the sparse product stores no zero, so its pattern is its nonzeros,
         # which the diagonals' nonzeros must equal
         dense = want.toarray()
         assert np.array_equal(got != 0.0, dense != 0.0)
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
-        fine = coarse
 
 
 _THREAD_PROBE = """
