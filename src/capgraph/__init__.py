@@ -27,7 +27,6 @@ from .estimates import (AuxiliaryField, CutoffCheckReport, CutoffParams,
                         cutoff_derivative_check,
                         cutoff_profile, cutoff_weight, cutoff_weight_gradient,
                         gradient_bound, height_scale, height_weight,
-                        nondivergence_residual,
                         one_sided_slope_limit, shifted_cutoff_profile,
                         shifted_cutoff_weight)
 from .geometry import (EllipsoidRegion, HalfSpaceGrid, NodeClass, RegionKind,

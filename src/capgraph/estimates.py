@@ -21,7 +21,7 @@ from .capillary import (CapillaryAngle, ScalarField, _cos_theta, _nodal_gradient
 from .errors import (DegenerateState, EmptyRegion,
                      HypothesisViolation, ShapeMismatch, require_count)
 from .geometry import EllipsoidRegion, RegionKind, in_region
-from .solver import ProblemSpec, _check_field, discrete_gradient
+from .solver import discrete_gradient
 
 DEFAULT_NSTAR = 1.0 / 36.0
 
@@ -462,31 +462,3 @@ def conormal_stationarity_residual(u: ScalarField, theta: CapillaryAngle,
     cross = np.sum((g[:, :1] * g[:, 1:] / w2[:, None]) * dv[:, 1:], axis=1)
     res = (1.0 - g[:, 0] ** 2 / w2) * dv[:, 0] - cross
     return float(np.max(np.abs(res)))
-
-
-def nondivergence_residual(u: ScalarField, spec: ProblemSpec) -> np.ndarray:
-    """(W^2 d_ij - u_i u_j) u_ij - H W^3 at interior nodes, via centered
-    differences; diagnostic cross-check of the divergence-form residual."""
-    _check_field(u, spec)
-    grid = u.grid
-    lat = u.lattice()
-    h = grid.h
-    source = spec.source_at_nodes()
-    g = _nodal_gradient(grid, u.values)
-    w2 = 1.0
-    for a in range(grid.dim):
-        w2 = w2 + g[:, a] ** 2
-    # np.roll wraps around at the box faces, where no interior node lies
-    op = 0.0
-    for a, b in zip(*np.triu_indices(grid.dim)):
-        if a == b:
-            second = (np.roll(lat, -1, a) - 2.0 * lat + np.roll(lat, 1, a)) / h ** 2
-            coef = w2 - g[:, a] ** 2
-        else:
-            second = (np.roll(lat, (-1, -1), (a, b)) - np.roll(lat, (-1, 1), (a, b))
-                      - np.roll(lat, (1, -1), (a, b))
-                      + np.roll(lat, (1, 1), (a, b))) / (4.0 * h ** 2)
-            coef = -2.0 * g[:, a] * g[:, b]
-        op = op + coef * second.ravel()
-    res = op - source * w2 ** 1.5
-    return res[grid.interior_indices]

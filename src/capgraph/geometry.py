@@ -64,10 +64,17 @@ def _conforming_count(extent: float, h: float, name: str) -> int:
 
 
 class Coarsening(NamedTuple):
-    """One coarsening of the multigrid hierarchy (HalfSpaceGrid.coarse)."""
+    """One coarsening of the multigrid hierarchy (HalfSpaceGrid.coarse),
+    with what the solver needs to assemble its level's operator from the
+    level's cell blocks: one bincount through `plan` (_scatter_plan) gives
+    the diagonals at `offsets` of a level of `size` free nodes or, where
+    `offsets` is None, the level's dense matrix."""
     shape: tuple[int, ...]   # the coarse lattice
     prolongation: tuple      # P, see _prolongation
     cells: tuple             # the Galerkin cell groups, see _cell_restriction
+    plan: np.ndarray         # the bin of each cell-block entry
+    offsets: np.ndarray | None   # the DIA offsets; None on a dense level
+    size: int                # the free nodes of the level
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +137,8 @@ class HalfSpaceGrid:
         (_coarse_shape), so the box faces stay faces and a Dirichlet fine
         node has only Dirichlet coarse parents.  The hierarchy stops at the
         first level with at most _COARSEST_SIZE free nodes (after at least
-        one coarsening), which the linear solver solves exactly, or earlier
+        one coarsening), which the linear solver solves exactly and whose
+        plan therefore targets its dense matrix (_scatter_plan), or earlier
         once an axis has fewer than three nodes or no free node would be
         left.
         """
@@ -140,7 +148,8 @@ class HalfSpaceGrid:
             coarse = _coarse_shape(shape)
             if not math.prod(free_shape(coarse)):
                 break
-            out.append(Coarsening(coarse, _prolongation(shape), _cell_restriction(shape)))
+            out.append(Coarsening(coarse, _prolongation(shape), _cell_restriction(shape),
+                                  *_scatter_plan(coarse)))
             shape = coarse
         return tuple(out)
 
@@ -257,6 +266,75 @@ def _cell_restriction(shape) -> tuple[tuple[slice | np.ndarray, np.ndarray,
     for _, _, idx in out:
         idx.flags.writeable = False
     return tuple(out)
+
+
+@cache
+def _diagonal_map(dim: int) -> tuple[np.ndarray, tuple[tuple[tuple, tuple], ...]]:
+    """The constant diagonal layout of the free-free operator of a lattice
+    (the solver's _free_level, _scatter_plan): the (3^dim, dim) stencil
+    deltas in lexicographic order, and per cell-block entry i*k + j, in
+    ascending order, the index of its cells where both corners are free in
+    the (k*k,) + cell-lattice blocks and of their column nodes in the
+    (3^dim,) + free-lattice diagonals.
+
+    Entry (i, j) couples corner i's node (the row) with corner j's node
+    (the column), at delta b_j - b_i of the corner bits.  The free nodes
+    span x1 in [0, n1 - 2] and a side axis in [1, n - 2], so both corners
+    are free in the cells from 0 along x1 and from 1 - min(b_i, b_j) along
+    a side axis, up to max(b_i, b_j) cells before the end; the column
+    nodes are those cells shifted by b_j (and by -1 along a side axis, to
+    free coordinates).  Slices counted from the end fit every lattice.
+    """
+    bits = _corner_bits(dim)
+    deltas = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+    deltas.flags.writeable = False
+    side = np.arange(dim) > 0
+    plan = []
+    for e, (bi, bj) in enumerate(itertools.product(bits, repeat=2)):
+        lo, hi = np.minimum(bi, bj), np.maximum(bi, bj)
+        start = side * (1 - lo)
+        cells = tuple(slice(s, -m or None) for s, m in zip(start.tolist(), hi.tolist()))
+        nodes = tuple(slice(s, -m or None) for s, m in zip((start + bj - side).tolist(),
+                                                          (hi - bj).tolist()))
+        row = int(np.ravel_multi_index(tuple(bj - bi + 1), (3,) * dim))
+        plan.append(((e,) + cells, (row,) + nodes))
+    return deltas, tuple(plan)
+
+
+def _scatter_plan(shape) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """(plan, offsets, size) of the free-free operator of a coarse lattice:
+    the bin of each entry of its (k*k, n_cells) cell blocks in C order, the
+    offsets deltas @ free strides of its diagonals and its free nodes n.
+
+    One bincount of the blocks through the plan adds every bin's entries
+    from +0.0 in ascending entry order, the order of the solver's
+    slice-adds (_free_level), so it gives their bits.  A level of more than
+    _COARSEST_SIZE free nodes bins into its flat (3^dim, n) diagonals,
+    data[d, j] = A[j - offsets[d], j]; a smaller one, the hierarchy's
+    exactly solved last level, bins the entry of (d, j) straight into row
+    j - offsets[d] of its dense (n, n) matrix and keeps no offsets (None).
+    Two deltas that share an offset never meet in one row, so no dense
+    entry gains more than the diagonals held.  An entry with a Dirichlet
+    corner goes to the dump bin past the end (3^dim n, or n^2).
+    """
+    deltas, slices = _diagonal_map(len(shape))
+    free = free_shape(shape)
+    n = math.prod(free)
+    offsets = deltas @ _strides(free)
+    offsets.flags.writeable = False
+    cols = np.arange(n)
+    if n <= _COARSEST_SIZE:
+        index, dump, offsets = (cols - offsets[:, None]) * n + cols, n * n, None
+    else:
+        index = np.arange(offsets.size * n)
+        dump = index.size
+    index = index.reshape((-1,) + free)
+    plan = np.full((4 ** len(shape),) + tuple(m - 1 for m in shape), dump, dtype=np.intp)
+    for cell, node in slices:
+        plan[cell] = index[node]
+    plan = plan.reshape(-1)
+    plan.flags.writeable = False
+    return plan, offsets, n
 
 
 # per-axis interpolation of a child cell's two corner values (rows) from its

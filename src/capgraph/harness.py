@@ -107,6 +107,8 @@ class ExperimentConfig:
         if list(self.r_levels) != sorted(self.r_levels) or \
                 len(set(self.r_levels)) != len(self.r_levels):
             raise BadConfig("r_levels must be strictly increasing")
+        if any(r <= 0.0 for r in self.r_levels):
+            raise BadConfig("r_levels must be positive")
         if any(h <= 0.0 for h in self.h_levels):
             raise BadConfig("h_levels must be positive")
         if not 0.0 < self.sin_min < 1.0:
@@ -655,10 +657,13 @@ def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
         grid = build_grid(cfg.dim, h, probe.L1, probe.Lp)
         start = None if coarser is None else blow_down(coarser, 1.0, grid)
         sol, row, _ = _solve_level(theta, grid, data, level, r, h, initial=start)
-        coarser = sol if row.status == SolveStatus.CONVERGED.value else None
+        converged = row.status == SolveStatus.CONVERGED.value
+        coarser = sol if converged else None
         rows.append(row)
-        residuals.append(conormal_stationarity_residual(sol, theta,
-                                                        corner_margin=margin))
+        # an unsolved level has no residual (NaN, which fails every
+        # comparison of the decay check, so it takes no part in it)
+        residuals.append(conormal_stationarity_residual(sol, theta, corner_margin=margin)
+                         if converged else math.nan)
     ratios = tuple(a / b if b else math.inf for a, b in zip(residuals, residuals[1:]))
     for coarse, ratio in zip(residuals, ratios):
         # a residual at roundoff (an exactly affine 1D solution) need not decay

@@ -7,8 +7,10 @@ their volume-weighted SPD form, the only one _pcg accepts.  The multigrid
 hierarchy is the grid's tuple of Coarsening records (geometry), read level
 by level.  The free nodes of every level form a box of its lattice
 (geometry.free_shape), so each level's operator is stored by diagonals,
-one per stencil delta, added up from the cell blocks by slices; the
-prolongations are the only CSR arrays.  Each solve carves one scratch slab
+one per stencil delta: the fine level's added up from the cell blocks by
+slices, a coarse level's by one bincount through its Coarsening's scatter
+plan, which gives the exactly solved last level its dense matrix instead;
+the prolongations are the only CSR arrays.  Each solve carves one scratch slab
 (_Scratch) into the fine grid's kernel buffers, which the residuals, the
 cell blocks, the fine level's diagonals and its first coarsening reuse, so
 no call maps fresh memory.  All reductions have fixed order (numpy loops,
@@ -19,7 +21,6 @@ affine start.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,8 +36,8 @@ from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
-from .geometry import (_COARSEST_SIZE, Coarsening, HalfSpaceGrid, _coarse_shape,
-                       _corner_bits, _strides, _upper_entries, free_shape)
+from .geometry import (Coarsening, HalfSpaceGrid, _coarse_shape, _diagonal_map,
+                       _strides, _upper_entries, free_shape)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -353,38 +354,6 @@ def _hessian_blocks(grid: HalfSpaceGrid, values: np.ndarray,
     return np.matmul(_hessian_map(grid.dim), s.triangles, out=s.blocks)
 
 
-@cache
-def _diagonal_map(dim: int) -> tuple[np.ndarray, tuple[tuple[tuple, tuple], ...]]:
-    """The constant diagonal layout of _free_level: the (3^dim, dim)
-    stencil deltas in lexicographic order, and per cell-block entry i*k + j,
-    in ascending order, the index of its cells where both corners are free
-    in the (k*k,) + cell-lattice blocks and of their column nodes in the
-    (3^dim,) + free-lattice diagonals.
-
-    Entry (i, j) couples corner i's node (the row) with corner j's node
-    (the column), at delta b_j - b_i of the corner bits.  The free nodes
-    span x1 in [0, n1 - 2] and a side axis in [1, n - 2], so both corners
-    are free in the cells from 0 along x1 and from 1 - min(b_i, b_j) along
-    a side axis, up to max(b_i, b_j) cells before the end; the column
-    nodes are those cells shifted by b_j (and by -1 along a side axis, to
-    free coordinates).  Slices counted from the end fit every lattice.
-    """
-    bits = _corner_bits(dim)
-    deltas = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
-    deltas.flags.writeable = False
-    side = np.arange(dim) > 0
-    plan = []
-    for e, (bi, bj) in enumerate(itertools.product(bits, repeat=2)):
-        lo, hi = np.minimum(bi, bj), np.maximum(bi, bj)
-        start = side * (1 - lo)
-        cells = tuple(slice(s, -m or None) for s, m in zip(start.tolist(), hi.tolist()))
-        nodes = tuple(slice(s, -m or None) for s, m in zip((start + bj - side).tolist(),
-                                                          (hi - bj).tolist()))
-        row = int(np.ravel_multi_index(tuple(bj - bi + 1), (3,) * dim))
-        plan.append(((e,) + cells, (row,) + nodes))
-    return deltas, tuple(plan)
-
-
 def _free_level(shape: tuple[int, ...], blocks: np.ndarray,
                 data: np.ndarray | None = None) -> tuple[tuple, np.ndarray]:
     """Free-free matrix of the per-cell blocks of a lattice of the given
@@ -399,7 +368,9 @@ def _free_level(shape: tuple[int, ...], blocks: np.ndarray,
     there, as does every position of no stencil pair.  The block entries
     are added over their cells by slice-adds (_diagonal_map) in ascending
     order from +0.0, the order of a one-bincount scatter, and lexicographic
-    deltas keep each row's entries in ascending columns, as CSR does.
+    deltas keep each row's entries in ascending columns, as CSR does.  This
+    serves the fine level, whose slab view no bincount can fill, and
+    assemble_jacobian; a Coarsening's level takes the bincount of its plan.
     """
     deltas, plan = _diagonal_map(len(shape))
     free = free_shape(shape)
@@ -589,17 +560,6 @@ def _coarse_blocks(level: Coarsening, blocks: np.ndarray,
     return out
 
 
-def _dense(a: tuple) -> np.ndarray:
-    """The dense matrix of DIA arrays a by one bincount, so the entries of
-    two diagonals at one offset add."""
-    offsets, data, n = a
-    cols = np.arange(n)
-    rows = cols - offsets[:, None]
-    inside = (rows >= 0) & (rows < n)
-    return np.bincount((rows * n + cols)[inside], data[inside],
-                       minlength=n * n).reshape(n, n)
-
-
 def _galerkin_levels(a: tuple, diagonal: np.ndarray,
                      coarse: tuple[Coarsening, ...] = (),
                      blocks: np.ndarray | None = None,
@@ -612,30 +572,35 @@ def _galerkin_levels(a: tuple, diagonal: np.ndarray,
     a (DIA arrays, with diagonal `diagonal`) is the free-free matrix of the
     cell blocks `blocks` over a grid, `coarse` its hierarchy (grid.coarse),
     and the grid's scratch, if given, serves the first coarsening (which
-    overwrites the blocks; see _coarse_blocks).  A coarse level is the
-    _free_level of A_{k+1} = P_k^T A_k P_k formed cell by cell
-    (_coarse_blocks; exact, as P interpolates a fine cell's corners from
-    its coarse cell's corners only and a Dirichlet fine node has only
-    Dirichlet coarse parents).  After at
-    least one coarsening, a last level of at most _COARSEST_SIZE unknowns
-    is solved exactly by its dense Cholesky factor, applied as L^-T L^-1 (a
-    symmetric preconditioner); a failed factorization raises
-    LinearSolveFailure.  Any other last level is smoothed like the others,
-    so a hierarchy of one level (no coarsening) is plain damped Jacobi.
+    overwrites the blocks; see _coarse_blocks).  A coarse level's operator
+    A_{k+1} = P_k^T A_k P_k is formed cell by cell (_coarse_blocks; exact,
+    as P interpolates a fine cell's corners from its coarse cell's corners
+    only and a Dirichlet fine node has only Dirichlet coarse parents) and
+    added up by one bincount through its Coarsening's plan, bitwise the
+    _free_level of its blocks.  The plan of a last level of at most
+    _COARSEST_SIZE unknowns gives its dense matrix, which is solved exactly
+    by its Cholesky factor, applied as L^-T L^-1 (a symmetric
+    preconditioner); a failed factorization raises LinearSolveFailure.  Any
+    other last level is smoothed like the others, so a hierarchy of one
+    level (no coarsening) is plain damped Jacobi.
     """
     levels = []
     for level in coarse:
         levels.append((a, _jacobi_weights(diagonal), level.prolongation))
         blocks = _coarse_blocks(level, blocks, scratch)
         scratch = None
-        a, diagonal = _free_level(level.shape, blocks)
-    if levels and a[2] <= _COARSEST_SIZE:
-        try:
-            linv = np.linalg.inv(np.linalg.cholesky(_dense(a)))
-        except np.linalg.LinAlgError:
-            raise LinearSolveFailure(
-                "coarsest-level Cholesky breakdown (matrix not SPD?)") from None
-        return levels, lambda b: linv.T @ (linv @ b)
+        n, offsets = level.size, level.offsets
+        size = n * (n if offsets is None else offsets.size)
+        data = np.bincount(level.plan, blocks.ravel(), minlength=size + 1)[:size]
+        if offsets is None:
+            try:
+                linv = np.linalg.inv(np.linalg.cholesky(data.reshape(n, n)))
+            except np.linalg.LinAlgError:
+                raise LinearSolveFailure(
+                    "coarsest-level Cholesky breakdown (matrix not SPD?)") from None
+            return levels, lambda b: linv.T @ (linv @ b)
+        data = data.reshape(offsets.size, n)
+        a, diagonal = (offsets, data, n), data[offsets.size // 2]
     wdinv = _jacobi_weights(diagonal)
     return levels, lambda b: _smooth(a, wdinv, b, _smooth(a, wdinv, b, None))
 

@@ -10,7 +10,9 @@ import numpy as np
 from hypothesis import settings
 
 from capgraph import angle_threshold
+from capgraph.capillary import _nodal_gradient
 from capgraph.estimates import _EPS0_SCAN, _splitting_lhs
+from capgraph.solver import _check_field
 
 settings.register_profile("capgraph", derandomize=True, deadline=None,
                           database=None)
@@ -63,3 +65,32 @@ def scalar_choose_eps0(n, theta, tol=1e-12):
     left = 0.0 if i == 0 else bisect(grid[i - 1], grid[i])
     right = 1.0 if j == grid.size - 1 else bisect(grid[j], grid[j + 1])
     return 0.5 * (left + right)
+
+
+def nondivergence_residual(u, spec):
+    """(W^2 d_ij - u_i u_j) u_ij - H W^3 at interior nodes, via centered
+    differences: the second-order oracle of the divergence-form residual
+    (assemble_residual)."""
+    _check_field(u, spec)
+    grid = u.grid
+    lat = u.lattice()
+    h = grid.h
+    source = spec.source_at_nodes()
+    g = _nodal_gradient(grid, u.values)
+    w2 = 1.0
+    for a in range(grid.dim):
+        w2 = w2 + g[:, a] ** 2
+    # np.roll wraps around at the box faces, where no interior node lies
+    op = 0.0
+    for a, b in zip(*np.triu_indices(grid.dim)):
+        if a == b:
+            second = (np.roll(lat, -1, a) - 2.0 * lat + np.roll(lat, 1, a)) / h ** 2
+            coef = w2 - g[:, a] ** 2
+        else:
+            second = (np.roll(lat, (-1, -1), (a, b)) - np.roll(lat, (-1, 1), (a, b))
+                      - np.roll(lat, (1, -1), (a, b))
+                      + np.roll(lat, (1, 1), (a, b))) / (4.0 * h ** 2)
+            coef = -2.0 * g[:, a] * g[:, b]
+        op = op + coef * second.ravel()
+    res = op - source * w2 ** 1.5
+    return res[grid.interior_indices]

@@ -218,6 +218,18 @@ def test_unsupported_grid_is_exit_3_not_a_traceback(tmp_path, capsys, key,
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.parametrize("r_levels", ["0", "0.0, 2.0"])
+def test_a_zero_region_radius_is_exit_3_not_a_traceback(tmp_path, capsys, r_levels):
+    # solve takes the first radius to the power -perturb_decay
+    lines = [line for line in LIOUVILLE_CFG.splitlines()
+             if not line.startswith("r_levels ")]
+    cfg = _write(tmp_path, "bad.cfg", "\n".join(lines + [f"r_levels = {r_levels}"]))
+    out = tmp_path / "bad.csv"
+    assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert "r_levels must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 REPORT_CFG = """
 scenario = gradient-bound-sweep
 r_levels = 2.0
@@ -350,6 +362,25 @@ seed = 4
     assert "solver status: linear_failure" in proc.stderr
     rows = out.read_text().splitlines()[2:]
     assert len(rows) == 12 and all(row.endswith(",linear_failure") for row in rows)
+
+
+@pytest.mark.parametrize("edit", ["perturb_amp = 1e200", "L_offset = 1e308"])
+def test_verify_conormal_of_an_unsolved_level_exits_2(tmp_path, edit):
+    # the overflowing data end every level as linear_failure, whose state
+    # has no finite gradient: the levels get no residual and the command
+    # exits through the solver status; a subprocess keeps the overflow
+    # warnings out of this process's warnings-as-errors filter
+    lines = [line for line in CONORMAL_CFG.splitlines()
+             if not line.startswith(edit.split()[0] + " ")]
+    cfg = _write(tmp_path, "overflow.cfg", "\n".join(lines + [edit]))
+    out = tmp_path / "verify.csv"
+    proc = _run_python(["-W", "ignore", "-m", "capgraph.cli", "verify",
+                        "--config", cfg, "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert "conormal residuals: nan, nan" in proc.stdout
+    assert "solver status: linear_failure" in proc.stderr
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 2 and all(row.endswith(",linear_failure") for row in rows)
 
 
 _SCIPY_PROBE = """

@@ -18,11 +18,11 @@ from capgraph import (CapillaryAngle, CutoffParams,
                       conormal_stationarity_residual, cutoff_derivative_check,
                       cutoff_profile, cutoff_weight, cutoff_weight_gradient,
                       field_from_callable, gradient_bound, height_scale,
-                      height_weight, in_region, nondivergence_residual,
+                      height_weight, in_region,
                       one_sided_slope_limit, shifted_cutoff_profile)
 from capgraph import estimates
 from capgraph.estimates import _angle_ranges
-from conftest import NoAdmissibleEps0, scalar_choose_eps0
+from conftest import NoAdmissibleEps0, nondivergence_residual, scalar_choose_eps0
 
 THETA = CapillaryAngle(np.pi / 3)
 

@@ -12,7 +12,6 @@ PACKAGE = Path(capgraph.__file__).parent
 ALLOWED = {
     "field_from_callable": "builds a field from a formula, for users and tests",
     "auxiliary_function": "the estimates' auxiliary maximum; no CLI command reports it yet",
-    "nondivergence_residual": "the tests' second-order oracle of assemble_residual",
     "assemble_residual": "the solver's discrete equation, exposed for its own checks",
     "assemble_jacobian": "the solver's Hessian, exposed for its own checks",
 }

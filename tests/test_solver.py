@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -579,11 +580,16 @@ def test_flat_state_zeros_leave_the_linear_solve_bitwise_unchanged():
 
 
 def test_grid_is_freed_after_newton_solve():
+    # data that take Newton steps, so the solve itself builds the hierarchy
+    # and its scatter plans before the grid must be freed
     grid = build_grid(2, 0.1, 1.0, 1.0)
-    _, spec = _affine_problem(grid, THETA, (0.2,))
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
     sol, rep = newton_solve(spec)
     assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations >= 1
+    assert "coarse" in vars(grid)
     assert grid.coarse and grid.coarse[0].prolongation
+    assert all(level.plan.size for level in grid.coarse)
     ref = weakref.ref(grid)
     del grid, spec, sol
     gc.collect()
@@ -1187,6 +1193,17 @@ def _csr(a):
                          shape=(n, n)).tocsr()
 
 
+def _dense(a):
+    """The dense matrix of DIA arrays a by one bincount, so the entries of
+    two diagonals at one offset add."""
+    offsets, data, n = a
+    cols = np.arange(n)
+    rows = cols - offsets[:, None]
+    inside = (rows >= 0) & (rows < n)
+    return np.bincount((rows * n + cols)[inside], data[inside],
+                       minlength=n * n).reshape(n, n)
+
+
 def _matrix(p):
     """The scipy matrix of plain CSR arrays (indptr, indices, data, n_cols)."""
     indptr, indices, data, n_cols = p
@@ -1305,7 +1322,74 @@ def test_diagonal_levels_are_bitwise_the_csr_matrix_of_the_cell_blocks(dim, n1, 
         x = rng.standard_normal(a[2])
         _assert_same_bytes(solver._dia_product(a, x), sp.csr_matrix(want) @ x)
         _assert_same_bytes(diagonal, np.diagonal(want).copy())
-        _assert_same_bytes(solver._dense(a), want)
+        _assert_same_bytes(_dense(a), want)
+
+
+def _plan_operator(level, blocks):
+    """The operator of a Coarsening's level from its cell blocks by one
+    bincount through the level's plan: the (3^dim, n) diagonals, or the
+    dense (n, n) matrix of a level without offsets."""
+    n, offsets = level.size, level.offsets
+    shape = (n, n) if offsets is None else (offsets.size, n)
+    size = math.prod(shape)
+    return np.bincount(level.plan, blocks.ravel(), minlength=size + 1)[:size].reshape(shape)
+
+
+# hierarchies that end at a dense level: 12 x 20 cells, 13 x 10 cells
+# (odd counts: they coarsen to 7 x 5) and the 65-cell line; 199 x 4 cells
+# stop early at (101, 3), a smoothed level of 100 free nodes whose plan
+# targets diagonals
+@pytest.mark.parametrize("args, dense_last", [
+    ((2, 0.5, 6.0, 5.0), True), ((2, 1.0, 13.0, 5.0), True),
+    ((1, 1.0, 65.0), True), ((2, 1.0, 199.0, 2.0), False)])
+def test_scatter_plans_give_the_slice_added_levels_bit_for_bit(args, dense_last):
+    grid = build_grid(*args)
+    assert grid.coarse and (grid.coarse[-1].offsets is None) == dense_last
+    rng = np.random.default_rng(23)
+    for level in grid.coarse:
+        # random blocks with signed zeros
+        blocks = rng.standard_normal((4 ** grid.dim,
+                                      math.prod(n - 1 for n in level.shape)))
+        blocks[rng.random(blocks.shape) < 0.1] = -0.0
+        blocks[rng.random(blocks.shape) < 0.1] = 0.0
+        want, _ = solver._free_level(level.shape, blocks)
+        assert level.size == want[2]
+        got = _plan_operator(level, blocks)
+        if level.offsets is None:
+            assert level is grid.coarse[-1]
+            _assert_same_bytes(got, _dense(want))
+        else:
+            _assert_same_bytes(level.offsets, want[0])
+            _assert_same_bytes(got, want[1])
+
+    # the solver's levels: each coarse level's diagonals, and the last
+    # level's dense matrix or smoother, as the slice-adds give them
+    blocks = solver._hessian_blocks(grid, rng.uniform(-1.0, 1.0, grid.n_nodes))
+    a, diagonal = solver._free_level(grid.shape, blocks)
+    levels, coarsest = solver._galerkin_levels(a, diagonal, grid.coarse, blocks.copy())
+    for k, level in enumerate(grid.coarse):
+        blocks = solver._coarse_blocks(level, blocks)
+        a, diagonal = solver._free_level(level.shape, blocks)
+        if k + 1 < len(levels):
+            _assert_same_bytes(levels[k + 1][0][1], a[1])
+            _assert_same_bytes(levels[k + 1][1], solver._jacobi_weights(diagonal))
+    x = np.linspace(-1.0, 1.0, a[2])
+    if dense_last:
+        linv = np.linalg.inv(np.linalg.cholesky(_dense(a)))
+        want = linv.T @ (linv @ x)
+    else:
+        wdinv = solver._jacobi_weights(diagonal)
+        want = solver._smooth(a, wdinv, x, solver._smooth(a, wdinv, x, None))
+    _assert_same_bytes(coarsest(x), want)
+
+
+def test_a_hierarchy_that_stops_early_still_converges():
+    # 200 x 5 nodes coarsen once, to a smoothed last level of 100 free nodes
+    grid = build_grid(2, 1.0, 199.0, 2.0)
+    assert [level.size for level in grid.coarse] == [100]
+    _, rep = newton_solve(ProblemSpec.from_boundary_data(grid, THETA, _ladder_data()))
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.iterations >= 1
 
 
 def _assert_same_levels(got, want, b):
