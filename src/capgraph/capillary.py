@@ -293,8 +293,9 @@ def capillary_energies(grid: HalfSpaceGrid, values: np.ndarray,
     nodal values, shaped (...); capillary_energy is the one-field case.
 
     Every state's energy is bitwise the same in any batch: the quadrants of
-    a cell are added in order and each state's cells are summed on their
-    own 1-D row, so no reduction depends on the batch's layout.
+    a cell are added in order and each state's cells are summed along the
+    contiguous last axis, one row at a time as np.sum sums a 1-D row, so no
+    reduction depends on the batch's layout.
     """
     dim = grid.dim
     d = edge_differences(grid, values)
@@ -304,9 +305,7 @@ def capillary_energies(grid: HalfSpaceGrid, values: np.ndarray,
     k = math.prod(v.shape[-dim - 1:-1])
     v = v.reshape(v.shape[:-dim - 1] + (k, v.shape[-1]))
     means = sum(v[..., q, :] for q in range(k)) / k
-    rows = means.reshape(math.prod(means.shape[:-1]), means.shape[-1])
-    sums = [np.sum(row) for row in rows]
-    return grid.h ** dim * np.reshape(sums, means.shape[:-1])
+    return grid.h ** dim * np.add.reduce(means, axis=-1)
 
 
 def capillary_energy(u: ScalarField, theta: CapillaryAngle) -> float:

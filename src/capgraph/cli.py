@@ -41,40 +41,55 @@ def _checked(convert, ok, rule):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# the subcommands, in the order `capgraph --help` lists them
+_COMMANDS = ("solve", "verify", "liouville", "report", "sweep", "audit")
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The `capgraph` parser for the arguments argv.  Where argv[0] names a
+    subcommand, only that subcommand's parser is added: its help and errors
+    read as with all six, as the usage line still names every subcommand.
+    Otherwise all six are added, so help and errors list them."""
+    wanted = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     parser = argparse.ArgumentParser(
         prog="capgraph",
         description="Capillary minimal graph laboratory on truncated half-spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # argparse names a subparsers action by its metavar where it has one,
+    # so only the one-subparser parser, which cannot reach those messages,
+    # gets the choice list of the usage line
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if wanted is _COMMANDS else "{" + ",".join(_COMMANDS) + "}"))
 
     def with_config(name, help_text):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="flat key=value config file")
-        cmd.add_argument("--out", default=None, help="CSV output path override")
-        return cmd
+        if name in wanted:
+            cmd = sub.add_parser(name, help=help_text)
+            cmd.add_argument("--config", required=True, help="flat key=value config file")
+            cmd.add_argument("--out", default=None, help="CSV output path override")
 
     with_config("solve", "single truncated solve at the first (r, h) level")
     with_config("verify", "minimizer-test or conormal-check scenario")
     with_config("liouville", "flatness trend experiment over growing regions")
     with_config("report", "gradient-bound sweep with fitted constants")
 
-    sweep = sub.add_parser("sweep", help="angle range and constants table")
-    sweep.add_argument("--n", default="4", help="comma list of dimensions",
-                       type=_checked(lambda text: [int(p) for p in text.split(",")
-                                                   if p.strip()],
-                                     lambda ns: ns and min(ns) >= 2,
-                                     "a comma list of integers >= 2"))
-    sweep.add_argument("--theta-steps", default=90,
-                       type=_checked(int, lambda k: k >= 1, "an integer >= 1"))
-    sweep.add_argument("--sin-min", default=0.05,
-                       type=_checked(float, lambda x: 0.0 < x < 1.0,
-                                     "a number in (0, 1)"))
-    sweep.add_argument("--out", default="angle_sweep.csv")
+    if "sweep" in wanted:
+        sweep = sub.add_parser("sweep", help="angle range and constants table")
+        sweep.add_argument("--n", default="4", help="comma list of dimensions",
+                           type=_checked(lambda text: [int(p) for p in text.split(",")
+                                                       if p.strip()],
+                                         lambda ns: ns and min(ns) >= 2,
+                                         "a comma list of integers >= 2"))
+        sweep.add_argument("--theta-steps", default=90,
+                           type=_checked(int, lambda k: k >= 1, "an integer >= 1"))
+        sweep.add_argument("--sin-min", default=0.05,
+                           type=_checked(float, lambda x: 0.0 < x < 1.0,
+                                         "a number in (0, 1)"))
+        sweep.add_argument("--out", default="angle_sweep.csv")
 
-    audit = sub.add_parser("audit", help="property battery over the closed forms")
-    audit.add_argument("--seed", default=0,
-                       type=_checked(int, lambda k: k >= 0, "an integer >= 0"))
-    audit.add_argument("--out", default="audit.csv")
+    if "audit" in wanted:
+        audit = sub.add_parser("audit", help="property battery over the closed forms")
+        audit.add_argument("--seed", default=0,
+                           type=_checked(int, lambda k: k >= 0, "an integer >= 0"))
+        audit.add_argument("--out", default="audit.csv")
     return parser
 
 
@@ -175,7 +190,8 @@ def _dispatch(args) -> int:
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -485,15 +485,21 @@ def _distance_to_ellipsoid(y: np.ndarray, axes: np.ndarray,
                            reach: float | None = None) -> np.ndarray:
     """Euclidean distance from exterior points y (centered coords) to the
     ellipsoid sum((y_i/axes_i)^2) = 1, by bisection on the projection
-    parameter t until no bracket moves (at most 100 halvings).  Points inside
-    get distance 0.
+    parameter t, the root of phi(t) = sum((axes_i y_i / (t + axes_i^2))^2)
+    = 1, until no bracket moves (at most 100 halvings).  Points inside get
+    distance 0.
 
-    The distance at t, |y_i| t/(t + axes_i^2) per axis, grows with t, also
-    in rounded arithmetic, so d(lo) <= d <= d(hi) for every bracket.  With a
-    `reach`, a point stops bisecting once its bracket decides d <= reach
-    (checked every _DECIDE_EVERY halvings), and its entry is the bracket
-    end's distance that decided it: `d <= reach` is then exact, the entry
-    only a bound.
+    Every term of phi(t*) = 1 is at most 1, so t* >= axes_i |y_i| - axes_i^2
+    for each i, and phi(t) <= |axes y|^2 / (t + min axes^2)^2, so t* <= |axes
+    y| - min axes^2.  A bracket starts at these bounds where the rounded phi
+    confirms them, phi(lo) > 1 >= phi(hi); else at 0 below and, above, at a
+    loose bound doubled until phi confirms it.  The distance at t, |y_i|
+    t/(t + axes_i^2) per axis, grows with t, also in rounded arithmetic, so
+    d(lo) <= d <= d(hi) for every confirmed bracket.  With a `reach`, a
+    point stops bisecting once its bracket decides d <= reach (checked
+    every _DECIDE_EVERY halvings, first at the start), and its entry is the
+    bracket end's distance that decided it: `d <= reach` is then exact, the
+    entry only a bound.
     """
     y = np.atleast_2d(y)
     a2 = axes ** 2
@@ -510,13 +516,18 @@ def _distance_to_ellipsoid(y: np.ndarray, axes: np.ndarray,
     def dist(ye, t):
         return np.linalg.norm(ye - a2 * ye / (t[:, None] + a2), axis=1)
 
-    lo = np.zeros(live.size)
-    hi = np.sqrt(y.shape[1]) * np.max(np.abs(ye) * axes, axis=1) + np.max(a2)
-    for _ in range(64):
-        grow = phi(ye, hi) > 1.0
-        if not np.any(grow):
-            break
-        hi[grow] *= 2.0
+    ay = np.abs(ye) * axes
+    lo = np.maximum(np.max(ay - a2, axis=1), 0.0)
+    lo[phi(ye, lo) <= 1.0] = 0.0
+    hi = np.linalg.norm(ay, axis=1) - np.min(a2)
+    grow = phi(ye, hi) > 1.0
+    if np.any(grow):
+        hi[grow] = np.sqrt(y.shape[1]) * np.max(ay[grow], axis=1) + np.max(a2)
+        for _ in range(64):
+            grow[grow] = phi(ye[grow], hi[grow]) > 1.0
+            if not np.any(grow):
+                break
+            hi[grow] *= 2.0
     for k in range(100):
         if reach is not None and k % _DECIDE_EVERY == 0:
             d_lo, d_hi = dist(ye, lo), dist(ye, hi)

@@ -31,8 +31,7 @@ from .estimates import (_angle_ranges, _cos_squared,
                         height_scale, LinearBound, one_sided_slope_limit)
 from .geometry import (EllipsoidRegion, HalfSpaceGrid, RegionKind, _corner_bits,
                        _strides, build_grid, in_region, inner_node_set)
-from .solver import (ProblemSpec, SolveStatus, SolverConfig, _gradient_vectors,
-                     newton_solve)
+from .solver import ProblemSpec, SolveStatus, SolverConfig, newton_solve
 
 SCENARIOS = (
     "affine-recovery",
@@ -351,11 +350,14 @@ def _solve_level(theta: CapillaryAngle, grid: HalfSpaceGrid, data, level: int,
                  r: float, h: float, idx: np.ndarray | None = None,
                  solver_cfg: SolverConfig | None = None,
                  initial: ScalarField | None = None):
-    """Solve one truncated problem, from `initial` when given (a warm start;
-    see newton_solve), and build its report row.
+    """Solve one truncated problem with Dirichlet `data` (a callable or the
+    values at the grid's Dirichlet nodes; see ProblemSpec.from_boundary_data),
+    from `initial` when given (a warm start; see newton_solve), and build its
+    report row.
 
-    Both gradient columns come from one discrete gradient over the inner
-    node set `idx` (default: the inner ellipsoid of radius r/2):
+    Both gradient columns come from the solve's discrete gradient
+    (SolveReport.gradient) over the inner node set `idx` (default: the
+    inner ellipsoid of radius r/2):
     sup_grad_inner is its max norm, affine_dev its infinity-norm deviation
     from the slope of the best-fit capillary affine solution.  Returns the
     solution, the row and the inner gradients.
@@ -365,7 +367,7 @@ def _solve_level(theta: CapillaryAngle, grid: HalfSpaceGrid, data, level: int,
                             solver_cfg)
     if idx is None:
         idx = inner_node_set(grid, EllipsoidRegion(0.5 * r, theta, RegionKind.INNER))
-    grad = _gradient_vectors(sol, theta)[idx]
+    grad = rep.gradient[idx]
     pts = grid.nodes[idx]
     design = np.hstack([pts, np.ones((pts.shape[0], 1))])
     coef, *_ = np.linalg.lstsq(design, sol.values[idx], rcond=None)
@@ -469,7 +471,7 @@ def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 raise HypothesisViolation(
                     "data leaves the linear growth class |u| <= c0 (1 + |x|)")
 
-        _, row, grad = _solve_level(theta, grid, data, level, r, h)
+        _, row, grad = _solve_level(theta, grid, dvals, level, r, h)
         rows.append(row)
         if one_sided:
             one_sided_gap = float(np.max(np.linalg.norm(grad - base.slope, axis=1)))

@@ -22,7 +22,7 @@ affine start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -121,6 +121,9 @@ class SolveReport:
     v_min: float
     energy: float
     status: SolveStatus
+    # the read-only (n_nodes, dim) _gradient_vectors of the solution, which
+    # v_min is taken from; not compared and not shown
+    gradient: np.ndarray = field(compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -771,14 +774,21 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     """
     cfg = cfg or SolverConfig()
     grid = spec.grid
-    free = grid.free_indices
-    weights_f = grid.node_weights[free]
+    # the free nodes are a box of the lattice: along an axis of n nodes, m
+    # of them free, from n - 1 - m to n - 2; free(x) is its strided view
+    box = tuple(slice(n - 1 - m, n - 1)
+                for n, m in zip(grid.shape, free_shape(grid.shape)))
+
+    def free(vals):
+        return vals.reshape(grid.shape)[box]
+
+    weights_f = free(grid.node_weights)
     scratch = _Scratch(grid)
     source = spec.source_at_nodes()
 
     def residual(vals):
         res, v_min = _residual_full(vals, spec, scratch, source)
-        res_f = res[free]
+        res_f = free(res)
         return res_f, float(np.max(np.abs(res_f))), v_min
 
     affine = _affine_initial(spec)
@@ -812,7 +822,7 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
             if lift:
                 # one trial at full length, kept on any decrease
                 rhs = (weights_f * residual(affine)[0]
-                       - _block_action(grid, blocks, values - affine, scratch)[free])
+                       - free(_block_action(grid, blocks, values - affine, scratch)))
                 rtol, step_cap, min_alpha, armijo = _LIFT_TOL, math.inf, 1.0, 0.0
             else:
                 rhs = weights_f * res_f
@@ -820,18 +830,20 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                 # cap runaway directions from near-degenerate (steep-gradient) states
                 step_cap = 1e3 * max(1.0, float(np.max(np.abs(values))))
                 min_alpha, armijo = _MIN_STEP, 1e-4
-            step = _pcg(*_free_level(grid.shape, blocks, scratch.dia), rhs, rtol,
-                        _CG_MAX_ITER, grid.coarse, blocks, scratch)[0]
+            step = _pcg(*_free_level(grid.shape, blocks, scratch.dia), rhs.ravel(),
+                        rtol, _CG_MAX_ITER, grid.coarse, blocks, scratch)[0]
             del blocks      # no reference to the blocks outlives the linear solve
             step_norm = float(np.max(np.abs(step)))
             if step_norm > step_cap:
                 step *= step_cap / step_norm
+            step = step.reshape(weights_f.shape)
 
             alpha = 1.0
             accepted = False
             while alpha >= min_alpha:
                 trial = values.copy()
-                trial[free] += alpha * step
+                trial_f = free(trial)
+                trial_f += alpha * step
                 trial_res_f, trial_norm, trial_v_min = residual(trial)
                 if trial_norm < (1.0 - armijo * alpha) * res_norm:
                     accepted = True
@@ -856,14 +868,15 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
         status = SolveStatus.CONVERGED
 
     solution = ScalarField(grid, values)
-    v_nodal = capillary_area_element(_gradient_vectors(solution, spec.theta),
-                                     spec.theta)
+    gradient = _gradient_vectors(solution, spec.theta)
+    gradient.flags.writeable = False
     report = SolveReport(
         iterations=iterations,
         residual_history=tuple(history),
         final_residual=res_norm,
-        v_min=float(np.min(v_nodal)),
+        v_min=float(np.min(capillary_area_element(gradient, spec.theta))),
         energy=capillary_energy(solution, spec.theta),
         status=status,
+        gradient=gradient,
     )
     return solution, report

@@ -6,12 +6,16 @@ database and no per-example deadline, so every run draws the same examples
 and a slow host cannot fail a test on timing.
 """
 
+import math
+
 import numpy as np
 from hypothesis import settings
 
 from capgraph import angle_threshold
-from capgraph.capillary import _nodal_gradient
+from capgraph.capillary import (_nodal_gradient, _quadrant_gradients,
+                                edge_differences)
 from capgraph.estimates import _EPS0_SCAN, _splitting_lhs
+from capgraph.geometry import _DECIDE_EVERY
 from capgraph.solver import _check_field
 
 settings.register_profile("capgraph", derandomize=True, deadline=None,
@@ -94,3 +98,68 @@ def nondivergence_residual(u, spec):
         op = op + coef * second.ravel()
     res = op - source * w2 ** 1.5
     return res[grid.interior_indices]
+
+
+def loose_bracket_distance(y, axes, reach=None):
+    """The distance of geometry._distance_to_ellipsoid, bisected from the
+    loose bracket [0, sqrt(dim) max_i(axes_i |y_i|) + max axes^2] grown until
+    phi confirms its upper end: the oracle of the tight bracket's decisions,
+    which inner_node_set must reproduce node for node."""
+    y = np.atleast_2d(y)
+    a2 = axes ** 2
+    inside = np.sum((y / axes) ** 2, axis=1) <= 1.0
+    d = np.zeros(y.shape[0])
+    live = np.flatnonzero(~inside)      # the points still bisected
+    if live.size == 0:
+        return d
+    ye = y[live]
+
+    def phi(ye, t):
+        return np.sum((axes * ye / (t[:, None] + a2)) ** 2, axis=1)
+
+    def dist(ye, t):
+        return np.linalg.norm(ye - a2 * ye / (t[:, None] + a2), axis=1)
+
+    lo = np.zeros(live.size)
+    hi = np.sqrt(y.shape[1]) * np.max(np.abs(ye) * axes, axis=1) + np.max(a2)
+    for _ in range(64):
+        grow = phi(ye, hi) > 1.0
+        if not np.any(grow):
+            break
+        hi[grow] *= 2.0
+    for k in range(100):
+        if reach is not None and k % _DECIDE_EVERY == 0:
+            d_lo, d_hi = dist(ye, lo), dist(ye, hi)
+            within, beyond = d_hi <= reach, d_lo > reach
+            d[live[within]] = d_hi[within]
+            d[live[beyond]] = d_lo[beyond]
+            open_ = ~(within | beyond)
+            live, ye, lo, hi = live[open_], ye[open_], lo[open_], hi[open_]
+            if live.size == 0:
+                return d
+        mid = 0.5 * (lo + hi)
+        high = phi(ye, mid) > 1.0
+        new_lo = np.where(high, mid, lo)
+        new_hi = np.where(high, hi, mid)
+        # a step that moves no bracket end repeats forever: a fixed point
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    d[live] = dist(ye, 0.5 * (lo + hi))
+    return d
+
+
+def per_row_energies(grid, values, theta):
+    """capillary_energies with each state's cell means summed by np.sum on
+    its own 1-D row, one Python call per state: the oracle of its one
+    reduction over the last axis."""
+    dim = grid.dim
+    d = edge_differences(grid, values)
+    g = _quadrant_gradients(d, dim)
+    v = np.sqrt(1.0 + sum(_quadrant_gradients(d * d, dim))) + theta.cos_t * g[0]
+    k = math.prod(v.shape[-dim - 1:-1])
+    v = v.reshape(v.shape[:-dim - 1] + (k, v.shape[-1]))
+    means = sum(v[..., q, :] for q in range(k)) / k
+    rows = means.reshape(math.prod(means.shape[:-1]), means.shape[-1])
+    sums = [np.sum(row) for row in rows]
+    return grid.h ** dim * np.reshape(sums, means.shape[:-1])

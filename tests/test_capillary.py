@@ -13,6 +13,7 @@ from capgraph import (CapillaryAngle, DegenerateAngle, ScalarField, ZeroVector,
                       edge_differences, field_from_callable,
                       ghost_closure, unit_normal)
 from capgraph.capillary import _cos_theta, _nodal_gradient, capillary_energies
+from conftest import per_row_energies
 
 
 def test_angle_validation_and_cached_trig():
@@ -361,6 +362,26 @@ def test_batched_energies_are_bitwise_the_single_energies(dim, h, m1, mp, n_stat
         u = ScalarField(grid, row)
         assert repr(float(energy)) == repr(capillary_energy(u, theta))
         assert repr(float(energy)) == repr(_quadrant_energy(u, theta))
+
+
+# a batch of (rows,) or (rows, 3) states, as the minimizer test's chunks
+# are, on grids of 1 to 50,000 cells
+@settings(max_examples=40)
+@given(dim=st.sampled_from([1, 2]), m1=st.integers(1, 400), mp=st.integers(1, 8),
+       rows=st.integers(1, 30), eps_axis=st.booleans(),
+       theta_val=st.floats(0.2, 2.9), seed=st.integers(0, 2 ** 16))
+@example(dim=1, m1=50_000, mp=1, rows=2, eps_axis=False, theta_val=1.0, seed=0)
+@example(dim=2, m1=11, mp=6, rows=10, eps_axis=True, theta_val=np.pi / 3, seed=1)
+@example(dim=2, m1=1, mp=1, rows=30, eps_axis=False, theta_val=2.0, seed=2)
+def test_batched_energies_are_bitwise_the_per_row_sums(dim, m1, mp, rows, eps_axis,
+                                                       theta_val, seed):
+    grid = build_grid(dim, 0.1, m1 * 0.1, mp * 0.1)
+    theta = CapillaryAngle(theta_val)
+    rng = np.random.default_rng(seed)
+    batch = rng.standard_normal((rows,) + (3,) * eps_axis + (grid.n_nodes,))
+    got = capillary_energies(grid, batch, theta)
+    assert got.shape == batch.shape[:-1]
+    assert np.array_equal(got, per_row_energies(grid, batch, theta))
 
 
 def test_quadrant_gradients_pair_the_edge_differences():

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capgraph import LinearSolveFailure, solver
-from capgraph.cli import cli_main
+from capgraph.cli import _build_parser, cli_main
 from capgraph.harness import SCENARIOS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -174,6 +174,47 @@ def test_solver_csvs_keep_their_pinned_bytes(tmp_path, capsys, name, command,
 def test_unknown_subcommand_is_usage_error():
     assert cli_main(["frobnicate"]) == 3
     assert cli_main([]) == 3
+
+
+COMMANDS = ("solve", "verify", "liouville", "report", "sweep", "audit")
+
+
+def _full_parser_run(argv, capsys):
+    """(exit code, stdout, stderr) of parsing argv with every subcommand's
+    parser added, as the parser of argv's own command must read."""
+    try:
+        _build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    return (code,) + tuple(capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_parser_reads_as_the_full_parser(tmp_path, capsys, command):
+    # help, a bad argument of the subcommand's own parser, and an unknown
+    # one, which the main parser reports under its usage line
+    own, config = {"sweep": (["--theta-steps", "0"], []),
+                   "audit": (["--seed", "-1"], [])}.get(
+        command, ([], ["--config", str(tmp_path / "none.cfg")]))
+    for argv, code, usage in (([command, "--help"], 0, command),
+                              ([command] + own, 3, command),
+                              ([command] + config + ["--bogus"], 3, "[-h]")):
+        expected = _full_parser_run(argv, capsys)
+        assert expected[0] == (code and 2)     # argparse's usage error
+        assert cli_main(argv) == code
+        assert tuple(capsys.readouterr()) == expected[1:]
+        assert "".join(expected[1:]).startswith(f"usage: capgraph {usage} ")
+    assert "{solve,verify,liouville,report,sweep,audit}" in expected[2]
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["-h", "solve"], 0),
+                                       ([], 3), (["frobnicate"], 3)])
+def test_the_parser_without_a_command_lists_all_six(capsys, argv, code):
+    expected = _full_parser_run(argv, capsys)
+    assert cli_main(argv) == code
+    assert tuple(capsys.readouterr()) == expected[1:]
+    assert all(name in "".join(expected[1:]) for name in COMMANDS)
 
 
 def test_malformed_config_names_key(tmp_path, capsys):

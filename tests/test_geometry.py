@@ -1,6 +1,7 @@
 """Grid construction, node classification, and ellipsoidal regions."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from capgraph import (BadDimension, CapillaryAngle, EllipsoidRegion,
                       EmptyRegion, NodeClass, NonconformingExtent, RegionKind,
                       build_grid, domain_for_radius, in_region,
                       inner_node_set)
-from capgraph import solver
+from capgraph import geometry, solver
 from capgraph.geometry import _distance_to_ellipsoid
+from conftest import loose_bracket_distance
 
 
 def test_build_grid_1d_counts_and_classes():
@@ -220,6 +222,36 @@ def test_reach_decided_distances_bound_the_full_bisection(dim, seed, reach):
     assert np.array_equal(within, full <= reach)
     # the bracket end that decided a point bounds its distance
     assert np.all(np.where(within, got >= full, got <= full))
+
+
+# semiaxis (steps + frac) h of a region on its radius domain; at theta =
+# pi/2 and frac = 1/2 the ellipsoid is a half ball of that radius, and the
+# nodes on the axes just past it lie h/2 from it, exactly where h is dyadic
+@settings(max_examples=60)
+@given(dim=st.sampled_from([1, 2]), h=st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5]),
+       steps=st.integers(1, 24), frac=st.just(0.5) | st.floats(0.0, 1.0),
+       theta_val=st.just(np.pi / 2) | st.floats(0.3, 2.8),
+       kind=st.sampled_from(list(RegionKind)))
+@example(dim=2, h=0.25, steps=4, frac=0.5, theta_val=np.pi / 2, kind=RegionKind.INNER)
+@example(dim=2, h=0.5, steps=9, frac=0.5, theta_val=np.pi / 2, kind=RegionKind.OUTER)
+@example(dim=2, h=0.05, steps=9, frac=0.5, theta_val=np.pi / 2, kind=RegionKind.OUTER)
+@example(dim=1, h=0.5, steps=2, frac=0.5, theta_val=np.pi / 2, kind=RegionKind.OUTER)
+def test_inner_node_set_is_the_set_of_the_loose_bracket(dim, h, steps, frac,
+                                                        theta_val, kind):
+    theta = CapillaryAngle(theta_val)
+    rho = (steps + frac) * h
+    r = rho if kind is RegionKind.OUTER else 2.0 * rho / (1.0 + abs(theta.cos_t))
+    grid = domain_for_radius(max(r, h), theta, h, dim)
+    region = EllipsoidRegion(r, theta, kind)
+    got = inner_node_set(grid, region)
+    with mock.patch.object(geometry, "_distance_to_ellipsoid", loose_bracket_distance):
+        assert np.array_equal(got, inner_node_set(grid, region))
+    if theta.cos_t == 0.0 and frac == 0.5 and h in (0.25, 0.5):
+        # the node past the region on the x1 axis, exactly h/2 from it
+        tie = np.flatnonzero(np.all(grid.nodes == (rho + 0.5 * h,) + (0.0,) * (dim - 1),
+                                    axis=1))
+        assert region.semiaxis == rho and tie.size == 1 and tie[0] in got
+        assert not in_region(grid.nodes[tie[0]], region)
 
 
 def _oracle_linear_interpolation(n, coarse):

@@ -25,6 +25,7 @@ from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       cutoff_derivative_check,
                       discrete_gradient, domain_for_radius,
                       field_from_callable, gradient_bound, in_region,
+                      inner_node_set,
                       one_sided_slope_limit,
                       parse_config,
                       run_angle_sweep, run_audit, run_conormal_check,
@@ -33,6 +34,7 @@ from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       unit_normal, write_csv)
 from capgraph import harness
 from capgraph.cli import cli_main
+from capgraph.solver import _gradient_vectors
 from conftest import NoAdmissibleEps0, scalar_angle_range, scalar_choose_eps0
 
 THETA = CapillaryAngle(np.pi / 3)
@@ -186,6 +188,92 @@ def test_liouville_hypothesis_violations():
         run_liouville_experiment(ExperimentConfig(
             scenario="liouville-linear-growth", theta_rad=float(THETA.theta),
             r_levels=(2.0,), h_levels=(0.5,), c0=1e-4, seed=1))
+
+
+# the six user-facing configs of the benchmark's cli-scenarios workload
+# (perfbench/workloads.py), with the number of solves each one runs
+_CLI_SCENARIOS = (
+    ("solve", "liouville-linear-growth", 1,
+     "r_levels = 8.0\nh_levels = 0.25\nL_slope = 0.0, 0.2"),
+    ("liouville", "liouville-linear-growth", 3,
+     "r_levels = 4.0, 8.0, 16.0\nh_levels = 0.5\nL_slope = 0.0, 0.2\n"
+     "perturb_amp = 0.1\nperturb_decay = 1.0"),
+    ("liouville", "liouville-one-sided", 3,
+     "r_levels = 4.0, 8.0, 16.0\nh_levels = 0.5\nL_slope = 0.0, 0.0"),
+    ("report", "gradient-bound-sweep", 12,
+     "r_levels = 4.0\nh_levels = 0.5, 0.25\nc0 = 2.0"),
+    ("verify", "conormal-check", 3,
+     "r_levels = 1.0\nh_levels = 0.2, 0.1, 0.05\nperturb_amp = 0.3"),
+    ("verify", "minimizer-test", 1, "r_levels = 2.0\nh_levels = 0.25"),
+)
+
+
+@pytest.mark.parametrize("command,scenario,solves,keys", _CLI_SCENARIOS,
+                         ids=("solve", "liouville", "liouville-one-sided", "report",
+                              "verify-conormal", "verify-minimizer"))
+def test_cli_scenarios_solve_through_the_harness_name_of_newton_solve(
+        tmp_path, monkeypatch, command, scenario, solves, keys):
+    # the benchmark times each solve by wrapping harness.newton_solve; every
+    # report row's gradient columns come from that solve's own gradient
+    solved = []
+    newton_solve = harness.newton_solve
+
+    def counting(spec, cfg=None):
+        sol, rep = newton_solve(spec, cfg)
+        solved.append((sol, rep))
+        return sol, rep
+
+    monkeypatch.setattr(harness, "newton_solve", counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"theta_rad = {np.pi / 3!r}\nseed = 0\nscenario = {scenario}\n"
+                   f"{keys}\n")
+    out = tmp_path / "run.csv"
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(solved) == solves
+    lines = out.read_text().splitlines()[2:]
+    assert len(lines) == solves
+    scale = 1.0 if scenario == "gradient-bound-sweep" else 0.5
+    for line, (sol, rep) in zip(lines, solved):
+        row = dict(zip(REPORT_COLUMNS, line.split(",")))
+        assert not rep.gradient.flags.writeable
+        assert np.array_equal(rep.gradient, _gradient_vectors(sol, THETA))
+        grid = sol.grid
+        idx = inner_node_set(grid, EllipsoidRegion(scale * float(row["r"]), THETA,
+                                                   RegionKind.INNER))
+        grad = _gradient_vectors(sol, THETA)[idx]
+        pts = grid.nodes[idx]
+        coef = np.linalg.lstsq(np.hstack([pts, np.ones((idx.size, 1))]),
+                               sol.values[idx], rcond=None)[0]
+        slope = affine_capillary_solution(THETA, coef[1:grid.dim], coef[-1]).slope
+        assert float(row["sup_grad_inner"]) == float(np.max(np.linalg.norm(grad, axis=1)))
+        assert float(row["affine_dev"]) == float(np.max(np.abs(grad - slope)))
+
+
+@pytest.mark.parametrize("scenario,l_slope", [("liouville-linear-growth", (0.0, 0.2)),
+                                              ("liouville-one-sided", (0.0, 0.0))])
+def test_liouville_evaluates_each_level_family_once(monkeypatch, scenario, l_slope):
+    # the hypothesis check's Dirichlet values are the values the solve takes
+    calls = []
+    family = harness._family
+
+    def counted(*args, **kwargs):
+        data = family(*args, **kwargs)
+        index = len(calls)
+        calls.append(0)
+
+        def evaluate(points):
+            calls[index] += 1
+            return data(points)
+        return evaluate
+
+    monkeypatch.setattr(harness, "_family", counted)
+    cfg = ExperimentConfig(scenario=scenario, theta_rad=float(THETA.theta),
+                           r_levels=(2.0, 4.0), h_levels=(0.5,), L_slope=l_slope,
+                           seed=3)
+    report = run_liouville_experiment(cfg)
+    assert calls == [1, 1]
+    monkeypatch.setattr(harness, "_family", family)
+    assert run_liouville_experiment(cfg) == report
 
 
 def test_minimizer_single_node_convexity():

@@ -596,6 +596,17 @@ def test_grid_is_freed_after_newton_solve():
     assert ref() is None
 
 
+def test_solve_report_holds_the_solution_gradient_out_of_eq_and_repr():
+    grid = build_grid(2, 0.1, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    sol, rep = newton_solve(spec)
+    assert np.array_equal(rep.gradient, solver._gradient_vectors(sol, THETA))
+    assert not rep.gradient.flags.writeable
+    assert rep.v_min == float(np.min(capillary_area_element(rep.gradient, THETA)))
+    assert "gradient" not in repr(rep)
+    assert replace(rep, gradient=None) == rep
+
+
 def test_multigrid_cg_iterations_do_not_grow_with_1_over_h(monkeypatch):
     # the mesh-ladder problem of test_2d_self_reference_mesh_convergence
     aff = affine_capillary_solution(THETA, (0.2,), 0.0)
