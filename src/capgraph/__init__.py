@@ -2,9 +2,9 @@
 
 Solves div(Du / sqrt(1 + |Du|^2)) = H with the contact-angle condition
 u_1 = -cos(theta) sqrt(1 + |Du|^2) on the wall, implements the closed-form
-apparatus of the associated gradient estimates (cut-offs, auxiliary
-functions, angle ranges, explicit constants), and runs desk-scale flatness
-experiments through a config-driven harness and CLI.
+apparatus of the associated gradient estimates (cut-offs, angle ranges,
+explicit constants), and runs desk-scale flatness experiments through a
+config-driven harness and CLI.
 """
 
 from .capillary import (AffineCapillarySolution, CapillaryAngle, GradientField,
@@ -17,24 +17,21 @@ from .errors import (BadConfig, BadDimension, CapillaryLabError,
                      DegenerateAngle, DegenerateState,
                      EmptyRegion, HypothesisViolation, InvalidParameter,
                      InvariantViolation, LinearSolveFailure,
-                     NonconformingExtent, OutOfExtent, ShapeMismatch,
+                     NonconformingExtent, ShapeMismatch,
                      StationarityViolation, UnresolvedRegion, ZeroVector)
-from .estimates import (AuxiliaryField, CutoffCheckReport, CutoffParams,
-                        LinearBound, angle_condition_holds,
-                        angle_condition_lower_bound,
-                        angle_threshold, auxiliary_function,
-                        choose_eps0_array, conormal_stationarity_residual,
+from .estimates import (CutoffCheckReport, CutoffParams, LinearBound,
+                        angle_condition_holds, angle_condition_lower_bound,
+                        angle_threshold, choose_eps0_array,
+                        conormal_stationarity_residual,
                         cutoff_derivative_check,
                         cutoff_profile, cutoff_weight, cutoff_weight_gradient,
-                        gradient_bound, height_scale, height_weight,
-                        one_sided_slope_limit, shifted_cutoff_profile,
-                        shifted_cutoff_weight)
+                        gradient_bound, height_scale, one_sided_slope_limit)
 from .geometry import (EllipsoidRegion, HalfSpaceGrid, NodeClass, RegionKind,
                        build_grid, in_region, inner_node_set)
 from .harness import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       AngleSweepRow, CheckResult, ExperimentConfig,
                       ExperimentReport, GradientBoundFit, ReportRow,
-                      blow_down, domain_for_radius, load_config, parse_config,
+                      domain_for_radius, load_config, parse_config,
                       run_angle_sweep, run_audit, run_conormal_check,
                       run_gradient_bound_sweep, run_liouville_experiment,
                       run_minimizer_test, run_solve_experiment, write_csv)

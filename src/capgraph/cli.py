@@ -201,6 +201,10 @@ def cli_main(argv=None) -> int:
     except (BadConfig, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
+    except MemoryError as exc:
+        # a config whose lattice fits the indices but not the memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BADCONFIG
     except (InvariantViolation, HypothesisViolation) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -49,10 +49,6 @@ class HypothesisViolation(CapillaryLabError):
     """Configured data family breaks the hypothesis of the chosen scenario."""
 
 
-class OutOfExtent(CapillaryLabError):
-    """Rescaled query point falls outside the source grid extent."""
-
-
 class InvalidParameter(CapillaryLabError, ValueError):
     """Solver or problem parameter outside its domain; also a ValueError."""
 

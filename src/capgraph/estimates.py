@@ -1,29 +1,27 @@
 """Analytic apparatus behind the gradient estimates, evaluated numerically.
 
 Covers the ellipsoidal cut-off profile and its derivative identities, the
-height weight and the auxiliary function whose maximum is analyzed, the
-admissible-angle range with its explicit dimensional threshold, the slope
-limit for one-sided linear bounds, the generic exponential gradient bound,
-and the splitting condition on eps0 behind the angle range, with its
-dimensional lower bound and the admissible eps0 of each (n, theta).
+height scale M = sup |u| + r of a solved field, the admissible-angle range
+with its explicit dimensional threshold, the slope limit for one-sided
+linear bounds, the generic exponential gradient bound, and the splitting
+condition on eps0 behind the angle range, with its dimensional lower bound
+and the admissible eps0 of each (n, theta).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .capillary import (CapillaryAngle, ScalarField, _cos_theta, _nodal_gradient,
                         capillary_area_element)
-from .errors import (DegenerateState, EmptyRegion,
-                     HypothesisViolation, ShapeMismatch, require_count)
+from .errors import (DegenerateState, HypothesisViolation, ShapeMismatch,
+                     require_count)
 from .geometry import EllipsoidRegion, RegionKind, in_region
 from .solver import discrete_gradient
-
-DEFAULT_NSTAR = 1.0 / 36.0
 
 
 def _positive_finite(x) -> bool:
@@ -64,32 +62,16 @@ class LinearBound:
 
 @dataclass(frozen=True)
 class CutoffParams:
-    """Parameters of the ellipsoidal cut-off and its shifted variant.
-
-    `m_scale` is the sup|u| + r constant of the height weight; `bound` is the
-    optional linear comparison function of the one-sided estimate (its slope
-    must respect the angle-dependent limit) and is implicitly zero otherwise.
-    """
+    """Parameters of the ellipsoidal cut-off: radius, angle and dimension."""
 
     r: float
     theta: CapillaryAngle
     dim: int = 2
-    nstar: float = DEFAULT_NSTAR
-    m_scale: float | None = None
-    bound: LinearBound | None = None
 
     def __post_init__(self):
         if not _positive_finite(self.r):
             raise ValueError(f"r must be positive, got {self.r}")
         require_count("dim", self.dim)
-        if not _positive_finite(self.nstar):
-            raise ValueError(f"nstar must be positive and finite, got {self.nstar}")
-        if self.m_scale is not None and not _positive_finite(self.m_scale):
-            raise ValueError(f"m_scale must be positive and finite, got {self.m_scale}")
-        if self.bound is not None:
-            if len(self.bound.slope) != self.dim:
-                raise ShapeMismatch("bound slope length must equal dim")
-            self.bound.check_slope(self.theta)
 
     def outer_region(self) -> EllipsoidRegion:
         return EllipsoidRegion(self.r, self.theta, RegionKind.OUTER)
@@ -189,79 +171,13 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
     )
 
 
-def shifted_cutoff_profile(points, u_vals, params: CutoffParams) -> np.ndarray | float:
-    """Profile plus the height shift (u - L)/(2 nstar r); the shifted weight
-    is the squared positive part, and its positivity set is the working
-    region of the one-sided estimate."""
-    single = np.asarray(points, dtype=float).ndim == 1
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    u = np.atleast_1d(np.asarray(u_vals, dtype=float))
-    q = np.atleast_1d(cutoff_profile(pts, params))
-    shift = u - (params.bound(pts) if params.bound is not None else 0.0)
-    out = q + shift / (2.0 * params.nstar * params.r)
-    return float(out[0]) if single else out
-
-
-def shifted_cutoff_weight(points, u_vals, params: CutoffParams) -> np.ndarray | float:
-    return _positive_square(shifted_cutoff_profile(points, u_vals, params))
-
-
-def height_weight(u_val, m_scale: float) -> np.ndarray | float:
-    """Affine weight u/(2M) + 1; lies in (1/2, 3/2) while |u| < M."""
-    if not _positive_finite(m_scale):
-        raise ValueError(f"m_scale must be positive and finite, got {m_scale}")
-    out = np.asarray(u_val, dtype=float) / (2.0 * m_scale) + 1.0
-    return float(out) if out.ndim == 0 else out
-
-
 def height_scale(u: ScalarField, region: EllipsoidRegion) -> float:
     """M = sup |u| + r over the nodes inside the region (over all nodes when
-    none is inside): the constant of the height weight."""
+    none is inside): the M of gradient_bound, whose fit `report` makes
+    over M/r."""
     mask = in_region(u.grid.nodes, region)
     pool = u.values[mask] if np.any(mask) else u.values
     return float(np.max(np.abs(pool))) + region.r
-
-
-class AuxiliaryField(NamedTuple):
-    values: np.ndarray
-    argmax: int
-    max_value: float
-
-
-def auxiliary_function(u: ScalarField, theta: CapillaryAngle,
-                       params: CutoffParams,
-                       variant: Literal["standard", "shifted"] = "standard",
-                       ) -> AuxiliaryField:
-    """Nodal height-weight * cutoff-weight * log(capillary area element),
-    with its maximum over the nodes of the closed outer ellipsoid (profile
-    >= 0), the region of the cut-off.
-
-    The standard variant uses the plain ellipsoidal weight, the shifted one
-    the height-shifted weight of the one-sided estimate.  Gradients come
-    from the solver's nodal stencil.  Raises EmptyRegion when no node lies
-    in the closed outer ellipsoid.
-    """
-    grid = u.grid
-    if grid.dim != params.dim:
-        raise ShapeMismatch("cutoff dim does not match grid dim")
-    grad = discrete_gradient(u, theta)
-    v = capillary_area_element(grad.vectors, theta)
-    m_scale = (height_scale(u, params.outer_region()) if params.m_scale is None
-               else params.m_scale)
-    phi = height_weight(u.values, m_scale)
-    q = np.atleast_1d(cutoff_profile(grid.nodes, params))
-    region = np.flatnonzero(q >= 0.0)
-    if region.size == 0:
-        raise EmptyRegion("no grid node lies in the closed outer ellipsoid")
-    if variant == "standard":
-        psi = _positive_square(q)    # cutoff_weight at the nodes
-    elif variant == "shifted":
-        psi = np.atleast_1d(shifted_cutoff_weight(grid.nodes, u.values, params))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    vals = phi * psi * np.log(v)
-    arg = int(region[np.argmax(vals[region])])
-    return AuxiliaryField(values=vals, argmax=arg, max_value=float(vals[arg]))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ if TYPE_CHECKING:
     from .capillary import CapillaryAngle
 
 _CONFORM_TOL = 1e-9
+# the largest index of the int32 CSR arrays of _prolongation and
+# _axis_interpolation; a node has at most 2^dim parents, so a lattice of up
+# to _MAX_INDEX / 2^dim nodes fits
+_MAX_INDEX = np.iinfo(np.int32).max
 # the multigrid hierarchy stops at a level of at most this many free nodes,
 # which the linear solver factors and solves exactly
 _COARSEST_SIZE = 32
@@ -55,7 +59,8 @@ class RegionKind(Enum):
 
 def _conforming_count(extent: float, h: float, name: str) -> int:
     m = extent / h
-    m_round = round(m)
+    # an infinite or NaN extent over h has no node count (round raises)
+    m_round = round(m) if math.isfinite(m) else 0
     if m_round < 1 or abs(m - m_round) > _CONFORM_TOL * max(1.0, m):
         raise NonconformingExtent(
             f"{name}={extent} is not a positive integer multiple of h={h}"
@@ -405,18 +410,24 @@ def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSp
     """Build a classified half-space lattice.
 
     L1 and Lp must be positive integer multiples of h; Lp is required for
-    dim == 2 and ignored for dim == 1.
+    dim == 2 and ignored for dim == 1.  A lattice whose multigrid indices
+    would overflow int32 (_MAX_INDEX) raises NonconformingExtent before any
+    array is built.
     """
     if dim not in (1, 2):
         raise BadDimension(f"dim must be 1 or 2, got {dim}")
     if not (np.isfinite(h) and h > 0.0):
         raise NonconformingExtent(f"mesh width h must be positive, got {h}")
-
-    axes = [np.linspace(0.0, L1, _conforming_count(L1, h, "L1") + 1)]
     if dim > 1 and Lp is None:
         raise NonconformingExtent("Lp is required for dim == 2")
-    axes += [np.linspace(-Lp, Lp, 2 * _conforming_count(Lp, h, "Lp") + 1)
-             for _ in range(dim - 1)]
+
+    counts = [_conforming_count(L1, h, "L1") + 1]
+    counts += [2 * _conforming_count(Lp, h, "Lp") + 1 for _ in range(dim - 1)]
+    if 2 ** dim * math.prod(counts) > _MAX_INDEX:
+        raise NonconformingExtent(
+            f"L1={L1}, Lp={Lp} at h={h} give too many nodes for int32 indices")
+    axes = [np.linspace(0.0, L1, counts[0])]
+    axes += [np.linspace(-Lp, Lp, n) for n in counts[1:]]
     shape = tuple(a.size for a in axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
     cls = np.full(shape, NodeClass.INTERIOR, dtype=np.int8)

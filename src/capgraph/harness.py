@@ -22,7 +22,7 @@ from .capillary import (AffineCapillarySolution, CapillaryAngle, ScalarField,
                         capillary_energies, capillary_gauge, conormal,
                         unit_normal)
 from .errors import (BadConfig, BadDimension, HypothesisViolation,
-                     InvalidParameter, InvariantViolation, OutOfExtent,
+                     InvalidParameter, InvariantViolation,
                      StationarityViolation, UnresolvedRegion, require_count)
 from .estimates import (_angle_ranges, _cos_squared,
                         angle_condition_holds, angle_condition_lower_bound,
@@ -287,16 +287,20 @@ def domain_for_radius(r: float, theta: CapillaryAngle, h: float, dim: int
     """Smallest conforming box containing the outer ellipsoid of radius r,
     plus one margin cell.
 
-    Raises UnresolvedRegion when r < h and BadDimension (from build_grid)
-    for a dimension other than 1 or 2.
+    Raises UnresolvedRegion when r < h, and from build_grid
+    NonconformingExtent when a cell count overflows to inf or the lattice is
+    too large for the solver's indices, and BadDimension for a dimension
+    other than 1 or 2.
     """
     if r < h:
         raise UnresolvedRegion(
             f"region radius r={r} is smaller than the mesh width h={h}")
+    # float counts, exact integers below 2^53: one that overflows is inf
+    # and reaches build_grid as an extent without a node count
     need1 = (1.0 + abs(theta.cos_t)) * r
-    m1 = int(np.ceil(need1 / h - 1e-9)) + 1
+    m1 = float(np.ceil(need1 / h - 1e-9)) + 1.0
     needp = r / theta.sin_t
-    mp = int(np.ceil(needp / h - 1e-9)) + 1
+    mp = float(np.ceil(needp / h - 1e-9)) + 1.0
     return build_grid(dim, h, m1 * h, mp * h)
 
 
@@ -384,38 +388,25 @@ def _solve_level(theta: CapillaryAngle, grid: HalfSpaceGrid, data, level: int,
 # Experiments
 # ---------------------------------------------------------------------------
 
-def blow_down(u: ScalarField, R: float, target_grid: HalfSpaceGrid | None = None
-              ) -> ScalarField:
-    """Rescale x -> u(Rx)/R.
-
-    Without a target grid the source lattice is rescaled exactly (nodes map
-    onto nodes); with one, values are interpolated multilinearly on the
-    source lattice (the point's cell and its fraction across the cell per
-    axis, then the weighted sum over the cell's 2^dim corners), and queries
-    outside the source extent raise OutOfExtent.
-    """
-    if not R >= 1.0:
-        raise ValueError(f"blow-down scale must be >= 1, got {R}")
+def _interpolate(u: ScalarField, grid: HalfSpaceGrid) -> ScalarField:
+    """u interpolated multilinearly onto the nodes of a lattice of the same
+    box: each node's source cell and its fraction across the cell per axis,
+    then the weighted sum over the cell's 2^dim corners."""
     src = u.grid
-    if target_grid is None:
-        tg = build_grid(src.dim, src.h / R, *map(float, src.box[1] / R))
-        return ScalarField(tg, u.values / R)
-    pts = target_grid.nodes * R
     lo, hi = src.box
-    slack = 1e-9 * max(1.0, src.L1)
-    if np.any(pts < lo - slack) or np.any(pts > hi + slack):
-        raise OutOfExtent("rescaled query points leave the source extent")
     n = np.asarray(src.shape)
-    t = (np.clip(pts, lo, hi) - lo) / src.h
+    # the clip absorbs the rounding of the linspace ends; a node on the far
+    # end of an axis lies in its last cell, at fraction 1
+    t = (np.clip(grid.nodes, lo, hi) - lo) / src.h
     cell = np.minimum(t.astype(np.intp), n - 2)
     frac = t - cell
     strides = _strides(src.shape)
     low = cell @ strides
-    out = np.zeros(pts.shape[0])
+    out = np.zeros(grid.n_nodes)
     for bits in _corner_bits(src.dim):
         weight = np.prod(np.where(bits, frac, 1.0 - frac), axis=1)
         out += weight * u.values[low + bits @ strides]
-    return ScalarField(target_grid, out / R)
+    return ScalarField(grid, out)
 
 
 def run_solve_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -657,7 +648,7 @@ def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
         # identical box across levels (conforming to the coarsest mesh), so
         # refinement compares discretizations of one continuous problem
         grid = build_grid(cfg.dim, h, probe.L1, probe.Lp)
-        start = None if coarser is None else blow_down(coarser, 1.0, grid)
+        start = None if coarser is None else _interpolate(coarser, grid)
         sol, row, _ = _solve_level(theta, grid, data, level, r, h, initial=start)
         converged = row.status == SolveStatus.CONVERGED.value
         coarser = sol if converged else None

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capgraph import LinearSolveFailure, solver
+from capgraph import LinearSolveFailure, cli, solver
 from capgraph.cli import _build_parser, cli_main
 from capgraph.harness import SCENARIOS
 
@@ -247,6 +247,9 @@ def test_bad_config_value_is_exit_3_not_a_traceback(tmp_path, capsys, key, value
     ("dim", "3", "dim must be 1 or 2"),
     ("dim", "-1", "dim must be 1 or 2"),
     ("r_levels", "0.1", "smaller than the mesh width"),   # h_levels = 0.5
+    # caught from the node counts, before any array is built
+    ("h_levels", "1e-300", "too many nodes for int32 indices"),
+    ("r_levels", "1e308", "L1=inf is not a positive integer multiple"),
 ])
 def test_unsupported_grid_is_exit_3_not_a_traceback(tmp_path, capsys, key,
                                                     value, message):
@@ -373,6 +376,19 @@ def test_linear_failure_writes_the_csv_and_exits_2(tmp_path, capsys, monkeypatch
     assert "solver status: linear_failure" in capsys.readouterr().err
     rows = out.read_text().splitlines()[2:]
     assert rows and all(row.endswith(",0,linear_failure") for row in rows)
+
+
+def test_running_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
+    # a lattice within the solver's indices may still not fit in memory
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 15.3 GiB")
+
+    monkeypatch.setattr(cli, "run_solve_experiment", exhausted)
+    cfg = _write(tmp_path, "base.cfg", BASE_CFG)
+    out = tmp_path / "solve.csv"
+    assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 15.3 GiB\n"
+    assert not out.exists()
 
 
 def _run_python(args):
@@ -504,7 +520,7 @@ assert "scipy.interpolate" not in sys.modules
 
 def test_nested_iteration_interpolates_without_scipy_interpolate(tmp_path):
     # conormal-check starts each finer mesh from the coarser solution,
-    # interpolated by blow_down in numpy alone
+    # interpolated by harness._interpolate in numpy alone
     cfg = _write(tmp_path, "conormal.cfg", CONORMAL_CFG)
     proc = _run_python(["-c", _INTERPOLATE_PROBE, str(tmp_path / "verify.csv"), cfg])
     assert proc.returncode == 0, proc.stderr
@@ -515,11 +531,13 @@ _CONFIG_COMMANDS = {"solve": ("affine-recovery", "liouville-linear-growth"),
                     "report": ("gradient-bound-sweep",),
                     "verify": ("minimizer-test", "conormal-check")}
 
-# one edit that makes any config invalid: bad values, r < h, an unknown
-# key (a retired one too), a line without '=' and a dimension other than 1
-# or 2
+# one edit that makes any config invalid: bad values, r < h, a lattice
+# without a finite node count or too large for the solver's indices, an
+# unknown key (a retired one too), a line without '=' and a dimension other
+# than 1 or 2
 _INVALID_EDITS = (("h_levels", "-0.5"), ("c0", "-1.0"), ("seed", "-1"),
                   ("sin_min", "1.5"), ("r_levels", "2.0, 1.0"), ("r_levels", "0.1"),
+                  ("h_levels", "1e-300"), ("r_levels", "1e308"),
                   ("theta_rad", "nan"), ("perturb_amp", "inf"), ("dim", "3"),
                   ("scenario", "no-such-scenario"), ("no_such_key", "1"),
                   ("strict_angle_range", "false"), ("no equals sign", None))

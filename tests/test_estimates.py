@@ -1,4 +1,4 @@
-"""Cut-offs, auxiliary functions, angle ranges, constants, coefficients."""
+"""Cut-offs, angle ranges, constants, coefficients."""
 
 from dataclasses import replace
 
@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from capgraph import (CapillaryAngle, CutoffParams,
                       DegenerateAngle, DegenerateState,
-                      EllipsoidRegion, EmptyRegion, HypothesisViolation,
+                      EllipsoidRegion, HypothesisViolation,
                       InvalidParameter, LinearBound, ProblemSpec, RegionKind,
                       ScalarField, ShapeMismatch, affine_capillary_solution,
                       angle_condition_holds, angle_condition_lower_bound,
-                      angle_threshold, auxiliary_function, build_grid,
+                      angle_threshold, build_grid,
                       choose_eps0_array,
                       conormal_stationarity_residual, cutoff_derivative_check,
                       cutoff_profile, cutoff_weight, cutoff_weight_gradient,
                       field_from_callable, gradient_bound, height_scale,
-                      height_weight, in_region,
-                      one_sided_slope_limit, shifted_cutoff_profile)
+                      in_region, one_sided_slope_limit)
 from capgraph import estimates
 from capgraph.estimates import _angle_ranges
 from conftest import NoAdmissibleEps0, nondivergence_residual, scalar_choose_eps0
@@ -132,41 +131,9 @@ def test_cutoff_check_accepts_a_numpy_integer_sample_count():
         cutoff_derivative_check(params, 20, 1)
 
 
-def test_shifted_cutoff_profile_modes():
-    params = CutoffParams(r=2.0, theta=THETA, dim=2)
-    pts = np.array([[0.3, 0.4], [1.0, -0.5]])
-    base = cutoff_profile(pts, params)
-    # u identical to the (zero) bound reduces to the plain profile
-    assert np.allclose(shifted_cutoff_profile(pts, np.zeros(2), params), base)
-
-    # nonpositive shift keeps the positivity set inside the outer region
-    rng = np.random.default_rng(4)
-    sample = rng.uniform([-1.0, -4.0], [5.0, 4.0], (4000, 2))
-    sample[:, 0] = np.abs(sample[:, 0])
-    u_vals = -rng.uniform(0.0, 2.0, 4000)
-    qs = shifted_cutoff_profile(sample, u_vals, params)
-    inside_outer = cutoff_profile(sample, params) > 0.0
-    assert not np.any((qs > 0.0) & ~inside_outer)
-
-    # boundary-point setup of the one-sided estimate: value at the origin
-    u0 = -0.4
-    r = 10.0 * (-u0) / (params.nstar * THETA.sin_t ** 2)
-    big = CutoffParams(r=r, theta=THETA, dim=2)
-    val = shifted_cutoff_profile(np.zeros(2), u0, big)
-    assert val > 0.0
-    assert np.isclose(val, THETA.sin_t ** 2 + u0 / (2.0 * big.nstar * r),
-                      atol=1e-14)
-
-
 def test_cutoff_params_validation():
     with pytest.raises(ValueError):
         CutoffParams(r=-1.0, theta=THETA)
-    with pytest.raises(HypothesisViolation):
-        CutoffParams(r=1.0, theta=THETA, dim=2,
-                     bound=LinearBound((0.5, 0.0), 0.0))
-    limit = one_sided_slope_limit(THETA)
-    CutoffParams(r=1.0, theta=THETA, dim=2,
-                 bound=LinearBound((limit / 2.0, 0.0), 1.0))
 
 
 @pytest.mark.parametrize("slope", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
@@ -176,8 +143,6 @@ def test_a_non_finite_slope_violates_the_one_sided_hypothesis(slope, theta):
     # a NaN |DL| compares False with the limit either way round
     with pytest.raises(HypothesisViolation):
         LinearBound(slope).check_slope(theta)
-    with pytest.raises(HypothesisViolation):
-        CutoffParams(r=1.0, theta=theta, dim=2, bound=LinearBound(slope))
     LinearBound((0.0, 0.0)).check_slope(theta)
 
 
@@ -187,18 +152,12 @@ def test_a_huge_finite_slope_violates_the_one_sided_hypothesis(theta):
     # that overflows to a warning
     with pytest.raises(HypothesisViolation, match="1.414e"):
         LinearBound((1e200, 1e200)).check_slope(theta)
-    with pytest.raises(HypothesisViolation):
-        CutoffParams(r=1.0, theta=theta, dim=2, bound=LinearBound((1e200, 1e200)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_cutoff_params_reject_a_non_finite_or_nonpositive_scale(bad):
-    for name in ("r", "nstar", "m_scale"):
-        with pytest.raises(ValueError, match=f"{name} must be positive"):
-            CutoffParams(**{"r": 1.0, "theta": THETA, name: bad})
-    with pytest.raises(ValueError, match="m_scale must be positive"):
-        height_weight(np.array([0.0, 1.0]), bad)
-    assert CutoffParams(r=1.0, theta=THETA, nstar=0.5, m_scale=2.0).m_scale == 2.0
+    with pytest.raises(ValueError, match="r must be positive"):
+        CutoffParams(r=bad, theta=THETA)
 
 
 @pytest.mark.parametrize("dim", [0, -1, 1.5, True])
@@ -215,106 +174,18 @@ def test_linear_bound_rejects_a_non_finite_offset_or_slope(bad):
     # no slope limit admits a non-finite slope entry
     with pytest.raises(HypothesisViolation, match="slope entries must be finite"):
         LinearBound((0.0, bad))
-    bound = LinearBound((0.0, 0.0), 0.5)
-    params = CutoffParams(r=1.0, theta=THETA, dim=2, bound=bound)
-    assert shifted_cutoff_profile(np.zeros(2), 0.0, params) == pytest.approx(
-        cutoff_profile(np.zeros(2), params) - 0.5 / (2.0 * params.nstar))
 
 
-def test_height_weight_range_and_linearity():
-    assert height_weight(0.0, 3.0) == 1.0
-    assert height_weight(3.0, 3.0) == 1.5
-    assert height_weight(-3.0, 3.0) == 0.5
-    m = 2.0
-    vals = height_weight(np.array([-1.9, 0.3, 1.9]), m)
-    assert np.all((vals > 0.5) & (vals < 1.5))
-    assert np.isclose(height_weight(1.0, m) - height_weight(0.0, m),
-                      1.0 / (2.0 * m))
-
-
-def test_auxiliary_function_reference_cases():
-    grid = build_grid(2, 0.25, 2.0, 2.0)
-    params = CutoffParams(r=1.5, theta=THETA, dim=2)
-
-    # affine symmetric solution: v = sin(theta) < 1, so values are negative
-    # and the argmax sits exactly where the (height * cutoff) product is
-    # smallest
-    aff = affine_capillary_solution(THETA, (0.0,), 0.0)
-    u = aff.on_grid(grid)
-    out = auxiliary_function(u, THETA, params)
-    weight = cutoff_weight(grid.nodes, params)
-    assert np.all(out.values[weight > 1e-14] < 0.0)
-    assert out.max_value <= 0.0
-    region_mask = weight > 1e-14
-    prod = height_weight(u.values, 10.0) * weight   # any positive scale
-    scaled = auxiliary_function(u, THETA,
-                                CutoffParams(r=1.5, theta=THETA, dim=2,
-                                             m_scale=10.0))
-    # the maximum is taken over the closed outer region, where the profile is
-    # >= 0; outside it the weight is 0 and no node there may win the tie
-    region = np.flatnonzero(cutoff_profile(grid.nodes, params) >= 0.0)
-    assert scaled.argmax == int(region[np.argmin(prod[region])])
-
-    # free boundary with constant field: v = 1 so the function vanishes
-    theta90 = CapillaryAngle(np.pi / 2)
-    const = ScalarField(grid, np.full(grid.n_nodes, 0.7))
-    params90 = CutoffParams(r=1.5, theta=theta90, dim=2)
-    out90 = auxiliary_function(const, theta90, params90)
-    assert np.max(np.abs(out90.values)) <= 1e-14
-
-    # vanishes on relative-boundary nodes for any field
-    r = 1.0
-    theta90b = CapillaryAngle(np.pi / 2)
-    grid2 = build_grid(2, 0.25, 2.0, 2.0)
-    shell_node = np.flatnonzero(
-        np.isclose(np.sum(grid2.nodes ** 2, axis=1), r ** 2, atol=1e-12))
-    rng = np.random.default_rng(0)
-    rand = ScalarField(grid2, rng.standard_normal(grid2.n_nodes))
-    out2 = auxiliary_function(rand, theta90b,
-                              CutoffParams(r=r, theta=theta90b, dim=2))
-    assert shell_node.size > 0
-    assert np.max(np.abs(out2.values[shell_node])) <= 1e-12
-
-
-@given(theta=st.floats(0.3, np.pi - 0.3), r=st.floats(0.5, 1.5),
-       amp=st.floats(-50.0, 50.0), tilt=st.floats(-2.0, 2.0))
-def test_auxiliary_maximum_stays_in_the_closed_outer_region(theta, r, amp, tilt):
-    # a plane inside the outer region and a steep wall outside it: log v is
-    # largest outside, and may be <= 0 everywhere inside, where a zero
-    # outside would win the tie; the cut-off weight must be zero off its
-    # support and the maximum taken over the closed region
+@given(theta=st.floats(0.3, np.pi - 0.3), r=st.floats(0.5, 1.5))
+def test_cutoff_weight_vanishes_off_the_closed_outer_region(theta, r):
+    # off the closed outer region the profile is negative, and the weight
+    # and its gradient, built from its positive part, are exactly zero
     angle = CapillaryAngle(theta)
     grid = build_grid(2, 0.25, 2.0, 2.0)
     params = CutoffParams(r=r, theta=angle, dim=2)
-    q = cutoff_profile(grid.nodes, params)
-    u = ScalarField(grid, tilt * grid.nodes[:, 0] + amp * np.maximum(-q, 0.0) ** 2)
-    out = auxiliary_function(u, angle, params)
-    inside = q >= 0.0
-    assert inside[out.argmax]
-    assert out.max_value == np.max(out.values[inside])
-    assert np.all(out.values[~inside] == 0.0)
+    inside = cutoff_profile(grid.nodes, params) >= 0.0
     assert np.all(cutoff_weight(grid.nodes[~inside], params) == 0.0)
     assert np.all(cutoff_weight_gradient(grid.nodes[~inside], params) == 0.0)
-
-
-def test_auxiliary_function_needs_a_node_in_the_region():
-    # a grid shifted off the origin: the region lies between wall nodes,
-    # with no node inside
-    grid = build_grid(2, 0.5, 2.0, 2.0)
-    grid = replace(grid, nodes=grid.nodes + (0.0, 0.25))
-    params = CutoffParams(r=0.2, theta=THETA, dim=2)
-    field = ScalarField(grid, np.zeros(grid.n_nodes))
-    with pytest.raises(EmptyRegion):
-        auxiliary_function(field, THETA, params)
-
-
-def test_shifted_auxiliary_variant_under_bound():
-    grid = build_grid(2, 0.25, 2.0, 2.0)
-    aff = affine_capillary_solution(THETA, (0.0,), -0.5)
-    params = CutoffParams(r=2.0, theta=THETA, dim=2)
-    out = auxiliary_function(aff.on_grid(grid), THETA, params, variant="shifted")
-    assert np.all(np.isfinite(out.values))
-    assert 0 <= out.argmax < grid.n_nodes
 
 
 def test_angle_threshold_values():
@@ -664,8 +535,3 @@ def test_height_scale_over_the_region_and_fallback():
     small = EllipsoidRegion(0.1, THETA)
     assert not np.any(in_region(far.grid.nodes, small))
     assert height_scale(far, small) == np.max(np.abs(u.values)) + 0.1
-    # the auxiliary function's default M is the same scale
-    params = CutoffParams(r=1.0, theta=THETA, dim=2)
-    explicit = replace(params, m_scale=height_scale(u, params.outer_region()))
-    assert np.array_equal(auxiliary_function(u, THETA, params).values,
-                          auxiliary_function(u, THETA, explicit).values)

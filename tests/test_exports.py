@@ -11,7 +11,6 @@ PACKAGE = Path(capgraph.__file__).parent
 # the reason given
 ALLOWED = {
     "field_from_callable": "builds a field from a formula, for users and tests",
-    "auxiliary_function": "the estimates' auxiliary maximum; no CLI command reports it yet",
     "assemble_residual": "the solver's discrete equation, exposed for its own checks",
     "assemble_jacobian": "the solver's Hessian, exposed for its own checks",
 }

@@ -63,6 +63,25 @@ def test_build_grid_nonconforming_and_bad_dim():
         build_grid(2, 0.5, 1.0)   # missing Lp
 
 
+def test_a_lattice_too_large_for_the_indices_raises_before_any_array(monkeypatch):
+    # 1e300 x 2e300 + 1 nodes at h = 1e-300: the count check runs on the
+    # counts alone, or linspace would raise ValueError first
+    with pytest.raises(NonconformingExtent, match="too many nodes"):
+        build_grid(2, 1e-300, 1.0, 1.0)
+    # an extent over h that overflows to inf has no count at all
+    with pytest.raises(NonconformingExtent,
+                       match="not a positive integer multiple of h=1e-300"):
+        build_grid(1, 1e-300, 1e10)
+    with pytest.raises(NonconformingExtent, match="L1=inf is not a positive"):
+        domain_for_radius(1e308, CapillaryAngle(1.0), 1e-300, 2)
+    # the bound: 2^dim parents per node of a 3 x 5 lattice fill 60 indices
+    monkeypatch.setattr(geometry, "_MAX_INDEX", 60)
+    assert build_grid(2, 0.5, 1.0, 1.0).n_nodes == 15
+    monkeypatch.setattr(geometry, "_MAX_INDEX", 59)
+    with pytest.raises(NonconformingExtent, match="too many nodes"):
+        build_grid(2, 0.5, 1.0, 1.0)
+
+
 def test_classification_partitions_nodes():
     grid = build_grid(2, 0.2, 1.0, 0.8)
     counts = (grid.interior_indices.size + grid.capillary_indices.size

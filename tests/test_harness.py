@@ -14,12 +14,12 @@ from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
                       CutoffParams, DegenerateAngle, EllipsoidRegion,
                       ExperimentConfig, ExperimentReport,
                       HypothesisViolation, InvalidParameter,
-                      InvariantViolation, LinearBound, OutOfExtent,
+                      InvariantViolation, LinearBound,
                       RegionKind, ReportRow,
                       StationarityViolation,
                       ScalarField, affine_capillary_solution, angle_condition_holds,
                       angle_condition_lower_bound,
-                      angle_threshold, area_element, blow_down,
+                      angle_threshold, area_element,
                       build_grid, calibration_value, capillary_energy,
                       capillary_gauge, conormal,
                       cutoff_derivative_check,
@@ -95,76 +95,52 @@ def test_parse_config_returns_a_config_or_raises_bad_config(scenario_first, line
     assert isinstance(cfg, ExperimentConfig)
 
 
+# the blow-down x -> u(Rx)/R at the one scale the program takes, R = 1:
+# harness._interpolate onto a lattice of the same box (the box 2.1 x 0.7
+# conforms to h = 0.1, 0.07 and 0.05, so most target nodes lie off the
+# source nodes)
+
 def test_blow_down_affine_and_identity():
     grid = build_grid(2, 0.1, 2.0, 1.0)
     aff = affine_capillary_solution(THETA, (0.3,), 0.8)
     u = aff.on_grid(grid)
-    down = blow_down(u, 2.0)
-    assert np.isclose(down.grid.h, 0.05)
-    expected = down.grid.nodes @ aff.slope + 0.8 / 2.0
+    finer = build_grid(2, 0.05, 2.0, 1.0)
+    down = harness._interpolate(u, finer)
+    assert down.grid is finer
+    expected = finer.nodes @ aff.slope + 0.8
     assert np.max(np.abs(down.values - expected)) <= 1e-13
     grad = discrete_gradient(down, THETA)
     assert np.max(np.abs(grad.vectors - aff.slope)) <= 1e-12
 
-    same = blow_down(u, 1.0)
-    assert np.max(np.abs(same.values - u.values)) == 0.0
+    # onto its own lattice each node is its own corner, up to the rounding
+    # of its cell fraction
+    same = harness._interpolate(u, grid)
+    assert np.max(np.abs(same.values - u.values)) <= 1e-14 * np.max(np.abs(u.values))
 
 
 def test_blow_down_quadratic_gradient_relation():
-    # |x|^2-type field: centered differences are exact on quadratics, so the
-    # rescaled gradient matches Du(2x) to machine precision on the default
-    # (node-aligned) path
-    grid = build_grid(2, 0.04, 2.0, 1.0)
-    u = field_from_callable(grid, lambda p: np.sum(p ** 2, axis=1))
-    down = blow_down(u, 2.0)
-    grad = discrete_gradient(down, CapillaryAngle(np.pi / 2)).vectors
-    idx = down.grid.interior_indices
-    assert np.max(np.abs(grad[idx] - 4.0 * down.grid.nodes[idx])) <= 1e-12
-
-    # interpolated path on a curved field: second-order in the source mesh
+    # a curved field: the interpolation is second-order in the source mesh
     errs = []
-    target = build_grid(2, 0.05, 0.5, 0.25)
-    for h in (0.04, 0.02):
-        src = build_grid(2, h, 2.0, 1.0)
+    target = build_grid(2, 0.07, 2.1, 0.7)
+    exact = np.sin(target.nodes[:, 0]) * np.cos(target.nodes[:, 1])
+    for h in (0.1, 0.05):
+        src = build_grid(2, h, 2.1, 0.7)
         u = field_from_callable(src, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]))
-        down = blow_down(u, 2.0, target_grid=target)
-        exact = np.sin(2.0 * target.nodes[:, 0]) * np.cos(2.0 * target.nodes[:, 1]) / 2.0
-        errs.append(np.max(np.abs(down.values - exact)))
+        errs.append(np.max(np.abs(harness._interpolate(u, target).values - exact)))
     assert errs[0] / errs[1] >= 3.0
-
-
-def test_blow_down_composition_and_out_of_extent():
-    grid = build_grid(2, 0.1, 2.0, 1.0)
-    aff = affine_capillary_solution(THETA, (0.5,), 1.0)
-    u = aff.on_grid(grid)
-    two_step = blow_down(blow_down(u, 2.0), 3.0)
-    one_step = blow_down(u, 6.0)
-    assert np.max(np.abs(two_step.values - one_step.values)) <= 1e-13
-
-    target = build_grid(2, 0.1, 2.0, 1.0)
-    with pytest.raises(OutOfExtent):
-        blow_down(u, 1.5, target_grid=target)
-    small_target = build_grid(2, 0.05, 1.0, 0.5)
-    for bad in (0.5, np.nan):
-        for tg in (None, small_target):
-            with pytest.raises(ValueError, match="blow-down scale must be >= 1"):
-                blow_down(u, bad, target_grid=tg)
-    vals = blow_down(u, 1.5, target_grid=small_target)
-    expected = small_target.nodes @ aff.slope + 1.0 / 1.5
-    assert np.max(np.abs(vals.values - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_blow_down_interpolation_reproduces_affine_fields(dim):
-    # multilinear interpolation is exact on affine fields, also at query
-    # points off the source nodes (h = 0.07 against 0.1)
-    src = build_grid(dim, 0.1, 2.0, 1.0)
+    # multilinear interpolation is exact on affine fields, also at nodes off
+    # the source nodes, from the coarser lattice and from the finer one
     slope = np.array([-0.6, 0.45])[:dim]
-    u = ScalarField(src, src.nodes @ slope + 0.3)
-    for R, target in ((1.0, build_grid(dim, 0.07, 1.4, 0.7)),
-                      (1.5, build_grid(dim, 0.05, 1.3, 0.65))):
-        down = blow_down(u, R, target_grid=target)
-        assert np.max(np.abs(down.values - (target.nodes @ slope + 0.3 / R))) <= 1e-13
+    for h_src, h_dst in ((0.1, 0.07), (0.07, 0.1)):
+        src = build_grid(dim, h_src, 2.1, 0.7)
+        target = build_grid(dim, h_dst, 2.1, 0.7)
+        u = ScalarField(src, src.nodes @ slope + 0.3)
+        down = harness._interpolate(u, target)
+        assert np.max(np.abs(down.values - (target.nodes @ slope + 0.3))) <= 1e-13
 
 
 def test_liouville_zero_perturbation_recovers_affine():
@@ -592,8 +568,8 @@ def test_one_sided_slope_rule_is_shared(theta, direction, factor):
     angle = CapillaryAngle(theta)
     limit = one_sided_slope_limit(angle)
     slope = (factor * limit * np.array([np.cos(direction), np.sin(direction)])).tolist()
-    cutoff = _slope_limit_message(lambda: CutoffParams(
-        r=1.0, theta=angle, dim=2, bound=LinearBound(tuple(slope), 0.0)))
+    cutoff = _slope_limit_message(
+        lambda: LinearBound(tuple(slope), 0.0).check_slope(angle))
     cfg = ExperimentConfig(scenario="liouville-one-sided", theta_rad=theta,
                            r_levels=(2.0,), h_levels=(0.5,), L_slope=tuple(slope))
 

@@ -715,6 +715,27 @@ def test_failed_line_search_is_reported_as_stalled(monkeypatch):
     assert rep.iterations == 0
 
 
+def test_a_step_short_of_the_armijo_decrease_is_not_kept(monkeypatch):
+    # each linear solve returns 1e-6 of its step, which lowers the residual
+    # by about 1e-6 of itself at any trial length: less than the Armijo
+    # fraction 1e-4 alpha, so every Newton trial fails and the solve stalls
+    # (a rule of plain decrease would keep them all, up to _MAX_NEWTON)
+    pcg = solver._pcg
+
+    def short(*args):
+        step, iterations = pcg(*args)
+        return 1e-6 * step, iterations
+
+    monkeypatch.setattr(solver, "_pcg", short)
+    grid = build_grid(2, 0.25, 1.0, 1.0)
+    spec = ProblemSpec.from_boundary_data(grid, THETA, _ladder_data())
+    _, rep = newton_solve(spec)
+    assert rep.status is SolveStatus.STALLED
+    # the lift, kept on any decrease, is the one step
+    assert rep.iterations == 1
+    assert rep.residual_history[1] < rep.residual_history[0]
+
+
 def _ladder_data():
     # the mesh-ladder problem of test_2d_self_reference_mesh_convergence
     aff = affine_capillary_solution(THETA, (0.2,), 0.0)
