@@ -32,11 +32,18 @@ _CONFORM_TOL = 1e-9
 # _axis_interpolation; a node has at most 2^dim parents, so a lattice of up
 # to _MAX_INDEX / 2^dim nodes fits
 _MAX_INDEX = np.iinfo(np.int32).max
+# the bytes that a solve on one lattice may hold in its scratch slab and its
+# multigrid hierarchy (_solve_bytes): build_grid rejects a larger lattice
+# before any array, whatever the host's memory, so the exit code of a run
+# does not depend on the host; a 2D lattice of about 2.6 million cells fits
+_MEMORY_BUDGET = 2 ** 30
 # the multigrid hierarchy stops at a level of at most this many free nodes,
 # which the linear solver factors and solves exactly
 _COARSEST_SIZE = 32
-# halvings between two bracket decisions of _distance_to_ellipsoid
-_DECIDE_EVERY = 8
+# halvings between two bracket decisions of _distance_to_ellipsoid: with the
+# tight bracket most bisected nodes of the CLI's inner sets are decided at
+# the second check, which 4 reaches sooner than 8 (1, 2 and 3 check too often)
+_DECIDE_EVERY = 4
 
 
 class NodeClass(IntEnum):
@@ -147,16 +154,9 @@ class HalfSpaceGrid:
         once an axis has fewer than three nodes or no free node would be
         left.
         """
-        out, shape = [], self.shape
-        while min(shape) >= 3 and (not out
-                                   or math.prod(free_shape(shape)) > _COARSEST_SIZE):
-            coarse = _coarse_shape(shape)
-            if not math.prod(free_shape(coarse)):
-                break
-            out.append(Coarsening(coarse, _prolongation(shape), _cell_restriction(shape),
-                                  *_scatter_plan(coarse)))
-            shape = coarse
-        return tuple(out)
+        return tuple(Coarsening(coarse, _prolongation(fine), _cell_restriction(fine),
+                                *_scatter_plan(coarse))
+                     for fine, coarse in _coarsenings(self.shape))
 
     @cached_property
     def node_weights(self) -> np.ndarray:
@@ -201,6 +201,37 @@ def _coarse_shape(shape) -> tuple[int, ...]:
     """The lattice of the nodes that a coarsening keeps along each axis:
     every second one, plus the last one when the cell count is odd."""
     return tuple(n // 2 + 1 for n in shape)
+
+
+def _coarsenings(shape) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (fine, coarse) lattices of each coarsening of the multigrid
+    hierarchy below a lattice, finest first (HalfSpaceGrid.coarse)."""
+    out = []
+    while min(shape) >= 3 and (not out
+                               or math.prod(free_shape(shape)) > _COARSEST_SIZE):
+        coarse = _coarse_shape(shape)
+        if not math.prod(free_shape(coarse)):
+            break
+        out.append((shape, coarse))
+        shape = coarse
+    return out
+
+
+def _solve_bytes(shape) -> int:
+    """The bytes of a solve's scratch slab (solver._slab_lanes) plus an
+    upper bound of those of the arrays of its lattice's multigrid
+    hierarchy, from the lattice shape alone.  Per coarsening the hierarchy
+    holds, per coarse cell, its 4^dim plan entries and at most 2^(dim+1)
+    cell-group indices (8 bytes each), and per fine free node one int32
+    indptr entry and at most 2^dim parents of P (an int32 index and a
+    float64 weight)."""
+    from .solver import _slab_lanes    # the solver imports this module
+    dim = len(shape)
+    total = 8 * sum(_slab_lanes(shape))
+    for fine, coarse in _coarsenings(shape):
+        total += (8 * (4 ** dim + 2 ** (dim + 1)) * math.prod(c - 1 for c in coarse)
+                  + (4 + 12 * 2 ** dim) * math.prod(free_shape(fine)))
+    return total
 
 
 def _prolongation(shape) -> tuple:
@@ -411,8 +442,9 @@ def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSp
 
     L1 and Lp must be positive integer multiples of h; Lp is required for
     dim == 2 and ignored for dim == 1.  A lattice whose multigrid indices
-    would overflow int32 (_MAX_INDEX) raises NonconformingExtent before any
-    array is built.
+    would overflow int32 (_MAX_INDEX), or whose solve would hold more than
+    _MEMORY_BUDGET bytes in its scratch slab and hierarchy (_solve_bytes),
+    raises NonconformingExtent before any array is built.
     """
     if dim not in (1, 2):
         raise BadDimension(f"dim must be 1 or 2, got {dim}")
@@ -426,6 +458,10 @@ def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSp
     if 2 ** dim * math.prod(counts) > _MAX_INDEX:
         raise NonconformingExtent(
             f"L1={L1}, Lp={Lp} at h={h} give too many nodes for int32 indices")
+    if (need := _solve_bytes(counts)) > _MEMORY_BUDGET:
+        raise NonconformingExtent(
+            f"L1={L1}, Lp={Lp} at h={h} give too many nodes: a solve would hold "
+            f"{need / 2 ** 30:.3g} GiB, over the {_MEMORY_BUDGET / 2 ** 30:.3g} GiB budget")
     axes = [np.linspace(0.0, L1, counts[0])]
     axes += [np.linspace(-Lp, Lp, n) for n in counts[1:]]
     shape = tuple(a.size for a in axes)

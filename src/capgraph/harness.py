@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -60,11 +61,13 @@ MINIMIZER_EPSILONS = (1e-1, 1e-2, 1e-3)
 _MINIMIZER_CHUNK = 10
 # members of the gradient-bound sweep's boundary-data family per mesh level
 _FAMILY_SIZE = 6
-# points per chunk of each share of the audit's v >= sin(theta) check: about
-# 1.9 MB per share in flight, 3.7 MB for the two, whatever n_gradients; 2^16
-# per share doubled that and took an audit process's peak RSS from 42 to 46 MB
-# (BENCH_audit_threads.json)
+# points per chunk of each thread's part of the audit's v >= sin(theta)
+# check: about 1.9 MB per thread in flight, 3.7 MB for the two, whatever
+# n_gradients; 2^16 per thread doubled that and took an audit process's peak
+# RSS from 42 to 46 MB (BENCH_audit_threads.json)
 _AUDIT_CHUNK = 2 ** 15
+# points per span, the unit that the two threads take from a shared iterator
+_AUDIT_SPAN = 2 * _AUDIT_CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -738,67 +741,39 @@ def _philox_at(state, offset: int) -> np.random.Generator:
     return np.random.Generator(gen)
 
 
-def _v_margin(state, n_gradients: int, lo: int, hi: int) -> float:
-    """min of v - sin(theta) over points [lo, hi) of the audit's
-    v >= sin(theta) check, streamed in chunks of _AUDIT_CHUNK: point i takes
-    double i of the stream at `state` as its angle and doubles
-    n_gradients + 2i, n_gradients + 2i + 1 as its gradient; inf when empty.
-    The angle, gradient and sine buffers are allocated once per share."""
-    angles = _philox_at(state, lo)
-    grads = _philox_at(state, n_gradients + 2 * lo)
-    size = min(_AUDIT_CHUNK, hi - lo)
-    theta_buf, sin_buf, grad_buf = np.empty(size), np.empty(size), np.empty((size, 2))
+def _v_buffers(n_gradients: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One thread's angle, sine and gradient buffers for _v_margin: one
+    chunk of _AUDIT_CHUNK points, or n_gradients when fewer."""
+    size = min(_AUDIT_CHUNK, n_gradients)
+    return np.empty(size), np.empty(size), np.empty((size, 2))
+
+
+def _v_margin(state, n_gradients: int, spans, buffers) -> float:
+    """min of v - sin(theta) over the points of the audit's v >= sin(theta)
+    check in every span [lo, hi) that this call takes from the iterator
+    `spans`, streamed in chunks of _AUDIT_CHUNK through `buffers`
+    (_v_buffers): point i takes double i of the stream at `state` as its
+    angle and doubles n_gradients + 2i, n_gradients + 2i + 1 as its
+    gradient; inf when it takes no point."""
+    theta_buf, sin_buf, grad_buf = buffers
     margin = np.inf
-    for first in range(lo, hi, _AUDIT_CHUNK):
-        count = min(_AUDIT_CHUNK, hi - first)
-        thetas = _uniform_into(angles, theta_buf[:count], *_AUDIT_ANGLES)
-        g = _uniform_into(grads, grad_buf[:count], -30.0, 30.0)
-        v = capillary_area_element(g, thetas)
-        v -= np.sin(thetas, out=sin_buf[:count])
-        margin = min(margin, float(np.min(v)))
+    for lo, hi in spans:
+        angles = _philox_at(state, lo)
+        grads = _philox_at(state, n_gradients + 2 * lo)
+        for first in range(lo, hi, _AUDIT_CHUNK):
+            count = min(_AUDIT_CHUNK, hi - first)
+            thetas = _uniform_into(angles, theta_buf[:count], *_AUDIT_ANGLES)
+            g = _uniform_into(grads, grad_buf[:count], -30.0, 30.0)
+            v = capillary_area_element(g, thetas)
+            v -= np.sin(thetas, out=sin_buf[:count])
+            margin = min(margin, float(np.min(v)))
     return margin
 
 
-def _run_shares(fn, shares) -> list:
-    """[fn(*args) for args in shares], the first share in the calling thread
-    and the others on one worker thread, which is joined before this
-    returns, also when a share raises; its exception re-raises here."""
-    from concurrent.futures import ThreadPoolExecutor    # ~6 ms, at first use
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        rest = [worker.submit(fn, *args) for args in shares[1:]]
-        return [fn(*shares[0])] + [future.result() for future in rest]
-
-
-def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
-              cutoff_draws: int = 20, cutoff_samples: int = 10_000
-              ) -> list[CheckResult]:
-    """Property battery over the closed-form apparatus; returns one
-    CheckResult per invariant.
-
-    The v >= sin(theta) check and the cut-off draws each run as two shares,
-    one in the calling thread and one on a worker thread; each result is the
-    min or max over both shares, so it does not depend on the split.  Each
-    share of the v check streams its points in chunks of _AUDIT_CHUNK, so
-    the memory in flight is two chunks whatever n_gradients; every check
-    draws the same numbers as one full-size draw would.
-    """
-    for name, count in (("n_gradients", n_gradients), ("cutoff_draws", cutoff_draws),
-                        ("cutoff_samples", cutoff_samples)):
-        require_count(name, count)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def _closed_form_checks(rng, seed: int, cutoff_draws: int, cutoff_samples: int
+                        ) -> list[CheckResult]:
+    """The audit's checks after the v check, in order, drawing from rng."""
     checks = []
-
-    # pointwise lower bound of the capillary area element: the angles are the
-    # stream's first n_gradients doubles and the gradients the next
-    # 2 n_gradients; each share reads its span of both, and rng then goes on
-    # after the last gradient
-    start = rng.bit_generator.state
-    mid = n_gradients // 2
-    margin = min(_run_shares(_v_margin, [(start, n_gradients, 0, mid),
-                                         (start, n_gradients, mid, n_gradients)]))
-    rng.bit_generator.state = _philox_at(start, 3 * n_gradients).bit_generator.state
-    checks.append(CheckResult("v_lower_bound_margin", margin, -1e-12,
-                              margin >= -1e-12))
 
     # gauge-energy identity F(nu) W = v
     m = 10_000
@@ -839,21 +814,13 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
     checks.append(CheckResult("calibration_inequality", worst, 1e-12,
                               worst <= 1e-12))
 
-    # cut-off identities: every (angle, r) is drawn first, in draw order;
-    # each check makes its own generator from seed + draw
-    draws = [(CapillaryAngle(float(_sample_angles(rng, 1)[0])),
-              float(np.exp(rng.uniform(np.log(0.5), np.log(8.0)))))
-             for _ in range(cutoff_draws)]
-
-    def cutoff_share(lo, hi):
-        return [cutoff_derivative_check(CutoffParams(r=r, theta=angle, dim=2),
-                                        cutoff_samples, seed=seed + draw)
-                for draw, (angle, r) in enumerate(draws[lo:hi], lo)]
-
-    half = (cutoff_draws + 1) // 2
-    head, tail = _run_shares(cutoff_share, [(0, half), (half, cutoff_draws)])
+    # cut-off identities: each check makes its own generator from seed + draw
     worst_grad, worst_bdry, worst_inner = -np.inf, -np.inf, -np.inf
-    for rep in head + tail:
+    for draw in range(cutoff_draws):
+        angle = CapillaryAngle(float(_sample_angles(rng, 1)[0]))
+        r = float(np.exp(rng.uniform(np.log(0.5), np.log(8.0))))
+        rep = cutoff_derivative_check(CutoffParams(r=r, theta=angle, dim=2),
+                                      cutoff_samples, seed=seed + draw)
         worst_grad = max(worst_grad, rep.max_gradient_violation)
         worst_bdry = max(worst_bdry, rep.max_boundary_residual)
         worst_inner = max(worst_inner, rep.inner_lower_bound - rep.min_weight_inner)
@@ -893,3 +860,53 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
         bad += int(np.count_nonzero(inner & ~outer))
     checks.append(CheckResult("region_inclusion", float(bad), 0.0, bad == 0))
     return checks
+
+
+def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
+              cutoff_draws: int = 20, cutoff_samples: int = 10_000
+              ) -> list[CheckResult]:
+    """Property battery over the closed-form apparatus; returns one
+    CheckResult per invariant, v_lower_bound_margin first.
+
+    The v >= sin(theta) check's points are cut into spans of _AUDIT_SPAN,
+    which one worker thread and the calling thread take from one shared
+    iterator (_v_margin): the worker starts on the first span, while the
+    calling thread runs every other check in order (_closed_form_checks)
+    and then drains the spans left.  The margin is the min over the spans,
+    so it does not depend on which thread took which.  Each thread's chunk
+    buffers are allocated before the checks start and held until the
+    margin is in, so the memory held does not depend on n_gradients or on
+    how the spans fall.  Every check draws the same numbers as one
+    full-size draw would.  The worker is joined before this returns; when
+    the calling thread raises, the spans left are dropped, so the worker
+    stops after its current one, and a worker's exception re-raises here.
+    """
+    for name, count in (("n_gradients", n_gradients), ("cutoff_draws", cutoff_draws),
+                        ("cutoff_samples", cutoff_samples)):
+        require_count(name, count)
+    from concurrent.futures import ThreadPoolExecutor    # ~6 ms, at first use
+
+    # pointwise lower bound of the capillary area element: the angles are the
+    # stream's first n_gradients doubles and the gradients the next
+    # 2 n_gradients; each span reads its part of both, and rng goes on after
+    # the last gradient.  A list iterator's next is atomic under the GIL.
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    start = rng.bit_generator.state
+    spans = iter([(lo, min(lo + _AUDIT_SPAN, n_gradients))
+                  for lo in range(0, n_gradients, _AUDIT_SPAN)])
+    theirs, mine = _v_buffers(n_gradients), _v_buffers(n_gradients)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(_v_margin, start, n_gradients,
+                             chain([next(spans)], spans), theirs)
+        try:
+            rng.bit_generator.state = \
+                _philox_at(start, 3 * n_gradients).bit_generator.state
+            checks = _closed_form_checks(rng, seed, cutoff_draws, cutoff_samples)
+            margin = _v_margin(start, n_gradients, spans, mine)
+        except BaseException:
+            for _ in spans:
+                pass
+            raise
+        margin = min(margin, worker.result())
+    return [CheckResult("v_lower_bound_margin", margin, -1e-12,
+                        margin >= -1e-12)] + checks

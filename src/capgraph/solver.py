@@ -225,13 +225,7 @@ class _Scratch:
         upper_index = _upper_entries(dim)[0]
         free = free_shape(grid.shape)
         dia = 3 ** dim * math.prod(free)
-        # the first coarsening's first gather, of every child of every
-        # coarse cell (clipped ones included), is its largest
-        gather = upper_index.size * k * math.prod(
-            c - 1 for c in _coarse_shape(grid.shape))
-        start = max(k * k * n, _cells_size(dim, n), gather)
-        lane1 = max(len(pairs) * k * n, _cells_size(dim, n) + k // 2 * n,
-                    2 * k * n, dia + upper_index.size * n)
+        start, lane1 = _slab_lanes(grid.shape)
         slab = np.empty(start + lane1)
         self._slab, self._grid = slab, grid
         self.rows_flat = rows.ravel()
@@ -273,6 +267,25 @@ class _Scratch:
         u = self.upper_rows.shape[0]
         return [_view(self._slab, 0, (u, child.size))
                 for _, _, child in self._grid.coarse[0].cells]
+
+
+def _slab_lanes(shape) -> tuple[int, int]:
+    """The float64 lengths of the two lanes of the scratch slab (_Scratch)
+    of a lattice of this shape: each is the largest set of buffers it
+    holds at a time.  geometry.build_grid sizes a lattice's solve by them
+    before it builds any array."""
+    dim = len(shape)
+    k, n = 2 ** dim, math.prod(s - 1 for s in shape)
+    pairs = dim * (dim + 1) // 2
+    upper = _upper_entries(dim)[0].size
+    dia = 3 ** dim * math.prod(free_shape(shape))
+    # the first coarsening's first gather, of every child of every coarse
+    # cell (clipped ones included), is its largest
+    gather = upper * k * math.prod(c - 1 for c in _coarse_shape(shape))
+    start = max(k * k * n, _cells_size(dim, n), gather)
+    lane1 = max(pairs * k * n, _cells_size(dim, n) + k // 2 * n, 2 * k * n,
+                dia + upper * n)
+    return start, lane1
 
 
 def _energy_gradient(grid: HalfSpaceGrid, values: np.ndarray,

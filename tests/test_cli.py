@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capgraph import LinearSolveFailure, cli, solver
+from capgraph import LinearSolveFailure, cli, geometry, solver
 from capgraph.cli import _build_parser, cli_main
 from capgraph.harness import SCENARIOS
 
@@ -376,6 +376,24 @@ def test_linear_failure_writes_the_csv_and_exits_2(tmp_path, capsys, monkeypatch
     assert "solver status: linear_failure" in capsys.readouterr().err
     rows = out.read_text().splitlines()[2:]
     assert rows and all(row.endswith(",0,linear_failure") for row in rows)
+
+
+def test_a_lattice_over_the_memory_budget_is_exit_3_before_any_array(
+        tmp_path, capsys, monkeypatch):
+    # r = 4 at h = 1e-3: 58.6 million nodes, whose scratch slab alone would
+    # be 15.3 GiB; the grid's counts reject it before numpy is asked
+    def no_array(*args, **kwargs):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(geometry.np, "linspace", no_array)
+    lines = [line for line in BASE_CFG.splitlines()
+             if not line.startswith(("r_levels ", "h_levels "))]
+    cfg = _write(tmp_path, "huge.cfg", "\n".join(lines + ["r_levels = 4.0",
+                                                          "h_levels = 1e-3"]))
+    out = tmp_path / "solve.csv"
+    assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert "GiB budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_running_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):

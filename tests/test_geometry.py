@@ -82,6 +82,44 @@ def test_a_lattice_too_large_for_the_indices_raises_before_any_array(monkeypatch
         build_grid(2, 0.5, 1.0, 1.0)
 
 
+def _no_linspace(*args, **kwargs):
+    raise AssertionError("build_grid built an array")
+
+
+def test_a_lattice_over_the_memory_budget_raises_before_any_array(monkeypatch):
+    # the bound: a 3 x 5 lattice's slab and hierarchy fill the whole budget
+    need = geometry._solve_bytes((3, 5))
+    monkeypatch.setattr(geometry, "_MEMORY_BUDGET", need)
+    assert build_grid(2, 0.5, 1.0, 1.0).n_nodes == 15
+    monkeypatch.setattr(geometry, "_MEMORY_BUDGET", need - 1)
+    monkeypatch.setattr(geometry.np, "linspace", _no_linspace)
+    with pytest.raises(NonconformingExtent, match="over the .* GiB budget"):
+        build_grid(2, 0.5, 1.0, 1.0)
+    monkeypatch.undo()
+    # at the real budget: the 58.6 million-node lattice of a solve at r = 4,
+    # h = 1e-3 (a 15.3 GiB slab) goes, the 51,681-node ladder rung stays
+    monkeypatch.setattr(geometry.np, "linspace", _no_linspace)
+    with pytest.raises(NonconformingExtent, match="too many nodes"):
+        domain_for_radius(4.0, CapillaryAngle(np.pi / 3), 1e-3, 2)
+    assert geometry._solve_bytes((161, 321)) < geometry._MEMORY_BUDGET / 40
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_bytes_bound_the_slab_and_the_hierarchy(dim):
+    # the slab exactly (solver._slab_lanes), the hierarchy's arrays from
+    # above: the cell groups' maps are constants shared by every lattice
+    for n1 in range(2, 30):
+        for n2 in range(3, 24, 2) if dim == 2 else (None,):
+            grid = build_grid(dim, 1.0, n1 - 1.0, None if n2 is None else (n2 - 1) / 2)
+            held = sum(a.nbytes for level in grid.coarse
+                       for a in level.prolongation[:3] + (level.plan,))
+            held += sum(a.nbytes for level in grid.coarse
+                        for cells, _, child in level.cells
+                        for a in (cells, child) if isinstance(a, np.ndarray))
+            slab = 8 * sum(solver._slab_lanes(grid.shape))
+            assert slab + held <= geometry._solve_bytes(grid.shape) <= slab + 2 * held + 256
+
+
 def test_classification_partitions_nodes():
     grid = build_grid(2, 0.2, 1.0, 0.8)
     counts = (grid.interior_indices.size + grid.capillary_indices.size
@@ -241,6 +279,26 @@ def test_reach_decided_distances_bound_the_full_bisection(dim, seed, reach):
     assert np.array_equal(within, full <= reach)
     # the bracket end that decided a point bounds its distance
     assert np.all(np.where(within, got >= full, got <= full))
+
+
+# the decide interval changes when a bracket is checked, never which nodes
+# are within reach
+@settings(max_examples=40)
+@given(dim=st.sampled_from([1, 2]), theta_val=st.floats(0.3, 2.8),
+       r=st.floats(0.5, 8.0), h=st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5]),
+       scale=st.sampled_from([0.5, 1.0]), kind=st.sampled_from(list(RegionKind)))
+@example(dim=2, theta_val=np.pi / 3, r=4.0, h=0.25, scale=1.0, kind=RegionKind.INNER)
+def test_inner_node_set_does_not_depend_on_the_decide_interval(
+        dim, theta_val, r, h, scale, kind):
+    assume(h <= r <= 40.0 * h)
+    theta = CapillaryAngle(theta_val)
+    grid = domain_for_radius(r, theta, h, dim)
+    region = EllipsoidRegion(scale * r, theta, kind)
+    sets = []
+    for every in (1, 4, 8):
+        with mock.patch.object(geometry, "_DECIDE_EVERY", every):
+            sets.append(inner_node_set(grid, region))
+    assert all(np.array_equal(s, sets[0]) for s in sets[1:])
 
 
 # semiaxis (steps + frac) h of a region on its radius domain; at theta =

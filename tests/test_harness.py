@@ -1,6 +1,8 @@
 """Config parsing, blow-down, experiment runners, CSV artifacts."""
 
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -920,16 +922,19 @@ _CHUNK = harness._AUDIT_CHUNK
 
 
 @pytest.mark.parametrize("n_gradients, cutoff_draws", [
-    # sizes whose two shares of the v check sit around a chunk boundary
+    # sizes of the v check inside its first span (which the worker always
+    # takes), at a span's end (2 chunks) and just past one or two span ends
     *(pytest.param(n, 2, id=str(n))
-      for n in (1, 2, 3, 5, 2 * _CHUNK - 1, 2 * _CHUNK + 1, 4 * _CHUNK + 3)),
-    # one cut-off draw leaves the worker's share empty, three split unevenly
+      for n in (1, 2, 3, 5, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
+                4 * _CHUNK + 3)),
+    # one and three cut-off draws, folded in draw order in the calling thread
     pytest.param(3, 1, id="3-draws1"), pytest.param(5, 3, id="5-draws3"),
     pytest.param(2 * _CHUNK + 1, 1, id=f"{2 * _CHUNK + 1}-draws1"),
     pytest.param(2 * _CHUNK + 1, 3, id=f"{2 * _CHUNK + 1}-draws3")])
 def test_streamed_audit_matches_one_shot_draws(n_gradients, cutoff_draws):
-    # the chunks of both shares read the same Philox stream as one full-size
-    # draw, and every later check starts where that draw left the stream
+    # the chunks of every span, whichever thread takes it, read the same
+    # Philox stream as one full-size draw, and every later check starts
+    # where that draw left the stream
     for seed in range(3):
         streamed = run_audit(seed, n_gradients, cutoff_draws=cutoff_draws,
                              cutoff_samples=50)
@@ -947,17 +952,49 @@ def test_v_margin_split_is_exact(n, cut, seed):
     # any split point gives the one-span margin bitwise, at 0, at n and off
     # the four-double counter steps alike
     state = np.random.Philox(np.random.SeedSequence(seed)).state
-    whole = harness._v_margin(state, n, 0, n)
+    buffers = harness._v_buffers(n)
+    whole = harness._v_margin(state, n, iter([(0, n)]), buffers)
     assert whole < np.inf
     for split in {0, n, cut % (n + 1)}:
-        shares = (harness._v_margin(state, n, 0, split),
-                  harness._v_margin(state, n, split, n))
+        shares = (harness._v_margin(state, n, iter([(0, split)]), buffers),
+                  harness._v_margin(state, n, iter([(split, n)]), buffers))
         assert min(shares).hex() == whole.hex()
     # the hand-off state draws what follows the angles and gradients
     one_shot = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     one_shot.random(3 * n)
     assert np.array_equal(harness._philox_at(state, 3 * n).random(9),
                           one_shot.random(9))
+
+
+@pytest.mark.parametrize("n, span", [(5 * _CHUNK + 7, 2 * _CHUNK),
+                                     (20_000, 999), (50_000, 97), (3, 1)])
+def test_v_margin_is_the_same_when_threads_share_the_spans(n, span):
+    # one thread draining every span, and four threads taking them from one
+    # shared iterator at a short switch interval, give the same margin bit
+    # for bit, and every span is taken exactly once
+    state = np.random.Philox(np.random.SeedSequence(7)).state
+    spans = [(lo, min(lo + span, n)) for lo in range(0, n, span)]
+    alone = harness._v_margin(state, n, iter(spans), harness._v_buffers(n))
+    shared = iter(spans)
+    taken = [[] for _ in range(4)]
+
+    def drain(i):
+        def recording():
+            for lo_hi in shared:
+                taken[i].append(lo_hi)
+                yield lo_hi
+        return harness._v_margin(state, n, recording(), harness._v_buffers(n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(drain, i) for i in range(4)]
+            margins = [future.result(timeout=60.0) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert min(margins).hex() == alone.hex()
+    assert sorted(lo_hi for part in taken for lo_hi in part) == spans
 
 
 @settings(max_examples=40, deadline=None)
@@ -983,21 +1020,28 @@ def test_uniform_into_is_bitwise_uniform(counter, rem, count, columns, bounds, s
 @pytest.mark.parametrize("name", ["capillary_area_element",
                                   "cutoff_derivative_check"])
 def test_audit_worker_failure_propagates_and_joins(name, monkeypatch, tmp_path):
+    # capillary_area_element fails on the worker, which always takes the v
+    # check's first span; the cut-off checks run in the calling thread only,
+    # and fail there while the worker drains a million-point v check
+    on_worker = name == "capillary_area_element"
     before = threading.active_count()
     run_audit(0, 100, cutoff_draws=2, cutoff_samples=50)
     assert threading.active_count() == before
     original = getattr(harness, name)
 
-    def fails_on_the_worker(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise InvalidParameter("worker share failed")
+    def fails_on_one_thread(*args, **kwargs):
+        if (threading.current_thread() is not threading.main_thread()) == on_worker:
+            raise InvalidParameter("worker share failed" if on_worker
+                                   else "calling thread failed")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(harness, name, fails_on_the_worker)
-    with pytest.raises(InvalidParameter, match="worker share failed"):
-        run_audit(0, 100, cutoff_draws=2, cutoff_samples=50)
+    monkeypatch.setattr(harness, name, fails_on_one_thread)
+    with pytest.raises(InvalidParameter, match="worker share failed" if on_worker
+                       else "calling thread failed"):
+        run_audit(0, 100 if on_worker else 1_000_000, cutoff_draws=2,
+                  cutoff_samples=50)
     assert threading.active_count() == before
-    # a CapillaryLabError from the worker is the CLI's exit 3
+    # a CapillaryLabError from either thread is the CLI's exit 3
     assert cli_main(["audit", "--seed", "0", "--out",
                      str(tmp_path / "audit.csv")]) == 3
     assert threading.active_count() == before

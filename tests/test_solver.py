@@ -384,6 +384,37 @@ def test_2d_self_reference_mesh_convergence():
         assert a / b >= 1.8
 
 
+def _scherk(pts):
+    """Scherk's surface u = log(cos x2 / cos x1): a minimal graph (H = 0)
+    for |x1|, |x2| < pi/2 whose wall derivative u_1 = tan x1 is 0 at
+    x1 = 0, the capillary condition at theta = pi/2; returns (u, Du)."""
+    x1, x2 = pts[:, 0], pts[:, 1]
+    return (np.log(np.cos(x2) / np.cos(x1)),
+            np.stack([np.tan(x1), -np.tan(x2)], axis=1))
+
+
+def test_scherk_surface_is_recovered_at_second_order():
+    # an exact nonlinear solution, steep near the far faces (sup|Du| =
+    # tan 1.2 = 2.6), from its own trace as the Dirichlet data; the max
+    # errors of u went 5.84e-4, 1.49e-4, 3.74e-5 and of the gradient
+    # (one-sided at the faces) 8.5e-2, 2.7e-2, 7.7e-3, in 6 Newton steps each
+    theta = CapillaryAngle(np.pi / 2)
+    u_err, g_err = [], []
+    for h in (0.1, 0.05, 0.025):
+        grid = build_grid(2, h, 1.2, 1.2)
+        spec = ProblemSpec.from_boundary_data(grid, theta, lambda p: _scherk(p)[0])
+        sol, rep = newton_solve(spec, SolverConfig(tol_residual=1e-12))
+        assert rep.status is SolveStatus.CONVERGED and rep.iterations <= 8
+        u, du = _scherk(grid.nodes)
+        u_err.append(np.max(np.abs(sol.values - u)))
+        g_err.append(np.max(np.abs(rep.gradient - du)))
+    u_orders = np.log2(np.divide(u_err[:-1], u_err[1:]))
+    g_orders = np.log2(np.divide(g_err[:-1], g_err[1:]))
+    assert u_err[0] < 1e-3
+    assert np.all((1.9 < u_orders) & (u_orders < 2.1))
+    assert 1.5 < g_orders[0] < g_orders[1] < 2.1
+
+
 def _manufactured_solution(theta, amp=0.4):
     """u = f(x2) - cot(theta) sqrt(1 + f'(x2)^2) x1 with f = amp sin, which
     meets the wall condition u_1/W = -cos(theta) at x1 = 0 for any f, and
@@ -1486,6 +1517,46 @@ def test_one_scratch_gives_the_kernels_of_fresh_calls_bit_for_bit(dim, n1, n2, s
         got = solver._galerkin_levels(a, diagonal, grid.coarse, blocks, scratch)
         _assert_same_levels(got, solver._galerkin_levels(fa, fdiagonal, grid.coarse,
                                                          fresh_blocks), b)
+
+
+def _slab_extents(obj, slab):
+    # the [first, end) offsets in `slab` of every view of it in obj, a
+    # scratch attribute: an array, or lists and tuples holding them
+    if isinstance(obj, np.ndarray) and np.may_share_memory(obj, slab):
+        first = (obj.__array_interface__["data"][0]
+                 - slab.__array_interface__["data"][0]) // 8
+        yield first, first + 1 + sum((n - 1) * st // 8
+                                     for n, st in zip(obj.shape, obj.strides))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _slab_extents(item, slab)
+
+
+@pytest.mark.parametrize("dim, n1, n2", [(1, 2, 0), (1, 9, 0), (1, 66, 0),
+                                         (2, 3, 3), (2, 6, 2), (2, 9, 3),
+                                         (2, 14, 7), (2, 17, 9)])
+def test_slab_lanes_are_the_extent_of_the_scratch_views(dim, n1, n2):
+    # the lengths that build_grid budgets from the shape alone are those of
+    # the slab a solve allocates, and each lane is as long as its longest
+    # view reaches: the largest buffer set of each lane fills it
+    grid = build_grid(1, 1.0, n1 - 1.0) if dim == 1 else _box_grid(1.0, (n1, n2))
+    start, lane1 = solver._slab_lanes(grid.shape)
+    scratch = solver._Scratch(grid)
+    assert scratch._slab.size == start + lane1
+    names = list(vars(scratch)) + (["gathers"] if grid.coarse else [])
+    ends = [0, 0]
+    for name in names:
+        if name.startswith("_"):
+            continue
+        for first, end in _slab_extents(getattr(scratch, name), scratch._slab):
+            assert 0 <= first < end <= start + lane1
+            lane = int(first >= start)
+            assert lane == 1 or end <= start
+            ends[lane] = max(ends[lane], end)
+    # a lattice without a coarsening keeps lane 0's room for the first
+    # coarsening's gather, which it never makes
+    assert ends[1] == start + lane1
+    assert ends[0] == start or (not grid.coarse and ends[0] < start)
 
 
 def _threaded_problems():
