@@ -18,8 +18,8 @@ import numpy as np
 
 from .capillary import (CapillaryAngle, ScalarField, _cos_theta, _nodal_gradient,
                         capillary_area_element)
-from .errors import (DegenerateState, HypothesisViolation, ShapeMismatch,
-                     require_count)
+from .errors import (DegenerateState, HypothesisViolation, InvalidParameter,
+                     ShapeMismatch, require_count)
 from .geometry import EllipsoidRegion, RegionKind, in_region
 from .solver import discrete_gradient
 
@@ -290,42 +290,51 @@ def choose_eps0_array(n: int | np.ndarray, theta: CapillaryAngle | np.ndarray,
                       tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint of the open subinterval of (0, 1) where the splitting
     condition holds, its ends located by bisection, for each angle of a 1-D
-    array (or of one CapillaryAngle) in one dimension n, or in each of a
-    (k, 1) column of dimensions: the midpoints, NaN where no eps0 is
+    array (or of one CapillaryAngle) in one integer dimension n, or in each
+    of a (k, 1) column of them: the midpoints, NaN where no eps0 is
     admissible, and whether an end of the interval was bisected (False when
     the whole scan is admissible, where the midpoint is 0.5), shaped
-    (angles,) for one n and (k, angles) for a column.
+    (angles,) for one n and (k, angles) for a column.  A dimension that is
+    not an integer (2.5, nan) raises InvalidParameter.
 
-    The (angles x 1025) scan of each dimension is made and dropped in turn,
-    so one is alive at a time; then one masked bisection runs over every
-    open end of every (n, theta) pair.  An entry stops on the rule
-    b - a <= tol of a bisection of its own, so each midpoint is the one that
-    bisection finds.
+    Each dimension's scan values are monotone in eps0, so a binary search
+    per angle brackets the ends of the admissible run; then one masked
+    bisection runs over every open end of every (n, theta) pair.  An entry
+    stops on the rule b - a <= tol of a bisection of its own, so each
+    midpoint is the one that bisection finds.
     """
     cos2 = np.atleast_1d(_cos_squared(theta))
     dims = np.asarray(n)
     if dims.ndim != 0 and dims.shape != (dims.size, 1):
         raise ShapeMismatch("n must be one dimension or a (k, 1) column of them")
     grid, last, flat = _EPS0_SCAN, _EPS0_SCAN.size - 1, dims.reshape(-1)
+    dim_list = flat.tolist()
+    if not all(float(dim).is_integer() for dim in dim_list):
+        raise InvalidParameter(f"dimensions must be integers, got {dim_list}")
     # per dimension and end (left, right), the bracket (grid[col],
     # grid[col + 1]) and its left value f(grid[col]); an end where the
-    # positive run meets the end of the scan stays closed
+    # admissible run meets the end of the scan stays closed
     cols = np.empty((2, flat.size, cos2.size), dtype=np.intp)
     open_end = np.empty(cols.shape, dtype=bool)
     fa = np.empty(cols.shape)
     found = np.empty(cols.shape[1:], dtype=bool)
-    for i, dim in enumerate(flat.tolist()):
+    for i, dim in enumerate(dim_list):
         lhs = _splitting_lhs(dim, grid)
-        # one scan row per angle; f = lhs - cos^2 > 0 exactly where lhs > cos^2
-        pos = lhs > cos2[:, None]
-        found[i] = np.any(pos, axis=1)
         # with t = 1 + 1/(n-2+e) the condition reads t - t^2/4 > cos^2:
-        # increasing in e for n = 2 (t > 2), decreasing for n >= 3 (t < 2),
-        # so the positive samples form one run touching an end of the scan
-        first = np.argmax(pos, axis=1)
-        final = last - np.argmax(pos[:, ::-1], axis=1)
+        # increasing in e for n = 2 (t > 2), decreasing for every other
+        # integer n (t < 2), and so, as rounded, on this scan (the tests
+        # check it), so the samples with lhs > cos^2 are the scan's tail for
+        # n = 2 and its head otherwise: a search on the ascending values
+        # counts them, and a NaN cos^2 counts none
+        if dim == 2:
+            first = np.searchsorted(lhs, cos2, side="right")
+            final = np.full_like(first, last)
+        else:
+            first = np.zeros(cos2.size, dtype=np.intp)
+            final = last - np.searchsorted(lhs[::-1], cos2, side="right")
+        found[i] = first <= final
         open_end[:, i] = found[i] & (first > 0), found[i] & (final < last)
-        cols[:, i] = np.clip(first - 1, 0, last - 1), np.minimum(final, last - 1)
+        cols[:, i] = np.clip(first - 1, 0, last - 1), np.clip(final, 0, last - 1)
         fa[:, i] = lhs[cols[:, i]] - cos2
     # one masked bisection over the open ends of every dimension and angle
     where = np.nonzero(open_end)

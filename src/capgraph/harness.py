@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,8 +189,7 @@ def load_config(path) -> ExperimentConfig:
 # Report rows and CSV emission
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     level: int
     r: float
     h: float
@@ -237,8 +236,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class AngleSweepRow:
+class AngleSweepRow(NamedTuple):
     n: int
     theta: float
     in_U: bool
@@ -248,8 +246,7 @@ class AngleSweepRow:
     script_B: float
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     value: float
     threshold: float
@@ -262,21 +259,18 @@ _CELL_FORMATS = {bool: _fmt, float: repr, int: str, str: str}
 
 
 def write_csv(rows, path, columns) -> None:
-    """Write a `schema=1` CSV: the header `columns`, then one line per row
-    holding its dataclass fields in declaration order, each cell by _fmt.
-    The field names are resolved once, from the first row; a row of
-    another class raises TypeError."""
+    """Write a `schema=1` CSV: the header `columns`, then one line per row,
+    a tuple of cells in column order (a NamedTuple row), each cell by _fmt.
+    Every row must be of the first row's class; another raises TypeError."""
     lines = ["schema=1", ",".join(columns)]
     table, fmt = None, _CELL_FORMATS.get
     for row in rows:
-        if table is None:
-            table, names = type(row), [f.name for f in fields(row)]
-            cells = attrgetter(*names)
-        elif type(row) is not table:
-            raise TypeError(f"{type(row).__name__} row in a table of "
-                            f"{table.__name__} rows")
-        values = cells(row) if len(names) > 1 else (cells(row),)
-        lines.append(",".join([fmt(type(v), _fmt)(v) for v in values]))
+        if type(row) is not table:
+            if table is not None:
+                raise TypeError(f"{type(row).__name__} row in a table of "
+                                f"{table.__name__} rows")
+            table = type(row)
+        lines.append(",".join([fmt(type(v), _fmt)(v) for v in row]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -697,8 +691,7 @@ def run_angle_sweep(n_list, theta_grid, sin_min: float = 0.05) -> list[AngleSwee
     script_b = angle_condition_lower_bound(column, thetas, np.nan_to_num(eps_mid))
     c_theta = [one_sided_slope_limit(angle) for angle in angles]
     theta_vals = thetas.tolist()
-    return [AngleSweepRow(n=n, theta=t, in_U=ok, threshold=thr_n, margin=mg,
-                          C_theta=c, script_B=np.float64(b) if flag else b)
+    return [AngleSweepRow(n, t, ok, thr_n, mg, c, np.float64(b) if flag else b)
             for n, thr_n, in_n, margin_n, b_n, flag_n in zip(
                 dims, thr[:, 0].tolist(), in_u.tolist(), margin.tolist(),
                 script_b.tolist(), bisected.tolist())
@@ -754,19 +747,25 @@ def _v_margin(state, n_gradients: int, spans, buffers) -> float:
     `spans`, streamed in chunks of _AUDIT_CHUNK through `buffers`
     (_v_buffers): point i takes double i of the stream at `state` as its
     angle and doubles n_gradients + 2i, n_gradients + 2i + 1 as its
-    gradient; inf when it takes no point."""
+    gradient; inf when it takes no point.  When it raises, it first drains
+    the spans left, so that no other thread takes one."""
     theta_buf, sin_buf, grad_buf = buffers
     margin = np.inf
-    for lo, hi in spans:
-        angles = _philox_at(state, lo)
-        grads = _philox_at(state, n_gradients + 2 * lo)
-        for first in range(lo, hi, _AUDIT_CHUNK):
-            count = min(_AUDIT_CHUNK, hi - first)
-            thetas = _uniform_into(angles, theta_buf[:count], *_AUDIT_ANGLES)
-            g = _uniform_into(grads, grad_buf[:count], -30.0, 30.0)
-            v = capillary_area_element(g, thetas)
-            v -= np.sin(thetas, out=sin_buf[:count])
-            margin = min(margin, float(np.min(v)))
+    try:
+        for lo, hi in spans:
+            angles = _philox_at(state, lo)
+            grads = _philox_at(state, n_gradients + 2 * lo)
+            for first in range(lo, hi, _AUDIT_CHUNK):
+                count = min(_AUDIT_CHUNK, hi - first)
+                thetas = _uniform_into(angles, theta_buf[:count], *_AUDIT_ANGLES)
+                g = _uniform_into(grads, grad_buf[:count], -30.0, 30.0)
+                v = capillary_area_element(g, thetas)
+                v -= np.sin(thetas, out=sin_buf[:count])
+                margin = min(margin, float(np.min(v)))
+    except BaseException:
+        for _ in spans:
+            pass
+        raise
     return margin
 
 
@@ -878,8 +877,8 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
     margin is in, so the memory held does not depend on n_gradients or on
     how the spans fall.  Every check draws the same numbers as one
     full-size draw would.  The worker is joined before this returns; when
-    the calling thread raises, the spans left are dropped, so the worker
-    stops after its current one, and a worker's exception re-raises here.
+    either thread raises, it drops the spans left, so the other takes no
+    further span, and a worker's exception re-raises here.
     """
     for name, count in (("n_gradients", n_gradients), ("cutoff_draws", cutoff_draws),
                         ("cutoff_samples", cutoff_samples)):

@@ -36,8 +36,8 @@ from .capillary import (CapillaryAngle, GradientField, ScalarField,
                         ghost_closure)
 from .errors import (InvalidParameter, InvariantViolation, LinearSolveFailure,
                      ShapeMismatch)
-from .geometry import (Coarsening, HalfSpaceGrid, _coarse_shape, _diagonal_map,
-                       _strides, _upper_entries, free_shape)
+from .geometry import (Coarsening, HalfSpaceGrid, _coarse_shape, _coarsenings,
+                       _diagonal_map, _strides, _upper_entries, free_shape)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -280,8 +280,10 @@ def _slab_lanes(shape) -> tuple[int, int]:
     upper = _upper_entries(dim)[0].size
     dia = 3 ** dim * math.prod(free_shape(shape))
     # the first coarsening's first gather, of every child of every coarse
-    # cell (clipped ones included), is its largest
-    gather = upper * k * math.prod(c - 1 for c in _coarse_shape(shape))
+    # cell (clipped ones included), is its largest; a lattice without a
+    # coarsening makes none
+    gather = (upper * k * math.prod(c - 1 for c in _coarse_shape(shape))
+              if _coarsenings(shape) else 0)
     start = max(k * k * n, _cells_size(dim, n), gather)
     lane1 = max(pairs * k * n, _cells_size(dim, n) + k // 2 * n, 2 * k * n,
                 dia + upper * n)

@@ -439,6 +439,28 @@ def test_choose_eps0_keeps_its_return_types():
     assert choose_eps0_array(4, np.array([]))[0].shape == (0,)
 
 
+def test_splitting_scan_is_monotone_as_rounded():
+    # choose_eps0_array counts the admissible samples by a binary search,
+    # which is exact only while the scan values, as rounded, never turn:
+    # non-decreasing in eps0 for n = 2, non-increasing for every other
+    # integer n, the huge ones included
+    scan = estimates._EPS0_SCAN
+    huge = [-10 ** 6, -100, -10] + [10 ** k for k in range(4, 17)] + [2 ** 53]
+    for n in [*range(-3, 4097), *huge]:
+        steps = np.diff(estimates._splitting_lhs(n, scan))
+        assert np.all(steps >= 0.0) if n == 2 else np.all(steps <= 0.0), n
+
+
+def test_choose_eps0_rejects_non_integer_dimensions():
+    # only an integer dimension has a monotone scan (n = 2.5 has none)
+    for n in (2.5, np.array([[4], [2.5]]), np.array([[np.nan]]), np.inf):
+        with pytest.raises(InvalidParameter, match="dimensions must be integers"):
+            choose_eps0_array(n, np.array([1.0]))
+    for n in (4.0, np.int64(4), np.array([[4.0]])):
+        assert (choose_eps0_array(n, np.array([1.0, 1.2]))[0].tobytes()
+                == choose_eps0_array(np.array([[4]]), np.array([1.0, 1.2]))[0].tobytes())
+
+
 @pytest.mark.parametrize("n, theta, expected", [
     (2, 0.06, 0.946457267086998),
     (2, 1.2, 0.6745762405855659),

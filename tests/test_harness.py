@@ -3,7 +3,8 @@
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -717,8 +718,7 @@ def test_angle_sweep_rejects_non_integer_dimensions():
         run_angle_sweep([1], [0.3])
 
 
-@dataclass(frozen=True)
-class _Cells:
+class _Cells(NamedTuple):
     flag: bool
     np_flag: np.bool_
     count: int
@@ -746,11 +746,11 @@ def test_write_csv_matches_the_per_cell_rule(tmp_path):
     # each line is _fmt, the one cell rule, over the row's fields: np.float64
     # cells keep their np.float64(...) text, numpy ints their str(), and
     # numpy bools are written true/false like Python bools
-    columns = [f.name for f in fields(_Cells)]
+    columns = list(_Cells._fields)
     path = tmp_path / "cells.csv"
     write_csv(_CELL_ROWS, path, columns)
     lines = ["schema=1", ",".join(columns)] + [
-        ",".join(harness._fmt(getattr(row, f.name)) for f in fields(row))
+        ",".join(harness._fmt(getattr(row, name)) for name in row._fields)
         for row in _CELL_ROWS]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert lines[2] == ("true,false,3,-7,0.1,np.float64(0.3333333333333333),"
@@ -767,6 +767,15 @@ def test_write_csv_matches_the_per_cell_rule(tmp_path):
     with pytest.raises(TypeError, match="CheckResult row in a table of _Cells"):
         write_csv([_CELL_ROWS[0], CheckResult("x", 1.0, 0.0, True)], mixed, columns)
     assert not mixed.exists()
+
+
+def test_row_fields_are_the_csv_columns():
+    # write_csv writes a row as the tuple it is, so each row type's fields
+    # are its table's columns in order; the audit's `check` is the name
+    assert ReportRow._fields == REPORT_COLUMNS
+    assert AngleSweepRow._fields == ANGLE_SWEEP_COLUMNS
+    assert CheckResult._fields == ("name",) + AUDIT_COLUMNS[1:]
+    assert AUDIT_COLUMNS[0] == "check"
 
 
 def test_report_csv_schema_and_determinism(tmp_path):
@@ -1045,6 +1054,40 @@ def test_audit_worker_failure_propagates_and_joins(name, monkeypatch, tmp_path):
     assert cli_main(["audit", "--seed", "0", "--out",
                      str(tmp_path / "audit.csv")]) == 3
     assert threading.active_count() == before
+
+
+def test_a_failed_worker_leaves_the_calling_thread_no_span(monkeypatch):
+    # capillary_area_element fails on the worker's first chunk; the worker
+    # drops the spans left before it re-raises, so the calling thread, held
+    # back until then, evaluates no chunk of the v check, and the worker's
+    # error reaches run_audit's caller
+    original_area, original_margin = harness.capillary_area_element, harness._v_margin
+    worker_done, in_margin = threading.Event(), threading.Event()
+    caller_chunks, margins = [], []
+
+    def area(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise InvalidParameter("worker share failed")
+        if in_margin.is_set():
+            caller_chunks.append(args)
+        return original_area(*args, **kwargs)
+
+    def margin(*args):
+        if threading.current_thread() is not threading.main_thread():
+            try:
+                return original_margin(*args)
+            finally:
+                worker_done.set()
+        assert worker_done.wait(30)
+        in_margin.set()
+        margins.append(original_margin(*args))
+        return margins[-1]
+
+    monkeypatch.setattr(harness, "capillary_area_element", area)
+    monkeypatch.setattr(harness, "_v_margin", margin)
+    with pytest.raises(InvalidParameter, match="worker share failed"):
+        run_audit(0, 1_000_000, cutoff_draws=1, cutoff_samples=50)
+    assert margins == [np.inf] and caller_chunks == []
 
 
 def test_audit_memory_does_not_grow_with_n_gradients():
