@@ -18,7 +18,7 @@ from .errors import (BadConfig, BadDimension, CapillaryLabError,
                      EmptyRegion, HypothesisViolation, InvalidParameter,
                      InvariantViolation, LinearSolveFailure,
                      NonconformingExtent, ShapeMismatch,
-                     StationarityViolation, UnresolvedRegion, ZeroVector)
+                     UnresolvedRegion, ZeroVector)
 from .estimates import (CutoffCheckReport, CutoffParams, LinearBound,
                         angle_condition_holds, angle_condition_lower_bound,
                         angle_threshold, choose_eps0_array,

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: solve, verify, sweep, liouville, audit, report.  Each run
-writes a CSV artifact plus a human-readable summary on stdout.  Exit codes:
-0 success, 1 invariant violation, 2 non-convergence, 3 bad configuration
-or usage error.
+ends in _finish: it writes the CSV artifact, prints a PASS or FAIL line per
+check of the run and returns the exit code: 1 when a check failed, else 2
+when a solve did not converge, else 0.  Data outside a scenario's
+hypothesis, or a solve that breaks v >= sin(theta), exit 1, and a bad
+configuration or usage exits 3, before any CSV is written.
 """
 
 from __future__ import annotations
@@ -103,12 +105,19 @@ def _rows_summary(report) -> str:
     return "\n".join(lines)
 
 
-def _finish(report, out_path) -> int:
-    write_csv(report.rows, out_path, REPORT_COLUMNS)
-    print(_rows_summary(report))
+def _finish(rows, columns, out_path, checks=(), status="converged") -> int:
+    """Write the CSV, print each check and the path, and return the exit
+    code: 1 when a check failed, else 2 when the status is not converged."""
+    write_csv(rows, out_path, columns)
+    for res in checks:
+        print(f"  {'PASS' if res.passed else 'FAIL'} {res.name}: "
+              f"value={res.value:.3e} threshold={res.threshold:.3e}")
     print(f"wrote {out_path}")
-    if report.worst_status != "converged":
-        print(f"solver status: {report.worst_status}", file=sys.stderr)
+    if failed := [res.name for res in checks if not res.passed]:
+        print(f"invariant violation: failed {', '.join(failed)}", file=sys.stderr)
+        return EXIT_INVARIANT
+    if status != "converged":
+        print(f"solver status: {status}", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 
@@ -118,40 +127,25 @@ def _dispatch(args) -> int:
         lo = math.asin(args.sin_min) + 1e-9
         thetas = np.linspace(lo, math.pi - lo, args.theta_steps)
         rows = run_angle_sweep(args.n, thetas, sin_min=args.sin_min)
-        write_csv(rows, args.out, ANGLE_SWEEP_COLUMNS)
         print(f"angle sweep: {len(rows)} rows over n={args.n}")
-        print(f"wrote {args.out}")
-        return EXIT_OK
+        return _finish(rows, ANGLE_SWEEP_COLUMNS, args.out)
 
     if args.command == "audit":
         results = run_audit(seed=args.seed)
-        write_csv(results, args.out, AUDIT_COLUMNS)
-        failed = 0
-        for res in results:
-            tag = "PASS" if res.passed else "FAIL"
-            print(f"  {tag} {res.name}: value={res.value:.3e} "
-                  f"threshold={res.threshold:.3e}")
-            failed += not res.passed
-        print(f"wrote {args.out}")
-        return EXIT_OK if failed == 0 else EXIT_INVARIANT
+        return _finish(results, AUDIT_COLUMNS, args.out, results)
 
     cfg = load_config(args.config)
     out = args.out or cfg.out_csv or f"{args.command}.csv"
-
     if args.command == "solve":
         report = run_solve_experiment(cfg)
-        return _finish(report, out)
-
-    if args.command == "liouville":
+    elif args.command == "liouville":
         report = run_liouville_experiment(cfg)
         print(f"affine deviations: "
               f"{', '.join(f'{d:.3e}' for d in report.details['affine_devs'])}")
         if "one_sided_gap" in report.details:
             print(f"one-sided gradient gap at largest level: "
                   f"{report.details['one_sided_gap']:.3e}")
-        return _finish(report, out)
-
-    if args.command == "report":
+    elif args.command == "report":
         report = run_gradient_bound_sweep(cfg)
         fit = report.fit
         if fit is None:
@@ -162,31 +156,22 @@ def _dispatch(args) -> int:
         else:
             print(f"bound fit: C1={fit.c1:.6g} C2={fit.c2:.6g} C3={fit.c3:.6g} "
                   f"rms={fit.fit_residual:.3e} drift/halving={fit.stability:.3f}")
-        return _finish(report, out)
-
-    if args.command == "verify":
-        if cfg.scenario == "minimizer-test":
-            report = run_minimizer_test(cfg)
-            slope = report.details.get("min_quadratic_slope", float("nan"))
-            print(f"minimizer trials: {report.details.get('trials', 0)}, "
-                  f"min quadratic slope {slope:.3f}")
-            code = _finish(report, out)
-            if code == EXIT_OK and not (slope >= 1.9):
-                print("quadratic model slope below 1.9", file=sys.stderr)
-                return EXIT_INVARIANT
-            return code
-        if cfg.scenario == "conormal-check":
-            report = run_conormal_check(cfg)
-            res = ", ".join(f"{x:.3e}" for x in report.details["residuals"])
-            rat = ", ".join(f"{x:.2f}" for x in report.details["ratios"])
-            print(f"conormal residuals: {res}")
-            print(f"decay ratios per halving: {rat}")
-            return _finish(report, out)
+    elif cfg.scenario == "minimizer-test":      # verify, as are the two below
+        report = run_minimizer_test(cfg)
+        print(f"minimizer trials: {report.details['trials']}")
+    elif cfg.scenario == "conormal-check":
+        report = run_conormal_check(cfg)
+        res = ", ".join(f"{x:.3e}" for x in report.details["residuals"])
+        rat = ", ".join(f"{x:.2f}" for x in report.details["ratios"])
+        print(f"conormal residuals: {res}")
+        print(f"decay ratios per halving: {rat}")
+    else:
         raise BadConfig(
             f"verify expects scenario minimizer-test or conormal-check, "
             f"got '{cfg.scenario}'")
-
-    raise BadConfig(f"unknown subcommand {args.command!r}")
+    print(_rows_summary(report))
+    return _finish(report.rows, REPORT_COLUMNS, out, report.checks,
+                   report.worst_status)
 
 
 def cli_main(argv=None) -> int:

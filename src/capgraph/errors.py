@@ -64,16 +64,5 @@ class BadConfig(CapillaryLabError):
 
 
 class InvariantViolation(CapillaryLabError):
-    """A run-time check of a documented invariant failed."""
-
-
-class StationarityViolation(InvariantViolation):
-    """An admissible competitor undercuts the energy of a solved field.
-
-    Carries the offending perturbation so the failure can be replayed.
-    """
-
-    def __init__(self, message: str, perturbation=None, epsilon: float | None = None):
-        super().__init__(message)
-        self.perturbation = perturbation
-        self.epsilon = epsilon
+    """A solve broke a documented invariant (v >= sin(theta)); a run's own
+    checks are harness.CheckResult records, not exceptions."""

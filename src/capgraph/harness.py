@@ -23,8 +23,7 @@ from .capillary import (AffineCapillarySolution, CapillaryAngle, ScalarField,
                         capillary_energies, capillary_gauge, conormal,
                         unit_normal)
 from .errors import (BadConfig, BadDimension, HypothesisViolation,
-                     InvalidParameter, InvariantViolation,
-                     StationarityViolation, UnresolvedRegion, require_count)
+                     InvalidParameter, UnresolvedRegion, require_count)
 from .estimates import (_angle_ranges, _cos_squared,
                         angle_condition_holds, angle_condition_lower_bound,
                         choose_eps0_array, conormal_stationarity_residual,
@@ -214,10 +213,12 @@ class GradientBoundFit:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """A run's rows and its verdicts: one CheckResult per check."""
     scenario: str
     rows: tuple[ReportRow, ...]
     fit: GradientBoundFit | None = None
     details: dict = field(default_factory=dict)
+    checks: tuple[CheckResult, ...] = ()
 
     @property
     def worst_status(self) -> str:
@@ -419,7 +420,7 @@ def run_solve_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Truncated solves over growing regions with decaying boundary
-    perturbations; asserts the affine-deviation trend.
+    perturbations; checks the affine-deviation trend.
 
     linear-growth mode: affine trace (tangential slope from L_slope) plus a
     signed bump of amplitude perturb_amp * r^(-perturb_decay).
@@ -465,15 +466,17 @@ def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             one_sided_gap = float(np.max(np.linalg.norm(grad - base.slope, axis=1)))
 
     devs = [row.affine_dev for row in rows]
-    for a, b in zip(devs, devs[1:]):
-        if b > 1.1 * a and b > 1e-9:
-            raise InvariantViolation(
-                f"affine deviation failed to decrease: {a:.3e} -> {b:.3e}")
+    # the largest rise of a deviation above 1.1 times the one before, over
+    # the deviations above roundoff (1e-9); a NaN takes no part
+    rise = float(np.fmax.reduce([b - 1.1 * a for a, b in zip(devs, devs[1:])
+                                 if b > 1e-9], initial=-np.inf))
     details = {"affine_devs": tuple(devs)}
     if one_sided_gap is not None:
         details["one_sided_gap"] = one_sided_gap
     return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
-                            details=details)
+                            details=details,
+                            checks=(CheckResult("affine_dev_trend", rise, 0.0,
+                                                rise <= 0.0),))
 
 
 def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
@@ -483,9 +486,10 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     (affine trace plus bump) by c0 * (k+1)/K * r, K = _FAMILY_SIZE, staying
     in the linear growth class while sweeping the wall gradient well past
     the angle floor |cot(theta)|.  _bound_fit fits the bound to the
-    measured sup|Du| over the inner region at every mesh level and checks
-    its drift per halving; when any member's solve did not converge, no fit
-    is made (fit None) and no drift is checked.
+    measured sup|Du| over the inner region at every mesh level, and the
+    check bound_drift holds its drift per halving to 20%; when any member's
+    solve did not converge, no fit is made (fit None) and no drift is
+    checked.
 
     The members of a level are solved by continuation along the equally
     spaced scales: member k > 0 starts from the secant 2 u_{k-1} - u_{k-2}
@@ -529,8 +533,11 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
                                 details=details)
 
-    return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
-                            fit=_bound_fit(members, r, theta), details=details)
+    fit = _bound_fit(members, r, theta)
+    # a NaN drift (one level) passes
+    drift = CheckResult("bound_drift", fit.stability, 0.2, not fit.stability > 0.2)
+    return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows), fit=fit,
+                            details=details, checks=(drift,))
 
 
 def _bound_fit(members, r: float, theta: CapillaryAngle) -> GradientBoundFit:
@@ -541,8 +548,8 @@ def _bound_fit(members, r: float, theta: CapillaryAngle) -> GradientBoundFit:
     alone and is degenerate (c2 = c3 = 0, rms 0).  c1 is shifted by the
     largest residual log(sup / gradient_bound(M, r, theta, c)), so the bound
     dominates every member.  Returns the last level's fit with every level's
-    constants and their largest relative drift per halving; raises
-    InvariantViolation when that drift exceeds 20%."""
+    constants and their largest relative drift per halving (NaN for one
+    level)."""
     ratio, sup = np.moveaxis(np.asarray(members, dtype=float), -1, 0)
     m = ratio * r
     y = np.log(sup / gradient_bound(m, r, theta, 0.0, 0.0, 0.0))
@@ -555,10 +562,6 @@ def _bound_fit(members, r: float, theta: CapillaryAngle) -> GradientBoundFit:
     rms = np.where(varying, np.sqrt(np.mean(resid ** 2, axis=1)), 0.0)
     steps = np.abs(np.diff(coef, axis=0)) / np.maximum(np.abs(coef[:-1]), 1e-2)
     drift = float(np.max(steps)) if steps.size else float("nan")
-    if drift > 0.2:
-        raise InvariantViolation(
-            f"fitted bound constants drifted {drift:.1%} per mesh halving "
-            f"(limit 20%)")
     c1, c2, c3 = coef[-1].tolist()
     return GradientBoundFit(c1=c1, c2=c2, c3=c3, fit_residual=float(rms[-1]),
                             degenerate=not varying[-1],
@@ -571,7 +574,8 @@ def _log_slopes(log_eps: np.ndarray, gains: np.ndarray) -> np.ndarray:
     gains; the columns are added in order, so a row's slope does not depend
     on the other rows."""
     x = log_eps - log_eps.mean()
-    y = np.log(gains)
+    with np.errstate(divide="ignore", invalid="ignore"):   # a gain <= 0
+        y = np.log(gains)
     return sum(x[k] * y[:, k] for k in range(x.size)) / np.dot(x, x)
 
 
@@ -579,12 +583,14 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
                        ) -> ExperimentReport:
     """Competitor test of the minimizing property of a solved field.
 
-    Random perturbations vanish on Dirichlet nodes (free on the wall); the
-    energy must not drop below the solution energy beyond roundoff, and the
-    energy increment must follow the quadratic model in the amplitude.
-    The trials run in chunks of _MINIMIZER_CHUNK, each one draw of its
-    perturbations and one batched energy evaluation; a StationarityViolation
-    names the first offending trial and amplitude, in trial order.
+    Random perturbations vanish on Dirichlet nodes (free on the wall).  Two
+    checks: no competitor's energy gain falls below -1e-10 (roundoff), and
+    the least slope of log(gain) against log(amplitude) is at least 1.9
+    (the quadratic model).  A run whose solve did not converge makes no
+    trial and no check.  The trials run in chunks of _MINIMIZER_CHUNK, each
+    one draw of its perturbations and one batched energy evaluation.  The
+    first competitor to undercut the energy, in trial order, is kept for
+    replay as details["offender"]: its trial, amplitude and perturbation.
     """
     if cfg.scenario != "minimizer-test":
         raise BadConfig(f"scenario {cfg.scenario!r} is not minimizer-test")
@@ -600,7 +606,7 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
 
     free = grid.free_indices
     eps = np.asarray(MINIMIZER_EPSILONS)
-    slopes, max_drop = [], 0.0
+    gains, details = [], {"trials": trials}
     for first in range(0, trials, _MINIMIZER_CHUNK):
         n = min(_MINIMIZER_CHUNK, trials - first)
         w = np.zeros((n, grid.n_nodes))
@@ -608,19 +614,22 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
         w[:, free] = rng.standard_normal((n, free.size))
         w /= np.max(np.abs(w), axis=1, keepdims=True)
         competitors = sol.values + eps[:, None] * w[:, None, :]    # (trial, eps)
-        gains = capillary_energies(grid, competitors, theta) - row.energy
-        bad = np.argwhere(gains < -1e-10)
-        if bad.size:
+        gains.append(capillary_energies(grid, competitors, theta) - row.energy)
+        bad = np.argwhere(gains[-1] < -1e-10)
+        if bad.size and "offender" not in details:
             t, e = bad[0]
-            raise StationarityViolation(
-                f"trial {first + t}: competitor lowered the energy by {-gains[t, e]:.3e}",
-                perturbation=w[t], epsilon=MINIMIZER_EPSILONS[e])
-        max_drop = min(max_drop, float(gains.min()))
-        slopes.append(_log_slopes(np.log(eps), gains))
-    details = {"trials": trials,
-               "min_quadratic_slope": float(np.min(np.concatenate(slopes))),
-               "max_energy_drop": float(-max_drop)}
-    return ExperimentReport(scenario=cfg.scenario, rows=(row,), details=details)
+            details["offender"] = {"trial": first + int(t),
+                                   "epsilon": MINIMIZER_EPSILONS[e],
+                                   "perturbation": w[t].copy()}
+    gains = np.concatenate(gains)
+    # the least gain, a NaN taking no part
+    low = float(np.fmin.reduce(gains, axis=None, initial=np.inf))
+    slope = float(np.min(_log_slopes(np.log(eps), gains)))
+    details.update(min_quadratic_slope=slope, max_energy_drop=-min(0.0, low))
+    return ExperimentReport(
+        scenario=cfg.scenario, rows=(row,), details=details,
+        checks=(CheckResult("energy_gain", low, -1e-10, low >= -1e-10),
+                CheckResult("quadratic_slope", slope, 1.9, slope >= 1.9)))
 
 
 def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
@@ -629,7 +638,8 @@ def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
 
     Nested iteration: a level after the first starts from the previous
     level's solution, interpolated onto its grid (the box is the same at
-    every level), when that solve converged.
+    every level), when that solve converged.  The check conormal_decay
+    holds the residual's decay per halving to at least 1.8.
     """
     if cfg.scenario != "conormal-check":
         raise BadConfig(f"scenario {cfg.scenario!r} is not conormal-check")
@@ -655,15 +665,16 @@ def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
         residuals.append(conormal_stationarity_residual(sol, theta, corner_margin=margin)
                          if converged else math.nan)
     ratios = tuple(a / b if b else math.inf for a, b in zip(residuals, residuals[1:]))
-    for coarse, ratio in zip(residuals, ratios):
-        # a residual at roundoff (an exactly affine 1D solution) need not decay
-        if coarse >= 1e-12 and ratio < 1.8:
-            raise InvariantViolation(
-                f"conormal residual decayed by {ratio:.2f} < 1.8 per halving")
+    # the least decay ratio; a residual at roundoff (an exactly affine 1D
+    # solution) need not decay, and a NaN takes no part
+    decay = float(np.fmin.reduce([ratio for coarse, ratio in zip(residuals, ratios)
+                                  if coarse >= 1e-12], initial=np.inf))
     return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
                             details={"residuals": tuple(residuals),
                                      "ratios": ratios,
-                                     "corner_margin": margin})
+                                     "corner_margin": margin},
+                            checks=(CheckResult("conormal_decay", decay, 1.8,
+                                                decay >= 1.8),))
 
 
 def run_angle_sweep(n_list, theta_grid, sin_min: float = 0.05) -> list[AngleSweepRow]:

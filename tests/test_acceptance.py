@@ -110,6 +110,7 @@ def test_acceptance_4_conormal_orthogonality():
                            perturb_amp=0.3, seed=3)
     report = run_conormal_check(cfg)
     elapsed = time.monotonic() - start
+    assert [(c.name, c.passed) for c in report.checks] == [("conormal_decay", True)]
     ratios = report.details["ratios"]
     assert all(ratio >= 1.8 for ratio in ratios)
     assert elapsed <= 60.0
@@ -166,6 +167,8 @@ def test_acceptance_7_discrete_minimizing_property():
                            r_levels=(2.0,), h_levels=(0.25,),
                            perturb_amp=0.1, seed=42)
     report = run_minimizer_test(cfg, trials=100)
+    assert [(c.name, c.passed) for c in report.checks] == \
+        [("energy_gain", True), ("quadratic_slope", True)]
     slope = report.details["min_quadratic_slope"]
     assert report.details["trials"] == 100
     assert slope >= 1.9
@@ -206,12 +209,15 @@ def test_acceptance_9_liouville_trend():
                 perturb_amp=0.1, perturb_decay=1.0, seed=7)
     linear = run_liouville_experiment(ExperimentConfig(
         scenario="liouville-linear-growth", L_slope=(0.0, 0.2), **base))
+    assert [(c.name, c.passed) for c in linear.checks] == [("affine_dev_trend", True)]
     devs = linear.details["affine_devs"]
     factors = [a / b for a, b in zip(devs, devs[1:])]
     assert all(f >= 1.5 for f in factors)
 
     one_sided = run_liouville_experiment(ExperimentConfig(
         scenario="liouville-one-sided", L_slope=(0.0, 0.0), **base))
+    assert [(c.name, c.passed) for c in one_sided.checks] == \
+        [("affine_dev_trend", True)]
     gap = one_sided.details["one_sided_gap"]
     assert gap <= 0.05
     elapsed = time.monotonic() - start
@@ -265,6 +271,8 @@ def test_acceptance_11_determinism(tmp_path):
     blobs = []
     for tag in ("first", "second"):
         report = run_liouville_experiment(cfg)
+        assert [(c.name, c.passed) for c in report.checks] == \
+            [("affine_dev_trend", True)]
         path = tmp_path / f"{tag}.csv"
         write_csv(report.rows, path, REPORT_COLUMNS)
         blobs.append(path.read_bytes())

@@ -7,13 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capgraph import LinearSolveFailure, cli, geometry, solver
+from capgraph import LinearSolveFailure, cli, geometry, harness, solver
 from capgraph.cli import _build_parser, cli_main
-from capgraph.harness import SCENARIOS
+from capgraph.harness import REPORT_COLUMNS, SCENARIOS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -316,6 +317,50 @@ L_slope = 0.5, 0.0
 seed = 1
 """)
     assert cli_main(["liouville", "--config", cfg]) == 1
+
+
+def test_a_failed_check_exits_1_and_keeps_the_csv(tmp_path, capsys):
+    # the report family at c0 = 0.5 drifts 169% per halving: the run exits
+    # 1, and its CSV still holds the 12 solves, with the failed record on
+    # stdout and named on stderr
+    cfg = _write(tmp_path, "drift.cfg", """
+scenario = gradient-bound-sweep
+theta_rad = 1.0471975511965976
+r_levels = 4.0
+h_levels = 0.5, 0.25
+c0 = 0.5
+seed = 0
+""")
+    out = tmp_path / "report.csv"
+    assert cli_main(["report", "--config", cfg, "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert lines[:2] == ["schema=1", ",".join(REPORT_COLUMNS)]
+    assert len(lines) == 14 and all(row.endswith(",converged") for row in lines[2:])
+    stdout, stderr = capsys.readouterr()
+    assert "  FAIL bound_drift: value=1.689e+00 threshold=2.000e-01\n" in stdout
+    assert stderr == "invariant violation: failed bound_drift\n"
+
+
+@pytest.mark.parametrize("slope, code", [(1.9, 0), (1.8999999999999997, 1)])
+def test_verify_minimizer_exits_1_on_a_slope_below_1_9(tmp_path, capsys, monkeypatch,
+                                                       slope, code):
+    # the quadratic-model gate is the run's quadratic_slope record
+    monkeypatch.setattr(harness, "_log_slopes", lambda log_eps, gains:
+                        np.full(gains.shape[0], slope))
+    cfg = _write(tmp_path, "minimizer.cfg", """
+scenario = minimizer-test
+theta_rad = 1.0471975511965976
+r_levels = 1.5
+h_levels = 0.25
+seed = 0
+""")
+    out = tmp_path / "verify.csv"
+    assert cli_main(["verify", "--config", cfg, "--out", str(out)]) == code
+    assert len(out.read_text().splitlines()) == 3
+    stdout = capsys.readouterr().out
+    assert "  PASS energy_gain: " in stdout
+    tag = "FAIL" if code else "PASS"
+    assert f"  {tag} quadratic_slope: value={slope:.3e} threshold=1.900e+00\n" in stdout
 
 
 def test_console_entry_point_runs(tmp_path):
