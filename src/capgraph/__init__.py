@@ -28,8 +28,7 @@ from .estimates import (CutoffCheckReport, CutoffParams, LinearBound,
                         gradient_bound, height_scale, one_sided_slope_limit)
 from .geometry import (EllipsoidRegion, HalfSpaceGrid, NodeClass, RegionKind,
                        build_grid, in_region, inner_node_set)
-from .harness import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
-                      AngleSweepRow, CheckResult, ExperimentConfig,
+from .harness import (AngleSweepRow, CheckResult, ExperimentConfig,
                       ExperimentReport, GradientBoundFit, ReportRow,
                       domain_for_radius, load_config, parse_config,
                       run_angle_sweep, run_audit, run_conormal_check,

@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import (BadConfig, CapillaryLabError, HypothesisViolation,
                      InvariantViolation)
-from .harness import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
-                      load_config, run_angle_sweep, run_audit,
-                      run_conormal_check, run_gradient_bound_sweep,
-                      run_liouville_experiment, run_minimizer_test,
-                      run_solve_experiment, write_csv)
+from .harness import (AngleSweepRow, CheckResult, ReportRow, load_config,
+                      run_angle_sweep, run_audit, run_conormal_check,
+                      run_gradient_bound_sweep, run_liouville_experiment,
+                      run_minimizer_test, run_solve_experiment, write_csv)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -105,15 +104,16 @@ def _rows_summary(report) -> str:
     return "\n".join(lines)
 
 
-def _finish(rows, columns, out_path, checks=(), status="converged") -> int:
-    """Write the CSV, print each check and the path, and return the exit
-    code: 1 when a check failed, else 2 when the status is not converged."""
-    write_csv(rows, out_path, columns)
+def _finish(rows, table, out_path, checks=(), status="converged") -> int:
+    """Write the CSV of `table` rows, print each check and the path, and
+    return the exit code: 1 when a check failed, else 2 when the status is
+    not converged."""
+    write_csv(rows, out_path, table)
     for res in checks:
-        print(f"  {'PASS' if res.passed else 'FAIL'} {res.name}: "
+        print(f"  {'PASS' if res.passed else 'FAIL'} {res.check}: "
               f"value={res.value:.3e} threshold={res.threshold:.3e}")
     print(f"wrote {out_path}")
-    if failed := [res.name for res in checks if not res.passed]:
+    if failed := [res.check for res in checks if not res.passed]:
         print(f"invariant violation: failed {', '.join(failed)}", file=sys.stderr)
         return EXIT_INVARIANT
     if status != "converged":
@@ -128,11 +128,11 @@ def _dispatch(args) -> int:
         thetas = np.linspace(lo, math.pi - lo, args.theta_steps)
         rows = run_angle_sweep(args.n, thetas, sin_min=args.sin_min)
         print(f"angle sweep: {len(rows)} rows over n={args.n}")
-        return _finish(rows, ANGLE_SWEEP_COLUMNS, args.out)
+        return _finish(rows, AngleSweepRow, args.out)
 
     if args.command == "audit":
         results = run_audit(seed=args.seed)
-        return _finish(results, AUDIT_COLUMNS, args.out, results)
+        return _finish(results, CheckResult, args.out, results)
 
     cfg = load_config(args.config)
     out = args.out or cfg.out_csv or f"{args.command}.csv"
@@ -140,8 +140,6 @@ def _dispatch(args) -> int:
         report = run_solve_experiment(cfg)
     elif args.command == "liouville":
         report = run_liouville_experiment(cfg)
-        print(f"affine deviations: "
-              f"{', '.join(f'{d:.3e}' for d in report.details['affine_devs'])}")
         if "one_sided_gap" in report.details:
             print(f"one-sided gradient gap at largest level: "
                   f"{report.details['one_sided_gap']:.3e}")
@@ -155,7 +153,7 @@ def _dispatch(args) -> int:
                   f"C1={fit.c1:.6g}, C2=C3=0")
         else:
             print(f"bound fit: C1={fit.c1:.6g} C2={fit.c2:.6g} C3={fit.c3:.6g} "
-                  f"rms={fit.fit_residual:.3e} drift/halving={fit.stability:.3f}")
+                  f"rms={fit.fit_residual:.3e}")
     elif cfg.scenario == "minimizer-test":      # verify, as are the two below
         report = run_minimizer_test(cfg)
         print(f"minimizer trials: {report.details['trials']}")
@@ -170,7 +168,7 @@ def _dispatch(args) -> int:
             f"verify expects scenario minimizer-test or conormal-check, "
             f"got '{cfg.scenario}'")
     print(_rows_summary(report))
-    return _finish(report.rows, REPORT_COLUMNS, out, report.checks,
+    return _finish(report.rows, ReportRow, out, report.checks,
                    report.worst_status)
 
 

@@ -38,18 +38,9 @@ SCENARIOS = (
     "liouville-linear-growth",
     "liouville-one-sided",
     "gradient-bound-sweep",
-    "angle-sweep",
     "minimizer-test",
     "conormal-check",
 )
-
-# CSV headers of ReportRow, AngleSweepRow and CheckResult, in field order
-# (the audit's `check` column holds CheckResult.name)
-REPORT_COLUMNS = ("level", "r", "h", "sup_grad_inner", "affine_dev", "energy",
-                  "v_min", "newton_iters", "status")
-ANGLE_SWEEP_COLUMNS = ("n", "theta", "in_U", "threshold", "margin", "C_theta",
-                       "script_B")
-AUDIT_COLUMNS = ("check", "value", "threshold", "passed")
 
 # the minimizer test compares energies near roundoff, so it solves tighter
 MINIMIZER_SOLVER = SolverConfig(tol_residual=1e-12)
@@ -213,8 +204,8 @@ class GradientBoundFit:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """A run's rows and its verdicts: one CheckResult per check."""
-    scenario: str
+    """A run's rows, its verdicts (one CheckResult per check) and the
+    details that no row or check holds."""
     rows: tuple[ReportRow, ...]
     fit: GradientBoundFit | None = None
     details: dict = field(default_factory=dict)
@@ -248,7 +239,7 @@ class AngleSweepRow(NamedTuple):
 
 
 class CheckResult(NamedTuple):
-    name: str
+    check: str
     value: float
     threshold: float
     passed: bool
@@ -259,18 +250,16 @@ class CheckResult(NamedTuple):
 _CELL_FORMATS = {bool: _fmt, float: repr, int: str, str: str}
 
 
-def write_csv(rows, path, columns) -> None:
-    """Write a `schema=1` CSV: the header `columns`, then one line per row,
-    a tuple of cells in column order (a NamedTuple row), each cell by _fmt.
-    Every row must be of the first row's class; another raises TypeError."""
-    lines = ["schema=1", ",".join(columns)]
-    table, fmt = None, _CELL_FORMATS.get
+def write_csv(rows, path, table) -> None:
+    """Write a `schema=1` CSV of `table` rows (a NamedTuple class): the
+    header table._fields, then one line per row, each cell by _fmt.  A row
+    of another type raises TypeError before the file is opened."""
+    lines = ["schema=1", ",".join(table._fields)]
+    fmt = _CELL_FORMATS.get
     for row in rows:
         if type(row) is not table:
-            if table is not None:
-                raise TypeError(f"{type(row).__name__} row in a table of "
-                                f"{table.__name__} rows")
-            table = type(row)
+            raise TypeError(f"{type(row).__name__} row in a table of "
+                            f"{table.__name__} rows")
         lines.append(",".join([fmt(type(v), _fmt)(v) for v in row]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -415,7 +404,7 @@ def run_solve_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         cfg.perturb_amp * r ** (-cfg.perturb_decay)
     grid, data, _ = _first_level(cfg, h, amp)
     _, row, _ = _solve_level(cfg.theta, grid, data, 0, r, h)
-    return ExperimentReport(scenario=cfg.scenario, rows=(row,))
+    return ExperimentReport(rows=(row,))
 
 
 def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -470,13 +459,9 @@ def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # the deviations above roundoff (1e-9); a NaN takes no part
     rise = float(np.fmax.reduce([b - 1.1 * a for a, b in zip(devs, devs[1:])
                                  if b > 1e-9], initial=-np.inf))
-    details = {"affine_devs": tuple(devs)}
-    if one_sided_gap is not None:
-        details["one_sided_gap"] = one_sided_gap
-    return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
-                            details=details,
-                            checks=(CheckResult("affine_dev_trend", rise, 0.0,
-                                                rise <= 0.0),))
+    details = {} if one_sided_gap is None else {"one_sided_gap": one_sided_gap}
+    return ExperimentReport(rows=tuple(rows), details=details, checks=(
+        CheckResult("affine_dev_trend", rise, 0.0, rise <= 0.0),))
 
 
 def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
@@ -527,17 +512,16 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
             ratios.append(height_scale(sol, EllipsoidRegion(r, theta)) / r)
             sups.append(row.sup_grad_inner)
         members.append(tuple(zip(ratios, sups)))
-    details = {"family_size": _FAMILY_SIZE, "members": tuple(members)}
+    details = {"members": tuple(members)}
     if any(row.status != SolveStatus.CONVERGED.value for row in rows):
         # constants fitted to unsolved members would describe their starts
-        return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
-                                details=details)
+        return ExperimentReport(rows=tuple(rows), details=details)
 
     fit = _bound_fit(members, r, theta)
     # a NaN drift (one level) passes
     drift = CheckResult("bound_drift", fit.stability, 0.2, not fit.stability > 0.2)
-    return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows), fit=fit,
-                            details=details, checks=(drift,))
+    return ExperimentReport(rows=tuple(rows), fit=fit, details=details,
+                            checks=(drift,))
 
 
 def _bound_fit(members, r: float, theta: CapillaryAngle) -> GradientBoundFit:
@@ -601,8 +585,7 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
     sol, row, _ = _solve_level(theta, grid, data, 0, r, h,
                                solver_cfg=MINIMIZER_SOLVER)
     if row.status != SolveStatus.CONVERGED.value:
-        return ExperimentReport(scenario=cfg.scenario, rows=(row,),
-                                details={"trials": 0})
+        return ExperimentReport(rows=(row,), details={"trials": 0})
 
     free = grid.free_indices
     eps = np.asarray(MINIMIZER_EPSILONS)
@@ -625,11 +608,9 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
     # the least gain, a NaN taking no part
     low = float(np.fmin.reduce(gains, axis=None, initial=np.inf))
     slope = float(np.min(_log_slopes(np.log(eps), gains)))
-    details.update(min_quadratic_slope=slope, max_energy_drop=-min(0.0, low))
-    return ExperimentReport(
-        scenario=cfg.scenario, rows=(row,), details=details,
-        checks=(CheckResult("energy_gain", low, -1e-10, low >= -1e-10),
-                CheckResult("quadratic_slope", slope, 1.9, slope >= 1.9)))
+    return ExperimentReport(rows=(row,), details=details, checks=(
+        CheckResult("energy_gain", low, -1e-10, low >= -1e-10),
+        CheckResult("quadratic_slope", slope, 1.9, slope >= 1.9)))
 
 
 def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
@@ -669,12 +650,9 @@ def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
     # solution) need not decay, and a NaN takes no part
     decay = float(np.fmin.reduce([ratio for coarse, ratio in zip(residuals, ratios)
                                   if coarse >= 1e-12], initial=np.inf))
-    return ExperimentReport(scenario=cfg.scenario, rows=tuple(rows),
-                            details={"residuals": tuple(residuals),
-                                     "ratios": ratios,
-                                     "corner_margin": margin},
-                            checks=(CheckResult("conormal_decay", decay, 1.8,
-                                                decay >= 1.8),))
+    details = {"residuals": tuple(residuals), "ratios": ratios}
+    return ExperimentReport(rows=tuple(rows), details=details, checks=(
+        CheckResult("conormal_decay", decay, 1.8, decay >= 1.8),))
 
 
 def run_angle_sweep(n_list, theta_grid, sin_min: float = 0.05) -> list[AngleSweepRow]:

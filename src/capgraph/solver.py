@@ -116,8 +116,8 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class SolveReport:
     iterations: int
+    # the residual of the start, then of each accepted step: [-1] is the final one
     residual_history: tuple[float, ...]
-    final_residual: float
     v_min: float
     energy: float
     status: SolveStatus
@@ -888,7 +888,6 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     report = SolveReport(
         iterations=iterations,
         residual_history=tuple(history),
-        final_residual=res_norm,
         v_min=float(np.min(capillary_area_element(gradient, spec.theta))),
         energy=capillary_energy(solution, spec.theta),
         status=status,

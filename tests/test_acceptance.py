@@ -9,8 +9,8 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from capgraph import (REPORT_COLUMNS, CapillaryAngle, CutoffParams,
-                      ExperimentConfig, ProblemSpec, ScalarField, SolveStatus,
+from capgraph import (CapillaryAngle, CutoffParams, ExperimentConfig,
+                      ProblemSpec, ReportRow, ScalarField, SolveStatus,
                       SolverConfig, affine_capillary_solution,
                       angle_condition_holds, angle_condition_lower_bound,
                       angle_threshold, assemble_jacobian, assemble_residual,
@@ -110,7 +110,7 @@ def test_acceptance_4_conormal_orthogonality():
                            perturb_amp=0.3, seed=3)
     report = run_conormal_check(cfg)
     elapsed = time.monotonic() - start
-    assert [(c.name, c.passed) for c in report.checks] == [("conormal_decay", True)]
+    assert [(c.check, c.passed) for c in report.checks] == [("conormal_decay", True)]
     ratios = report.details["ratios"]
     assert all(ratio >= 1.8 for ratio in ratios)
     assert elapsed <= 60.0
@@ -167,15 +167,15 @@ def test_acceptance_7_discrete_minimizing_property():
                            r_levels=(2.0,), h_levels=(0.25,),
                            perturb_amp=0.1, seed=42)
     report = run_minimizer_test(cfg, trials=100)
-    assert [(c.name, c.passed) for c in report.checks] == \
+    assert [(c.check, c.passed) for c in report.checks] == \
         [("energy_gain", True), ("quadratic_slope", True)]
-    slope = report.details["min_quadratic_slope"]
+    energy, quadratic = report.checks
+    slope, drop = quadratic.value, -min(0.0, energy.value)
     assert report.details["trials"] == 100
     assert slope >= 1.9
-    assert report.details["max_energy_drop"] <= 1e-10
+    assert drop <= 1e-10
     print(f"ACCEPTANCE 7 (discrete minimizing property): PASS "
-          f"100 trials, min slope={slope:.3f}, "
-          f"max drop={report.details['max_energy_drop']:.1e}")
+          f"100 trials, min slope={slope:.3f}, max drop={drop:.1e}")
 
 
 def test_acceptance_8_mesh_convergence_1d():
@@ -209,14 +209,14 @@ def test_acceptance_9_liouville_trend():
                 perturb_amp=0.1, perturb_decay=1.0, seed=7)
     linear = run_liouville_experiment(ExperimentConfig(
         scenario="liouville-linear-growth", L_slope=(0.0, 0.2), **base))
-    assert [(c.name, c.passed) for c in linear.checks] == [("affine_dev_trend", True)]
-    devs = linear.details["affine_devs"]
+    assert [(c.check, c.passed) for c in linear.checks] == [("affine_dev_trend", True)]
+    devs = [row.affine_dev for row in linear.rows]
     factors = [a / b for a, b in zip(devs, devs[1:])]
     assert all(f >= 1.5 for f in factors)
 
     one_sided = run_liouville_experiment(ExperimentConfig(
         scenario="liouville-one-sided", L_slope=(0.0, 0.0), **base))
-    assert [(c.name, c.passed) for c in one_sided.checks] == \
+    assert [(c.check, c.passed) for c in one_sided.checks] == \
         [("affine_dev_trend", True)]
     gap = one_sided.details["one_sided_gap"]
     assert gap <= 0.05
@@ -271,10 +271,10 @@ def test_acceptance_11_determinism(tmp_path):
     blobs = []
     for tag in ("first", "second"):
         report = run_liouville_experiment(cfg)
-        assert [(c.name, c.passed) for c in report.checks] == \
+        assert [(c.check, c.passed) for c in report.checks] == \
             [("affine_dev_trend", True)]
         path = tmp_path / f"{tag}.csv"
-        write_csv(report.rows, path, REPORT_COLUMNS)
+        write_csv(report.rows, path, ReportRow)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
     print(f"ACCEPTANCE 11 (determinism): PASS identical CSV bytes "

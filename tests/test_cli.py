@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capgraph import LinearSolveFailure, cli, geometry, harness, solver
+from capgraph import BadConfig, LinearSolveFailure, cli, geometry, harness, solver
 from capgraph.cli import _build_parser, cli_main
-from capgraph.harness import REPORT_COLUMNS, SCENARIOS
+from capgraph.harness import SCENARIOS, ReportRow
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -90,6 +90,31 @@ seed = 4
     assert cli_main(["report", "--config", cfg, "--out", str(out)]) == 0
     assert "bound fit" in capsys.readouterr().out
     assert out.exists()
+
+
+def test_stdout_states_each_fact_once(tmp_path, capsys):
+    # the rows summary alone prints each level's affine deviation, and the
+    # bound_drift check line alone prints the drift per halving
+    cfg = _write(tmp_path, "liouville.cfg", LIOUVILLE_CFG)
+    out = tmp_path / "liouville.csv"
+    assert cli_main(["liouville", "--config", cfg, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    column = ReportRow._fields.index("affine_dev")
+    devs = [float(line.split(",")[column]) for line in out.read_text().splitlines()[2:]]
+    assert len(devs) == 2
+    assert all(stdout.count(f"{dev:.3e}") == 1 for dev in devs)
+
+    keys = {case[0]: case[2] for case in SCENARIO_CSVS}["report"]
+    cfg = _write(tmp_path, "report.cfg",
+                 f"theta_rad = {math.pi / 3.0!r}\nseed = 0\n" + keys)
+    assert cli_main(["report", "--config", cfg,
+                     "--out", str(tmp_path / "report.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    drift = [line for line in lines if "drift" in line]
+    assert len(drift) == 1 and drift[0].startswith("  PASS bound_drift: value=")
+    value = float(drift[0].split("value=")[1].split()[0])
+    others = "\n".join(line for line in lines if line is not drift[0])
+    assert f"{value:.3e}" not in others and f"{value:.3f}" not in others
 
 
 def test_sweep_row_count(tmp_path):
@@ -334,7 +359,7 @@ seed = 0
     out = tmp_path / "report.csv"
     assert cli_main(["report", "--config", cfg, "--out", str(out)]) == 1
     lines = out.read_text().splitlines()
-    assert lines[:2] == ["schema=1", ",".join(REPORT_COLUMNS)]
+    assert lines[:2] == ["schema=1", ",".join(ReportRow._fields)]
     assert len(lines) == 14 and all(row.endswith(",converged") for row in lines[2:])
     stdout, stderr = capsys.readouterr()
     assert "  FAIL bound_drift: value=1.689e+00 threshold=2.000e-01\n" in stdout
@@ -650,6 +675,38 @@ def test_config_commands_exit_code_property(tmp_path, command):
             assert code == 3
 
     check()
+
+
+# each runner and the scenarios it serves
+_RUNNERS = ((harness.run_liouville_experiment, _CONFIG_COMMANDS["liouville"]),
+            (harness.run_gradient_bound_sweep, _CONFIG_COMMANDS["report"]),
+            (harness.run_minimizer_test, ("minimizer-test",)),
+            (harness.run_conormal_check, ("conormal-check",)))
+
+
+def test_a_scenario_a_command_does_not_serve_is_exit_3(tmp_path, capsys):
+    # each config command rejects a scenario it does not serve before any
+    # solve or CSV, naming the scenario; solve serves every scenario, and
+    # the retired angle-sweep is no scenario at all
+    cases = [(command, scenario) for command, served in _CONFIG_COMMANDS.items()
+             if command != "solve" for scenario in SCENARIOS if scenario not in served]
+    cases += [(command, "angle-sweep") for command in _CONFIG_COMMANDS]
+    out = tmp_path / "out.csv"
+    for command, scenario in cases:
+        cfg = _write(tmp_path, "wrong.cfg",
+                     f"scenario = {scenario}\nr_levels = 2.0\nh_levels = 0.5\n")
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 3, \
+            (command, scenario)
+        assert f"'{scenario}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    # and each runner called directly raises BadConfig
+    for runner, served in _RUNNERS:
+        for scenario in [name for name in SCENARIOS if name not in served]:
+            cfg = harness.ExperimentConfig(scenario=scenario, r_levels=(2.0,),
+                                           h_levels=(0.5,))
+            with pytest.raises(BadConfig, match=f"'{scenario}'"):
+                runner(cfg)
 
 
 @pytest.mark.parametrize("theta_rad", ["1.0471975511965976", "1.5707963267948966"])

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from capgraph import (ANGLE_SWEEP_COLUMNS, AUDIT_COLUMNS, REPORT_COLUMNS,
-                      AngleSweepRow, BadConfig, BadDimension,
+from capgraph import (AngleSweepRow, BadConfig, BadDimension,
                       CapillaryAngle, CheckResult,
                       CutoffParams, DegenerateAngle, EllipsoidRegion,
                       ExperimentConfig, ExperimentReport,
@@ -47,7 +46,7 @@ DRIFT = [("bound_drift", True)]
 
 def _verdicts(report):
     """The (name, passed) pair of each of a report's checks."""
-    return [(check.name, check.passed) for check in report.checks]
+    return [(c.check, c.passed) for c in report.checks]
 
 
 def test_parse_config_roundtrip_and_errors():
@@ -68,13 +67,13 @@ def test_parse_config_roundtrip_and_errors():
     assert cfg.seed == 9
 
     with pytest.raises(BadConfig, match="unknown config key 'badkey'"):
-        parse_config("scenario = angle-sweep\nbadkey = 1")
+        parse_config("scenario = minimizer-test\nbadkey = 1")
     with pytest.raises(BadConfig, match="unknown config key 'strict_angle_range'"):
-        parse_config("scenario = angle-sweep\nstrict_angle_range = false")
+        parse_config("scenario = minimizer-test\nstrict_angle_range = false")
     with pytest.raises(BadConfig, match="bad value for config key 'dim'"):
-        parse_config("scenario = angle-sweep\ndim = two")
+        parse_config("scenario = minimizer-test\ndim = two")
     with pytest.raises(BadConfig, match="duplicate"):
-        parse_config("scenario = angle-sweep\nseed = 1\nseed = 2")
+        parse_config("scenario = minimizer-test\nseed = 1\nseed = 2")
     with pytest.raises(BadConfig, match="scenario"):
         parse_config("seed = 1")
     with pytest.raises(BadConfig, match="unknown scenario"):
@@ -221,7 +220,7 @@ def test_cli_scenarios_solve_through_the_harness_name_of_newton_solve(
     assert len(lines) == solves
     scale = 1.0 if scenario == "gradient-bound-sweep" else 0.5
     for line, (sol, rep) in zip(lines, solved):
-        row = dict(zip(REPORT_COLUMNS, line.split(",")))
+        row = dict(zip(ReportRow._fields, line.split(",")))
         assert not rep.gradient.flags.writeable
         assert np.array_equal(rep.gradient, _gradient_vectors(sol, THETA))
         grid = sol.grid
@@ -269,9 +268,10 @@ def test_minimizer_single_node_convexity():
                            h_levels=(0.25,), seed=2)
     report = run_minimizer_test(cfg, trials=5)
     assert _verdicts(report) == MINIMIZER
+    energy, quadratic = report.checks
     assert report.details["trials"] == 5
-    assert report.details["min_quadratic_slope"] >= 1.9
-    assert report.details["max_energy_drop"] <= 1e-10
+    assert quadratic.value >= 1.9
+    assert -min(0.0, energy.value) <= 1e-10
 
     # explicit single-node scan: energy is strictly convex per coordinate
     grid = domain_for_radius(1.5, THETA, 0.25, 2)
@@ -349,8 +349,9 @@ def test_minimizer_battery_matches_the_sequential_loop(monkeypatch, seed):
     slopes = np.array([np.polyfit(log_eps, np.log(row), 1)[0] for row in want])
     got = harness._log_slopes(log_eps, gains)
     assert np.max(np.abs(got - slopes)) <= 1e-9
-    assert abs(report.details["min_quadratic_slope"] - np.min(slopes)) <= 1e-9
-    assert report.details["max_energy_drop"] == -min(0.0, np.min(want))
+    energy, quadratic = report.checks
+    assert abs(quadratic.value - np.min(slopes)) <= 1e-9
+    assert -min(0.0, energy.value) == -min(0.0, np.min(want))
 
 
 def test_minimizer_gains_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -392,7 +393,7 @@ def test_minimizer_violation_names_the_first_offending_competitor(monkeypatch, s
         assert offender["epsilon"] == harness.MINIMIZER_EPSILONS[e]
         assert offender["perturbation"].tobytes() == draws[trial].tobytes()
         energy = report.checks[0]
-        assert energy.name == "energy_gain" and not energy.passed
+        assert energy.check == "energy_gain" and not energy.passed
         assert energy.value <= gains[trial, e] < energy.threshold == -1e-10
 
 
@@ -588,7 +589,7 @@ def _trend_check(devs):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(harness, "_solve_level", solve)
         check, = run_liouville_experiment(cfg).checks
-    assert (check.name, check.threshold) == ("affine_dev_trend", 0.0)
+    assert (check.check, check.threshold) == ("affine_dev_trend", 0.0)
     assert check.passed == (check.value <= check.threshold)
     return check
 
@@ -615,7 +616,7 @@ def _decay_check(residuals, unsolved=()):
         m.setattr(harness, "conormal_stationarity_residual", residual)
         report = run_conormal_check(cfg)
     check, = report.checks
-    assert (check.name, check.threshold) == ("conormal_decay", 1.8)
+    assert (check.check, check.threshold) == ("conormal_decay", 1.8)
     assert check.passed == (check.value >= check.threshold)
     return report, check
 
@@ -734,8 +735,8 @@ def _minimizer_checks(gain=None, slope=None):
             m.setattr(harness, "_log_slopes", lambda *a: np.array([slope]))
         report = run_minimizer_test(_minimizer_config(0), trials=1)
     energy, quadratic = report.checks
-    assert (energy.name, energy.threshold) == ("energy_gain", -1e-10)
-    assert (quadratic.name, quadratic.threshold) == ("quadratic_slope", 1.9)
+    assert (energy.check, energy.threshold) == ("energy_gain", -1e-10)
+    assert (quadratic.check, quadratic.threshold) == ("quadratic_slope", 1.9)
     return report
 
 
@@ -786,7 +787,7 @@ def test_report_drift_check_edges(monkeypatch, stability, passed):
         scenario="gradient-bound-sweep", r_levels=(2.0,), h_levels=(0.5,), seed=0))
     check, = report.checks
     assert report.fit is fit
-    assert (check.name, check.threshold) == ("bound_drift", 0.2)
+    assert (check.check, check.threshold) == ("bound_drift", 0.2)
     assert check.value is stability and check.passed is passed
 
 
@@ -942,7 +943,7 @@ def test_angle_sweep_matches_the_per_cell_loop(tmp_path, steps, sin_min):
     blobs = []
     for tag, rows in (("array", run_angle_sweep(dims, thetas, sin_min)),
                       ("cells", _per_cell_sweep(dims, thetas, sin_min))):
-        write_csv(rows, tmp_path / f"{tag}.csv", ANGLE_SWEEP_COLUMNS)
+        write_csv(rows, tmp_path / f"{tag}.csv", AngleSweepRow)
         blobs.append((tmp_path / f"{tag}.csv").read_bytes())
     assert blobs[0] == blobs[1]
     assert run_angle_sweep([4], []) == [] and run_angle_sweep([], thetas) == []
@@ -1002,10 +1003,9 @@ def test_write_csv_matches_the_per_cell_rule(tmp_path):
     # each line is _fmt, the one cell rule, over the row's fields: np.float64
     # cells keep their np.float64(...) text, numpy ints their str(), and
     # numpy bools are written true/false like Python bools
-    columns = list(_Cells._fields)
     path = tmp_path / "cells.csv"
-    write_csv(_CELL_ROWS, path, columns)
-    lines = ["schema=1", ",".join(columns)] + [
+    write_csv(_CELL_ROWS, path, _Cells)
+    lines = ["schema=1", ",".join(_Cells._fields)] + [
         ",".join(harness._fmt(getattr(row, name)) for name in row._fields)
         for row in _CELL_ROWS]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
@@ -1014,24 +1014,17 @@ def test_write_csv_matches_the_per_cell_rule(tmp_path):
     assert lines[3].split(",")[1] == "true"
     assert lines[4].split(",")[7] == "false"
 
-    write_csv([], path, ("a", "b"))
+    write_csv([], path, NamedTuple("_Pair", [("a", int), ("b", int)]))
     assert path.read_bytes() == b"schema=1\na,b\n"
-    write_csv(iter(_CELL_ROWS[:1]), path, columns)
+    write_csv(iter(_CELL_ROWS[:1]), path, _Cells)
     assert path.read_text().splitlines()[2] == lines[2]
 
     mixed = tmp_path / "mixed.csv"
     with pytest.raises(TypeError, match="CheckResult row in a table of _Cells"):
-        write_csv([_CELL_ROWS[0], CheckResult("x", 1.0, 0.0, True)], mixed, columns)
+        write_csv([_CELL_ROWS[0], CheckResult("x", 1.0, 0.0, True)], mixed, _Cells)
+    with pytest.raises(TypeError, match="CheckResult row in a table of _Cells"):
+        write_csv([CheckResult("x", 1.0, 0.0, True)], mixed, _Cells)
     assert not mixed.exists()
-
-
-def test_row_fields_are_the_csv_columns():
-    # write_csv writes a row as the tuple it is, so each row type's fields
-    # are its table's columns in order; the audit's `check` is the name
-    assert ReportRow._fields == REPORT_COLUMNS
-    assert AngleSweepRow._fields == ANGLE_SWEEP_COLUMNS
-    assert CheckResult._fields == ("name",) + AUDIT_COLUMNS[1:]
-    assert AUDIT_COLUMNS[0] == "check"
 
 
 def test_report_csv_schema_and_determinism(tmp_path):
@@ -1044,7 +1037,7 @@ def test_report_csv_schema_and_determinism(tmp_path):
         report = run_liouville_experiment(cfg)
         assert _verdicts(report) == TREND
         path = tmp_path / f"run_{tag}.csv"
-        write_csv(report.rows, path, REPORT_COLUMNS)
+        write_csv(report.rows, path, ReportRow)
         paths.append(path)
     data_a, data_b = (p.read_bytes() for p in paths)
     assert data_a == data_b
@@ -1055,7 +1048,7 @@ def test_report_csv_schema_and_determinism(tmp_path):
 
     rows = run_angle_sweep([4], np.linspace(0.3, 1.0, 5))
     sweep_path = tmp_path / "sweep.csv"
-    write_csv(rows, sweep_path, ANGLE_SWEEP_COLUMNS)
+    write_csv(rows, sweep_path, AngleSweepRow)
     header = sweep_path.read_text().splitlines()
     assert header[0] == "schema=1"
     assert header[1] == "n,theta,in_U,threshold,margin,C_theta,script_B"
@@ -1063,12 +1056,12 @@ def test_report_csv_schema_and_determinism(tmp_path):
     results = run_audit(seed=1, n_gradients=1000, cutoff_draws=1,
                         cutoff_samples=200)
     audit_path = tmp_path / "audit.csv"
-    write_csv(results, audit_path, AUDIT_COLUMNS)
+    write_csv(results, audit_path, CheckResult)
     lines = audit_path.read_text().splitlines()
     assert lines[0] == "schema=1"
     assert lines[1] == "check,value,threshold,passed"
     assert len(lines) == 2 + len(results)
-    assert all(line.split(",")[0] == res.name and
+    assert all(line.split(",")[0] == res.check and
                line.split(",")[3] == ("true" if res.passed else "false")
                for line, res in zip(lines[2:], results))
 
@@ -1079,7 +1072,7 @@ def test_worst_status_ranks_a_linear_failure_last():
                                affine_dev=0.0, energy=0.0, v_min=1.0,
                                newton_iters=0, status=status)
                      for i, status in enumerate(statuses))
-        return ExperimentReport(scenario="affine-recovery", rows=rows)
+        return ExperimentReport(rows=rows)
 
     assert report().worst_status == "converged"
     assert report("converged", "max_iter").worst_status == "max_iter"
@@ -1101,7 +1094,7 @@ def test_audit_battery_passes():
     results = run_audit(seed=1, n_gradients=100_000, cutoff_draws=5,
                         cutoff_samples=2000)
     assert all(res.passed for res in results)
-    names = {res.name for res in results}
+    names = {res.check for res in results}
     assert {"v_lower_bound_margin", "cutoff_boundary_identity",
             "coefficient_equivalences", "region_inclusion"} <= names
 
@@ -1205,8 +1198,8 @@ def test_streamed_audit_matches_one_shot_draws(n_gradients, cutoff_draws):
         streamed = run_audit(seed, n_gradients, cutoff_draws=cutoff_draws,
                              cutoff_samples=50)
         oracle = _one_shot_audit(seed, n_gradients, cutoff_draws, 50)
-        assert [(c.name, c.value, c.passed) for c in streamed] == \
-            [(c.name, c.value, c.passed) for c in oracle]
+        assert [(c.check, c.value, c.passed) for c in streamed] == \
+            [(c.check, c.value, c.passed) for c in oracle]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1412,8 +1405,8 @@ def _assert_matches_cold(run, cfg, monkeypatch):
             for name in _ROW_VALUES:
                 assert getattr(w, name) == pytest.approx(getattr(c, name),
                                                          rel=1e-6, abs=1e-9)
-    assert [(c.name, c.passed) for c in outcome.checks] == \
-        [(c.name, c.passed) for c in cold_outcome.checks]
+    assert [(c.check, c.passed) for c in outcome.checks] == \
+        [(c.check, c.passed) for c in cold_outcome.checks]
     return rows, cold_rows, outcome, cold_outcome
 
 
