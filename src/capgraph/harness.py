@@ -253,14 +253,28 @@ _CELL_FORMATS = {bool: _fmt, float: repr, int: str, str: str}
 def write_csv(rows, path, table) -> None:
     """Write a `schema=1` CSV of `table` rows (a NamedTuple class): the
     header table._fields, then one line per row, each cell by _fmt.  A row
-    of another type raises TypeError before the file is opened."""
-    lines = ["schema=1", ",".join(table._fields)]
-    fmt = _CELL_FORMATS.get
+    of another type raises TypeError before the file is opened.
+
+    Each distinct cell object of a column is formatted once: a sweep shares
+    one angle, C_theta or threshold object among many rows.  The texts are
+    keyed by object identity, not value, because equal values can need
+    different text (-0.0 and 0.0; 1, 1.0 and True; np.float64(x) and x).
+    One object always has one text, and every id stays unique while `rows`
+    holds its cells."""
+    rows = list(rows)
     for row in rows:
         if type(row) is not table:
             raise TypeError(f"{type(row).__name__} row in a table of "
                             f"{table.__name__} rows")
-        lines.append(",".join([fmt(type(v), _fmt)(v) for v in row]))
+    fmt = _CELL_FORMATS.get
+    columns = []
+    for column in zip(*rows):
+        ids = list(map(id, column))
+        cells = dict(zip(ids, column))
+        text = {k: fmt(type(v), _fmt)(v) for k, v in cells.items()}
+        columns.append(map(text.__getitem__, ids))
+    lines = ["schema=1", ",".join(table._fields),
+             *map(",".join, zip(*columns))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -464,6 +478,14 @@ def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         CheckResult("affine_dev_trend", rise, 0.0, rise <= 0.0),))
 
 
+def _require_halvings(h_levels) -> None:
+    """bound_drift and conormal_decay are rates per mesh halving, so each
+    h after the first must be exactly half the one before (exact in binary
+    for 0.2, 0.1, 0.05 as for 0.5, 0.25)."""
+    if any(fine * 2.0 != coarse for coarse, fine in zip(h_levels, h_levels[1:])):
+        raise BadConfig(f"h_levels must halve at each level, got {h_levels}")
+
+
 def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     """Fit the exponential gradient bound over a boundary-data family.
 
@@ -484,6 +506,7 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     """
     if cfg.scenario != "gradient-bound-sweep":
         raise BadConfig(f"scenario {cfg.scenario!r} is not gradient-bound-sweep")
+    _require_halvings(cfg.h_levels)
     theta = cfg.theta
     r = cfg.r_levels[0]
     base = cfg.affine_base()
@@ -624,6 +647,7 @@ def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
     """
     if cfg.scenario != "conormal-check":
         raise BadConfig(f"scenario {cfg.scenario!r} is not conormal-check")
+    _require_halvings(cfg.h_levels)
     theta = cfg.theta
     r = cfg.r_levels[0]
     probe, data, _ = _first_level(cfg, max(cfg.h_levels), cfg.perturb_amp)

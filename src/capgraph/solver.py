@@ -115,7 +115,6 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int
     # the residual of the start, then of each accepted step: [-1] is the final one
     residual_history: tuple[float, ...]
     v_min: float
@@ -124,6 +123,11 @@ class SolveReport:
     # the read-only (n_nodes, dim) _gradient_vectors of the solution, which
     # v_min is taken from; not compared and not shown
     gradient: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def iterations(self) -> int:
+        """Accepted Newton steps."""
+        return len(self.residual_history) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -819,15 +823,14 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
         res_f, res_norm, v_min = residual(values)
         _check_area_element(v_min, spec.theta)
     target = cfg.tol_residual * max(1.0, res0)
-    history = [res_norm]
-    iterations = 0
+    history = [res_norm]      # the start, then one entry per accepted step
     status = SolveStatus.MAX_ITER
     eta = None
 
     # only a linear solve raises LinearSolveFailure, and the state above is
     # replaced only after one returns: a failure keeps the last accepted state
     try:
-        while iterations < _MAX_NEWTON:
+        while len(history) <= _MAX_NEWTON:
             if res_norm <= target:
                 break
             if res_norm > 1e6 * max(1.0, res0):
@@ -869,7 +872,6 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
                 res_f, res_norm, v_min = trial_res_f, trial_norm, trial_v_min
                 _check_area_element(v_min, spec.theta)
                 history.append(res_norm)
-                iterations += 1
                 eta = rtol
             elif not lift:
                 status = SolveStatus.STALLED
@@ -886,7 +888,6 @@ def newton_solve(spec: ProblemSpec, cfg: SolverConfig | None = None
     gradient = _gradient_vectors(solution, spec.theta)
     gradient.flags.writeable = False
     report = SolveReport(
-        iterations=iterations,
         residual_history=tuple(history),
         v_min=float(np.min(capillary_area_element(gradient, spec.theta))),
         energy=capillary_energy(solution, spec.theta),

@@ -709,6 +709,37 @@ def test_a_scenario_a_command_does_not_serve_is_exit_3(tmp_path, capsys):
                 runner(cfg)
 
 
+# refinement configs whose h does not halve at every level: a coarsening,
+# a repeat, a doubling and a third of the step
+_NOT_HALVING = (("report", "gradient-bound-sweep", (4.0,), (0.25, 0.5)),
+                ("verify", "conormal-check", (1.0,), (0.2, 0.2)),
+                ("verify", "conormal-check", (1.0,), (0.1, 0.2)),
+                ("verify", "conormal-check", (1.0,), (0.2, 0.1, 0.033)))
+_REFINEMENT_RUNNERS = {"report": harness.run_gradient_bound_sweep,
+                       "verify": harness.run_conormal_check}
+
+
+def test_refinement_h_levels_must_halve(tmp_path, capsys, monkeypatch):
+    # bound_drift and conormal_decay are rates per mesh halving: any other
+    # step is exit 3, raised before a grid is built, with no CSV
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    for name in ("build_grid", "domain_for_radius", "_first_level"):
+        monkeypatch.setattr(harness, name, no_grid)
+    out = tmp_path / "out.csv"
+    for command, scenario, r_levels, h_levels in _NOT_HALVING:
+        cfg = _write(tmp_path, "steps.cfg",
+                     f"scenario = {scenario}\nr_levels = {r_levels[0]}\n"
+                     f"h_levels = {', '.join(map(str, h_levels))}\nc0 = 2.0\n")
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 3, h_levels
+        assert "h_levels must halve at each level" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(BadConfig, match="h_levels must halve at each level"):
+            _REFINEMENT_RUNNERS[command](harness.ExperimentConfig(
+                scenario=scenario, r_levels=r_levels, h_levels=h_levels))
+
+
 @pytest.mark.parametrize("theta_rad", ["1.0471975511965976", "1.5707963267948966"])
 def test_verify_conormal_1d_roundoff_residuals_pass(tmp_path, theta_rad):
     # the 1D solution is exactly affine: its residuals sit at roundoff (at

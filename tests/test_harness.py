@@ -1,10 +1,13 @@
 """Config parsing, blow-down, experiment runners, CSV artifacts."""
 
 import math
+import pickle
 import sys
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -609,8 +612,10 @@ def _decay_check(residuals, unsolved=()):
     def residual(sol, theta, corner_margin):
         return next(values)
 
+    # the runner takes only halving mesh widths
     cfg = ExperimentConfig(scenario="conormal-check", r_levels=(1.0,),
-                           h_levels=(0.5,) * len(residuals), seed=0)
+                           h_levels=tuple(0.5 / 2 ** level for level in
+                                          range(len(residuals))), seed=0)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(harness, "_solve_level", solve)
         m.setattr(harness, "conormal_stationarity_residual", residual)
@@ -997,6 +1002,23 @@ _CELL_ROWS = [
     _Cells(np.float64(2.5), 1, np.float64(np.nan), False, 7, "x",
            np.int64(4), np.bool_(False), np.float64(np.inf), True),
 ]
+# rows that share cell objects, as a sweep's rows share one angle or
+# threshold: an object keeps its own text next to equal values of another
+# sign or type (-0.0 and 0.0; 1, 1.0, True, np.True_ and np.float64(1.0)),
+# and one NaN object reused sits next to a distinct NaN
+_NEG_ZERO, _ZERO, _NAN = -0.0, 0.0, float("nan")
+_CELL_ROWS += [
+    _Cells(True, np.True_, 1, np.int64(1), _ZERO, np.float64(1.0), "s",
+           _NEG_ZERO, _NAN, 1.0),
+    _Cells(True, np.True_, 1.0, np.int64(1), _NEG_ZERO, np.float64(1.0), "s",
+           _ZERO, _NAN, True),
+    _Cells(True, np.True_, True, np.int64(1), _ZERO, np.float64(1.0), "s",
+           _NEG_ZERO, float("nan"), 1),
+    _Cells(True, np.True_, np.True_, np.int64(1), _NEG_ZERO, np.float64(1.0),
+           "s", _ZERO, _NAN, np.float64(1.0)),
+    _Cells(True, np.True_, np.float64(1.0), np.int64(1), _ZERO,
+           np.float64(1.0), "s", _NEG_ZERO, np.float64(_NAN), np.True_),
+]
 
 
 def test_write_csv_matches_the_per_cell_rule(tmp_path):
@@ -1013,6 +1035,14 @@ def test_write_csv_matches_the_per_cell_rule(tmp_path):
                         "converged,-0.0,nan,inf")
     assert lines[3].split(",")[1] == "true"
     assert lines[4].split(",")[7] == "false"
+    shared = [line.split(",") for line in lines[5:]]
+    assert [cells[2] for cells in shared] == [
+        "1", "1.0", "true", "true", "np.float64(1.0)"]
+    assert [cells[4] for cells in shared] == ["0.0", "-0.0"] * 2 + ["0.0"]
+    assert [cells[7] for cells in shared] == ["-0.0", "0.0"] * 2 + ["-0.0"]
+    assert [cells[8] for cells in shared] == ["nan"] * 4 + ["np.float64(nan)"]
+    assert [cells[9] for cells in shared] == [
+        "1.0", "true", "1", "np.float64(1.0)", "true"]
 
     write_csv([], path, NamedTuple("_Pair", [("a", int), ("b", int)]))
     assert path.read_bytes() == b"schema=1\na,b\n"
@@ -1025,6 +1055,39 @@ def test_write_csv_matches_the_per_cell_rule(tmp_path):
     with pytest.raises(TypeError, match="CheckResult row in a table of _Cells"):
         write_csv([CheckResult("x", 1.0, 0.0, True)], mixed, _Cells)
     assert not mixed.exists()
+
+
+# equal values whose texts differ by sign or type, and NaNs
+_EQUAL_CELLS = [-0.0, 0.0, np.float64(-0.0), np.float64(0.0), np.int64(0),
+                False, np.False_, 0, 1, 1.0, True, np.True_, np.float64(1.0),
+                np.int64(1), float("nan"), np.float64(np.nan), 0.1,
+                np.float64(0.1), "1"]
+
+
+def _copy(value):
+    """An equal cell of the same type, a new object where the type allows."""
+    return pickle.loads(pickle.dumps(value))
+
+
+_TABLE_CELLS = st.builds(lambda v, fresh: _copy(v) if fresh else v,
+                         st.sampled_from(_EQUAL_CELLS), st.booleans())
+
+
+@given(st.lists(st.builds(_Cells, *[_TABLE_CELLS] * len(_Cells._fields)),
+                max_size=8))
+def test_write_csv_keys_its_texts_by_object_not_value(rows):
+    # a column mixes shared objects with distinct ones of equal value: each
+    # cell keeps its own _fmt text, also when the rows come as a generator of
+    # new copies that nothing else holds
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cells.csv"
+        lines = ["schema=1", ",".join(_Cells._fields)] + [
+            ",".join(map(harness._fmt, row)) for row in rows]
+        expected = ("\n".join(lines) + "\n").encode()
+        write_csv(rows, path, _Cells)
+        assert path.read_bytes() == expected
+        write_csv((_Cells(*map(_copy, row)) for row in rows), path, _Cells)
+        assert path.read_bytes() == expected
 
 
 def test_report_csv_schema_and_determinism(tmp_path):

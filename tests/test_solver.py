@@ -26,6 +26,7 @@ from capgraph import (CapillaryAngle, CapillaryLabError, InvalidParameter,
                       capillary_energy, conormal_stationarity_residual,
                       discrete_gradient, ghost_closure, newton_solve)
 from capgraph import estimates, harness, solver
+from capgraph.capillary import _quadrant_gradients, edge_differences
 from capgraph.geometry import HalfSpaceGrid, NodeClass
 from capgraph.solver import _energy_gradient
 
@@ -1033,6 +1034,26 @@ def test_cell_kernels_match_central_differences(dim, extent):
     free = grid.free_indices
     assert np.allclose(_free_matrix(grid, blocks).toarray(),
                        action[np.ix_(free, free)], rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim, extent", [
+    (2, (0.2, 1.4, 0.6)),
+    (1, (0.1, 1.3)),
+    (3, (0.5, (3, 4, 4))),
+])
+def test_energy_gradient_v_min_is_the_least_quadrant_area_element(dim, extent):
+    # the v that the Newton loop holds to sin(theta) is W + cos(theta) g_1
+    # over every cell quadrant: on a steep wall slope, either sign of cos
+    grid = build_grid(dim, *extent) if dim < 3 else _box_grid(*extent)
+    rng = np.random.default_rng(17)
+    for theta in (CapillaryAngle(np.pi / 4), CapillaryAngle(3 * np.pi / 4)):
+        for slope in (-3.0, 3.0):
+            vals = rng.uniform(-0.5, 0.5, grid.n_nodes) + slope * grid.nodes[:, 0]
+            d = edge_differences(grid, vals)
+            g1 = _quadrant_gradients(d, dim)[0]
+            v = np.sqrt(1.0 + sum(_quadrant_gradients(d * d, dim))) + theta.cos_t * g1
+            v_min = _energy_gradient(grid, vals, theta)[1]
+            assert v_min == pytest.approx(float(np.min(v)), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("grid", [build_grid(1, 0.25, 1.0),
