@@ -18,7 +18,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import DegenerateAngle, ShapeMismatch, ZeroVector
-from .geometry import HalfSpaceGrid
+from .geometry import HalfSpaceGrid, _row_squares
 
 DEFAULT_SIN_MIN = 0.05
 
@@ -132,14 +132,8 @@ def field_from_callable(grid: HalfSpaceGrid, fn) -> ScalarField:
 
 def area_element(g) -> np.ndarray | float:
     """W = sqrt(1 + |g|^2) for one gradient or a (..., dim) batch."""
-    arr = np.atleast_1d(np.asarray(g, dtype=float))
-    # the components summed in order, as np.sum over a short last axis
-    # does, but without its per-row reduction cost; in place on the
-    # function's own array (0-d for one gradient), never on g
-    x = arr[..., 0]
-    out = np.multiply(x, x, out=np.empty(x.shape))
-    for j in range(1, arr.shape[-1]):
-        out += arr[..., j] * arr[..., j]
+    # in place on the function's own array (0-d for one gradient), never on g
+    out = _row_squares(np.atleast_1d(np.asarray(g, dtype=float)))
     out += 1.0
     np.sqrt(out, out=out)
     return float(out) if out.ndim == 0 else out

@@ -20,7 +20,7 @@ from .capillary import (CapillaryAngle, ScalarField, _cos_theta, _nodal_gradient
                         capillary_area_element)
 from .errors import (DegenerateState, HypothesisViolation, InvalidParameter,
                      ShapeMismatch, require_count)
-from .geometry import EllipsoidRegion, RegionKind, in_region
+from .geometry import EllipsoidRegion, RegionKind, _row_squares, in_region
 from .solver import discrete_gradient
 
 
@@ -144,7 +144,7 @@ def cutoff_derivative_check(params: CutoffParams, samples: int,
 
     pts = draw_inside(samples, params.outer_region())
     psi = np.atleast_1d(cutoff_weight(pts, params))
-    gnorm = np.linalg.norm(cutoff_weight_gradient(pts, params), axis=1)
+    gnorm = np.sqrt(_row_squares(cutoff_weight_gradient(pts, params)))
     grad_violation = float(np.max(gnorm - 4.0 * np.sqrt(psi) / r))
 
     n_bdry = max(1, samples // 10)

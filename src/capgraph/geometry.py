@@ -480,6 +480,20 @@ def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSp
                          shape=shape, nodes=nodes, classes=classes)
 
 
+def _row_squares(a: np.ndarray) -> np.ndarray:
+    """np.sum(a * a, axis=-1) bit for bit, in an array of its own (0-d for
+    one vector).  Below 8 components numpy sums them in order, and so does
+    this, without the per-row cost of a reduction over a short last axis;
+    from 8 on numpy sums pairwise, and this calls it."""
+    if a.shape[-1] >= 8:
+        return np.sum(a * a, axis=-1, out=np.empty(a.shape[:-1]))
+    x = a[..., 0]
+    out = np.multiply(x, x, out=np.empty(x.shape))
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * a[..., j]
+    return out
+
+
 @dataclass(frozen=True)
 class EllipsoidRegion:
     """Angle-adapted ellipsoidal truncation of the half-space.
@@ -509,9 +523,12 @@ class EllipsoidRegion:
     def quadratic_value(self, points: np.ndarray) -> np.ndarray:
         """(x1 - |cos| r)^2 + sin^2 |x'|^2 for each point."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        val = (pts[:, 0] - self.axial_center) ** 2
+        val = np.subtract(pts[:, 0], self.axial_center)
+        val *= val
         if pts.shape[1] > 1:
-            val = val + self.theta.sin_t ** 2 * np.sum(pts[:, 1:] ** 2, axis=1)
+            tail = _row_squares(pts[:, 1:])
+            tail *= self.theta.sin_t ** 2
+            val += tail
         return val
 
 

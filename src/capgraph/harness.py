@@ -478,6 +478,16 @@ def run_liouville_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         CheckResult("affine_dev_trend", rise, 0.0, rise <= 0.0),))
 
 
+def _one_radius(cfg: ExperimentConfig) -> float:
+    """The one region radius of a run at a fixed radius (the refinement
+    scenarios and the minimizer test), which would otherwise read the first
+    of r_levels and drop the rest without a word."""
+    if len(cfg.r_levels) != 1:
+        raise BadConfig(f"scenario {cfg.scenario!r} takes one region radius, "
+                        f"got r_levels {cfg.r_levels}")
+    return cfg.r_levels[0]
+
+
 def _require_halvings(h_levels) -> None:
     """bound_drift and conormal_decay are rates per mesh halving, so each
     h after the first must be exactly half the one before (exact in binary
@@ -508,7 +518,7 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         raise BadConfig(f"scenario {cfg.scenario!r} is not gradient-bound-sweep")
     _require_halvings(cfg.h_levels)
     theta = cfg.theta
-    r = cfg.r_levels[0]
+    r = _one_radius(cfg)
     base = cfg.affine_base()
     rngs = _level_rngs(cfg, len(cfg.h_levels))
 
@@ -603,7 +613,7 @@ def run_minimizer_test(cfg: ExperimentConfig, trials: int = 100
         raise BadConfig(f"scenario {cfg.scenario!r} is not minimizer-test")
     require_count("trials", trials)
     theta = cfg.theta
-    r, h = cfg.r_levels[0], cfg.h_levels[0]
+    r, h = _one_radius(cfg), cfg.h_levels[0]
     grid, data, rng = _first_level(cfg, h, cfg.perturb_amp)
     sol, row, _ = _solve_level(theta, grid, data, 0, r, h,
                                solver_cfg=MINIMIZER_SOLVER)
@@ -649,7 +659,7 @@ def run_conormal_check(cfg: ExperimentConfig) -> ExperimentReport:
         raise BadConfig(f"scenario {cfg.scenario!r} is not conormal-check")
     _require_halvings(cfg.h_levels)
     theta = cfg.theta
-    r = cfg.r_levels[0]
+    r = _one_radius(cfg)
     probe, data, _ = _first_level(cfg, max(cfg.h_levels), cfg.perturb_amp)
     # fixed physical margin: the Dirichlet-wins corner rule commits a local
     # error at the corner-adjacent wall nodes that does not decay
@@ -747,8 +757,17 @@ def _philox_at(state, offset: int) -> np.random.Generator:
     return np.random.Generator(gen)
 
 
+def _carrying_nan(fold):
+    """`fold` (min or max) of plain floats, NaN when any of them is NaN:
+    Python's own min(inf, nan) is inf, which would pass a NaN check."""
+    return lambda *values: math.nan if any(map(math.isnan, values)) else fold(values)
+
+
+_least, _most = _carrying_nan(min), _carrying_nan(max)
+
+
 def _v_buffers(n_gradients: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One thread's angle, sine and gradient buffers for _v_margin: one
+    """One thread's angle, v - 1 and gradient buffers for _v_margin: one
     chunk of _AUDIT_CHUNK points, or n_gradients when fewer."""
     size = min(_AUDIT_CHUNK, n_gradients)
     return np.empty(size), np.empty(size), np.empty((size, 2))
@@ -760,9 +779,19 @@ def _v_margin(state, n_gradients: int, spans, buffers) -> float:
     `spans`, streamed in chunks of _AUDIT_CHUNK through `buffers`
     (_v_buffers): point i takes double i of the stream at `state` as its
     angle and doubles n_gradients + 2i, n_gradients + 2i + 1 as its
-    gradient; inf when it takes no point.  When it raises, it first drains
-    the spans left, so that no other thread takes one."""
-    theta_buf, sin_buf, grad_buf = buffers
+    gradient; inf when it takes no point, NaN when v is NaN at one.  When
+    it raises, it first drains the spans left, so that no other thread
+    takes one.
+
+    v is evaluated at every point, but sin(theta) only where the point can
+    still set the margin.  np.sin never exceeds 1 and rounded subtraction
+    is monotone, so v - 1 <= v - sin(theta) in floating point too.  A point
+    whose v - 1 lies above the margin so far, or above v - sin(theta) at the
+    chunk's point of least v - 1 (itself kept), cannot lower the minimum; a
+    NaN point is always kept.  The margin is the one over every point, bit
+    for bit, as np.sin gives a gathered angle the bits it gives it in the
+    whole chunk."""
+    theta_buf, low_buf, grad_buf = buffers
     margin = np.inf
     try:
         for lo, hi in spans:
@@ -773,8 +802,14 @@ def _v_margin(state, n_gradients: int, spans, buffers) -> float:
                 thetas = _uniform_into(angles, theta_buf[:count], *_AUDIT_ANGLES)
                 g = _uniform_into(grads, grad_buf[:count], -30.0, 30.0)
                 v = capillary_area_element(g, thetas)
-                v -= np.sin(thetas, out=sin_buf[:count])
-                margin = min(margin, float(np.min(v)))
+                low = np.subtract(v, 1.0, out=low_buf[:count])
+                j = int(np.argmin(low))
+                # low > NaN and NaN > bound are false: a NaN is kept either
+                # way, so min may drop one here
+                bound = min(margin, float(v[j] - np.sin(thetas[j])))
+                keep = np.flatnonzero(~(low > bound))
+                margin = _least(margin, float(np.min(
+                    v[keep] - np.sin(thetas[keep]), initial=np.inf)))
     except BaseException:
         for _ in spans:
             pass
@@ -797,7 +832,7 @@ def _closed_form_checks(rng, seed: int, cutoff_draws: int, cutoff_samples: int
         g = grads[sl]
         gauge = capillary_gauge(unit_normal(g), thetas[sl])
         vv = capillary_area_element(g, thetas[sl])
-        worst = max(worst, float(np.max(np.abs(gauge * area_element(g) - vv))))
+        worst = _most(worst, float(np.max(np.abs(gauge * area_element(g) - vv))))
     checks.append(CheckResult("gauge_energy_identity", worst, 1e-12,
                               worst <= 1e-12))
 
@@ -805,7 +840,7 @@ def _closed_form_checks(rng, seed: int, cutoff_draws: int, cutoff_samples: int
     g = rng.uniform(-10.0, 10.0, (10_000, 2))
     nu = unit_normal(g)
     mu = conormal(g)
-    worst = max(
+    worst = _most(
         float(np.max(np.abs(np.linalg.norm(nu, axis=1) - 1.0))),
         float(np.max(np.abs(np.linalg.norm(mu, axis=1) - 1.0))),
         float(np.max(np.abs(np.sum(nu * mu, axis=1)))),
@@ -822,7 +857,7 @@ def _closed_form_checks(rng, seed: int, cutoff_draws: int, cutoff_samples: int
         npl /= np.linalg.norm(npl, axis=1)[:, None]
         cal = calibration_value(g, npl, angle)
         gauge = capillary_gauge(npl, angle)
-        worst = max(worst, float(np.max(cal - gauge)))
+        worst = _most(worst, float(np.max(cal - gauge)))
     checks.append(CheckResult("calibration_inequality", worst, 1e-12,
                               worst <= 1e-12))
 
@@ -833,9 +868,9 @@ def _closed_form_checks(rng, seed: int, cutoff_draws: int, cutoff_samples: int
         r = float(np.exp(rng.uniform(np.log(0.5), np.log(8.0))))
         rep = cutoff_derivative_check(CutoffParams(r=r, theta=angle, dim=2),
                                       cutoff_samples, seed=seed + draw)
-        worst_grad = max(worst_grad, rep.max_gradient_violation)
-        worst_bdry = max(worst_bdry, rep.max_boundary_residual)
-        worst_inner = max(worst_inner, rep.inner_lower_bound - rep.min_weight_inner)
+        worst_grad = _most(worst_grad, rep.max_gradient_violation)
+        worst_bdry = _most(worst_bdry, rep.max_boundary_residual)
+        worst_inner = _most(worst_inner, rep.inner_lower_bound - rep.min_weight_inner)
     checks.append(CheckResult("cutoff_gradient_bound", worst_grad, 1e-12,
                               worst_grad <= 1e-12))
     checks.append(CheckResult("cutoff_boundary_identity", worst_bdry, 1e-12,
@@ -919,6 +954,6 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
             for _ in spans:
                 pass
             raise
-        margin = min(margin, worker.result())
+        margin = _least(margin, worker.result())
     return [CheckResult("v_lower_bound_margin", margin, -1e-12,
                         margin >= -1e-12)] + checks

@@ -740,6 +740,37 @@ def test_refinement_h_levels_must_halve(tmp_path, capsys, monkeypatch):
                 scenario=scenario, r_levels=r_levels, h_levels=h_levels))
 
 
+# the scenarios that run at one region radius, each with its runner
+_ONE_RADIUS = (("report", "gradient-bound-sweep", (0.5, 0.25),
+                harness.run_gradient_bound_sweep),
+               ("verify", "conormal-check", (0.2, 0.1), harness.run_conormal_check),
+               ("verify", "minimizer-test", (0.25,), harness.run_minimizer_test))
+
+
+@pytest.mark.parametrize("command, scenario, h_levels, runner", _ONE_RADIUS,
+                         ids=[case[1] for case in _ONE_RADIUS])
+def test_a_second_radius_is_exit_3_where_one_is_read(tmp_path, capsys, monkeypatch,
+                                                    command, scenario, h_levels,
+                                                    runner):
+    # these runs solve at the first radius only, so a second one would be
+    # dropped without a word: exit 3 before any grid is built, with no CSV
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    for name in ("build_grid", "domain_for_radius", "_first_level"):
+        monkeypatch.setattr(harness, name, no_grid)
+    cfg = _write(tmp_path, "radii.cfg",
+                 f"scenario = {scenario}\nr_levels = 4.0, 8.0\n"
+                 f"h_levels = {', '.join(map(str, h_levels))}\n")
+    out = tmp_path / "out.csv"
+    assert cli_main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert f"scenario '{scenario}' takes one region radius" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(BadConfig, match="takes one region radius"):
+        runner(harness.ExperimentConfig(scenario=scenario, r_levels=(4.0, 8.0),
+                                        h_levels=h_levels))
+
+
 @pytest.mark.parametrize("theta_rad", ["1.0471975511965976", "1.5707963267948966"])
 def test_verify_conormal_1d_roundoff_residuals_pass(tmp_path, theta_rad):
     # the 1D solution is exactly affine: its residuals sit at roundoff (at

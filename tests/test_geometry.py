@@ -14,7 +14,7 @@ from capgraph import (BadDimension, CapillaryAngle, EllipsoidRegion,
                       build_grid, domain_for_radius, in_region,
                       inner_node_set)
 from capgraph import geometry, solver
-from capgraph.geometry import _distance_to_ellipsoid
+from capgraph.geometry import _distance_to_ellipsoid, _row_squares
 from conftest import loose_bracket_distance
 
 
@@ -182,6 +182,34 @@ def test_region_inclusion_sampled():
         inner = in_region(pts, EllipsoidRegion(r, theta, RegionKind.INNER))
         outer = in_region(pts, EllipsoidRegion(r, theta, RegionKind.OUTER))
         assert not np.any(inner & ~outer)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 12])
+@pytest.mark.parametrize("batch", [(), (1,), (5000,), (7, 4)])
+def test_row_squares_is_bitwise_np_sum(width, batch):
+    # in order below 8 components and pairwise from 8 on, as np.sum adds
+    # them; a strided view (the x' columns of a point batch) reads the same
+    rng = np.random.default_rng(width)
+    shape = batch + (width + 1,)
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-100, 100, shape)
+    for view in (a[..., 1:], np.ascontiguousarray(a[..., 1:])):
+        want = np.sum(view * view, axis=-1)
+        got = _row_squares(view)
+        assert type(got) is np.ndarray and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_quadratic_value_is_bitwise_its_reduction_formula(dim):
+    rng = np.random.default_rng(dim)
+    for theta_val, r in ((0.4, 0.7), (np.pi / 2, 2.0), (2.8, 5.0)):
+        region = EllipsoidRegion(r, CapillaryAngle(theta_val), RegionKind.INNER)
+        pts = rng.uniform(-3.0 * r, 3.0 * r, (4000, dim))
+        want = (pts[:, 0] - region.axial_center) ** 2
+        if dim > 1:
+            want = want + region.theta.sin_t ** 2 * np.sum(pts[:, 1:] ** 2, axis=1)
+        assert region.quadratic_value(pts).tobytes() == want.tobytes()
+        assert region.quadratic_value(pts[0]).tobytes() == want[:1].tobytes()
 
 
 def test_regions_absorb_bounded_sets_as_r_grows():

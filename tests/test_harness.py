@@ -24,7 +24,8 @@ from capgraph import (AngleSweepRow, BadConfig, BadDimension,
                       ScalarField, affine_capillary_solution, angle_condition_holds,
                       angle_condition_lower_bound,
                       angle_threshold, area_element,
-                      build_grid, calibration_value, capillary_energy,
+                      build_grid, calibration_value, capillary_area_element,
+                      capillary_energy,
                       capillary_gauge, conormal,
                       cutoff_derivative_check,
                       discrete_gradient, domain_for_radius,
@@ -1435,6 +1436,119 @@ def test_audit_rejects_bad_sizes(kwargs):
 def test_audit_accepts_numpy_integer_sizes():
     results = run_audit(0, np.int64(10), np.int32(1), np.int64(10))
     assert all(res.passed for res in results)
+
+
+def _v_draws(seed, n_gradients):
+    """The angles and gradients of the audit's v check, drawn in one go."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    thetas = harness._sample_angles(rng, n_gradients)
+    return thetas, rng.uniform(-30.0, 30.0, (n_gradients, 2))
+
+
+def _area_with(theta_at, value):
+    """capillary_area_element with v set to `value` wherever the angle is
+    `theta_at`: at one drawn point of the v check, whichever chunk, span or
+    thread evaluates it."""
+    def mutant(g, thetas):
+        v = capillary_area_element(g, thetas)
+        v[thetas == theta_at] = value
+        return v
+    return mutant
+
+
+def _every_third_nan(name):
+    """harness's library function `name` with NaN at every third output."""
+    original = getattr(harness, name)
+
+    def mutant(*args):
+        out = np.array(original(*args), dtype=float)
+        out[::3] = np.nan
+        return out
+    return mutant
+
+
+def _cutoff_nan(field):
+    """cutoff_derivative_check with `field` NaN on its second draw (seed 1 of
+    a seed-0 audit), after a finite first draw."""
+    def mutant(params, samples, seed=0):
+        rep = cutoff_derivative_check(params, samples, seed=seed)
+        return rep._replace(**{field: math.nan}) if seed == 1 else rep
+    return mutant
+
+
+# one span of two chunks, and five points of a second span
+_N_V = 2 * _CHUNK + 5
+
+
+@pytest.mark.parametrize("name, mutant, failed", [
+    # the v check: NaN at its first point (folded into inf), in its second
+    # chunk (after a finite margin), in the second span (the fold of the
+    # spans and of the two threads' margins), and at every third point (the
+    # gauge identity's v too)
+    *(pytest.param("capillary_area_element",
+                   lambda thetas, k=k: _area_with(thetas[k], math.nan),
+                   {"v_lower_bound_margin"}, id=f"v-point-{k}")
+      for k in (0, _CHUNK + 1, _N_V - 1)),
+    pytest.param("capillary_area_element",
+                 lambda thetas: _every_third_nan("capillary_area_element"),
+                 {"v_lower_bound_margin", "gauge_energy_identity"}, id="v-every-third"),
+    pytest.param("capillary_gauge", lambda thetas: _every_third_nan("capillary_gauge"),
+                 {"gauge_energy_identity", "calibration_inequality"}, id="gauge"),
+    pytest.param("conormal", lambda thetas: _every_third_nan("conormal"),
+                 {"frame_orthogonality"}, id="frame"),
+    pytest.param("calibration_value", lambda thetas: _every_third_nan("calibration_value"),
+                 {"calibration_inequality"}, id="calibration"),
+    *(pytest.param("cutoff_derivative_check", lambda thetas, f=f: _cutoff_nan(f),
+                   {check}, id=check)
+      for f, check in (("max_gradient_violation", "cutoff_gradient_bound"),
+                       ("max_boundary_residual", "cutoff_boundary_identity"),
+                       ("min_weight_inner", "cutoff_inner_floor")))])
+def test_a_nan_fails_its_audit_check(monkeypatch, tmp_path, name, mutant, failed):
+    # Python's min(inf, nan) is inf and max(0.0, nan) is 0.0: a fold that
+    # dropped a NaN would pass its check.  Each fold carries it, the check
+    # reads nan and fails, and every other check keeps its value; each value
+    # stays a plain float, whose cell writes as `nan`
+    sound = run_audit(0, _N_V, cutoff_draws=2, cutoff_samples=50)
+    monkeypatch.setattr(harness, name, mutant(_v_draws(0, _N_V)[0]))
+    results = run_audit(0, _N_V, cutoff_draws=2, cutoff_samples=50)
+    assert [res.check for res in results] == [res.check for res in sound]
+    for res, ref in zip(results, sound):
+        assert type(res.value) is float
+        if res.check in failed:
+            assert math.isnan(res.value) and res.passed is False
+        else:
+            assert res == ref
+    path = tmp_path / "audit.csv"
+    write_csv(results, path, CheckResult)
+    lines = path.read_text().splitlines()
+    assert {line for line in lines if ",nan," in line} == \
+        {f"{check},nan,1e-12,false" if check != "v_lower_bound_margin"
+         else f"{check},nan,-1e-12,false" for check in failed}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, _N_V),
+       at=st.integers(0, _N_V - 1),
+       value=st.sampled_from([math.nan, -math.inf]) | st.floats(0.0, 1.0))
+@example(seed=0, n=_N_V, at=_N_V - 1, value=math.nan)
+@example(seed=0, n=_N_V, at=_CHUNK + 1, value=math.nan)
+@example(seed=3, n=1, at=0, value=-math.inf)
+@example(seed=0, n=_N_V, at=7, value=1e-300)
+def test_the_v_screen_hides_no_point(seed, n, at, value):
+    # a mutant capillary_area_element puts NaN, -inf or a dip of `value`
+    # below sin(theta) at one drawn point (its gradient is anywhere in
+    # [-30, 30]^2, far from the equality point (-cot(theta), 0)); the
+    # screened margin is the brute-force one over every point, bit for bit
+    thetas, grads = _v_draws(seed, n)
+    k = at % n
+    if not math.isnan(value) and value > -math.inf:
+        value = float(np.sin(thetas[k])) - value
+    mutant = _area_with(thetas[k], value)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "capillary_area_element", mutant)
+        margin = run_audit(seed, n, cutoff_draws=1, cutoff_samples=10)[0].value
+    brute = float(np.min(mutant(grads, thetas) - np.sin(thetas)))
+    assert margin.hex() == brute.hex() or (math.isnan(margin) and math.isnan(brute))
 
 
 _ROW_VALUES = ("sup_grad_inner", "affine_dev", "energy", "v_min")
