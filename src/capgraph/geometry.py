@@ -481,12 +481,10 @@ def build_grid(dim: int, h: float, L1: float, Lp: float | None = None) -> HalfSp
 
 
 def _row_squares(a: np.ndarray) -> np.ndarray:
-    """np.sum(a * a, axis=-1) bit for bit, in an array of its own (0-d for
-    one vector).  Below 8 components numpy sums them in order, and so does
-    this, without the per-row cost of a reduction over a short last axis;
-    from 8 on numpy sums pairwise, and this calls it."""
-    if a.shape[-1] >= 8:
-        return np.sum(a * a, axis=-1, out=np.empty(a.shape[:-1]))
+    """The squares of each row's components summed in order, in an array
+    of its own (0-d for one vector): np.sum(a * a, axis=-1) bit for bit
+    below 8 components, as every caller has, without the per-row cost of a
+    reduction over a short last axis."""
     x = a[..., 0]
     out = np.multiply(x, x, out=np.empty(x.shape))
     for j in range(1, a.shape[-1]):

@@ -483,8 +483,10 @@ def _one_radius(cfg: ExperimentConfig) -> float:
     scenarios and the minimizer test), which would otherwise read the first
     of r_levels and drop the rest without a word."""
     if len(cfg.r_levels) != 1:
+        default = (", the default when the config gives none"
+                   if cfg.r_levels == ExperimentConfig.r_levels else "")
         raise BadConfig(f"scenario {cfg.scenario!r} takes one region radius, "
-                        f"got r_levels {cfg.r_levels}")
+                        f"got r_levels {cfg.r_levels}{default}")
     return cfg.r_levels[0]
 
 
@@ -757,15 +759,6 @@ def _philox_at(state, offset: int) -> np.random.Generator:
     return np.random.Generator(gen)
 
 
-def _carrying_nan(fold):
-    """`fold` (min or max) of plain floats, NaN when any of them is NaN:
-    Python's own min(inf, nan) is inf, which would pass a NaN check."""
-    return lambda *values: math.nan if any(map(math.isnan, values)) else fold(values)
-
-
-_least, _most = _carrying_nan(min), _carrying_nan(max)
-
-
 def _v_buffers(n_gradients: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One thread's angle, v - 1 and gradient buffers for _v_margin: one
     chunk of _AUDIT_CHUNK points, or n_gradients when fewer."""
@@ -808,7 +801,7 @@ def _v_margin(state, n_gradients: int, spans, buffers) -> float:
                 # way, so min may drop one here
                 bound = min(margin, float(v[j] - np.sin(thetas[j])))
                 keep = np.flatnonzero(~(low > bound))
-                margin = _least(margin, float(np.min(
+                margin = float(np.minimum(margin, np.min(
                     v[keep] - np.sin(thetas[keep]), initial=np.inf)))
     except BaseException:
         for _ in spans:
@@ -832,7 +825,7 @@ def _closed_form_checks(rng, seed: int, cutoff_draws: int, cutoff_samples: int
         g = grads[sl]
         gauge = capillary_gauge(unit_normal(g), thetas[sl])
         vv = capillary_area_element(g, thetas[sl])
-        worst = _most(worst, float(np.max(np.abs(gauge * area_element(g) - vv))))
+        worst = float(np.maximum(worst, np.max(np.abs(gauge * area_element(g) - vv))))
     checks.append(CheckResult("gauge_energy_identity", worst, 1e-12,
                               worst <= 1e-12))
 
@@ -840,11 +833,11 @@ def _closed_form_checks(rng, seed: int, cutoff_draws: int, cutoff_samples: int
     g = rng.uniform(-10.0, 10.0, (10_000, 2))
     nu = unit_normal(g)
     mu = conormal(g)
-    worst = _most(
-        float(np.max(np.abs(np.linalg.norm(nu, axis=1) - 1.0))),
-        float(np.max(np.abs(np.linalg.norm(mu, axis=1) - 1.0))),
-        float(np.max(np.abs(np.sum(nu * mu, axis=1)))),
-    )
+    worst = float(np.max([
+        np.max(np.abs(np.linalg.norm(nu, axis=1) - 1.0)),
+        np.max(np.abs(np.linalg.norm(mu, axis=1) - 1.0)),
+        np.max(np.abs(np.sum(nu * mu, axis=1))),
+    ]))
     checks.append(CheckResult("frame_orthogonality", worst, 1e-12,
                               worst <= 1e-12))
 
@@ -857,7 +850,7 @@ def _closed_form_checks(rng, seed: int, cutoff_draws: int, cutoff_samples: int
         npl /= np.linalg.norm(npl, axis=1)[:, None]
         cal = calibration_value(g, npl, angle)
         gauge = capillary_gauge(npl, angle)
-        worst = _most(worst, float(np.max(cal - gauge)))
+        worst = float(np.maximum(worst, np.max(cal - gauge)))
     checks.append(CheckResult("calibration_inequality", worst, 1e-12,
                               worst <= 1e-12))
 
@@ -868,9 +861,10 @@ def _closed_form_checks(rng, seed: int, cutoff_draws: int, cutoff_samples: int
         r = float(np.exp(rng.uniform(np.log(0.5), np.log(8.0))))
         rep = cutoff_derivative_check(CutoffParams(r=r, theta=angle, dim=2),
                                       cutoff_samples, seed=seed + draw)
-        worst_grad = _most(worst_grad, rep.max_gradient_violation)
-        worst_bdry = _most(worst_bdry, rep.max_boundary_residual)
-        worst_inner = _most(worst_inner, rep.inner_lower_bound - rep.min_weight_inner)
+        worst_grad = float(np.maximum(worst_grad, rep.max_gradient_violation))
+        worst_bdry = float(np.maximum(worst_bdry, rep.max_boundary_residual))
+        worst_inner = float(np.maximum(worst_inner,
+                                       rep.inner_lower_bound - rep.min_weight_inner))
     checks.append(CheckResult("cutoff_gradient_bound", worst_grad, 1e-12,
                               worst_grad <= 1e-12))
     checks.append(CheckResult("cutoff_boundary_identity", worst_bdry, 1e-12,
@@ -954,6 +948,6 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
             for _ in spans:
                 pass
             raise
-        margin = _least(margin, worker.result())
+        margin = float(np.minimum(margin, worker.result()))
     return [CheckResult("v_lower_bound_margin", margin, -1e-12,
                         margin >= -1e-12)] + checks

@@ -771,6 +771,24 @@ def test_a_second_radius_is_exit_3_where_one_is_read(tmp_path, capsys, monkeypat
                                         h_levels=h_levels))
 
 
+@pytest.mark.parametrize("command, scenario, h_levels",
+                         [case[:3] for case in _ONE_RADIUS],
+                         ids=[case[1] for case in _ONE_RADIUS])
+def test_the_default_radii_are_exit_3_where_one_is_read(tmp_path, capsys, command,
+                                                       scenario, h_levels):
+    # r_levels defaults to three radii, so these scenarios need it given;
+    # the message says the radii it got are the default
+    cfg = _write(tmp_path, "no-radius.cfg",
+                 f"scenario = {scenario}\n"
+                 f"h_levels = {', '.join(map(str, h_levels))}\n")
+    out = tmp_path / "out.csv"
+    assert cli_main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert (f"scenario '{scenario}' takes one region radius, got r_levels "
+            "(4.0, 8.0, 16.0), the default when the config gives none"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("theta_rad", ["1.0471975511965976", "1.5707963267948966"])
 def test_verify_conormal_1d_roundoff_residuals_pass(tmp_path, theta_rad):
     # the 1D solution is exactly affine: its residuals sit at roundoff (at
