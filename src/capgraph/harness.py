@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -51,13 +50,10 @@ MINIMIZER_EPSILONS = (1e-1, 1e-2, 1e-3)
 _MINIMIZER_CHUNK = 10
 # members of the gradient-bound sweep's boundary-data family per mesh level
 _FAMILY_SIZE = 6
-# points per chunk of each thread's part of the audit's v >= sin(theta)
-# check: about 1.9 MB per thread in flight, 3.7 MB for the two, whatever
-# n_gradients; 2^16 per thread doubled that and took an audit process's peak
-# RSS from 42 to 46 MB (BENCH_audit_threads.json)
+# points per chunk of the audit's v >= sin(theta) check: about 1.9 MB in
+# flight, whatever n_gradients; 2^16 doubled that and took an audit process's
+# peak RSS from 42 to 46 MB (BENCH_audit_threads.json)
 _AUDIT_CHUNK = 2 ** 15
-# points per span, the unit that the two threads take from a shared iterator
-_AUDIT_SPAN = 2 * _AUDIT_CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +194,6 @@ class GradientBoundFit:
     c3: float
     fit_residual: float
     degenerate: bool
-    per_level: tuple[tuple[float, float, float], ...] = ()
-    stability: float = float("nan")   # max relative drift per mesh halving
 
 
 @dataclass(frozen=True)
@@ -552,23 +546,22 @@ def run_gradient_bound_sweep(cfg: ExperimentConfig) -> ExperimentReport:
         # constants fitted to unsolved members would describe their starts
         return ExperimentReport(rows=tuple(rows), details=details)
 
-    fit = _bound_fit(members, r, theta)
+    fit, drift = _bound_fit(members, r, theta)
     # a NaN drift (one level) passes
-    drift = CheckResult("bound_drift", fit.stability, 0.2, not fit.stability > 0.2)
-    return ExperimentReport(rows=tuple(rows), fit=fit, details=details,
-                            checks=(drift,))
+    return ExperimentReport(rows=tuple(rows), fit=fit, details=details, checks=(
+        CheckResult("bound_drift", drift, 0.2, not drift > 0.2),))
 
 
-def _bound_fit(members, r: float, theta: CapillaryAngle) -> GradientBoundFit:
+def _bound_fit(members, r: float, theta: CapillaryAngle
+               ) -> tuple[GradientBoundFit, float]:
     """Fit y = log(sup / gradient_bound(M, r, theta, 0, 0, 0)) by least
     squares on (1, M/r, (M/r)^2) at every mesh level of `members` (per
     level, the family's (M/r, sup|Du|) pairs) as one array program.  A level
     whose M/r is constant (std below 1e-9) is fitted on the first column
     alone and is degenerate (c2 = c3 = 0, rms 0).  c1 is shifted by the
     largest residual log(sup / gradient_bound(M, r, theta, c)), so the bound
-    dominates every member.  Returns the last level's fit with every level's
-    constants and their largest relative drift per halving (NaN for one
-    level)."""
+    dominates every member.  Returns the last level's fit and the largest
+    relative drift of the constants per halving (NaN for one level)."""
     ratio, sup = np.moveaxis(np.asarray(members, dtype=float), -1, 0)
     m = ratio * r
     y = np.log(sup / gradient_bound(m, r, theta, 0.0, 0.0, 0.0))
@@ -583,9 +576,7 @@ def _bound_fit(members, r: float, theta: CapillaryAngle) -> GradientBoundFit:
     drift = float(np.max(steps)) if steps.size else float("nan")
     c1, c2, c3 = coef[-1].tolist()
     return GradientBoundFit(c1=c1, c2=c2, c3=c3, fit_residual=float(rms[-1]),
-                            degenerate=not varying[-1],
-                            per_level=tuple(map(tuple, coef.tolist())),
-                            stability=drift)
+                            degenerate=not varying[-1]), drift
 
 
 def _log_slopes(log_eps: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -759,22 +750,12 @@ def _philox_at(state, offset: int) -> np.random.Generator:
     return np.random.Generator(gen)
 
 
-def _v_buffers(n_gradients: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One thread's angle, v - 1 and gradient buffers for _v_margin: one
-    chunk of _AUDIT_CHUNK points, or n_gradients when fewer."""
-    size = min(_AUDIT_CHUNK, n_gradients)
-    return np.empty(size), np.empty(size), np.empty((size, 2))
-
-
-def _v_margin(state, n_gradients: int, spans, buffers) -> float:
-    """min of v - sin(theta) over the points of the audit's v >= sin(theta)
-    check in every span [lo, hi) that this call takes from the iterator
-    `spans`, streamed in chunks of _AUDIT_CHUNK through `buffers`
-    (_v_buffers): point i takes double i of the stream at `state` as its
-    angle and doubles n_gradients + 2i, n_gradients + 2i + 1 as its
-    gradient; inf when it takes no point, NaN when v is NaN at one.  When
-    it raises, it first drains the spans left, so that no other thread
-    takes one.
+def _v_margin(state, n_gradients: int) -> float:
+    """min of v - sin(theta) over the n_gradients points of the audit's
+    v >= sin(theta) check, streamed in chunks of _AUDIT_CHUNK: point i takes
+    double i of the stream at `state` as its angle and doubles
+    n_gradients + 2i, n_gradients + 2i + 1 as its gradient; NaN when v is
+    NaN at one.
 
     v is evaluated at every point, but sin(theta) only where the point can
     still set the margin.  np.sin never exceeds 1 and rounded subtraction
@@ -784,29 +765,24 @@ def _v_margin(state, n_gradients: int, spans, buffers) -> float:
     NaN point is always kept.  The margin is the one over every point, bit
     for bit, as np.sin gives a gathered angle the bits it gives it in the
     whole chunk."""
-    theta_buf, low_buf, grad_buf = buffers
+    size = min(_AUDIT_CHUNK, n_gradients)
+    theta_buf, low_buf, grad_buf = np.empty(size), np.empty(size), np.empty((size, 2))
+    angles = _philox_at(state, 0)
+    grads = _philox_at(state, n_gradients)
     margin = np.inf
-    try:
-        for lo, hi in spans:
-            angles = _philox_at(state, lo)
-            grads = _philox_at(state, n_gradients + 2 * lo)
-            for first in range(lo, hi, _AUDIT_CHUNK):
-                count = min(_AUDIT_CHUNK, hi - first)
-                thetas = _uniform_into(angles, theta_buf[:count], *_AUDIT_ANGLES)
-                g = _uniform_into(grads, grad_buf[:count], -30.0, 30.0)
-                v = capillary_area_element(g, thetas)
-                low = np.subtract(v, 1.0, out=low_buf[:count])
-                j = int(np.argmin(low))
-                # low > NaN and NaN > bound are false: a NaN is kept either
-                # way, so min may drop one here
-                bound = min(margin, float(v[j] - np.sin(thetas[j])))
-                keep = np.flatnonzero(~(low > bound))
-                margin = float(np.minimum(margin, np.min(
-                    v[keep] - np.sin(thetas[keep]), initial=np.inf)))
-    except BaseException:
-        for _ in spans:
-            pass
-        raise
+    for first in range(0, n_gradients, _AUDIT_CHUNK):
+        count = min(_AUDIT_CHUNK, n_gradients - first)
+        thetas = _uniform_into(angles, theta_buf[:count], *_AUDIT_ANGLES)
+        g = _uniform_into(grads, grad_buf[:count], -30.0, 30.0)
+        v = capillary_area_element(g, thetas)
+        low = np.subtract(v, 1.0, out=low_buf[:count])
+        j = int(np.argmin(low))
+        # low > NaN and NaN > bound are false: a NaN is kept either way, so
+        # min may drop one here
+        bound = min(margin, float(v[j] - np.sin(thetas[j])))
+        keep = np.flatnonzero(~(low > bound))
+        margin = float(np.minimum(margin, np.min(
+            v[keep] - np.sin(thetas[keep]), initial=np.inf)))
     return margin
 
 
@@ -816,16 +792,10 @@ def _closed_form_checks(rng, seed: int, cutoff_draws: int, cutoff_samples: int
     checks = []
 
     # gauge-energy identity F(nu) W = v
-    m = 10_000
-    thetas = _sample_angles(rng, m)
-    grads = rng.uniform(-10.0, 10.0, (m, 2))
-    worst = 0.0
-    for i in range(0, m, 2000):
-        sl = slice(i, i + 2000)
-        g = grads[sl]
-        gauge = capillary_gauge(unit_normal(g), thetas[sl])
-        vv = capillary_area_element(g, thetas[sl])
-        worst = float(np.maximum(worst, np.max(np.abs(gauge * area_element(g) - vv))))
+    thetas = _sample_angles(rng, 10_000)
+    g = rng.uniform(-10.0, 10.0, (10_000, 2))
+    worst = float(np.max(np.abs(capillary_gauge(unit_normal(g), thetas) * area_element(g)
+                                - capillary_area_element(g, thetas))))
     checks.append(CheckResult("gauge_energy_identity", worst, 1e-12,
                               worst <= 1e-12))
 
@@ -909,18 +879,12 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
     """Property battery over the closed-form apparatus; returns one
     CheckResult per invariant, v_lower_bound_margin first.
 
-    The v >= sin(theta) check's points are cut into spans of _AUDIT_SPAN,
-    which one worker thread and the calling thread take from one shared
-    iterator (_v_margin): the worker starts on the first span, while the
-    calling thread runs every other check in order (_closed_form_checks)
-    and then drains the spans left.  The margin is the min over the spans,
-    so it does not depend on which thread took which.  Each thread's chunk
-    buffers are allocated before the checks start and held until the
-    margin is in, so the memory held does not depend on n_gradients or on
-    how the spans fall.  Every check draws the same numbers as one
-    full-size draw would.  The worker is joined before this returns; when
-    either thread raises, it drops the spans left, so the other takes no
-    further span, and a worker's exception re-raises here.
+    One worker thread runs the v >= sin(theta) check (_v_margin) from
+    start to end, while the calling thread runs every other check in order
+    (_closed_form_checks).  The v check's chunk buffers do not depend on
+    n_gradients, and every check draws the same numbers as one full-size
+    draw would.  The worker is joined before this returns, also when the
+    calling thread raises, and a worker's exception re-raises here.
     """
     for name, count in (("n_gradients", n_gradients), ("cutoff_draws", cutoff_draws),
                         ("cutoff_samples", cutoff_samples)):
@@ -929,25 +893,12 @@ def run_audit(seed: int = 0, n_gradients: int = 1_000_000,
 
     # pointwise lower bound of the capillary area element: the angles are the
     # stream's first n_gradients doubles and the gradients the next
-    # 2 n_gradients; each span reads its part of both, and rng goes on after
-    # the last gradient.  A list iterator's next is atomic under the GIL.
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    start = rng.bit_generator.state
-    spans = iter([(lo, min(lo + _AUDIT_SPAN, n_gradients))
-                  for lo in range(0, n_gradients, _AUDIT_SPAN)])
-    theirs, mine = _v_buffers(n_gradients), _v_buffers(n_gradients)
+    # 2 n_gradients; rng goes on after the last gradient
+    start = np.random.Philox(np.random.SeedSequence(seed)).state
+    rng = _philox_at(start, 3 * n_gradients)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(_v_margin, start, n_gradients,
-                             chain([next(spans)], spans), theirs)
-        try:
-            rng.bit_generator.state = \
-                _philox_at(start, 3 * n_gradients).bit_generator.state
-            checks = _closed_form_checks(rng, seed, cutoff_draws, cutoff_samples)
-            margin = _v_margin(start, n_gradients, spans, mine)
-        except BaseException:
-            for _ in spans:
-                pass
-            raise
-        margin = float(np.minimum(margin, worker.result()))
+        worker = pool.submit(_v_margin, start, n_gradients)
+        checks = _closed_form_checks(rng, seed, cutoff_draws, cutoff_samples)
+        margin = worker.result()
     return [CheckResult("v_lower_bound_margin", margin, -1e-12,
                         margin >= -1e-12)] + checks
