@@ -7,8 +7,8 @@ explicit constants), and runs desk-scale flatness experiments through a
 config-driven harness and CLI.
 """
 
-from .capillary import (AffineCapillarySolution, CapillaryAngle, GradientField,
-                        ScalarField, affine_capillary_solution, area_element,
+from .capillary import (AffineCapillarySolution, CapillaryAngle, ScalarField,
+                        affine_capillary_solution, area_element,
                         calibration_value, capillary_area_element,
                         capillary_energy, capillary_gauge, conormal,
                         edge_differences, field_from_callable,

@@ -100,27 +100,6 @@ class ScalarField:
         return self.grid.reshape(self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class GradientField:
-    """Per-node gradient vectors."""
-
-    grid: HalfSpaceGrid
-    vectors: np.ndarray        # (n_nodes, dim)
-
-    def __post_init__(self):
-        vec = np.asarray(self.vectors, dtype=float)
-        if vec.shape != (self.grid.n_nodes, self.grid.dim):
-            raise ShapeMismatch(
-                f"expected gradient shape {(self.grid.n_nodes, self.grid.dim)}, "
-                f"got {vec.shape}"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("gradient entries must be finite")
-        vec = vec.copy()
-        vec.flags.writeable = False
-        object.__setattr__(self, "vectors", vec)
-
-
 def field_from_callable(grid: HalfSpaceGrid, fn) -> ScalarField:
     """Evaluate fn on the grid nodes; fn takes an (N, dim) array."""
     return ScalarField(grid, np.asarray(fn(grid.nodes), dtype=float))

@@ -181,9 +181,6 @@ def cli_main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_BADCONFIG
     try:
         return _dispatch(args)
-    except (BadConfig, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADCONFIG
     except MemoryError as exc:
         # a config whose lattice fits the indices but not the memory
         print(f"error: out of memory: {exc}", file=sys.stderr)
@@ -191,7 +188,7 @@ def cli_main(argv=None) -> int:
     except (InvariantViolation, HypothesisViolation) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except CapillaryLabError as exc:
+    except (CapillaryLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADCONFIG
 

@@ -373,7 +373,7 @@ def conormal_stationarity_residual(u: ScalarField, theta: CapillaryAngle,
     """
     grid = u.grid
     grad = discrete_gradient(u, theta)
-    v = capillary_area_element(grad.vectors, theta)
+    v = capillary_area_element(grad, theta)
     cap = grid.capillary_indices
     if corner_margin > 0.0:
         keep = np.all(np.abs(grid.nodes[cap, 1:]) <= grid.box[1][1:] - corner_margin,
@@ -381,7 +381,7 @@ def conormal_stationarity_residual(u: ScalarField, theta: CapillaryAngle,
         if np.any(keep):
             cap = cap[keep]
     dv = _nodal_gradient(grid, v)[cap]
-    g = grad.vectors[cap]
+    g = grad[cap]
     w2 = 1.0 + np.sum(g * g, axis=1)
     # (1 - g1^2/W^2) dv_1 - sum_{j>1} (g1 g_j / W^2) dv_j
     cross = np.sum((g[:, :1] * g[:, 1:] / w2[:, None]) * dv[:, 1:], axis=1)

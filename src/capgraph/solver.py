@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .capillary import (CapillaryAngle, GradientField, ScalarField,
+from .capillary import (CapillaryAngle, ScalarField,
                         _edge_ends, _edge_views, _nodal_gradient,
                         _quadrant_gradients, affine_capillary_solution,
                         capillary_area_element, capillary_energy,
@@ -707,11 +707,17 @@ def _forcing_term(history: list, eta_prev: float | None, target: float,
     return max(min(eta, _EW_ETA_MAX), 0.5 * target / res, floor)
 
 
-def discrete_gradient(u: ScalarField, theta: CapillaryAngle) -> GradientField:
-    """Nodal gradient: centered second-order differences inside, one-sided
-    second-order on the box faces, and the ghost closure for the wall-normal
-    component at capillary nodes."""
-    return GradientField(u.grid, _gradient_vectors(u, theta))
+def discrete_gradient(u: ScalarField, theta: CapillaryAngle) -> np.ndarray:
+    """Nodal gradient, the read-only (n_nodes, dim) array that
+    SolveReport.gradient also is: centered second-order differences inside,
+    one-sided second-order on the box faces, and the ghost closure for the
+    wall-normal component at capillary nodes.  Raises ValueError where an
+    entry is not finite."""
+    vec = _gradient_vectors(u, theta)
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("gradient entries must be finite")
+    vec.flags.writeable = False
+    return vec
 
 
 def _gradient_vectors(u: ScalarField, theta: CapillaryAngle) -> np.ndarray:

@@ -420,7 +420,7 @@ def test_discrete_gradient_wall_rows_are_the_ghost_closure(args):
     for theta_val in (0.5, np.pi / 2, 2.4):
         theta = CapillaryAngle(theta_val)
         u = ScalarField(grid, rng.standard_normal(grid.n_nodes))
-        g = discrete_gradient(u, theta).vectors
+        g = discrete_gradient(u, theta)
         assert g[cap, 0].tobytes() == ghost_closure(g[cap, 1:], theta).tobytes()
         # the closed rows meet the contact-angle condition u_1 + cos(theta) W = 0
         w = area_element(g[cap])

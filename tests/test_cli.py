@@ -12,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capgraph import BadConfig, LinearSolveFailure, cli, geometry, harness, solver
+from capgraph import (BadConfig, DegenerateAngle, HypothesisViolation,
+                      InvariantViolation, LinearSolveFailure, cli, geometry,
+                      harness, solver)
 from capgraph.cli import _build_parser, cli_main
 from capgraph.harness import SCENARIOS, ReportRow
 
@@ -476,6 +478,26 @@ def test_running_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch):
     out = tmp_path / "solve.csv"
     assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err == "error: out of memory: Unable to allocate 15.3 GiB\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (InvariantViolation, 1, "invariant violation"),
+    (HypothesisViolation, 1, "invariant violation"),
+    (BadConfig, 3, "error"),
+    (DegenerateAngle, 3, "error"),
+    (OSError, 3, "error"),
+])
+def test_each_error_class_maps_to_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                 error, code, prefix):
+    def fails(cfg):
+        raise error("x")
+
+    monkeypatch.setattr(cli, "run_solve_experiment", fails)
+    cfg = _write(tmp_path, "base.cfg", BASE_CFG)
+    out = tmp_path / "solve.csv"
+    assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{prefix}: x\n"
     assert not out.exists()
 
 

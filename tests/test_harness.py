@@ -121,7 +121,7 @@ def test_blow_down_affine_and_identity():
     expected = finer.nodes @ aff.slope + 0.8
     assert np.max(np.abs(down.values - expected)) <= 1e-13
     grad = discrete_gradient(down, THETA)
-    assert np.max(np.abs(grad.vectors - aff.slope)) <= 1e-12
+    assert np.max(np.abs(grad - aff.slope)) <= 1e-12
 
     # onto its own lattice each node is its own corner, up to the rounding
     # of its cell fraction

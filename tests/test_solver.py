@@ -326,14 +326,14 @@ def test_discrete_gradient_exactness_and_order():
     grid = build_grid(2, 0.25, 1.0, 1.0)
     aff = affine_capillary_solution(THETA, (0.6,), -0.4)
     grad = discrete_gradient(aff.on_grid(grid), THETA)
-    assert np.max(np.abs(grad.vectors - aff.slope)) <= 1e-13
+    assert np.max(np.abs(grad - aff.slope)) <= 1e-13
 
     # quadratic in 1D: centered value exact at an interior node
     grid1 = build_grid(1, 0.5, 2.0)
     u = ScalarField(grid1, grid1.nodes[:, 0] ** 2)
     g = discrete_gradient(u, THETA)
     node = np.flatnonzero(grid1.nodes[:, 0] == 1.0)[0]
-    assert np.isclose(g.vectors[node, 0], 2.0, atol=1e-13)
+    assert np.isclose(g[node, 0], 2.0, atol=1e-13)
 
     # smooth field: interior error O(h^2)
     errs = []
@@ -344,7 +344,7 @@ def test_discrete_gradient_exactness_and_order():
         gy = -np.sin(grid.nodes[:, 0]) * np.sin(grid.nodes[:, 1])
         grad = discrete_gradient(ScalarField(grid, f), THETA)
         idx = grid.interior_indices
-        err = np.max(np.abs(grad.vectors[idx] - np.stack([gx, gy], axis=1)[idx]))
+        err = np.max(np.abs(grad[idx] - np.stack([gx, gy], axis=1)[idx]))
         errs.append(err)
     for a, b in zip(errs, errs[1:]):
         assert 3.5 <= a / b <= 4.5
@@ -451,7 +451,7 @@ def test_manufactured_solution_converges_at_second_order():
         spec = ProblemSpec.from_boundary_data(grid, theta, exact, H=source)
         sol, rep = newton_solve(spec)
         assert rep.status is SolveStatus.CONVERGED
-        vectors = discrete_gradient(sol, theta).vectors
+        vectors = discrete_gradient(sol, theta)
         errs.append((np.max(np.abs(sol.values - exact(grid.nodes))),
                      np.max(np.abs(vectors - grad(grid.nodes)))))
     for coarse, fine in zip(errs, errs[1:]):
@@ -481,7 +481,7 @@ def test_1d_manufactured_solution_converges_at_second_order():
         spec = ProblemSpec.from_boundary_data(grid, theta, exact, H=source)
         sol, rep = newton_solve(spec)
         assert rep.status is SolveStatus.CONVERGED
-        vectors = discrete_gradient(sol, theta).vectors
+        vectors = discrete_gradient(sol, theta)
         errs.append((np.max(np.abs(sol.values - exact(grid.nodes))),
                      np.max(np.abs(vectors[:, 0] - slope(grid.nodes)))))
     for coarse, fine in zip(errs, errs[1:]):
@@ -626,6 +626,24 @@ def test_grid_is_freed_after_newton_solve():
     del grid, spec, sol
     gc.collect()
     assert ref() is None
+
+
+def test_discrete_gradient_is_the_solve_gradient():
+    aff = affine_capillary_solution(THETA, (0.2,), 0.0)
+    spec = ProblemSpec.from_boundary_data(
+        build_grid(2, 0.25, 1.0, 1.0), THETA,
+        lambda p: aff(p) + 0.1 * np.sin(p[:, 1]))
+    sol, rep = newton_solve(spec)
+    assert rep.status is SolveStatus.CONVERGED
+    grad = discrete_gradient(sol, THETA)
+    assert type(grad) is np.ndarray
+    assert not grad.flags.writeable
+    assert grad.tobytes() == rep.gradient.tobytes()
+    grid = build_grid(1, 0.25, 1.0)
+    huge = ScalarField(grid, 1e308 * (-1.0) ** np.arange(grid.n_nodes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            discrete_gradient(huge, THETA)
 
 
 def test_solve_report_holds_the_solution_gradient_out_of_eq_and_repr():
